@@ -47,11 +47,7 @@ def _cmd_spectrum(args) -> int:
     if cfg.model_type != "rabi":
         print("spectrum requires a rabi model config", file=sys.stderr)
         return 2
-    m = cfg.model
-    params = RabiParams(epsilon=m["epsilon"], delta=m["delta"], g=m["g"],
-                        omega_r=m.get("omega_r", 1.0),
-                        fock_cutoff=int(m.get("fock_cutoff", 40)),
-                        retained_levels=int(m.get("retained_levels", 5)))
+    params = RabiParams(**cfg.model)
     model = build_rabi_junction(params)
     print(f"# numeric spectrum, lowest {model.dim} levels (units omega_r)")
     for i, w in enumerate(model.omega):

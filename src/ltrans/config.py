@@ -34,7 +34,7 @@ Values are plain floats/ints/booleans; no schema inference is performed.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,6 @@ class SweepConfig:
     points: int
     csv_path: str
     svg_path: str | None = None
-    workers: int | None = None
-    extra: dict[str, str] = field(default_factory=dict)
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":

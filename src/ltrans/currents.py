@@ -21,7 +21,7 @@ from .redfield import RateMatrix, build_k2_boson, gamma_rates
 from .steady import (DEFAULT_CLUSTER_FACTOR, SteadyState, cluster_bohr_frequencies,
                      full_secular_steady, partial_secular_steady)
 
-__all__ = ["CurrentResult", "ConductanceResult", "heat_current_2nd_secular",
+__all__ = ["CurrentResult", "heat_current_2nd_secular",
            "heat_current_2nd_general", "current_kernel_4th_lowT", "kappa4_lowT",
            "kappa4_kernel_quadrature", "kappa2", "tls_closed_forms", "dot_transport",
            "DotTransport", "partial_secular_state", "gamma_scale_from_kernel"]
@@ -43,18 +43,6 @@ class CurrentResult:
     def conservation_residual(self) -> float:
         scale = max((abs(v) for v in self.per_reservoir.values()), default=0.0)
         return abs(self.total()) / max(scale, 1e-300)
-
-
-@dataclass(frozen=True)
-class ConductanceResult:
-    kappa2: float
-    kappa4: float
-    temperature: float
-    method: str = "analytic-derivative"
-
-    @property
-    def kappa_total(self) -> float:
-        return self.kappa2 + self.kappa4
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +145,6 @@ def current_kernel_4th_lowT(model: JunctionModel, baths: list[Reservoir],
                       / (bohr[m, nn] * bohr[k, nn]))
             out[m, nn] = 8.0 * np.pi * freq_int * s
     return out
-
-
-def _interference_sum(model: JunctionModel, left: str, right: str) -> float:
-    """sum_{m != 0} Q_L[0, m] Q_R[m, 0] / w_m0 (the cotunneling amplitude)."""
-    ql = model.q(left)
-    qr = model.q(right)
-    bohr = model.bohr_matrix()
-    s = 0.0
-    for m in range(1, model.dim):
-        if abs(bohr[m, 0]) < 1e-12:
-            if abs(ql[0, m] * qr[m, 0]) > 0:
-                raise ValidationError("degenerate ground state with coupling")
-            continue
-        s += ql[0, m] * qr[m, 0] / bohr[m, 0]
-    return s
 
 
 def kappa4_lowT(model: JunctionModel, alpha: float, temperature: float,

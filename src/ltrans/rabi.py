@@ -1,12 +1,14 @@
 """Qubit-resonator junction (quantum Rabi model) and its analytic limits.
 
 The numeric route builds the Hamiltonian on a truncated Fock space,
-diagonalizes it with the in-house Jacobi solver, and exports the lowest
-levels together with the coupling operators (resonator quadrature to the
-left bath, qubit flux to the right bath) as a JunctionModel.  The rotating
-wave approximation, second-order Van Vleck perturbation theory and the
-generalized RWA provide closed-form spectra used for cross-checks and for
-interpreting the conductance features.
+diagonalizes it with linalg.hermitian_eigensystem, checks that the retained
+levels are converged in the Fock cutoff, and exports them together with the
+coupling operators (resonator quadrature to the left bath, qubit flux to the
+right bath) as a JunctionModel.  The rotating wave approximation,
+second-order Van Vleck perturbation theory and the generalized RWA provide
+closed-form spectra used for cross-checks and for interpreting the
+conductance features; the tests check the Van Vleck levels against the
+numeric ones at weak coupling.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _rabi_hamiltonian(p: RabiParams, n_fock: int) -> np.ndarray:
 def _diag_lowest(p: RabiParams, n_fock: int, keep: int):
     h = _rabi_hamiltonian(p, n_fock)
     lam, v = hermitian_eigensystem(h)
-    return lam[:keep], v[:, :keep], v
+    return lam[:keep], v[:, :keep]
 
 
 def build_rabi_junction(params: RabiParams, left_id: str = "L",
@@ -111,8 +113,8 @@ def build_rabi_junction(params: RabiParams, left_id: str = "L",
     1e-10 * omega_r.
     """
     keep = params.retained_levels
-    lam, vk, _ = _diag_lowest(params, params.fock_cutoff, keep)
-    lam_chk, _, _ = _diag_lowest(params, params.fock_cutoff + CONVERGENCE_EXTRA, keep)
+    lam, vk = _diag_lowest(params, params.fock_cutoff, keep)
+    lam_chk, _ = _diag_lowest(params, params.fock_cutoff + CONVERGENCE_EXTRA, keep)
     drift = float(np.max(np.abs(lam - lam_chk)))
     if drift > CONVERGENCE_TOL * params.omega_r:
         raise ValidationError(
@@ -267,8 +269,11 @@ def grwa_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
     alpha_t = (2.0 * p.g / p.omega_r)**2
     wq_n = np.array([np.hypot(_dressed_gap(p.delta, alpha_t, n, n), p.epsilon)
                      for n in range(n_max + 1)])
-    c_plus = np.sqrt((wq_n + p.epsilon) / (2.0 * wq_n))
-    c_minus = np.sqrt((wq_n - p.epsilon) / (2.0 * wq_n))
+    # wq_n = 0 needs epsilon = 0 and a zero of the dressed gap; there the
+    # mixing takes its epsilon -> 0 limit c_plus = c_minus = 1/sqrt(2)
+    cos_n = np.divide(p.epsilon, wq_n, out=np.zeros_like(wq_n), where=wq_n > 0.0)
+    c_plus = np.sqrt(0.5 * (1.0 + cos_n))
+    c_minus = np.sqrt(0.5 * (1.0 - cos_n))
     ns = np.arange(1, n_max + 1)
     delta_n = 0.5 * (wq_n[1:] + wq_n[:-1]) - p.omega_r
     off = np.array([_dressed_gap(p.delta, alpha_t, n, n - 1)

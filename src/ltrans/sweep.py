@@ -95,12 +95,7 @@ def compute_row(cfg: SweepConfig, value: float) -> str:
         return _format_row(cfg, value, fields, levels=3)
 
     if cfg.model_type == "rabi":
-        params = RabiParams(epsilon=float(model_args["epsilon"]),
-                            delta=float(model_args["delta"]),
-                            g=float(model_args["g"]),
-                            omega_r=float(model_args.get("omega_r", 1.0)),
-                            fock_cutoff=int(model_args.get("fock_cutoff", 40)),
-                            retained_levels=int(model_args.get("retained_levels", 5)))
+        params = RabiParams(**model_args)
         model = build_rabi_junction(params)
         levels = params.retained_levels
     else:

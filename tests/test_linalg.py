@@ -142,3 +142,17 @@ def test_to_eigenbasis_dimension_mismatch():
 def test_to_eigenbasis_nonunitary_rejected():
     with pytest.raises(ValidationError):
         to_eigenbasis(np.eye(2), 2.0 * np.eye(2))
+
+
+def test_non_finite_rejected():
+    with pytest.raises(ValidationError):
+        hermitian_eigensystem(np.array([[0.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_lapack_failure_is_numeric_error(monkeypatch):
+    def fail(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError):
+        hermitian_eigensystem(np.eye(2))
