@@ -2,9 +2,12 @@
 
 The central objects are the one-sided Fourier transforms W(omega_nm) of the
 bath coupling-operator correlation function, evaluated for an Ohmic-Drude
-spectral density.  W is computed from its Matsubara representation (direct
-summation plus an analytic Hurwitz-zeta tail), and a principal-value
-quadrature oracle of the same quantity is provided for tests.
+spectral density.  `w_table` evaluates W over a whole array of Bohr
+frequencies in closed form: Re W = pi J n, and Im W is the digamma
+resummation of its Matsubara series, which has no pole where omega_c meets a
+Matsubara frequency.  The Matsubara series itself (direct summation plus an
+analytic Hurwitz-zeta tail) and a principal-value quadrature of the same
+quantity are kept as test oracles; no production path calls them.
 
 All rates are returned with hbar = 1, i.e. the hbar^2 prefactor of the raw
 correlation integral is divided out once and for all.
@@ -16,14 +19,15 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import zeta
+from scipy.special import digamma, zeta
 
 from .linalg import ValidationError, NumericError
 from .model import Reservoir, SpectralDensity
 
-__all__ = ["occupation", "bose_signed", "spectral_density", "w_rate", "wbar_rate",
-           "w_rate_real", "w_rate_real_resummed", "w_rate_pv_oracle", "dn_dDeltaT",
-           "digamma", "fermi_pv_integral", "matsubara_sums"]
+__all__ = ["occupation", "bose_signed", "spectral_density", "w_table", "wbar_table",
+           "w_rate", "wbar_rate", "w_rate_real", "w_rate_real_resummed",
+           "w_rate_matsubara_oracle", "w_rate_pv_oracle", "dn_dDeltaT",
+           "fermi_pv_integral", "matsubara_sums"]
 
 MATSUBARA_ATOL = 1e-12
 MATSUBARA_MAX_TERMS = 10**6
@@ -86,7 +90,92 @@ def spectral_density(j: SpectralDensity, omega):
 
 
 # ---------------------------------------------------------------------------
-# Matsubara machinery
+# closed-form W table (production path)
+# ---------------------------------------------------------------------------
+
+def _drude_params(bath: Reservoir) -> SpectralDensity:
+    if bath.statistics != "bose":
+        raise ValidationError(
+            "w_rate supports bosonic reservoirs only; use fermi_pv_integral")
+    if not isinstance(bath.spectral, SpectralDensity):
+        raise ValidationError("bosonic reservoir needs an Ohmic-Drude spectral density")
+    return bath.spectral
+
+
+def _w_real(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
+    """pi * J(w) * n(w), continued through w = 0 where it tends to pi*alpha/beta."""
+    x = beta * w
+    small = np.abs(x) < 1e-8
+    # J*n = (J/w) * (1/beta - w/2 + beta w^2/12 + ...)
+    series = np.pi * sd.slope_at(w) / beta * (1.0 - 0.5 * x + x * x / 12.0)
+    direct = np.pi * sd.value(w) * bose_signed(np.where(small, 1.0, w), beta)
+    return np.where(small, series, direct)
+
+
+def _w_imag(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
+    """PV int J(w') n(w') / (w' - w) dw' in closed form.
+
+    Im W = J(w) [psi(x) + 1/(2x) - Re psi(1 + i y)] - (pi/2) (J(w)/w) omega_c
+    with x = beta omega_c / 2 pi and y = beta w / 2 pi.  This resums the Drude
+    Matsubara expansion (Ishizaki and Tanimura, J. Phys. Soc. Jpn. 74, 3131
+    (2005)); the cot(beta omega_c / 2) pole of the series cancels against
+    psi(1 - x) through the reflection formula, so nothing is singular at a
+    Matsubara collision omega_c = 2 pi k / beta.
+    """
+    x = beta * sd.omega_c / (2.0 * np.pi)
+    y = beta * w / (2.0 * np.pi)
+    bracket = digamma(x) + 0.5 / x - digamma(1.0 + 1j * y).real
+    return sd.value(w) * bracket - 0.5 * np.pi * sd.slope_at(w) * sd.omega_c
+
+
+def w_table(omega, bath: Reservoir) -> np.ndarray:
+    """Bath correlation rate W(omega) over an array of Bohr frequencies.
+
+    Ohmic-Drude bosonic bath.  Real part: pi*J(omega)*n(omega), continued
+    through omega = 0 where it tends to pi*alpha/beta.  Imaginary part: the
+    principal value of the same integrand, in the digamma closed form of
+    `_w_imag`.  Returns a complex array of the shape of `omega`.
+    """
+    sd = _drude_params(bath)
+    w = np.asarray(omega, dtype=float)
+    return _w_real(w, sd, bath.beta) + 1j * _w_imag(w, sd, bath.beta)
+
+
+def wbar_table(omega, bath: Reservoir) -> np.ndarray:
+    """Energy-weighted rate omega * W(omega) over an array of Bohr frequencies.
+
+    The formally divergent zero-time correlation term i*<B(0)B(0)> is omitted:
+    it multiplies Im Tr(Q^2 rho) in the heat current, which vanishes for
+    Hermitian rho, so dropping it realizes the cancellation structurally.
+    """
+    w = np.asarray(omega, dtype=float)
+    return w * w_table(w, bath)
+
+
+def w_rate(omega_nm: float, bath: Reservoir) -> complex:
+    """W(omega_nm) at a single Bohr frequency; see `w_table`."""
+    return complex(w_table(float(omega_nm), bath))
+
+
+def wbar_rate(omega_nm: float, bath: Reservoir) -> complex:
+    """omega_nm * W(omega_nm) at a single Bohr frequency; see `wbar_table`."""
+    return complex(wbar_table(float(omega_nm), bath))
+
+
+def w_rate_real(omega_nm: float, bath: Reservoir) -> float:
+    """Resonant (absorption/emission) part of W: pi * J(w) * n(w).
+
+    The signed continuation through w = 0 uses the odd spectral density and
+    the continued Bose function; the limit at w = 0 is pi*alpha/beta.  This
+    golden-rule form is exact: the Matsubara resummation of the same quantity
+    (w_rate_real_resummed) telescopes onto it analytically, but suffers
+    cancellation at large beta*w, so the direct form is authoritative.
+    """
+    return float(_w_real(np.asarray(float(omega_nm)), _drude_params(bath), bath.beta))
+
+
+# ---------------------------------------------------------------------------
+# Matsubara-series oracle (test-only path)
 # ---------------------------------------------------------------------------
 
 def matsubara_sums(omega: float, omega_c: float, beta: float,
@@ -99,7 +188,9 @@ def matsubara_sums(omega: float, omega_c: float, beta: float,
 
     Direct summation up to an adaptively chosen cutoff, then Hurwitz-zeta
     tail corrections for the 1/nu^2 .. 1/nu^9 asymptotics.  The truncation
-    error estimate (last tail order retained) is kept below atol.
+    error estimate (last tail order retained) is kept below atol.  Test
+    oracle for `w_table`: the terms diverge where omega_c meets a Matsubara
+    frequency, and the cutoff grows like beta.
     """
     eta = 2.0 * np.pi / beta
     scale = max(abs(omega), omega_c)
@@ -140,34 +231,6 @@ def matsubara_sums(omega: float, omega_c: float, beta: float,
         n_terms *= 2
 
 
-def _drude_params(bath: Reservoir) -> SpectralDensity:
-    if bath.statistics != "bose":
-        raise ValidationError(
-            "w_rate supports bosonic reservoirs only; use fermi_pv_integral")
-    if not isinstance(bath.spectral, SpectralDensity):
-        raise ValidationError("bosonic reservoir needs an Ohmic-Drude spectral density")
-    return bath.spectral
-
-
-def w_rate_real(omega_nm: float, bath: Reservoir) -> float:
-    """Resonant (absorption/emission) part of W: pi * J(w) * n(w).
-
-    The signed continuation through w = 0 uses the odd spectral density and
-    the continued Bose function; the limit at w = 0 is pi*alpha/beta.  This
-    golden-rule form is exact: the Matsubara resummation of the same quantity
-    (w_rate_real_resummed) telescopes onto it analytically, but suffers
-    cancellation at large beta*w, so the direct form is authoritative.
-    """
-    sd = _drude_params(bath)
-    w = float(omega_nm)
-    if abs(bath.beta * w) < 1e-8:
-        # J*n = (J/w) * (1/beta - w/2 + beta w^2/12 + ...)
-        x = bath.beta * w
-        return float(np.pi * sd.slope_at(w) / bath.beta
-                     * (1.0 - 0.5 * x + x * x / 12.0))
-    return float(np.pi * sd.value(w) * bose_signed(w, bath.beta))
-
-
 def _cot_half(beta: float, omega_c: float) -> float:
     half_arg = 0.5 * beta * omega_c
     if abs(np.sin(half_arg)) < 1e-12:
@@ -175,55 +238,32 @@ def _cot_half(beta: float, omega_c: float) -> float:
     return np.cos(half_arg) / np.sin(half_arg)
 
 
-def w_rate_real_resummed(omega_nm: float, bath: Reservoir,
-                         atol: float = MATSUBARA_ATOL) -> float:
-    """Re W from the Matsubara-resummed closed form (cot terms plus S2 sum).
+def w_rate_matsubara_oracle(omega_nm: float, bath: Reservoir,
+                            atol: float = MATSUBARA_ATOL) -> complex:
+    """W(omega_nm) from its Matsubara series: cot(beta*omega_c/2) terms plus S2, S3.
 
-    Analytically identical to w_rate_real; numerically it loses relative
-    accuracy where Re W is exponentially small, so it serves as a
-    consistency check of the summation machinery, not as the production path.
+    Analytically identical to `w_table` and independent of its digamma closed
+    form, which it checks.  Numerically Re W loses relative accuracy where it
+    is exponentially small, and both parts lose accuracy as omega_c nears a
+    Matsubara frequency, where the cot term and the series diverge.
     """
     sd = _drude_params(bath)
     alpha, omega_c, beta = sd.alpha, sd.omega_c, bath.beta
     w = float(omega_nm)
-    s2, _ = matsubara_sums(w, omega_c, beta, atol=atol)
+    s2, s3 = matsubara_sums(w, omega_c, beta, atol=atol)
     cot = _cot_half(beta, omega_c)
     pref = 2.0 * np.pi * alpha * omega_c**2 / beta
-    return float(0.5 * np.pi * sd.slope_at(w) * omega_c * cot
-                 - 0.5 * np.pi * sd.value(w) - pref * s2)
-
-
-def w_rate(omega_nm: float, bath: Reservoir, atol: float = MATSUBARA_ATOL) -> complex:
-    """Bath correlation rate W(omega_nm) for an Ohmic-Drude bosonic bath.
-
-    Real part: pi*J(omega_nm)*n(omega_nm) (continued through omega_nm = 0,
-    where it tends to pi*alpha/beta).  Imaginary part: principal-value
-    contribution from the cot(beta*omega_c/2) resonance term plus the
-    Matsubara sum S3.
-    """
-    sd = _drude_params(bath)
-    alpha, omega_c, beta = sd.alpha, sd.omega_c, bath.beta
-    w = float(omega_nm)
-
-    _, s3 = matsubara_sums(w, omega_c, beta, atol=atol)
-    cot = _cot_half(beta, omega_c)
-    pref = 2.0 * np.pi * alpha * omega_c**2 / beta
-    re = w_rate_real(w, bath)
+    re = (0.5 * np.pi * sd.slope_at(w) * omega_c * cot
+          - 0.5 * np.pi * sd.value(w) - pref * s2)
     im = (-0.5 * np.pi * sd.value(w) * cot
           - 0.5 * np.pi * sd.slope_at(w) * omega_c + pref * w * s3)
     return complex(re, im)
 
 
-def wbar_rate(omega_nm: float, bath: Reservoir, atol: float = MATSUBARA_ATOL) -> complex:
-    """Energy-weighted rate omega_nm * W(omega_nm).
-
-    The formally divergent zero-time correlation term i*<B(0)B(0)> is omitted:
-    it multiplies Im Tr(Q^2 rho) in the heat current, which vanishes for
-    Hermitian rho, so dropping it realizes the cancellation structurally.
-    """
-    if omega_nm == 0.0:
-        return 0.0 + 0.0j
-    return omega_nm * w_rate(omega_nm, bath, atol=atol)
+def w_rate_real_resummed(omega_nm: float, bath: Reservoir,
+                         atol: float = MATSUBARA_ATOL) -> float:
+    """Re W from the Matsubara series; see `w_rate_matsubara_oracle`."""
+    return w_rate_matsubara_oracle(omega_nm, bath, atol=atol).real
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +276,7 @@ def w_rate_pv_oracle(omega_nm: float, bath: Reservoir, lam: float = 1e-6,
 
     Real part via the Lorentzian representation of the delta function,
     imaginary part via symmetric principal-value quadrature around the
-    resonance.  Returns (value, error_bound).  Used to validate w_rate.
+    resonance.  Returns (value, error_bound).  Used to validate w_table.
     """
     sd = _drude_params(bath)
     alpha, omega_c, beta = sd.alpha, sd.omega_c, bath.beta
@@ -345,35 +385,8 @@ def dn_dDeltaT_signed(omega: float, temperature: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# digamma and the fermionic wide-band integral
+# the fermionic wide-band integral
 # ---------------------------------------------------------------------------
-
-# Bernoulli numbers B_2 .. B_16 for the asymptotic series
-_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
-              5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510)
-
-
-def digamma(z: complex) -> complex:
-    """Digamma function for complex arguments with Re z > 0.
-
-    Upward recurrence psi(z) = psi(z+1) - 1/z until |z| >= 10, then the
-    8-term asymptotic series.
-    """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise ValidationError("digamma implemented for Re z > 0 only")
-    acc = 0.0 + 0.0j
-    while abs(z) < 10.0:
-        acc -= 1.0 / z
-        z = z + 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0.0 + 0.0j
-    term = inv2
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        series += b2k / (2.0 * k) * term
-        term *= inv2
-    return acc + np.log(z) - 0.5 / z - series
-
 
 def fermi_pv_integral(energy: float, mu: float, temperature: float,
                       bandwidth: float) -> complex:
@@ -388,7 +401,7 @@ def fermi_pv_integral(energy: float, mu: float, temperature: float,
     if not (temperature > 0 and bandwidth > 0):
         raise ValidationError("fermi_pv_integral requires T > 0 and bandwidth > 0")
     x = (energy - mu) / (2.0 * np.pi * temperature)
-    psi = digamma(0.5 + 1j * x)
+    psi = complex(digamma(0.5 + 1j * x))
     re = psi.real - np.log(bandwidth / (2.0 * np.pi * temperature))
     im = -(0.5 * np.pi - psi.imag)
     return complex(re, im)

@@ -73,9 +73,12 @@ def _getfloat(section, key, default=None):
             raise ValidationError(f"missing key {key!r} in [{section.name}]")
         return default
     try:
-        return float(section[key])
+        val = float(section[key])
     except ValueError:
         raise ValidationError(f"key {key!r} is not a number: {section[key]!r}") from None
+    if not np.isfinite(val):
+        raise ValidationError(f"key {key!r} must be finite: {section[key]!r}")
+    return val
 
 
 def _getint(section, key, default=None):

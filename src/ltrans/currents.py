@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .baths import bose_signed, dn_dDeltaT_signed, wbar_rate
+from .baths import bose_signed, dn_dDeltaT_signed, wbar_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 from .redfield import RateMatrix, build_k2_boson, gamma_rates
@@ -64,15 +64,7 @@ def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
     """Coherence-resolved current -2 Re sum Q_mn Q_nm' Wbar(w_nm) rho_m'm."""
     bath = _find(baths, reservoir_id)
     q = model.q(reservoir_id)
-    bohr = model.bohr_matrix()
-    n = model.dim
-    wbar = np.empty((n, n), dtype=complex)
-    cache: dict[float, complex] = {}
-    for idx, w in np.ndenumerate(bohr):
-        key = float(w)
-        if key not in cache:
-            cache[key] = wbar_rate(key, bath)
-        wbar[idx] = cache[key]
+    wbar = wbar_table(model.bohr_matrix(), bath)
     val = np.einsum("mn,np,nm,pm->", q, q, wbar, state.rho)
     return float(-2.0 * np.real(val))
 

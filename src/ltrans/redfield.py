@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baths import bose_signed, w_rate, wbar_rate
+from .baths import bose_signed, w_table, wbar_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 
@@ -66,18 +66,9 @@ def _bose_reservoirs(baths: list[Reservoir]) -> list[Reservoir]:
     return baths
 
 
-def _w_matrix(model: JunctionModel, bath: Reservoir,
-              rate=w_rate) -> np.ndarray:
-    """W_l(omega_nm) for every Bohr frequency, with caching of repeats."""
-    bohr = model.bohr_matrix()
-    cache: dict[float, complex] = {}
-    out = np.empty(bohr.shape, dtype=complex)
-    for idx, w in np.ndenumerate(bohr):
-        key = float(w)
-        if key not in cache:
-            cache[key] = rate(key, bath)
-        out[idx] = cache[key]
-    return out
+def _w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
+    """W_l(omega_nm) over the Bohr-frequency matrix, in one closed-form table call."""
+    return w_table(model.bohr_matrix(), bath)
 
 
 def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -167,7 +158,7 @@ def build_current_kernel_2nd(model: JunctionModel, baths: list[Reservoir],
         raise ValidationError(f"unknown reservoir id {reservoir_id!r}") from None
     n = model.dim
     q = model.q(bath.id)
-    wbar = _w_matrix(model, bath, rate=wbar_rate)
+    wbar = wbar_table(model.bohr_matrix(), bath)
     k = np.zeros((n, n, n, n), dtype=complex)
     t1 = np.einsum("nk,kq,km->nqm", q, q, wbar)
     for i in range(n):

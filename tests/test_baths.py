@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import digamma as scipy_digamma
 
-from ltrans.baths import (bose_signed, digamma, dn_dDeltaT, fermi_pv_integral,
-                          matsubara_sums, occupation, spectral_density, w_rate,
-                          w_rate_pv_oracle, w_rate_real, w_rate_real_resummed,
-                          wbar_rate)
+from ltrans.baths import (bose_signed, dn_dDeltaT, fermi_pv_integral, matsubara_sums,
+                          occupation, spectral_density, w_rate, w_rate_matsubara_oracle,
+                          w_rate_pv_oracle, w_rate_real, w_rate_real_resummed, w_table,
+                          wbar_rate, wbar_table)
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity
 
@@ -139,12 +140,62 @@ def test_w_rate_rejects_fermi():
         w_rate(1.0, lead)
 
 
-def test_w_rate_matsubara_pole_guard():
-    # omega_c exactly on nu_1 = 2 pi / beta
+def test_w_rate_at_matsubara_collision():
+    # omega_c exactly on nu_1 = 2 pi / beta, and just off it: W has no pole
+    # there, and the closed form stays as accurate as anywhere else
     omega_c = 5.0
-    beta = 2.0 * np.pi / omega_c
+    for offset in (0.0, 1e-8, 1e-7):
+        bath = drude_bath(beta=2.0 * np.pi / omega_c * (1.0 + offset))
+        got = w_rate(1.0, bath)
+        ref, _ = w_rate_pv_oracle(1.0, bath)
+        assert abs(got - ref) <= 1e-10 * abs(ref), offset
+
+
+def test_matsubara_oracle_raises_at_collision():
     with pytest.raises(NumericError):
-        w_rate(1.0, drude_bath(beta=beta))
+        w_rate_matsubara_oracle(1.0, drude_bath(beta=2.0 * np.pi / 5.0))
+
+
+def _collision_distance(beta, omega_c):
+    """Relative distance of omega_c from the nearest Matsubara frequency."""
+    x = beta * omega_c / (2.0 * np.pi)
+    return abs(x - max(1, round(x))) / x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.3, 50.0), omega_c=st.floats(0.5, 10.0),
+       omegas=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=6))
+def test_w_table_matches_matsubara_series(beta, omega_c, omegas):
+    # the series' own rounding error grows like eps / d^2 at relative distance
+    # d from a collision (1e-10 at d = 1e-3); the collision itself is covered
+    # against the PV oracle above
+    assume(_collision_distance(beta, omega_c) >= 1e-3)
+    bath = drude_bath(beta=beta, omega_c=omega_c)
+    table = w_table(np.array(omegas), bath)
+    for w, got in zip(omegas, table):
+        ref = w_rate_matsubara_oracle(w, bath)
+        assert abs(got - ref) <= 1e-9 * abs(ref), w
+        assert got == pytest.approx(w_rate(w, bath), rel=1e-14, abs=0.0)
+        assert w * got == pytest.approx(wbar_rate(w, bath), rel=1e-14, abs=0.0)
+
+
+def test_w_table_shape_and_wbar():
+    bath = drude_bath(beta=1.7)
+    bohr = np.array([[0.0, -0.8], [0.8, 0.0]])
+    w = w_table(bohr, bath)
+    assert w.shape == bohr.shape and w.dtype == complex
+    assert np.array_equal(wbar_table(bohr, bath), bohr * w)
+    assert w[0, 0] == w[1, 1] == w_rate(0.0, bath)
+
+
+def test_w_table_cold_bath_is_finite():
+    # beta = 1e6: the Matsubara series would need ~1e7 terms here
+    bath = drude_bath(beta=1e6)
+    w = w_table(np.array([-1.04, -1e-7, 0.0, 1e-3, 1.04]), bath)
+    assert np.all(np.isfinite(w))
+    assert w[-1].real == 0.0
+    assert w[0].real == pytest.approx(np.pi * 1e-3 * 1.04 / (1 + 1.04**2 / 25.0),
+                                      rel=1e-14)
 
 
 def test_matsubara_tail_doubling():
@@ -189,24 +240,8 @@ def test_dn_ddt_validation():
 
 
 # ---------------------------------------------------------------------------
-# digamma and the fermionic lead integral
+# the fermionic lead integral
 # ---------------------------------------------------------------------------
-
-def test_digamma_known_values():
-    gamma_e = 0.5772156649015328606
-    assert digamma(0.5).real == pytest.approx(-gamma_e - 2.0 * np.log(2.0), abs=1e-14)
-    assert digamma(1.0).real == pytest.approx(-gamma_e, abs=1e-14)
-
-
-def test_digamma_vs_scipy():
-    for x in (0.5, 1.3, 4.2, 11.0):
-        assert digamma(x).real == pytest.approx(float(scipy_digamma(x)), abs=1e-13)
-    # complex line Re z = 1/2 (scipy's psi supports complex input)
-    for y in (0.1, 1.0, 5.0, 40.0):
-        got = digamma(0.5 + 1j * y)
-        ref = scipy_digamma(complex(0.5, y))
-        assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
-
 
 def test_fermi_pv_integral_at_mu():
     gamma_e = 0.5772156649015328606

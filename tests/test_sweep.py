@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from ltrans.config import parse_config_text
-from ltrans.sweep import run_sweep
+from ltrans.currents import tls_closed_forms
+from ltrans.sweep import compute_row, run_sweep
 from ltrans.validate import run_validation
 
 RABI = """
@@ -63,3 +67,16 @@ def test_validation_suite_passes():
     lines = []
     assert run_validation(out=lines.append) == 0
     assert lines[-1].startswith("OK")
+
+
+def test_cold_tls_partial_row_matches_closed_form(tmp_path):
+    # T = 1e-6 omega_ref: the bath rates are far beyond reach of a Matsubara series
+    cfg = parse_config_text(TLS + f"[output]\ncsv = {tmp_path / 'cold.csv'}\n")
+    cells = compute_row(cfg, 1e-6).split(",")
+    values = [float(c) for c in cells[1:9]]
+    assert all(math.isfinite(v) for v in values)
+    omega_q = math.hypot(0.3, 1.0)
+    q = 1.0 / omega_q                 # |<0|sigma_z|1>| in the eigenbasis
+    with np.errstate(over="ignore"):    # only kappa4 is used; kappa2's sinh overflows
+        _, _, k4 = tls_closed_forms(omega_q, q, q, 1e-3, 1e-6, 1e-6, omega_c=5.0)
+    assert float(cells[3]) == pytest.approx(k4, rel=1e-9)
