@@ -19,8 +19,9 @@ from .model import (JunctionModel, Reservoir, SpectralDensity, Units, build_junc
 from .oracle import CompositeSpace, exact_kernel_order
 from .rabi import (ApproxSpectrum, RabiParams, build_rabi_junction, grwa_spectrum,
                    kondo_temperature, rwa_spectrum, vvpt_spectrum)
-from .redfield import (RateMatrix, RedfieldTensor, build_current_kernel_2nd,
-                       build_k2_boson, fermion_dot_rates, gamma_rates)
+from .redfield import (BosonKernel, KernelBlock, RateMatrix, RedfieldTensor,
+                       build_current_kernel_2nd, build_k2_boson, fermion_dot_rates,
+                       gamma_rates)
 from .steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
                      full_secular_steady, partial_secular_steady,
                      three_level_coherence_analytic)
@@ -32,7 +33,8 @@ __all__ = [
     "hermitian_eigensystem", "to_eigenbasis", "ValidationError", "NumericError",
     "occupation", "spectral_density", "w_rate", "wbar_rate", "w_rate_pv_oracle",
     "dn_dDeltaT", "fermi_pv_integral",
-    "RedfieldTensor", "RateMatrix", "build_k2_boson", "gamma_rates",
+    "RedfieldTensor", "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",
+    "gamma_rates",
     "build_current_kernel_2nd", "fermion_dot_rates",
     "SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
     "full_secular_steady", "partial_secular_steady", "three_level_coherence_analytic",

@@ -27,7 +27,7 @@ from .model import Reservoir, SpectralDensity
 __all__ = ["occupation", "bose_signed", "spectral_density", "w_table", "wbar_table",
            "w_rate", "wbar_rate", "w_rate_real", "w_rate_real_resummed",
            "w_rate_matsubara_oracle", "w_rate_pv_oracle", "dn_dDeltaT",
-           "fermi_pv_integral", "matsubara_sums"]
+           "dn_dDeltaT_signed", "fermi_pv_integral", "matsubara_sums"]
 
 MATSUBARA_ATOL = 1e-12
 MATSUBARA_MAX_TERMS = 10**6
@@ -103,13 +103,17 @@ def _drude_params(bath: Reservoir) -> SpectralDensity:
 
 
 def _w_real(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
-    """pi * J(w) * n(w), continued through w = 0 where it tends to pi*alpha/beta."""
+    """pi * J(w) * n(w), written as pi (J(w)/w) / beta * x / expm1(x) with x = beta w.
+
+    x / expm1(x) is smooth through x = 0, where it is 1 (so W tends to
+    pi*alpha/beta), and is set to 0 beyond x = _EXP_BIG, where expm1
+    overflows and x n(x) < e^{-700}.
+    """
     x = beta * w
-    small = np.abs(x) < 1e-8
-    # J*n = (J/w) * (1/beta - w/2 + beta w^2/12 + ...)
-    series = np.pi * sd.slope_at(w) / beta * (1.0 - 0.5 * x + x * x / 12.0)
-    direct = np.pi * sd.value(w) * bose_signed(np.where(small, 1.0, w), beta)
-    return np.where(small, series, direct)
+    cold = x > _EXP_BIG
+    safe = np.where(cold | (x == 0.0), 1.0, x)
+    ratio = np.where(x == 0.0, 1.0, np.where(cold, 0.0, safe / np.expm1(safe)))
+    return np.pi * sd.slope_at(w) / beta * ratio
 
 
 def _w_imag(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
@@ -125,7 +129,8 @@ def _w_imag(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
     x = beta * sd.omega_c / (2.0 * np.pi)
     y = beta * w / (2.0 * np.pi)
     bracket = digamma(x) + 0.5 / x - digamma(1.0 + 1j * y).real
-    return sd.value(w) * bracket - 0.5 * np.pi * sd.slope_at(w) * sd.omega_c
+    slope = sd.slope_at(w)
+    return slope * (w * bracket - 0.5 * np.pi * sd.omega_c)
 
 
 def w_table(omega, bath: Reservoir) -> np.ndarray:
@@ -368,20 +373,20 @@ def dn_dDeltaT(omega: float, temperature: float) -> float:
     """
     if not (omega > 0 and temperature > 0):
         raise ValidationError("dn_dDeltaT requires omega > 0 and T > 0")
-    x = 0.5 * omega / temperature
-    if x > 350.0:
-        # sinh^2 overflows; exact rewriting 4 e^{-2x}/(1-e^{-2x})^2 -> e^{-2x}
-        e = np.exp(-2.0 * x)     # underflows to 0 for x > ~372
-        return float(omega / temperature**2 * e / (1.0 - e)**2 if e > 0 else 0.0)
-    s = np.sinh(x)
-    return float(omega / (4.0 * temperature**2 * s * s))
+    return float(dn_dDeltaT_signed(omega, temperature))
 
 
-def dn_dDeltaT_signed(omega: float, temperature: float) -> float:
-    """Odd continuation of dn_dDeltaT; vanishes at omega = 0."""
-    if omega == 0.0:
-        return 0.0
-    return float(np.sign(omega)) * dn_dDeltaT(abs(omega), temperature)
+def dn_dDeltaT_signed(omega, temperature: float):
+    """Odd continuation of dn_dDeltaT over an array of frequencies; 0 at omega = 0.
+
+    Written as omega e^{-x} / (T expm1(-x))^2 with x = |omega|/T, the exact
+    rewriting of omega / (4 T^2 sinh^2(x/2)) that never overflows.
+    """
+    w = np.asarray(omega, dtype=float)
+    zero = w == 0.0
+    x = np.abs(np.where(zero, 1.0, w)) / temperature
+    out = np.where(zero, 0.0, w * np.exp(-x) / (temperature * np.expm1(-x))**2)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

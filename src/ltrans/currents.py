@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .baths import bose_signed, dn_dDeltaT_signed, wbar_table
+from .baths import bose_signed, dn_dDeltaT_signed
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
-from .redfield import RateMatrix, build_k2_boson, gamma_rates
+from .redfield import (BosonKernel, KernelBlock, RateMatrix, build_k2_boson,
+                       gamma_rates, resolved_bohr, w_matrix)
 from .steady import (DEFAULT_CLUSTER_FACTOR, SteadyState, cluster_bohr_frequencies,
-                     full_secular_steady, partial_secular_steady)
+                     full_secular_steady, partial_secular_steady, retained_pair_array)
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
            "heat_current_2nd_general", "current_kernel_4th_lowT", "kappa4_lowT",
@@ -64,7 +65,7 @@ def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
     """Coherence-resolved current -2 Re sum Q_mn Q_nm' Wbar(w_nm) rho_m'm."""
     bath = _find(baths, reservoir_id)
     q = model.q(reservoir_id)
-    wbar = wbar_table(model.bohr_matrix(), bath)
+    wbar = model.bohr_matrix() * w_matrix(model, bath)
     val = np.einsum("mn,np,nm,pm->", q, q, wbar, state.rho)
     return float(-2.0 * np.real(val))
 
@@ -192,28 +193,31 @@ def kappa4_kernel_quadrature(model: JunctionModel, baths: list[Reservoir],
 # linear conductance, second order
 # ---------------------------------------------------------------------------
 
-def gamma_scale_from_kernel(k2) -> float:
+def gamma_scale_from_kernel(k2: BosonKernel) -> float:
     """Largest population rate |K[n,n,m,m]|, n != m; clustering scale."""
-    n = k2.dim
-    best = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                best = max(best, abs(k2.k[i, i, j, j].real))
-    return best
+    return float(np.max(np.abs(k2.population_rates())))
 
 
 def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
                           c: float = DEFAULT_CLUSTER_FACTOR,
-                          lamb_shift: bool = True):
-    """Build the kernel, cluster the spectrum, and solve; returns (state, k2)."""
+                          lamb_shift: bool = True) -> tuple[SteadyState, KernelBlock]:
+    """Build the kernel, cluster the spectrum, and solve; returns (state, block).
+
+    The W table of each bath is computed once per model (`w_matrix`) and
+    shared by the clustering scale, the kernel and the heat currents.  The
+    clustering scale comes from the population rates 2 sum_baths Q_nm Q_mn
+    Re W_nm, and only the kernel block of the retained pairs is evaluated
+    (and checked against the sum rule and Hermiticity), so no N^4 array is
+    built: the second return value is that `KernelBlock`, not a full tensor.
+    """
     k2 = build_k2_boson(model, baths)
     scale = gamma_scale_from_kernel(k2)
     if scale <= 0.0:
         raise ValidationError("all population rates vanish; no steady state")
     clusters = cluster_bohr_frequencies(model, scale, c)
-    state = partial_secular_steady(model, k2, clusters, lamb_shift=lamb_shift)
-    return state, k2
+    block = k2.block(retained_pair_array(model.dim, clusters))
+    state = partial_secular_steady(model, block, clusters, lamb_shift=lamb_shift)
+    return state, block
 
 
 def _secular_current_at(model: JunctionModel, baths: list[Reservoir],
@@ -256,16 +260,10 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
         state = full_secular_steady(rates)
         heated = common[heated_idx]
         q = model.q(heated.id)
-        bohr = model.bohr_matrix()
-        n = model.dim
-        dgamma = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j and abs(bohr[i, j]) > 1e-12:
-                    dgamma[i, j] = (2.0 * np.pi * heated.spectral.value(bohr[i, j])
-                                    * q[i, j]**2
-                                    * dn_dDeltaT_signed(bohr[i, j], temperature))
-        dgamma[np.diag_indices(n)] = -np.sum(dgamma, axis=0)
+        bohr, resolved = resolved_bohr(model)
+        dgamma = np.where(resolved, 2.0 * np.pi * heated.spectral.value(bohr) * q**2
+                          * dn_dDeltaT_signed(bohr, temperature), 0.0)
+        dgamma[np.diag_indices_from(dgamma)] = -np.sum(dgamma, axis=0)
         a = rates.gamma.copy()
         a[0, :] = 1.0
         rhs = -(dgamma @ state.populations)
@@ -311,8 +309,10 @@ def tls_kappa2(omega10: float, gamma_left: float, gamma_right: float,
     """Exact temperature derivative of tls_current at zero bias."""
     x = omega10 / temperature
     gsum = gamma_left + gamma_right
-    return float(omega10**2 * gamma_left * gamma_right
-                 / (2.0 * temperature**2 * gsum * np.sinh(x)))
+    # 1/sinh(x) = -2 e^{-x} / expm1(-2x): finite and silent for any x > 0
+    inv_sinh = -2.0 * np.exp(-x) / np.expm1(-2.0 * x)
+    return float(omega10**2 * gamma_left * gamma_right * inv_sinh
+                 / (2.0 * temperature**2 * gsum))
 
 
 def tls_kappa4(omega10: float, q_left: float, q_right: float, alpha: float,

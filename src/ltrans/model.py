@@ -134,6 +134,8 @@ class JunctionModel:
 
     omega: np.ndarray
     q_ops: dict[str, np.ndarray] = field(default_factory=dict)
+    # bath tables over this model's Bohr matrix, memoized by redfield.w_matrix
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:

@@ -1,27 +1,160 @@
 """Second-order kernel tensors and population rate matrices.
 
-The kernel tensor K[n, m, n', m'] generates the weak-coupling master
-equation resolved in the junction eigenbasis; its population block K[n,n,m,m]
-is the classical rate matrix.  Bosonic junctions are assembled from the bath
-correlation rates W; the single-level fermionic dot gets its own rate
-constructor.
+The kernel K[n, m, n', m'] generates the weak-coupling master equation
+resolved in the junction eigenbasis; its population block K[n,n,m,m] is the
+classical rate matrix.  One vectorized formula, `k2_pair_block`, evaluates
+the kernel of bosonic baths between any row pairs (n, m) and column pairs
+(n', m'), from the coupling matrices Q and the rate tables W of all baths
+stacked.  `build_k2_boson` takes those tables from `w_matrix` (one per
+model and bath) and returns a `BosonKernel`, which evaluates entries on demand: the partial-secular solver
+asks for the block of its retained pairs only, and the full rank-4 tensor
+(`k2_tensor_from_w`, the same formula over all N^2 pairs) is built only when
+`.k` is read.  The sum-rule and Hermiticity checks run on every block that is
+evaluated.  The single-level fermionic dot gets its own rate constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .baths import bose_signed, w_table, wbar_table
+from .baths import bose_signed, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 
-__all__ = ["RedfieldTensor", "RateMatrix", "build_k2_boson", "gamma_rates",
-           "build_current_kernel_2nd", "fermion_dot_rates", "DOT_STATES"]
+__all__ = ["RedfieldTensor", "KernelBlock", "BosonKernel", "RateMatrix",
+           "build_k2_boson", "k2_pair_block", "k2_tensor_from_w", "all_pairs",
+           "w_matrix", "resolved_bohr", "gamma_rates", "build_current_kernel_2nd",
+           "fermion_dot_rates", "DOT_STATES"]
 
 SUM_RULE_RTOL = 1e-12
 DEGENERACY_TOL = 1e-12
+
+
+def w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
+    """W of `bath` over the model's Bohr matrix, as a read-only table.
+
+    Computed once per model and bath (statistics, beta, spectral density; not
+    the id), so the kernel and the heat currents of a steady state, and the
+    states of a finite-difference derivative that share a bath temperature,
+    share one table.  Models are built per sweep row, which bounds the memo.
+    """
+    key = (bath.statistics, bath.beta, bath.spectral)
+    table = model.tables.get(key)
+    if table is None:
+        table = w_table(model.bohr_matrix(), bath)
+        table.flags.writeable = False
+        model.tables[key] = table
+    return table
+
+
+def all_pairs(dim: int) -> np.ndarray:
+    """Every pair (n, m) as an (N^2, 2) array, in the row-major order of K.reshape."""
+    return np.indices((dim, dim)).reshape(2, -1).T
+
+
+def resolved_bohr(model: JunctionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Bohr-frequency matrix and the mask of its resolved entries |w_nm| > DEGENERACY_TOL.
+
+    The diagonal and exact or numerical degeneracies are unresolved; rates
+    and their temperature derivatives are defined on the resolved entries.
+    """
+    bohr = model.bohr_matrix()
+    return bohr, np.abs(bohr) > DEGENERACY_TOL
+
+
+def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Kernel entries K[(n,m), (n',m')] for row pairs `rows` and column pairs `cols`.
+
+    q and w are the coupling matrices and rate tables W(omega_nm), stacked
+    over baths with shape (B, N, N); the result, shape (len(rows),
+    len(cols)), is summed over baths:
+
+    K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
+                    + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
+                    - Q_nn' Q_m'm (W_nm' + W*_mn') )
+    """
+    rn, rm = rows[:, 0], rows[:, 1]
+    cn, cm = cols[:, 0], cols[:, 1]
+    r, c = len(rows), len(cols)
+    # the two Kronecker terms: one matrix product each over (bath, k)
+    left = q[:, rn, :].transpose(1, 0, 2).reshape(r, -1)             # Q_nk
+    right = (q[:, :, cn] * w[:, :, cm]).transpose(2, 0, 1).reshape(c, -1)
+    k = -(left @ right.T) * (rm[:, None] == cm[None, :])
+    left = q[:, :, rm].transpose(2, 0, 1).reshape(r, -1)             # Q_km
+    right = (q[:, cm, :] * np.conj(w[:, :, cn]).transpose(0, 2, 1)
+             ).transpose(1, 0, 2).reshape(c, -1)
+    k -= (left @ right.T) * (rn[:, None] == cn[None, :])
+    rn, rm, cn, cm = rn[:, None], rm[:, None], cn[None, :], cm[None, :]
+    k += np.sum(q[:, rn, cn] * q[:, cm, rm] * (w[:, rn, cm] + np.conj(w[:, rm, cn])),
+                axis=0)
+    return k
+
+
+def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Full rank-4 kernel tensor from Q and W: `k2_pair_block` over all N^2 pairs.
+
+    q and w are one bath's (N, N) matrices or (B, N, N) stacks summed over
+    baths.
+    """
+    q, w = np.asarray(q), np.asarray(w)
+    if q.ndim == 2:
+        q, w = q[None], w[None]
+    n = q.shape[-1]
+    pairs = all_pairs(n)
+    return k2_pair_block(q, w, pairs, pairs).reshape(n, n, n, n)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelBlock:
+    """Kernel entries K[(n,m), (n',m')] between the pairs of a retained set.
+
+    pairs is a (P, 2) integer array and k the (P, P) complex matrix whose
+    row and column order follow it.  A set that holds every diagonal pair and
+    is closed under (n, m) -> (m, n) carries the full sum rule and Hermiticity
+    symmetry of the kernel, which `check` verifies.
+    """
+
+    dim: int
+    pairs: np.ndarray
+    k: np.ndarray
+
+    def norm_max(self) -> float:
+        return float(np.max(np.abs(self.k)))
+
+    def sum_rule_residual(self) -> float:
+        """max |sum_n K[(n,n), c]| over the columns -- probability conservation."""
+        diag = self.pairs[:, 0] == self.pairs[:, 1]
+        if np.count_nonzero(diag) != self.dim:
+            raise ValidationError("kernel block lacks diagonal pairs; no sum rule")
+        return float(np.max(np.abs(np.sum(self.k[diag], axis=0))))
+
+    def hermiticity_residual(self) -> float:
+        """max |K[(n,m),(n',m')] - conj(K[(m,n),(m',n')])| -- RDM Hermiticity."""
+        n, m = self.pairs[:, 0], self.pairs[:, 1]
+        position = np.full(self.dim * self.dim, -1)     # n*N + m -> row of (n, m)
+        position[n * self.dim + m] = np.arange(len(self.pairs))
+        swap = position[m * self.dim + n]
+        if np.any(swap < 0):
+            raise ValidationError("kernel block is not closed under (n, m) -> (m, n)")
+        return float(np.max(np.abs(self.k - np.conj(self.k[swap][:, swap]))))
+
+    def check(self) -> None:
+        """Raise ValidationError unless the sum rule and Hermiticity hold to SUM_RULE_RTOL."""
+        scale = max(self.norm_max(), 1e-300)
+        if self.sum_rule_residual() > SUM_RULE_RTOL * scale:
+            raise ValidationError("kernel violates the probability sum rule")
+        if self.hermiticity_residual() > SUM_RULE_RTOL * scale:
+            raise ValidationError("kernel violates the Hermiticity symmetry")
+
+    def block(self, pairs: np.ndarray) -> "KernelBlock":
+        """This block, which must hold exactly `pairs`, in that order."""
+        if not np.array_equal(pairs, self.pairs):
+            raise ValidationError("kernel block does not hold the requested pairs")
+        return self
 
 
 @dataclass(frozen=True)
@@ -41,6 +174,65 @@ class RedfieldTensor:
     def hermiticity_residual(self) -> float:
         """max |K[n,m,n',m'] - conj(K[m,n,m',n'])| -- RDM Hermiticity."""
         return float(np.max(np.abs(self.k - np.conj(self.k.transpose(1, 0, 3, 2)))))
+
+    def block(self, pairs: np.ndarray) -> KernelBlock:
+        """The entries between `pairs`, gathered from the tensor."""
+        n, m = pairs[:, 0], pairs[:, 1]
+        return KernelBlock(self.dim, pairs,
+                           self.k[n[:, None], m[:, None], n[None, :], m[None, :]])
+
+
+@dataclass(frozen=True, eq=False)
+class BosonKernel:
+    """Second-order kernel of a bosonic junction, held as the inputs of its formula.
+
+    q and w stack the coupling matrices and the W tables of every bath,
+    shape (B, N, N).  Entries are evaluated on demand: `block(pairs)` for a
+    retained block, `k` for the full N^4 tensor (built once, on first read).
+    Every evaluated block is checked against the sum rule and Hermiticity.
+    """
+
+    q: np.ndarray
+    w: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.q.shape[-1]
+
+    def population_rates(self) -> np.ndarray:
+        """K[n,n,m,m] = 2 sum_baths Q_nm Q_mn Re W_nm for n != m; zero diagonal."""
+        g = 2.0 * np.sum(self.q * self.q.transpose(0, 2, 1) * self.w.real, axis=0)
+        np.fill_diagonal(g, 0.0)
+        return g
+
+    def block(self, pairs: np.ndarray) -> KernelBlock:
+        """The block over `pairs`, which must hold every diagonal pair and be
+        closed under (n, m) -> (m, n); raises ValidationError if its sum rule
+        or Hermiticity fails."""
+        block = KernelBlock(self.dim, pairs, k2_pair_block(self.q, self.w, pairs, pairs))
+        block.check()
+        return block
+
+    @cached_property
+    def tensor(self) -> RedfieldTensor:
+        """The full rank-4 tensor, checked; built on first access."""
+        n = self.dim
+        k = k2_tensor_from_w(self.q, self.w)
+        KernelBlock(n, all_pairs(n), k.reshape(n * n, n * n)).check()
+        return RedfieldTensor(dim=n, k=k)
+
+    @property
+    def k(self) -> np.ndarray:
+        return self.tensor.k
+
+    def norm_max(self) -> float:
+        return self.tensor.norm_max()
+
+    def sum_rule_residual(self) -> float:
+        return self.tensor.sum_rule_residual()
+
+    def hermiticity_residual(self) -> float:
+        return self.tensor.hermiticity_residual()
 
 
 @dataclass(frozen=True)
@@ -66,44 +258,16 @@ def _bose_reservoirs(baths: list[Reservoir]) -> list[Reservoir]:
     return baths
 
 
-def _w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
-    """W_l(omega_nm) over the Bohr-frequency matrix, in one closed-form table call."""
-    return w_table(model.bohr_matrix(), bath)
+def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
+    """Kernel of a bosonic junction, summed over baths.
 
-
-def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Single-bath kernel tensor given coupling matrix Q and rate matrix W.
-
-    K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
-                    + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
-                    - Q_nn' Q_m'm (W_nm' + W*_mn') )
+    Takes Q and the closed-form W table of every bath (`w_matrix`); the kernel
+    entries themselves are evaluated by the returned `BosonKernel`, block by
+    block or as the full tensor `.k`.
     """
-    n = q.shape[0]
-    k = np.zeros((n, n, n, n), dtype=complex)
-    t1 = np.einsum("nk,kq,km->nqm", q, q, w)
-    t2 = np.einsum("pk,km,kq->pmq", q, q, np.conj(w))
-    for i in range(n):
-        k[:, i, :, i] -= t1[:, :, i]
-        k[i, :, i, :] -= t2[:, :, i].T
-    k += np.einsum("nq,pm,np->nmqp", q, q, w)
-    k += np.einsum("nq,pm,mq->nmqp", q, q, np.conj(w))
-    return k
-
-
-def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> RedfieldTensor:
-    """Kernel tensor of a bosonic junction, summed over baths."""
     _bose_reservoirs(baths)
-    n = model.dim
-    k = np.zeros((n, n, n, n), dtype=complex)
-    for bath in baths:
-        k += k2_tensor_from_w(model.q(bath.id), _w_matrix(model, bath))
-    tensor = RedfieldTensor(dim=n, k=k)
-    scale = max(tensor.norm_max(), 1e-300)
-    if tensor.sum_rule_residual() > SUM_RULE_RTOL * scale:
-        raise ValidationError("kernel violates the probability sum rule")
-    if tensor.hermiticity_residual() > SUM_RULE_RTOL * scale:
-        raise ValidationError("kernel violates the Hermiticity symmetry")
-    return tensor
+    return BosonKernel(q=np.stack([model.q(b.id) for b in baths]),
+                       w=np.stack([w_matrix(model, b) for b in baths]))
 
 
 def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
@@ -115,27 +279,22 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     partial-secular solver.
     """
     _bose_reservoirs(baths)
-    n = model.dim
-    bohr = model.bohr_matrix()
+    bohr, resolved = resolved_bohr(model)
+    unresolved_off = ~resolved & ~np.eye(model.dim, dtype=bool)
+    w_safe = np.where(resolved, bohr, 1.0)
     per: dict[str, np.ndarray] = {}
-    total = np.zeros((n, n))
+    total = np.zeros_like(bohr)
     for bath in baths:
         q = model.q(bath.id)
-        g = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                w = bohr[i, j]
-                if abs(w) <= DEGENERACY_TOL:
-                    if abs(q[i, j]) > 0.0:
-                        raise ValidationError(
-                            f"levels {i} and {j} are degenerate but coupled; "
-                            "use the partial-secular solver")
-                    continue
-                g[i, j] = (2.0 * np.pi * bath.spectral.value(w) * q[i, j]**2
-                           * bose_signed(w, bath.beta))
-        g[np.diag_indices(n)] = -np.sum(g, axis=0)
+        bad = np.argwhere(unresolved_off & (np.abs(q) > 0.0))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(
+                f"levels {i} and {j} are degenerate but coupled; "
+                "use the partial-secular solver")
+        g = np.where(resolved, 2.0 * np.pi * bath.spectral.value(w_safe) * q**2
+                     * bose_signed(w_safe, bath.beta), 0.0)
+        g[np.diag_indices_from(g)] = -np.sum(g, axis=0)
         per[bath.id] = g
         total += g
     return RateMatrix(gamma=total, per_reservoir=per)
@@ -158,7 +317,7 @@ def build_current_kernel_2nd(model: JunctionModel, baths: list[Reservoir],
         raise ValidationError(f"unknown reservoir id {reservoir_id!r}") from None
     n = model.dim
     q = model.q(bath.id)
-    wbar = wbar_table(model.bohr_matrix(), bath)
+    wbar = model.bohr_matrix() * w_matrix(model, bath)
     k = np.zeros((n, n, n, n), dtype=complex)
     t1 = np.einsum("nk,kq,km->nqm", q, q, wbar)
     for i in range(n):

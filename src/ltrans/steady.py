@@ -3,7 +3,11 @@ three-level coherence cross-check.
 
 The partial-secular solver keeps the coherences of quasi-degenerate level
 pairs coupled to the populations and solves the resulting real linear system
-with a trace constraint replacing one redundant population row.
+with a trace constraint replacing one redundant population row.  It reads
+only the kernel block of the retained pairs (`kernel.block(pairs)`), so a
+lazily evaluated kernel never builds its full N^4 tensor here; the system,
+its solution and its residual are assembled with index arrays over that
+block.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import numpy as np
 
 from .linalg import ValidationError, NumericError
 from .model import JunctionModel
-from .redfield import RateMatrix, RedfieldTensor
+from .redfield import KernelBlock, RateMatrix, RedfieldTensor
 
 __all__ = ["SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
-           "full_secular_steady", "partial_secular_steady",
+           "retained_pair_array", "full_secular_steady", "partial_secular_steady",
            "three_level_coherence_analytic", "propagate_rate_equation"]
 
 log = logging.getLogger(__name__)
@@ -74,15 +78,27 @@ def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
     """
     if not gamma_scale > 0:
         raise ValidationError("gamma_scale must be positive")
-    bohr = model.bohr_matrix()
     thresh = c * gamma_scale
-    retained = {(i, i) for i in range(model.dim)}
-    for i in range(model.dim):
-        for j in range(model.dim):
-            if i != j and abs(bohr[i, j]) <= thresh:
-                retained.add((i, j))
-                retained.add((j, i))
-    return FrequencyClusters(retained=frozenset(retained), threshold=thresh)
+    # |omega_nm| = |omega_mn| exactly, so the mask is symmetric
+    keep = np.abs(model.bohr_matrix()) <= thresh
+    np.fill_diagonal(keep, True)
+    retained = frozenset(zip(*(idx.tolist() for idx in np.nonzero(keep))))
+    return FrequencyClusters(retained=retained, threshold=thresh)
+
+
+def retained_pair_array(dim: int, clusters: FrequencyClusters) -> np.ndarray:
+    """The solver's pair layout as a (N + 2C, 2) array.
+
+    Every diagonal pair (n, n) in order, then the C retained coherences
+    (n, m), n < m, sorted, then the same coherences swapped to (m, n).  The
+    retained set must be closed under (n, m) -> (m, n).
+    """
+    if {(m, n) for (n, m) in clusters.retained} != clusters.retained:
+        raise ValidationError("retained pairs are not closed under (n, m) -> (m, n)")
+    cohs = sorted((n, m) for (n, m) in clusters.retained if n < m)
+    cohs = np.array(cohs, dtype=int).reshape(-1, 2)
+    diag = np.repeat(np.arange(dim), 2).reshape(dim, 2)
+    return np.concatenate([diag, cohs, cohs[:, ::-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -153,74 +169,48 @@ def propagate_rate_equation(rates: RateMatrix, p0: np.ndarray, t: float,
 # partial secular
 # ---------------------------------------------------------------------------
 
-def _pair_unknowns(dim: int, clusters: FrequencyClusters):
-    """Real unknown layout: populations first, then (Re, Im) per n<m pair."""
-    pops = [(i, i) for i in range(dim)]
-    cohs = sorted((n, m) for (n, m) in clusters.retained if n < m)
-    return pops, cohs
-
-
-def partial_secular_steady(model: JunctionModel, k2: RedfieldTensor,
-                           clusters: FrequencyClusters,
+def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters,
                            lamb_shift: bool = True) -> SteadyState:
     """Solve 0 = -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
 
-    Unknowns are the populations and Re/Im of each retained coherence; the
-    population equation of the lowest state is replaced by the trace
-    constraint.  With lamb_shift=False the imaginary (level-shift) part of
-    the diagonal coherence couplings K[n,m,n,m] is discarded.
+    k2 is any kernel with a `block(pairs)` method (`BosonKernel`,
+    `RedfieldTensor` or a `KernelBlock` holding the retained pairs); only the
+    retained block is read.  Unknowns are the populations and Re/Im of each
+    retained coherence n < m; the population equation of the lowest state is
+    replaced by the trace constraint.  With lamb_shift=False the imaginary
+    (level-shift) part of the diagonal coherence couplings K[n,m,n,m] is
+    discarded.
     """
     n = model.dim
     if k2.dim != n:
         raise ValidationError("kernel dimension does not match the model")
-    k = k2.k
+    pairs = retained_pair_array(n, clusters)
+    block: KernelBlock = k2.block(pairs)
+    ncoh = (len(pairs) - n) // 2
+    coh = slice(n, n + ncoh)
+
+    # complex map L(rho) on the retained pairs: -i w_nm delta + K
+    lmap = block.k.copy()
     if not lamb_shift:
-        k = k.copy()
-        for (a, b) in clusters.retained:
-            if a != b:
-                k[a, b, a, b] = k[a, b, a, b].real
+        off = np.arange(n, len(pairs))
+        lmap[off, off] = lmap[off, off].real
+    scale = max(np.max(np.abs(lmap)), 1e-300)
     bohr = model.bohr_matrix()
-    pops, cohs = _pair_unknowns(n, clusters)
-    nun = len(pops) + 2 * len(cohs)
+    lmap[np.diag_indices_from(lmap)] -= 1j * bohr[pairs[:, 0], pairs[:, 1]]
 
-    def col_re(pair):  # column index of Re rho_pair
-        if pair[0] == pair[1]:
-            return pair[0]
-        return n + 2 * cohs.index(pair)
-
-    # accumulate the complex linear map L(rho) restricted to retained pairs,
-    # expressed on real unknowns x = (p_0..p_{N-1}, Re c_1, Im c_1, ...)
-    rows_eq = pops + cohs
-    a = np.zeros((nun, nun))
-    for r, (rn, rm) in enumerate(rows_eq):
-        # complex row: -i w_nm rho_nm + sum_{n'm' retained} K rho
-        crow = np.zeros(nun, dtype=complex)
-
-        def add(coeff: complex, src: tuple[int, int]):
-            sn, sm = src
-            if sn == sm:
-                crow[sn] += coeff
-            elif sn < sm:
-                j = col_re((sn, sm))
-                crow[j] += coeff
-                crow[j + 1] += 1j * coeff
-            else:  # rho_{sn,sm} = conj(rho_{sm,sn})
-                j = col_re((sm, sn))
-                crow[j] += coeff
-                crow[j + 1] += -1j * coeff
-
-        add(-1j * bohr[rn, rm], (rn, rm))
-        for (sn, sm) in clusters.retained:
-            add(k[rn, rm, sn, sm], (sn, sm))
-
-        if rn == rm:
-            a[rn, :] = crow.real   # population rows are real
-        else:
-            i0 = col_re((rn, rm))
-            a[i0, :] = crow.real
-            a[i0 + 1, :] = crow.imag
-
-    b = np.zeros(nun)
+    # real unknowns x = (p_0..p_{N-1}, Re c_1, Im c_1, ...): rho_nm = Re + i Im
+    # and rho_mn = Re - i Im, so the columns of (n,m) and (m,n) combine
+    cols = np.empty_like(lmap)
+    cols[:, :n] = lmap[:, :n]
+    cols[:, n::2] = lmap[:, coh] + lmap[:, n + ncoh:]
+    cols[:, n + 1::2] = 1j * (lmap[:, coh] - lmap[:, n + ncoh:])
+    # rows: populations are real; each coherence n < m gives Re and Im rows
+    # (the swapped rows are their complex conjugates)
+    a = np.empty(cols.shape)
+    a[:n] = cols[:n].real
+    a[n::2] = cols[coh].real
+    a[n + 1::2] = cols[coh].imag
+    b = np.zeros(len(pairs))
     a[0, :] = 0.0
     a[0, :n] = 1.0                 # trace row replaces population row 0
     b[0] = 1.0
@@ -234,25 +224,19 @@ def partial_secular_steady(model: JunctionModel, k2: RedfieldTensor,
         raise NumericError(f"partial-secular system is singular: {exc}") from exc
 
     rho = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        rho[i, i] = x[i]
-    for idx, (pn, pm) in enumerate(cohs):
-        c = x[n + 2 * idx] + 1j * x[n + 2 * idx + 1]
-        rho[pn, pm] = c
-        rho[pm, pn] = np.conj(c)
+    rho[np.diag_indices(n)] = x[:n]
+    c = x[n::2] + 1j * x[n + 1::2]
+    pn, pm = pairs[coh, 0], pairs[coh, 1]
+    rho[pn, pm] = c
+    rho[pm, pn] = np.conj(c)
 
     retained = tuple(sorted(clusters.retained))
     state = SteadyState(rho=rho, retained_pairs=retained, solver_tag="PartialSecular")
     state.check()
 
     # residual of the retained-block equations (excluding the replaced row)
-    resid = 0.0
-    for (rn, rm) in rows_eq[1:]:
-        val = -1j * bohr[rn, rm] * rho[rn, rm]
-        for (sn, sm) in clusters.retained:
-            val += k[rn, rm, sn, sm] * rho[sn, sm]
-        resid = max(resid, abs(val))
-    scale = max(np.max(np.abs(k)), 1e-300)
+    resid = np.abs(lmap[1:n + ncoh] @ rho[pairs[:, 0], pairs[:, 1]])
+    resid = float(np.max(resid, initial=0.0))
     if resid > 1e-10 * scale:
         raise NumericError(f"partial-secular residual {resid:.3e} exceeds tolerance")
     return state

@@ -4,10 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ltrans.baths import (bose_signed, dn_dDeltaT, fermi_pv_integral, matsubara_sums,
-                          occupation, spectral_density, w_rate, w_rate_matsubara_oracle,
-                          w_rate_pv_oracle, w_rate_real, w_rate_real_resummed, w_table,
-                          wbar_rate, wbar_table)
+from ltrans.baths import (bose_signed, dn_dDeltaT, dn_dDeltaT_signed, fermi_pv_integral,
+                          matsubara_sums, occupation, spectral_density, w_rate,
+                          w_rate_matsubara_oracle, w_rate_pv_oracle, w_rate_real,
+                          w_rate_real_resummed, w_table, wbar_rate, wbar_table)
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity
 
@@ -232,6 +232,22 @@ def test_dn_ddt_finite_difference():
     h = 1e-5 * t
     fd = (bose_signed(omega, 1.0 / (t + h)) - bose_signed(omega, 1.0 / (t - h))) / (2 * h)
     assert abs(fd - dn_dDeltaT(omega, t)) <= 1e-8 * abs(fd)
+
+
+def test_dn_ddt_signed_array_form():
+    # one call over a Bohr matrix: odd, 0 at omega = 0, elementwise equal to
+    # the scalar form, and silent where sinh^2 would overflow
+    omegas = np.array([[0.0, -0.9, 3000.0], [0.9, -3000.0, 1e-9], [-2.0, 2.0, 0.0]])
+    with np.errstate(all="raise", under="ignore"):
+        got = dn_dDeltaT_signed(omegas, 0.7)
+    assert got.shape == omegas.shape
+    for w, g in zip(omegas.ravel(), got.ravel()):
+        want = 0.0 if w == 0.0 else np.sign(w) * dn_dDeltaT(abs(w), 0.7)
+        assert g == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert np.array_equal(dn_dDeltaT_signed(-omegas, 0.7), -got)
+    assert dn_dDeltaT_signed(0.9, 0.7) == dn_dDeltaT(0.9, 0.7)
+    assert dn_dDeltaT_signed(2.0, 1.0) == pytest.approx(2.0 / (4.0 * np.sinh(1.0)**2),
+                                                         rel=1e-14)
 
 
 def test_dn_ddt_validation():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
@@ -376,3 +378,17 @@ def test_dot_kappa_vs_finite_difference():
     fd = (dot_transport(delta, hot).heat["R"]
           - dot_transport(delta, cold).heat["R"]) / (2.0 * dt)
     assert kappa == pytest.approx(fd, rel=1e-8)
+
+
+def test_tls_closed_forms_cold_limit_is_finite_and_silent():
+    # omega10/T = 1e6: 1/sinh must not overflow on the way to kappa2 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i2, k2, k4 = tls_closed_forms(1.0, 0.8, 0.5, 1e-3, 1e-6, 1e-6, omega_c=5.0)
+    assert k2 == 0.0
+    assert i2 == 0.0
+    assert k4 == pytest.approx(tls_kappa4(1.0, 0.8, 0.5, 1e-3, 1e-6), rel=1e-15)
+    # and it still equals the sinh form where that one is finite
+    gl, gr, t = 3e-3, 1e-3, 0.05
+    assert tls_kappa2(1.0, gl, gr, t) == pytest.approx(
+        gl * gr / (2.0 * t**2 * (gl + gr) * np.sinh(1.0 / t)), rel=1e-14)

@@ -148,6 +148,36 @@ def test_degenerate_coupled_pair_rejected():
         gamma_rates(model, drude_baths()[:1])
 
 
+def test_gamma_rates_names_the_degenerate_coupled_pair():
+    q = np.array([[0.0, 0.3, 0.2], [0.3, 0.0, 0.5], [0.2, 0.5, 0.0]])
+    model = build_junction([0.0, 1.0, 1.0], {"L": q})
+    with pytest.raises(ValidationError,
+                       match="levels 1 and 2 are degenerate but coupled; "
+                             "use the partial-secular solver"):
+        gamma_rates(model, drude_baths()[:1])
+
+
+def test_gamma_rates_match_loop_reference():
+    # elementwise golden-rule rates, transcribed pair by pair
+    rng = np.random.default_rng(11)
+    model = random_model(rng, dim=5)
+    baths = drude_baths(0.9, 0.3)
+    rates = gamma_rates(model, baths)
+    bohr = model.bohr_matrix()
+    for bath in baths:
+        q = model.q(bath.id)
+        want = np.zeros((5, 5))
+        for i in range(5):
+            for j in range(5):
+                if i != j:
+                    w = bohr[i, j]
+                    want[i, j] = (2.0 * np.pi * bath.spectral.value(w) * q[i, j]**2
+                                  * bose_signed(w, bath.beta))
+        want[np.diag_indices(5)] = -np.sum(want, axis=0)
+        np.testing.assert_allclose(rates.per_reservoir[bath.id], want,
+                                   rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # current kernel
 # ---------------------------------------------------------------------------
