@@ -14,7 +14,8 @@ from .currents import (CurrentResult, dot_transport, heat_current_2nd_general,
 from .diagrams import (DiscreteModeBath, enumerate_matchings,
                        evaluate_kernel_from_diagrams, fermion_sign,
                        generate_kernel_terms, is_irreducible)
-from .linalg import NumericError, ValidationError, hermitian_eigensystem, to_eigenbasis
+from .linalg import (NumericError, ValidationError, hermitian_eigensystem,
+                     lowest_band_eigensystem, to_eigenbasis)
 from .model import (JunctionModel, Reservoir, SpectralDensity, Units, build_junction)
 from .oracle import CompositeSpace, exact_kernel_order
 from .rabi import (ApproxSpectrum, RabiParams, build_rabi_junction, grwa_spectrum,
@@ -30,7 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Units", "JunctionModel", "Reservoir", "SpectralDensity", "build_junction",
-    "hermitian_eigensystem", "to_eigenbasis", "ValidationError", "NumericError",
+    "hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
+    "ValidationError", "NumericError",
     "occupation", "spectral_density", "w_rate", "wbar_rate", "w_rate_pv_oracle",
     "dn_dDeltaT", "fermi_pv_integral",
     "RedfieldTensor", "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",

@@ -17,8 +17,8 @@ from scipy.integrate import quad
 from .baths import bose_signed, dn_dDeltaT_signed
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
-from .redfield import (BosonKernel, KernelBlock, RateMatrix, build_k2_boson,
-                       gamma_rates, resolved_bohr, w_matrix)
+from .redfield import (DEGENERACY_TOL, BosonKernel, KernelBlock, RateMatrix,
+                       build_k2_boson, gamma_rates, resolved_bohr, w_matrix)
 from .steady import (DEFAULT_CLUSTER_FACTOR, SteadyState, cluster_bohr_frequencies,
                      full_secular_steady, partial_secular_steady, retained_pair_array)
 
@@ -93,6 +93,26 @@ def _omega_hi(baths: list[Reservoir]) -> float:
     return max(50.0 / beta_min, 10.0 * omega_c)
 
 
+def _virtual_state_terms(model: JunctionModel, q_r: np.ndarray, q_o: np.ndarray,
+                         states=None) -> np.ndarray:
+    """Terms of the low-T virtual-state sums, t[k, j] = q_o[n, k] q_r[k, n] / w_kn.
+
+    n = states[j] (every level by default) and w_kn = omega_k - omega_n; the
+    entry k = n is zero, and sum_k t[k, j] is the virtual-state amplitude of
+    level n.  Raises ValidationError when a level k != n is degenerate with
+    n (|w_kn| <= DEGENERACY_TOL, the rule of `resolved_bohr`), where the
+    sums diverge.
+    """
+    cols = np.arange(model.dim) if states is None else np.asarray(states)
+    bohr = model.bohr_matrix()[:, cols]
+    bohr[cols, np.arange(len(cols))] = np.inf      # k = n: no term
+    if not np.abs(bohr).min() > DEGENERACY_TOL:
+        k, j = np.argwhere(np.abs(bohr) <= DEGENERACY_TOL)[0]
+        raise ValidationError(f"levels {k} and {cols[j]} are degenerate; the "
+                              "low-temperature virtual-state sum diverges")
+    return q_o[cols, :].T * q_r[:, cols] / bohr
+
+
 def current_kernel_4th_lowT(model: JunctionModel, baths: list[Reservoir],
                             reservoir_id: str) -> np.ndarray:
     """Population block of the cotunneling current kernel, 2 Re K4[m, m, n, n].
@@ -108,10 +128,7 @@ def current_kernel_4th_lowT(model: JunctionModel, baths: list[Reservoir],
     """
     bath_r = _find(baths, reservoir_id)
     bath_o = _other(baths, reservoir_id)
-    qr = model.q(bath_r.id)
-    qo = model.q(bath_o.id)
-    bohr = model.bohr_matrix()
-    n = model.dim
+    terms = _virtual_state_terms(model, model.q(bath_r.id), model.q(bath_o.id))
 
     def integrand(w):
         occ_diff = bose_signed(w, bath_o.beta) - bose_signed(w, bath_r.beta)
@@ -121,23 +138,14 @@ def current_kernel_4th_lowT(model: JunctionModel, baths: list[Reservoir],
     pts = sorted({min(1.0 / b.beta, hi * 0.5) for b in baths}
                  | {min(b.spectral.omega_c, hi * 0.5) for b in baths})
     freq_int, _ = quad(integrand, 0.0, hi, points=pts, limit=400)
+    return 8.0 * np.pi * freq_int * terms * np.sum(terms, axis=0)
 
-    out = np.zeros((n, n))
-    for nn in range(n):
-        for m in range(n):
-            if m == nn:
-                continue
-            if abs(bohr[m, nn]) < 1e-12:
-                raise ValidationError(
-                    f"levels {m} and {nn} degenerate; low-T kernel diverges")
-            s = 0.0
-            for k in range(n):
-                if k == nn or abs(bohr[k, nn]) < 1e-12:
-                    continue
-                s += (qr[m, nn] * qo[nn, m] * qo[nn, k] * qr[k, nn]
-                      / (bohr[m, nn] * bohr[k, nn]))
-            out[m, nn] = 8.0 * np.pi * freq_int * s
-    return out
+
+def _ground_virtual_sum_squared(model: JunctionModel, q_r: np.ndarray,
+                                q_o: np.ndarray) -> float:
+    """(sum_{k >= 1} Q_o[0,k] Q_r[k,0] / w_k0)^2, the ground-state cotunneling weight."""
+    amplitude = float(_virtual_state_terms(model, q_r, q_o, [0]).sum())
+    return amplitude * amplitude
 
 
 def kappa4_lowT(model: JunctionModel, alpha: float, temperature: float,
@@ -150,16 +158,7 @@ def kappa4_lowT(model: JunctionModel, alpha: float, temperature: float,
     """
     if model.dim < 2 or not (model.omega[1] - model.omega[0]) > 0:
         raise ValidationError("kappa4 needs a gapped, non-degenerate ground state")
-    s = 0.0
-    ql = model.q(left)
-    qr = model.q(right)
-    bohr = model.bohr_matrix()
-    for m in range(1, model.dim):
-        for k in range(1, model.dim):
-            if abs(bohr[m, 0]) < 1e-12 or abs(bohr[k, 0]) < 1e-12:
-                raise ValidationError("degenerate ground state")
-            s += (qr[m, 0] * ql[0, m] * ql[0, k] * qr[k, 0]
-                  / (bohr[m, 0] * bohr[k, 0]))
+    s = _ground_virtual_sum_squared(model, model.q(right), model.q(left))
     return float(32.0 * np.pi**5 * alpha**2 * temperature**3 / 15.0 * s)
 
 
@@ -168,14 +167,7 @@ def kappa4_kernel_quadrature(model: JunctionModel, baths: list[Reservoir],
     """Cotunneling conductance from the quadrature kernel with full Drude tails."""
     bath_r = _find(baths, reservoir_id).with_temperature(temperature)
     bath_o = _other(baths, reservoir_id).with_temperature(temperature)
-    s = 0.0
-    qr = model.q(bath_r.id)
-    qo = model.q(bath_o.id)
-    bohr = model.bohr_matrix()
-    for m in range(1, model.dim):
-        for k in range(1, model.dim):
-            s += (qr[m, 0] * qo[0, m] * qo[0, k] * qr[k, 0]
-                  / (bohr[m, 0] * bohr[k, 0]))
+    s = _ground_virtual_sum_squared(model, model.q(bath_r.id), model.q(bath_o.id))
 
     def integrand(w):
         return (w * bath_r.spectral.value(w) * bath_o.spectral.value(w)

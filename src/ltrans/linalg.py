@@ -1,16 +1,31 @@
-"""Dense complex Hermitian eigensolver and basis transforms.
+"""Eigensolvers and basis transforms.
 
-The eigensolver is LAPACK's Hermitian solver (numpy.linalg.eigh) behind an
-input check and a fixed eigenvector phase convention.  The unit tests check
-it against characteristic-polynomial roots, residuals and unitarity, and
-check that repeated calls on the same input in one process agree bitwise.
+Two solvers share one eigenvector phase convention:
+
+- `hermitian_eigensystem` diagonalizes a dense complex Hermitian matrix with
+  LAPACK's Hermitian solver (numpy.linalg.eigh);
+- `lowest_band_eigensystem` solves a real symmetric banded matrix given in
+  upper band storage with LAPACK's banded solver (scipy.linalg.eig_banded)
+  and keeps its lowest eigenpairs.
+
+Both check their input (shape, finiteness) and report a LAPACK failure as
+NumericError.  The phase convention makes each eigenvector's largest
+component real and positive; components within a relative PHASE_TIE_RTOL of
+the largest magnitude count as tied, and the lowest index among them wins, so
+that eigenvectors with exactly equal largest components (parity eigenstates,
+for example) get a sign that does not depend on rounding.  The unit tests
+check both solvers against characteristic-polynomial roots, residuals,
+orthonormality and each other, and check that repeated calls on the same
+input in one process agree bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import LinAlgError, eig_banded
 
-__all__ = ["hermitian_eigensystem", "to_eigenbasis", "ValidationError", "NumericError"]
+__all__ = ["hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
+           "ValidationError", "NumericError"]
 
 
 class ValidationError(ValueError):
@@ -23,6 +38,7 @@ class NumericError(RuntimeError):
 
 HERMITICITY_RTOL = 1e-12
 UNITARITY_TOL = 1e-10
+PHASE_TIE_RTOL = 1e-8
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -41,25 +57,65 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Make the largest component of each column real and positive.
+
+    Among components within a relative PHASE_TIE_RTOL of the largest
+    magnitude, the lowest index is taken.  Real columns stay real.
+    """
+    mag = np.abs(v)
+    idx = np.argmax(mag >= (1.0 - PHASE_TIE_RTOL) * mag.max(axis=0), axis=0)
+    z = v[idx, np.arange(v.shape[1])]
+    return v * (np.conj(z) / np.abs(z))
+
+
 def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex Hermitian matrix with LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as unitary columns.  The phase of each eigenvector is fixed
-    so that its largest-magnitude component is real and positive.  Raises
-    ValidationError for a non-square, non-finite or non-Hermitian input and
-    NumericError if LAPACK reports that it did not converge.
+    eigenvectors as unitary columns under the module's phase convention.
+    Raises ValidationError for a non-square, non-finite or non-Hermitian
+    input and NumericError if LAPACK reports that it did not converge.
     """
     a = _check_hermitian(h)
     try:
         lam, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
-    # phase convention: largest-magnitude component real positive
-    idx = np.argmax(np.abs(v), axis=0)
-    z = v[idx, np.arange(v.shape[1])]
-    v = v * (np.conj(z) / np.abs(z))
-    return lam, v
+    return lam, _fix_phase(v)
+
+
+def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = False):
+    """Lowest `keep` eigenpairs of a real symmetric banded matrix (scipy eig_banded).
+
+    `ab` is the upper band storage of the matrix A: ab[u + i - j, j] = A[i, j]
+    for the u = ab.shape[0] - 1 superdiagonals.  Returns (eigenvalues,
+    eigenvectors) with eigenvalues ascending and orthonormal real
+    eigenvector columns under the module's phase convention, or the
+    eigenvalues alone with eigvals_only.  Raises ValidationError for a
+    complex or non-finite band or `keep` out of range, and NumericError if
+    LAPACK reports that it did not converge.
+    """
+    ab = np.asarray(ab)
+    if ab.ndim != 2 or np.iscomplexobj(ab):
+        raise ValidationError(f"expected a real 2-d band, got {ab.dtype} shape {ab.shape}")
+    if not 1 <= keep <= ab.shape[1]:
+        raise ValidationError(f"keep = {keep} is outside 1..{ab.shape[1]}")
+    if not np.all(np.isfinite(ab)):
+        raise ValidationError("band has non-finite entries")
+    # Bisection plus inverse iteration (select="i") for the eigenpairs, the
+    # full solve for eigenvalues alone.  Bandwidth-2 timings on a 2-vCPU VM:
+    # order 80, 5 pairs 0.31 ms (full solve 0.53), 21 pairs 0.98 ms (0.62);
+    # order 100, 21 eigenvalues by bisection 0.91 ms, all of them 0.29 ms.
+    # Rows keeping a few levels gain more than 21-level rows lose.
+    try:
+        if eigvals_only:
+            return eig_banded(ab, eigvals_only=True, check_finite=False)[:keep]
+        lam, v = eig_banded(ab, select="i", select_range=(0, keep - 1),
+                            check_finite=False)
+    except LinAlgError as exc:
+        raise NumericError(f"banded eigensolver failed: {exc}") from exc
+    return lam, _fix_phase(v)
 
 
 def to_eigenbasis(a: np.ndarray, v: np.ndarray) -> np.ndarray:

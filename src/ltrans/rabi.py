@@ -1,8 +1,13 @@
 """Qubit-resonator junction (quantum Rabi model) and its analytic limits.
 
-The numeric route builds the Hamiltonian on a truncated Fock space,
-diagonalizes it with linalg.hermitian_eigensystem, checks that the retained
-levels are converged in the Fock cutoff, and exports them together with the
+The numeric route orders the truncated Fock space as (n, qubit), index
+2n + s, where the Rabi Hamiltonian is a real symmetric band of half-width 2:
+the diagonal carries -+epsilon/2 + omega_r n, the qubit flip -Delta/2 sits on
+the first superdiagonal and the coupling +-g sqrt(n+1) on the second.  The
+band is solved for its lowest levels with linalg.lowest_band_eigensystem
+(LAPACK's banded solver); no dense Hamiltonian is built.  The Fock
+convergence check compares those levels with the eigenvalues alone of the
+band with a larger cutoff.  The levels are exported together with the
 coupling operators (resonator quadrature to the left bath, qubit flux to the
 right bath) as a JunctionModel.  The rotating wave approximation,
 second-order Van Vleck perturbation theory and the generalized RWA provide
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ValidationError, hermitian_eigensystem
+from .linalg import ValidationError, lowest_band_eigensystem
 from .model import JunctionModel
 
 __all__ = ["RabiParams", "ApproxSpectrum", "build_rabi_junction", "rwa_spectrum",
@@ -83,52 +88,47 @@ class ApproxSpectrum:
 # numeric diagonalization
 # ---------------------------------------------------------------------------
 
-def _rabi_hamiltonian(p: RabiParams, n_fock: int) -> np.ndarray:
-    ident_f = np.eye(n_fock)
-    a = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
-    x = a + a.T
-    num = a.T @ a
-    sz = np.diag([1.0, -1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = (-0.5 * p.epsilon * np.kron(sz, ident_f)
-         - 0.5 * p.delta * np.kron(sx, ident_f)
-         + p.omega_r * np.kron(np.eye(2), num)
-         + p.g * np.kron(sz, x))
-    return h
+def _rabi_band(p: RabiParams, n_fock: int) -> np.ndarray:
+    """Upper band storage (3, 2 n_fock) of the Rabi Hamiltonian, basis index 2n + s.
 
-
-def _diag_lowest(p: RabiParams, n_fock: int, keep: int):
-    h = _rabi_hamiltonian(p, n_fock)
-    lam, v = hermitian_eigensystem(h)
-    return lam[:keep], v[:, :keep]
+    Qubit state s = 0, 1 has sigma_z = +1, -1 (localized flux basis).
+    """
+    n = np.arange(n_fock)
+    sz = np.array([1.0, -1.0])
+    ab = np.zeros((3, 2 * n_fock))
+    ab[2] = (-0.5 * p.epsilon * sz[None, :] + p.omega_r * n[:, None]).ravel()
+    # ab[2 + i - j, j] = H[i, j]: (n, 0)-(n, 1) on row 1, (n-1, s)-(n, s) on row 0
+    ab[1, 1::2] = -0.5 * p.delta
+    ab[0, 2:] = (p.g * sz[None, :] * np.sqrt(n[1:, None])).ravel()
+    return ab
 
 
 def build_rabi_junction(params: RabiParams, left_id: str = "L",
                         right_id: str = "R") -> JunctionModel:
-    """Diagonalize the Rabi Hamiltonian and retain the lowest levels.
+    """Solve the banded Rabi Hamiltonian for its lowest levels and retain them.
 
     The left bath couples to the resonator quadrature a + a^dag, the right
     bath to the qubit sigma_z (localized flux basis).  Raises if increasing
     the Fock cutoff by 10 still moves the retained eigenvalues by more than
-    1e-10 * omega_r.
+    1e-10 * omega_r; that check needs the eigenvalues only.
     """
-    keep = params.retained_levels
-    lam, vk = _diag_lowest(params, params.fock_cutoff, keep)
-    lam_chk, _ = _diag_lowest(params, params.fock_cutoff + CONVERGENCE_EXTRA, keep)
+    keep, n_fock = params.retained_levels, params.fock_cutoff
+    # the band of the smaller cutoff is the leading part of the larger one
+    band = _rabi_band(params, n_fock + CONVERGENCE_EXTRA)
+    lam, v = lowest_band_eigensystem(band[:, :2 * n_fock], keep)
+    lam_chk = lowest_band_eigensystem(band, keep, eigvals_only=True)
     drift = float(np.max(np.abs(lam - lam_chk)))
     if drift > CONVERGENCE_TOL * params.omega_r:
         raise ValidationError(
             f"Fock truncation not converged: retained levels move by {drift:.3e}; "
             "increase fock_cutoff")
 
-    n_fock = params.fock_cutoff
-    a = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
-    q_left_full = np.kron(np.eye(2), a + a.T)
-    q_right_full = np.kron(np.diag([1.0, -1.0]), np.eye(n_fock))
-    q_left = (vk.conj().T @ q_left_full @ vk).real
-    q_right = (vk.conj().T @ q_right_full @ vk).real
-    # real Hamiltonian + phase convention => real eigenvectors => symmetric Q
-    q_left = 0.5 * (q_left + q_left.T)
+    # a + a^dag couples (n-1, s) and (n, s), two basis indices apart
+    sqrt_n = np.sqrt(np.arange(2, 2 * n_fock) // 2)
+    half = v[:-2].T @ (sqrt_n[:, None] * v[2:])
+    q_left = half + half.T
+    sz = np.tile([1.0, -1.0], n_fock)
+    q_right = v.T @ (sz[:, None] * v)
     q_right = 0.5 * (q_right + q_right.T)
     return JunctionModel(omega=lam, q_ops={left_id: q_left, right_id: q_right})
 

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
+from ltrans.baths import bose_signed, dn_dDeltaT_signed
 from ltrans.currents import (dot_transport, heat_current_2nd_general,
                              heat_current_2nd_secular, kappa2,
                              kappa4_kernel_quadrature, kappa4_lowT,
@@ -229,6 +231,113 @@ def test_kappa4_degenerate_ground_state_rejected():
     model = build_junction([0.0, 0.0], {"L": q, "R": q})
     with pytest.raises(ValidationError):
         kappa4_lowT(model, 1e-3, 0.01)
+
+
+# Loop transcriptions of the three virtual-state sums as they were written
+# before they shared one vectorized helper; the helper must reproduce them.
+
+def loop_kernel_4th(model, baths, rid):
+    bath_r = next(b for b in baths if b.id == rid)
+    bath_o = next(b for b in baths if b.id != rid)
+    qr, qo = model.q(bath_r.id), model.q(bath_o.id)
+    bohr = model.bohr_matrix()
+
+    def integrand(w):
+        occ_diff = bose_signed(w, bath_o.beta) - bose_signed(w, bath_r.beta)
+        return w * bath_r.spectral.value(w) * bath_o.spectral.value(w) * occ_diff
+
+    hi = max(50.0 / min(b.beta for b in baths), 10.0 * max(b.spectral.omega_c for b in baths))
+    pts = sorted({min(1.0 / b.beta, hi * 0.5) for b in baths}
+                 | {min(b.spectral.omega_c, hi * 0.5) for b in baths})
+    freq_int, _ = quad(integrand, 0.0, hi, points=pts, limit=400)
+    out = np.zeros((model.dim, model.dim))
+    for nn in range(model.dim):
+        for m in range(model.dim):
+            if m == nn:
+                continue
+            s = 0.0
+            for k in range(model.dim):
+                if k == nn:
+                    continue
+                s += (qr[m, nn] * qo[nn, m] * qo[nn, k] * qr[k, nn]
+                      / (bohr[m, nn] * bohr[k, nn]))
+            out[m, nn] = 8.0 * np.pi * freq_int * s
+    return out
+
+
+def loop_ground_sum(model, qr, qo):
+    bohr = model.bohr_matrix()
+    s = 0.0
+    for m in range(1, model.dim):
+        for k in range(1, model.dim):
+            s += (qr[m, 0] * qo[0, m] * qo[0, k] * qr[k, 0]
+                  / (bohr[m, 0] * bohr[k, 0]))
+    return s
+
+
+def loop_kappa4_quadrature(model, baths, t, rid):
+    bath_r = next(b for b in baths if b.id == rid).with_temperature(t)
+    bath_o = next(b for b in baths if b.id != rid).with_temperature(t)
+    s = loop_ground_sum(model, model.q(bath_r.id), model.q(bath_o.id))
+
+    def integrand(w):
+        return (w * bath_r.spectral.value(w) * bath_o.spectral.value(w)
+                * dn_dDeltaT_signed(w, t))
+
+    hi = 60.0 * t
+    pts = [t, min(bath_r.spectral.omega_c, 0.5 * hi)]
+    freq_int, _ = quad(integrand, 0.0, hi, points=sorted(set(pts)), limit=400)
+    return 8.0 * np.pi * freq_int * s
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_virtual_state_sums_match_loop_transcriptions(dim):
+    rng = np.random.default_rng(100 + dim)
+    model = random_model(rng, dim)
+    ql, qr = model.q("L"), model.q("R")
+    alpha, t = 1e-3, 0.01
+    want = 32.0 * np.pi**5 * alpha**2 * t**3 / 15.0 * loop_ground_sum(model, qr, ql)
+    assert kappa4_lowT(model, alpha, t) == pytest.approx(want, rel=1e-13, abs=0)
+
+    for rid in ("L", "R"):
+        baths = drude_baths(t, t, alpha=alpha)
+        got = kappa4_kernel_quadrature(model, baths, t, rid)
+        assert got == pytest.approx(loop_kappa4_quadrature(model, baths, t, rid),
+                                    rel=1e-13, abs=0)
+        biased = drude_baths(0.4, 0.2)
+        k4 = current_kernel_4th_lowT(model, biased, rid)
+        ref = loop_kernel_4th(model, biased, rid)
+        assert np.max(np.abs(k4 - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(np.diag(k4) == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_virtual_state_sums_reject_degenerate_ground_state():
+    # levels [0, 0, 1]: every low-T sum over virtual states diverges
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 3))
+    q = 0.5 * (x + x.T)
+    model = build_junction([0.0, 0.0, 1.0], {"L": q, "R": q})
+    baths = drude_baths(0.01, 0.01)
+    with pytest.raises(ValidationError):
+        kappa4_lowT(model, 1e-3, 0.01)
+    with pytest.raises(ValidationError, match="degenerate"):
+        kappa4_kernel_quadrature(model, baths, 0.01, "R")
+    with pytest.raises(ValidationError, match="degenerate"):
+        current_kernel_4th_lowT(model, baths, "R")
+
+
+def test_kappa4_ignores_degenerate_excited_levels():
+    # only the ground state's virtual sum enters kappa4: a degenerate excited
+    # pair (levels 1 and 2) is allowed there, but not in the full kernel
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((3, 3))
+    q = 0.5 * (x + x.T)
+    model = build_junction([0.0, 1.0, 1.0], {"L": q, "R": q})
+    want = 32.0 * np.pi**5 * 1e-6 * 0.01**3 / 15.0 * loop_ground_sum(model, q, q)
+    assert kappa4_lowT(model, 1e-3, 0.01) == pytest.approx(want, rel=1e-13, abs=0)
+    with pytest.raises(ValidationError, match="levels 1 and 2"):
+        current_kernel_4th_lowT(model, drude_baths(0.4, 0.2), "R")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ltrans import linalg
 from ltrans.linalg import (NumericError, ValidationError, hermitian_eigensystem,
-                           to_eigenbasis)
+                           lowest_band_eigensystem, to_eigenbasis)
 
 
 def random_hermitian(rng, n):
@@ -156,3 +157,74 @@ def test_lapack_failure_is_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericError):
         hermitian_eigensystem(np.eye(2))
+
+
+def random_persymmetric_band(rng, n, u=2):
+    """Upper band storage and dense form of a symmetric band matrix with J A J = A."""
+    a = np.zeros((n, n))
+    for d in range(u + 1):
+        off = rng.standard_normal(n - d)
+        a += np.diag(off, d) + (np.diag(off, -d) if d else 0.0)
+    j = np.eye(n)[::-1]
+    a = a + j @ a @ j
+    ab = np.zeros((u + 1, n))
+    for d in range(u + 1):
+        ab[u - d, d:] = np.diag(a, d)
+    return ab, a
+
+
+@pytest.mark.parametrize("n, keep", [(6, 1), (20, 5), (80, 21)])
+def test_band_solver_matches_dense(n, keep):
+    rng = np.random.default_rng(n)
+    ab, a = random_persymmetric_band(rng, n)
+    lam, v = lowest_band_eigensystem(ab, keep)
+    assert lam.shape == (keep,) and v.shape == (n, keep) and np.isrealobj(v)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(a)[:keep])) < 1e-12 * np.max(np.abs(a))
+    assert np.max(np.abs(a @ v - v * lam)) < 1e-12 * np.max(np.abs(a))
+    assert np.max(np.abs(v.T @ v - np.eye(keep))) < 1e-12
+    lam_only = lowest_band_eigensystem(ab, keep, eigvals_only=True)
+    assert np.max(np.abs(lam_only - lam)) < 1e-12 * np.max(np.abs(a))
+
+
+def test_phase_tie_takes_lowest_index():
+    # persymmetric matrices have (anti)symmetric eigenvectors, |v_i| = |v_{n-1-i}|:
+    # the largest magnitude is tied, and the lower of the two indices is made
+    # positive by both solvers, whichever the rounding favours
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        ab, a = random_persymmetric_band(rng, 12)
+        for v in (hermitian_eigensystem(a)[1], lowest_band_eigensystem(ab, 12)[1]):
+            mag = np.abs(v)
+            first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
+            assert np.all(first < 6)
+            top = v[first, np.arange(12)]
+            assert np.all(np.abs(top.imag) < 1e-14) and np.all(top.real > 0)
+
+
+def test_band_solver_bitwise_determinism():
+    ab, _ = random_persymmetric_band(np.random.default_rng(31), 30)
+    lam1, v1 = lowest_band_eigensystem(ab.copy(), 7)
+    lam2, v2 = lowest_band_eigensystem(ab.copy(), 7)
+    assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("ab, keep", [
+    (np.array([[0.0, 1.0], [1.0, np.nan]]), 1),
+    (np.array([[0.0, 1.0], [1.0, 2.0]]) + 0j, 1),
+    (np.array([1.0, 2.0]), 1),
+    (np.array([[0.0, 1.0], [1.0, 2.0]]), 0),
+    (np.array([[0.0, 1.0], [1.0, 2.0]]), 3),
+])
+def test_band_solver_rejects_bad_input(ab, keep):
+    with pytest.raises(ValidationError):
+        lowest_band_eigensystem(ab, keep)
+
+
+def test_band_lapack_failure_is_numeric_error(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("eig algorithm did not converge")
+
+    monkeypatch.setattr(linalg, "eig_banded", fail)
+    for eigvals_only in (False, True):
+        with pytest.raises(NumericError):
+            lowest_band_eigensystem(np.array([[0.0, 1.0], [1.0, 2.0]]), 1, eigvals_only)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ltrans.cli import main
 from ltrans.linalg import ValidationError, hermitian_eigensystem
-from ltrans.rabi import (RabiParams, _rabi_hamiltonian, build_rabi_junction,
-                         grwa_spectrum, vvpt_spectrum)
+from ltrans.rabi import RabiParams, build_rabi_junction, grwa_spectrum, vvpt_spectrum
+from rabi_oracle import dense_rabi_junction, rabi_hamiltonian
 
 
 def test_numeric_levels_match_vvpt_at_weak_coupling():
@@ -16,7 +18,7 @@ def test_numeric_levels_match_vvpt_at_weak_coupling():
 
 def test_zero_bias_couplings_real_symmetric_parity_odd():
     p = RabiParams(epsilon=0.0, delta=0.9, g=0.2)
-    _, v = hermitian_eigensystem(_rabi_hamiltonian(p, p.fock_cutoff))
+    _, v = hermitian_eigensystem(rabi_hamiltonian(p, p.fock_cutoff))
     assert np.max(np.abs(v.imag)) < 1e-12
     model = build_rabi_junction(p)
     for rid in ("L", "R"):
@@ -30,6 +32,49 @@ def test_zero_bias_couplings_real_symmetric_parity_odd():
 def test_unconverged_fock_cutoff_rejected():
     with pytest.raises(ValidationError, match="Fock truncation"):
         build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=1.5, fock_cutoff=20))
+
+
+def _build_or_error(build, p):
+    try:
+        return build(p)
+    except ValidationError as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(epsilon=st.sampled_from([0.0]) | st.floats(-0.6, 0.6),
+       delta=st.floats(0.1, 1.6), g=st.floats(0.0, 1.6),
+       keep=st.integers(2, 12), extra=st.integers(10, 30))
+def test_banded_junction_matches_dense_oracle(epsilon, delta, g, keep, extra):
+    p = RabiParams(epsilon=epsilon, delta=delta, g=g, retained_levels=keep,
+                   fock_cutoff=keep + extra)
+    banded = _build_or_error(build_rabi_junction, p)
+    dense = _build_or_error(dense_rabi_junction, p)
+    if isinstance(dense, ValidationError):
+        # the unconverged Fock cutoff is rejected for the same parameters
+        assert isinstance(banded, ValidationError)
+        assert str(banded).split(":")[0] == str(dense).split(":")[0]
+        return
+    assert not isinstance(banded, ValidationError), str(banded)
+    assert np.max(np.abs(banded.omega - dense.omega)) <= 1e-12 * p.omega_r
+    # eigenvectors of quasi-degenerate levels (parity crossings at epsilon = 0)
+    # are fixed only to rounding / gap; compare Q where the retained levels
+    # and the first discarded one are resolved
+    levels = np.linalg.eigvalsh(rabi_hamiltonian(p, p.fock_cutoff))[:keep + 1]
+    assume(np.min(np.diff(levels)) > 1e-3 * p.omega_r)
+    for rid in ("L", "R"):
+        assert np.max(np.abs(banded.q(rid) - dense.q(rid))) <= 1e-10
+
+
+@pytest.mark.parametrize("keep", [5, 21])
+def test_zero_bias_coupling_signs_match_dense_oracle(keep):
+    # parity eigenstates have |v(0, n)| = |v(1, n)| exactly; the phase
+    # convention's tie rule gives the banded and the dense solve the same sign
+    for g in np.linspace(0.05, 0.6, 12):
+        p = RabiParams(epsilon=0.0, delta=0.9, g=float(g), retained_levels=keep)
+        banded, dense = build_rabi_junction(p), dense_rabi_junction(p)
+        for rid in ("L", "R"):
+            assert np.max(np.abs(banded.q(rid) - dense.q(rid))) <= 1e-10, (g, rid)
 
 
 def test_build_bitwise_repeatable():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -107,3 +108,21 @@ def test_partial_row_never_builds_the_full_kernel_tensor(tmp_path, monkeypatch):
     assert cells[-1] == "21"
     assert len(block_sizes) == 3          # nominal state and the two kappa2 states
     assert all(r < 21 * 21 and c < 21 * 21 for r, c in block_sizes)
+
+
+@pytest.mark.parametrize("secular", ["partial", "full"])
+def test_rabi_row_makes_no_dense_diagonalization(tmp_path, monkeypatch, secular):
+    # the Rabi junction is solved as a band: a dense Hermitian solve on a
+    # Rabi row is a regression of the banded path
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigensolver called on a Rabi row")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ltrans") and hasattr(module, "hermitian_eigensystem"):
+            monkeypatch.setattr(module, "hermitian_eigensystem", dense)
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    cfg = parse_config_text(RABI.replace("secular = partial", f"secular = {secular}")
+                            + f"[output]\ncsv = {tmp_path / 'rabi.csv'}\n")
+    cells = compute_row(cfg, 0.2).split(",")
+    assert all(math.isfinite(float(c)) for c in cells[1:9])
+    assert cells[-1] == "3"
