@@ -5,9 +5,11 @@ bath coupling-operator correlation function, evaluated for an Ohmic-Drude
 spectral density.  `w_table` evaluates W over a whole array of Bohr
 frequencies in closed form: Re W = pi J n, and Im W is the digamma
 resummation of its Matsubara series, which has no pole where omega_c meets a
-Matsubara frequency.  The Matsubara series itself (direct summation plus an
-analytic Hurwitz-zeta tail) and a principal-value quadrature of the same
-quantity are kept as test oracles; no production path calls them.
+Matsubara frequency; `dw_dt_table` is its temperature derivative, with the
+trigamma function in place of the digamma.  The Matsubara series itself
+(direct summation plus an analytic Hurwitz-zeta tail) and a principal-value
+quadrature of the same quantity are kept as test oracles; no production path
+calls them.
 
 All rates are returned with hbar = 1, i.e. the hbar^2 prefactor of the raw
 correlation integral is divided out once and for all.
@@ -19,12 +21,13 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import digamma, zeta
+from scipy.special import digamma, polygamma, zeta
 
 from .linalg import ValidationError, NumericError
 from .model import Reservoir, SpectralDensity
 
 __all__ = ["occupation", "bose_signed", "spectral_density", "w_table", "wbar_table",
+           "dw_dt_real", "dw_dt_table",
            "w_rate", "wbar_rate", "w_rate_real", "w_rate_real_resummed",
            "w_rate_matsubara_oracle", "w_rate_pv_oracle", "dn_dDeltaT",
            "dn_dDeltaT_signed", "fermi_pv_integral", "matsubara_sums"]
@@ -144,6 +147,43 @@ def w_table(omega, bath: Reservoir) -> np.ndarray:
     sd = _drude_params(bath)
     w = np.asarray(omega, dtype=float)
     return _w_real(w, sd, bath.beta) + 1j * _w_imag(w, sd, bath.beta)
+
+
+def _trigamma(z) -> np.ndarray:
+    """psi'(z) for complex z with Re z >= 1, elementwise (polygamma is real-only).
+
+    Ten steps of psi'(z) = 1/z^2 + psi'(z + 1) in one broadcast, then
+    psi'(w) ~ 1/w + 1/(2w^2) + sum_k B_2k / w^(2k+1) to B_14 (error < 1e-17).
+    """
+    z = np.asarray(z, dtype=complex)
+    w = z + 10.0
+    u = 1.0 / (w * w)
+    series = np.polyval((7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6, 0), u)
+    head = np.sum((z + np.arange(10.0).reshape((-1,) + (1,) * z.ndim))**-2, axis=0)
+    return head + (1.0 + series) / w + 0.5 * u
+
+
+def dw_dt_real(omega, bath: Reservoir) -> np.ndarray:
+    """Re dW/dT = pi J(w) dn/dT over an array of frequencies; pi*alpha at w = 0."""
+    sd = _drude_params(bath)
+    w = np.asarray(omega, dtype=float)
+    dn = dn_dDeltaT_signed(w, bath.temperature)
+    return np.pi * sd.slope_at(w) * np.where(w == 0.0, 1.0, w * dn)
+
+
+def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
+    """dW/dT, the bath-temperature derivative of `w_table`, over an array of frequencies.
+
+    Re: `dw_dt_real`.  Im: the derivative of `_w_imag`,
+    (J(w)/T) [1/(2x) - x psi'(x) - y Im psi'(1 + i y)] with
+    x = omega_c / (2 pi T) and y = w / (2 pi T).
+    """
+    sd = _drude_params(bath)
+    w = np.asarray(omega, dtype=float)
+    t = bath.temperature
+    x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
+    bracket = 0.5 / x - x * polygamma(1, x) - y * _trigamma(1.0 + 1j * y).imag
+    return dw_dt_real(w, bath) + 1j * sd.value(w) / t * bracket
 
 
 def wbar_table(omega, bath: Reservoir) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Steady-state heat and particle currents and linear thermal conductances.
 
 Second-order (sequential) currents come in a secular population form and a
-general form with coherences; the fourth-order (cotunneling) channel is
-implemented in its low-temperature form, both as a frequency quadrature and
-as the closed-form T^3 conductance.  Closed-form two-level and single-dot
+general form with coherences; the sequential conductance is their linear
+response to the heated bath's temperature, one closed-form derivative for
+both secular solvers.  The fourth-order (cotunneling) channel is implemented
+in its low-temperature form, both as a frequency quadrature and as the
+closed-form T^3 conductance.  Closed-form two-level and single-dot
 expressions are kept alongside as regression anchors.
 """
 
@@ -14,20 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .baths import bose_signed, dn_dDeltaT_signed
+from .baths import bose_signed, dn_dDeltaT_signed, dw_dt_real, dw_dt_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 from .redfield import (DEGENERACY_TOL, BosonKernel, KernelBlock, RateMatrix,
-                       build_k2_boson, gamma_rates, resolved_bohr, w_matrix)
-from .steady import (DEFAULT_CLUSTER_FACTOR, SteadyState, cluster_bohr_frequencies,
-                     full_secular_steady, partial_secular_steady, retained_pair_array)
+                       build_k2_boson, gamma_rates, k2_pair_block, w_matrix)
+from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
+                     cluster_bohr_frequencies, full_secular_steady,
+                     partial_secular_response, partial_secular_steady,
+                     retained_pair_array)
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
            "heat_current_2nd_general", "current_kernel_4th_lowT", "kappa4_lowT",
            "kappa4_kernel_quadrature", "kappa2", "tls_closed_forms", "dot_transport",
-           "DotTransport", "partial_secular_state", "gamma_scale_from_kernel"]
-
-FD_STEP_FACTOR = 1e-4
+           "DotTransport", "partial_secular_state"]
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,13 @@ def heat_current_2nd_secular(model: JunctionModel, rates: RateMatrix,
 def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
                              reservoir_id: str, state: SteadyState) -> float:
     """Coherence-resolved current -2 Re sum Q_mn Q_nm' Wbar(w_nm) rho_m'm."""
-    bath = _find(baths, reservoir_id)
-    q = model.q(reservoir_id)
+    return _heat_current(model, _find(baths, reservoir_id), state.rho)
+
+
+def _heat_current(model: JunctionModel, bath: Reservoir, rho: np.ndarray) -> float:
+    q = model.q(bath.id)
     wbar = model.bohr_matrix() * w_matrix(model, bath)
-    val = np.einsum("mn,np,nm,pm->", q, q, wbar, state.rho)
-    return float(-2.0 * np.real(val))
+    return float(-2.0 * np.real(np.einsum("mn,np,nm,pm->", q, q, wbar, rho)))
 
 
 def _find(baths: list[Reservoir], rid: str) -> Reservoir:
@@ -100,7 +104,7 @@ def _virtual_state_terms(model: JunctionModel, q_r: np.ndarray, q_o: np.ndarray,
     n = states[j] (every level by default) and w_kn = omega_k - omega_n; the
     entry k = n is zero, and sum_k t[k, j] is the virtual-state amplitude of
     level n.  Raises ValidationError when a level k != n is degenerate with
-    n (|w_kn| <= DEGENERACY_TOL, the rule of `resolved_bohr`), where the
+    n (|w_kn| <= DEGENERACY_TOL, the rule of `gamma_rates`), where the
     sums diverge.
     """
     cols = np.arange(model.dim) if states is None else np.asarray(states)
@@ -185,9 +189,14 @@ def kappa4_kernel_quadrature(model: JunctionModel, baths: list[Reservoir],
 # linear conductance, second order
 # ---------------------------------------------------------------------------
 
-def gamma_scale_from_kernel(k2: BosonKernel) -> float:
-    """Largest population rate |K[n,n,m,m]|, n != m; clustering scale."""
-    return float(np.max(np.abs(k2.population_rates())))
+def _retained_pairs(model: JunctionModel, k2: BosonKernel,
+                    c: float) -> tuple[FrequencyClusters, np.ndarray]:
+    """Clusters of the Bohr spectrum at the largest population rate, and their pairs."""
+    scale = float(np.max(np.abs(k2.population_rates())))
+    if scale <= 0.0:
+        raise ValidationError("all population rates vanish; no steady state")
+    clusters = cluster_bohr_frequencies(model, scale, c)
+    return clusters, retained_pair_array(model.dim, clusters)
 
 
 def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
@@ -203,58 +212,43 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
     built: the second return value is that `KernelBlock`, not a full tensor.
     """
     k2 = build_k2_boson(model, baths)
-    scale = gamma_scale_from_kernel(k2)
-    if scale <= 0.0:
-        raise ValidationError("all population rates vanish; no steady state")
-    clusters = cluster_bohr_frequencies(model, scale, c)
-    block = k2.block(retained_pair_array(model.dim, clusters))
+    clusters, pairs = _retained_pairs(model, k2, c)
+    block = k2.block(pairs)
     state = partial_secular_steady(model, block, clusters, lamb_shift=lamb_shift)
     return state, block
 
 
-def _secular_current_at(model: JunctionModel, baths: list[Reservoir],
-                        rid: str) -> float:
-    rates = gamma_rates(model, baths)
-    state = full_secular_steady(rates)
-    return heat_current_2nd_secular(model, rates, state).per_reservoir[rid]
-
-
-def _partial_current_at(model: JunctionModel, baths: list[Reservoir], rid: str,
-                        c: float, lamb_shift: bool) -> float:
-    state, _ = partial_secular_state(model, baths, c=c, lamb_shift=lamb_shift)
-    return heat_current_2nd_general(model, baths, rid, state)
-
-
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
-           method: str = "analytic", solver: str = "full",
-           reservoir_id: str | None = None, c: float = DEFAULT_CLUSTER_FACTOR,
-           lamb_shift: bool = True, fd_step: float = FD_STEP_FACTOR) -> float:
-    """Sequential-tunneling thermal conductance at common temperature T.
+           solver: str = "full", reservoir_id: str | None = None,
+           c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True) -> float:
+    """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
-    method="analytic" differentiates the Bose factors of the heated bath
-    inside the secular current (no step-size tuning); method="fd" applies a
-    symmetric temperature bias fd_step * T to the full nonlinear current and
-    works with either solver.  The heated bath is the one not measured.
+    r is the measured bath (`reservoir_id`, the last bath by default) and h
+    the heated one.  Linear response: the steady state rho0 of L at T, then
+    L drho = -(dL/dT_h) rho0, and kappa2 is the current into r of drho.  The
+    kernel is linear in W, so dL/dT_h is the kernel of bath h alone over the
+    table dW/dT.  solver="full" reads its population rates, which need only
+    Re dW/dT (`dw_dt_real`), and solves with the rate matrix of `gamma_rates`;
+    solver="partial" reads its block over the pairs retained at T (clusters
+    held fixed, `dw_dt_table`) and solves with the factors of the
+    partial-secular system.
     """
     if not temperature > 0:
         raise ValidationError("temperature must be positive")
     if len(baths) != 2:
         raise ValidationError("kappa2 needs exactly two baths")
+    if solver not in ("full", "partial"):
+        raise ValidationError(f"unknown solver {solver!r}")
     rid = reservoir_id if reservoir_id is not None else baths[-1].id
     common = [b.with_temperature(temperature) for b in baths]
-    heated_idx = next(i for i, b in enumerate(common) if b.id != rid)
+    heated = next(b for b in common if b.id != rid)
+    q_h = model.q(heated.id)[None]
 
-    if method == "analytic":
-        if solver != "full":
-            raise ValidationError("analytic derivative is defined for the "
-                                  "full-secular solver; use method='fd'")
+    if solver == "full":
         rates = gamma_rates(model, common)
         state = full_secular_steady(rates)
-        heated = common[heated_idx]
-        q = model.q(heated.id)
-        bohr, resolved = resolved_bohr(model)
-        dgamma = np.where(resolved, 2.0 * np.pi * heated.spectral.value(bohr) * q**2
-                          * dn_dDeltaT_signed(bohr, temperature), 0.0)
+        dk2 = BosonKernel(q=q_h, w=dw_dt_real(model.bohr_matrix(), heated)[None])
+        dgamma = dk2.population_rates()
         dgamma[np.diag_indices_from(dgamma)] = -np.sum(dgamma, axis=0)
         a = rates.gamma.copy()
         a[0, :] = 1.0
@@ -264,22 +258,15 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
         wdiff = model.omega[None, :] - model.omega[:, None]
         return float(np.einsum("nm,nm,m->", wdiff, rates.per_reservoir[rid], dp))
 
-    if method == "fd":
-        dt = fd_step * temperature
-        vals = []
-        for sgn in (+1.0, -1.0):
-            biased = list(common)
-            biased[heated_idx] = biased[heated_idx].with_temperature(
-                temperature + sgn * dt)
-            if solver == "full":
-                vals.append(_secular_current_at(model, biased, rid))
-            elif solver == "partial":
-                vals.append(_partial_current_at(model, biased, rid, c, lamb_shift))
-            else:
-                raise ValidationError(f"unknown solver {solver!r}")
-        return float((vals[0] - vals[1]) / (2.0 * dt))
-
-    raise ValidationError(f"unknown method {method!r}")
+    k2 = build_k2_boson(model, common)
+    clusters, pairs = _retained_pairs(model, k2, c)
+    # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
+    # below the dephasing terms they are made of, so a sum-rule test against
+    # the block's own largest entry would fail on roundoff
+    dw = dw_dt_table(model.bohr_matrix(), heated)[None]
+    dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw, pairs, pairs))
+    _, drho = partial_secular_response(model, k2, dblock, clusters, lamb_shift)
+    return _heat_current(model, _find(common, rid), drho)
 
 
 # ---------------------------------------------------------------------------

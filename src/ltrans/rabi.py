@@ -27,7 +27,7 @@ from .model import JunctionModel
 
 __all__ = ["RabiParams", "ApproxSpectrum", "build_rabi_junction", "rwa_spectrum",
            "vvpt_spectrum", "grwa_spectrum", "kondo_temperature",
-           "grwa_zero_bias_gap", "generalized_laguerre"]
+           "generalized_laguerre"]
 
 CONVERGENCE_TOL = 1e-10
 CONVERGENCE_EXTRA = 10
@@ -191,14 +191,6 @@ def rwa_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
 # Van Vleck perturbation theory, second order in g
 # ---------------------------------------------------------------------------
 
-def vvpt_detuning(params: RabiParams, n: int = 1) -> float:
-    """delta_n = omega_q + 2 n g_x^2/(omega_q + omega_r) - omega_r."""
-    wq = params.omega_q
-    gx = params.g * params.delta / wq if wq > 0 else 0.0
-    wbar = wq + params.omega_r
-    return float(wq + 2.0 * n * gx**2 / wbar - params.omega_r)
-
-
 def vvpt_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
     """Second-order Van Vleck levels; reduces to the RWA as g -> 0."""
     p = params
@@ -291,11 +283,3 @@ def grwa_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
          "R01": float(-2.0 * um[0] * c_minus[0] * c_plus[0])}
     return ApproxSpectrum(method="GRWA", levels=levels, u_minus=um, u_plus=up,
                           v_minus=vm, v_plus=vp, q_elements=q)
-
-
-def grwa_zero_bias_gap(delta: float, g: float, omega_r: float = 1.0) -> float:
-    """Closed-form GRWA gap omega_10 at zero bias."""
-    alpha_t = (2.0 * g / omega_r)**2
-    dt = delta * np.exp(-0.5 * alpha_t)
-    d = dt - omega_r - 0.5 * alpha_t * dt
-    return float(dt - 0.5 * d - 0.5 * np.sqrt(d**2 + alpha_t * dt**2))

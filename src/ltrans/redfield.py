@@ -26,7 +26,7 @@ from .model import JunctionModel, Reservoir
 
 __all__ = ["RedfieldTensor", "KernelBlock", "BosonKernel", "RateMatrix",
            "build_k2_boson", "k2_pair_block", "k2_tensor_from_w", "all_pairs",
-           "w_matrix", "resolved_bohr", "gamma_rates", "build_current_kernel_2nd",
+           "w_matrix", "gamma_rates", "build_current_kernel_2nd",
            "fermion_dot_rates", "DOT_STATES"]
 
 SUM_RULE_RTOL = 1e-12
@@ -37,9 +37,9 @@ def w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
     """W of `bath` over the model's Bohr matrix, as a read-only table.
 
     Computed once per model and bath (statistics, beta, spectral density; not
-    the id), so the kernel and the heat currents of a steady state, and the
-    states of a finite-difference derivative that share a bath temperature,
-    share one table.  Models are built per sweep row, which bounds the memo.
+    the id), so the kernel and the heat currents of a steady state, and baths
+    that share a temperature, share one table.  Models are built per sweep
+    row, which bounds the memo.
     """
     key = (bath.statistics, bath.beta, bath.spectral)
     table = model.tables.get(key)
@@ -53,16 +53,6 @@ def w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
 def all_pairs(dim: int) -> np.ndarray:
     """Every pair (n, m) as an (N^2, 2) array, in the row-major order of K.reshape."""
     return np.indices((dim, dim)).reshape(2, -1).T
-
-
-def resolved_bohr(model: JunctionModel) -> tuple[np.ndarray, np.ndarray]:
-    """Bohr-frequency matrix and the mask of its resolved entries |w_nm| > DEGENERACY_TOL.
-
-    The diagonal and exact or numerical degeneracies are unresolved; rates
-    and their temperature derivatives are defined on the resolved entries.
-    """
-    bohr = model.bohr_matrix()
-    return bohr, np.abs(bohr) > DEGENERACY_TOL
 
 
 def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
@@ -279,7 +269,8 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     partial-secular solver.
     """
     _bose_reservoirs(baths)
-    bohr, resolved = resolved_bohr(model)
+    bohr = model.bohr_matrix()
+    resolved = np.abs(bohr) > DEGENERACY_TOL
     unresolved_off = ~resolved & ~np.eye(model.dim, dtype=bool)
     w_safe = np.where(resolved, bohr, 1.0)
     per: dict[str, np.ndarray] = {}

@@ -7,7 +7,8 @@ with a trace constraint replacing one redundant population row.  It reads
 only the kernel block of the retained pairs (`kernel.block(pairs)`), so a
 lazily evaluated kernel never builds its full N^4 tensor here; the system,
 its solution and its residual are assembled with index arrays over that
-block.
+block.  `partial_secular_response` reuses the LU factors of that system for
+the linear response of the steady state to a kernel perturbation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .linalg import ValidationError, NumericError
 from .model import JunctionModel
@@ -23,6 +25,7 @@ from .redfield import KernelBlock, RateMatrix, RedfieldTensor
 
 __all__ = ["SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
            "retained_pair_array", "full_secular_steady", "partial_secular_steady",
+           "partial_secular_response",
            "three_level_coherence_analytic", "propagate_rate_equation"]
 
 log = logging.getLogger(__name__)
@@ -169,6 +172,78 @@ def propagate_rate_equation(rates: RateMatrix, p0: np.ndarray, t: float,
 # partial secular
 # ---------------------------------------------------------------------------
 
+def _real_system(k: np.ndarray, n: int, lamb_shift: bool, bohr=0.0) -> np.ndarray:
+    """Real matrix of rho -> -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
+
+    k is a kernel block in the layout of `retained_pair_array`, bohr the Bohr
+    frequency of each pair; unknowns and rows as in `partial_secular_steady`.
+    """
+    ncoh = (len(k) - n) // 2
+    coh = slice(n, n + ncoh)
+    lmap = k.astype(complex)
+    if not lamb_shift:
+        off = np.arange(n, len(k))
+        lmap[off, off] = lmap[off, off].real
+    lmap[np.diag_indices_from(lmap)] -= 1j * bohr
+    # rho_nm = Re + i Im and rho_mn = Re - i Im, so the columns of (n,m) and
+    # (m,n) combine; the swapped rows are the conjugates of the kept ones
+    cols = np.empty_like(lmap)
+    cols[:, :n] = lmap[:, :n]
+    cols[:, n::2] = lmap[:, coh] + lmap[:, n + ncoh:]
+    cols[:, n + 1::2] = 1j * (lmap[:, coh] - lmap[:, n + ncoh:])
+    a = np.empty(cols.shape)
+    a[:n] = cols[:n].real
+    a[n::2] = cols[coh].real
+    a[n + 1::2] = cols[coh].imag
+    return a
+
+
+def _rho(x: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
+    """The density matrix (or its derivative) of the real unknowns x."""
+    rho = np.zeros((n, n), dtype=complex)
+    rho[np.diag_indices(n)] = x[:n]
+    c = x[n::2] + 1j * x[n + 1::2]
+    pn, pm = pairs[n:n + len(c), 0], pairs[n:n + len(c), 1]
+    rho[pn, pm] = c
+    rho[pm, pn] = np.conj(c)
+    return rho
+
+
+def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
+                    lamb_shift: bool):
+    """`partial_secular_steady`, returning (state, pairs, x, LU factors of the system)."""
+    n = model.dim
+    if k2.dim != n:
+        raise ValidationError("kernel dimension does not match the model")
+    pairs = retained_pair_array(n, clusters)
+    block: KernelBlock = k2.block(pairs)
+    a = _real_system(block.k, n, lamb_shift, model.bohr_matrix()[pairs[:, 0], pairs[:, 1]])
+    a[0, :] = 0.0
+    a[0, :n] = 1.0                 # trace row replaces population row 0
+    # getrf reports a zero pivot (lu_factor only warns); getcon estimates the
+    # reciprocal 1-norm condition number from the factors
+    lu, piv, info = dgetrf(a)
+    rcond = dgecon(lu, np.max(np.sum(np.abs(a), axis=0)))[0] if info == 0 else 0.0
+    if not rcond > 0.0:
+        raise NumericError("partial-secular system is singular")
+    if rcond * CONDITION_WARN < 1.0:
+        log.warning("partial-secular system badly conditioned: "
+                    "1-norm condition estimate %.3e", 1.0 / rcond)
+    b = np.zeros(len(pairs))
+    b[0] = 1.0
+    x = dgetrs(lu, piv, b)[0]
+
+    state = SteadyState(rho=_rho(x, pairs, n), solver_tag="PartialSecular",
+                        retained_pairs=tuple(sorted(clusters.retained)))
+    state.check()
+
+    # residual of the retained-block equations (excluding the replaced row)
+    resid = float(np.max(np.abs(a[1:] @ x), initial=0.0))
+    if resid > 1e-10 * max(block.norm_max(), 1e-300):
+        raise NumericError(f"partial-secular residual {resid:.3e} exceeds tolerance")
+    return state, pairs, x, (lu, piv)
+
+
 def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters,
                            lamb_shift: bool = True) -> SteadyState:
     """Solve 0 = -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
@@ -181,65 +256,22 @@ def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters
     (level-shift) part of the diagonal coherence couplings K[n,m,n,m] is
     discarded.
     """
+    return _solve_retained(model, k2, clusters, lamb_shift)[0]
+
+
+def partial_secular_response(model: JunctionModel, k2, dk2, clusters: FrequencyClusters,
+                             lamb_shift: bool = True) -> tuple[SteadyState, np.ndarray]:
+    """Steady state rho0 of the partial-secular map L and its response to L + dL.
+
+    dL is the kernel dk2 on the same retained pairs (`dk2.block(pairs)`).
+    Returns (state, drho) with L drho = -dL rho0 and Tr drho = 0, solved with
+    the LU factors of the steady-state system.
+    """
+    state, pairs, x, (lu, piv) = _solve_retained(model, k2, clusters, lamb_shift)
     n = model.dim
-    if k2.dim != n:
-        raise ValidationError("kernel dimension does not match the model")
-    pairs = retained_pair_array(n, clusters)
-    block: KernelBlock = k2.block(pairs)
-    ncoh = (len(pairs) - n) // 2
-    coh = slice(n, n + ncoh)
-
-    # complex map L(rho) on the retained pairs: -i w_nm delta + K
-    lmap = block.k.copy()
-    if not lamb_shift:
-        off = np.arange(n, len(pairs))
-        lmap[off, off] = lmap[off, off].real
-    scale = max(np.max(np.abs(lmap)), 1e-300)
-    bohr = model.bohr_matrix()
-    lmap[np.diag_indices_from(lmap)] -= 1j * bohr[pairs[:, 0], pairs[:, 1]]
-
-    # real unknowns x = (p_0..p_{N-1}, Re c_1, Im c_1, ...): rho_nm = Re + i Im
-    # and rho_mn = Re - i Im, so the columns of (n,m) and (m,n) combine
-    cols = np.empty_like(lmap)
-    cols[:, :n] = lmap[:, :n]
-    cols[:, n::2] = lmap[:, coh] + lmap[:, n + ncoh:]
-    cols[:, n + 1::2] = 1j * (lmap[:, coh] - lmap[:, n + ncoh:])
-    # rows: populations are real; each coherence n < m gives Re and Im rows
-    # (the swapped rows are their complex conjugates)
-    a = np.empty(cols.shape)
-    a[:n] = cols[:n].real
-    a[n::2] = cols[coh].real
-    a[n + 1::2] = cols[coh].imag
-    b = np.zeros(len(pairs))
-    a[0, :] = 0.0
-    a[0, :n] = 1.0                 # trace row replaces population row 0
-    b[0] = 1.0
-
-    cond = np.linalg.cond(a)
-    if cond > CONDITION_WARN:
-        log.warning("partial-secular system badly conditioned: cond = %.3e", cond)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"partial-secular system is singular: {exc}") from exc
-
-    rho = np.zeros((n, n), dtype=complex)
-    rho[np.diag_indices(n)] = x[:n]
-    c = x[n::2] + 1j * x[n + 1::2]
-    pn, pm = pairs[coh, 0], pairs[coh, 1]
-    rho[pn, pm] = c
-    rho[pm, pn] = np.conj(c)
-
-    retained = tuple(sorted(clusters.retained))
-    state = SteadyState(rho=rho, retained_pairs=retained, solver_tag="PartialSecular")
-    state.check()
-
-    # residual of the retained-block equations (excluding the replaced row)
-    resid = np.abs(lmap[1:n + ncoh] @ rho[pairs[:, 0], pairs[:, 1]])
-    resid = float(np.max(resid, initial=0.0))
-    if resid > 1e-10 * scale:
-        raise NumericError(f"partial-secular residual {resid:.3e} exceeds tolerance")
-    return state
+    rhs = -(_real_system(dk2.block(pairs).k, n, lamb_shift) @ x)
+    rhs[0] = 0.0                   # the trace stays 1
+    return state, _rho(dgetrs(lu, piv, rhs)[0], pairs, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Parameter sweeps: one conductance/current row per grid point, CSV out.
 
+Each row takes its currents from the steady state of the configured solver
+and kappa2 from one linear-response `kappa2` call with the same solver.
 Grid points are independent; they are dispatched to a process pool and
 gathered in index order, so the output is byte-identical for any worker
 count.  Solver failures poison single rows with NaN rather than the run.
@@ -106,15 +108,14 @@ def compute_row(cfg: SweepConfig, value: float) -> str:
     omega10 = kondo_temperature(model)
     alpha = float(cfg.baths["alpha"])
 
+    k2v = kappa2(model, baths, t_mean, solver=cfg.solver, c=cfg.cluster_factor,
+                 lamb_shift=cfg.lamb_shift)
     if cfg.solver == "partial":
-        k2v = kappa2(model, baths, t_mean, method="fd", solver="partial",
-                     c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
         state, _ = partial_secular_state(model, baths, c=cfg.cluster_factor,
                                          lamb_shift=cfg.lamb_shift)
         i_l = heat_current_2nd_general(model, baths, "L", state)
         i_r = heat_current_2nd_general(model, baths, "R", state)
     else:
-        k2v = kappa2(model, baths, t_mean, method="analytic")
         rates = gamma_rates(model, baths)
         state = full_secular_steady(rates)
         cur = heat_current_2nd_secular(model, rates, state)

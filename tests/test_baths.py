@@ -1,13 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ltrans.baths import (bose_signed, dn_dDeltaT, dn_dDeltaT_signed, fermi_pv_integral,
-                          matsubara_sums, occupation, spectral_density, w_rate,
-                          w_rate_matsubara_oracle, w_rate_pv_oracle, w_rate_real,
-                          w_rate_real_resummed, w_table, wbar_rate, wbar_table)
+from ltrans.baths import (_trigamma, bose_signed, dn_dDeltaT, dn_dDeltaT_signed,
+                          dw_dt_table, fermi_pv_integral, matsubara_sums, occupation,
+                          spectral_density, w_rate, w_rate_matsubara_oracle,
+                          w_rate_pv_oracle, w_rate_real, w_rate_real_resummed, w_table,
+                          wbar_rate, wbar_table)
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity
 
@@ -196,6 +198,43 @@ def test_w_table_cold_bath_is_finite():
     assert w[-1].real == 0.0
     assert w[0].real == pytest.approx(np.pi * 1e-3 * 1.04 / (1 + 1.04**2 / 25.0),
                                       rel=1e-14)
+
+
+def test_trigamma_matches_mpmath():
+    ys = np.concatenate([[0.0], np.geomspace(1e-8, 1e5, 120)])
+    got = _trigamma(1.0 + 1j * ys)
+    with mpmath.workdps(30):
+        for y, g in zip(ys, got):
+            ref = complex(mpmath.psi(1, mpmath.mpc(1, y)))
+            assert abs(g - ref) <= 1e-14 * abs(ref), y
+    assert _trigamma(np.ones((2, 3))).shape == (2, 3)
+    assert _trigamma(1.0) == pytest.approx(np.pi**2 / 6, rel=1e-15)
+
+
+def _w_mp(omega, temperature, alpha=1e-3, omega_c=5.0):
+    """W(omega) at bath temperature T in the digamma closed form, in mpmath."""
+    w, t, wc = mpmath.mpf(omega), mpmath.mpf(temperature), mpmath.mpf(omega_c)
+    slope = alpha / (1 + (w / wc)**2)
+    re = mpmath.pi * slope * (t if w == 0 else w / mpmath.expm1(w / t))
+    x, y = wc / (2 * mpmath.pi * t), w / (2 * mpmath.pi * t)
+    bracket = mpmath.digamma(x) + 1 / (2 * x) - mpmath.re(mpmath.digamma(1 + 1j * y))
+    return mpmath.mpc(re, slope * (w * bracket - mpmath.pi / 2 * wc))
+
+
+@pytest.mark.parametrize("temperature", [1e-6, 2.6e-3, 0.05, 0.5, 2.0])
+def test_dw_dt_table_matches_mpmath_derivative(temperature):
+    omegas = np.array([-3.0, -1.04, -1e-3, 0.0, 1e-5, 0.3, 1.04, 2.0, 7.0])
+    got = dw_dt_table(omegas, drude_bath(beta=1.0 / temperature))
+    with mpmath.workdps(40):
+        ref = np.array([complex(mpmath.diff(lambda t: _w_mp(w, t), temperature))
+                        for w in omegas])
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # Re dW/dT = pi J(w) dn/dT, which tends to pi*alpha at w = 0
+    assert got[3] == pytest.approx(np.pi * 1e-3, rel=1e-15)
+    assert got.real == pytest.approx(np.pi * 1e-3 / (1 + (omegas / 5.0)**2) * omegas
+                                     * dn_dDeltaT_signed(omegas, temperature)
+                                     + np.where(omegas == 0.0, np.pi * 1e-3, 0.0),
+                                     rel=1e-13, abs=0.0)
 
 
 def test_matsubara_tail_doubling():

@@ -13,8 +13,11 @@ from ltrans.currents import (dot_transport, heat_current_2nd_general,
                              tls_closed_forms, tls_current, tls_kappa2, tls_kappa4)
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
+from ltrans.rabi import RabiParams, build_rabi_junction
 from ltrans.redfield import build_current_kernel_2nd, gamma_rates
 from ltrans.steady import full_secular_steady
+
+from kappa2_oracle import kappa2_fd, kappa2_richardson
 
 
 def drude_baths(t_left=1.0, t_right=0.5, alpha=1e-3, omega_c=5.0):
@@ -345,15 +348,18 @@ def test_kappa4_ignores_degenerate_excited_levels():
 # ---------------------------------------------------------------------------
 
 def test_kappa2_tls_closed_form():
+    # down to omega10/T = 1e6, where the conductance underflows to 0 and
+    # must come out as exactly 0
     model = tls_model()
     baths = drude_baths()
-    for t in (0.2, 0.5, 1.1):
-        got = kappa2(model, baths, t, method="analytic")
-        j10 = 1e-3 / (1.0 + 1.0 / 25.0)
-        gl = 2 * np.pi * j10 * 0.8**2
-        gr = 2 * np.pi * j10 * 0.5**2
+    j10 = 1e-3 / (1.0 + 1.0 / 25.0)
+    gl = 2 * np.pi * j10 * 0.8**2
+    gr = 2 * np.pi * j10 * 0.5**2
+    for t in np.geomspace(1e-6, 2.0, 25):
         want = tls_kappa2(1.0, gl, gr, t)
-        assert got == pytest.approx(want, rel=1e-10)
+        for solver in ("full", "partial"):
+            got = kappa2(model, baths, t, solver=solver)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), (solver, t)
 
 
 def test_kappa2_analytic_vs_fd():
@@ -361,9 +367,50 @@ def test_kappa2_analytic_vs_fd():
     model = random_model(rng)
     baths = drude_baths()
     for t in (0.3, 0.8):
-        ka = kappa2(model, baths, t, method="analytic")
-        kf = kappa2(model, baths, t, method="fd")
+        ka = kappa2(model, baths, t, solver="full")
+        kf = kappa2_fd(model, baths, t, solver="full")
         assert kf == pytest.approx(ka, rel=1e-6)
+
+
+@pytest.mark.parametrize("lamb_shift", [True, False])
+def test_kappa2_partial_matches_fd_oracle(lamb_shift):
+    rng = np.random.default_rng(3)
+    model = quasi_degenerate_model(rng)
+    baths = drude_baths()
+    state, _ = partial_secular_state(model, baths, lamb_shift=lamb_shift)
+    assert (1, 2) in state.retained_pairs
+    for t in (0.3, 0.8):
+        got = kappa2(model, baths, t, solver="partial", lamb_shift=lamb_shift)
+        want = kappa2_fd(model, baths, t, solver="partial", lamb_shift=lamb_shift)
+        assert got == pytest.approx(want, rel=1e-6)
+        # the O(step^2) error of the difference is what separates them
+        extrapolated = kappa2_richardson(model, baths, t, solver="partial",
+                                         lamb_shift=lamb_shift)
+        assert got == pytest.approx(extrapolated, rel=1e-10)
+
+
+@pytest.mark.parametrize("g", [0.02, 0.4])
+def test_kappa2_partial_rabi21_matches_richardson_fd(g):
+    # the end points of the 21-level partial-secular g sweep of the benchmark;
+    # the plain difference at step 1e-4 misses by up to 7e-8 here
+    model = build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=g, omega_r=1.0,
+                                           fock_cutoff=40, retained_levels=21))
+    baths = drude_baths(0.12, 0.08)
+    got = kappa2(model, baths, 0.1, solver="partial")
+    assert got == pytest.approx(kappa2_richardson(model, baths, 0.1, solver="partial"),
+                                rel=1e-10)
+
+
+def test_kappa2_full_rejects_what_the_rate_equation_cannot_solve():
+    baths = drude_baths()
+    q = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.3], [0.5, 0.3, 0.0]])
+    degenerate = build_junction([0.0, 1.0, 1.0], {"L": q, "R": q})
+    with pytest.raises(ValidationError, match="degenerate"):
+        kappa2(degenerate, baths, 0.5, solver="full")
+    q = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    disconnected = build_junction([0.0, 1.0, 2.0], {"L": q, "R": q})
+    with pytest.raises(ValidationError, match="disconnected"):
+        kappa2(disconnected, baths, 0.5, solver="full")
 
 
 def test_kappa2_maximum_location():
@@ -392,9 +439,7 @@ def test_kappa2_validation():
     with pytest.raises(ValidationError):
         kappa2(model, baths, -1.0)
     with pytest.raises(ValidationError):
-        kappa2(model, baths, 0.5, method="analytic", solver="partial")
-    with pytest.raises(ValidationError):
-        kappa2(model, baths, 0.5, method="nope")
+        kappa2(model, baths, 0.5, solver="nope")
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,22 @@ def test_partial_secular_singular_system():
         partial_secular_steady(model, k2, all_pairs_clusters(2))
 
 
+def test_partial_secular_condition_warning(caplog):
+    # level 2 hangs on the others by rates 1e-14 of the rest: the 1-norm
+    # condition estimate of the system is about 1e14
+    g = np.array([[0.0, 1.0, 2e-14], [0.5, 0.0, 1e-14], [1e-14, 1e-14, 0.0]])
+    g[np.diag_indices(3)] = -g.sum(axis=0)
+    k = np.zeros((3, 3, 3, 3), dtype=complex)
+    for n in range(3):
+        k[n, n] = np.diag(g[n])
+    model = build_junction([0.0, 1.0, 2.0], {"L": np.zeros((3, 3))})
+    diag_only = cluster_bohr_frequencies(model, 1e-9, c=0.0)
+    with caplog.at_level(logging.WARNING, logger="ltrans.steady"):
+        state = partial_secular_steady(model, RedfieldTensor(dim=3, k=k), diag_only)
+    assert any("badly conditioned" in r.message for r in caplog.records)
+    assert np.abs(g @ state.populations).max() < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # analytic three-level coherence
 # ---------------------------------------------------------------------------

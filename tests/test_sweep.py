@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from ltrans import redfield
+from ltrans import currents, redfield
 from ltrans.config import parse_config_text
 from ltrans.currents import tls_closed_forms
 from ltrans.sweep import compute_row, run_sweep
@@ -100,13 +100,15 @@ def test_partial_row_never_builds_the_full_kernel_tensor(tmp_path, monkeypatch):
 
     monkeypatch.setattr(redfield, "k2_tensor_from_w", full_tensor)
     monkeypatch.setattr(redfield, "k2_pair_block", counting_pair_block)
+    monkeypatch.setattr(currents, "k2_pair_block", counting_pair_block)
     cfg = parse_config_text(RABI.replace("retained_levels = 3", "retained_levels = 21")
                             .replace("fock_cutoff = 30", "fock_cutoff = 40")
                             + f"[output]\ncsv = {tmp_path / 'r21.csv'}\n")
     cells = compute_row(cfg, 0.2).split(",")
     assert all(math.isfinite(float(c)) for c in cells[1:9])
     assert cells[-1] == "21"
-    assert len(block_sizes) == 3          # nominal state and the two kappa2 states
+    # the nominal state, the kappa2 state and its temperature derivative
+    assert len(block_sizes) == 3
     assert all(r < 21 * 21 and c < 21 * 21 for r, c in block_sizes)
 
 
