@@ -15,13 +15,14 @@ Grammar (configparser syntax, all keys required unless noted):
 
     [solver]
     secular = full | partial
-    cluster_factor = <float>            (optional, default 10)
+    cluster_factor = <float >= 0>       (optional, default 10)
     lamb_shift = true | false           (optional, default true)
 
     [sweep]
     variable = T | epsilon | delta | g
     scale = linear | log
-    start, stop = <float>               (start > 0 and stop > 0 for log)
+    start, stop = <float>               (start > 0 and stop > 0 for log
+                                         and for T)
     points = <int >= 1>
 
     [output]
@@ -156,6 +157,8 @@ def parse_config_text(text: str) -> SweepConfig:
         if solver not in ("full", "partial"):
             raise ValidationError(f"unknown secular mode {solver!r}")
         cluster_factor = _getfloat(ssec, "cluster_factor", 10.0)
+        if cluster_factor < 0:
+            raise ValidationError(f"key 'cluster_factor' must be >= 0: {cluster_factor!r}")
         lamb_shift = _getbool(ssec, "lamb_shift", True)
 
     wsec = cp["sweep"]
@@ -175,6 +178,9 @@ def parse_config_text(text: str) -> SweepConfig:
         raise ValidationError("points must be >= 1 (zero-point grids are degenerate)")
     if scale == "log" and (start <= 0 or stop <= 0):
         raise ValidationError("log-spaced grids need positive endpoints")
+    if variable == "T" and (start <= 0 or stop <= 0):
+        raise ValidationError(f"a T sweep needs positive temperatures: 'start' = {start!r}, "
+                              f"'stop' = {stop!r}")
 
     osec = cp["output"]
     if "csv" not in osec:

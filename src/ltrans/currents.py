@@ -28,7 +28,8 @@ from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
            "heat_current_2nd_general", "current_kernel_4th_lowT", "kappa4_lowT",
-           "kappa4_kernel_quadrature", "kappa2", "tls_closed_forms", "dot_transport",
+           "kappa4_kernel_quadrature", "kappa2", "kappa2_response", "Kappa2Response",
+           "tls_closed_forms", "dot_transport",
            "DotTransport", "partial_secular_state"]
 
 
@@ -218,9 +219,23 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
     return state, block
 
 
-def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
-           solver: str = "full", reservoir_id: str | None = None,
-           c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True) -> float:
+@dataclass(frozen=True)
+class Kappa2Response:
+    """kappa2 with the steady state rho0 it solved at the common temperature.
+
+    rates is the `gamma_rates` matrix of that state on the full-secular path
+    and None on the partial-secular one.
+    """
+
+    kappa2: float
+    state: SteadyState
+    rates: RateMatrix | None = None
+
+
+def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,
+                    solver: str = "full", reservoir_id: str | None = None,
+                    c: float = DEFAULT_CLUSTER_FACTOR,
+                    lamb_shift: bool = True) -> Kappa2Response:
     """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
     r is the measured bath (`reservoir_id`, the last bath by default) and h
@@ -231,7 +246,9 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
     Re dW/dT (`dw_dt_real`), and solves with the rate matrix of `gamma_rates`;
     solver="partial" reads its block over the pairs retained at T (clusters
     held fixed, `dw_dt_table`) and solves with the factors of the
-    partial-secular system.
+    partial-secular system.  rho0 (and the rate matrix it solves) is returned
+    with the conductance: at zero bias it is the steady state of the baths
+    themselves, so their currents need no second solve.
     """
     if not temperature > 0:
         raise ValidationError("temperature must be positive")
@@ -256,7 +273,8 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
         rhs[0] = 0.0
         dp = np.linalg.solve(a, rhs)
         wdiff = model.omega[None, :] - model.omega[:, None]
-        return float(np.einsum("nm,nm,m->", wdiff, rates.per_reservoir[rid], dp))
+        k2v = float(np.einsum("nm,nm,m->", wdiff, rates.per_reservoir[rid], dp))
+        return Kappa2Response(k2v, state, rates)
 
     k2 = build_k2_boson(model, common)
     clusters, pairs = _retained_pairs(model, k2, c)
@@ -265,8 +283,20 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
     # the block's own largest entry would fail on roundoff
     dw = dw_dt_table(model.bohr_matrix(), heated)[None]
     dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw, pairs, pairs))
-    _, drho = partial_secular_response(model, k2, dblock, clusters, lamb_shift)
-    return _heat_current(model, _find(common, rid), drho)
+    state, drho = partial_secular_response(model, k2, dblock, clusters, lamb_shift)
+    return Kappa2Response(_heat_current(model, _find(common, rid), drho), state)
+
+
+def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
+           solver: str = "full", reservoir_id: str | None = None,
+           c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True) -> float:
+    """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
+
+    The conductance of `kappa2_response`, which documents the method and
+    also returns the steady state it solved.
+    """
+    return kappa2_response(model, baths, temperature, solver, reservoir_id,
+                           c, lamb_shift).kappa2
 
 
 # ---------------------------------------------------------------------------

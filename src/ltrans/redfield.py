@@ -38,8 +38,9 @@ def w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
 
     Computed once per model and bath (statistics, beta, spectral density; not
     the id), so the kernel and the heat currents of a steady state, and baths
-    that share a temperature, share one table.  Models are built per sweep
-    row, which bounds the memo.
+    that share a temperature, share one table.  The memo grows by one table
+    per new temperature; a sweep that reuses a model across rows clears
+    `model.tables` at the start of each row.
     """
     key = (bath.statistics, bath.beta, bath.spectral)
     table = model.tables.get(key)

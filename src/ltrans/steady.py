@@ -77,10 +77,13 @@ def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
     """Retain the pair (n, m) iff |omega_nm| <= c * gamma_scale.
 
     gamma_scale should be the magnitude of the largest relevant relaxation
-    rate; diagonal pairs are always retained and the set is symmetric.
+    rate and c >= 0; diagonal pairs are always retained and the set is
+    symmetric.
     """
     if not gamma_scale > 0:
         raise ValidationError("gamma_scale must be positive")
+    if not c >= 0:
+        raise ValidationError(f"cluster factor must be >= 0, got {c!r}")
     thresh = c * gamma_scale
     # |omega_nm| = |omega_mn| exactly, so the mask is symmetric
     keep = np.abs(model.bohr_matrix()) <= thresh

@@ -1,10 +1,15 @@
 """Parameter sweeps: one conductance/current row per grid point, CSV out.
 
-Each row takes its currents from the steady state of the configured solver
-and kappa2 from one linear-response `kappa2` call with the same solver.
-Grid points are independent; they are dispatched to a process pool and
-gathered in index order, so the output is byte-identical for any worker
-count.  Solver failures poison single rows with NaN rather than the run.
+Each row takes kappa2 from one linear-response `kappa2_response` call with
+the configured solver.  On a zero-bias row (T_left = T_right, as on every T
+sweep row) the steady state of that call is also the state of the row's
+currents; a biased row solves its own state for them.  The grid is cut into
+one contiguous chunk per worker (the whole grid when serial), each chunk runs
+in one process, and the rows are gathered in index order, so the output is
+byte-identical for any worker count.  A T sweep builds its junction model
+once per chunk and clears the model's W memo at the start of each row; every
+other sweep builds the model per row.  Solver failures poison single rows
+with NaN rather than the run; a model build that fails poisons its chunk.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .config import SweepConfig
 from .currents import (dot_transport, heat_current_2nd_general,
-                       heat_current_2nd_secular, kappa2, kappa4_lowT,
+                       heat_current_2nd_secular, kappa2_response, kappa4_lowT,
                        partial_secular_state)
 from .linalg import ValidationError, hermitian_eigensystem, to_eigenbasis
 from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
@@ -43,7 +48,7 @@ class SweepResult:
 
 
 def worker_count(flag: int | None = None) -> int:
-    """--workers flag beats LT_THREADS beats available cores."""
+    """--workers flag beats LT_THREADS; serial (1) when neither asks for more."""
     if flag is not None and flag > 0:
         return flag
     env = os.environ.get("LT_THREADS", "").strip()
@@ -54,7 +59,7 @@ def worker_count(flag: int | None = None) -> int:
             raise ValidationError(f"LT_THREADS is not an integer: {env!r}") from None
         if n > 0:
             return n
-    return os.cpu_count() or 1
+    return 1
 
 
 def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
@@ -67,6 +72,14 @@ def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
     return build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
 
 
+def _junction(cfg: SweepConfig, model_args: dict) -> tuple[JunctionModel, int]:
+    """The junction model of a rabi or tls config and its level count."""
+    if cfg.model_type == "rabi":
+        params = RabiParams(**model_args)
+        return build_rabi_junction(params), params.retained_levels
+    return _tls_junction(float(model_args["epsilon"]), float(model_args["delta"])), 2
+
+
 def _bose_baths(cfg_baths: dict, t_left: float, t_right: float) -> list[Reservoir]:
     sd = SpectralDensity(alpha=float(cfg_baths["alpha"]),
                          omega_c=float(cfg_baths["omega_c"]))
@@ -75,7 +88,37 @@ def _bose_baths(cfg_baths: dict, t_left: float, t_right: float) -> list[Reservoi
 
 
 def compute_row(cfg: SweepConfig, value: float) -> str:
-    """One CSV data row (no newline) at sweep value `value`."""
+    """One CSV data row (no newline) at sweep value `value`; raises if it fails."""
+    [(row, exc)] = _chunk_rows(cfg, [value])
+    if exc is not None:
+        raise exc
+    return row
+
+
+def _chunk_rows(cfg: SweepConfig,
+                values: list[float]) -> list[tuple[str, Exception | None]]:
+    """(row, exception or None) per value of one contiguous chunk of the grid.
+
+    A T sweep of a rabi or tls model builds the model once for the chunk; if
+    that build raises, every row of the chunk fails with its exception.
+    """
+    junction = None
+    if cfg.variable == "T" and cfg.model_type != "dot":
+        try:
+            junction = _junction(cfg, cfg.model)
+        except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
+            return [(_failed_row(cfg, v), exc) for v in values]
+    out = []
+    for value in values:
+        try:
+            out.append((_row(cfg, value, junction), None))
+        except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
+            out.append((_failed_row(cfg, value), exc))
+    return out
+
+
+def _row(cfg: SweepConfig, value: float,
+         junction: tuple[JunctionModel, int] | None) -> str:
     sweep_t = cfg.variable == "T"
     t_left = value if sweep_t else float(cfg.baths["T_left"])
     t_right = value if sweep_t else float(cfg.baths["T_right"])
@@ -96,33 +139,33 @@ def compute_row(cfg: SweepConfig, value: float) -> str:
                   level, level]
         return _format_row(cfg, value, fields, levels=3)
 
-    if cfg.model_type == "rabi":
-        params = RabiParams(**model_args)
-        model = build_rabi_junction(params)
-        levels = params.retained_levels
-    else:
-        model = _tls_junction(float(model_args["epsilon"]), float(model_args["delta"]))
-        levels = 2
-
+    model, levels = junction if junction is not None else _junction(cfg, model_args)
+    model.tables.clear()           # W tables of earlier rows' temperatures
     baths = _bose_baths(cfg.baths, t_left, t_right)
     omega10 = kondo_temperature(model)
     alpha = float(cfg.baths["alpha"])
 
-    k2v = kappa2(model, baths, t_mean, solver=cfg.solver, c=cfg.cluster_factor,
-                 lamb_shift=cfg.lamb_shift)
+    k2 = kappa2_response(model, baths, t_mean, solver=cfg.solver,
+                         c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
+    # at zero bias the baths are those of kappa2's common temperature, so its
+    # steady state (and rate matrix) are the row's own
+    zero_bias = t_left == t_right
     if cfg.solver == "partial":
-        state, _ = partial_secular_state(model, baths, c=cfg.cluster_factor,
-                                         lamb_shift=cfg.lamb_shift)
+        state = k2.state if zero_bias else partial_secular_state(
+            model, baths, c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)[0]
         i_l = heat_current_2nd_general(model, baths, "L", state)
         i_r = heat_current_2nd_general(model, baths, "R", state)
     else:
-        rates = gamma_rates(model, baths)
-        state = full_secular_steady(rates)
+        if zero_bias:
+            rates, state = k2.rates, k2.state
+        else:
+            rates = gamma_rates(model, baths)
+            state = full_secular_steady(rates)
         cur = heat_current_2nd_secular(model, rates, state)
         i_l, i_r = cur.per_reservoir["L"], cur.per_reservoir["R"]
 
     k4v = kappa4_lowT(model, alpha, t_mean)
-    fields = [k2v, k4v, k2v + k4v, i_l, i_r, omega10, omega10]
+    fields = [k2.kappa2, k4v, k2.kappa2 + k4v, i_l, i_r, omega10, omega10]
     return _format_row(cfg, value, fields, levels=levels)
 
 
@@ -137,29 +180,31 @@ def _format_row(cfg: SweepConfig, value: float, fields: list[float],
     return ",".join(cells)
 
 
-def _row_task(args) -> tuple[int, str, str]:
-    cfg, idx, value = args
-    try:
-        return idx, compute_row(cfg, value), ""
-    except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
-        nan_fields = [float("nan")] * _NAN_FIELDS
-        return idx, _format_row(cfg, value, nan_fields, levels=0), f"{type(exc).__name__}: {exc}"
+def _failed_row(cfg: SweepConfig, value: float) -> str:
+    return _format_row(cfg, value, [float("nan")] * _NAN_FIELDS, levels=0)
+
+
+def _chunk_task(args) -> list[tuple[str, str]]:
+    """(row, failure message or "") per row of one chunk."""
+    cfg, values = args
+    return [(row, "" if exc is None else f"{type(exc).__name__}: {exc}")
+            for row, exc in _chunk_rows(cfg, values)]
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     """Run the sweep, write the CSV, and report per-row failures."""
-    grid = cfg.grid()
-    tasks = [(cfg, i, float(v)) for i, v in enumerate(grid)]
-    nworkers = worker_count(workers)
-    if nworkers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_row_task, tasks, chunksize=1))
+    grid = [float(v) for v in cfg.grid()]
+    size = -(-len(grid) // min(worker_count(workers), len(grid)))
+    chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_chunk_task, chunks))
     else:
-        results = [_row_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    failures = [(i, err) for (i, _, err) in results if err]
+        parts = [_chunk_task(c) for c in chunks]
+    results = [r for part in parts for r in part]      # chunks are in index order
+    failures = [(i, err) for i, (_, err) in enumerate(results) if err]
     with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for _, row, _ in results:
+        for row, _ in results:
             fh.write(row + "\n")
     return SweepResult(csv_path=cfg.csv_path, rows=len(results), failures=failures)

@@ -7,6 +7,8 @@ BASE = {
     "g": "0.2",
     "T_left": "0.1",
     "fock_cutoff": "30",
+    "start": "0.05",
+    "stop": "1",
 }
 
 TEMPLATE = """
@@ -24,8 +26,8 @@ alpha = 1e-3
 omega_c = 5
 [sweep]
 variable = T
-start = 0.05
-stop = 1
+start = {start}
+stop = {stop}
 points = 3
 [output]
 csv = out.csv
@@ -47,3 +49,20 @@ def test_valid_config_parses():
 def test_non_finite_value_is_rejected_by_name(key, raw):
     with pytest.raises(ValidationError, match=repr(key)):
         parse_config_text(config_text(**{key: raw}))
+
+
+@pytest.mark.parametrize("start,stop", [("0.0", "1"), ("-0.5", "1"), ("0.05", "0")])
+def test_linear_t_sweep_reaching_zero_temperature_is_rejected(start, stop):
+    with pytest.raises(ValidationError, match="'start'.*'stop'"):
+        parse_config_text(config_text(start=start, stop=stop))
+    # other sweep variables may cross zero
+    cfg = parse_config_text(config_text(start=start, stop=stop)
+                            .replace("variable = T", "variable = g"))
+    assert cfg.grid()[0] == float(start)
+
+
+def test_negative_cluster_factor_is_rejected():
+    with pytest.raises(ValidationError, match="'cluster_factor'"):
+        parse_config_text(config_text() + "[solver]\ncluster_factor = -3\n")
+    cfg = parse_config_text(config_text() + "[solver]\ncluster_factor = 0\n")
+    assert cfg.cluster_factor == 0.0

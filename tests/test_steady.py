@@ -72,6 +72,8 @@ def test_cluster_validation():
     model = random_model(rng)
     with pytest.raises(ValidationError):
         cluster_bohr_frequencies(model, 0.0)
+    with pytest.raises(ValidationError, match="cluster factor"):
+        cluster_bohr_frequencies(model, 1.0, c=-3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from ltrans import currents, redfield
+from ltrans import currents, redfield, steady, sweep
 from ltrans.config import parse_config_text
-from ltrans.currents import tls_closed_forms
-from ltrans.sweep import compute_row, run_sweep
+from ltrans.currents import (heat_current_2nd_general, partial_secular_state,
+                             tls_closed_forms)
+from ltrans.linalg import ValidationError
+from ltrans.sweep import compute_row, run_sweep, worker_count
 from ltrans.validate import run_validation
 
 RABI = """
@@ -52,17 +54,182 @@ stop = 2
 points = 4
 """
 
+RABI_FULL_T = """
+[model]
+type = rabi
+epsilon = 0
+delta = 0.9
+g = 0.2
+retained_levels = 5
+fock_cutoff = 40
+[baths]
+T_left = 0.1
+T_right = 0.1
+alpha = 1e-3
+omega_c = 5
+[solver]
+secular = full
+[sweep]
+variable = T
+scale = log
+start = 0.02
+stop = 1
+points = 7
+"""
 
-@pytest.mark.parametrize("text", [RABI, TLS], ids=["rabi", "tls"])
+
+def config(text, tmp_path, **replace):
+    """The config `text` with the keys of `replace` set to new values."""
+    for old, new in replace.items():
+        text = text.replace(f"{old} = ", f"{old} = {new}  # ")
+    return parse_config_text(text + f"[output]\ncsv = {tmp_path / 'out.csv'}\n")
+
+
+class InProcessPool:
+    """Stands in for the process pool: runs each task here, in order."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+def spy(monkeypatch, calls, name, *modules):
+    """Count the calls of function `name` through each module's binding."""
+    for module in modules:
+        orig = getattr(module, name)
+
+        def counted(*args, _orig=orig, **kwargs):
+            calls.append(name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("text", [RABI, TLS, RABI_FULL_T], ids=["rabi", "tls", "rabi_full_T"])
 def test_csv_byte_identical_for_any_worker_count(tmp_path, text):
     out = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         csv = tmp_path / f"w{workers}.csv"
         cfg = parse_config_text(text + f"[output]\ncsv = {csv}\n")
         result = run_sweep(cfg, workers=workers)
         assert result.ok and result.rows == cfg.points
         out[workers] = csv.read_bytes()
-    assert out[1] == out[2]
+    assert out[1] == out[2] == out[3]
+    rows = [compute_row(cfg, float(v)) for v in cfg.grid()]
+    assert out[1].decode().splitlines()[1:] == rows
+
+
+def test_worker_count_is_serial_unless_asked(monkeypatch):
+    monkeypatch.delenv("LT_THREADS", raising=False)
+    assert worker_count() == 1
+    assert worker_count(3) == 3
+    monkeypatch.setenv("LT_THREADS", "2")
+    assert worker_count() == 2
+    assert worker_count(1) == 1
+    monkeypatch.setenv("LT_THREADS", "two")
+    with pytest.raises(ValidationError, match="LT_THREADS"):
+        worker_count()
+
+
+@pytest.mark.parametrize("text,bias,solves", [
+    (TLS, {}, 1),                                       # T sweep: zero bias
+    (RABI, {"T_right": 0.12}, 1),                       # g sweep at zero bias
+    (RABI, {}, 2),                                      # g sweep, biased
+], ids=["tls_T", "rabi_g_zero_bias", "rabi_g_biased"])
+def test_partial_row_solves_once_at_zero_bias(tmp_path, monkeypatch, text, bias, solves):
+    # kappa2's steady state at the common temperature is the row's own
+    # state when T_left = T_right; a biased row needs a second solve
+    calls = []
+    spy(monkeypatch, calls, "_solve_retained", steady)
+    cfg = config(text, tmp_path, **bias)
+    cells = compute_row(cfg, 0.2).split(",")
+    assert all(math.isfinite(float(c)) for c in cells[1:9])
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("bias,solves", [({}, 1), ({"T_right": 0.08}, 2)],
+                         ids=["zero_bias", "biased"])
+def test_full_row_solves_once_at_zero_bias(tmp_path, monkeypatch, bias, solves):
+    calls = []
+    spy(monkeypatch, calls, "gamma_rates", currents, sweep)
+    spy(monkeypatch, calls, "full_secular_steady", currents, sweep)
+    cfg = config(RABI.replace("secular = partial", "secular = full"), tmp_path,
+                 **{"T_left": 0.12, "T_right": 0.12, **bias})
+    compute_row(cfg, 0.2)
+    assert calls.count("gamma_rates") == solves
+    assert calls.count("full_secular_steady") == solves
+
+
+def test_zero_bias_currents_equal_an_explicit_solve(tmp_path):
+    cfg = config(TLS, tmp_path)
+    t = 0.5
+    cells = compute_row(cfg, t).split(",")
+    model = sweep._tls_junction(0.3, 1.0)
+    baths = sweep._bose_baths(cfg.baths, t, t)
+    state, _ = partial_secular_state(model, baths, c=cfg.cluster_factor,
+                                     lamb_shift=cfg.lamb_shift)
+    assert float(cells[5]) == heat_current_2nd_general(model, baths, "L", state)
+    assert float(cells[6]) == heat_current_2nd_general(model, baths, "R", state)
+
+
+@pytest.mark.parametrize("text,builder,variable", [
+    (TLS, "_tls_junction", "T"),
+    (RABI_FULL_T, "build_rabi_junction", "T"),
+    (RABI, "build_rabi_junction", "g"),
+], ids=["tls_T", "rabi_full_T", "rabi_g"])
+def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, text, builder,
+                                                  variable):
+    # the pool is replaced by an in-process stand-in so that the spy sees
+    # every chunk; a T sweep reuses one model per chunk, any other sweep
+    # builds one per row
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    calls = []
+    spy(monkeypatch, calls, builder, sweep)
+    cfg = config(text, tmp_path, points=7)
+    assert cfg.variable == variable
+    csv = {}
+    for workers, chunks in ((1, 1), (2, 2), (3, 3)):
+        calls.clear()
+        result = run_sweep(cfg, workers=workers)
+        assert result.ok and result.rows == 7
+        assert len(calls) == (chunks if variable == "T" else 7)
+        csv[workers] = (tmp_path / "out.csv").read_bytes()
+    assert csv[1] == csv[2] == csv[3]
+
+
+def test_w_memo_stays_bounded_across_a_chunk(tmp_path, monkeypatch):
+    # one model serves the 25 rows of a serial T sweep; its W memo holds
+    # the tables of the current row only
+    seen = []
+    kappa4 = sweep.kappa4_lowT
+
+    def recording_kappa4(model, *args):
+        seen.append((id(model), len(model.tables)))
+        return kappa4(model, *args)
+
+    monkeypatch.setattr(sweep, "kappa4_lowT", recording_kappa4)
+    cfg = config(TLS, tmp_path, start="1e-6", points=25)
+    assert run_sweep(cfg, workers=1).ok
+    assert len(seen) == 25 and len({m for m, _ in seen}) == 1
+    assert max(n for _, n in seen) <= 2        # one W table per bath at most
+
+
+def test_failed_model_build_fails_every_row_of_its_chunk(tmp_path):
+    cfg = config(RABI_FULL_T, tmp_path, g=1.5, fock_cutoff=16, points=3)
+    result = run_sweep(cfg, workers=1)
+    assert [i for i, _ in result.failures] == [0, 1, 2]
+    assert len({err for _, err in result.failures}) == 1
+    assert result.failures[0][1].startswith("ValidationError: Fock truncation")
+    with pytest.raises(ValidationError, match="Fock truncation"):
+        compute_row(cfg, 0.1)
 
 
 def test_validation_suite_passes():
