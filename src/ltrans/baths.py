@@ -149,6 +149,19 @@ def w_table(omega, bath: Reservoir) -> np.ndarray:
     return _w_real(w, sd, bath.beta) + 1j * _w_imag(w, sd, bath.beta)
 
 
+# argument from which the Bernoulli series to B_14 replaces the direct form;
+# at 12 both are within 1e-13 relative
+_ASYMPTOTIC_FROM = 12.0
+
+
+def _bernoulli_sum(u):
+    """sum_k B_2k u^k for k = 1..7 (B_2 to B_14), by Horner's rule."""
+    total = 0.0
+    for b in (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6, 0):
+        total = total * u + b
+    return total
+
+
 def _trigamma(z) -> np.ndarray:
     """psi'(z) for complex z with Re z >= 1, elementwise (polygamma is real-only).
 
@@ -158,7 +171,7 @@ def _trigamma(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     w = z + 10.0
     u = 1.0 / (w * w)
-    series = np.polyval((7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6, 0), u)
+    series = _bernoulli_sum(u)
     head = np.sum((z + np.arange(10.0).reshape((-1,) + (1,) * z.ndim))**-2, axis=0)
     return head + (1.0 + series) / w + 0.5 * u
 
@@ -176,14 +189,26 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
 
     Re: `dw_dt_real`.  Im: the derivative of `_w_imag`,
     (J(w)/T) [1/(2x) - x psi'(x) - y Im psi'(1 + i y)] with
-    x = omega_c / (2 pi T) and y = w / (2 pi T).
+    x = omega_c / (2 pi T) and y = w / (2 pi T).  On a cold bath the two
+    halves of the bracket tend to -1 and +1, so each is taken as its
+    remainder: 1/(2x) - x psi'(x) + 1 = -sum_k B_2k x^-2k and
+    1 + y Im psi'(1 + i y) = -sum_k B_2k (-y^2)^-k, summed as series where the
+    argument is at least `_ASYMPTOTIC_FROM`.
     """
     sd = _drude_params(bath)
     w = np.asarray(omega, dtype=float)
     t = bath.temperature
     x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
-    bracket = 0.5 / x - x * polygamma(1, x) - y * _trigamma(1.0 + 1j * y).imag
-    return dw_dt_real(w, bath) + 1j * sd.value(w) / t * bracket
+    if x >= _ASYMPTOTIC_FROM:
+        rest_x = -_bernoulli_sum(x**-2)
+    else:
+        rest_x = 1.0 + 0.5 / x - x * polygamma(1, x)
+    rest_y = 1.0 + y * _trigamma(1.0 + 1j * y).imag
+    y2 = y * y
+    far = y2 >= _ASYMPTOTIC_FROM**2
+    if far.any():
+        rest_y = np.where(far, -_bernoulli_sum(-1.0 / np.where(far, y2, 1.0)), rest_y)
+    return dw_dt_real(w, bath) + 1j * sd.value(w) / t * (rest_x - rest_y)
 
 
 def wbar_table(omega, bath: Reservoir) -> np.ndarray:

@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: LT_THREADS, else 1)")
+                         help="processes, this one included (default: LT_THREADS, else 1)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_spec = sub.add_parser("spectrum", help="dump spectrum and coupling elements")

@@ -19,7 +19,7 @@ Grammar (configparser syntax, all keys required unless noted):
     lamb_shift = true | false           (optional, default true)
 
     [sweep]
-    variable = T | epsilon | delta | g
+    variable = T | epsilon | delta | g  (g: rabi only; delta: rabi and tls)
     scale = linear | log
     start, stop = <float>               (start > 0 and stop > 0 for log
                                          and for T)
@@ -166,8 +166,9 @@ def parse_config_text(text: str) -> SweepConfig:
     if variable not in SWEEP_VARIABLES:
         raise ValidationError(
             f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
-    if variable == "g" and mtype != "rabi":
-        raise ValidationError("sweep variable g needs the rabi model")
+    if variable != "T" and variable not in model:
+        raise ValidationError(f"sweep variable {variable!r} is not a parameter of the "
+                              f"{mtype} model")
     scale = wsec.get("scale", "linear").strip().lower()
     if scale not in ("linear", "log"):
         raise ValidationError(f"unknown scale {scale!r}")

@@ -3,19 +3,23 @@
 Each row takes kappa2 from one linear-response `kappa2_response` call with
 the configured solver.  On a zero-bias row (T_left = T_right, as on every T
 sweep row) the steady state of that call is also the state of the row's
-currents; a biased row solves its own state for them.  The grid is cut into
-one contiguous chunk per worker (the whole grid when serial), each chunk runs
-in one process, and the rows are gathered in index order, so the output is
-byte-identical for any worker count.  A T sweep builds its junction model
-once per chunk and clears the model's W memo at the start of each row; every
-other sweep builds the model per row.  Solver failures poison single rows
-with NaN rather than the run; a model build that fails poisons its chunk.
+currents; a biased row solves its own state for them.
+
+The grid is cut into one contiguous chunk per worker process (the whole grid
+when serial).  The calling process computes the first chunk itself; each
+other chunk runs in its own child process, started before any row is
+computed, which sends its rows back through a pipe.  The rows are gathered
+in index order, so the output is byte-identical for any worker count.  A T
+sweep builds its junction model once per chunk and clears the model's W memo
+at the start of each row; every other sweep builds the model per row.
+Solver failures poison single rows with NaN rather than the run; a model
+build that fails poisons its chunk.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +52,21 @@ class SweepResult:
 
 
 def worker_count(flag: int | None = None) -> int:
-    """--workers flag beats LT_THREADS; serial (1) when neither asks for more."""
-    if flag is not None and flag > 0:
+    """Processes, this one included: --workers beats LT_THREADS; 1 if neither is set."""
+    if flag is not None:
+        if flag < 1:
+            raise ValidationError(f"--workers must be at least 1, got {flag}")
         return flag
     env = os.environ.get("LT_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"LT_THREADS is not an integer: {env!r}") from None
-        if n > 0:
-            return n
-    return 1
+    if not env:
+        return 1
+    try:
+        n = int(env)
+    except ValueError:
+        raise ValidationError(f"LT_THREADS is not an integer: {env!r}") from None
+    if n < 1:
+        raise ValidationError(f"LT_THREADS must be at least 1, got {env!r}")
+    return n
 
 
 def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
@@ -191,16 +198,58 @@ def _chunk_task(args) -> list[tuple[str, str]]:
             for row, exc in _chunk_rows(cfg, values)]
 
 
+def _chunk_child(send, chunk) -> None:
+    """Body of a child process: send the rows of `chunk` through `send`."""
+    send.send(_chunk_task(chunk))
+    send.close()
+
+
+def _run_chunks(chunks: list) -> list[list[tuple[str, str]]]:
+    """`_chunk_task` of every chunk, in chunk order.
+
+    One child process per chunk after the first, all started before this
+    process computes the first chunk.  Each child's part is received before
+    the child is joined, so a child blocked on a full pipe cannot deadlock the
+    join.  However this function leaves, no child outlives it.
+    """
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_chunk_child, args=(send, chunk))
+            proc.start()
+            send.close()           # the child's copy is now the only writer
+            children.append((recv, proc))
+        parts = [_chunk_task(chunks[0])]
+        for k, (recv, proc) in enumerate(children, start=1):
+            try:
+                parts.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"sweep chunk {k} ended without its rows "
+                                   f"(exitcode {proc.exitcode})") from None
+            proc.join()
+        return parts
+    finally:
+        for recv, proc in children:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
+
+
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
-    """Run the sweep, write the CSV, and report per-row failures."""
+    """Run the sweep, write the CSV, and report per-row failures.
+
+    `workers` counts processes, this one included: the grid is cut into one
+    contiguous chunk per worker, this process computes the first chunk, and
+    one child process per remaining chunk computes the rest.  One worker, or
+    a one-chunk grid, starts no child.
+    """
     grid = [float(v) for v in cfg.grid()]
     size = -(-len(grid) // min(worker_count(workers), len(grid)))
     chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_chunk_task, chunks))
-    else:
-        parts = [_chunk_task(c) for c in chunks]
+    parts = _run_chunks(chunks)
     results = [r for part in parts for r in part]      # chunks are in index order
     failures = [(i, err) for i, (_, err) in enumerate(results) if err]
     with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:

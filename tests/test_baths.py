@@ -237,6 +237,21 @@ def test_dw_dt_table_matches_mpmath_derivative(temperature):
                                      rel=1e-13, abs=0.0)
 
 
+def test_dw_dt_imag_bracket_keeps_relative_accuracy_on_cold_baths():
+    # the bracket of Im dW/dT is the difference of two halves that tend to
+    # -1 and +1 on a cold bath; it must keep its relative accuracy anyway
+    omegas = np.array([-7.0, -1.044, 1e-4, 0.3, 1.044, 7.0, 40.0])
+    slope = 1e-3 / (1 + (omegas / 5.0)**2)
+    for t in np.geomspace(1e-6, 2.0, 25):
+        got = dw_dt_table(omegas, drude_bath(beta=1.0 / t)).imag * t / (slope * omegas)
+        with mpmath.workdps(40):
+            x = 5.0 / (2 * mpmath.pi * t)
+            ref = [float(1 / (2 * x) - x * mpmath.psi(1, x)
+                         - y * mpmath.im(mpmath.psi(1, 1 + 1j * y)))
+                   for y in (mpmath.mpf(w) / (2 * mpmath.pi * t) for w in omegas)]
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12, t
+
+
 def test_matsubara_tail_doubling():
     s2a, s3a = matsubara_sums(0.7, 5.0, 4.0, n_terms=128)
     s2b, s3b = matsubara_sums(0.7, 5.0, 4.0, n_terms=256)

@@ -79,3 +79,16 @@ def test_sweep_to_zero_temperature_exits_2(tmp_path, capsys, start):
     assert main(["sweep", ini]) == 2
     assert "'start'" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("args,env", [(["--workers", "0"], None), ([], "0")],
+                         ids=["workers-flag", "LT_THREADS"])
+def test_sweep_with_no_worker_exits_2(tmp_path, capsys, monkeypatch, args, env):
+    if env is None:
+        monkeypatch.delenv("LT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LT_THREADS", env)
+    ini = write_config(tmp_path, TLS, scale="log", start="0.05")
+    assert main(["sweep", ini, *args]) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

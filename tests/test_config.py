@@ -66,3 +66,39 @@ def test_negative_cluster_factor_is_rejected():
         parse_config_text(config_text() + "[solver]\ncluster_factor = -3\n")
     cfg = parse_config_text(config_text() + "[solver]\ncluster_factor = 0\n")
     assert cfg.cluster_factor == 0.0
+
+
+DOT = """
+[model]
+type = dot
+epsilon = 0.5
+[baths]
+statistics = fermi
+gamma_left = 0.01
+gamma_right = 0.01
+T_left = 0.1
+T_right = 0.1
+[sweep]
+variable = {variable}
+start = 0.1
+stop = 1
+points = 3
+[output]
+csv = out.csv
+"""
+
+
+@pytest.mark.parametrize("text,variable", [
+    (DOT, "delta"), (DOT, "g"),
+    (config_text().replace("type = rabi", "type = tls"), "g"),
+], ids=["dot-delta", "dot-g", "tls-g"])
+def test_sweep_variable_the_model_lacks_is_rejected(text, variable):
+    # the row would never read it, and every row would be the same
+    text = text.replace("variable = T", "variable = {variable}").format(variable=variable)
+    with pytest.raises(ValidationError, match=f"sweep variable {variable!r}"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("variable", ["T", "epsilon"])
+def test_dot_sweep_variables_parse(variable):
+    assert parse_config_text(DOT.format(variable=variable)).variable == variable

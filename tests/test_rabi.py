@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from ltrans.cli import main
 from ltrans.linalg import ValidationError, hermitian_eigensystem
-from ltrans.rabi import RabiParams, build_rabi_junction, grwa_spectrum, vvpt_spectrum
+from ltrans.rabi import (RabiParams, build_rabi_junction, grwa_spectrum, rwa_spectrum,
+                         vvpt_spectrum)
 from rabi_oracle import dense_rabi_junction, rabi_hamiltonian
 
 
@@ -14,6 +15,35 @@ def test_numeric_levels_match_vvpt_at_weak_coupling():
     model = build_rabi_junction(p)
     levels, _ = vvpt_spectrum(p, n_max=3).sorted()
     assert np.max(np.abs(levels[:model.dim] - model.omega)) < 1e-6
+
+
+def _level_error(spectrum, p):
+    """Largest distance of the approximate levels from the numeric ones."""
+    model = build_rabi_junction(p)
+    levels, _ = spectrum.sorted()
+    return np.max(np.abs(levels[:model.dim] - model.omega))
+
+
+@pytest.mark.parametrize("epsilon,delta", [(0.0, 1.0), (0.0, 0.9), (0.3, 1.0)])
+def test_rwa_spectrum_is_exact_without_coupling(epsilon, delta):
+    p = RabiParams(epsilon=epsilon, delta=delta, g=0.0)
+    rwa = rwa_spectrum(p, n_max=3)
+    assert _level_error(rwa, p) <= 1e-15
+    assert rwa.doublet_norm_residual() <= 1e-15
+
+
+def test_rwa_spectrum_misses_the_bloch_siegert_shift_only():
+    # at resonance the counter-rotating terms that RWA drops shift the
+    # levels by O(g^2): the error stays below g^2 and quadruples as g doubles
+    errors = []
+    for g in (0.01, 0.02, 0.04):
+        p = RabiParams(epsilon=0.0, delta=1.0, g=g)
+        rwa = rwa_spectrum(p, n_max=3)
+        assert rwa.doublet_norm_residual() <= 1e-15
+        errors.append(_level_error(rwa, p))
+        assert errors[-1] < g**2
+    assert errors[1] / errors[0] == pytest.approx(4.0, rel=0.05)
+    assert errors[2] / errors[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_zero_bias_couplings_real_symmetric_parity_odd():

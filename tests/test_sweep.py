@@ -1,5 +1,10 @@
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -85,20 +90,24 @@ def config(text, tmp_path, **replace):
     return parse_config_text(text + f"[output]\ncsv = {tmp_path / 'out.csv'}\n")
 
 
-class InProcessPool:
-    """Stands in for the process pool: runs each task here, in order."""
+class Hung(BaseException):
+    """Raised by `deadline`: not an Exception (nor an OSError, which a wait
+    for a child process absorbs), so the code under test cannot swallow it."""
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
 
-    def __enter__(self):
-        return self
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Hung in the block, rather than hang, after `seconds`."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def spy(monkeypatch, calls, name, *modules):
@@ -137,6 +146,21 @@ def test_worker_count_is_serial_unless_asked(monkeypatch):
     monkeypatch.setenv("LT_THREADS", "two")
     with pytest.raises(ValidationError, match="LT_THREADS"):
         worker_count()
+
+
+@pytest.mark.parametrize("flag", [0, -4])
+def test_non_positive_workers_flag_is_rejected(monkeypatch, flag):
+    monkeypatch.setenv("LT_THREADS", "2")
+    with pytest.raises(ValidationError, match="--workers"):
+        worker_count(flag)
+
+
+@pytest.mark.parametrize("env", ["0", "-1"])
+def test_non_positive_lt_threads_is_rejected(monkeypatch, env):
+    monkeypatch.setenv("LT_THREADS", env)
+    with pytest.raises(ValidationError, match="LT_THREADS"):
+        worker_count()
+    assert worker_count(2) == 2                # the flag beats the variable
 
 
 @pytest.mark.parametrize("text,bias,solves", [
@@ -180,6 +204,8 @@ def test_zero_bias_currents_equal_an_explicit_solve(tmp_path):
     assert float(cells[6]) == heat_current_2nd_general(model, baths, "R", state)
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the build spy reaches the child processes only if forked")
 @pytest.mark.parametrize("text,builder,variable", [
     (TLS, "_tls_junction", "T"),
     (RABI_FULL_T, "build_rabi_junction", "T"),
@@ -187,22 +213,80 @@ def test_zero_bias_currents_equal_an_explicit_solve(tmp_path):
 ], ids=["tls_T", "rabi_full_T", "rabi_g"])
 def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, text, builder,
                                                   variable):
-    # the pool is replaced by an in-process stand-in so that the spy sees
-    # every chunk; a T sweep reuses one model per chunk, any other sweep
-    # builds one per row
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
-    calls = []
-    spy(monkeypatch, calls, builder, sweep)
+    # the spy appends one line per build to a file, so that it counts the
+    # builds of the forked child processes too; a T sweep reuses one model
+    # per chunk, any other sweep builds one per row
+    log = tmp_path / "builds.log"
+    orig = getattr(sweep, builder)
+
+    def logged(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, builder, logged)
     cfg = config(text, tmp_path, points=7)
     assert cfg.variable == variable
     csv = {}
     for workers, chunks in ((1, 1), (2, 2), (3, 3)):
-        calls.clear()
+        log.write_text("", encoding="utf-8")
         result = run_sweep(cfg, workers=workers)
         assert result.ok and result.rows == 7
-        assert len(calls) == (chunks if variable == "T" else 7)
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == (chunks if variable == "T" else 7)
+        assert len(set(pids)) == chunks            # one process per chunk,
+        assert str(os.getpid()) in pids            # this one among them
         csv[workers] = (tmp_path / "out.csv").read_bytes()
     assert csv[1] == csv[2] == csv[3]
+
+
+def test_child_rows_beyond_a_pipe_buffer_are_gathered(tmp_path):
+    # each child's 600 rows outgrow a 64 KiB pipe buffer, so the child is
+    # still writing when the caller turns to it; receiving before joining
+    # keeps that from deadlocking
+    cfg = config(TLS, tmp_path, start="1e-3", points=1200)
+    with deadline(60):
+        result = run_sweep(cfg, workers=2)
+    assert result.ok and result.rows == 1200
+    rows = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len("\n".join(rows[600:])) > 65536
+    assert [float(r.split(",")[1]) for r in rows] == [float(v) for v in cfg.grid()]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_child_that_ends_without_its_rows_raises(tmp_path, monkeypatch, workers):
+    cfg = config(TLS, tmp_path, points=6)
+    first = float(cfg.grid()[0])
+    chunk_task = sweep._chunk_task
+
+    def dying(chunk):
+        if chunk[1][0] != first:               # any chunk a child computes
+            os._exit(3)
+        return chunk_task(chunk)
+
+    monkeypatch.setattr(sweep, "_chunk_task", dying)
+    with deadline(60), pytest.raises(RuntimeError, match=r"chunk 1 .*exitcode 3"):
+        run_sweep(cfg, workers=workers)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, error):
+    cfg = config(TLS, tmp_path, points=6)
+    first = float(cfg.grid()[0])
+
+    def failing(chunk):
+        if chunk[1][0] == first:               # the chunk this process computes
+            raise error("caller's chunk")
+        time.sleep(60)                         # the children are still running
+
+    monkeypatch.setattr(sweep, "_chunk_task", failing)
+    t0 = time.monotonic()
+    with deadline(60), pytest.raises(error, match="caller's chunk"):
+        run_sweep(cfg, workers=3)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_w_memo_stays_bounded_across_a_chunk(tmp_path, monkeypatch):
