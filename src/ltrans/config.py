@@ -22,7 +22,7 @@ Grammar (configparser syntax, all keys required unless noted):
     variable = T | epsilon | delta | g  (g: rabi only; delta: rabi and tls)
     scale = linear | log
     start, stop = <float>               (start > 0 and stop > 0 for log
-                                         and for T)
+                                         and for T; >= 0 for g)
     points = <int >= 1>
 
     [output]
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ValidationError
+from .rabi import RabiParams
 
 __all__ = ["SweepConfig", "load_config", "parse_config_text"]
 
@@ -123,6 +124,7 @@ def parse_config_text(text: str) -> SweepConfig:
         model["omega_r"] = _getfloat(msec, "omega_r", 1.0)
         model["fock_cutoff"] = _getint(msec, "fock_cutoff", 40)
         model["retained_levels"] = _getint(msec, "retained_levels", 5)
+        RabiParams(**model)        # the model section's own checks, at load time
     if mtype == "dot":
         model["epsilon"] = _getfloat(msec, "epsilon")
 
@@ -181,6 +183,9 @@ def parse_config_text(text: str) -> SweepConfig:
         raise ValidationError("log-spaced grids need positive endpoints")
     if variable == "T" and (start <= 0 or stop <= 0):
         raise ValidationError(f"a T sweep needs positive temperatures: 'start' = {start!r}, "
+                              f"'stop' = {stop!r}")
+    if variable == "g" and min(start, stop) < 0:
+        raise ValidationError(f"a g sweep needs g >= 0: 'start' = {start!r}, "
                               f"'stop' = {stop!r}")
 
     osec = cp["output"]

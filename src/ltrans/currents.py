@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .baths import bose_signed, dn_dDeltaT_signed, dw_dt_real, dw_dt_table
+from .baths import bose_signed, dn_dDeltaT_signed, dw_dt_real, dw_dt_table, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 from .redfield import (DEGENERACY_TOL, BosonKernel, KernelBlock, RateMatrix,
-                       build_k2_boson, gamma_rates, k2_pair_block, w_matrix)
+                       build_k2_boson, gamma_rates, k2_pair_block)
 from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
                      cluster_bohr_frequencies, full_secular_steady,
                      partial_secular_response, partial_secular_steady,
@@ -66,13 +66,22 @@ def heat_current_2nd_secular(model: JunctionModel, rates: RateMatrix,
 def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
                              reservoir_id: str, state: SteadyState) -> float:
     """Coherence-resolved current -2 Re sum Q_mn Q_nm' Wbar(w_nm) rho_m'm."""
-    return _heat_current(model, _find(baths, reservoir_id), state.rho)
+    bath = _find(baths, reservoir_id)
+    return _heat_current(model, model.q(bath.id), w_table(model.bohr_matrix(), bath),
+                         state.rho)
 
 
-def _heat_current(model: JunctionModel, bath: Reservoir, rho: np.ndarray) -> float:
-    q = model.q(bath.id)
-    wbar = model.bohr_matrix() * w_matrix(model, bath)
+def _heat_current(model: JunctionModel, q: np.ndarray, w: np.ndarray,
+                  rho: np.ndarray) -> float:
+    """The current into the bath of coupling q and W table w, for the state rho."""
+    wbar = model.bohr_matrix() * w
     return float(-2.0 * np.real(np.einsum("mn,np,nm,pm->", q, q, wbar, rho)))
+
+
+def _kernel_currents(model: JunctionModel, baths: list[Reservoir], k2: BosonKernel,
+                     rho: np.ndarray) -> dict[str, float]:
+    """The current into each bath of the kernel k2 of `baths`, from its own tables."""
+    return {b.id: _heat_current(model, q, w, rho) for b, q, w in zip(baths, k2.q, k2.w)}
 
 
 def _find(baths: list[Reservoir], rid: str) -> Reservoir:
@@ -190,46 +199,42 @@ def kappa4_kernel_quadrature(model: JunctionModel, baths: list[Reservoir],
 # linear conductance, second order
 # ---------------------------------------------------------------------------
 
-def _retained_pairs(model: JunctionModel, k2: BosonKernel,
-                    c: float) -> tuple[FrequencyClusters, np.ndarray]:
-    """Clusters of the Bohr spectrum at the largest population rate, and their pairs."""
+def _clusters(model: JunctionModel, k2: BosonKernel, c: float) -> FrequencyClusters:
+    """Clusters of the Bohr spectrum at the largest population rate of k2."""
     scale = float(np.max(np.abs(k2.population_rates())))
     if scale <= 0.0:
         raise ValidationError("all population rates vanish; no steady state")
-    clusters = cluster_bohr_frequencies(model, scale, c)
-    return clusters, retained_pair_array(model.dim, clusters)
+    return cluster_bohr_frequencies(model, scale, c)
 
 
 def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
-                          c: float = DEFAULT_CLUSTER_FACTOR,
-                          lamb_shift: bool = True) -> tuple[SteadyState, KernelBlock]:
-    """Build the kernel, cluster the spectrum, and solve; returns (state, block).
+                          c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True
+                          ) -> tuple[SteadyState, dict[str, float]]:
+    """Build the kernel, cluster the spectrum, and solve; returns (state, currents).
 
-    The W table of each bath is computed once per model (`w_matrix`) and
-    shared by the clustering scale, the kernel and the heat currents.  The
-    clustering scale comes from the population rates 2 sum_baths Q_nm Q_mn
-    Re W_nm, and only the kernel block of the retained pairs is evaluated
-    (and checked against the sum rule and Hermiticity), so no N^4 array is
-    built: the second return value is that `KernelBlock`, not a full tensor.
+    currents maps each bath id to the heat current of the state into it.  The
+    W tables of the kernel (`build_k2_boson`) serve the clustering scale (the
+    population rates 2 sum_baths Q_nm Q_mn Re W_nm), the kernel and the
+    currents, and live only for this call.  The solver evaluates (and checks)
+    only the kernel block of the retained pairs, so no N^4 array is built.
     """
     k2 = build_k2_boson(model, baths)
-    clusters, pairs = _retained_pairs(model, k2, c)
-    block = k2.block(pairs)
-    state = partial_secular_steady(model, block, clusters, lamb_shift=lamb_shift)
-    return state, block
+    state = partial_secular_steady(model, k2, _clusters(model, k2, c), lamb_shift=lamb_shift)
+    return state, _kernel_currents(model, baths, k2, state.rho)
 
 
 @dataclass(frozen=True)
 class Kappa2Response:
     """kappa2 with the steady state rho0 it solved at the common temperature.
 
-    rates is the `gamma_rates` matrix of that state on the full-secular path
-    and None on the partial-secular one.
+    currents maps each bath id to the heat current of rho0 into it: from
+    `heat_current_2nd_secular` of the full solver's rate matrix, or from the
+    W tables of the partial solver's kernel.
     """
 
     kappa2: float
     state: SteadyState
-    rates: RateMatrix | None = None
+    currents: dict[str, float]
 
 
 def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,
@@ -246,8 +251,8 @@ def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: f
     Re dW/dT (`dw_dt_real`), and solves with the rate matrix of `gamma_rates`;
     solver="partial" reads its block over the pairs retained at T (clusters
     held fixed, `dw_dt_table`) and solves with the factors of the
-    partial-secular system.  rho0 (and the rate matrix it solves) is returned
-    with the conductance: at zero bias it is the steady state of the baths
+    partial-secular system.  rho0 and its currents are returned with the
+    conductance: at zero bias rho0 is the steady state of the baths
     themselves, so their currents need no second solve.
     """
     if not temperature > 0:
@@ -256,7 +261,7 @@ def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: f
         raise ValidationError("kappa2 needs exactly two baths")
     if solver not in ("full", "partial"):
         raise ValidationError(f"unknown solver {solver!r}")
-    rid = reservoir_id if reservoir_id is not None else baths[-1].id
+    rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
     common = [b.with_temperature(temperature) for b in baths]
     heated = next(b for b in common if b.id != rid)
     q_h = model.q(heated.id)[None]
@@ -274,17 +279,21 @@ def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: f
         dp = np.linalg.solve(a, rhs)
         wdiff = model.omega[None, :] - model.omega[:, None]
         k2v = float(np.einsum("nm,nm,m->", wdiff, rates.per_reservoir[rid], dp))
-        return Kappa2Response(k2v, state, rates)
+        return Kappa2Response(k2v, state,
+                              heat_current_2nd_secular(model, rates, state).per_reservoir)
 
     k2 = build_k2_boson(model, common)
-    clusters, pairs = _retained_pairs(model, k2, c)
+    clusters = _clusters(model, k2, c)
+    pairs = retained_pair_array(model.dim, clusters)
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
     # below the dephasing terms they are made of, so a sum-rule test against
     # the block's own largest entry would fail on roundoff
     dw = dw_dt_table(model.bohr_matrix(), heated)[None]
     dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw, pairs, pairs))
     state, drho = partial_secular_response(model, k2, dblock, clusters, lamb_shift)
-    return Kappa2Response(_heat_current(model, _find(common, rid), drho), state)
+    r = [b.id for b in common].index(rid)
+    return Kappa2Response(_heat_current(model, k2.q[r], k2.w[r], drho), state,
+                          _kernel_currents(model, common, k2, state.rho))
 
 
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
@@ -293,7 +302,7 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
     """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
     The conductance of `kappa2_response`, which documents the method and
-    also returns the steady state it solved.
+    also returns the steady state it solved and its currents.
     """
     return kappa2_response(model, baths, temperature, solver, reservoir_id,
                            c, lamb_shift).kappa2

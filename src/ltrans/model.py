@@ -129,13 +129,12 @@ class JunctionModel:
     """Multi-level junction resolved in its energy eigenbasis.
 
     omega holds the ascending eigenfrequencies and q_ops maps each reservoir
-    id to the real symmetric coupling matrix in the same basis.
+    id to the real symmetric coupling matrix in the same basis.  The model
+    holds no bath data: each kernel evaluates the W tables it needs.
     """
 
     omega: np.ndarray
     q_ops: dict[str, np.ndarray] = field(default_factory=dict)
-    # bath tables over this model's Bohr matrix, memoized by redfield.w_matrix
-    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:

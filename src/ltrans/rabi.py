@@ -49,6 +49,8 @@ class RabiParams:
             raise ValidationError("omega_r must be positive")
         if self.g < 0:
             raise ValidationError("g must be >= 0")
+        if self.retained_levels < 2:
+            raise ValidationError("retained_levels must be at least 2")
         if self.fock_cutoff < self.retained_levels + 10:
             raise ValidationError("fock_cutoff must exceed retained_levels + 10")
 

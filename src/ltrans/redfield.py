@@ -5,12 +5,15 @@ resolved in the junction eigenbasis; its population block K[n,n,m,m] is the
 classical rate matrix.  One vectorized formula, `k2_pair_block`, evaluates
 the kernel of bosonic baths between any row pairs (n, m) and column pairs
 (n', m'), from the coupling matrices Q and the rate tables W of all baths
-stacked.  `build_k2_boson` takes those tables from `w_matrix` (one per
-model and bath) and returns a `BosonKernel`, which evaluates entries on demand: the partial-secular solver
-asks for the block of its retained pairs only, and the full rank-4 tensor
-(`k2_tensor_from_w`, the same formula over all N^2 pairs) is built only when
-`.k` is read.  The sum-rule and Hermiticity checks run on every block that is
-evaluated.  The single-level fermionic dot gets its own rate constructor.
+stacked.  `build_k2_boson` evaluates those tables over the Bohr matrix
+(`w_table`, once per distinct bath temperature and spectral density) and
+returns a `BosonKernel` that holds them: the heat currents of a steady state
+are read from the same tables, and no table outlives the kernel.  Entries
+are evaluated on demand: the partial-secular solver asks for the block of
+its retained pairs only, and the full rank-4 tensor (`k2_tensor_from_w`, the
+same formula over all N^2 pairs) is built only when `.k` is read.  The
+sum-rule and Hermiticity checks run on every block that is evaluated.  The
+single-level fermionic dot gets its own rate constructor.
 """
 
 from __future__ import annotations
@@ -26,29 +29,11 @@ from .model import JunctionModel, Reservoir
 
 __all__ = ["RedfieldTensor", "KernelBlock", "BosonKernel", "RateMatrix",
            "build_k2_boson", "k2_pair_block", "k2_tensor_from_w", "all_pairs",
-           "w_matrix", "gamma_rates", "build_current_kernel_2nd",
+           "gamma_rates", "build_current_kernel_2nd",
            "fermion_dot_rates", "DOT_STATES"]
 
 SUM_RULE_RTOL = 1e-12
 DEGENERACY_TOL = 1e-12
-
-
-def w_matrix(model: JunctionModel, bath: Reservoir) -> np.ndarray:
-    """W of `bath` over the model's Bohr matrix, as a read-only table.
-
-    Computed once per model and bath (statistics, beta, spectral density; not
-    the id), so the kernel and the heat currents of a steady state, and baths
-    that share a temperature, share one table.  The memo grows by one table
-    per new temperature; a sweep that reuses a model across rows clears
-    `model.tables` at the start of each row.
-    """
-    key = (bath.statistics, bath.beta, bath.spectral)
-    table = model.tables.get(key)
-    if table is None:
-        table = w_table(model.bohr_matrix(), bath)
-        table.flags.writeable = False
-        model.tables[key] = table
-    return table
 
 
 def all_pairs(dim: int) -> np.ndarray:
@@ -252,13 +237,17 @@ def _bose_reservoirs(baths: list[Reservoir]) -> list[Reservoir]:
 def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     """Kernel of a bosonic junction, summed over baths.
 
-    Takes Q and the closed-form W table of every bath (`w_matrix`); the kernel
-    entries themselves are evaluated by the returned `BosonKernel`, block by
-    block or as the full tensor `.k`.
+    Stacks Q and the closed-form W table of every bath; baths that share a
+    temperature and spectral density share one evaluation of `w_table`.  The
+    kernel entries themselves are evaluated by the returned `BosonKernel`,
+    block by block or as the full tensor `.k`.
     """
     _bose_reservoirs(baths)
-    return BosonKernel(q=np.stack([model.q(b.id) for b in baths]),
-                       w=np.stack([w_matrix(model, b) for b in baths]))
+    q = np.stack([model.q(b.id) for b in baths])
+    bohr = model.bohr_matrix()
+    distinct = {(b.beta, b.spectral): b for b in baths}
+    tables = {key: w_table(bohr, b) for key, b in distinct.items()}
+    return BosonKernel(q=q, w=np.stack([tables[b.beta, b.spectral] for b in baths]))
 
 
 def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
@@ -309,7 +298,8 @@ def build_current_kernel_2nd(model: JunctionModel, baths: list[Reservoir],
         raise ValidationError(f"unknown reservoir id {reservoir_id!r}") from None
     n = model.dim
     q = model.q(bath.id)
-    wbar = model.bohr_matrix() * w_matrix(model, bath)
+    bohr = model.bohr_matrix()
+    wbar = bohr * w_table(bohr, bath)
     k = np.zeros((n, n, n, n), dtype=complex)
     t1 = np.einsum("nk,kq,km->nqm", q, q, wbar)
     for i in range(n):

@@ -3,15 +3,15 @@
 Each row takes kappa2 from one linear-response `kappa2_response` call with
 the configured solver.  On a zero-bias row (T_left = T_right, as on every T
 sweep row) the steady state of that call is also the state of the row's
-currents; a biased row solves its own state for them.
+currents, which the call returns; a biased row solves its own state for them.
 
 The grid is cut into one contiguous chunk per worker process (the whole grid
 when serial).  The calling process computes the first chunk itself; each
 other chunk runs in its own child process, started before any row is
 computed, which sends its rows back through a pipe.  The rows are gathered
 in index order, so the output is byte-identical for any worker count.  A T
-sweep builds its junction model once per chunk and clears the model's W memo
-at the start of each row; every other sweep builds the model per row.
+sweep builds its junction model once per chunk (it holds no bath data);
+every other sweep builds the model per row.
 Solver failures poison single rows with NaN rather than the run; a model
 build that fails poisons its chunk.
 """
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SweepConfig
-from .currents import (dot_transport, heat_current_2nd_general,
-                       heat_current_2nd_secular, kappa2_response, kappa4_lowT,
-                       partial_secular_state)
+from .currents import (dot_transport, heat_current_2nd_secular, kappa2_response,
+                       kappa4_lowT, partial_secular_state)
 from .linalg import ValidationError, hermitian_eigensystem, to_eigenbasis
 from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
 from .rabi import RabiParams, build_rabi_junction, kondo_temperature
@@ -147,7 +146,6 @@ def _row(cfg: SweepConfig, value: float,
         return _format_row(cfg, value, fields, levels=3)
 
     model, levels = junction if junction is not None else _junction(cfg, model_args)
-    model.tables.clear()           # W tables of earlier rows' temperatures
     baths = _bose_baths(cfg.baths, t_left, t_right)
     omega10 = kondo_temperature(model)
     alpha = float(cfg.baths["alpha"])
@@ -155,21 +153,17 @@ def _row(cfg: SweepConfig, value: float,
     k2 = kappa2_response(model, baths, t_mean, solver=cfg.solver,
                          c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
     # at zero bias the baths are those of kappa2's common temperature, so its
-    # steady state (and rate matrix) are the row's own
-    zero_bias = t_left == t_right
-    if cfg.solver == "partial":
-        state = k2.state if zero_bias else partial_secular_state(
-            model, baths, c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)[0]
-        i_l = heat_current_2nd_general(model, baths, "L", state)
-        i_r = heat_current_2nd_general(model, baths, "R", state)
+    # steady state and currents are the row's own
+    if t_left == t_right:
+        currents = k2.currents
+    elif cfg.solver == "partial":
+        currents = partial_secular_state(model, baths, c=cfg.cluster_factor,
+                                         lamb_shift=cfg.lamb_shift)[1]
     else:
-        if zero_bias:
-            rates, state = k2.rates, k2.state
-        else:
-            rates = gamma_rates(model, baths)
-            state = full_secular_steady(rates)
-        cur = heat_current_2nd_secular(model, rates, state)
-        i_l, i_r = cur.per_reservoir["L"], cur.per_reservoir["R"]
+        rates = gamma_rates(model, baths)
+        currents = heat_current_2nd_secular(model, rates,
+                                            full_secular_steady(rates)).per_reservoir
+    i_l, i_r = currents["L"], currents["R"]
 
     k4v = kappa4_lowT(model, alpha, t_mean)
     fields = [k2.kappa2, k4v, k2.kappa2 + k4v, i_l, i_r, omega10, omega10]

@@ -81,6 +81,14 @@ def test_sweep_to_zero_temperature_exits_2(tmp_path, capsys, start):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_with_a_bad_rabi_model_exits_2(tmp_path, capsys):
+    ini = write_config(tmp_path, UNCONVERGED_RABI.replace("retained_levels = 5",
+                                                          "retained_levels = 1"))
+    assert main(["sweep", ini]) == 2
+    assert "retained_levels must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("args,env", [(["--workers", "0"], None), ([], "0")],
                          ids=["workers-flag", "LT_THREADS"])
 def test_sweep_with_no_worker_exits_2(tmp_path, capsys, monkeypatch, args, env):

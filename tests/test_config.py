@@ -57,8 +57,33 @@ def test_linear_t_sweep_reaching_zero_temperature_is_rejected(start, stop):
         parse_config_text(config_text(start=start, stop=stop))
     # other sweep variables may cross zero
     cfg = parse_config_text(config_text(start=start, stop=stop)
-                            .replace("variable = T", "variable = g"))
+                            .replace("variable = T", "variable = epsilon"))
     assert cfg.grid()[0] == float(start)
+
+
+@pytest.mark.parametrize("start,stop", [("-0.2", "0.4"), ("0.4", "-0.2")])
+def test_g_sweep_below_zero_coupling_is_rejected(start, stop):
+    text = config_text(start=start, stop=stop).replace("variable = T", "variable = g")
+    with pytest.raises(ValidationError, match="g sweep.*'start'.*'stop'"):
+        parse_config_text(text)
+    # the grid may start at zero coupling
+    cfg = parse_config_text(config_text(start="0", stop="0.4")
+                            .replace("variable = T", "variable = g"))
+    assert cfg.grid()[0] == 0.0
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("retained_levels = 3", "retained_levels = 1", "retained_levels must be at least 2"),
+    ("delta = 0.9", "delta = 0.9\nomega_r = -1", "omega_r must be positive"),
+    ("g = 0.2", "g = -0.1", "g must be >= 0"),
+    ("fock_cutoff = 30", "fock_cutoff = 12", "fock_cutoff must exceed"),
+], ids=["retained_levels", "omega_r", "g", "fock_cutoff"])
+def test_rabi_model_errors_fail_at_load(old, new, message):
+    # each would otherwise fail every row of the sweep, one row at a time
+    text = config_text()
+    assert old in text
+    with pytest.raises(ValidationError, match=message):
+        parse_config_text(text.replace(old, new))
 
 
 def test_negative_cluster_factor_is_rejected():

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
+from ltrans import currents
 from ltrans.baths import bose_signed, dn_dDeltaT_signed
 from ltrans.currents import (dot_transport, heat_current_2nd_general,
-                             heat_current_2nd_secular, kappa2,
+                             heat_current_2nd_secular, kappa2, kappa2_response,
                              kappa4_kernel_quadrature, kappa4_lowT,
                              current_kernel_4th_lowT, partial_secular_state,
                              tls_closed_forms, tls_current, tls_kappa2, tls_kappa4)
@@ -121,6 +122,19 @@ def test_general_current_equals_kernel_contraction():
         val = float(np.real(np.einsum("nnab,ab->", ki, state.rho)))
         gen = heat_current_2nd_general(model, baths, rid, state)
         assert gen == pytest.approx(val, rel=1e-12)
+
+
+def test_partial_state_currents_are_the_general_currents_of_its_state():
+    # the currents come from the kernel's own W tables, bit for bit those
+    # that heat_current_2nd_general evaluates for the state
+    rng = np.random.default_rng(3)
+    model = quasi_degenerate_model(rng)
+    baths = drude_baths(1.0, 0.45)
+    state, cur = partial_secular_state(model, baths)
+    assert (1, 2) in state.retained_pairs
+    assert cur == {rid: heat_current_2nd_general(model, baths, rid, state)
+                   for rid in ("L", "R")}
+    assert cur["L"] != 0.0
 
 
 def test_general_current_conservation_partial_secular():
@@ -431,6 +445,49 @@ def test_kappa2_high_temperature_scaling():
     ks = np.array([tls_kappa2(1.0, 0.01, 0.02, t) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(ks), 1)[0]
     assert abs(slope + 1.0) < 0.02
+
+
+@pytest.mark.parametrize("solver", ["full", "partial"])
+def test_kappa2_response_currents_are_those_of_its_state(solver):
+    model = quasi_degenerate_model(np.random.default_rng(3))
+    res = kappa2_response(model, drude_baths(), 0.6, solver=solver)
+    common = [b.with_temperature(0.6) for b in drude_baths()]
+    if solver == "full":
+        want = heat_current_2nd_secular(model, gamma_rates(model, common),
+                                        res.state).per_reservoir
+    else:
+        assert (1, 2) in res.state.retained_pairs
+        want = {rid: heat_current_2nd_general(model, common, rid, res.state)
+                for rid in ("L", "R")}
+    assert res.currents == want
+
+
+@pytest.mark.parametrize("solver", ["full", "partial"])
+def test_kappa2_unknown_reservoir_id_is_rejected_before_any_solve(monkeypatch, solver):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before checking the reservoir id")
+
+    monkeypatch.setattr(currents, "gamma_rates", unreachable)
+    monkeypatch.setattr(currents, "build_k2_boson", unreachable)
+    with pytest.raises(ValidationError, match="unknown reservoir id 'X'"):
+        kappa2_response(tls_model(), drude_baths(), 0.5, solver=solver, reservoir_id="X")
+
+
+def test_kappa2_calls_leave_the_model_as_built():
+    # nothing is cached on the model: 20 temperatures, both solvers
+    params = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=30, retained_levels=5)
+    model, fresh = build_rabi_junction(params), build_rabi_junction(params)
+    baths = drude_baths()
+    for t in np.geomspace(0.05, 1.0, 20):
+        for solver in ("full", "partial"):
+            kappa2(model, baths, t, solver=solver)
+
+    def same(a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+        return np.array_equal(a, b)
+
+    assert same(vars(model), vars(fresh))
 
 
 def test_kappa2_validation():

@@ -129,9 +129,9 @@ def test_rabi21_nominal_partial_state_matches_full_tensor_solve():
     model = build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=0.2, omega_r=1.0,
                                            fock_cutoff=40, retained_levels=21))
     baths = drude_baths(0.12, 0.08)
-    state, block = partial_secular_state(model, baths)
+    state, _ = partial_secular_state(model, baths)
     n = model.dim
-    assert n < len(block.pairs) < n * n          # a proper retained block
+    assert n < len(state.retained_pairs) < n * n  # a proper retained block
     ref = reference_partial_secular(model, build_k2_boson(model, baths).k,
                                     frozenset(state.retained_pairs), True)
     assert np.max(np.abs(state.rho - ref)) <= 1e-12

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,11 @@ def test_build_junction_duplicate_ids():
     q = np.zeros((2, 2))
     with pytest.raises(ValidationError):
         build_junction([0.0, 1.0], [("L", q), ("L", q)])
+
+
+def test_junction_model_holds_levels_and_couplings_only():
+    # no bath data: the W tables live with the kernel that evaluates them
+    assert [f.name for f in dataclasses.fields(JunctionModel)] == ["omega", "q_ops"]
 
 
 def test_unknown_reservoir():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ltrans import currents, redfield, steady, sweep
+from ltrans.baths import w_table
 from ltrans.config import parse_config_text
 from ltrans.currents import (heat_current_2nd_general, partial_secular_state,
                              tls_closed_forms)
@@ -289,21 +290,21 @@ def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, err
     assert multiprocessing.active_children() == []
 
 
-def test_w_memo_stays_bounded_across_a_chunk(tmp_path, monkeypatch):
-    # one model serves the 25 rows of a serial T sweep; its W memo holds
-    # the tables of the current row only
-    seen = []
-    kappa4 = sweep.kappa4_lowT
-
-    def recording_kappa4(model, *args):
-        seen.append((id(model), len(model.tables)))
-        return kappa4(model, *args)
-
-    monkeypatch.setattr(sweep, "kappa4_lowT", recording_kappa4)
-    cfg = config(TLS, tmp_path, start="1e-6", points=25)
-    assert run_sweep(cfg, workers=1).ok
-    assert len(seen) == 25 and len({m for m, _ in seen}) == 1
-    assert max(n for _, n in seen) <= 2        # one W table per bath at most
+@pytest.mark.parametrize("text,value,tables", [
+    (RABI_FULL_T, 0.1, 0), (TLS, 0.5, 1), (RABI, 0.2, 3),
+], ids=["full", "partial_zero_bias", "partial_biased"])
+def test_w_tables_per_row(tmp_path, monkeypatch, text, value, tables):
+    # a kernel evaluates one W table per distinct bath temperature and the
+    # row's currents read the kernel's tables: kappa2's common temperature,
+    # plus T_left and T_right on a biased row; full-secular rates need none
+    binders = [m for m in list(sys.modules.values())
+               if getattr(m, "__name__", "").startswith("ltrans")
+               and getattr(m, "w_table", None) is w_table]
+    assert {"ltrans.redfield", "ltrans.currents"} <= {m.__name__ for m in binders}
+    calls = []
+    spy(monkeypatch, calls, "w_table", *binders)
+    compute_row(config(text, tmp_path), value)
+    assert len(calls) == tables
 
 
 def test_failed_model_build_fails_every_row_of_its_chunk(tmp_path):
