@@ -7,7 +7,7 @@ bookkeeping layer with a brute-force oracle for self-validation.
 """
 
 from .baths import (dn_dDeltaT, fermi_pv_integral, occupation, spectral_density,
-                    w_rate, w_rate_pv_oracle, wbar_rate)
+                    w_rate, wbar_rate)
 from .currents import (CurrentResult, dot_transport, heat_current_2nd_general,
                        heat_current_2nd_secular, kappa2, kappa4_lowT,
                        tls_closed_forms)
@@ -33,7 +33,7 @@ __all__ = [
     "Units", "JunctionModel", "Reservoir", "SpectralDensity", "build_junction",
     "hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
     "ValidationError", "NumericError",
-    "occupation", "spectral_density", "w_rate", "wbar_rate", "w_rate_pv_oracle",
+    "occupation", "spectral_density", "w_rate", "wbar_rate",
     "dn_dDeltaT", "fermi_pv_integral",
     "RedfieldTensor", "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",
     "gamma_rates",

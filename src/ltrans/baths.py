@@ -7,9 +7,9 @@ frequencies in closed form: Re W = pi J n, and Im W is the digamma
 resummation of its Matsubara series, which has no pole where omega_c meets a
 Matsubara frequency; `dw_dt_table` is its temperature derivative, with the
 trigamma function in place of the digamma.  The Matsubara series itself
-(direct summation plus an analytic Hurwitz-zeta tail) and a principal-value
-quadrature of the same quantity are kept as test oracles; no production path
-calls them.
+(direct summation plus an analytic Hurwitz-zeta tail) is kept here as an
+oracle that `validate` also runs; the principal-value quadrature of the same
+quantity lives with the tests.  No production path calls either.
 
 All rates are returned with hbar = 1, i.e. the hbar^2 prefactor of the raw
 correlation integral is divided out once and for all.
@@ -17,10 +17,7 @@ correlation integral is divided out once and for all.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import digamma, polygamma, zeta
 
 from .linalg import ValidationError, NumericError
@@ -29,7 +26,7 @@ from .model import Reservoir, SpectralDensity
 __all__ = ["occupation", "bose_signed", "spectral_density", "w_table", "wbar_table",
            "dw_dt_real", "dw_dt_table",
            "w_rate", "wbar_rate", "w_rate_real", "w_rate_real_resummed",
-           "w_rate_matsubara_oracle", "w_rate_pv_oracle", "dn_dDeltaT",
+           "w_rate_matsubara_oracle", "dn_dDeltaT",
            "dn_dDeltaT_signed", "fermi_pv_integral", "matsubara_sums"]
 
 MATSUBARA_ATOL = 1e-12
@@ -127,11 +124,15 @@ def _w_imag(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
     Matsubara expansion (Ishizaki and Tanimura, J. Phys. Soc. Jpn. 74, 3131
     (2005)); the cot(beta omega_c / 2) pole of the series cancels against
     psi(1 - x) through the reflection formula, so nothing is singular at a
-    Matsubara collision omega_c = 2 pi k / beta.
+    Matsubara collision omega_c = 2 pi k / beta.  Re psi(1 + i y) is even in
+    y, and a Bohr matrix is antisymmetric, so it is evaluated once per
+    distinct |y|.
     """
     x = beta * sd.omega_c / (2.0 * np.pi)
     y = beta * w / (2.0 * np.pi)
-    bracket = digamma(x) + 0.5 / x - digamma(1.0 + 1j * y).real
+    abs_y, inverse = np.unique(np.abs(y), return_inverse=True)
+    re_psi = digamma(1.0 + 1j * abs_y).real[inverse].reshape(y.shape)
+    bracket = digamma(x) + 0.5 / x - re_psi
     slope = sd.slope_at(w)
     return slope * (w * bracket - 0.5 * np.pi * sd.omega_c)
 
@@ -334,96 +335,6 @@ def w_rate_real_resummed(omega_nm: float, bath: Reservoir,
                          atol: float = MATSUBARA_ATOL) -> float:
     """Re W from the Matsubara series; see `w_rate_matsubara_oracle`."""
     return w_rate_matsubara_oracle(omega_nm, bath, atol=atol).real
-
-
-# ---------------------------------------------------------------------------
-# principal-value quadrature oracle (test-only path)
-# ---------------------------------------------------------------------------
-
-def w_rate_pv_oracle(omega_nm: float, bath: Reservoir, lam: float = 1e-6,
-                     epsabs: float = 1e-13) -> tuple[complex, float]:
-    """Direct numerical evaluation of W(omega_nm) at small finite lam.
-
-    Real part via the Lorentzian representation of the delta function,
-    imaginary part via symmetric principal-value quadrature around the
-    resonance.  Returns (value, error_bound).  Used to validate w_table.
-    """
-    sd = _drude_params(bath)
-    alpha, omega_c, beta = sd.alpha, sd.omega_c, bath.beta
-    w0 = float(omega_nm)
-
-    def f(w):
-        # J(w) * n(w) continued through w = 0 (-> alpha/beta)
-        if abs(beta * w) < 1e-8:
-            return sd.slope_at(w) / beta * (1.0 - 0.5 * beta * w)
-        return sd.value(w) * bose_signed(w, beta)
-
-    errs = []
-
-    def _quad(*args, **kwargs):
-        # the convergence heuristic misfires on the u-substituted Lorentzian;
-        # the explicit error bound below is what gates the result
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            return quad(*args, **kwargs)
-
-    def lorentzian_re(width):
-        # int f(w) * width / (width^2 + (w-w0)^2) / pi ... times pi absorbed:
-        # substitution u = (w-w0)/width plus explicit outer wings
-        u_max = 1e5
-        val, err = _quad(lambda u: f(w0 + width * u) / (1.0 + u * u),
-                        -u_max, u_max, limit=400, epsabs=epsabs, epsrel=1e-12)
-        total = val
-        errs.append(err)
-        for sign in (+1, -1):
-            a = w0 + sign * width * u_max
-            b = w0 + sign * (60.0 / beta + 50.0 * omega_c)
-            val, err = _quad(lambda w: f(w) * width / (width**2 + (w - w0)**2),
-                            min(a, b), max(a, b), limit=400, epsabs=epsabs)
-            total += val
-            errs.append(err)
-        return total
-
-    # the Lorentzian representation carries an O(width) bias; one Richardson
-    # step in the width removes it
-    re_1 = lorentzian_re(lam)
-    re_2 = lorentzian_re(0.5 * lam)
-    re = 2.0 * re_2 - re_1
-    errs.append(abs(re_2 - re_1) * 0.02)
-
-    # imaginary part: PV int f(w)/(w - w0)
-    d = max(0.25, 0.1 * abs(w0))
-    big = max(80.0 / beta + 20.0 * omega_c, abs(w0) + 10.0 * d)
-
-    def sym(t):
-        tt = max(t, 1e-13)
-        return (f(w0 + tt) - f(w0 - tt)) / tt
-
-    im, err = _quad(sym, 0.0, d, limit=300, epsabs=epsabs)
-    errs.append(err)
-    val, err = _quad(lambda w: f(w) / (w - w0), -big, w0 - d, limit=400,
-                    epsabs=epsabs, points=[0.0] if -big < 0.0 < w0 - d else None)
-    im += val
-    errs.append(err)
-    val, err = _quad(lambda w: f(w) / (w - w0), w0 + d, big, limit=400,
-                    epsabs=epsabs, points=[0.0] if w0 + d < 0.0 < big else None)
-    im += val
-    errs.append(err)
-    # left tail via u = -1/w (f -> -J there, decays like 1/w)
-    val, err = _quad(lambda u: -f(-1.0 / u) / (u * (1.0 + w0 * u)),
-                    0.0, 1.0 / big, limit=300, epsabs=epsabs)
-    im += val
-    errs.append(err)
-    # right tail is exponentially suppressed
-    val, err = _quad(lambda w: f(w) / (w - w0), big, big + 800.0 / beta, limit=200,
-                    epsabs=epsabs)
-    im += val
-    errs.append(err)
-
-    total_err = float(np.sum(errs))
-    if not np.isfinite(total_err) or total_err > 1e-6 * max(1e-30, abs(re) + abs(im)) + 1e-9:
-        raise NumericError(f"PV quadrature did not converge (error {total_err:.3e})")
-    return complex(re, im), total_err
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -25,8 +26,25 @@ from .sweep import run_sweep
 from .validate import run_validation
 
 
+def _check_writable(path: str) -> None:
+    """Raise ValidationError if `path` cannot be created or overwritten."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        reason = "its directory does not exist"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValidationError(f"cannot write {path!r}: {reason}")
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    for path in (cfg.csv_path, cfg.svg_path):
+        if path:
+            _check_writable(path)      # before any row is computed
     result = run_sweep(cfg, workers=args.workers)
     print(f"wrote {result.csv_path} ({result.rows} rows)")
     if cfg.svg_path:

@@ -3,10 +3,10 @@
 Second-order (sequential) currents come in a secular population form and a
 general form with coherences; the sequential conductance is their linear
 response to the heated bath's temperature, one closed-form derivative for
-both secular solvers.  The fourth-order (cotunneling) channel is implemented
-in its low-temperature form, both as a frequency quadrature and as the
-closed-form T^3 conductance.  Closed-form two-level and single-dot
-expressions are kept alongside as regression anchors.
+both secular solvers.  The fourth-order (cotunneling) channel is the
+closed-form low-temperature T^3 conductance; its frequency-quadrature
+kernel is a test oracle and lives with the tests.  Closed-form two-level and
+single-dot expressions are kept alongside as regression anchors.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .baths import bose_signed, dn_dDeltaT_signed, dw_dt_real, dw_dt_table, w_table
+from .baths import bose_signed, dw_dt_real, dw_dt_table, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 from .redfield import (DEGENERACY_TOL, BosonKernel, KernelBlock, RateMatrix,
@@ -27,9 +26,8 @@ from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
                      retained_pair_array)
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
-           "heat_current_2nd_general", "current_kernel_4th_lowT", "kappa4_lowT",
-           "kappa4_kernel_quadrature", "kappa2", "kappa2_response", "Kappa2Response",
-           "tls_closed_forms", "dot_transport",
+           "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_response",
+           "Kappa2Response", "tls_closed_forms", "dot_transport",
            "DotTransport", "partial_secular_state"]
 
 
@@ -71,11 +69,23 @@ def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
                          state.rho)
 
 
+# from this many levels on, the current sums over p first as q @ rho; below,
+# one einsum pass over all N^3 index triples is quicker
+_MATMUL_FROM_DIM = 8
+
+
 def _heat_current(model: JunctionModel, q: np.ndarray, w: np.ndarray,
                   rho: np.ndarray) -> float:
-    """The current into the bath of coupling q and W table w, for the state rho."""
+    """The current into the bath of coupling q and W table w, for the state rho.
+
+    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m] with wbar = w_nm W.
+    """
     wbar = model.bohr_matrix() * w
-    return float(-2.0 * np.real(np.einsum("mn,np,nm,pm->", q, q, wbar, rho)))
+    if model.dim < _MATMUL_FROM_DIM:
+        total = np.einsum("mn,np,nm,pm->", q, q, wbar, rho)
+    else:
+        total = np.sum(q.T * wbar * (q @ rho))
+    return float(-2.0 * np.real(total))
 
 
 def _kernel_currents(model: JunctionModel, baths: list[Reservoir], k2: BosonKernel,
@@ -91,21 +101,9 @@ def _find(baths: list[Reservoir], rid: str) -> Reservoir:
     raise ValidationError(f"unknown reservoir id {rid!r}")
 
 
-def _other(baths: list[Reservoir], rid: str) -> Reservoir:
-    if len(baths) != 2:
-        raise ValidationError("this operation needs exactly two baths")
-    return next(b for b in baths if b.id != rid)
-
-
 # ---------------------------------------------------------------------------
 # fourth order, low temperature
 # ---------------------------------------------------------------------------
-
-def _omega_hi(baths: list[Reservoir]) -> float:
-    beta_min = min(b.beta for b in baths)
-    omega_c = max(b.spectral.omega_c for b in baths)
-    return max(50.0 / beta_min, 10.0 * omega_c)
-
 
 def _virtual_state_terms(model: JunctionModel, q_r: np.ndarray, q_o: np.ndarray,
                          states=None) -> np.ndarray:
@@ -127,34 +125,6 @@ def _virtual_state_terms(model: JunctionModel, q_r: np.ndarray, q_o: np.ndarray,
     return q_o[cols, :].T * q_r[:, cols] / bohr
 
 
-def current_kernel_4th_lowT(model: JunctionModel, baths: list[Reservoir],
-                            reservoir_id: str) -> np.ndarray:
-    """Population block of the cotunneling current kernel, 2 Re K4[m, m, n, n].
-
-    Valid in the low-temperature window where virtual transitions dominate:
-
-        8 pi int dw w [n_rbar - n_r] J_r J_rbar
-             * sum_{k != n} Q_r[m,n] Q_rbar[n,m] Q_rbar[n,k] Q_r[k,n]
-                            / (w_mn * w_kn)
-
-    Row/column convention matches the rate matrices: entry [m, n] multiplies
-    rho_nn; the diagonal is left at zero.
-    """
-    bath_r = _find(baths, reservoir_id)
-    bath_o = _other(baths, reservoir_id)
-    terms = _virtual_state_terms(model, model.q(bath_r.id), model.q(bath_o.id))
-
-    def integrand(w):
-        occ_diff = bose_signed(w, bath_o.beta) - bose_signed(w, bath_r.beta)
-        return w * bath_r.spectral.value(w) * bath_o.spectral.value(w) * occ_diff
-
-    hi = _omega_hi(baths)
-    pts = sorted({min(1.0 / b.beta, hi * 0.5) for b in baths}
-                 | {min(b.spectral.omega_c, hi * 0.5) for b in baths})
-    freq_int, _ = quad(integrand, 0.0, hi, points=pts, limit=400)
-    return 8.0 * np.pi * freq_int * terms * np.sum(terms, axis=0)
-
-
 def _ground_virtual_sum_squared(model: JunctionModel, q_r: np.ndarray,
                                 q_o: np.ndarray) -> float:
     """(sum_{k >= 1} Q_o[0,k] Q_r[k,0] / w_k0)^2, the ground-state cotunneling weight."""
@@ -174,25 +144,6 @@ def kappa4_lowT(model: JunctionModel, alpha: float, temperature: float,
         raise ValidationError("kappa4 needs a gapped, non-degenerate ground state")
     s = _ground_virtual_sum_squared(model, model.q(right), model.q(left))
     return float(32.0 * np.pi**5 * alpha**2 * temperature**3 / 15.0 * s)
-
-
-def kappa4_kernel_quadrature(model: JunctionModel, baths: list[Reservoir],
-                             temperature: float, reservoir_id: str) -> float:
-    """Cotunneling conductance from the quadrature kernel with full Drude tails."""
-    bath_r = _find(baths, reservoir_id).with_temperature(temperature)
-    bath_o = _other(baths, reservoir_id).with_temperature(temperature)
-    s = _ground_virtual_sum_squared(model, model.q(bath_r.id), model.q(bath_o.id))
-
-    def integrand(w):
-        return (w * bath_r.spectral.value(w) * bath_o.spectral.value(w)
-                * dn_dDeltaT_signed(w, temperature))
-
-    # the sinh^2 derivative factor cuts the integrand off at omega ~ T
-    # regardless of the Drude cutoff
-    hi = 60.0 * temperature
-    pts = [temperature, min(bath_r.spectral.omega_c, 0.5 * hi)]
-    freq_int, _ = quad(integrand, 0.0, hi, points=sorted(set(pts)), limit=400)
-    return float(8.0 * np.pi * freq_int * s)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import digamma
 
-from ltrans.baths import (_trigamma, bose_signed, dn_dDeltaT, dn_dDeltaT_signed,
-                          dw_dt_table, fermi_pv_integral, matsubara_sums, occupation,
-                          spectral_density, w_rate, w_rate_matsubara_oracle,
-                          w_rate_pv_oracle, w_rate_real, w_rate_real_resummed, w_table,
-                          wbar_rate, wbar_table)
+from ltrans.baths import (_trigamma, _w_real, bose_signed, dn_dDeltaT,
+                          dn_dDeltaT_signed, dw_dt_table, fermi_pv_integral,
+                          matsubara_sums, occupation, spectral_density, w_rate,
+                          w_rate_matsubara_oracle, w_rate_real, w_rate_real_resummed,
+                          w_table, wbar_rate, wbar_table)
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity
+from ltrans.rabi import RabiParams, build_rabi_junction
+
+from quadrature_oracle import w_rate_pv_oracle
 
 
 def drude_bath(beta, alpha=1e-3, omega_c=5.0, rid="L"):
@@ -198,6 +202,38 @@ def test_w_table_cold_bath_is_finite():
     assert w[-1].real == 0.0
     assert w[0].real == pytest.approx(np.pi * 1e-3 * 1.04 / (1 + 1.04**2 / 25.0),
                                       rel=1e-14)
+
+
+def full_w_table(w, bath):
+    """`w_table` with digamma evaluated at every entry, without the parity rule."""
+    sd, beta = bath.spectral, bath.beta
+    x, y = beta * sd.omega_c / (2.0 * np.pi), beta * w / (2.0 * np.pi)
+    bracket = digamma(x) + 0.5 / x - digamma(1.0 + 1j * y).real
+    return _w_real(w, sd, beta) + 1j * sd.slope_at(w) * (w * bracket
+                                                         - 0.5 * np.pi * sd.omega_c)
+
+
+def bohr_of(levels):
+    e = np.asarray(levels, dtype=float)
+    return e[:, None] - e[None, :]
+
+
+@pytest.mark.parametrize("frequencies", [
+    lambda: bohr_of(np.sort(np.random.default_rng(21).standard_normal(8))),
+    lambda: bohr_of([-0.52, 0.52]),
+    lambda: build_rabi_junction(RabiParams(0.0, 0.9, 0.2, retained_levels=21)).bohr_matrix(),
+    lambda: np.array([-1.3, -0.2, 0.0, 0.2, 0.7, 1.3]),
+    lambda: np.array(-0.4),
+], ids=["random", "two_level", "rabi21", "vector", "scalar"])
+@pytest.mark.parametrize("beta", [0.3, 5.0, 1e6])
+def test_w_table_by_parity_is_bitwise_the_full_evaluation(frequencies, beta):
+    # Re psi(1 + i y) is taken once per |y|; it is bitwise even in y, so the
+    # table must not change in a single bit, the w = 0 diagonal included
+    w = frequencies()
+    bath = drude_bath(beta=beta)
+    got = w_table(w, bath)
+    assert got.shape == w.shape
+    assert np.array_equal(got, full_w_table(w, bath))
 
 
 def test_trigamma_matches_mpmath():

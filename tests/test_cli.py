@@ -1,5 +1,6 @@
 import pytest
 
+from ltrans import cli
 from ltrans.cli import main
 
 TLS = """
@@ -99,4 +100,24 @@ def test_sweep_with_no_worker_exits_2(tmp_path, capsys, monkeypatch, args, env):
     ini = write_config(tmp_path, TLS, scale="log", start="0.05")
     assert main(["sweep", ini, *args]) == 2
     assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["csv", "svg"])
+@pytest.mark.parametrize("where,reason", [
+    ("missing/out", "its directory does not exist"),
+    ("", "it is a directory"),
+], ids=["missing-dir", "directory"])
+def test_sweep_to_an_unwritable_output_exits_2_before_any_row(tmp_path, capsys,
+                                                               monkeypatch, key,
+                                                               where, reason):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "run_sweep", no_rows)
+    bad = str(tmp_path / where) if where else str(tmp_path)
+    ini = write_config(tmp_path, TLS, scale="log", start="0.05", **{key: bad})
+    assert main(["sweep", ini]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {bad!r}: {reason}\n"
     assert not (tmp_path / "out.csv").exists()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ltrans.config import parse_config_text
@@ -127,3 +129,42 @@ def test_sweep_variable_the_model_lacks_is_rejected(text, variable):
 @pytest.mark.parametrize("variable", ["T", "epsilon"])
 def test_dot_sweep_variables_parse(variable):
     assert parse_config_text(DOT.format(variable=variable)).variable == variable
+
+
+def edit(old, new, text=None):
+    """`text` (the rabi config by default) with its one `old` replaced by `new`."""
+    text = config_text() if text is None else text
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("type = rabi\n", "config syntax error"),
+    (edit("[output]\ncsv = out.csv\n", ""), "missing section [output]"),
+    (edit("type = rabi", "type = spin"), "unknown model type 'spin'"),
+    (edit("delta = 0.9\n", ""), "missing key 'delta' in [model]"),
+    (edit("alpha = 1e-3", "alpha = small"), "key 'alpha' is not a number: 'small'"),
+    (edit("fock_cutoff = 30", "fock_cutoff = 30.5"), "key 'fock_cutoff' must be an integer"),
+    (config_text() + "[solver]\nlamb_shift = maybe\n",
+     "key 'lamb_shift' is not a boolean: 'maybe'"),
+    (edit("[baths]", "[baths]\nstatistics = boltzmann"), "unknown statistics 'boltzmann'"),
+    (edit("statistics = fermi", "statistics = bose", DOT.format(variable="T")),
+     "dot model needs fermionic leads"),
+    (edit("[baths]", "[baths]\nstatistics = fermi"), "rabi model needs bosonic baths"),
+    (edit("[baths]", "[baths]\nstatistics = fermi", edit("type = rabi", "type = tls")),
+     "tls model needs bosonic baths"),
+    (edit("T_right = 0.1", "T_right = 0"), "bath temperatures must be positive"),
+    (config_text() + "[solver]\nsecular = semi\n", "unknown secular mode 'semi'"),
+    (edit("variable = T", "variable = omega"), "sweep variable must be one of"),
+    (edit("variable = T", "variable = T\nscale = cubic"), "unknown scale 'cubic'"),
+    (edit("points = 3", "points = 0"), "points must be >= 1"),
+    (edit("variable = T\nstart = 0.05", "variable = epsilon\nscale = log\nstart = -0.5"),
+     "log-spaced grids need positive endpoints"),
+    (edit("csv = out.csv", "svg = out.svg"), "missing key 'csv' in [output]"),
+], ids=["syntax", "missing-section", "model-type", "missing-key", "not-a-number",
+        "not-an-integer", "not-a-boolean", "statistics", "dot-needs-fermi",
+        "rabi-needs-bose", "tls-needs-bose", "temperature", "secular-mode",
+        "sweep-variable", "scale", "points", "log-endpoint", "missing-csv"])
+def test_config_error_is_rejected_with_its_message(text, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config_text(text)

@@ -9,8 +9,7 @@ from ltrans import currents
 from ltrans.baths import bose_signed, dn_dDeltaT_signed
 from ltrans.currents import (dot_transport, heat_current_2nd_general,
                              heat_current_2nd_secular, kappa2, kappa2_response,
-                             kappa4_kernel_quadrature, kappa4_lowT,
-                             current_kernel_4th_lowT, partial_secular_state,
+                             kappa4_lowT, partial_secular_state,
                              tls_closed_forms, tls_current, tls_kappa2, tls_kappa4)
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
@@ -19,6 +18,7 @@ from ltrans.redfield import build_current_kernel_2nd, gamma_rates
 from ltrans.steady import full_secular_steady
 
 from kappa2_oracle import kappa2_fd, kappa2_richardson
+from quadrature_oracle import current_kernel_4th_lowT, kappa4_kernel_quadrature
 
 
 def drude_baths(t_left=1.0, t_right=0.5, alpha=1e-3, omega_c=5.0):
@@ -135,6 +135,23 @@ def test_partial_state_currents_are_the_general_currents_of_its_state():
     assert cur == {rid: heat_current_2nd_general(model, baths, rid, state)
                    for rid in ("L", "R")}
     assert cur["L"] != 0.0
+
+
+@pytest.mark.parametrize("dim", [2, currents._MATMUL_FROM_DIM, 21])
+def test_heat_current_is_the_einsum_contraction(dim):
+    # -2 Re sum_{m,n,p} Q_mn Q_np Wbar_nm rho_pm, as a plain four-index einsum,
+    # on either side of the size from which the p sum is a matmul
+    rng = np.random.default_rng(60 + dim)
+    model = random_model(rng, dim)
+    q = model.q("L")
+    w = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = x @ x.conj().T
+    rho /= np.trace(rho).real
+    wbar = model.bohr_matrix() * w
+    want = -2.0 * np.real(np.einsum("mn,np,nm,pm->", q, q, wbar, rho))
+    assert currents._heat_current(model, q, w, rho) == pytest.approx(want, rel=1e-13,
+                                                                     abs=0)
 
 
 def test_general_current_conservation_partial_secular():
