@@ -6,7 +6,10 @@ spectral density.  `w_table` evaluates W over a whole array of Bohr
 frequencies in closed form: Re W = pi J n, and Im W is the digamma
 resummation of its Matsubara series, which has no pole where omega_c meets a
 Matsubara frequency; `dw_dt_table` is its temperature derivative, with the
-trigamma function in place of the digamma.  The Matsubara series itself
+trigamma function in place of the digamma.  A reservoir whose beta is a 1-d
+array carries a temperature axis: the tables (and `bose_signed`) then gain a
+leading axis over it, shape (n_T,) + omega.shape, each slice bitwise the
+table of that one temperature.  The Matsubara series itself
 (direct summation plus an analytic Hurwitz-zeta tail) is kept here as an
 oracle that `validate` also runs; the principal-value quadrature of the same
 quantity lives with the tests.  No production path calls either.
@@ -18,7 +21,7 @@ correlation integral is divided out once and for all.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma, polygamma, zeta
+from scipy.special import digamma, zeta
 
 from .linalg import ValidationError, NumericError
 from .model import Reservoir, SpectralDensity
@@ -70,14 +73,26 @@ def occupation(statistics: str, omega: float, beta: float, mu: float = 0.0,
     raise ValidationError(f"unknown statistics {statistics!r}")
 
 
-def bose_signed(omega, beta: float):
+def _t_axis(value, w: np.ndarray):
+    """A temperature or beta shaped to broadcast against the frequencies w.
+
+    A scalar is returned as it is; a 1-d array over temperatures gains one
+    trailing unit axis per axis of w, so that it leads the result.
+    """
+    v = np.asarray(value, dtype=float)
+    return v.reshape(v.shape + (1,) * w.ndim) if v.ndim else value
+
+
+def bose_signed(omega, beta):
     """Bose function 1/(exp(beta*omega) - 1) continued to omega < 0.
 
     The continuation obeys n(-omega) = -(1 + n(omega)); together with an odd
     spectral density it gives a single expression for absorption and emission
-    rates.  omega = 0 is a pole and must be handled by the caller.
+    rates.  omega = 0 is a pole and must be handled by the caller.  beta may
+    be a 1-d temperature axis, which then leads the result.
     """
-    x = np.asarray(beta * np.asarray(omega, dtype=float))
+    omega = np.asarray(omega, dtype=float)
+    x = np.asarray(_t_axis(beta, omega) * omega)
     with np.errstate(over="ignore"):
         out = np.where(np.abs(x) > _EXP_BIG, np.where(x > 0, 0.0, -1.0),
                        1.0 / np.expm1(np.where(np.abs(x) > _EXP_BIG, 1.0, x)))
@@ -102,7 +117,7 @@ def _drude_params(bath: Reservoir) -> SpectralDensity:
     return bath.spectral
 
 
-def _w_real(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
+def _w_real(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
     """pi * J(w) * n(w), written as pi (J(w)/w) / beta * x / expm1(x) with x = beta w.
 
     x / expm1(x) is smooth through x = 0, where it is 1 (so W tends to
@@ -116,7 +131,20 @@ def _w_real(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
     return np.pi * sd.slope_at(w) / beta * ratio
 
 
-def _w_imag(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
+def _by_magnitude(y) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |y|, ascending, and the index of each entry's |y| among them."""
+    a = np.abs(y).ravel()
+    order = a.argsort()
+    s = a[order]
+    first = np.empty(s.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    inverse = np.empty(s.shape, dtype=np.intp)
+    inverse[order] = first.cumsum() - 1
+    return s[first], inverse.reshape(np.shape(y))
+
+
+def _w_imag(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
     """PV int J(w') n(w') / (w' - w) dw' in closed form.
 
     Im W = J(w) [psi(x) + 1/(2x) - Re psi(1 + i y)] - (pi/2) (J(w)/w) omega_c
@@ -130,8 +158,8 @@ def _w_imag(w: np.ndarray, sd: SpectralDensity, beta: float) -> np.ndarray:
     """
     x = beta * sd.omega_c / (2.0 * np.pi)
     y = beta * w / (2.0 * np.pi)
-    abs_y, inverse = np.unique(np.abs(y), return_inverse=True)
-    re_psi = digamma(1.0 + 1j * abs_y).real[inverse].reshape(y.shape)
+    abs_y, inverse = _by_magnitude(y)
+    re_psi = digamma(1.0 + 1j * abs_y).real[inverse]
     bracket = digamma(x) + 0.5 / x - re_psi
     slope = sd.slope_at(w)
     return slope * (w * bracket - 0.5 * np.pi * sd.omega_c)
@@ -143,11 +171,13 @@ def w_table(omega, bath: Reservoir) -> np.ndarray:
     Ohmic-Drude bosonic bath.  Real part: pi*J(omega)*n(omega), continued
     through omega = 0 where it tends to pi*alpha/beta.  Imaginary part: the
     principal value of the same integrand, in the digamma closed form of
-    `_w_imag`.  Returns a complex array of the shape of `omega`.
+    `_w_imag`.  Returns a complex array of the shape of `omega`, after the
+    temperature axis of the bath if it has one.
     """
     sd = _drude_params(bath)
     w = np.asarray(omega, dtype=float)
-    return _w_real(w, sd, bath.beta) + 1j * _w_imag(w, sd, bath.beta)
+    beta = _t_axis(bath.beta, w)
+    return _w_real(w, sd, beta) + 1j * _w_imag(w, sd, beta)
 
 
 # argument from which the Bernoulli series to B_14 replaces the direct form;
@@ -173,16 +203,34 @@ def _trigamma(z) -> np.ndarray:
     w = z + 10.0
     u = 1.0 / (w * w)
     series = _bernoulli_sum(u)
-    head = np.sum((z + np.arange(10.0).reshape((-1,) + (1,) * z.ndim))**-2, axis=0)
+    # a running sum adds the ten terms in order whatever the shape of z (a
+    # plain sum over a single entry's terms would be taken pairwise)
+    head = np.cumsum((z + np.arange(10.0).reshape((-1,) + (1,) * z.ndim))**-2, axis=0)[-1]
     return head + (1.0 + series) / w + 0.5 * u
 
 
 def dw_dt_real(omega, bath: Reservoir) -> np.ndarray:
-    """Re dW/dT = pi J(w) dn/dT over an array of frequencies; pi*alpha at w = 0."""
-    sd = _drude_params(bath)
+    """Re dW/dT = pi J(w) dn/dT over an array of frequencies; pi*alpha at w = 0.
+
+    Over the temperature axis of the bath, if it has one, like `w_table`.
+    """
     w = np.asarray(omega, dtype=float)
-    dn = dn_dDeltaT_signed(w, bath.temperature)
-    return np.pi * sd.slope_at(w) * np.where(w == 0.0, 1.0, w * dn)
+    return _dw_dt_real(w, _drude_params(bath), _t_axis(bath.temperature, w))
+
+
+def _dw_dt_real(w: np.ndarray, sd: SpectralDensity, t) -> np.ndarray:
+    """`dw_dt_real` with the temperature t already shaped against w."""
+    return np.pi * sd.slope_at(w) * np.where(w == 0.0, 1.0, w * dn_dDeltaT_signed(w, t))
+
+
+def _rest_x(x: float) -> float:
+    """1/(2x) - x psi'(x) + 1 at one x, as its Bernoulli series from `_ASYMPTOTIC_FROM`.
+
+    zeta(2, x) is the trigamma function psi'(x) of real x.
+    """
+    if x >= _ASYMPTOTIC_FROM:
+        return -_bernoulli_sum(x**-2)
+    return 1.0 + 0.5 / x - x * float(zeta(2, x))
 
 
 def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
@@ -194,22 +242,32 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     halves of the bracket tend to -1 and +1, so each is taken as its
     remainder: 1/(2x) - x psi'(x) + 1 = -sum_k B_2k x^-2k and
     1 + y Im psi'(1 + i y) = -sum_k B_2k (-y^2)^-k, summed as series where the
-    argument is at least `_ASYMPTOTIC_FROM`.
+    argument is at least `_ASYMPTOTIC_FROM`.  The first remainder depends on
+    the temperature alone and is evaluated once per temperature; the second
+    is even in y, so it is evaluated once per distinct |y|.  Over the
+    temperature axis of the bath, if it has one, like `w_table`.
     """
     sd = _drude_params(bath)
     w = np.asarray(omega, dtype=float)
-    t = bath.temperature
+    t = _t_axis(bath.temperature, w)
     x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
-    if x >= _ASYMPTOTIC_FROM:
-        rest_x = -_bernoulli_sum(x**-2)
+    if np.ndim(x):
+        rest_x = np.array([_rest_x(v) for v in x.ravel().tolist()]).reshape(x.shape)
     else:
-        rest_x = 1.0 + 0.5 / x - x * polygamma(1, x)
-    rest_y = 1.0 + y * _trigamma(1.0 + 1j * y).imag
-    y2 = y * y
-    far = y2 >= _ASYMPTOTIC_FROM**2
-    if far.any():
-        rest_y = np.where(far, -_bernoulli_sum(-1.0 / np.where(far, y2, 1.0)), rest_y)
-    return dw_dt_real(w, bath) + 1j * sd.value(w) / t * (rest_x - rest_y)
+        rest_x = _rest_x(x)
+    # distinct |y| in ascending order: 0 (where the remainder is 1), the
+    # direct range, then the series range
+    abs_y, inverse = _by_magnitude(y)
+    y2 = abs_y * abs_y
+    lo = 1 if abs_y.size and abs_y[0] == 0.0 else 0
+    hi = int(np.count_nonzero(y2 < _ASYMPTOTIC_FROM**2))
+    rest_y = np.ones(abs_y.shape)
+    if lo < hi:
+        rest_y[lo:hi] = 1.0 + abs_y[lo:hi] * _trigamma(1.0 + 1j * abs_y[lo:hi]).imag
+    if hi < len(abs_y):
+        rest_y[hi:] = -_bernoulli_sum(-1.0 / y2[hi:])
+    rest_y = rest_y[inverse]
+    return _dw_dt_real(w, sd, t) + 1j * (sd.value(w) / t * (rest_x - rest_y))
 
 
 def wbar_table(omega, bath: Reservoir) -> np.ndarray:
@@ -352,8 +410,10 @@ def dn_dDeltaT(omega: float, temperature: float) -> float:
     return float(dn_dDeltaT_signed(omega, temperature))
 
 
-def dn_dDeltaT_signed(omega, temperature: float):
+def dn_dDeltaT_signed(omega, temperature):
     """Odd continuation of dn_dDeltaT over an array of frequencies; 0 at omega = 0.
+
+    temperature is a scalar or an array that broadcasts against omega.
 
     Written as omega e^{-x} / (T expm1(-x))^2 with x = |omega|/T, the exact
     rewriting of omega / (4 T^2 sinh^2(x/2)) that never overflows.

@@ -3,10 +3,14 @@
 Second-order (sequential) currents come in a secular population form and a
 general form with coherences; the sequential conductance is their linear
 response to the heated bath's temperature, one closed-form derivative for
-both secular solvers.  The fourth-order (cotunneling) channel is the
-closed-form low-temperature T^3 conductance; its frequency-quadrature
-kernel is a test oracle and lives with the tests.  Closed-form two-level and
-single-dot expressions are kept alongside as regression anchors.
+both secular solvers.  `kappa2_sweep` computes it over a whole temperature
+axis: one set of bath tables, one batched solve per set of temperatures that
+share a retained-pair set, and the currents contracted per temperature;
+`kappa2_response` is its one-temperature case.  The fourth-order
+(cotunneling) channel is the closed-form low-temperature T^3 conductance;
+its frequency-quadrature kernel is a test oracle and lives with the tests.
+Closed-form two-level and single-dot expressions are kept alongside as
+regression anchors.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
            "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_response",
+           "kappa2_sweep",
            "Kappa2Response", "tls_closed_forms", "dot_transport",
            "DotTransport", "partial_secular_state"]
 
@@ -51,13 +56,17 @@ class CurrentResult:
 # second order
 # ---------------------------------------------------------------------------
 
+def _secular_current(wdiff: np.ndarray, g: np.ndarray, p: np.ndarray) -> float:
+    """sum_{n,m} wdiff[n, m] g[n, m] p[m] for one temperature."""
+    return float(np.einsum("nm,nm,m->", wdiff, g, p))
+
+
 def heat_current_2nd_secular(model: JunctionModel, rates: RateMatrix,
                              state: SteadyState) -> CurrentResult:
     """I_r = sum_{n,m} (w_m - w_n) gamma^r[n, m] rho_mm."""
     p = state.populations
     wdiff = model.omega[None, :] - model.omega[:, None]   # w_m - w_n
-    per = {rid: float(np.einsum("nm,nm,m->", wdiff, g, p))
-           for rid, g in rates.per_reservoir.items()}
+    per = {rid: _secular_current(wdiff, g, p) for rid, g in rates.per_reservoir.items()}
     return CurrentResult(per_reservoir=per, order="2")
 
 
@@ -76,22 +85,20 @@ _MATMUL_FROM_DIM = 8
 
 def _heat_current(model: JunctionModel, q: np.ndarray, w: np.ndarray,
                   rho: np.ndarray) -> float:
-    """The current into the bath of coupling q and W table w, for the state rho.
+    """The current into the bath of coupling q and W table w, for the state rho."""
+    return _wbar_current(q, model.bohr_matrix() * w, rho)
 
-    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m] with wbar = w_nm W.
+
+def _wbar_current(q: np.ndarray, wbar: np.ndarray, rho: np.ndarray) -> float:
+    """The current into the bath of coupling q and table wbar = w_nm W, for the state rho.
+
+    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m], at one temperature.
     """
-    wbar = model.bohr_matrix() * w
-    if model.dim < _MATMUL_FROM_DIM:
+    if len(q) < _MATMUL_FROM_DIM:
         total = np.einsum("mn,np,nm,pm->", q, q, wbar, rho)
     else:
         total = np.sum(q.T * wbar * (q @ rho))
     return float(-2.0 * np.real(total))
-
-
-def _kernel_currents(model: JunctionModel, baths: list[Reservoir], k2: BosonKernel,
-                     rho: np.ndarray) -> dict[str, float]:
-    """The current into each bath of the kernel k2 of `baths`, from its own tables."""
-    return {b.id: _heat_current(model, q, w, rho) for b, q, w in zip(baths, k2.q, k2.w)}
 
 
 def _find(baths: list[Reservoir], rid: str) -> Reservoir:
@@ -132,30 +139,41 @@ def _ground_virtual_sum_squared(model: JunctionModel, q_r: np.ndarray,
     return amplitude * amplitude
 
 
-def kappa4_lowT(model: JunctionModel, alpha: float, temperature: float,
-                left: str = "L", right: str = "R") -> float:
+def kappa4_lowT(model: JunctionModel, alpha: float, temperature,
+                left: str = "L", right: str = "R"):
     """Closed-form cotunneling conductance (32 pi^5 / 15) alpha^2 T^3 * S^2.
 
     S sums the signed products of coupling matrix elements over the virtual
     intermediate states; opposite signs between quasi-degenerate levels
-    interfere destructively and suppress the conductance.
+    interfere destructively and suppress the conductance.  S depends on the
+    model alone: over an array of temperatures it is summed once, and the
+    result is an array.
     """
     if model.dim < 2 or not (model.omega[1] - model.omega[0]) > 0:
         raise ValidationError("kappa4 needs a gapped, non-degenerate ground state")
     s = _ground_virtual_sum_squared(model, model.q(right), model.q(left))
-    return float(32.0 * np.pi**5 * alpha**2 * temperature**3 / 15.0 * s)
+    head = 32.0 * np.pi**5 * alpha**2
+    if np.ndim(temperature):
+        # per temperature in float arithmetic, each entry bitwise the scalar call
+        return np.array([head * t**3 / 15.0 * s
+                         for t in np.asarray(temperature, dtype=float).tolist()])
+    return float(head * temperature**3 / 15.0 * s)
 
 
 # ---------------------------------------------------------------------------
 # linear conductance, second order
 # ---------------------------------------------------------------------------
 
-def _clusters(model: JunctionModel, k2: BosonKernel, c: float) -> FrequencyClusters:
-    """Clusters of the Bohr spectrum at the largest population rate of k2."""
-    scale = float(np.max(np.abs(k2.population_rates())))
+def _clusters(model: JunctionModel, scale: float, c: float) -> FrequencyClusters:
+    """Clusters of the Bohr spectrum at `scale`, a kernel's largest population rate."""
     if scale <= 0.0:
         raise ValidationError("all population rates vanish; no steady state")
     return cluster_bohr_frequencies(model, scale, c)
+
+
+def _rate_scale(k2: BosonKernel):
+    """The largest population rate 2 sum_baths Q_nm Q_mn Re W_nm, per temperature."""
+    return np.abs(k2.population_rates()).max(axis=(-2, -1))
 
 
 def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
@@ -168,10 +186,14 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
     population rates 2 sum_baths Q_nm Q_mn Re W_nm), the kernel and the
     currents, and live only for this call.  The solver evaluates (and checks)
     only the kernel block of the retained pairs, so no N^4 array is built.
+    One temperature per bath.
     """
     k2 = build_k2_boson(model, baths)
-    state = partial_secular_steady(model, k2, _clusters(model, k2, c), lamb_shift=lamb_shift)
-    return state, _kernel_currents(model, baths, k2, state.rho)
+    clusters = _clusters(model, float(_rate_scale(k2)), c)
+    state = partial_secular_steady(model, k2, clusters, lamb_shift=lamb_shift)
+    wbar = model.bohr_matrix() * k2.w
+    return state, {b.id: _wbar_current(q, wb, state.rho)
+                   for b, q, wb in zip(baths, k2.q, wbar)}
 
 
 @dataclass(frozen=True)
@@ -188,6 +210,121 @@ class Kappa2Response:
     currents: dict[str, float]
 
 
+def _isolated(rows: np.ndarray, solve) -> list:
+    """solve(rows), one result per row; if it raises, each row alone.
+
+    A row that raises on its own gets its exception in place of a result.
+    """
+    try:
+        return solve(rows)
+    except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
+        if len(rows) == 1:
+            return [exc]
+        return [out for i in range(len(rows)) for out in _isolated(rows[i:i + 1], solve)]
+
+
+def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
+                 solver: str = "full", reservoir_id: str | None = None,
+                 c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True
+                 ) -> list[Kappa2Response | Exception]:
+    """`kappa2_response` at every temperature of a 1-d array, as one stack.
+
+    Returns one entry per temperature: its `Kappa2Response`, or the exception
+    that `kappa2_response` raises there.  The W (or Re W) and dW/dT tables
+    are evaluated once over the temperature axis.  The full solver solves
+    every temperature in one batched `full_secular_steady`; the partial
+    solver clusters the spectrum at each temperature and solves each group
+    of temperatures that share a retained-pair set in one batched
+    `partial_secular_response`.  If a stacked solve raises, its temperatures
+    are solved one at a time, so that a failure stays with its own row.
+    Invalid arguments raise at once.
+    """
+    ts = np.asarray(temperatures, dtype=float)
+    if ts.ndim != 1:
+        raise ValidationError("temperatures must be a 1-d array")
+    if not (ts > 0).all():
+        raise ValidationError("temperature must be positive")
+    if len(baths) != 2:
+        raise ValidationError("kappa2 needs exactly two baths")
+    if solver not in ("full", "partial"):
+        raise ValidationError(f"unknown solver {solver!r}")
+    rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
+    common = [b.with_temperature(ts) for b in baths]
+    heated = next(b for b in common if b.id != rid)
+    q_h = model.q(heated.id)[None]
+    bohr = model.bohr_matrix()
+    rows = np.arange(len(ts))
+
+    if solver == "full":
+        rates = gamma_rates(model, common)
+        dk2 = BosonKernel(q=q_h, w=dw_dt_real(bohr, heated)[:, None])
+        dgamma = dk2.population_rates()
+        d = np.arange(model.dim)
+        dgamma[..., d, d] = -dgamma.sum(axis=-2)
+        wdiff = model.omega[None, :] - model.omega[:, None]
+
+        def solve_full(idx):
+            sub = RateMatrix(rates.gamma[idx],
+                             {k: g[idx] for k, g in rates.per_reservoir.items()})
+            state = full_secular_steady(sub)
+            a = sub.gamma.copy()
+            a[..., 0, :] = 1.0
+            rhs = -(dgamma[idx] @ state.populations[..., None])
+            rhs[..., 0, :] = 0.0
+            dp = np.linalg.solve(a, rhs)[..., 0]
+            return [Kappa2Response(
+                _secular_current(wdiff, sub.per_reservoir[rid][i], dp[i]),
+                SteadyState(rho, state.retained_pairs, state.solver_tag),
+                {k: _secular_current(wdiff, g[i], state.populations[i])
+                 for k, g in sub.per_reservoir.items()})
+                for i, rho in enumerate(state.rho)]
+
+        return _isolated(rows, solve_full)
+
+    k2 = build_k2_boson(model, common)
+    scale = _rate_scale(k2)
+    # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
+    # below the dephasing terms they are made of, so a sum-rule test against
+    # the block's own largest entry would fail on roundoff
+    dw = dw_dt_table(bohr, heated)[:, None]
+    wbar = bohr * k2.w
+    r = [b.id for b in common].index(rid)
+
+    def solve_partial(idx):
+        clusters = _clusters(model, float(scale[idx[0]]), c)
+        pairs = retained_pair_array(model.dim, clusters)
+        dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw[idx], pairs, pairs))
+        state, drho = partial_secular_response(model, BosonKernel(q=k2.q, w=k2.w[idx]),
+                                               dblock, clusters, lamb_shift)
+        return [Kappa2Response(
+            _wbar_current(k2.q[r], wbar[j, r], drho[i]),
+            SteadyState(rho, state.retained_pairs, state.solver_tag),
+            {b.id: _wbar_current(q, wb, rho) for b, q, wb in zip(common, k2.q, wbar[j])})
+            for i, (j, rho) in enumerate(zip(idx, state.rho))]
+
+    out: list = [None] * len(ts)
+    for idx in _retained_groups(bohr, scale, c):
+        for i, res in zip(idx, _isolated(rows[idx], solve_partial)):
+            out[i] = res
+    return out
+
+
+def _retained_groups(bohr: np.ndarray, scale: np.ndarray, c: float) -> list[list[int]]:
+    """The temperatures (by index) that share a retained-pair set.
+
+    The set at a temperature is fixed by how many |omega_nm| lie within c
+    times its rate scale; temperatures without a positive scale form a group
+    of their own, whose clustering fails.
+    """
+    if len(scale) == 1:
+        return [[0]]
+    count = np.searchsorted(np.sort(np.abs(bohr), axis=None), c * scale, side="right")
+    groups: dict[int, list[int]] = {}
+    for i, key in enumerate(np.where(scale > 0.0, count, -1).tolist()):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,
                     solver: str = "full", reservoir_id: str | None = None,
                     c: float = DEFAULT_CLUSTER_FACTOR,
@@ -201,50 +338,16 @@ def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: f
     table dW/dT.  solver="full" reads its population rates, which need only
     Re dW/dT (`dw_dt_real`), and solves with the rate matrix of `gamma_rates`;
     solver="partial" reads its block over the pairs retained at T (clusters
-    held fixed, `dw_dt_table`) and solves with the factors of the
+    held fixed, `dw_dt_table`) and solves with the inverse of the
     partial-secular system.  rho0 and its currents are returned with the
     conductance: at zero bias rho0 is the steady state of the baths
-    themselves, so their currents need no second solve.
+    themselves, so their currents need no second solve.  This is the
+    one-temperature case of `kappa2_sweep`.
     """
-    if not temperature > 0:
-        raise ValidationError("temperature must be positive")
-    if len(baths) != 2:
-        raise ValidationError("kappa2 needs exactly two baths")
-    if solver not in ("full", "partial"):
-        raise ValidationError(f"unknown solver {solver!r}")
-    rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
-    common = [b.with_temperature(temperature) for b in baths]
-    heated = next(b for b in common if b.id != rid)
-    q_h = model.q(heated.id)[None]
-
-    if solver == "full":
-        rates = gamma_rates(model, common)
-        state = full_secular_steady(rates)
-        dk2 = BosonKernel(q=q_h, w=dw_dt_real(model.bohr_matrix(), heated)[None])
-        dgamma = dk2.population_rates()
-        dgamma[np.diag_indices_from(dgamma)] = -np.sum(dgamma, axis=0)
-        a = rates.gamma.copy()
-        a[0, :] = 1.0
-        rhs = -(dgamma @ state.populations)
-        rhs[0] = 0.0
-        dp = np.linalg.solve(a, rhs)
-        wdiff = model.omega[None, :] - model.omega[:, None]
-        k2v = float(np.einsum("nm,nm,m->", wdiff, rates.per_reservoir[rid], dp))
-        return Kappa2Response(k2v, state,
-                              heat_current_2nd_secular(model, rates, state).per_reservoir)
-
-    k2 = build_k2_boson(model, common)
-    clusters = _clusters(model, k2, c)
-    pairs = retained_pair_array(model.dim, clusters)
-    # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
-    # below the dephasing terms they are made of, so a sum-rule test against
-    # the block's own largest entry would fail on roundoff
-    dw = dw_dt_table(model.bohr_matrix(), heated)[None]
-    dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw, pairs, pairs))
-    state, drho = partial_secular_response(model, k2, dblock, clusters, lamb_shift)
-    r = [b.id for b in common].index(rid)
-    return Kappa2Response(_heat_current(model, k2.q[r], k2.w[r], drho), state,
-                          _kernel_currents(model, common, k2, state.rho))
+    [res] = kappa2_sweep(model, baths, [temperature], solver, reservoir_id, c, lamb_shift)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,

@@ -100,18 +100,23 @@ class LeadParams:
 
 @dataclass(frozen=True)
 class Reservoir:
-    """One thermal reservoir attached to the junction."""
+    """One thermal reservoir attached to the junction.
+
+    beta is one inverse temperature, or a 1-d array of them: a temperature
+    axis, over which the bath tables of `ltrans.baths` are evaluated at once.
+    """
 
     id: str
     statistics: str                  # "bose" | "fermi"
-    beta: float                      # inverse temperature, 1/omega_ref
+    beta: float | np.ndarray         # inverse temperature(s), 1/omega_ref
     mu: float = 0.0                  # chemical potential (0 for bose)
     spectral: SpectralDensity | LeadParams | None = None
 
     def __post_init__(self):
         if self.statistics not in ("bose", "fermi"):
             raise ValidationError(f"unknown statistics {self.statistics!r}")
-        if not self.beta > 0:
+        beta = self.beta
+        if not (beta > 0 if isinstance(beta, float) else np.greater(beta, 0).all()):
             raise ValidationError("beta must be positive")
         if self.statistics == "bose" and self.mu != 0.0:
             raise ValidationError("bosonic reservoirs must have mu = 0")
@@ -120,7 +125,7 @@ class Reservoir:
     def temperature(self) -> float:
         return 1.0 / self.beta
 
-    def with_temperature(self, t: float) -> "Reservoir":
+    def with_temperature(self, t) -> "Reservoir":
         return Reservoir(self.id, self.statistics, 1.0 / t, self.mu, self.spectral)
 
 

@@ -14,6 +14,11 @@ its retained pairs only, and the full rank-4 tensor (`k2_tensor_from_w`, the
 same formula over all N^2 pairs) is built only when `.k` is read.  The
 sum-rule and Hermiticity checks run on every block that is evaluated.  The
 single-level fermionic dot gets its own rate constructor.
+
+Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
+tables, kernel blocks, population rates and `gamma_rates` matrices with a
+leading axis over it, each slice bitwise that of its one temperature; the
+coupling matrices Q carry no such axis.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     """Kernel entries K[(n,m), (n',m')] for row pairs `rows` and column pairs `cols`.
 
     q and w are the coupling matrices and rate tables W(omega_nm), stacked
-    over baths with shape (B, N, N); the result, shape (len(rows),
-    len(cols)), is summed over baths:
+    over baths with shape (B, N, N); w may lead with a temperature axis,
+    (n_T, B, N, N).  The result, shape (len(rows), len(cols)) after that
+    axis, is summed over baths:
 
     K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
                     + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
@@ -55,18 +61,26 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     """
     rn, rm = rows[:, 0], rows[:, 1]
     cn, cm = cols[:, 0], cols[:, 1]
-    r, c = len(rows), len(cols)
+    r, c, n = len(rows), len(cols), q.shape[-1]
+    lead = w.shape[:-3]
+
+    def stacked(x):        # (..., c, B, N) -> (..., B*N, c): one product per temperature
+        return x.reshape(lead + (c, -1)).swapaxes(-1, -2)
+
     # the two Kronecker terms: one matrix product each over (bath, k)
-    left = q[:, rn, :].transpose(1, 0, 2).reshape(r, -1)             # Q_nk
-    right = (q[:, :, cn] * w[:, :, cm]).transpose(2, 0, 1).reshape(c, -1)
-    k = -(left @ right.T) * (rm[:, None] == cm[None, :])
-    left = q[:, :, rm].transpose(2, 0, 1).reshape(r, -1)             # Q_km
-    right = (q[:, cm, :] * np.conj(w[:, :, cn]).transpose(0, 2, 1)
-             ).transpose(1, 0, 2).reshape(c, -1)
-    k -= (left @ right.T) * (rn[:, None] == cn[None, :])
-    rn, rm, cn, cm = rn[:, None], rm[:, None], cn[None, :], cm[None, :]
-    k += np.sum(q[:, rn, cn] * q[:, cm, rm] * (w[:, rn, cm] + np.conj(w[:, rm, cn])),
-                axis=0)
+    left = q.take(rn, axis=1).transpose(1, 0, 2).reshape(r, -1)             # Q_nk
+    right = (q.take(cn, axis=2) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
+    k = -(left @ stacked(right)) * (rm[:, None] == cm[None, :])
+    left = q.take(rm, axis=2).transpose(2, 0, 1).reshape(r, -1)             # Q_km
+    right = (q.take(cm, axis=1) * np.conj(w.take(cn, axis=-1)).swapaxes(-1, -2)
+             ).swapaxes(-3, -2)
+    k -= (left @ stacked(right)) * (rn[:, None] == cn[None, :])
+    # the direct term, gathered by flat index n * N + m from the (n, m) planes
+    qf, wf = q.reshape(q.shape[:-2] + (n * n,)), w.reshape(w.shape[:-2] + (n * n,))
+    rn, rm = n * rn[:, None], rm[:, None]
+    k += (qf.take(rn + cn, axis=-1) * qf.take(n * cm + rm, axis=-1)
+          * (wf.take(rn + cm, axis=-1) + np.conj(wf.take(n * rm + cn, axis=-1)))
+          ).sum(axis=-3)
     return k
 
 
@@ -84,46 +98,55 @@ def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return k2_pair_block(q, w, pairs, pairs).reshape(n, n, n, n)
 
 
+def _per_row(out: np.ndarray):
+    """A per-temperature result: a float without a temperature axis."""
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True, eq=False)
 class KernelBlock:
     """Kernel entries K[(n,m), (n',m')] between the pairs of a retained set.
 
     pairs is a (P, 2) integer array and k the (P, P) complex matrix whose
-    row and column order follow it.  A set that holds every diagonal pair and
-    is closed under (n, m) -> (m, n) carries the full sum rule and Hermiticity
-    symmetry of the kernel, which `check` verifies.
+    row and column order follow it, or a (n_T, P, P) stack of them over a
+    temperature axis; the norms and residuals are then per temperature.  A
+    set that holds every diagonal pair and is closed under (n, m) -> (m, n)
+    carries the full sum rule and Hermiticity symmetry of the kernel, which
+    `check` verifies.
     """
 
     dim: int
     pairs: np.ndarray
     k: np.ndarray
 
-    def norm_max(self) -> float:
-        return float(np.max(np.abs(self.k)))
+    def norm_max(self):
+        return _per_row(np.abs(self.k).max(axis=(-2, -1)))
 
-    def sum_rule_residual(self) -> float:
+    def sum_rule_residual(self):
         """max |sum_n K[(n,n), c]| over the columns -- probability conservation."""
         diag = self.pairs[:, 0] == self.pairs[:, 1]
         if np.count_nonzero(diag) != self.dim:
             raise ValidationError("kernel block lacks diagonal pairs; no sum rule")
-        return float(np.max(np.abs(np.sum(self.k[diag], axis=0))))
+        return _per_row(np.abs(self.k[..., diag, :].sum(axis=-2)).max(axis=-1))
 
-    def hermiticity_residual(self) -> float:
+    def hermiticity_residual(self):
         """max |K[(n,m),(n',m')] - conj(K[(m,n),(m',n')])| -- RDM Hermiticity."""
         n, m = self.pairs[:, 0], self.pairs[:, 1]
         position = np.full(self.dim * self.dim, -1)     # n*N + m -> row of (n, m)
         position[n * self.dim + m] = np.arange(len(self.pairs))
         swap = position[m * self.dim + n]
-        if np.any(swap < 0):
+        if (swap < 0).any():
             raise ValidationError("kernel block is not closed under (n, m) -> (m, n)")
-        return float(np.max(np.abs(self.k - np.conj(self.k[swap][:, swap]))))
+        mirror = np.conj(self.k[..., swap, :][..., swap])
+        return _per_row(np.abs(self.k - mirror).max(axis=(-2, -1)))
 
     def check(self) -> None:
-        """Raise ValidationError unless the sum rule and Hermiticity hold to SUM_RULE_RTOL."""
-        scale = max(self.norm_max(), 1e-300)
-        if self.sum_rule_residual() > SUM_RULE_RTOL * scale:
+        """Raise ValidationError unless, at every temperature, the sum rule and
+        Hermiticity hold to SUM_RULE_RTOL."""
+        tol = SUM_RULE_RTOL * np.maximum(self.norm_max(), 1e-300)
+        if (self.sum_rule_residual() > tol).any():
             raise ValidationError("kernel violates the probability sum rule")
-        if self.hermiticity_residual() > SUM_RULE_RTOL * scale:
+        if (self.hermiticity_residual() > tol).any():
             raise ValidationError("kernel violates the Hermiticity symmetry")
 
     def block(self, pairs: np.ndarray) -> "KernelBlock":
@@ -163,8 +186,10 @@ class BosonKernel:
     """Second-order kernel of a bosonic junction, held as the inputs of its formula.
 
     q and w stack the coupling matrices and the W tables of every bath,
-    shape (B, N, N).  Entries are evaluated on demand: `block(pairs)` for a
-    retained block, `k` for the full N^4 tensor (built once, on first read).
+    shape (B, N, N); w may lead with a temperature axis, (n_T, B, N, N), and
+    the population rates and blocks then lead with it too.  Entries are
+    evaluated on demand: `block(pairs)` for a retained block, `k` for the
+    full N^4 tensor (built once, on first read; one temperature only).
     Every evaluated block is checked against the sum rule and Hermiticity.
     """
 
@@ -177,8 +202,9 @@ class BosonKernel:
 
     def population_rates(self) -> np.ndarray:
         """K[n,n,m,m] = 2 sum_baths Q_nm Q_mn Re W_nm for n != m; zero diagonal."""
-        g = 2.0 * np.sum(self.q * self.q.transpose(0, 2, 1) * self.w.real, axis=0)
-        np.fill_diagonal(g, 0.0)
+        g = 2.0 * (self.q * self.q.transpose(0, 2, 1) * self.w.real).sum(axis=-3)
+        d = np.arange(self.dim)
+        g[..., d, d] = 0.0
         return g
 
     def block(self, pairs: np.ndarray) -> KernelBlock:
@@ -213,17 +239,20 @@ class BosonKernel:
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Population rates; gamma[n, m] is the rate into n from m (columns sum to 0)."""
+    """Population rates; gamma[n, m] is the rate into n from m (columns sum to 0).
+
+    gamma and each per-reservoir matrix may lead with a temperature axis.
+    """
 
     gamma: np.ndarray
     per_reservoir: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
 
     def column_sum_residual(self) -> float:
-        return float(np.max(np.abs(np.sum(self.gamma, axis=0))))
+        return float(np.max(np.abs(np.sum(self.gamma, axis=-2))))
 
 
 def _bose_reservoirs(baths: list[Reservoir]) -> list[Reservoir]:
@@ -238,16 +267,16 @@ def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     """Kernel of a bosonic junction, summed over baths.
 
     Stacks Q and the closed-form W table of every bath; baths that share a
-    temperature and spectral density share one evaluation of `w_table`.  The
-    kernel entries themselves are evaluated by the returned `BosonKernel`,
-    block by block or as the full tensor `.k`.
+    temperature (axis) and spectral density share one evaluation of
+    `w_table`.  The kernel entries themselves are evaluated by the returned
+    `BosonKernel`, block by block or as the full tensor `.k`.
     """
     _bose_reservoirs(baths)
     q = np.stack([model.q(b.id) for b in baths])
     bohr = model.bohr_matrix()
-    distinct = {(b.beta, b.spectral): b for b in baths}
-    tables = {key: w_table(bohr, b) for key, b in distinct.items()}
-    return BosonKernel(q=q, w=np.stack([tables[b.beta, b.spectral] for b in baths]))
+    keys = [(np.asarray(b.beta).tobytes(), b.spectral) for b in baths]
+    tables = {key: w_table(bohr, b) for key, b in dict(zip(keys, baths)).items()}
+    return BosonKernel(q=q, w=np.stack([tables[key] for key in keys], axis=-3))
 
 
 def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
@@ -256,7 +285,8 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     A single signed-frequency expression covers absorption and emission via
     the odd spectral density and the continued Bose function.  Degenerate
     coupled pairs (w_nm = 0 with Q_nm != 0) are rejected: they belong to the
-    partial-secular solver.
+    partial-secular solver.  Baths with a temperature axis give rates that
+    lead with it.
     """
     _bose_reservoirs(baths)
     bohr = model.bohr_matrix()
@@ -265,6 +295,7 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     w_safe = np.where(resolved, bohr, 1.0)
     per: dict[str, np.ndarray] = {}
     total = np.zeros_like(bohr)
+    d = np.arange(model.dim)
     for bath in baths:
         q = model.q(bath.id)
         bad = np.argwhere(unresolved_off & (np.abs(q) > 0.0))
@@ -275,9 +306,9 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
                 "use the partial-secular solver")
         g = np.where(resolved, 2.0 * np.pi * bath.spectral.value(w_safe) * q**2
                      * bose_signed(w_safe, bath.beta), 0.0)
-        g[np.diag_indices_from(g)] = -np.sum(g, axis=0)
+        g[..., d, d] = -g.sum(axis=-2)
         per[bath.id] = g
-        total += g
+        total = total + g
     return RateMatrix(gamma=total, per_reservoir=per)
 
 

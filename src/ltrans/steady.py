@@ -7,8 +7,17 @@ with a trace constraint replacing one redundant population row.  It reads
 only the kernel block of the retained pairs (`kernel.block(pairs)`), so a
 lazily evaluated kernel never builds its full N^4 tensor here; the system,
 its solution and its residual are assembled with index arrays over that
-block.  `partial_secular_response` reuses the LU factors of that system for
-the linear response of the steady state to a kernel perturbation.
+block.  `partial_secular_response` reuses the one LU factorization of that
+system (its inverse) for the linear response of the steady state to a
+kernel perturbation.
+
+Both solvers take rates or kernels with a leading temperature axis (see
+`ltrans.redfield`) and solve every temperature in one stacked call: one
+batched factorization, with the rate-graph connectivity, condition number,
+residual, trace, Hermiticity and positivity checked per temperature.  The
+partial solver's temperatures must share one retained-pair set.  Either
+solver raises if any temperature fails, and otherwise returns one
+`SteadyState` that holds the (n_T, N, N) stack of density matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .linalg import ValidationError, NumericError
 from .model import JunctionModel
@@ -36,9 +44,18 @@ CONDITION_WARN = 1e12
 DEFAULT_CLUSTER_FACTOR = 10.0
 
 
+def _first(values, bad):
+    """The first entry of `values` where `bad` holds (both scalar or 1-d)."""
+    return np.atleast_1d(values)[np.atleast_1d(bad)][0]
+
+
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary reduced density matrix with bookkeeping of kept coherences."""
+    """Stationary reduced density matrix with bookkeeping of kept coherences.
+
+    rho is (N, N), or (n_T, N, N) over a temperature axis whose rows share
+    the retained pairs.
+    """
 
     rho: np.ndarray
     retained_pairs: tuple[tuple[int, int], ...]
@@ -46,19 +63,21 @@ class SteadyState:
 
     @property
     def populations(self) -> np.ndarray:
-        return np.diag(self.rho).real
+        return np.diagonal(self.rho, axis1=-2, axis2=-1).real
 
     def check(self) -> None:
-        tr = np.trace(self.rho)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NumericError(f"steady state trace deviates: {tr}")
-        herm = np.max(np.abs(self.rho - self.rho.conj().T))
-        if herm > TRACE_TOL:
-            raise NumericError(f"steady state not Hermitian: {herm:.3e}")
-        pmin = float(np.min(self.populations))
-        if pmin < POSITIVITY_WARN:
+        tr = self.rho.trace(axis1=-2, axis2=-1)
+        bad = abs(tr - 1.0) > TRACE_TOL
+        if bad.any():
+            raise NumericError(f"steady state trace deviates: {_first(tr, bad)}")
+        herm = np.abs(self.rho - self.rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = herm > TRACE_TOL
+        if bad.any():
+            raise NumericError(f"steady state not Hermitian: {_first(herm, bad):.3e}")
+        pmin = np.atleast_1d(self.populations.min(axis=-1))
+        for p in pmin[pmin < POSITIVITY_WARN]:
             log.warning("steady-state population below zero: %.3e "
-                        "(weak-coupling theory is leaving its validity range)", pmin)
+                        "(weak-coupling theory is leaving its validity range)", p)
 
 
 @dataclass(frozen=True)
@@ -111,46 +130,53 @@ def retained_pair_array(dim: int, clusters: FrequencyClusters) -> np.ndarray:
 # full secular
 # ---------------------------------------------------------------------------
 
-def _connected_components(gamma: np.ndarray, tol: float) -> list[list[int]]:
-    n = gamma.shape[0]
-    parent = list(range(n))
+def _check_connected(gamma: np.ndarray, tol) -> None:
+    """Raise ValidationError unless the rate graph of every temperature is connected.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    Levels i and j are linked where |gamma[i, j]| or |gamma[j, i]| exceeds
+    tol; the boolean closure of the links is squared until it spans every
+    path.  The message lists the components of the first disconnected graph.
+    """
+    n = gamma.shape[-1]
+    links = np.abs(gamma) > tol
+    reach = links | np.swapaxes(links, -1, -2) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    connected = reach[..., 0, :].all(axis=-1)
+    if connected.all():
+        return
+    reach = reach.reshape(-1, n, n)[np.flatnonzero(~connected)[0]]
+    comps: list[list[int]] = []
     for i in range(n):
-        for j in range(n):
-            if i != j and (abs(gamma[i, j]) > tol or abs(gamma[j, i]) > tol):
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
+        if not any(i in c for c in comps):
+            comps.append(np.flatnonzero(reach[i]).tolist())
+    raise ValidationError(
+        f"rate graph is disconnected; stationary state not unique. "
+        f"Components: {comps}")
 
 
 def full_secular_steady(rates: RateMatrix) -> SteadyState:
-    """Stationary populations of the classical rate equation gamma @ p = 0."""
+    """Stationary populations of the classical rate equation gamma @ p = 0.
+
+    Over the temperature axis of the rates, if they have one, in one
+    batched solve.
+    """
     g = rates.gamma
-    n = g.shape[0]
-    scale = max(np.max(np.abs(g)), 1e-300)
-    comps = _connected_components(g, 1e-14 * scale)
-    if len(comps) > 1:
-        raise ValidationError(
-            f"rate graph is disconnected; stationary state not unique. "
-            f"Components: {comps}")
+    n = g.shape[-1]
+    scale = np.maximum(np.abs(g).max(axis=(-2, -1)), 1e-300)
+    _check_connected(g, 1e-14 * np.asarray(scale)[..., None, None])
     a = g.copy()
-    a[0, :] = 1.0          # replace the lowest-index redundant row by the trace
+    a[..., 0, :] = 1.0     # replace the lowest-index redundant row by the trace
     b = np.zeros(n)
     b[0] = 1.0
     p = np.linalg.solve(a, b)
-    resid = float(np.max(np.abs(g @ p)))
-    if resid > 1e-12 * scale:
-        raise NumericError(f"rate-equation residual too large: {resid:.3e}")
-    state = SteadyState(rho=np.diag(p.astype(complex)),
-                        retained_pairs=tuple((i, i) for i in range(n)),
+    resid = np.abs((g @ p[..., None])[..., 0]).max(axis=-1)
+    bad = resid > 1e-12 * scale
+    if bad.any():
+        raise NumericError(f"rate-equation residual too large: {_first(resid, bad):.3e}")
+    rho = np.zeros(p.shape + (n,), dtype=complex)
+    rho[..., np.arange(n), np.arange(n)] = p
+    state = SteadyState(rho=rho, retained_pairs=tuple((i, i) for i in range(n)),
                         solver_tag="FullSecular")
     state.check()
     return state
@@ -178,73 +204,89 @@ def propagate_rate_equation(rates: RateMatrix, p0: np.ndarray, t: float,
 def _real_system(k: np.ndarray, n: int, lamb_shift: bool, bohr=0.0) -> np.ndarray:
     """Real matrix of rho -> -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
 
-    k is a kernel block in the layout of `retained_pair_array`, bohr the Bohr
-    frequency of each pair; unknowns and rows as in `partial_secular_steady`.
+    k is a kernel block in the layout of `retained_pair_array`, or a stack of
+    them over a temperature axis, bohr the Bohr frequency of each pair;
+    unknowns and rows as in `partial_secular_steady`.
     """
-    ncoh = (len(k) - n) // 2
+    size = k.shape[-1]
+    ncoh = (size - n) // 2
     coh = slice(n, n + ncoh)
     lmap = k.astype(complex)
     if not lamb_shift:
-        off = np.arange(n, len(k))
-        lmap[off, off] = lmap[off, off].real
-    lmap[np.diag_indices_from(lmap)] -= 1j * bohr
+        off = np.arange(n, size)
+        lmap[..., off, off] = lmap[..., off, off].real
+    d = np.arange(size)
+    lmap[..., d, d] -= 1j * bohr
     # rho_nm = Re + i Im and rho_mn = Re - i Im, so the columns of (n,m) and
     # (m,n) combine; the swapped rows are the conjugates of the kept ones
     cols = np.empty_like(lmap)
-    cols[:, :n] = lmap[:, :n]
-    cols[:, n::2] = lmap[:, coh] + lmap[:, n + ncoh:]
-    cols[:, n + 1::2] = 1j * (lmap[:, coh] - lmap[:, n + ncoh:])
+    cols[..., :n] = lmap[..., :n]
+    cols[..., n::2] = lmap[..., coh] + lmap[..., n + ncoh:]
+    cols[..., n + 1::2] = 1j * (lmap[..., coh] - lmap[..., n + ncoh:])
     a = np.empty(cols.shape)
-    a[:n] = cols[:n].real
-    a[n::2] = cols[coh].real
-    a[n + 1::2] = cols[coh].imag
+    a[..., :n, :] = cols[..., :n, :].real
+    a[..., n::2, :] = cols[..., coh, :].real
+    a[..., n + 1::2, :] = cols[..., coh, :].imag
     return a
 
 
 def _rho(x: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
-    """The density matrix (or its derivative) of the real unknowns x."""
-    rho = np.zeros((n, n), dtype=complex)
-    rho[np.diag_indices(n)] = x[:n]
-    c = x[n::2] + 1j * x[n + 1::2]
-    pn, pm = pairs[n:n + len(c), 0], pairs[n:n + len(c), 1]
-    rho[pn, pm] = c
-    rho[pm, pn] = np.conj(c)
+    """The density matrix (or its derivative) of the real unknowns x (per leading index)."""
+    rho = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    d = np.arange(n)
+    rho[..., d, d] = x[..., :n]
+    c = x[..., n::2] + 1j * x[..., n + 1::2]
+    pn, pm = pairs[n:n + c.shape[-1], 0], pairs[n:n + c.shape[-1], 1]
+    rho[..., pn, pm] = c
+    rho[..., pm, pn] = np.conj(c)
     return rho
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest absolute column sum) of each matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
                     lamb_shift: bool):
-    """`partial_secular_steady`, returning (state, pairs, x, LU factors of the system)."""
+    """`partial_secular_steady`, returning (state, pairs, x, inverse of the system).
+
+    Over the temperature axis of k2, if it has one, in one batched call.
+    """
     n = model.dim
     if k2.dim != n:
         raise ValidationError("kernel dimension does not match the model")
     pairs = retained_pair_array(n, clusters)
     block: KernelBlock = k2.block(pairs)
-    a = _real_system(block.k, n, lamb_shift, model.bohr_matrix()[pairs[:, 0], pairs[:, 1]])
-    a[0, :] = 0.0
-    a[0, :n] = 1.0                 # trace row replaces population row 0
-    # getrf reports a zero pivot (lu_factor only warns); getcon estimates the
-    # reciprocal 1-norm condition number from the factors
-    lu, piv, info = dgetrf(a)
-    rcond = dgecon(lu, np.max(np.sum(np.abs(a), axis=0)))[0] if info == 0 else 0.0
-    if not rcond > 0.0:
+    bohr = model.bohr_matrix()[pairs[:, 0], pairs[:, 1]]
+    a = _real_system(block.k, n, lamb_shift, bohr)
+    a[..., 0, :] = 0.0
+    a[..., 0, :n] = 1.0            # trace row replaces population row 0
+    # one LU factorization per system: its inverse gives the state (column
+    # 0, as b = e_0), the exact 1-norm condition number and the response
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise NumericError("partial-secular system is singular") from None
+    rcond = np.atleast_1d(1.0 / (_norm1(a) * _norm1(inverse)))
+    if not (rcond > 0.0).all():
         raise NumericError("partial-secular system is singular")
-    if rcond * CONDITION_WARN < 1.0:
+    for r in rcond[rcond * CONDITION_WARN < 1.0]:
         log.warning("partial-secular system badly conditioned: "
-                    "1-norm condition estimate %.3e", 1.0 / rcond)
-    b = np.zeros(len(pairs))
-    b[0] = 1.0
-    x = dgetrs(lu, piv, b)[0]
+                    "1-norm condition estimate %.3e", 1.0 / r)
+    x = inverse[..., :, 0]
 
     state = SteadyState(rho=_rho(x, pairs, n), solver_tag="PartialSecular",
                         retained_pairs=tuple(sorted(clusters.retained)))
     state.check()
 
     # residual of the retained-block equations (excluding the replaced row)
-    resid = float(np.max(np.abs(a[1:] @ x), initial=0.0))
-    if resid > 1e-10 * max(block.norm_max(), 1e-300):
-        raise NumericError(f"partial-secular residual {resid:.3e} exceeds tolerance")
-    return state, pairs, x, (lu, piv)
+    resid = np.abs((a[..., 1:, :] @ x[..., None])[..., 0]).max(axis=-1, initial=0.0)
+    bad = resid > 1e-10 * np.maximum(block.norm_max(), 1e-300)
+    if bad.any():
+        raise NumericError(f"partial-secular residual {_first(resid, bad):.3e} "
+                           "exceeds tolerance")
+    return state, pairs, x, inverse
 
 
 def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters,
@@ -268,13 +310,14 @@ def partial_secular_response(model: JunctionModel, k2, dk2, clusters: FrequencyC
 
     dL is the kernel dk2 on the same retained pairs (`dk2.block(pairs)`).
     Returns (state, drho) with L drho = -dL rho0 and Tr drho = 0, solved with
-    the LU factors of the steady-state system.
+    the inverse of the steady-state system.  Over the temperature axis of
+    k2 and dk2, if they have one.
     """
-    state, pairs, x, (lu, piv) = _solve_retained(model, k2, clusters, lamb_shift)
+    state, pairs, x, inverse = _solve_retained(model, k2, clusters, lamb_shift)
     n = model.dim
-    rhs = -(_real_system(dk2.block(pairs).k, n, lamb_shift) @ x)
-    rhs[0] = 0.0                   # the trace stays 1
-    return state, _rho(dgetrs(lu, piv, rhs)[0], pairs, n)
+    rhs = -(_real_system(dk2.block(pairs).k, n, lamb_shift) @ x[..., None])
+    rhs[..., 0, :] = 0.0           # the trace stays 1
+    return state, _rho((inverse @ rhs)[..., 0], pairs, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
 """Parameter sweeps: one conductance/current row per grid point, CSV out.
 
-Each row takes kappa2 from one linear-response `kappa2_response` call with
-the configured solver.  On a zero-bias row (T_left = T_right, as on every T
-sweep row) the steady state of that call is also the state of the row's
-currents, which the call returns; a biased row solves its own state for them.
+The unit of work is a chunk: one contiguous run of grid points.  The grid is
+cut into one chunk per worker process (the whole grid when serial).  A T
+sweep of a rabi or tls model builds its junction model once per chunk and
+computes every row of the chunk as one stack over its temperatures:
+`kappa2_sweep` evaluates the bath tables once, solves each set of
+temperatures that share a retained-pair set in one batched call, and
+returns the steady-state currents with the conductance (every T-sweep row
+is at zero bias); the low-T kappa4 sums its model-only factor once.  Any
+other sweep builds its model per grid point and computes it as a one-point
+stack, and `compute_row` is the one-point chunk.  A biased row (T_left !=
+T_right) solves its own state for its currents.
 
-The grid is cut into one contiguous chunk per worker process (the whole grid
-when serial).  The calling process computes the first chunk itself; each
-other chunk runs in its own child process, started before any row is
-computed, which sends its rows back through a pipe.  The rows are gathered
-in index order, so the output is byte-identical for any worker count.  A T
-sweep builds its junction model once per chunk (it holds no bath data);
-every other sweep builds the model per row.
-Solver failures poison single rows with NaN rather than the run; a model
-build that fails poisons its chunk.
+The calling process computes the first chunk itself; each other chunk runs
+in its own child process, started before any row is computed, which sends
+its rows back through a pipe.  The rows are gathered in index order, so the
+output is byte-identical for any worker count, and every row is
+byte-identical to `compute_row` at its point.  Solver failures poison single
+rows with NaN rather than the run, each failing row carrying the exception
+that `compute_row` raises there; a model build that fails poisons every row
+it serves.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SweepConfig
-from .currents import (dot_transport, heat_current_2nd_secular, kappa2_response,
+from .currents import (dot_transport, heat_current_2nd_secular, kappa2_sweep,
                        kappa4_lowT, partial_secular_state)
 from .linalg import ValidationError, hermitian_eigensystem, to_eigenbasis
 from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
@@ -33,7 +39,8 @@ from .rabi import RabiParams, build_rabi_junction, kondo_temperature
 from .redfield import gamma_rates
 from .steady import full_secular_steady
 
-__all__ = ["run_sweep", "compute_row", "SweepResult", "CSV_HEADER", "worker_count"]
+__all__ = ["run_sweep", "compute_row", "SweepResult", "CSV_HEADER", "worker_count",
+           "check_writable"]
 
 CSV_HEADER = "sweep_var,value,kappa2,kappa4,kappa_total,I_L,I_R,omega_10,T_K,solver,levels"
 _NAN_FIELDS = 7
@@ -48,6 +55,20 @@ class SweepResult:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def check_writable(path: str) -> None:
+    """Raise ValidationError if `path` cannot be created or overwritten."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        reason = "its directory does not exist"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ValidationError(f"cannot write {path!r}: {reason}")
 
 
 def worker_count(flag: int | None = None) -> int:
@@ -105,69 +126,95 @@ def _chunk_rows(cfg: SweepConfig,
                 values: list[float]) -> list[tuple[str, Exception | None]]:
     """(row, exception or None) per value of one contiguous chunk of the grid.
 
-    A T sweep of a rabi or tls model builds the model once for the chunk; if
-    that build raises, every row of the chunk fails with its exception.
+    A T sweep of a rabi or tls model builds the model once and computes the
+    chunk as one stack; if that build raises, every row of the chunk fails
+    with its exception.  Any other sweep computes each value on its own.
     """
-    junction = None
-    if cfg.variable == "T" and cfg.model_type != "dot":
-        try:
-            junction = _junction(cfg, cfg.model)
-        except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
-            return [(_failed_row(cfg, v), exc) for v in values]
+    if cfg.model_type == "dot":
+        out = []
+        for value in values:
+            try:
+                out.append((_dot_row(cfg, value), None))
+            except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
+                out.append((_failed_row(cfg, value), exc))
+        return out
+    if cfg.variable == "T":
+        return _model_rows(cfg, values, cfg.model)
+    return [row for value in values
+            for row in _model_rows(cfg, [value], {**cfg.model, cfg.variable: value})]
+
+
+def _model_rows(cfg: SweepConfig, values: list[float],
+                model_args: dict) -> list[tuple[str, Exception | None]]:
+    """The rows of `values` (several only on a T sweep) on the one model of
+    `model_args`: kappa2 and the zero-bias currents of every temperature from
+    one `kappa2_sweep`, kappa4 from one `kappa4_lowT`.
+
+    A failure before the rows (the model build, or a model without a gap)
+    fails every row with the one exception each row alone would raise;
+    otherwise each row fails with its own first exception, in the order
+    kappa2, currents, kappa4.
+    """
+    t_left, t_right = float(cfg.baths["T_left"]), float(cfg.baths["T_right"])
+    zero_bias = cfg.variable == "T" or t_left == t_right
+    if cfg.variable == "T":
+        t_mean = np.asarray(values, dtype=float)
+    else:
+        t_mean = np.full(len(values), 0.5 * (t_left + t_right))
+    try:
+        model, levels = _junction(cfg, model_args)
+        # kappa2_sweep reads only the ids and spectral densities of the baths
+        baths = _bose_baths(cfg.baths, t_left, t_right)
+        omega10 = kondo_temperature(model)
+        responses = kappa2_sweep(model, baths, t_mean, solver=cfg.solver,
+                                 c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
+    except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
+        return [(_failed_row(cfg, v), exc) for v in values]
+    try:
+        k4 = kappa4_lowT(model, float(cfg.baths["alpha"]), t_mean)
+    except Exception as exc:  # noqa: BLE001  (raised after kappa2, per row)
+        k4 = exc
     out = []
-    for value in values:
+    for i, (value, k2) in enumerate(zip(values, responses)):
         try:
-            out.append((_row(cfg, value, junction), None))
+            if isinstance(k2, Exception):
+                raise k2
+            # at zero bias the baths are those of kappa2's common temperature,
+            # so its steady state and currents are the row's own
+            currents = k2.currents if zero_bias else _biased_currents(cfg, model, baths)
+            if isinstance(k4, Exception):
+                raise k4
+            fields = [k2.kappa2, k4[i], k2.kappa2 + k4[i], currents["L"], currents["R"],
+                      omega10, omega10]
+            out.append((_format_row(cfg, value, fields, levels=levels), None))
         except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
             out.append((_failed_row(cfg, value), exc))
     return out
 
 
-def _row(cfg: SweepConfig, value: float,
-         junction: tuple[JunctionModel, int] | None) -> str:
+def _biased_currents(cfg: SweepConfig, model: JunctionModel,
+                     baths: list[Reservoir]) -> dict[str, float]:
+    """The heat current into each bath of the steady state at their own temperatures."""
+    if cfg.solver == "partial":
+        return partial_secular_state(model, baths, c=cfg.cluster_factor,
+                                     lamb_shift=cfg.lamb_shift)[1]
+    rates = gamma_rates(model, baths)
+    state = full_secular_steady(rates)
+    return heat_current_2nd_secular(model, rates, state).per_reservoir
+
+
+def _dot_row(cfg: SweepConfig, value: float) -> str:
     sweep_t = cfg.variable == "T"
     t_left = value if sweep_t else float(cfg.baths["T_left"])
     t_right = value if sweep_t else float(cfg.baths["T_right"])
-    t_mean = 0.5 * (t_left + t_right)
-
-    model_args = dict(cfg.model)
-    if not sweep_t:
-        model_args[cfg.variable] = value
-
-    if cfg.model_type == "dot":
-        leads = [dict(id="L", gamma=float(cfg.baths["gamma_left"]),
-                      beta=1.0 / t_left, mu=float(cfg.baths["mu_left"])),
-                 dict(id="R", gamma=float(cfg.baths["gamma_right"]),
-                      beta=1.0 / t_right, mu=float(cfg.baths["mu_right"]))]
-        level = float(model_args["epsilon"])
-        res = dot_transport(level, leads)
-        fields = [res.kappa, 0.0, res.kappa, res.heat["L"], res.heat["R"],
-                  level, level]
-        return _format_row(cfg, value, fields, levels=3)
-
-    model, levels = junction if junction is not None else _junction(cfg, model_args)
-    baths = _bose_baths(cfg.baths, t_left, t_right)
-    omega10 = kondo_temperature(model)
-    alpha = float(cfg.baths["alpha"])
-
-    k2 = kappa2_response(model, baths, t_mean, solver=cfg.solver,
-                         c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
-    # at zero bias the baths are those of kappa2's common temperature, so its
-    # steady state and currents are the row's own
-    if t_left == t_right:
-        currents = k2.currents
-    elif cfg.solver == "partial":
-        currents = partial_secular_state(model, baths, c=cfg.cluster_factor,
-                                         lamb_shift=cfg.lamb_shift)[1]
-    else:
-        rates = gamma_rates(model, baths)
-        currents = heat_current_2nd_secular(model, rates,
-                                            full_secular_steady(rates)).per_reservoir
-    i_l, i_r = currents["L"], currents["R"]
-
-    k4v = kappa4_lowT(model, alpha, t_mean)
-    fields = [k2.kappa2, k4v, k2.kappa2 + k4v, i_l, i_r, omega10, omega10]
-    return _format_row(cfg, value, fields, levels=levels)
+    level = value if cfg.variable == "epsilon" else float(cfg.model["epsilon"])
+    leads = [dict(id="L", gamma=float(cfg.baths["gamma_left"]),
+                  beta=1.0 / t_left, mu=float(cfg.baths["mu_left"])),
+             dict(id="R", gamma=float(cfg.baths["gamma_right"]),
+                  beta=1.0 / t_right, mu=float(cfg.baths["mu_right"]))]
+    res = dot_transport(level, leads)
+    fields = [res.kappa, 0.0, res.kappa, res.heat["L"], res.heat["R"], level, level]
+    return _format_row(cfg, value, fields, levels=3)
 
 
 def _fmt(x: float) -> str:
@@ -235,11 +282,17 @@ def _run_chunks(chunks: list) -> list[list[tuple[str, str]]]:
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     """Run the sweep, write the CSV, and report per-row failures.
 
-    `workers` counts processes, this one included: the grid is cut into one
-    contiguous chunk per worker, this process computes the first chunk, and
-    one child process per remaining chunk computes the rest.  One worker, or
-    a one-chunk grid, starts no child.
+    The CSV path is checked for writing before any row is computed.  The
+    chunk is the unit of work: `workers` counts processes, this one
+    included, the grid is cut into one contiguous chunk per worker, this
+    process computes the first chunk, and one child process per remaining
+    chunk computes the rest.  A T-sweep chunk is computed as one stack over
+    its temperatures.  One worker, or a one-chunk grid, starts no child.
+    Each child costs about 5 ms to start (a fork of this process and its
+    pipe), while a T-sweep chunk costs well under a millisecond per row, so
+    workers=1 is fastest on short sweeps.
     """
+    check_writable(cfg.csv_path)
     grid = [float(v) for v in cfg.grid()]
     size = -(-len(grid) // min(worker_count(workers), len(grid)))
     chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import digamma
+from scipy.special import digamma, polygamma
 
-from ltrans.baths import (_trigamma, _w_real, bose_signed, dn_dDeltaT,
-                          dn_dDeltaT_signed, dw_dt_table, fermi_pv_integral,
+from ltrans.baths import (_ASYMPTOTIC_FROM, _bernoulli_sum, _trigamma, _w_real,
+                          bose_signed, dn_dDeltaT, dn_dDeltaT_signed, dw_dt_real,
+                          dw_dt_table, fermi_pv_integral,
                           matsubara_sums, occupation, spectral_density, w_rate,
                           w_rate_matsubara_oracle, w_rate_real, w_rate_real_resummed,
                           w_table, wbar_rate, wbar_table)
@@ -234,6 +235,63 @@ def test_w_table_by_parity_is_bitwise_the_full_evaluation(frequencies, beta):
     got = w_table(w, bath)
     assert got.shape == w.shape
     assert np.array_equal(got, full_w_table(w, bath))
+
+
+def full_dw_dt_table(w, bath):
+    """`dw_dt_table` at the one temperature of `bath`, with the trigamma
+    remainder evaluated at every entry, without the parity rule."""
+    sd, t = bath.spectral, bath.temperature
+    x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
+    if x >= _ASYMPTOTIC_FROM:
+        rest_x = -_bernoulli_sum(x**-2)
+    else:
+        rest_x = 1.0 + 0.5 / x - x * polygamma(1, x)
+    far = y * y >= _ASYMPTOTIC_FROM**2
+    rest_y = np.where(far, -_bernoulli_sum(-1.0 / np.where(far, y * y, 1.0)),
+                      1.0 + y * _trigamma(1.0 + 1j * y).imag)
+    return dw_dt_real(w, bath) + 1j * (sd.value(w) / t * (rest_x - rest_y))
+
+
+FREQUENCIES = [
+    lambda: bohr_of(np.sort(np.random.default_rng(21).standard_normal(8))),
+    lambda: bohr_of([-0.52, 0.52]),
+    lambda: build_rabi_junction(RabiParams(0.0, 0.9, 0.2, retained_levels=21)).bohr_matrix(),
+    lambda: np.array([-1.3, -0.2, 0.0, 0.2, 0.7, 1.3, 40.0, -40.0]),
+    lambda: np.array(-0.4),
+]
+FREQUENCY_IDS = ["random", "two_level", "rabi21", "vector", "scalar"]
+
+
+@pytest.mark.parametrize("frequencies", FREQUENCIES, ids=FREQUENCY_IDS)
+@pytest.mark.parametrize("temperature", [1e-6, 0.02, 0.5, 3.0])
+def test_dw_dt_table_by_parity_is_bitwise_the_full_evaluation(frequencies, temperature):
+    # 1 + y Im psi'(1 + i y) is taken once per |y|; it is bitwise even in y,
+    # so the table must not change in a single bit, the w = 0 diagonal included
+    w = frequencies()
+    bath = drude_bath(beta=1.0 / temperature)
+    got = dw_dt_table(w, bath)
+    assert got.shape == w.shape
+    assert np.array_equal(got, full_dw_dt_table(w, bath))
+
+
+@pytest.mark.parametrize("frequencies", FREQUENCIES, ids=FREQUENCY_IDS)
+def test_tables_over_a_temperature_axis_are_bitwise_per_temperature(frequencies):
+    # a bath whose beta is an array evaluates every table over a leading
+    # temperature axis; each slice is the table of that temperature alone
+    w = frequencies()
+    temps = np.geomspace(1e-6, 3.0, 13)
+    stacked = drude_bath(beta=1.0 / temps)
+    singles = [drude_bath(beta=1.0 / t) for t in temps]
+    for table in (w_table, dw_dt_real, dw_dt_table):
+        got = table(w, stacked)
+        assert got.shape == temps.shape + w.shape
+        for row, bath in zip(got, singles):
+            assert np.array_equal(row, table(w, bath)), table.__name__
+    for row, bath in zip(dw_dt_table(w, stacked), singles):
+        assert np.array_equal(row, full_dw_dt_table(w, bath))
+    w_safe = np.where(w == 0.0, 1.0, w)
+    for row, bath in zip(bose_signed(w_safe, stacked.beta), singles):
+        assert np.array_equal(row, bose_signed(w_safe, bath.beta))
 
 
 def test_trigamma_matches_mpmath():

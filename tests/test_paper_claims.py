@@ -1,0 +1,109 @@
+"""The paper's claims about sequential heat transport, pinned as tests.
+
+Coherences between quasi-degenerate levels suppress the sequential
+conductance: a resonant qubit-resonator junction transports heat only once
+the qubit-resonator splitting exceeds the bath rates.  Full secular theory
+misses this; partial secular theory recovers it, and reduces to full secular
+theory when no coherence is retained.  At equal bath temperatures the full
+secular steady state is the Gibbs state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ltrans import sweep
+from ltrans.config import parse_config_text
+from ltrans.currents import kappa2_response, kappa2_sweep
+from ltrans.model import Reservoir, SpectralDensity, build_junction
+from ltrans.rabi import RabiParams, build_rabi_junction
+
+COUPLINGS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
+
+
+def drude_pair(temperature=0.5, alpha=1e-3, omega_c=5.0):
+    sd = SpectralDensity(alpha=alpha, omega_c=omega_c)
+    return [Reservoir("L", "bose", 1.0 / temperature, 0.0, sd),
+            Reservoir("R", "bose", 1.0 / temperature, 0.0, sd)]
+
+
+def resonant_kappa2(g, solver):
+    """kappa2 of the resonant Rabi junction (delta = omega_r = 1, epsilon = 0,
+    3 levels) at T = 0.5, alpha = 1e-3, omega_c = 5, cluster factor 10."""
+    model = build_rabi_junction(RabiParams(0.0, 1.0, g, omega_r=1.0, fock_cutoff=30,
+                                           retained_levels=3))
+    return kappa2_response(model, drude_pair(), 0.5, solver=solver, c=10.0).kappa2
+
+
+def test_coherences_suppress_kappa2_until_the_splitting_beats_the_rates():
+    ratio = [resonant_kappa2(g, "partial") / resonant_kappa2(g, "full")
+             for g in COUPLINGS]
+    assert all(a < b for a, b in zip(ratio, ratio[1:]))
+    assert ratio[0] < 1e-2
+    assert ratio[-1] == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def test_partial_kappa2_grows_as_g_squared_below_the_rate_scale():
+    # the qubit and the resonator decouple as g -> 0, so no heat flows
+    k = [resonant_kappa2(g, "partial") for g in COUPLINGS[:3]]
+    for lo, hi in zip(k, k[1:]):
+        assert hi / lo == pytest.approx(9.0, rel=0.2)
+
+
+RABI5_T = """
+[model]
+type = rabi
+epsilon = 0
+delta = 0.9
+g = 0.2
+omega_r = 1
+retained_levels = 5
+fock_cutoff = 40
+[baths]
+T_left = 0.1
+T_right = 0.1
+alpha = 1e-3
+omega_c = 5
+[solver]
+secular = {solver}
+cluster_factor = 0
+[sweep]
+variable = T
+scale = log
+start = 0.02
+stop = 1
+points = 25
+[output]
+csv = unused.csv
+"""
+
+
+def test_partial_sweep_without_coherences_is_the_full_secular_sweep():
+    # with cluster factor 0 on a non-degenerate spectrum no coherence is retained
+    kappa2 = {}
+    for solver in ("partial", "full"):
+        cfg = parse_config_text(RABI5_T.format(solver=solver))
+        rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
+        assert all(exc is None for _, exc in rows)
+        kappa2[solver] = np.array([float(row.split(",")[2]) for row, _ in rows])
+    assert np.max(np.abs(kappa2["partial"] / kappa2["full"] - 1.0)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+       betas=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=9))
+def test_full_secular_rows_of_a_chunk_are_gibbs_states(seed, dim, betas):
+    rng = np.random.default_rng(seed)
+    omega = np.sort(rng.uniform(0.0, 2.5, size=dim)) + 0.3 * np.arange(dim)
+    qs = {}
+    for rid in ("L", "R"):
+        x = rng.standard_normal((dim, dim))
+        qs[rid] = 0.5 * (x + x.T)
+    model = build_junction(omega, qs)
+    temps = 1.0 / np.array(betas)
+    for t, res in zip(temps, kappa2_sweep(model, drude_pair(), temps, solver="full")):
+        assert not isinstance(res, Exception), res
+        boltz = np.exp(-(model.omega - model.omega[0]) / t)
+        boltz /= boltz.sum()
+        assert np.max(np.abs(res.state.populations / boltz - 1.0)) <= 1e-10

@@ -272,6 +272,17 @@ def test_child_that_ends_without_its_rows_raises(tmp_path, monkeypatch, workers)
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_run_sweep_checks_its_csv_path_before_any_row(tmp_path, monkeypatch):
+    calls = []
+    spy(monkeypatch, calls, "_chunk_task", sweep)
+    csv = tmp_path / "missing" / "out.csv"
+    cfg = parse_config_text(TLS + f"[output]\ncsv = {csv}\n")
+    with pytest.raises(ValidationError, match="its directory does not exist"):
+        run_sweep(cfg)
+    assert calls == []
+    assert not csv.parent.exists()
+
+
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, error):
     cfg = config(TLS, tmp_path, points=6)
