@@ -76,8 +76,10 @@ def occupation(statistics: str, omega: float, beta: float, mu: float = 0.0,
 def _t_axis(value, w: np.ndarray):
     """A temperature or beta shaped to broadcast against the frequencies w.
 
-    A scalar is returned as it is; a 1-d array over temperatures gains one
-    trailing unit axis per axis of w, so that it leads the result.
+    A 1-d array over temperatures gains one trailing unit axis per axis of
+    w, so that it leads the result.  A scalar is returned as it is: the
+    formulas are the same, and float arithmetic keeps a one-temperature
+    table several microseconds cheaper than 0-d array arithmetic.
     """
     v = np.asarray(value, dtype=float)
     return v.reshape(v.shape + (1,) * w.ndim) if v.ndim else value
@@ -251,10 +253,7 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     t = _t_axis(bath.temperature, w)
     x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
-    if np.ndim(x):
-        rest_x = np.array([_rest_x(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    else:
-        rest_x = _rest_x(x)
+    rest_x = np.array([_rest_x(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
     # distinct |y| in ascending order: 0 (where the remainder is 1), the
     # direct range, then the series range
     abs_y, inverse = _by_magnitude(y)

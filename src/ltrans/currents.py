@@ -4,9 +4,10 @@ Second-order (sequential) currents come in a secular population form and a
 general form with coherences; the sequential conductance is their linear
 response to the heated bath's temperature, one closed-form derivative for
 both secular solvers.  `kappa2_sweep` computes it over a whole temperature
-axis: one set of bath tables, one batched solve per set of temperatures that
-share a retained-pair set, and the currents contracted per temperature;
-`kappa2_response` is its one-temperature case.  The fourth-order
+axis, in slices of bounded size: one set of bath tables per slice, one
+batched solve per set of temperatures that share a retained-pair set, and
+the currents contracted per temperature; `kappa2_response` is its
+one-temperature case.  The fourth-order
 (cotunneling) channel is the closed-form low-temperature T^3 conductance;
 its frequency-quadrature kernel is a test oracle and lives with the tests.
 Closed-form two-level and single-dot expressions are kept alongside as
@@ -147,17 +148,17 @@ def kappa4_lowT(model: JunctionModel, alpha: float, temperature,
     intermediate states; opposite signs between quasi-degenerate levels
     interfere destructively and suppress the conductance.  S depends on the
     model alone: over an array of temperatures it is summed once, and the
-    result is an array.
+    result is an array of their shape (a float for one temperature).
     """
     if model.dim < 2 or not (model.omega[1] - model.omega[0]) > 0:
         raise ValidationError("kappa4 needs a gapped, non-degenerate ground state")
     s = _ground_virtual_sum_squared(model, model.q(right), model.q(left))
     head = 32.0 * np.pi**5 * alpha**2
-    if np.ndim(temperature):
-        # per temperature in float arithmetic, each entry bitwise the scalar call
-        return np.array([head * t**3 / 15.0 * s
-                         for t in np.asarray(temperature, dtype=float).tolist()])
-    return float(head * temperature**3 / 15.0 * s)
+    # float arithmetic per temperature: numpy's t**3 differs from it in the
+    # last bit, and each entry stays bitwise the one-temperature value
+    t = np.asarray(temperature, dtype=float)
+    k4 = np.array([head * v**3 / 15.0 * s for v in t.ravel().tolist()]).reshape(t.shape)
+    return k4 if k4.ndim else float(k4)
 
 
 # ---------------------------------------------------------------------------
@@ -210,34 +211,42 @@ class Kappa2Response:
     currents: dict[str, float]
 
 
-def _isolated(rows: np.ndarray, solve) -> list:
-    """solve(rows), one result per row; if it raises, each row alone.
+def _isolated(rows: np.ndarray, solve, *args) -> list:
+    """solve(rows, *args), one result per row; if it raises, each row alone.
 
     A row that raises on its own gets its exception in place of a result.
     """
     try:
-        return solve(rows)
+        return solve(rows, *args)
     except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
         if len(rows) == 1:
             return [exc]
-        return [out for i in range(len(rows)) for out in _isolated(rows[i:i + 1], solve)]
+        return [out for i in range(len(rows))
+                for out in _isolated(rows[i:i + 1], solve, *args)]
+
+
+# the most entries of one temperature-stacked array (W tables of a slice of
+# temperatures, or the systems of a slice of a retained-pair group): a long
+# sweep is solved in slices of this size, so its memory does not grow with
+# its length
+_STACK_ENTRIES = 1 << 14
 
 
 def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
                  solver: str = "full", reservoir_id: str | None = None,
                  c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True
                  ) -> list[Kappa2Response | Exception]:
-    """`kappa2_response` at every temperature of a 1-d array, as one stack.
+    """`kappa2_response` at every temperature of a 1-d array, as stacks.
 
     Returns one entry per temperature: its `Kappa2Response`, or the exception
     that `kappa2_response` raises there.  The W (or Re W) and dW/dT tables
-    are evaluated once over the temperature axis.  The full solver solves
-    every temperature in one batched `full_secular_steady`; the partial
-    solver clusters the spectrum at each temperature and solves each group
-    of temperatures that share a retained-pair set in one batched
-    `partial_secular_response`.  If a stacked solve raises, its temperatures
-    are solved one at a time, so that a failure stays with its own row.
-    Invalid arguments raise at once.
+    are evaluated once per slice of temperatures (`_STACK_ENTRIES` bounds
+    its arrays).  The full solver solves a slice in one batched
+    `full_secular_steady`; the partial solver clusters the spectrum at each
+    temperature and solves the temperatures that share a retained-pair set
+    in one batched `partial_secular_response` (in slices, for large sets).
+    If a stacked solve raises, its temperatures are solved one at a time, so
+    that a failure stays with its own row.  Invalid arguments raise at once.
     """
     ts = np.asarray(temperatures, dtype=float)
     if ts.ndim != 1:
@@ -249,11 +258,19 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     if solver not in ("full", "partial"):
         raise ValidationError(f"unknown solver {solver!r}")
     rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
+    step = max(1, _STACK_ENTRIES // model.dim**2)
+    return [res for i in range(0, len(ts), step)
+            for res in _kappa2_stack(model, baths, ts[i:i + step], solver, rid, c,
+                                     lamb_shift)]
+
+
+def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
+                  solver: str, rid: str, c: float, lamb_shift: bool) -> list:
+    """`kappa2_sweep` at the temperatures ts, one stack of tables."""
     common = [b.with_temperature(ts) for b in baths]
     heated = next(b for b in common if b.id != rid)
     q_h = model.q(heated.id)[None]
     bohr = model.bohr_matrix()
-    rows = np.arange(len(ts))
 
     if solver == "full":
         rates = gamma_rates(model, common)
@@ -279,10 +296,9 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
                  for k, g in sub.per_reservoir.items()})
                 for i, rho in enumerate(state.rho)]
 
-        return _isolated(rows, solve_full)
+        return _isolated(np.arange(len(ts)), solve_full)
 
     k2 = build_k2_boson(model, common)
-    scale = _rate_scale(k2)
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
     # below the dephasing terms they are made of, so a sum-rule test against
     # the block's own largest entry would fail on roundoff
@@ -290,9 +306,7 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     wbar = bohr * k2.w
     r = [b.id for b in common].index(rid)
 
-    def solve_partial(idx):
-        clusters = _clusters(model, float(scale[idx[0]]), c)
-        pairs = retained_pair_array(model.dim, clusters)
+    def solve_partial(idx, clusters, pairs):
         dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw[idx], pairs, pairs))
         state, drho = partial_secular_response(model, BosonKernel(q=k2.q, w=k2.w[idx]),
                                                dblock, clusters, lamb_shift)
@@ -302,27 +316,25 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
             {b.id: _wbar_current(q, wb, rho) for b, q, wb in zip(common, k2.q, wbar[j])})
             for i, (j, rho) in enumerate(zip(idx, state.rho))]
 
+    # cluster at every temperature (a clustering that raises is its row's
+    # result) and solve the temperatures of each retained-pair set together
     out: list = [None] * len(ts)
-    for idx in _retained_groups(bohr, scale, c):
-        for i, res in zip(idx, _isolated(rows[idx], solve_partial)):
-            out[i] = res
+    groups: dict = {}
+    for i, scale in enumerate(_rate_scale(k2).tolist()):
+        try:
+            clusters = _clusters(model, scale, c)
+        except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
+            out[i] = exc
+        else:
+            groups.setdefault(clusters.retained, (clusters, []))[1].append(i)
+    for clusters, rows in groups.values():
+        pairs = retained_pair_array(model.dim, clusters)
+        size = max(1, _STACK_ENTRIES // len(pairs)**2)
+        for s in range(0, len(rows), size):
+            idx = np.array(rows[s:s + size])
+            for i, res in zip(idx, _isolated(idx, solve_partial, clusters, pairs)):
+                out[i] = res
     return out
-
-
-def _retained_groups(bohr: np.ndarray, scale: np.ndarray, c: float) -> list[list[int]]:
-    """The temperatures (by index) that share a retained-pair set.
-
-    The set at a temperature is fixed by how many |omega_nm| lie within c
-    times its rate scale; temperatures without a positive scale form a group
-    of their own, whose clustering fails.
-    """
-    if len(scale) == 1:
-        return [[0]]
-    count = np.searchsorted(np.sort(np.abs(bohr), axis=None), c * scale, side="right")
-    groups: dict[int, list[int]] = {}
-    for i, key in enumerate(np.where(scale > 0.0, count, -1).tolist()):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
 
 
 def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,

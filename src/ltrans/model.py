@@ -116,6 +116,7 @@ class Reservoir:
         if self.statistics not in ("bose", "fermi"):
             raise ValidationError(f"unknown statistics {self.statistics!r}")
         beta = self.beta
+        # a float is checked in float arithmetic, ~2 us less per reservoir
         if not (beta > 0 if isinstance(beta, float) else np.greater(beta, 0).all()):
             raise ValidationError("beta must be positive")
         if self.statistics == "bose" and self.mu != 0.0:

@@ -98,11 +98,6 @@ def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     return k2_pair_block(q, w, pairs, pairs).reshape(n, n, n, n)
 
 
-def _per_row(out: np.ndarray):
-    """A per-temperature result: a float without a temperature axis."""
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True, eq=False)
 class KernelBlock:
     """Kernel entries K[(n,m), (n',m')] between the pairs of a retained set.
@@ -120,14 +115,14 @@ class KernelBlock:
     k: np.ndarray
 
     def norm_max(self):
-        return _per_row(np.abs(self.k).max(axis=(-2, -1)))
+        return np.abs(self.k).max(axis=(-2, -1))
 
     def sum_rule_residual(self):
         """max |sum_n K[(n,n), c]| over the columns -- probability conservation."""
         diag = self.pairs[:, 0] == self.pairs[:, 1]
         if np.count_nonzero(diag) != self.dim:
             raise ValidationError("kernel block lacks diagonal pairs; no sum rule")
-        return _per_row(np.abs(self.k[..., diag, :].sum(axis=-2)).max(axis=-1))
+        return np.abs(self.k[..., diag, :].sum(axis=-2)).max(axis=-1)
 
     def hermiticity_residual(self):
         """max |K[(n,m),(n',m')] - conj(K[(m,n),(m',n')])| -- RDM Hermiticity."""
@@ -138,7 +133,7 @@ class KernelBlock:
         if (swap < 0).any():
             raise ValidationError("kernel block is not closed under (n, m) -> (m, n)")
         mirror = np.conj(self.k[..., swap, :][..., swap])
-        return _per_row(np.abs(self.k - mirror).max(axis=(-2, -1)))
+        return np.abs(self.k - mirror).max(axis=(-2, -1))
 
     def check(self) -> None:
         """Raise ValidationError unless, at every temperature, the sum rule and

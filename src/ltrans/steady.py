@@ -7,9 +7,8 @@ with a trace constraint replacing one redundant population row.  It reads
 only the kernel block of the retained pairs (`kernel.block(pairs)`), so a
 lazily evaluated kernel never builds its full N^4 tensor here; the system,
 its solution and its residual are assembled with index arrays over that
-block.  `partial_secular_response` reuses the one LU factorization of that
-system (its inverse) for the linear response of the steady state to a
-kernel perturbation.
+block.  `partial_secular_response` solves the same system again for the
+linear response of the steady state to a kernel perturbation.
 
 Both solvers take rates or kernels with a leading temperature axis (see
 `ltrans.redfield`) and solve every temperature in one stacked call: one
@@ -167,9 +166,10 @@ def full_secular_steady(rates: RateMatrix) -> SteadyState:
     _check_connected(g, 1e-14 * np.asarray(scale)[..., None, None])
     a = g.copy()
     a[..., 0, :] = 1.0     # replace the lowest-index redundant row by the trace
-    b = np.zeros(n)
-    b[0] = 1.0
-    p = np.linalg.solve(a, b)
+    # b as a stack of one-column matrices, which every numpy reads alike
+    b = np.zeros(a.shape[:-1] + (1,))
+    b[..., 0, 0] = 1.0
+    p = np.linalg.solve(a, b)[..., 0]
     resid = np.abs((g @ p[..., None])[..., 0]).max(axis=-1)
     bad = resid > 1e-12 * scale
     if bad.any():
@@ -249,7 +249,7 @@ def _norm1(a: np.ndarray) -> np.ndarray:
 
 def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
                     lamb_shift: bool):
-    """`partial_secular_steady`, returning (state, pairs, x, inverse of the system).
+    """`partial_secular_steady`, returning (state, pairs, x, the system matrix).
 
     Over the temperature axis of k2, if it has one, in one batched call.
     """
@@ -263,7 +263,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     a[..., 0, :] = 0.0
     a[..., 0, :n] = 1.0            # trace row replaces population row 0
     # one LU factorization per system: its inverse gives the state (column
-    # 0, as b = e_0), the exact 1-norm condition number and the response
+    # 0, as b = e_0) and the exact 1-norm condition number
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -286,7 +286,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     if bad.any():
         raise NumericError(f"partial-secular residual {_first(resid, bad):.3e} "
                            "exceeds tolerance")
-    return state, pairs, x, inverse
+    return state, pairs, x, a
 
 
 def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters,
@@ -309,15 +309,16 @@ def partial_secular_response(model: JunctionModel, k2, dk2, clusters: FrequencyC
     """Steady state rho0 of the partial-secular map L and its response to L + dL.
 
     dL is the kernel dk2 on the same retained pairs (`dk2.block(pairs)`).
-    Returns (state, drho) with L drho = -dL rho0 and Tr drho = 0, solved with
-    the inverse of the steady-state system.  Over the temperature axis of
-    k2 and dk2, if they have one.
+    Returns (state, drho) with L drho = -dL rho0 and Tr drho = 0, solved by
+    an LU factorization of the steady-state system (a product with its
+    inverse would lose up to ten times more digits on ill-conditioned
+    systems).  Over the temperature axis of k2 and dk2, if they have one.
     """
-    state, pairs, x, inverse = _solve_retained(model, k2, clusters, lamb_shift)
+    state, pairs, x, a = _solve_retained(model, k2, clusters, lamb_shift)
     n = model.dim
     rhs = -(_real_system(dk2.block(pairs).k, n, lamb_shift) @ x[..., None])
     rhs[..., 0, :] = 0.0           # the trace stays 1
-    return state, _rho((inverse @ rhs)[..., 0], pairs, n)
+    return state, _rho(np.linalg.solve(a, rhs)[..., 0], pairs, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 The unit of work is a chunk: one contiguous run of grid points.  The grid is
 cut into one chunk per worker process (the whole grid when serial).  A T
 sweep of a rabi or tls model builds its junction model once per chunk and
-computes every row of the chunk as one stack over its temperatures:
-`kappa2_sweep` evaluates the bath tables once, solves each set of
-temperatures that share a retained-pair set in one batched call, and
-returns the steady-state currents with the conductance (every T-sweep row
-is at zero bias); the low-T kappa4 sums its model-only factor once.  Any
+computes the rows of the chunk as stacks over their temperatures (up to
+`_ROWS_PER_STACK` rows each, so that a long chunk holds the states of one
+stack at a time): `kappa2_sweep` evaluates the bath tables once per stack,
+solves each set of temperatures that share a retained-pair set in one
+batched call, and returns the steady-state currents with the conductance
+(every T-sweep row is at zero bias); the low-T kappa4 sums its model-only
+factor once per stack.  Any
 other sweep builds its model per grid point and computes it as a one-point
 stack, and `compute_row` is the one-point chunk.  A biased row (T_left !=
 T_right) solves its own state for its currents.
@@ -127,8 +129,8 @@ def _chunk_rows(cfg: SweepConfig,
     """(row, exception or None) per value of one contiguous chunk of the grid.
 
     A T sweep of a rabi or tls model builds the model once and computes the
-    chunk as one stack; if that build raises, every row of the chunk fails
-    with its exception.  Any other sweep computes each value on its own.
+    chunk in stacks over its temperatures; if that build raises, every row
+    of the chunk fails with its exception.  Any other sweep computes each value on its own.
     """
     if cfg.model_type == "dot":
         out = []
@@ -144,17 +146,40 @@ def _chunk_rows(cfg: SweepConfig,
             for row in _model_rows(cfg, [value], {**cfg.model, cfg.variable: value})]
 
 
+# rows per `kappa2_sweep` call: a long T-sweep chunk holds the steady states
+# of one such stack at a time
+_ROWS_PER_STACK = 256
+
+
 def _model_rows(cfg: SweepConfig, values: list[float],
                 model_args: dict) -> list[tuple[str, Exception | None]]:
     """The rows of `values` (several only on a T sweep) on the one model of
     `model_args`: kappa2 and the zero-bias currents of every temperature from
-    one `kappa2_sweep`, kappa4 from one `kappa4_lowT`.
+    `kappa2_sweep`, kappa4 from `kappa4_lowT`, one call of each per stack of
+    up to `_ROWS_PER_STACK` rows.
 
     A failure before the rows (the model build, or a model without a gap)
     fails every row with the one exception each row alone would raise;
     otherwise each row fails with its own first exception, in the order
     kappa2, currents, kappa4.
     """
+    try:
+        model, levels = _junction(cfg, model_args)
+        # kappa2_sweep reads only the ids and spectral densities of the baths
+        baths = _bose_baths(cfg.baths, float(cfg.baths["T_left"]),
+                            float(cfg.baths["T_right"]))
+        omega10 = kondo_temperature(model)
+    except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
+        return [(_failed_row(cfg, v), exc) for v in values]
+    return [row for i in range(0, len(values), _ROWS_PER_STACK)
+            for row in _stack_rows(cfg, values[i:i + _ROWS_PER_STACK], model, baths,
+                                   omega10, levels)]
+
+
+def _stack_rows(cfg: SweepConfig, values: list[float], model: JunctionModel,
+                baths: list[Reservoir], omega10: float,
+                levels: int) -> list[tuple[str, Exception | None]]:
+    """The rows of `values` on `model`, as in `_model_rows`."""
     t_left, t_right = float(cfg.baths["T_left"]), float(cfg.baths["T_right"])
     zero_bias = cfg.variable == "T" or t_left == t_right
     if cfg.variable == "T":
@@ -162,10 +187,6 @@ def _model_rows(cfg: SweepConfig, values: list[float],
     else:
         t_mean = np.full(len(values), 0.5 * (t_left + t_right))
     try:
-        model, levels = _junction(cfg, model_args)
-        # kappa2_sweep reads only the ids and spectral densities of the baths
-        baths = _bose_baths(cfg.baths, t_left, t_right)
-        omega10 = kondo_temperature(model)
         responses = kappa2_sweep(model, baths, t_mean, solver=cfg.solver,
                                  c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
     except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
@@ -286,7 +307,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     chunk is the unit of work: `workers` counts processes, this one
     included, the grid is cut into one contiguous chunk per worker, this
     process computes the first chunk, and one child process per remaining
-    chunk computes the rest.  A T-sweep chunk is computed as one stack over
+    chunk computes the rest.  A T-sweep chunk is computed in stacks over
     its temperatures.  One worker, or a one-chunk grid, starts no child.
     Each child costs about 5 ms to start (a fork of this process and its
     pipe), while a T-sweep chunk costs well under a millisecond per row, so

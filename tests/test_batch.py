@@ -2,7 +2,8 @@
 
 Every row of a chunk must be byte-identical to `compute_row` at its point,
 whatever the chunk boundaries; the bath tables, kernel blocks and solves are
-evaluated once per chunk (per retained-pair group); and a failure at one
+evaluated once per chunk (per retained-pair group), or once per slice of a
+long chunk, whose size bounds their arrays; and a failure at one
 temperature stays with its own row.
 """
 
@@ -164,9 +165,9 @@ def binders(name):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
     # one 25-row chunk: one W table per distinct spectral density (both baths
-    # share theirs), one dW/dT table, one factorization per retained-pair
-    # group; the full solver factors the rate matrices of the chunk twice,
-    # for the steady state and for its response
+    # share theirs), one dW/dT table; each solver factors the systems of a
+    # retained-pair group (full secular: of the chunk) twice, for the steady
+    # state and for its response
     cfg = sweep_config(name, points=25)
     groups = len(retained_sets(cfg)) if cfg.solver == "partial" else 0
     calls = []
@@ -185,13 +186,88 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("dw_dt_real") == 0
         assert calls.count("_solve_retained") == calls.count("inv") == groups
         assert calls.count("k2_pair_block") == 2 * groups     # kernel and dK/dT blocks
-        assert calls.count("solve") == 0
+        assert calls.count("solve") == groups
     else:
         assert calls.count("w_table") == calls.count("dw_dt_table") == 0
         assert calls.count("dw_dt_real") == 1
         assert calls.count("full_secular_steady") == 1
         assert calls.count("solve") == 2
         assert calls.count("inv") == 0
+
+
+def portable_solve(monkeypatch):
+    """Make np.linalg.solve reject right-hand sides that numpy 1.x and 2.x
+    read differently: a stack of vectors (numpy 1.x: b.ndim == a.ndim - 1,
+    numpy 2.x: b.ndim == 1) rather than of one-column matrices."""
+    orig = np.linalg.solve
+
+    def strict(a, b):
+        assert np.ndim(b) == np.ndim(a) or (np.ndim(a) == 2 and np.ndim(b) == 1), \
+            (np.shape(a), np.shape(b))
+        return orig(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", strict)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_stacked_solves_read_alike_on_every_numpy(monkeypatch, name):
+    cfg, want = reference(name)
+    portable_solve(monkeypatch)
+    grid = [float(v) for v in cfg.grid()]
+    assert [row for row, _ in sweep._chunk_rows(cfg, grid)] == \
+        [w if w is not None else sweep._failed_row(cfg, v) for v, w in zip(grid, want)]
+    assert sweep.compute_row(cfg, grid[-1]) == want[-1]
+
+
+@pytest.mark.parametrize("name,budget", [
+    ("tls_partial", 40), ("rabi_full", 40),
+    # two 5-level temperatures per slice, one per slice of a group of
+    # systems of seven or more unknowns
+    ("rabi_partial", 50),
+])
+def test_a_long_chunk_is_solved_in_bounded_slices(monkeypatch, name, budget):
+    # with a tiny stack budget the chunk is cut into several slices, every
+    # bath table and kernel block stays within the budget (one temperature
+    # alone may exceed it), and the rows do not change
+    cfg, want = reference(name)
+    monkeypatch.setattr(currents, "_STACK_ENTRIES", budget)
+    sizes = {}        # function -> (entries, entries at one temperature) per call
+
+    def record(module, fname):
+        orig = getattr(module, fname)
+
+        def recorded(*args):
+            out = orig(*args)
+            sizes.setdefault(fname, []).append((out.size, out.shape[-2] * out.shape[-1]))
+            return out
+
+        monkeypatch.setattr(module, fname, recorded)
+
+    for module, fname in [(redfield, "w_table"), (currents, "dw_dt_table"),
+                          (currents, "dw_dt_real"), (redfield, "k2_pair_block"),
+                          (currents, "k2_pair_block")]:
+        record(module, fname)
+    grid = [float(v) for v in cfg.grid()]
+    assert [row for row, _ in sweep._chunk_rows(cfg, grid)] == \
+        [w if w is not None else sweep._failed_row(cfg, v) for v, w in zip(grid, want)]
+    dw = sizes.get("dw_dt_table", []) + sizes.get("dw_dt_real", [])
+    assert len(dw) > 1
+    assert all(size <= max(budget, one) for calls in sizes.values() for size, one in calls)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_a_long_chunk_is_computed_in_stacks_of_rows_on_one_model(monkeypatch, name):
+    # the sweep holds the steady states of one stack of rows at a time; the
+    # model is still built once for the chunk
+    cfg, want = reference(name)
+    monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 5)
+    calls = []
+    spy(monkeypatch, calls, "kappa2_sweep", sweep)
+    spy(monkeypatch, calls, "_junction", sweep)
+    grid = [float(v) for v in cfg.grid()]
+    assert [row for row, _ in sweep._chunk_rows(cfg, grid)] == \
+        [w if w is not None else sweep._failed_row(cfg, v) for v, w in zip(grid, want)]
+    assert calls.count("kappa2_sweep") == 3 and calls.count("_junction") == 1
 
 
 def poison_w_table(monkeypatch, bad_t, part):
