@@ -7,7 +7,8 @@ both secular solvers.  `kappa2_sweep` computes it over a whole temperature
 axis, in slices of bounded size: one set of bath tables per slice, one
 batched solve per set of temperatures that share a retained-pair set, and
 the currents contracted per temperature; `kappa2_response` is its
-one-temperature case.  The fourth-order
+one-temperature case.  A biased row's own steady state, at the baths'
+temperatures, is one more slice of that stack.  The fourth-order
 (cotunneling) channel is the closed-form low-temperature T^3 conductance;
 its frequency-quadrature kernel is a test oracle and lives with the tests.
 Closed-form two-level and single-dot expressions are kept alongside as
@@ -16,7 +17,7 @@ regression anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,9 +200,12 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
 
 @dataclass(frozen=True)
 class Kappa2Response:
-    """kappa2 with the steady state rho0 it solved at the common temperature.
+    """kappa2, the steady state rho0 it solved at the common temperature, and
+    the currents of the row's own steady state.
 
-    currents maps each bath id to the heat current of rho0 into it: from
+    currents maps each bath id to the heat current into it of rho0 at zero
+    bias, or, on a biased stack (`kappa2_sweep` with biased=True), of the
+    steady state of the baths at their own temperatures: from
     `heat_current_2nd_secular` of the full solver's rate matrix, or from the
     W tables of the partial solver's kernel.
     """
@@ -234,8 +238,8 @@ _STACK_ENTRIES = 1 << 14
 
 def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
                  solver: str = "full", reservoir_id: str | None = None,
-                 c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True
-                 ) -> list[Kappa2Response | Exception]:
+                 c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True,
+                 biased: bool = False) -> list[Kappa2Response | Exception]:
     """`kappa2_response` at every temperature of a 1-d array, as stacks.
 
     Returns one entry per temperature: its `Kappa2Response`, or the exception
@@ -247,6 +251,15 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     in one batched `partial_secular_response` (in slices, for large sets).
     If a stacked solve raises, its temperatures are solved one at a time, so
     that a failure stays with its own row.  Invalid arguments raise at once.
+
+    Only the ids and spectral densities of the baths are read, unless
+    `biased`: then `temperatures` holds one temperature (the mean of the
+    baths'), and the steady state of the baths at their own temperatures
+    (one per bath) is one more slice of the stack.  It shares the W-table
+    call, the kernel-block evaluation and, when it keeps the same retained
+    pairs, the factorization of the state at the mean temperature; no
+    response is solved for it, and its currents replace rho0's.  The entry
+    is then kappa2's exception if kappa2 fails, else the biased state's.
     """
     ts = np.asarray(temperatures, dtype=float)
     if ts.ndim != 1:
@@ -257,23 +270,39 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
         raise ValidationError("kappa2 needs exactly two baths")
     if solver not in ("full", "partial"):
         raise ValidationError(f"unknown solver {solver!r}")
+    if biased and (len(ts) != 1 or any(np.ndim(b.beta) for b in baths)):
+        raise ValidationError("a biased stack takes one mean temperature and one "
+                              "temperature per bath")
     rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
     step = max(1, _STACK_ENTRIES // model.dim**2)
     return [res for i in range(0, len(ts), step)
             for res in _kappa2_stack(model, baths, ts[i:i + step], solver, rid, c,
-                                     lamb_shift)]
+                                     lamb_shift, biased)]
 
 
 def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
-                  solver: str, rid: str, c: float, lamb_shift: bool) -> list:
-    """`kappa2_sweep` at the temperatures ts, one stack of tables."""
+                  solver: str, rid: str, c: float, lamb_shift: bool, biased: bool) -> list:
+    """`kappa2_sweep` at the temperatures ts, one stack of tables.
+
+    Slice j < n = len(ts) holds both baths at ts[j]; a biased stack adds
+    slice n, each bath at its own temperature.  Every slice is solved for
+    its steady state, the first n also for their response.
+    """
+    n = len(ts)
     common = [b.with_temperature(ts) for b in baths]
+    stacked = ([replace(b, beta=np.append(cb.beta, b.beta)) for b, cb in zip(baths, common)]
+               if biased else common)
     heated = next(b for b in common if b.id != rid)
     q_h = model.q(heated.id)[None]
     bohr = model.bohr_matrix()
 
+    def slices(state, d, m):
+        """(state, d) per slice of a stacked solve, d only for its first m slices."""
+        return [(SteadyState(rho, state.retained_pairs, state.solver_tag),
+                 d[i] if i < m else None) for i, rho in enumerate(state.rho)]
+
     if solver == "full":
-        rates = gamma_rates(model, common)
+        rates = gamma_rates(model, stacked)
         dk2 = BosonKernel(q=q_h, w=dw_dt_real(bohr, heated)[:, None])
         dgamma = dk2.population_rates()
         d = np.arange(model.dim)
@@ -284,41 +313,43 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
             sub = RateMatrix(rates.gamma[idx],
                              {k: g[idx] for k, g in rates.per_reservoir.items()})
             state = full_secular_steady(sub)
-            a = sub.gamma.copy()
+            m = np.count_nonzero(idx < n)          # idx ascends, so these lead it
+            if not m:
+                return slices(state, (), 0)
+            a = sub.gamma[:m].copy()
             a[..., 0, :] = 1.0
-            rhs = -(dgamma[idx] @ state.populations[..., None])
+            rhs = -(dgamma[idx[:m]] @ state.populations[:m, :, None])
             rhs[..., 0, :] = 0.0
-            dp = np.linalg.solve(a, rhs)[..., 0]
-            return [Kappa2Response(
-                _secular_current(wdiff, sub.per_reservoir[rid][i], dp[i]),
-                SteadyState(rho, state.retained_pairs, state.solver_tag),
-                {k: _secular_current(wdiff, g[i], state.populations[i])
-                 for k, g in sub.per_reservoir.items()})
-                for i, rho in enumerate(state.rho)]
+            return slices(state, np.linalg.solve(a, rhs)[..., 0], m)
 
-        return _isolated(np.arange(len(ts)), solve_full)
+        return _responses(
+            _isolated(np.arange(len(rates.gamma)), solve_full), n, biased,
+            lambda j, dp: _secular_current(wdiff, rates.per_reservoir[rid][j], dp),
+            lambda j, state: {k: _secular_current(wdiff, g[j], state.populations)
+                              for k, g in rates.per_reservoir.items()})
 
-    k2 = build_k2_boson(model, common)
+    k2 = build_k2_boson(model, stacked)
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
     # below the dephasing terms they are made of, so a sum-rule test against
     # the block's own largest entry would fail on roundoff
     dw = dw_dt_table(bohr, heated)[:, None]
     wbar = bohr * k2.w
-    r = [b.id for b in common].index(rid)
+    r = [b.id for b in baths].index(rid)
 
     def solve_partial(idx, clusters, pairs):
-        dblock = KernelBlock(model.dim, pairs, k2_pair_block(q_h, dw[idx], pairs, pairs))
-        state, drho = partial_secular_response(model, BosonKernel(q=k2.q, w=k2.w[idx]),
-                                               dblock, clusters, lamb_shift)
-        return [Kappa2Response(
-            _wbar_current(k2.q[r], wbar[j, r], drho[i]),
-            SteadyState(rho, state.retained_pairs, state.solver_tag),
-            {b.id: _wbar_current(q, wb, rho) for b, q, wb in zip(common, k2.q, wbar[j])})
-            for i, (j, rho) in enumerate(zip(idx, state.rho))]
+        kernel = BosonKernel(q=k2.q, w=k2.w[idx])
+        m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
+        if not m:
+            state = partial_secular_steady(model, kernel, clusters, lamb_shift)
+            return slices(state, (), 0)
+        dblock = KernelBlock(model.dim, pairs,
+                             k2_pair_block(q_h, dw[idx[:m]], pairs, pairs))
+        state, drho = partial_secular_response(model, kernel, dblock, clusters, lamb_shift)
+        return slices(state, drho, m)
 
-    # cluster at every temperature (a clustering that raises is its row's
-    # result) and solve the temperatures of each retained-pair set together
-    out: list = [None] * len(ts)
+    # cluster every slice (a clustering that raises is its slice's result)
+    # and solve the slices of each retained-pair set together
+    out: list = [None] * len(k2.w)
     groups: dict = {}
     for i, scale in enumerate(_rate_scale(k2).tolist()):
         try:
@@ -334,7 +365,28 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
             idx = np.array(rows[s:s + size])
             for i, res in zip(idx, _isolated(idx, solve_partial, clusters, pairs)):
                 out[i] = res
-    return out
+    return _responses(
+        out, n, biased, lambda j, drho: _wbar_current(k2.q[r], wbar[j, r], drho),
+        lambda j, state: {b.id: _wbar_current(q, wb, state.rho)
+                          for b, q, wb in zip(baths, k2.q, wbar[j])})
+
+
+def _responses(solved: list, n: int, biased: bool, kappa2_of, currents_of) -> list:
+    """The `kappa2_sweep` entries of the first n slices of a solved stack.
+
+    solved holds (state, d) or an exception per slice.  The entry of slice j
+    is its kappa2, kappa2_of(j, d), with currents_of the state of slice n on
+    a biased stack and of its own state otherwise, or the first exception of
+    the two slices.
+    """
+    def response(j, k):
+        for res in (solved[j], solved[k]):
+            if isinstance(res, Exception):
+                return res
+        state, d = solved[j]
+        return Kappa2Response(kappa2_of(j, d), state, currents_of(k, solved[k][0]))
+
+    return [response(j, n if biased else j) for j in range(n)]
 
 
 def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,

@@ -6,7 +6,8 @@ Two solvers share one eigenvector phase convention:
   LAPACK's Hermitian solver (numpy.linalg.eigh);
 - `lowest_band_eigensystem` solves a real symmetric banded matrix given in
   upper band storage with LAPACK's banded solver (scipy.linalg.eig_banded)
-  and keeps its lowest eigenpairs.
+  and keeps its lowest eigenpairs: by bisection and inverse iteration when
+  they are at most an eighth of the order, else from the full solve.
 
 Both check their input (shape, finiteness) and report a LAPACK failure as
 NumericError.  The phase convention makes each eigenvector's largest
@@ -103,16 +104,22 @@ def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = Fals
         raise ValidationError(f"keep = {keep} is outside 1..{ab.shape[1]}")
     if not np.all(np.isfinite(ab)):
         raise ValidationError("band has non-finite entries")
-    # Bisection plus inverse iteration (select="i") for the eigenpairs, the
-    # full solve for eigenvalues alone.  Bandwidth-2 timings on a 2-vCPU VM:
-    # order 80, 5 pairs 0.31 ms (full solve 0.53), 21 pairs 0.98 ms (0.62);
-    # order 100, 21 eigenvalues by bisection 0.91 ms, all of them 0.29 ms.
-    # Rows keeping a few levels gain more than 21-level rows lose.
+    # Bisection plus inverse iteration (select="i") for a few eigenpairs, the
+    # full solve for more than an eighth of the order and for eigenvalues
+    # alone.  Bandwidth-2 timings on a 2-vCPU VM, select / full solve:
+    # order 80, 5 pairs 0.37 / 0.62 ms, 12 pairs 0.69 / 0.62, 21 pairs
+    # 1.12 / 0.67; order 120, 15 pairs 1.36 / 1.39, 21 pairs 1.77 / 1.35;
+    # order 200, 21 pairs 3.74 / 3.87, 30 pairs 4.84 / 3.87.  21 eigenvalues
+    # of order 100: 0.91 ms by bisection, 0.29 ms all of them.
     try:
         if eigvals_only:
             return eig_banded(ab, eigvals_only=True, check_finite=False)[:keep]
-        lam, v = eig_banded(ab, select="i", select_range=(0, keep - 1),
-                            check_finite=False)
+        if 8 * keep > ab.shape[1]:
+            lam, v = eig_banded(ab, check_finite=False)
+            lam, v = lam[:keep], v[:, :keep]
+        else:
+            lam, v = eig_banded(ab, select="i", select_range=(0, keep - 1),
+                                check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"banded eigensolver failed: {exc}") from exc
     return lam, _fix_phase(v)

@@ -6,14 +6,15 @@ classical rate matrix.  One vectorized formula, `k2_pair_block`, evaluates
 the kernel of bosonic baths between any row pairs (n, m) and column pairs
 (n', m'), from the coupling matrices Q and the rate tables W of all baths
 stacked.  `build_k2_boson` evaluates those tables over the Bohr matrix
-(`w_table`, once per distinct bath temperature and spectral density) and
-returns a `BosonKernel` that holds them: the heat currents of a steady state
-are read from the same tables, and no table outlives the kernel.  Entries
-are evaluated on demand: the partial-secular solver asks for the block of
-its retained pairs only, and the full rank-4 tensor (`k2_tensor_from_w`, the
-same formula over all N^2 pairs) is built only when `.k` is read.  The
-sum-rule and Hermiticity checks run on every block that is evaluated.  The
-single-level fermionic dot gets its own rate constructor.
+(`w_table`, once per spectral density, over the distinct temperatures of the
+baths that share it) and returns a `BosonKernel` that holds them: the heat
+currents of a steady state are read from the same tables, and no table
+outlives the kernel.  Entries are evaluated on demand: the partial-secular
+solver asks for the block of its retained pairs only, and the full rank-4
+tensor (`k2_tensor_from_w`, the same formula over all N^2 pairs) is built
+only when `.k` is read.  The sum-rule and Hermiticity checks run on every
+block that is evaluated.  The single-level fermionic dot gets its own rate
+constructor.
 
 Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
 tables, kernel blocks, population rates and `gamma_rates` matrices with a
@@ -23,7 +24,7 @@ coupling matrices Q carry no such axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -261,17 +262,25 @@ def _bose_reservoirs(baths: list[Reservoir]) -> list[Reservoir]:
 def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     """Kernel of a bosonic junction, summed over baths.
 
-    Stacks Q and the closed-form W table of every bath; baths that share a
-    temperature (axis) and spectral density share one evaluation of
-    `w_table`.  The kernel entries themselves are evaluated by the returned
+    Stacks Q and the closed-form W table of every bath.  `w_table` is
+    evaluated once per distinct spectral density, over the distinct inverse
+    temperatures of the baths that use it, and each bath gathers its own
+    slices from that table (each slice is bitwise its one-temperature
+    table).  The kernel entries themselves are evaluated by the returned
     `BosonKernel`, block by block or as the full tensor `.k`.
     """
     _bose_reservoirs(baths)
     q = np.stack([model.q(b.id) for b in baths])
     bohr = model.bohr_matrix()
-    keys = [(np.asarray(b.beta).tobytes(), b.spectral) for b in baths]
-    tables = {key: w_table(bohr, b) for key, b in dict(zip(keys, baths)).items()}
-    return BosonKernel(q=q, w=np.stack([tables[key] for key in keys], axis=-3))
+    tables = {}        # spectral density -> (its distinct betas, ascending; W over them)
+    for b in baths:
+        if b.spectral not in tables:
+            betas = np.unique(np.concatenate([np.ravel(o.beta) for o in baths
+                                              if o.spectral == b.spectral]))
+            tables[b.spectral] = betas, w_table(bohr, replace(b, beta=betas))
+    w = [table[np.searchsorted(betas, b.beta)]
+         for b in baths for betas, table in [tables[b.spectral]]]
+    return BosonKernel(q=q, w=np.stack(w, axis=-3))
 
 
 def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:

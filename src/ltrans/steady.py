@@ -312,11 +312,16 @@ def partial_secular_response(model: JunctionModel, k2, dk2, clusters: FrequencyC
     Returns (state, drho) with L drho = -dL rho0 and Tr drho = 0, solved by
     an LU factorization of the steady-state system (a product with its
     inverse would lose up to ten times more digits on ill-conditioned
-    systems).  Over the temperature axis of k2 and dk2, if they have one.
+    systems).  Over the temperature axis of k2 and dk2, if they have one;
+    dk2's axis may cover only the leading temperatures of k2's, and drho
+    is then solved for those alone (the state for every one).
     """
     state, pairs, x, a = _solve_retained(model, k2, clusters, lamb_shift)
     n = model.dim
-    rhs = -(_real_system(dk2.block(pairs).k, n, lamb_shift) @ x[..., None])
+    dk = dk2.block(pairs).k
+    if dk.ndim == 3:
+        x, a = x[:len(dk)], a[:len(dk)]
+    rhs = -(_real_system(dk, n, lamb_shift) @ x[..., None])
     rhs[..., 0, :] = 0.0           # the trace stays 1
     return state, _rho(np.linalg.solve(a, rhs)[..., 0], pairs, n)
 

@@ -9,10 +9,13 @@ stack at a time): `kappa2_sweep` evaluates the bath tables once per stack,
 solves each set of temperatures that share a retained-pair set in one
 batched call, and returns the steady-state currents with the conductance
 (every T-sweep row is at zero bias); the low-T kappa4 sums its model-only
-factor once per stack.  Any
-other sweep builds its model per grid point and computes it as a one-point
-stack, and `compute_row` is the one-point chunk.  A biased row (T_left !=
-T_right) solves its own state for its currents.
+factor once per stack.  Any other sweep builds its model per grid point and
+computes it as a one-point stack, and `compute_row` is the one-point chunk.
+A biased row (T_left != T_right, not a T sweep) takes its currents from the
+steady state at (T_left, T_right), which `kappa2_sweep` solves as one more
+slice of the stack it solves at the mean temperature: one W-table call, one
+kernel-block evaluation and, when both states keep the same retained pairs,
+one factorization serve both.
 
 The calling process computes the first chunk itself; each other chunk runs
 in its own child process, started before any row is computed, which sends
@@ -33,13 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SweepConfig
-from .currents import (dot_transport, heat_current_2nd_secular, kappa2_sweep,
-                       kappa4_lowT, partial_secular_state)
+from .currents import dot_transport, kappa2_sweep, kappa4_lowT
 from .linalg import ValidationError, hermitian_eigensystem, to_eigenbasis
 from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
 from .rabi import RabiParams, build_rabi_junction, kondo_temperature
-from .redfield import gamma_rates
-from .steady import full_secular_steady
 
 __all__ = ["run_sweep", "compute_row", "SweepResult", "CSV_HEADER", "worker_count",
            "check_writable"]
@@ -154,7 +154,8 @@ _ROWS_PER_STACK = 256
 def _model_rows(cfg: SweepConfig, values: list[float],
                 model_args: dict) -> list[tuple[str, Exception | None]]:
     """The rows of `values` (several only on a T sweep) on the one model of
-    `model_args`: kappa2 and the zero-bias currents of every temperature from
+    `model_args`: kappa2 and the currents of every row's own steady state
+    (rho0 at zero bias, the state at (T_left, T_right) on a biased row) from
     `kappa2_sweep`, kappa4 from `kappa4_lowT`, one call of each per stack of
     up to `_ROWS_PER_STACK` rows.
 
@@ -165,7 +166,7 @@ def _model_rows(cfg: SweepConfig, values: list[float],
     """
     try:
         model, levels = _junction(cfg, model_args)
-        # kappa2_sweep reads only the ids and spectral densities of the baths
+        # kappa2_sweep reads the temperatures of the baths on biased rows only
         baths = _bose_baths(cfg.baths, float(cfg.baths["T_left"]),
                             float(cfg.baths["T_right"]))
         omega10 = kondo_temperature(model)
@@ -188,7 +189,8 @@ def _stack_rows(cfg: SweepConfig, values: list[float], model: JunctionModel,
         t_mean = np.full(len(values), 0.5 * (t_left + t_right))
     try:
         responses = kappa2_sweep(model, baths, t_mean, solver=cfg.solver,
-                                 c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift)
+                                 c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift,
+                                 biased=not zero_bias)
     except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
         return [(_failed_row(cfg, v), exc) for v in values]
     try:
@@ -200,28 +202,14 @@ def _stack_rows(cfg: SweepConfig, values: list[float], model: JunctionModel,
         try:
             if isinstance(k2, Exception):
                 raise k2
-            # at zero bias the baths are those of kappa2's common temperature,
-            # so its steady state and currents are the row's own
-            currents = k2.currents if zero_bias else _biased_currents(cfg, model, baths)
             if isinstance(k4, Exception):
                 raise k4
-            fields = [k2.kappa2, k4[i], k2.kappa2 + k4[i], currents["L"], currents["R"],
-                      omega10, omega10]
+            fields = [k2.kappa2, k4[i], k2.kappa2 + k4[i], k2.currents["L"],
+                      k2.currents["R"], omega10, omega10]
             out.append((_format_row(cfg, value, fields, levels=levels), None))
         except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
             out.append((_failed_row(cfg, value), exc))
     return out
-
-
-def _biased_currents(cfg: SweepConfig, model: JunctionModel,
-                     baths: list[Reservoir]) -> dict[str, float]:
-    """The heat current into each bath of the steady state at their own temperatures."""
-    if cfg.solver == "partial":
-        return partial_secular_state(model, baths, c=cfg.cluster_factor,
-                                     lamb_shift=cfg.lamb_shift)[1]
-    rates = gamma_rates(model, baths)
-    state = full_secular_steady(rates)
-    return heat_current_2nd_secular(model, rates, state).per_reservoir
 
 
 def _dot_row(cfg: SweepConfig, value: float) -> str:

@@ -4,6 +4,9 @@ import pytest
 from ltrans import linalg
 from ltrans.linalg import (NumericError, ValidationError, hermitian_eigensystem,
                            lowest_band_eigensystem, to_eigenbasis)
+from ltrans.rabi import RabiParams, _rabi_band
+
+from rabi_oracle import rabi_hamiltonian
 
 
 def random_hermitian(rng, n):
@@ -228,3 +231,51 @@ def test_band_lapack_failure_is_numeric_error(monkeypatch):
     for eigvals_only in (False, True):
         with pytest.raises(NumericError):
             lowest_band_eigensystem(np.array([[0.0, 1.0], [1.0, 2.0]]), 1, eigvals_only)
+
+
+def recorded_selects(monkeypatch):
+    """The `select` argument of every eig_banded call ("a", all, if none)."""
+    selects = []
+    orig = linalg.eig_banded
+
+    def recorded(*args, **kwargs):
+        selects.append(kwargs.get("select", "a"))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_banded", recorded)
+    return selects
+
+
+# order 80 (Fock cutoff 40): up to 10 pairs by bisection, from 11 the full solve
+@pytest.mark.parametrize("keep,select", [(5, "i"), (10, "i"), (11, "a"), (21, "a")])
+def test_band_solver_matches_the_dense_rabi_oracle(monkeypatch, keep, select):
+    p = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=40, retained_levels=keep)
+    ab = _rabi_band(p, p.fock_cutoff)
+    selects = recorded_selects(monkeypatch)
+    lam, v = lowest_band_eigensystem(ab, keep)
+    assert selects == [select]
+    ref_lam, ref_v = hermitian_eigensystem(rabi_hamiltonian(p, p.fock_cutoff))
+    # the band's basis index 2n + s is the oracle's s * n_fock + n
+    order = ab.shape[1]
+    ref_v = ref_v[(np.arange(order) % 2) * p.fock_cutoff + np.arange(order) // 2, :keep]
+    assert np.max(np.abs(lam - ref_lam[:keep])) < 1e-12 * np.max(np.abs(lam))
+    assert np.max(np.abs(np.abs(np.sum(v * ref_v.conj(), axis=0)) - 1.0)) < 1e-12
+    # both sides follow the phase convention, so the vectors agree as they are
+    assert np.max(np.abs(v - ref_v)) < 1e-12
+    mag = np.abs(v)
+    first = np.argmax(mag >= (1.0 - linalg.PHASE_TIE_RTOL) * mag.max(axis=0), axis=0)
+    assert np.all(v[first, np.arange(keep)] > 0)
+
+
+@pytest.mark.parametrize("order,keep", [(80, 5), (80, 10), (200, 25)])
+def test_few_band_pairs_come_from_bisection_as_before(monkeypatch, order, keep):
+    # up to an eighth of the order, the pairs are bitwise those of
+    # bisection and inverse iteration under the phase convention
+    ab, _ = random_persymmetric_band(np.random.default_rng(order + keep), order)
+    selects = recorded_selects(monkeypatch)
+    lam, v = lowest_band_eigensystem(ab, keep)
+    assert selects == ["i"]
+    ref_lam, ref_v = linalg.eig_banded(ab, select="i", select_range=(0, keep - 1),
+                                       check_finite=False)
+    assert np.array_equal(lam, ref_lam)
+    assert np.array_equal(v, linalg._fix_phase(ref_v))

@@ -167,11 +167,12 @@ def test_non_positive_lt_threads_is_rejected(monkeypatch, env):
 @pytest.mark.parametrize("text,bias,solves", [
     (TLS, {}, 1),                                       # T sweep: zero bias
     (RABI, {"T_right": 0.12}, 1),                       # g sweep at zero bias
-    (RABI, {}, 2),                                      # g sweep, biased
+    (RABI, {}, 1),                                      # g sweep, biased
 ], ids=["tls_T", "rabi_g_zero_bias", "rabi_g_biased"])
 def test_partial_row_solves_once_at_zero_bias(tmp_path, monkeypatch, text, bias, solves):
     # kappa2's steady state at the common temperature is the row's own
-    # state when T_left = T_right; a biased row needs a second solve
+    # state when T_left = T_right; a biased row solves its own state as one
+    # more slice of the same stack
     calls = []
     spy(monkeypatch, calls, "_solve_retained", steady)
     cfg = config(text, tmp_path, **bias)
@@ -180,12 +181,12 @@ def test_partial_row_solves_once_at_zero_bias(tmp_path, monkeypatch, text, bias,
     assert len(calls) == solves
 
 
-@pytest.mark.parametrize("bias,solves", [({}, 1), ({"T_right": 0.08}, 2)],
+@pytest.mark.parametrize("bias,solves", [({}, 1), ({"T_right": 0.08}, 1)],
                          ids=["zero_bias", "biased"])
 def test_full_row_solves_once_at_zero_bias(tmp_path, monkeypatch, bias, solves):
     calls = []
-    spy(monkeypatch, calls, "gamma_rates", currents, sweep)
-    spy(monkeypatch, calls, "full_secular_steady", currents, sweep)
+    spy(monkeypatch, calls, "gamma_rates", currents)
+    spy(monkeypatch, calls, "full_secular_steady", currents)
     cfg = config(RABI.replace("secular = partial", "secular = full"), tmp_path,
                  **{"T_left": 0.12, "T_right": 0.12, **bias})
     compute_row(cfg, 0.2)
@@ -302,12 +303,13 @@ def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, err
 
 
 @pytest.mark.parametrize("text,value,tables", [
-    (RABI_FULL_T, 0.1, 0), (TLS, 0.5, 1), (RABI, 0.2, 3),
+    (RABI_FULL_T, 0.1, 0), (TLS, 0.5, 1), (RABI, 0.2, 1),
 ], ids=["full", "partial_zero_bias", "partial_biased"])
 def test_w_tables_per_row(tmp_path, monkeypatch, text, value, tables):
-    # a kernel evaluates one W table per distinct bath temperature and the
-    # row's currents read the kernel's tables: kappa2's common temperature,
-    # plus T_left and T_right on a biased row; full-secular rates need none
+    # a kernel evaluates one W table per spectral density, over the distinct
+    # bath temperatures (kappa2's common temperature, plus T_left and T_right
+    # on a biased row), and the row's currents read the kernel's tables;
+    # full-secular rates need none
     binders = [m for m in list(sys.modules.values())
                if getattr(m, "__name__", "").startswith("ltrans")
                and getattr(m, "w_table", None) is w_table]
@@ -370,8 +372,9 @@ def test_partial_row_never_builds_the_full_kernel_tensor(tmp_path, monkeypatch):
     cells = compute_row(cfg, 0.2).split(",")
     assert all(math.isfinite(float(c)) for c in cells[1:9])
     assert cells[-1] == "21"
-    # the nominal state, the kappa2 state and its temperature derivative
-    assert len(block_sizes) == 3
+    # the kappa2 state and the biased state in one stacked block, and the
+    # temperature derivative of the kappa2 state
+    assert len(block_sizes) == 2
     assert all(r < 21 * 21 and c < 21 * 21 for r, c in block_sizes)
 
 
