@@ -97,9 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="processes, this one included (default: LT_THREADS, "
-                              "else 1); each extra one costs about 5 ms to start, "
-                              "so 1 is fastest on short sweeps")
+                         help="most processes, this one included (default: "
+                              "LT_THREADS, else 1); a T sweep of n rows uses at "
+                              "most ceil(n / 256) processes")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_spec = sub.add_parser("spectrum", help="dump spectrum and coupling elements")

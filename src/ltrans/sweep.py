@@ -1,9 +1,10 @@
 """Parameter sweeps: one conductance/current row per grid point, CSV out.
 
 The unit of work is a chunk: one contiguous run of grid points.  The grid is
-cut into one chunk per worker process (the whole grid when serial).  A T
-sweep of a rabi or tls model builds its junction model once per chunk and
-computes the rows of the chunk as stacks over their temperatures (up to
+cut into one chunk per worker process (the whole grid when serial), and a T
+sweep of n rows into at most ceil(n / `_ROWS_PER_STACK`) chunks.  A T sweep
+of a rabi or tls model builds its junction model once per chunk and computes
+the rows of the chunk as stacks over their temperatures (up to
 `_ROWS_PER_STACK` rows each, so that a long chunk holds the states of one
 stack at a time): `kappa2_sweep` evaluates the bath tables once per stack,
 solves each set of temperatures that share a retained-pair set in one
@@ -17,14 +18,20 @@ slice of the stack it solves at the mean temperature: one W-table call, one
 kernel-block evaluation and, when both states keep the same retained pairs,
 one factorization serve both.
 
-The calling process computes the first chunk itself; each other chunk runs
-in its own child process, started before any row is computed, which sends
-its rows back through a pipe.  The rows are gathered in index order, so the
-output is byte-identical for any worker count, and every row is
-byte-identical to `compute_row` at its point.  Solver failures poison single
-rows with NaN rather than the run, each failing row carrying the exception
-that `compute_row` raises there; a model build that fails poisons every row
-it serves.
+The worker count is an upper bound on the processes.  A child process
+costs a few milliseconds to start and join, more than a short T sweep takes
+in all, but less than a stack of `_ROWS_PER_STACK` rows; so a T sweep
+starts its k-th process only beyond k - 1 full stacks of rows, and one of
+up to `_ROWS_PER_STACK` rows runs in the calling process alone.  Any other
+sweep gets one chunk per worker, up to one per row.  The calling process
+computes the first chunk itself; each other chunk runs in its own child
+process, started before any row is computed, which sends its rows back
+through a pipe.  The rows are gathered in index order, so the output is
+byte-identical for any worker count, and every row is byte-identical to
+`compute_row` at its point.  Solver failures poison single rows with NaN
+rather than the run, each failing row carrying the exception that
+`compute_row` raises there; a model build that fails poisons every row it
+serves.
 """
 
 from __future__ import annotations
@@ -74,7 +81,9 @@ def check_writable(path: str) -> None:
 
 
 def worker_count(flag: int | None = None) -> int:
-    """Processes, this one included: --workers beats LT_THREADS; 1 if neither is set."""
+    """The most processes a sweep may use, this one included: --workers beats
+    LT_THREADS; 1 if neither is set.  `run_sweep` starts fewer on a short
+    grid: a T sweep of n rows uses at most ceil(n / `_ROWS_PER_STACK`)."""
     if flag is not None:
         if flag < 1:
             raise ValidationError(f"--workers must be at least 1, got {flag}")
@@ -292,18 +301,21 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     """Run the sweep, write the CSV, and report per-row failures.
 
     The CSV path is checked for writing before any row is computed.  The
-    chunk is the unit of work: `workers` counts processes, this one
-    included, the grid is cut into one contiguous chunk per worker, this
-    process computes the first chunk, and one child process per remaining
-    chunk computes the rest.  A T-sweep chunk is computed in stacks over
-    its temperatures.  One worker, or a one-chunk grid, starts no child.
-    Each child costs about 5 ms to start (a fork of this process and its
-    pipe), while a T-sweep chunk costs well under a millisecond per row, so
-    workers=1 is fastest on short sweeps.
+    chunk is the unit of work: `workers` is the most processes to use, this
+    one included.  The grid is cut into contiguous chunks of equal size, one
+    per worker but no more than one per row, and on a T sweep of n rows no
+    more than ceil(n / `_ROWS_PER_STACK`), so that its k-th process starts
+    only beyond k - 1 full stacks of rows.  This process computes the first
+    chunk, and one child process per remaining chunk computes the rest.  One
+    worker, or a one-chunk grid, starts no child.  A child costs about 8 ms
+    (a fork of this process, its pipe and its join): more than a short T
+    sweep, whose rows take well under a millisecond each, but less than a
+    full stack.
     """
     check_writable(cfg.csv_path)
     grid = [float(v) for v in cfg.grid()]
-    size = -(-len(grid) // min(worker_count(workers), len(grid)))
+    most = -(-len(grid) // _ROWS_PER_STACK) if cfg.variable == "T" else len(grid)
+    size = -(-len(grid) // min(worker_count(workers), most))
     chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]
     parts = _run_chunks(chunks)
     results = [r for part in parts for r in part]      # chunks are in index order

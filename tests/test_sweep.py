@@ -124,7 +124,9 @@ def spy(monkeypatch, calls, name, *modules):
 
 
 @pytest.mark.parametrize("text", [RABI, TLS, RABI_FULL_T], ids=["rabi", "tls", "rabi_full_T"])
-def test_csv_byte_identical_for_any_worker_count(tmp_path, text):
+def test_csv_byte_identical_for_any_worker_count(tmp_path, monkeypatch, text):
+    # stacks of 2 rows, so that the short T sweeps still reach the children
+    monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)
     out = {}
     for workers in (1, 2, 3):
         csv = tmp_path / f"w{workers}.csv"
@@ -227,6 +229,7 @@ def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, text, bu
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(sweep, builder, logged)
+    monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)    # 7 rows reach 3 chunks
     cfg = config(text, tmp_path, points=7)
     assert cfg.variable == variable
     csv = {}
@@ -240,6 +243,30 @@ def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, text, bu
         assert str(os.getpid()) in pids            # this one among them
         csv[workers] = (tmp_path / "out.csv").read_bytes()
     assert csv[1] == csv[2] == csv[3]
+
+
+@pytest.mark.parametrize("text,grid,children", [
+    (TLS, {"start": "1e-6", "points": 25}, {2: 0, 3: 0}),
+    (RABI_FULL_T, {"points": 25}, {2: 0, 3: 0}),
+    (TLS, {"start": "1e-6", "points": 600}, {2: 1, 3: 2}),
+    (RABI, {"points": 12}, {2: 1}),
+], ids=["tls_T_25", "rabi_full_T_25", "tls_T_600", "rabi_g_12"])
+def test_children_a_sweep_starts(tmp_path, monkeypatch, text, grid, children):
+    # a child costs more than a short T sweep takes in all: a T sweep of n
+    # rows runs in min(workers, ceil(n / _ROWS_PER_STACK)) processes, any
+    # other sweep in min(workers, n)
+    assert sweep._ROWS_PER_STACK == 256
+    started = []
+    spy(monkeypatch, started, "Process", sweep.multiprocessing)
+    cfg = config(text, tmp_path, **grid)
+    csv = {}
+    for workers in (1, *children):
+        started.clear()
+        result = run_sweep(cfg, workers=workers)
+        assert result.ok and result.rows == cfg.points
+        assert len(started) == children.get(workers, 0)
+        csv[workers] = (tmp_path / "out.csv").read_bytes()
+    assert len(set(csv.values())) == 1
 
 
 def test_child_rows_beyond_a_pipe_buffer_are_gathered(tmp_path):
@@ -257,6 +284,7 @@ def test_child_rows_beyond_a_pipe_buffer_are_gathered(tmp_path):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_child_that_ends_without_its_rows_raises(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)    # 6 rows reach 3 chunks
     cfg = config(TLS, tmp_path, points=6)
     first = float(cfg.grid()[0])
     chunk_task = sweep._chunk_task
@@ -286,6 +314,9 @@ def test_run_sweep_checks_its_csv_path_before_any_row(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, error):
+    monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)    # 6 rows reach 3 chunks
+    started = []
+    spy(monkeypatch, started, "Process", sweep.multiprocessing)
     cfg = config(TLS, tmp_path, points=6)
     first = float(cfg.grid()[0])
 
@@ -299,6 +330,7 @@ def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, err
     with deadline(60), pytest.raises(error, match="caller's chunk"):
         run_sweep(cfg, workers=3)
     assert time.monotonic() - t0 < 30
+    assert len(started) == 2
     assert multiprocessing.active_children() == []
 
 
