@@ -1,13 +1,13 @@
 """Steady-state quantum transport for multi-level junctions.
 
-Second- and fourth-order kernel expansions for bosonic (and example
-fermionic) reservoirs, full/partial secular steady states, heat currents and
-thermal conductances, a qubit-resonator application, and a diagrammatic
-bookkeeping layer with a brute-force oracle for self-validation.
+Second- and fourth-order kernel expansions for bosonic Ohmic-Drude
+reservoirs (and closed forms for a fermionic dot), full/partial secular
+steady states, heat currents and thermal conductances, a qubit-resonator
+application, and a diagrammatic bookkeeping layer with a brute-force oracle
+for self-validation.
 """
 
-from .baths import (dn_dDeltaT, fermi_pv_integral, occupation, spectral_density,
-                    w_rate, wbar_rate)
+from .baths import dn_dDeltaT, fermi_pv_integral, occupation, w_rate
 from .currents import (CurrentResult, dot_transport, heat_current_2nd_general,
                        heat_current_2nd_secular, kappa2, kappa4_lowT,
                        tls_closed_forms)
@@ -16,13 +16,12 @@ from .diagrams import (DiscreteModeBath, enumerate_matchings,
                        generate_kernel_terms, is_irreducible)
 from .linalg import (NumericError, ValidationError, hermitian_eigensystem,
                      lowest_band_eigensystem, to_eigenbasis)
-from .model import (JunctionModel, Reservoir, SpectralDensity, Units, build_junction)
+from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
 from .oracle import CompositeSpace, exact_kernel_order
 from .rabi import (ApproxSpectrum, RabiParams, build_rabi_junction, grwa_spectrum,
                    kondo_temperature, rwa_spectrum, vvpt_spectrum)
-from .redfield import (BosonKernel, KernelBlock, RateMatrix, RedfieldTensor,
-                       build_current_kernel_2nd, build_k2_boson, fermion_dot_rates,
-                       gamma_rates)
+from .redfield import (BosonKernel, KernelBlock, RateMatrix, build_current_kernel_2nd,
+                       build_k2_boson, fermion_dot_rates, gamma_rates)
 from .steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
                      full_secular_steady, partial_secular_steady,
                      three_level_coherence_analytic)
@@ -30,12 +29,11 @@ from .steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Units", "JunctionModel", "Reservoir", "SpectralDensity", "build_junction",
+    "JunctionModel", "Reservoir", "SpectralDensity", "build_junction",
     "hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
     "ValidationError", "NumericError",
-    "occupation", "spectral_density", "w_rate", "wbar_rate",
-    "dn_dDeltaT", "fermi_pv_integral",
-    "RedfieldTensor", "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",
+    "occupation", "w_rate", "dn_dDeltaT", "fermi_pv_integral",
+    "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",
     "gamma_rates",
     "build_current_kernel_2nd", "fermion_dot_rates",
     "SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",

@@ -1,8 +1,8 @@
 """Occupation functions and bath correlation rates.
 
 The central objects are the one-sided Fourier transforms W(omega_nm) of the
-bath coupling-operator correlation function, evaluated for an Ohmic-Drude
-spectral density.  `w_table` evaluates W over a whole array of Bohr
+bath coupling-operator correlation function of a `Reservoir`, a bosonic bath
+with an Ohmic-Drude spectral density.  `w_table` evaluates W over a whole array of Bohr
 frequencies in closed form: Re W = pi J n, and Im W is the digamma
 resummation of its Matsubara series, which has no pole where omega_c meets a
 Matsubara frequency; `dw_dt_table` is its temperature derivative, with the
@@ -26,10 +26,8 @@ from scipy.special import digamma, zeta
 from .linalg import ValidationError, NumericError
 from .model import Reservoir, SpectralDensity
 
-__all__ = ["occupation", "bose_signed", "spectral_density", "w_table", "wbar_table",
-           "dw_dt_real", "dw_dt_table",
-           "w_rate", "wbar_rate", "w_rate_real", "w_rate_real_resummed",
-           "w_rate_matsubara_oracle", "dn_dDeltaT",
+__all__ = ["occupation", "bose_signed", "w_table", "dw_dt_real", "dw_dt_table",
+           "w_rate", "w_rate_matsubara_oracle", "dn_dDeltaT",
            "dn_dDeltaT_signed", "fermi_pv_integral", "matsubara_sums"]
 
 MATSUBARA_ATOL = 1e-12
@@ -101,23 +99,9 @@ def bose_signed(omega, beta):
     return out if out.ndim else float(out)
 
 
-def spectral_density(j: SpectralDensity, omega):
-    """J(omega) with the odd extension to negative frequencies."""
-    return j.value(omega)
-
-
 # ---------------------------------------------------------------------------
 # closed-form W table (production path)
 # ---------------------------------------------------------------------------
-
-def _drude_params(bath: Reservoir) -> SpectralDensity:
-    if bath.statistics != "bose":
-        raise ValidationError(
-            "w_rate supports bosonic reservoirs only; use fermi_pv_integral")
-    if not isinstance(bath.spectral, SpectralDensity):
-        raise ValidationError("bosonic reservoir needs an Ohmic-Drude spectral density")
-    return bath.spectral
-
 
 def _w_real(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
     """pi * J(w) * n(w), written as pi (J(w)/w) / beta * x / expm1(x) with x = beta w.
@@ -176,7 +160,7 @@ def w_table(omega, bath: Reservoir) -> np.ndarray:
     `_w_imag`.  Returns a complex array of the shape of `omega`, after the
     temperature axis of the bath if it has one.
     """
-    sd = _drude_params(bath)
+    sd = bath.spectral
     w = np.asarray(omega, dtype=float)
     beta = _t_axis(bath.beta, w)
     return _w_real(w, sd, beta) + 1j * _w_imag(w, sd, beta)
@@ -217,7 +201,7 @@ def dw_dt_real(omega, bath: Reservoir) -> np.ndarray:
     Over the temperature axis of the bath, if it has one, like `w_table`.
     """
     w = np.asarray(omega, dtype=float)
-    return _dw_dt_real(w, _drude_params(bath), _t_axis(bath.temperature, w))
+    return _dw_dt_real(w, bath.spectral, _t_axis(bath.temperature, w))
 
 
 def _dw_dt_real(w: np.ndarray, sd: SpectralDensity, t) -> np.ndarray:
@@ -249,7 +233,7 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     is even in y, so it is evaluated once per distinct |y|.  Over the
     temperature axis of the bath, if it has one, like `w_table`.
     """
-    sd = _drude_params(bath)
+    sd = bath.spectral
     w = np.asarray(omega, dtype=float)
     t = _t_axis(bath.temperature, w)
     x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
@@ -269,37 +253,9 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     return _dw_dt_real(w, sd, t) + 1j * (sd.value(w) / t * (rest_x - rest_y))
 
 
-def wbar_table(omega, bath: Reservoir) -> np.ndarray:
-    """Energy-weighted rate omega * W(omega) over an array of Bohr frequencies.
-
-    The formally divergent zero-time correlation term i*<B(0)B(0)> is omitted:
-    it multiplies Im Tr(Q^2 rho) in the heat current, which vanishes for
-    Hermitian rho, so dropping it realizes the cancellation structurally.
-    """
-    w = np.asarray(omega, dtype=float)
-    return w * w_table(w, bath)
-
-
 def w_rate(omega_nm: float, bath: Reservoir) -> complex:
     """W(omega_nm) at a single Bohr frequency; see `w_table`."""
     return complex(w_table(float(omega_nm), bath))
-
-
-def wbar_rate(omega_nm: float, bath: Reservoir) -> complex:
-    """omega_nm * W(omega_nm) at a single Bohr frequency; see `wbar_table`."""
-    return complex(wbar_table(float(omega_nm), bath))
-
-
-def w_rate_real(omega_nm: float, bath: Reservoir) -> float:
-    """Resonant (absorption/emission) part of W: pi * J(w) * n(w).
-
-    The signed continuation through w = 0 uses the odd spectral density and
-    the continued Bose function; the limit at w = 0 is pi*alpha/beta.  This
-    golden-rule form is exact: the Matsubara resummation of the same quantity
-    (w_rate_real_resummed) telescopes onto it analytically, but suffers
-    cancellation at large beta*w, so the direct form is authoritative.
-    """
-    return float(_w_real(np.asarray(float(omega_nm)), _drude_params(bath), bath.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +331,7 @@ def w_rate_matsubara_oracle(omega_nm: float, bath: Reservoir,
     is exponentially small, and both parts lose accuracy as omega_c nears a
     Matsubara frequency, where the cot term and the series diverge.
     """
-    sd = _drude_params(bath)
+    sd = bath.spectral
     alpha, omega_c, beta = sd.alpha, sd.omega_c, bath.beta
     w = float(omega_nm)
     s2, s3 = matsubara_sums(w, omega_c, beta, atol=atol)
@@ -386,12 +342,6 @@ def w_rate_matsubara_oracle(omega_nm: float, bath: Reservoir,
     im = (-0.5 * np.pi * sd.value(w) * cot
           - 0.5 * np.pi * sd.slope_at(w) * omega_c + pref * w * s3)
     return complex(re, im)
-
-
-def w_rate_real_resummed(omega_nm: float, bath: Reservoir,
-                         atol: float = MATSUBARA_ATOL) -> float:
-    """Re W from the Matsubara series; see `w_rate_matsubara_oracle`."""
-    return w_rate_matsubara_oracle(omega_nm, bath, atol=atol).real
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .linalg import ValidationError
 from .plotting import emit_plot
 from .rabi import (RabiParams, build_rabi_junction, grwa_spectrum,
                    kondo_temperature, rwa_spectrum, vvpt_spectrum)
-from .sweep import check_writable, run_sweep
+from .sweep import _ROWS_PER_STACK, check_writable, run_sweep
 from .validate import run_validation
 
 
@@ -98,8 +98,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="most processes, this one included (default: "
-                              "LT_THREADS, else 1); a T sweep of n rows uses at "
-                              "most ceil(n / 256) processes")
+                              "LT_THREADS, else 1), and no more than the CPUs "
+                              "this process may use; a T sweep of n rows uses at "
+                              f"most ceil(n / {_ROWS_PER_STACK}) processes")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_spec = sub.add_parser("spectrum", help="dump spectrum and coupling elements")

@@ -17,7 +17,7 @@ regression anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +43,6 @@ class CurrentResult:
     """Per-reservoir heat currents (units omega_ref^2), positive into the bath."""
 
     per_reservoir: dict[str, float]
-    order: str = "2"
-    particle: dict[str, float] = field(default_factory=dict)
 
     def total(self) -> float:
         return float(sum(self.per_reservoir.values()))
@@ -69,15 +67,15 @@ def heat_current_2nd_secular(model: JunctionModel, rates: RateMatrix,
     p = state.populations
     wdiff = model.omega[None, :] - model.omega[:, None]   # w_m - w_n
     per = {rid: _secular_current(wdiff, g, p) for rid, g in rates.per_reservoir.items()}
-    return CurrentResult(per_reservoir=per, order="2")
+    return CurrentResult(per_reservoir=per)
 
 
 def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
                              reservoir_id: str, state: SteadyState) -> float:
     """Coherence-resolved current -2 Re sum Q_mn Q_nm' Wbar(w_nm) rho_m'm."""
     bath = _find(baths, reservoir_id)
-    return _heat_current(model, model.q(bath.id), w_table(model.bohr_matrix(), bath),
-                         state.rho)
+    bohr = model.bohr_matrix()
+    return _wbar_current(model.q(bath.id), bohr * w_table(bohr, bath), state.rho)
 
 
 # from this many levels on, the current sums over p first as q @ rho; below,
@@ -85,16 +83,12 @@ def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
 _MATMUL_FROM_DIM = 8
 
 
-def _heat_current(model: JunctionModel, q: np.ndarray, w: np.ndarray,
-                  rho: np.ndarray) -> float:
-    """The current into the bath of coupling q and W table w, for the state rho."""
-    return _wbar_current(q, model.bohr_matrix() * w, rho)
-
-
 def _wbar_current(q: np.ndarray, wbar: np.ndarray, rho: np.ndarray) -> float:
     """The current into the bath of coupling q and table wbar = w_nm W, for the state rho.
 
     -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m], at one temperature.
+    The formally divergent zero-time correlation term i <B(0)B(0)> of wbar is
+    omitted: it multiplies Im Tr(Q^2 rho), which vanishes for Hermitian rho.
     """
     if len(q) < _MATMUL_FROM_DIM:
         total = np.einsum("mn,np,nm,pm->", q, q, wbar, rho)

@@ -2,8 +2,7 @@
 
 Internally hbar = k_B = 1 and every frequency, energy and temperature is
 expressed in units of a reference frequency omega_ref.  Heat currents then
-carry units omega_ref**2 and thermal conductances omega_ref (the factor k_B
-is restored only when converting to SI).
+carry units omega_ref**2 and thermal conductances omega_ref.
 """
 
 from __future__ import annotations
@@ -14,45 +13,9 @@ import numpy as np
 
 from .linalg import ValidationError
 
-__all__ = ["Units", "SpectralDensity", "LeadParams", "Reservoir", "JunctionModel",
-           "build_junction"]
-
-_HBAR_SI = 1.054571817e-34     # J s
-_KB_SI = 1.380649e-23          # J / K
+__all__ = ["SpectralDensity", "Reservoir", "JunctionModel", "build_junction"]
 
 Q_SYMMETRY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Units:
-    """Reference frequency tying the internal dimensionless scheme to SI."""
-
-    omega_ref_hz: float = 1.0
-
-    def __post_init__(self):
-        if not self.omega_ref_hz > 0:
-            raise ValidationError("omega_ref must be positive")
-
-    def frequency_to_si(self, x: float) -> float:
-        """Frequency / energy-over-hbar in internal units -> rad/s."""
-        return x * self.omega_ref_hz
-
-    def frequency_from_si(self, x_si: float) -> float:
-        return x_si / self.omega_ref_hz
-
-    def temperature_to_kelvin(self, t: float) -> float:
-        return t * _HBAR_SI * self.omega_ref_hz / _KB_SI
-
-    def temperature_from_kelvin(self, t_k: float) -> float:
-        return t_k * _KB_SI / (_HBAR_SI * self.omega_ref_hz)
-
-    def heat_current_to_watt(self, i: float) -> float:
-        """Heat current in units omega_ref**2 -> W (hbar restored)."""
-        return i * _HBAR_SI * self.omega_ref_hz**2
-
-    def conductance_to_si(self, kappa: float) -> float:
-        """Thermal conductance in units omega_ref -> W/K (k_B restored)."""
-        return kappa * _KB_SI * self.omega_ref_hz
 
 
 @dataclass(frozen=True)
@@ -61,11 +24,8 @@ class SpectralDensity:
 
     alpha: float
     omega_c: float
-    kind: str = "ohmic-drude"
 
     def __post_init__(self):
-        if self.kind != "ohmic-drude":
-            raise ValidationError(f"unsupported spectral density kind {self.kind!r}")
         if self.alpha < 0:
             raise ValidationError("alpha must be >= 0")
         if not self.omega_c > 0:
@@ -85,49 +45,33 @@ class SpectralDensity:
 
 
 @dataclass(frozen=True)
-class LeadParams:
-    """Wide-band fermionic lead: flat density of states and tunneling strength."""
-
-    dos: float
-    tunneling_sq: float     # |t|^2
-    bandwidth: float
-
-    @property
-    def gamma(self) -> float:
-        """Bare lead-induced rate 2*pi*D*|t|^2 (hbar = 1)."""
-        return 2.0 * np.pi * self.dos * self.tunneling_sq
-
-
-@dataclass(frozen=True)
 class Reservoir:
-    """One thermal reservoir attached to the junction.
+    """One bosonic reservoir with an Ohmic-Drude spectral density.
 
     beta is one inverse temperature, or a 1-d array of them: a temperature
     axis, over which the bath tables of `ltrans.baths` are evaluated at once.
     """
 
     id: str
-    statistics: str                  # "bose" | "fermi"
     beta: float | np.ndarray         # inverse temperature(s), 1/omega_ref
-    mu: float = 0.0                  # chemical potential (0 for bose)
-    spectral: SpectralDensity | LeadParams | None = None
+    spectral: SpectralDensity
 
     def __post_init__(self):
-        if self.statistics not in ("bose", "fermi"):
-            raise ValidationError(f"unknown statistics {self.statistics!r}")
         beta = self.beta
         # a float is checked in float arithmetic, ~2 us less per reservoir
         if not (beta > 0 if isinstance(beta, float) else np.greater(beta, 0).all()):
             raise ValidationError("beta must be positive")
-        if self.statistics == "bose" and self.mu != 0.0:
-            raise ValidationError("bosonic reservoirs must have mu = 0")
+        if not isinstance(self.spectral, SpectralDensity):
+            raise ValidationError(
+                f"reservoir {self.id!r} needs an Ohmic-Drude SpectralDensity, "
+                f"got {type(self.spectral).__name__}")
 
     @property
     def temperature(self) -> float:
         return 1.0 / self.beta
 
     def with_temperature(self, t) -> "Reservoir":
-        return Reservoir(self.id, self.statistics, 1.0 / t, self.mu, self.spectral)
+        return Reservoir(self.id, 1.0 / t, self.spectral)
 
 
 @dataclass(frozen=True)

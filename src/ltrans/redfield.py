@@ -1,4 +1,4 @@
-"""Second-order kernel tensors and population rate matrices.
+"""Second-order kernel blocks and population rate matrices.
 
 The kernel K[n, m, n', m'] generates the weak-coupling master equation
 resolved in the junction eigenbasis; its population block K[n,n,m,m] is the
@@ -9,12 +9,12 @@ stacked.  `build_k2_boson` evaluates those tables over the Bohr matrix
 (`w_table`, once per spectral density, over the distinct temperatures of the
 baths that share it) and returns a `BosonKernel` that holds them: the heat
 currents of a steady state are read from the same tables, and no table
-outlives the kernel.  Entries are evaluated on demand: the partial-secular
-solver asks for the block of its retained pairs only, and the full rank-4
-tensor (`k2_tensor_from_w`, the same formula over all N^2 pairs) is built
-only when `.k` is read.  The sum-rule and Hermiticity checks run on every
-block that is evaluated.  The single-level fermionic dot gets its own rate
-constructor.
+outlives the kernel.  Entries are evaluated on demand, as a `KernelBlock`
+over a set of pairs: the partial-secular solver asks for the block of its
+retained pairs only, and code that needs the full kernel asks for the block
+over `all_pairs(N)`, whose `.k.reshape(N, N, N, N)` is the rank-4 tensor.
+The sum-rule and Hermiticity checks run on every block that is evaluated.
+The single-level fermionic dot gets its own rate constructor.
 
 Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
 tables, kernel blocks, population rates and `gamma_rates` matrices with a
@@ -25,7 +25,6 @@ coupling matrices Q carry no such axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .baths import bose_signed, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 
-__all__ = ["RedfieldTensor", "KernelBlock", "BosonKernel", "RateMatrix",
+__all__ = ["KernelBlock", "BosonKernel", "RateMatrix",
            "build_k2_boson", "k2_pair_block", "k2_tensor_from_w", "all_pairs",
            "gamma_rates", "build_current_kernel_2nd",
            "fermion_dot_rates", "DOT_STATES"]
@@ -101,7 +100,8 @@ def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelBlock:
-    """Kernel entries K[(n,m), (n',m')] between the pairs of a retained set.
+    """Kernel entries K[(n,m), (n',m')] between the pairs of a set: a retained
+    set, or `all_pairs(dim)` for the full kernel.
 
     pairs is a (P, 2) integer array and k the (P, P) complex matrix whose
     row and column order follow it, or a (n_T, P, P) stack of them over a
@@ -152,31 +152,6 @@ class KernelBlock:
         return self
 
 
-@dataclass(frozen=True)
-class RedfieldTensor:
-    """Rank-4 kernel K[n, m, n', m'] at vanishing Laplace variable."""
-
-    dim: int
-    k: np.ndarray
-
-    def norm_max(self) -> float:
-        return float(np.max(np.abs(self.k)))
-
-    def sum_rule_residual(self) -> float:
-        """max |sum_n K[n,n,n',m']| -- probability conservation."""
-        return float(np.max(np.abs(np.einsum("nnab->ab", self.k))))
-
-    def hermiticity_residual(self) -> float:
-        """max |K[n,m,n',m'] - conj(K[m,n,m',n'])| -- RDM Hermiticity."""
-        return float(np.max(np.abs(self.k - np.conj(self.k.transpose(1, 0, 3, 2)))))
-
-    def block(self, pairs: np.ndarray) -> KernelBlock:
-        """The entries between `pairs`, gathered from the tensor."""
-        n, m = pairs[:, 0], pairs[:, 1]
-        return KernelBlock(self.dim, pairs,
-                           self.k[n[:, None], m[:, None], n[None, :], m[None, :]])
-
-
 @dataclass(frozen=True, eq=False)
 class BosonKernel:
     """Second-order kernel of a bosonic junction, held as the inputs of its formula.
@@ -184,9 +159,9 @@ class BosonKernel:
     q and w stack the coupling matrices and the W tables of every bath,
     shape (B, N, N); w may lead with a temperature axis, (n_T, B, N, N), and
     the population rates and blocks then lead with it too.  Entries are
-    evaluated on demand: `block(pairs)` for a retained block, `k` for the
-    full N^4 tensor (built once, on first read; one temperature only).
-    Every evaluated block is checked against the sum rule and Hermiticity.
+    evaluated on demand, by `block(pairs)`: a retained block, or the full
+    kernel over `all_pairs(N)`.  Every evaluated block is checked against
+    the sum rule and Hermiticity.
     """
 
     q: np.ndarray
@@ -211,27 +186,6 @@ class BosonKernel:
         block.check()
         return block
 
-    @cached_property
-    def tensor(self) -> RedfieldTensor:
-        """The full rank-4 tensor, checked; built on first access."""
-        n = self.dim
-        k = k2_tensor_from_w(self.q, self.w)
-        KernelBlock(n, all_pairs(n), k.reshape(n * n, n * n)).check()
-        return RedfieldTensor(dim=n, k=k)
-
-    @property
-    def k(self) -> np.ndarray:
-        return self.tensor.k
-
-    def norm_max(self) -> float:
-        return self.tensor.norm_max()
-
-    def sum_rule_residual(self) -> float:
-        return self.tensor.sum_rule_residual()
-
-    def hermiticity_residual(self) -> float:
-        return self.tensor.hermiticity_residual()
-
 
 @dataclass(frozen=True)
 class RateMatrix:
@@ -251,14 +205,6 @@ class RateMatrix:
         return float(np.max(np.abs(np.sum(self.gamma, axis=-2))))
 
 
-def _bose_reservoirs(baths: list[Reservoir]) -> list[Reservoir]:
-    for b in baths:
-        if b.statistics != "bose":
-            raise ValidationError(
-                f"reservoir {b.id!r} is fermionic; this path supports bosonic baths")
-    return baths
-
-
 def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     """Kernel of a bosonic junction, summed over baths.
 
@@ -267,9 +213,8 @@ def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     temperatures of the baths that use it, and each bath gathers its own
     slices from that table (each slice is bitwise its one-temperature
     table).  The kernel entries themselves are evaluated by the returned
-    `BosonKernel`, block by block or as the full tensor `.k`.
+    `BosonKernel`, block by block.
     """
-    _bose_reservoirs(baths)
     q = np.stack([model.q(b.id) for b in baths])
     bohr = model.bohr_matrix()
     tables = {}        # spectral density -> (its distinct betas, ascending; W over them)
@@ -292,7 +237,6 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     partial-secular solver.  Baths with a temperature axis give rates that
     lead with it.
     """
-    _bose_reservoirs(baths)
     bohr = model.bohr_matrix()
     resolved = np.abs(bohr) > DEGENERACY_TOL
     unresolved_off = ~resolved & ~np.eye(model.dim, dtype=bool)
@@ -326,7 +270,6 @@ def build_current_kernel_2nd(model: JunctionModel, baths: list[Reservoir],
     with Wbar(w) = w * W(w).  The population block satisfies
     2 Re K_I[n,n,m,m] = w_mn * gamma^r[n,m].
     """
-    _bose_reservoirs(baths)
     try:
         bath = next(b for b in baths if b.id == reservoir_id)
     except StopIteration:

@@ -4,11 +4,11 @@ three-level coherence cross-check.
 The partial-secular solver keeps the coherences of quasi-degenerate level
 pairs coupled to the populations and solves the resulting real linear system
 with a trace constraint replacing one redundant population row.  It reads
-only the kernel block of the retained pairs (`kernel.block(pairs)`), so a
-lazily evaluated kernel never builds its full N^4 tensor here; the system,
-its solution and its residual are assembled with index arrays over that
-block.  `partial_secular_response` solves the same system again for the
-linear response of the steady state to a kernel perturbation.
+only the kernel block of the retained pairs (`kernel.block(pairs)`), never
+the kernel over all N^2 pairs; the system, its solution and its residual
+are assembled with index arrays over that block.  `partial_secular_response`
+solves the same system again for the linear response of the steady state to
+a kernel perturbation.
 
 Both solvers take rates or kernels with a leading temperature axis (see
 `ltrans.redfield`) and solve every temperature in one stacked call: one
@@ -28,7 +28,7 @@ import numpy as np
 
 from .linalg import ValidationError, NumericError
 from .model import JunctionModel
-from .redfield import KernelBlock, RateMatrix, RedfieldTensor
+from .redfield import KernelBlock, RateMatrix, all_pairs
 
 __all__ = ["SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
            "retained_pair_array", "full_secular_steady", "partial_secular_steady",
@@ -85,9 +85,6 @@ class FrequencyClusters:
 
     retained: frozenset[tuple[int, int]]
     threshold: float
-
-    def is_retained(self, n: int, m: int) -> bool:
-        return (n, m) in self.retained
 
 
 def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
@@ -293,9 +290,9 @@ def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters
                            lamb_shift: bool = True) -> SteadyState:
     """Solve 0 = -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
 
-    k2 is any kernel with a `block(pairs)` method (`BosonKernel`,
-    `RedfieldTensor` or a `KernelBlock` holding the retained pairs); only the
-    retained block is read.  Unknowns are the populations and Re/Im of each
+    k2 is any kernel with a `block(pairs)` method (a `BosonKernel`, or a
+    `KernelBlock` holding exactly the retained pairs); only the retained
+    block is read.  Unknowns are the populations and Re/Im of each
     retained coherence n < m; the population equation of the lowest state is
     replaced by the trace constraint.  With lamb_shift=False the imaginary
     (level-shift) part of the diagonal coherence couplings K[n,m,n,m] is
@@ -330,17 +327,17 @@ def partial_secular_response(model: JunctionModel, k2, dk2, clusters: FrequencyC
 # analytic three-level coherence (states 0, 1, 2 with 1, 2 quasi-degenerate)
 # ---------------------------------------------------------------------------
 
-def three_level_coherence_analytic(k2: RedfieldTensor,
-                                   omega_12: float) -> tuple[complex, np.ndarray]:
+def three_level_coherence_analytic(k2, omega_12: float) -> tuple[complex, np.ndarray]:
     """Closed-form steady state of the three-level partial-secular equations.
 
     Returns (rho_12, populations).  Requires the kernel of a three-level
     model whose states 1 and 2 are quasi-degenerate; the retained coherence
-    is rho_12 only.
+    is rho_12 only.  k2 is a `BosonKernel` or a `KernelBlock` over
+    `all_pairs(3)`; the full kernel `k2.block(all_pairs(3))` is read.
     """
     if k2.dim != 3:
         raise ValidationError("three-level solver needs a 3x3 model kernel")
-    k = k2.k
+    k = k2.block(all_pairs(3)).k.reshape(3, 3, 3, 3)
     om_p = omega_12 - k[1, 2, 1, 2].imag + k[1, 2, 2, 1].imag
     om_m = omega_12 - k[1, 2, 1, 2].imag - k[1, 2, 2, 1].imag
     big_p = k[1, 2, 1, 2].real + k[1, 2, 2, 1].real

@@ -18,20 +18,21 @@ slice of the stack it solves at the mean temperature: one W-table call, one
 kernel-block evaluation and, when both states keep the same retained pairs,
 one factorization serve both.
 
-The worker count is an upper bound on the processes.  A child process
-costs a few milliseconds to start and join, more than a short T sweep takes
-in all, but less than a stack of `_ROWS_PER_STACK` rows; so a T sweep
-starts its k-th process only beyond k - 1 full stacks of rows, and one of
-up to `_ROWS_PER_STACK` rows runs in the calling process alone.  Any other
-sweep gets one chunk per worker, up to one per row.  The calling process
-computes the first chunk itself; each other chunk runs in its own child
-process, started before any row is computed, which sends its rows back
-through a pipe.  The rows are gathered in index order, so the output is
-byte-identical for any worker count, and every row is byte-identical to
-`compute_row` at its point.  Solver failures poison single rows with NaN
-rather than the run, each failing row carrying the exception that
-`compute_row` raises there; a model build that fails poisons every row it
-serves.
+The worker count is an upper bound on the processes, and so are the CPUs
+this process may run on (`_usable_cpus`): a process beyond them only waits
+for a CPU.  A child process costs a few milliseconds to start and join,
+more than a short T sweep takes in all, but less than a stack of
+`_ROWS_PER_STACK` rows; so a T sweep starts its k-th process only beyond
+k - 1 full stacks of rows, and one of up to `_ROWS_PER_STACK` rows runs in
+the calling process alone.  Any other sweep gets one chunk per worker, up
+to one per row.  The calling process computes the first chunk itself; each
+other chunk runs in its own child process, started before any row is
+computed, which sends its rows back through a pipe.  The rows are gathered
+in index order, so the output is byte-identical for any worker count, and
+every row is byte-identical to `compute_row` at its point.  Solver failures
+poison single rows with NaN rather than the run, each failing row carrying
+the exception that `compute_row` raises there; a model build that fails
+poisons every row it serves.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def check_writable(path: str) -> None:
 
 def worker_count(flag: int | None = None) -> int:
     """The most processes a sweep may use, this one included: --workers beats
-    LT_THREADS; 1 if neither is set.  `run_sweep` starts fewer on a short
-    grid: a T sweep of n rows uses at most ceil(n / `_ROWS_PER_STACK`)."""
+    LT_THREADS; 1 if neither is set.  `run_sweep` starts no more than
+    `_usable_cpus`, and fewer on a short grid: a T sweep of n rows uses at
+    most ceil(n / `_ROWS_PER_STACK`)."""
     if flag is not None:
         if flag < 1:
             raise ValidationError(f"--workers must be at least 1, got {flag}")
@@ -98,6 +100,14 @@ def worker_count(flag: int | None = None) -> int:
     if n < 1:
         raise ValidationError(f"LT_THREADS must be at least 1, got {env!r}")
     return n
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    keeps one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
@@ -121,8 +131,7 @@ def _junction(cfg: SweepConfig, model_args: dict) -> tuple[JunctionModel, int]:
 def _bose_baths(cfg_baths: dict, t_left: float, t_right: float) -> list[Reservoir]:
     sd = SpectralDensity(alpha=float(cfg_baths["alpha"]),
                          omega_c=float(cfg_baths["omega_c"]))
-    return [Reservoir("L", "bose", 1.0 / t_left, 0.0, sd),
-            Reservoir("R", "bose", 1.0 / t_right, 0.0, sd)]
+    return [Reservoir("L", 1.0 / t_left, sd), Reservoir("R", 1.0 / t_right, sd)]
 
 
 def compute_row(cfg: SweepConfig, value: float) -> str:
@@ -303,11 +312,11 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     The CSV path is checked for writing before any row is computed.  The
     chunk is the unit of work: `workers` is the most processes to use, this
     one included.  The grid is cut into contiguous chunks of equal size, one
-    per worker but no more than one per row, and on a T sweep of n rows no
-    more than ceil(n / `_ROWS_PER_STACK`), so that its k-th process starts
-    only beyond k - 1 full stacks of rows.  This process computes the first
-    chunk, and one child process per remaining chunk computes the rest.  One
-    worker, or a one-chunk grid, starts no child.  A child costs about 8 ms
+    per worker but no more than `_usable_cpus` nor one per row, and on a T
+    sweep of n rows no more than ceil(n / `_ROWS_PER_STACK`), so that its
+    k-th process starts only beyond k - 1 full stacks of rows.  This process
+    computes the first chunk, and one child process per remaining chunk
+    computes the rest.  One worker, or a one-chunk grid, starts no child.  A child costs about 8 ms
     (a fork of this process, its pipe and its join): more than a short T
     sweep, whose rows take well under a millisecond each, but less than a
     full stack.
@@ -315,7 +324,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     check_writable(cfg.csv_path)
     grid = [float(v) for v in cfg.grid()]
     most = -(-len(grid) // _ROWS_PER_STACK) if cfg.variable == "T" else len(grid)
-    size = -(-len(grid) // min(worker_count(workers), most))
+    size = -(-len(grid) // min(worker_count(workers), _usable_cpus(), most))
     chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]
     parts = _run_chunks(chunks)
     results = [r for part in parts for r in part]      # chunks are in index order

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from ltrans.baths import _drude_params, bose_signed, dn_dDeltaT_signed
+from ltrans.baths import bose_signed, dn_dDeltaT_signed
 from ltrans.currents import _find, _ground_virtual_sum_squared, _virtual_state_terms
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import JunctionModel, Reservoir
@@ -33,7 +33,7 @@ def w_rate_pv_oracle(omega_nm: float, bath: Reservoir, lam: float = 1e-6,
     imaginary part via symmetric principal-value quadrature around the
     resonance.  Returns (value, error_bound).  Used to validate w_table.
     """
-    sd = _drude_params(bath)
+    sd = bath.spectral
     omega_c, beta = sd.omega_c, bath.beta
     w0 = float(omega_nm)
 

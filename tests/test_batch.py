@@ -322,7 +322,7 @@ def test_a_failing_temperature_fails_its_row_alone(monkeypatch, name, poison, pa
 
 def test_kappa2_sweep_rejects_bad_temperatures_at_once():
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
-    pair = [Reservoir("L", "bose", 1.0, 0.0, sd), Reservoir("R", "bose", 1.0, 0.0, sd)]
+    pair = [Reservoir("L", 1.0, sd), Reservoir("R", 1.0, sd)]
     model, _ = sweep._junction(sweep_config("tls_partial"), {"epsilon": 0.3, "delta": 1.0})
     with pytest.raises(ValidationError, match="positive"):
         kappa2_sweep(model, pair, [0.1, 0.0, 0.2])

@@ -8,10 +8,8 @@ from scipy.special import digamma, polygamma
 
 from ltrans.baths import (_ASYMPTOTIC_FROM, _bernoulli_sum, _trigamma, _w_real,
                           bose_signed, dn_dDeltaT, dn_dDeltaT_signed, dw_dt_real,
-                          dw_dt_table, fermi_pv_integral,
-                          matsubara_sums, occupation, spectral_density, w_rate,
-                          w_rate_matsubara_oracle, w_rate_real, w_rate_real_resummed,
-                          w_table, wbar_rate, wbar_table)
+                          dw_dt_table, fermi_pv_integral, matsubara_sums,
+                          occupation, w_rate, w_rate_matsubara_oracle, w_table)
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity
 from ltrans.rabi import RabiParams, build_rabi_junction
@@ -20,7 +18,7 @@ from quadrature_oracle import w_rate_pv_oracle
 
 
 def drude_bath(beta, alpha=1e-3, omega_c=5.0, rid="L"):
-    return Reservoir(rid, "bose", beta, 0.0, SpectralDensity(alpha, omega_c))
+    return Reservoir(rid, beta, SpectralDensity(alpha, omega_c))
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +73,14 @@ def test_bose_signed_continuation():
 
 def test_drude_special_points():
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
-    assert spectral_density(sd, 5.0) == pytest.approx(1e-3 * 5.0 / 2.0, rel=0, abs=0)
-    assert spectral_density(sd, 0.0) == 0.0
+    assert sd.value(5.0) == pytest.approx(1e-3 * 5.0 / 2.0, rel=0, abs=0)
+    assert sd.value(0.0) == 0.0
 
 
 def test_drude_odd_exact():
     sd = SpectralDensity(alpha=2e-2, omega_c=3.0)
     for w in (0.1, 1.0, 7.7):
-        assert spectral_density(sd, -w) == -spectral_density(sd, w)
+        assert sd.value(-w) == -sd.value(w)
 
 
 def test_drude_slope_and_bound():
@@ -133,18 +131,12 @@ def test_w_rate_vs_pv_oracle_grid():
 def test_w_rate_real_identity_and_resummed():
     bath = drude_bath(beta=2.3)
     scale = np.pi * 1e-3 * 5.0
-    for w in (-1.8, -0.2, 0.0, 0.45, 2.2):
-        direct = w_rate_real(w, bath)
+    ws = np.array([-1.8, -0.2, 0.0, 0.45, 2.2])
+    for w, direct in zip(ws, w_table(ws, bath).real):
         ref = (np.pi * bath.spectral.value(w) * bose_signed(w, bath.beta)
                if w != 0.0 else np.pi * 1e-3 / 2.3)
         assert abs(direct - ref) <= 1e-12 * max(abs(ref), 1e-300)
-        assert abs(w_rate_real_resummed(w, bath) - ref) <= 1e-11 * scale
-
-
-def test_w_rate_rejects_fermi():
-    lead = Reservoir("L", "fermi", 2.0, 0.0, None)
-    with pytest.raises(ValidationError):
-        w_rate(1.0, lead)
+        assert abs(w_rate_matsubara_oracle(w, bath).real - ref) <= 1e-11 * scale
 
 
 def test_w_rate_at_matsubara_collision():
@@ -183,7 +175,6 @@ def test_w_table_matches_matsubara_series(beta, omega_c, omegas):
         ref = w_rate_matsubara_oracle(w, bath)
         assert abs(got - ref) <= 1e-9 * abs(ref), w
         assert got == pytest.approx(w_rate(w, bath), rel=1e-14, abs=0.0)
-        assert w * got == pytest.approx(wbar_rate(w, bath), rel=1e-14, abs=0.0)
 
 
 def test_w_table_shape_and_wbar():
@@ -191,7 +182,6 @@ def test_w_table_shape_and_wbar():
     bohr = np.array([[0.0, -0.8], [0.8, 0.0]])
     w = w_table(bohr, bath)
     assert w.shape == bohr.shape and w.dtype == complex
-    assert np.array_equal(wbar_table(bohr, bath), bohr * w)
     assert w[0, 0] == w[1, 1] == w_rate(0.0, bath)
 
 
@@ -351,13 +341,6 @@ def test_matsubara_tail_doubling():
     s2b, s3b = matsubara_sums(0.7, 5.0, 4.0, n_terms=256)
     assert abs(s2a - s2b) <= 1e-12
     assert abs(s3a - s3b) <= 1e-12
-
-
-def test_wbar_rate():
-    bath = drude_bath(beta=4.0)
-    assert wbar_rate(0.0, bath) == 0.0
-    w = 0.3
-    assert abs(wbar_rate(w, bath) / w_rate(w, bath) - w) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 CONFIG = """
 [model]
@@ -43,3 +46,17 @@ def test_cold_start_leaves_quadrature_unimported(tmp_path):
     loaded = set(json.loads(out))
     assert "ltrans.cli" in loaded
     assert [m for m in HEAVY if m in loaded] == []
+
+
+def test_every_benchmark_span_target_exists():
+    # perfbench/spans.py wraps each LAYERS name by getattr on its ltrans
+    # module, so a name that is gone makes `perfbench/run.py --trace 1` raise
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{layer}.{name}" for layer, names in spans.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"ltrans.{layer}"),
+                                       name, None))]
+    assert missing == []

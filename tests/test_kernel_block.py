@@ -19,8 +19,14 @@ from ltrans.steady import (FrequencyClusters, partial_secular_steady,
 
 def drude_baths(t_left, t_right, alpha=1e-3, omega_c=5.0):
     sd = SpectralDensity(alpha=alpha, omega_c=omega_c)
-    return [Reservoir("L", "bose", 1.0 / t_left, 0.0, sd),
-            Reservoir("R", "bose", 1.0 / t_right, 0.0, sd)]
+    return [Reservoir("L", 1.0 / t_left, sd),
+            Reservoir("R", 1.0 / t_right, sd)]
+
+
+def full_kernel(k2):
+    """The rank-4 tensor K[n, m, n', m'] of a kernel: its block over all pairs."""
+    n = k2.dim
+    return k2.block(all_pairs(n)).k.reshape(n, n, n, n)
 
 
 def random_junction(seed, dim):
@@ -103,14 +109,15 @@ def test_block_equals_full_tensor_entries(case):
     k2 = build_k2_boson(model, drude_baths(t_l, t_r))
     pairs = retained_pair_array(model.dim, FrequencyClusters(retained, 0.0))
     block = k2.block(pairs)
+    k = full_kernel(k2)
     pn, pm = pairs[:, 0], pairs[:, 1]
-    gathered = k2.k[pn[:, None], pm[:, None], pn[None, :], pm[None, :]]
+    gathered = k[pn[:, None], pm[:, None], pn[None, :], pm[None, :]]
     assert np.max(np.abs(block.k - gathered)) <= 1e-14 * np.max(np.abs(block.k))
     # rectangular blocks too: rows and columns need not be the same pairs
     rows, cols = pairs[::2], all_pairs(model.dim)[1::3]
     rect = k2_pair_block(k2.q, k2.w, rows, cols)
-    want = k2.k[rows[:, 0][:, None], rows[:, 1][:, None], cols[:, 0], cols[:, 1]]
-    assert np.max(np.abs(rect - want)) <= 1e-14 * np.max(np.abs(k2.k))
+    want = k[rows[:, 0][:, None], rows[:, 1][:, None], cols[:, 0], cols[:, 1]]
+    assert np.max(np.abs(rect - want)) <= 1e-14 * np.max(np.abs(k))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -120,7 +127,7 @@ def test_partial_secular_steady_matches_full_tensor_solve(case, lamb_shift):
     k2 = build_k2_boson(model, drude_baths(t_l, t_r))
     clusters = FrequencyClusters(retained, 0.0)
     state = partial_secular_steady(model, k2, clusters, lamb_shift=lamb_shift)
-    ref = reference_partial_secular(model, k2.k, retained, lamb_shift)
+    ref = reference_partial_secular(model, full_kernel(k2), retained, lamb_shift)
     assert np.max(np.abs(state.rho - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
@@ -132,7 +139,7 @@ def test_rabi21_nominal_partial_state_matches_full_tensor_solve():
     state, _ = partial_secular_state(model, baths)
     n = model.dim
     assert n < len(state.retained_pairs) < n * n  # a proper retained block
-    ref = reference_partial_secular(model, build_k2_boson(model, baths).k,
+    ref = reference_partial_secular(model, full_kernel(build_k2_boson(model, baths)),
                                     frozenset(state.retained_pairs), True)
     assert np.max(np.abs(state.rho - ref)) <= 1e-12
 

@@ -4,20 +4,7 @@ import numpy as np
 import pytest
 
 from ltrans.linalg import ValidationError
-from ltrans.model import (JunctionModel, LeadParams, Reservoir, SpectralDensity,
-                          Units, build_junction)
-
-
-def test_units_roundtrip():
-    u = Units(omega_ref_hz=2.0 * np.pi * 5e9)
-    for x in (1.0, 0.37, 1e-8, 123.456):
-        assert abs(u.frequency_from_si(u.frequency_to_si(x)) - x) <= 1e-15 * x
-        assert abs(u.temperature_from_kelvin(u.temperature_to_kelvin(x)) - x) <= 1e-15 * x
-
-
-def test_units_positive():
-    with pytest.raises(ValidationError):
-        Units(omega_ref_hz=0.0)
+from ltrans.model import JunctionModel, Reservoir, SpectralDensity, build_junction
 
 
 def test_spectral_density_validation():
@@ -30,13 +17,16 @@ def test_spectral_density_validation():
 def test_reservoir_validation():
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
     with pytest.raises(ValidationError):
-        Reservoir("L", "bose", beta=2.0, mu=0.3, spectral=sd)
-    with pytest.raises(ValidationError):
-        Reservoir("L", "bose", beta=-1.0, spectral=sd)
-    r = Reservoir("L", "fermi", beta=4.0, mu=0.1,
-                  spectral=LeadParams(dos=1.0, tunneling_sq=0.01, bandwidth=100.0))
+        Reservoir("L", beta=-1.0, spectral=sd)
+    r = Reservoir("L", beta=4.0, spectral=sd)
     assert r.temperature == 0.25
     assert r.with_temperature(0.5).beta == 2.0
+
+
+def test_reservoir_rejects_a_spectral_that_is_not_a_spectral_density():
+    for spectral in (None, (1e-3, 5.0)):
+        with pytest.raises(ValidationError, match="needs an Ohmic-Drude SpectralDensity"):
+            Reservoir("L", beta=2.0, spectral=spectral)
 
 
 def test_build_junction_tls():

@@ -24,8 +24,8 @@ COUPLINGS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
 
 def drude_pair(temperature=0.5, alpha=1e-3, omega_c=5.0):
     sd = SpectralDensity(alpha=alpha, omega_c=omega_c)
-    return [Reservoir("L", "bose", 1.0 / temperature, 0.0, sd),
-            Reservoir("R", "bose", 1.0 / temperature, 0.0, sd)]
+    return [Reservoir("L", 1.0 / temperature, sd),
+            Reservoir("R", 1.0 / temperature, sd)]
 
 
 def resonant_kappa2(g, solver):

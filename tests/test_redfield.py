@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from ltrans.baths import bose_signed, w_rate
 from ltrans.diagrams import DiscreteModeBath, evaluate_kernel_from_diagrams
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
-from ltrans.redfield import (build_current_kernel_2nd, build_k2_boson,
+from ltrans.redfield import (all_pairs, build_current_kernel_2nd, build_k2_boson,
                              fermion_dot_rates, gamma_rates, k2_tensor_from_w)
 
 
 def drude_baths(t_left=1.0, t_right=0.5, alpha=1e-3, omega_c=5.0):
     sd = SpectralDensity(alpha=alpha, omega_c=omega_c)
-    return [Reservoir("L", "bose", 1.0 / t_left, 0.0, sd),
-            Reservoir("R", "bose", 1.0 / t_right, 0.0, sd)]
+    return [Reservoir("L", 1.0 / t_left, sd),
+            Reservoir("R", 1.0 / t_right, sd)]
 
 
 def random_model(rng, dim=4):
@@ -23,6 +25,12 @@ def random_model(rng, dim=4):
         x = rng.standard_normal((dim, dim))
         qs[rid] = 0.5 * (x + x.T)
     return build_junction(omega, qs)
+
+
+def full_kernel(k2):
+    """The rank-4 tensor K[n, m, n', m'] of a kernel: its block over all pairs."""
+    n = k2.dim
+    return k2.block(all_pairs(n)).k.reshape(n, n, n, n)
 
 
 def tls_model(omega10=1.0, ql=0.8, qr=0.5):
@@ -39,7 +47,7 @@ def test_zero_coupling_zero_kernel():
     model = build_junction([0.0, 1.0, 2.2], {"L": np.zeros((3, 3)),
                                              "R": np.zeros((3, 3))})
     k2 = build_k2_boson(model, drude_baths())
-    assert k2.norm_max() == 0.0
+    assert k2.block(all_pairs(3)).norm_max() == 0.0
 
 
 def test_tls_population_entry_is_emission_rate():
@@ -52,8 +60,9 @@ def test_tls_population_entry_is_emission_rate():
         j = bath.spectral.value(1.0)
         n = bose_signed(1.0, bath.beta)
         want += 2.0 * np.pi * j * q01**2 * (n + 1.0)
-    assert k2.k[0, 0, 1, 1].real == pytest.approx(want, rel=1e-12)
-    assert abs(k2.k[0, 0, 1, 1].imag) < 1e-14 * want
+    k = full_kernel(k2)
+    assert k[0, 0, 1, 1].real == pytest.approx(want, rel=1e-12)
+    assert abs(k[0, 0, 1, 1].imag) < 1e-14 * want
 
 
 def test_kernel_against_loop_reference():
@@ -82,21 +91,32 @@ def test_kernel_against_loop_reference():
     assert np.max(np.abs(got - ref)) < 1e-15
 
 
-def test_sum_rule_and_hermiticity_random_models():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        model = random_model(rng)
-        k2 = build_k2_boson(model, drude_baths())
-        scale = k2.norm_max()
-        assert k2.sum_rule_residual() <= 1e-12 * scale
-        assert k2.hermiticity_residual() <= 1e-12 * scale
+temperatures = st.floats(0.2, 2.0)
 
 
-def test_fermi_bath_rejected():
-    model = tls_model()
-    lead = Reservoir("L", "fermi", 2.0, 0.0, None)
-    with pytest.raises(ValidationError):
-        build_k2_boson(model, [lead])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       t_pair=st.tuples(temperatures, temperatures),
+       t_axis=st.lists(st.tuples(temperatures, temperatures), min_size=2, max_size=4))
+def test_sum_rule_and_hermiticity_random_models(dim, seed, t_pair, t_axis):
+    # the full kernel of a random junction keeps probability and Hermiticity,
+    # and its population rates obey detailed balance, at one temperature per
+    # bath and slice by slice over a temperature axis
+    model = random_model(np.random.default_rng(seed), dim)
+    bohr = model.bohr_matrix()
+    off = ~np.eye(dim, dtype=bool)
+    for baths in (drude_baths(*t_pair), drude_baths(*np.array(t_axis).T)):
+        block = build_k2_boson(model, baths).block(all_pairs(dim))
+        scale = block.norm_max()
+        assert np.all(block.sum_rule_residual() <= 1e-12 * scale)
+        assert np.all(block.hermiticity_residual() <= 1e-12 * scale)
+        rates = gamma_rates(model, baths)
+        for bath in baths:
+            g = rates.per_reservoir[bath.id]
+            beta = np.reshape(bath.beta, (-1, 1, 1))
+            ratio = g[..., off] / np.swapaxes(g, -1, -2)[..., off]
+            want = np.exp(-beta * bohr)[..., off]
+            assert np.max(np.abs(ratio / want - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +300,7 @@ def test_kernel_matches_diagram_extrapolation():
     baths = drude_baths(t_left=t_l, t_right=t_r, alpha=alpha, omega_c=omega_c)
     k_ref = build_k2_boson(model, baths)
     n = model.dim
-    k_ref_mat = k_ref.k.reshape(n * n, n * n)
+    k_ref_mat = k_ref.block(all_pairs(n)).k
 
     lams = np.array([0.64, 0.32, 0.16, 0.08, 0.04, 0.02])
     omega_hi = 40.0 * max(t_l, t_r) + 8.0 * omega_c

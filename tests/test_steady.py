@@ -6,16 +6,18 @@ import pytest
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
 from ltrans.rabi import RabiParams, build_rabi_junction
-from ltrans.redfield import RateMatrix, RedfieldTensor, build_k2_boson, gamma_rates
+from ltrans.redfield import (KernelBlock, RateMatrix, all_pairs, build_k2_boson,
+                             gamma_rates)
 from ltrans.steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
                            full_secular_steady, partial_secular_steady,
-                           propagate_rate_equation, three_level_coherence_analytic)
+                           propagate_rate_equation, retained_pair_array,
+                           three_level_coherence_analytic)
 
 
 def drude_baths(t_left=1.0, t_right=0.5, alpha=1e-3, omega_c=5.0):
     sd = SpectralDensity(alpha=alpha, omega_c=omega_c)
-    return [Reservoir("L", "bose", 1.0 / t_left, 0.0, sd),
-            Reservoir("R", "bose", 1.0 / t_right, 0.0, sd)]
+    return [Reservoir("L", 1.0 / t_left, sd),
+            Reservoir("R", 1.0 / t_right, sd)]
 
 
 def random_model(rng, dim=4):
@@ -25,6 +27,15 @@ def random_model(rng, dim=4):
         x = rng.standard_normal((dim, dim))
         qs[rid] = 0.5 * (x + x.T)
     return build_junction(omega, qs)
+
+
+def gathered_block(k, clusters):
+    """The `KernelBlock` over the solver's pairs of `clusters`, gathered from
+    the rank-4 tensor k."""
+    dim = len(k)
+    pairs = retained_pair_array(dim, clusters)
+    n, m = pairs[:, 0], pairs[:, 1]
+    return KernelBlock(dim, pairs, k[n[:, None], m[:, None], n[None, :], m[None, :]])
 
 
 def all_pairs_clusters(dim):
@@ -63,8 +74,8 @@ def test_cluster_rabi_resonance_point():
     rates = gamma_rates(model, baths)
     gamma_scale = np.max(np.abs(rates.gamma - np.diag(np.diag(rates.gamma))))
     clusters = cluster_bohr_frequencies(model, gamma_scale, c=10.0)
-    assert clusters.is_retained(1, 2) and clusters.is_retained(2, 1)
-    assert not clusters.is_retained(0, 1)
+    assert (1, 2) in clusters.retained and (2, 1) in clusters.retained
+    assert (0, 1) not in clusters.retained
 
 
 def test_cluster_validation():
@@ -177,9 +188,10 @@ def test_partial_secular_converges_with_c():
 
 def test_partial_secular_singular_system():
     model = build_junction([0.0, 1.0], {"L": np.zeros((2, 2))})
-    k2 = RedfieldTensor(dim=2, k=np.zeros((2, 2, 2, 2), dtype=complex))
+    clusters = all_pairs_clusters(2)
+    k2 = gathered_block(np.zeros((2, 2, 2, 2), dtype=complex), clusters)
     with pytest.raises((NumericError, np.linalg.LinAlgError)):
-        partial_secular_steady(model, k2, all_pairs_clusters(2))
+        partial_secular_steady(model, k2, clusters)
 
 
 def test_partial_secular_condition_warning(caplog):
@@ -193,7 +205,7 @@ def test_partial_secular_condition_warning(caplog):
     model = build_junction([0.0, 1.0, 2.0], {"L": np.zeros((3, 3))})
     diag_only = cluster_bohr_frequencies(model, 1e-9, c=0.0)
     with caplog.at_level(logging.WARNING, logger="ltrans.steady"):
-        state = partial_secular_steady(model, RedfieldTensor(dim=3, k=k), diag_only)
+        state = partial_secular_steady(model, gathered_block(k, diag_only), diag_only)
     assert any("badly conditioned" in r.message for r in caplog.records)
     assert np.abs(g @ state.populations).max() < 1e-15
 
@@ -222,7 +234,7 @@ def test_three_level_no_source_no_coherence():
     rng = np.random.default_rng(8)
     model = quasi_degenerate_model(rng)
     k2 = build_k2_boson(model, drude_baths(0.9, 0.9))
-    k = k2.k.copy()
+    k = k2.block(all_pairs(3)).k.reshape(3, 3, 3, 3)
     for i in range(3):
         k[1, 2, i, i] = 0.0
         k[2, 1, i, i] = 0.0
@@ -231,7 +243,7 @@ def test_three_level_no_source_no_coherence():
     k[2, 1, 2, 1] = k[2, 1, 2, 1].real
     k[2, 1, 1, 2] = 0.0
     rho12, pops = three_level_coherence_analytic(
-        RedfieldTensor(dim=3, k=k), model.omega[1] - model.omega[2])
+        KernelBlock(3, all_pairs(3), k.reshape(9, 9)), model.omega[1] - model.omega[2])
     assert abs(rho12) < 1e-16
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -283,4 +295,4 @@ def test_three_level_coherence_peaks_at_rabi_resonance():
 def test_three_level_requires_dim3():
     with pytest.raises(ValidationError):
         three_level_coherence_analytic(
-            RedfieldTensor(dim=2, k=np.zeros((2, 2, 2, 2), dtype=complex)), 0.1)
+            KernelBlock(2, all_pairs(2), np.zeros((4, 4), dtype=complex)), 0.1)

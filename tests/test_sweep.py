@@ -123,8 +123,14 @@ def spy(monkeypatch, calls, name, *modules):
         monkeypatch.setattr(module, name, counted)
 
 
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Let a sweep start up to 8 processes, however many CPUs this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
 @pytest.mark.parametrize("text", [RABI, TLS, RABI_FULL_T], ids=["rabi", "tls", "rabi_full_T"])
-def test_csv_byte_identical_for_any_worker_count(tmp_path, monkeypatch, text):
+def test_csv_byte_identical_for_any_worker_count(tmp_path, monkeypatch, eight_cpus, text):
     # stacks of 2 rows, so that the short T sweeps still reach the children
     monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)
     out = {}
@@ -215,8 +221,8 @@ def test_zero_bias_currents_equal_an_explicit_solve(tmp_path):
     (RABI_FULL_T, "build_rabi_junction", "T"),
     (RABI, "build_rabi_junction", "g"),
 ], ids=["tls_T", "rabi_full_T", "rabi_g"])
-def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, text, builder,
-                                                  variable):
+def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, eight_cpus, text,
+                                                  builder, variable):
     # the spy appends one line per build to a file, so that it counts the
     # builds of the forked child processes too; a T sweep reuses one model
     # per chunk, any other sweep builds one per row
@@ -251,7 +257,7 @@ def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, text, bu
     (TLS, {"start": "1e-6", "points": 600}, {2: 1, 3: 2}),
     (RABI, {"points": 12}, {2: 1}),
 ], ids=["tls_T_25", "rabi_full_T_25", "tls_T_600", "rabi_g_12"])
-def test_children_a_sweep_starts(tmp_path, monkeypatch, text, grid, children):
+def test_children_a_sweep_starts(tmp_path, monkeypatch, eight_cpus, text, grid, children):
     # a child costs more than a short T sweep takes in all: a T sweep of n
     # rows runs in min(workers, ceil(n / _ROWS_PER_STACK)) processes, any
     # other sweep in min(workers, n)
@@ -269,7 +275,33 @@ def test_children_a_sweep_starts(tmp_path, monkeypatch, text, grid, children):
     assert len(set(csv.values())) == 1
 
 
-def test_child_rows_beyond_a_pipe_buffer_are_gathered(tmp_path):
+def test_sweep_starts_no_process_beyond_the_usable_cpus(tmp_path, monkeypatch):
+    # a process beyond the CPUs this one may use only waits for a CPU: at one
+    # usable CPU a 12-row g sweep at 3 workers starts no child, and writes
+    # the bytes that 3 processes write on 8 CPUs
+    started = []
+    spy(monkeypatch, started, "Process", sweep.multiprocessing)
+    cfg = config(RABI, tmp_path, points=12)
+    csv = {}
+    for cpus, children in ((1, 0), (8, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        started.clear()
+        result = run_sweep(cfg, workers=3)
+        assert result.ok and result.rows == 12
+        assert len(started) == children
+        csv[cpus] = (tmp_path / "out.csv").read_bytes()
+    assert csv[1] == csv[8]
+
+
+@pytest.mark.parametrize("count,usable", [(5, 5), (None, 1)])
+def test_usable_cpus_without_an_affinity_set(monkeypatch, count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert sweep._usable_cpus() == usable
+
+
+def test_child_rows_beyond_a_pipe_buffer_are_gathered(tmp_path, eight_cpus):
     # each child's 600 rows outgrow a 64 KiB pipe buffer, so the child is
     # still writing when the caller turns to it; receiving before joining
     # keeps that from deadlocking
@@ -283,7 +315,7 @@ def test_child_rows_beyond_a_pipe_buffer_are_gathered(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_child_that_ends_without_its_rows_raises(tmp_path, monkeypatch, workers):
+def test_child_that_ends_without_its_rows_raises(tmp_path, monkeypatch, eight_cpus, workers):
     monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)    # 6 rows reach 3 chunks
     cfg = config(TLS, tmp_path, points=6)
     first = float(cfg.grid()[0])
@@ -313,7 +345,8 @@ def test_run_sweep_checks_its_csv_path_before_any_row(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, error):
+def test_failure_in_the_callers_chunk_leaves_no_child(tmp_path, monkeypatch, eight_cpus,
+                                                      error):
     monkeypatch.setattr(sweep, "_ROWS_PER_STACK", 2)    # 6 rows reach 3 chunks
     started = []
     spy(monkeypatch, started, "Process", sweep.multiprocessing)
