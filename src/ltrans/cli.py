@@ -32,16 +32,21 @@ def _cmd_sweep(args) -> int:
             check_writable(path)       # before any row is computed
     result = run_sweep(cfg, workers=args.workers)
     print(f"wrote {result.csv_path} ({result.rows} rows)")
-    if cfg.svg_path:
-        logx = cfg.scale == "log"
-        emit_plot(cfg.csv_path, cfg.svg_path, x_col="value",
-                  y_cols=["kappa2", "kappa4", "kappa_total"],
-                  logx=logx, logy=True,
-                  x_label=f"{cfg.variable} (omega_ref units)",
-                  y_label="kappa (k_B * omega_ref)")
-        print(f"wrote {cfg.svg_path}")
     for idx, err in result.failures:
         print(f"row {idx} failed: {err}", file=sys.stderr)
+    if cfg.svg_path:
+        logx = cfg.scale == "log"
+        try:
+            emit_plot(cfg.csv_path, cfg.svg_path, x_col="value",
+                      y_cols=["kappa2", "kappa4", "kappa_total"],
+                      logx=logx, logy=True,
+                      x_label=f"{cfg.variable} (omega_ref units)",
+                      y_label="kappa (k_B * omega_ref)")
+        except ValidationError as exc:
+            # the rows are written; only the plot of them failed
+            print(f"error: {exc}; {cfg.svg_path} not written", file=sys.stderr)
+            return 1
+        print(f"wrote {cfg.svg_path}")
     return 0 if result.ok else 1
 
 
@@ -99,8 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="most processes, this one included (default: "
                               "LT_THREADS, else 1), and no more than the CPUs "
-                              "this process may use; a T sweep of n rows uses at "
-                              f"most ceil(n / {_ROWS_PER_STACK}) processes")
+                              "this process may use; a T sweep or a dot sweep of "
+                              f"n rows uses at most ceil(n / {_ROWS_PER_STACK}) "
+                              "processes")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_spec = sub.add_parser("spectrum", help="dump spectrum and coupling elements")

@@ -4,15 +4,15 @@ Second-order (sequential) currents come in a secular population form and a
 general form with coherences; the sequential conductance is their linear
 response to the heated bath's temperature, one closed-form derivative for
 both secular solvers.  `kappa2_sweep` computes it over a whole temperature
-axis, in slices of bounded size: one set of bath tables per slice, one
-batched solve per set of temperatures that share a retained-pair set, and
-the currents contracted per temperature; `kappa2_response` is its
-one-temperature case.  A biased row's own steady state, at the baths'
-temperatures, is one more slice of that stack.  The fourth-order
-(cotunneling) channel is the closed-form low-temperature T^3 conductance;
-its frequency-quadrature kernel is a test oracle and lives with the tests.
-Closed-form two-level and single-dot expressions are kept alongside as
-regression anchors.
+axis, in slices of bounded size: one set of bath tables per slice, and one
+clustering, one batched solve and one contraction of kappa2 and of each
+bath's current per set of temperatures that share a retained-pair set;
+`kappa2_response` is its one-temperature case.  A biased row's own steady
+state, at the baths' temperatures, is one more slice of that stack.  The
+fourth-order (cotunneling) channel is the closed-form low-temperature T^3
+conductance; its frequency-quadrature kernel is a test oracle and lives
+with the tests.  Closed-form two-level and single-dot expressions are kept
+alongside as regression anchors.
 """
 
 from __future__ import annotations
@@ -56,9 +56,14 @@ class CurrentResult:
 # second order
 # ---------------------------------------------------------------------------
 
-def _secular_current(wdiff: np.ndarray, g: np.ndarray, p: np.ndarray) -> float:
-    """sum_{n,m} wdiff[n, m] g[n, m] p[m] for one temperature."""
-    return float(np.einsum("nm,nm,m->", wdiff, g, p))
+def _secular_current(wdiff: np.ndarray, g: np.ndarray, p: np.ndarray):
+    """sum_{n,m} wdiff[n, m] g[n, m] p[m], per temperature.
+
+    g and p may carry a leading temperature axis: the result is then an
+    array over it, each entry bitwise the one-temperature sum (a float).
+    """
+    out = np.einsum("nm,...nm,...m->...", wdiff, g, p)
+    return out if out.ndim else float(out)
 
 
 def heat_current_2nd_secular(model: JunctionModel, rates: RateMatrix,
@@ -83,18 +88,22 @@ def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
 _MATMUL_FROM_DIM = 8
 
 
-def _wbar_current(q: np.ndarray, wbar: np.ndarray, rho: np.ndarray) -> float:
+def _wbar_current(q: np.ndarray, wbar: np.ndarray, rho: np.ndarray):
     """The current into the bath of coupling q and table wbar = w_nm W, for the state rho.
 
-    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m], at one temperature.
-    The formally divergent zero-time correlation term i <B(0)B(0)> of wbar is
-    omitted: it multiplies Im Tr(Q^2 rho), which vanishes for Hermitian rho.
+    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m], per temperature:
+    wbar and rho may carry a leading temperature axis, and the result is
+    then an array over it, each entry bitwise the one-temperature sum (a
+    float).  The formally divergent zero-time correlation term i <B(0)B(0)>
+    of wbar is omitted: it multiplies Im Tr(Q^2 rho), which vanishes for
+    Hermitian rho.
     """
     if len(q) < _MATMUL_FROM_DIM:
-        total = np.einsum("mn,np,nm,pm->", q, q, wbar, rho)
+        total = np.einsum("mn,np,...nm,...pm->...", q, q, wbar, rho)
     else:
-        total = np.sum(q.T * wbar * (q @ rho))
-    return float(-2.0 * np.real(total))
+        total = np.sum(q.T * wbar * (q @ rho), axis=(-2, -1))
+    out = -2.0 * np.real(total)
+    return out if out.ndim else float(out)
 
 
 def _find(baths: list[Reservoir], rid: str) -> Reservoir:
@@ -240,11 +249,14 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     that `kappa2_response` raises there.  The W (or Re W) and dW/dT tables
     are evaluated once per slice of temperatures (`_STACK_ENTRIES` bounds
     its arrays).  The full solver solves a slice in one batched
-    `full_secular_steady`; the partial solver clusters the spectrum at each
-    temperature and solves the temperatures that share a retained-pair set
-    in one batched `partial_secular_response` (in slices, for large sets).
-    If a stacked solve raises, its temperatures are solved one at a time, so
-    that a failure stays with its own row.  Invalid arguments raise at once.
+    `full_secular_steady`; the partial solver groups the temperatures of a
+    slice by the retained-pair set their rate scales give
+    (`_cluster_groups`) and solves each group in one batched
+    `partial_secular_response` (in slices, for large sets).  kappa2 and
+    each bath's current are contracted once per stacked solve, every entry
+    bitwise the one-temperature contraction.  If a stacked solve raises,
+    its temperatures are solved one at a time, so that a failure stays with
+    its own row.  Invalid arguments raise at once.
 
     Only the ids and spectral densities of the baths are read, unless
     `biased`: then `temperatures` holds one temperature (the mean of the
@@ -290,10 +302,17 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
     q_h = model.q(heated.id)[None]
     bohr = model.bohr_matrix()
 
-    def slices(state, d, m):
-        """(state, d) per slice of a stacked solve, d only for its first m slices."""
+    def slices(state, kappa2, currents):
+        """(state, kappa2, currents) per slice of a stacked solve.
+
+        kappa2 is None or an array over the first slices (those with a
+        response); currents maps each bath id to an array over every slice.
+        """
+        kappa2 = [] if kappa2 is None else kappa2.tolist()
+        currents = {k: v.tolist() for k, v in currents.items()}
         return [(SteadyState(rho, state.retained_pairs, state.solver_tag),
-                 d[i] if i < m else None) for i, rho in enumerate(state.rho)]
+                 kappa2[i] if i < len(kappa2) else None,
+                 {k: v[i] for k, v in currents.items()}) for i, rho in enumerate(state.rho)]
 
     if solver == "full":
         rates = gamma_rates(model, stacked)
@@ -307,20 +326,20 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
             sub = RateMatrix(rates.gamma[idx],
                              {k: g[idx] for k, g in rates.per_reservoir.items()})
             state = full_secular_steady(sub)
+            currents = {k: _secular_current(wdiff, g, state.populations)
+                        for k, g in sub.per_reservoir.items()}
             m = np.count_nonzero(idx < n)          # idx ascends, so these lead it
             if not m:
-                return slices(state, (), 0)
+                return slices(state, None, currents)
             a = sub.gamma[:m].copy()
             a[..., 0, :] = 1.0
             rhs = -(dgamma[idx[:m]] @ state.populations[:m, :, None])
             rhs[..., 0, :] = 0.0
-            return slices(state, np.linalg.solve(a, rhs)[..., 0], m)
+            dp = np.linalg.solve(a, rhs)[..., 0]
+            return slices(state, _secular_current(wdiff, sub.per_reservoir[rid][:m], dp),
+                          currents)
 
-        return _responses(
-            _isolated(np.arange(len(rates.gamma)), solve_full), n, biased,
-            lambda j, dp: _secular_current(wdiff, rates.per_reservoir[rid][j], dp),
-            lambda j, state: {k: _secular_current(wdiff, g[j], state.populations)
-                              for k, g in rates.per_reservoir.items()})
+        return _responses(_isolated(np.arange(len(rates.gamma)), solve_full), n, biased)
 
     k2 = build_k2_boson(model, stacked)
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
@@ -335,50 +354,78 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
         m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
         if not m:
             state = partial_secular_steady(model, kernel, clusters, lamb_shift)
-            return slices(state, (), 0)
-        dblock = KernelBlock(model.dim, pairs,
-                             k2_pair_block(q_h, dw[idx[:m]], pairs, pairs))
-        state, drho = partial_secular_response(model, kernel, dblock, clusters, lamb_shift)
-        return slices(state, drho, m)
-
-    # cluster every slice (a clustering that raises is its slice's result)
-    # and solve the slices of each retained-pair set together
-    out: list = [None] * len(k2.w)
-    groups: dict = {}
-    for i, scale in enumerate(_rate_scale(k2).tolist()):
-        try:
-            clusters = _clusters(model, scale, c)
-        except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
-            out[i] = exc
+            kappa2 = None
         else:
-            groups.setdefault(clusters.retained, (clusters, []))[1].append(i)
-    for clusters, rows in groups.values():
+            dblock = KernelBlock(model.dim, pairs,
+                                 k2_pair_block(q_h, dw[idx[:m]], pairs, pairs))
+            state, drho = partial_secular_response(model, kernel, dblock, clusters,
+                                                   lamb_shift)
+            kappa2 = _wbar_current(k2.q[r], wbar[idx[:m], r], drho)
+        return slices(state, kappa2, {b.id: _wbar_current(q, wbar[idx, i], state.rho)
+                                      for i, (b, q) in enumerate(zip(baths, k2.q))})
+
+    # solve the slices of each retained-pair set together (a clustering that
+    # raises is its slice's result)
+    groups, out = _cluster_groups(model, _rate_scale(k2), c)
+    for clusters, rows in groups:
         pairs = retained_pair_array(model.dim, clusters)
         size = max(1, _STACK_ENTRIES // len(pairs)**2)
         for s in range(0, len(rows), size):
-            idx = np.array(rows[s:s + size])
-            for i, res in zip(idx, _isolated(idx, solve_partial, clusters, pairs)):
+            idx = rows[s:s + size]
+            for i, res in zip(idx.tolist(), _isolated(idx, solve_partial, clusters, pairs)):
                 out[i] = res
-    return _responses(
-        out, n, biased, lambda j, drho: _wbar_current(k2.q[r], wbar[j, r], drho),
-        lambda j, state: {b.id: _wbar_current(q, wb, state.rho)
-                          for b, q, wb in zip(baths, k2.q, wbar[j])})
+    return _responses(out, n, biased)
 
 
-def _responses(solved: list, n: int, biased: bool, kappa2_of, currents_of) -> list:
+def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float) -> tuple[list, list]:
+    """The retained-pair sets of the Bohr spectrum at the rate scales `scales`.
+
+    Returns (groups, out).  groups holds (clusters, rows) per distinct set,
+    in the order of their first rows: `_clusters` at the first of the rows,
+    the ascending indices of the scales that retain that set.  out holds,
+    per scale, the exception of `_clusters` where it rejects the scale, else
+    None.  A scale is checked before it joins a group, so a rejected one
+    fails alone.  The pairs retained at threshold c * scale are those of
+    |omega_nm| up to it; as the set only grows with the threshold, its size
+    (a `searchsorted` on the sorted |omega_nm|) names it, and `_clusters`
+    runs once per set.
+    """
+    levels = np.abs(model.bohr_matrix()).ravel()
+    levels.sort()
+    scales = scales.tolist()
+    # c * scale as `cluster_bohr_frequencies` forms it; no |omega_nm| is <=
+    # a NaN threshold (0 * inf), which keeps the diagonal alone: size 0
+    thresholds = [c * scale for scale in scales]
+    sizes = levels.searchsorted([t if t == t else -1.0 for t in thresholds],
+                                side="right").tolist()
+    out: list = [None] * len(scales)
+    groups: dict = {}
+    for i, (scale, size) in enumerate(zip(scales, sizes)):
+        if scale > 0 and c >= 0:                    # the checks of `_clusters`
+            groups.setdefault(size, []).append(i)
+            continue
+        try:
+            _clusters(model, scale, c)
+        except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
+            out[i] = exc
+    return [(_clusters(model, scales[rows[0]], c), np.array(rows))
+            for rows in groups.values()], out
+
+
+def _responses(solved: list, n: int, biased: bool) -> list:
     """The `kappa2_sweep` entries of the first n slices of a solved stack.
 
-    solved holds (state, d) or an exception per slice.  The entry of slice j
-    is its kappa2, kappa2_of(j, d), with currents_of the state of slice n on
-    a biased stack and of its own state otherwise, or the first exception of
-    the two slices.
+    solved holds (state, kappa2, currents) or an exception per slice.  The
+    entry of slice j is its kappa2 and state, with the currents of slice n
+    on a biased stack and its own otherwise, or the first exception of the
+    two slices.
     """
     def response(j, k):
         for res in (solved[j], solved[k]):
             if isinstance(res, Exception):
                 return res
-        state, d = solved[j]
-        return Kappa2Response(kappa2_of(j, d), state, currents_of(k, solved[k][0]))
+        state, kappa2, _ = solved[j]
+        return Kappa2Response(kappa2, state, solved[k][2])
 
     return [response(j, n if biased else j) for j in range(n)]
 

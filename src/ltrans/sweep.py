@@ -2,21 +2,23 @@
 
 The unit of work is a chunk: one contiguous run of grid points.  The grid is
 cut into one chunk per worker process (the whole grid when serial), and a T
-sweep of n rows into at most ceil(n / `_ROWS_PER_STACK`) chunks.  A T sweep
-of a rabi or tls model builds its junction model once per chunk and computes
-the rows of the chunk as stacks over their temperatures (up to
-`_ROWS_PER_STACK` rows each, so that a long chunk holds the states of one
-stack at a time): `kappa2_sweep` evaluates the bath tables once per stack,
-solves each set of temperatures that share a retained-pair set in one
-batched call, and returns the steady-state currents with the conductance
-(every T-sweep row is at zero bias); the low-T kappa4 sums its model-only
-factor once per stack.  Any other sweep builds its model per grid point and
-computes it as a one-point stack, and `compute_row` is the one-point chunk.
-A biased row (T_left != T_right, not a T sweep) takes its currents from the
-steady state at (T_left, T_right), which `kappa2_sweep` solves as one more
-slice of the stack it solves at the mean temperature: one W-table call, one
-kernel-block evaluation and, when both states keep the same retained pairs,
-one factorization serve both.
+sweep or a dot sweep of n rows into at most ceil(n / `_ROWS_PER_STACK`)
+chunks.  A T sweep of a rabi or tls model builds its junction model once
+per chunk and computes the rows of the chunk as stacks over their
+temperatures (up to `_ROWS_PER_STACK` rows each, so that a long chunk holds
+the states of one stack at a time): `kappa2_sweep` evaluates the bath
+tables once per stack, solves each set of temperatures that share a
+retained-pair set in one batched call, and contracts their conductances
+and steady-state currents in one call per set and bath (every T-sweep row
+is at zero bias); the low-T kappa4 sums its model-only factor once per
+stack.  Any other sweep builds its model per grid point and computes it as
+a one-point stack, and `compute_row` is the one-point chunk.  A biased row
+(T_left != T_right, not a T sweep) takes its currents from the steady state
+at (T_left, T_right), which `kappa2_sweep` solves as one more slice of the
+stack it solves at the mean temperature: one W-table call, one kernel-block
+evaluation and, when both states keep the same retained pairs, one
+factorization serve both.  Each row is formatted by one `%` format, and
+the CSV is written in one call.
 
 The worker count is an upper bound on the processes, and so are the CPUs
 this process may run on (`_usable_cpus`): a process beyond them only waits
@@ -24,15 +26,17 @@ for a CPU.  A child process costs a few milliseconds to start and join,
 more than a short T sweep takes in all, but less than a stack of
 `_ROWS_PER_STACK` rows; so a T sweep starts its k-th process only beyond
 k - 1 full stacks of rows, and one of up to `_ROWS_PER_STACK` rows runs in
-the calling process alone.  Any other sweep gets one chunk per worker, up
-to one per row.  The calling process computes the first chunk itself; each
-other chunk runs in its own child process, started before any row is
-computed, which sends its rows back through a pipe.  The rows are gathered
-in index order, so the output is byte-identical for any worker count, and
-every row is byte-identical to `compute_row` at its point.  Solver failures
-poison single rows with NaN rather than the run, each failing row carrying
-the exception that `compute_row` raises there; a model build that fails
-poisons every row it serves.
+the calling process alone.  A dot sweep, whose rows are closed forms of a
+few tens of microseconds, follows the same rule.  Any other sweep gets one
+chunk per worker, up to one per row.  The calling process computes the
+first chunk itself; each other chunk runs in its own child process,
+started before any row is computed, which sends its rows back through a
+pipe.  The rows are gathered in index order, so the output is
+byte-identical for any worker count, and every row is byte-identical to
+`compute_row` at its point.  Solver failures poison single rows with NaN
+rather than the run, each failing row carrying the exception that
+`compute_row` raises there; a model build that fails poisons every row it
+serves.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ def check_writable(path: str) -> None:
 def worker_count(flag: int | None = None) -> int:
     """The most processes a sweep may use, this one included: --workers beats
     LT_THREADS; 1 if neither is set.  `run_sweep` starts no more than
-    `_usable_cpus`, and fewer on a short grid: a T sweep of n rows uses at
-    most ceil(n / `_ROWS_PER_STACK`)."""
+    `_usable_cpus`, and fewer on a short grid: a T sweep or a dot sweep of n
+    rows uses at most ceil(n / `_ROWS_PER_STACK`)."""
     if flag is not None:
         if flag < 1:
             raise ValidationError(f"--workers must be at least 1, got {flag}")
@@ -212,7 +216,7 @@ def _stack_rows(cfg: SweepConfig, values: list[float], model: JunctionModel,
     except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
         return [(_failed_row(cfg, v), exc) for v in values]
     try:
-        k4 = kappa4_lowT(model, float(cfg.baths["alpha"]), t_mean)
+        k4 = kappa4_lowT(model, float(cfg.baths["alpha"]), t_mean).tolist()
     except Exception as exc:  # noqa: BLE001  (raised after kappa2, per row)
         k4 = exc
     out = []
@@ -244,15 +248,14 @@ def _dot_row(cfg: SweepConfig, value: float) -> str:
     return _format_row(cfg, value, fields, levels=3)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# sweep variable, value, the _NAN_FIELDS numbers, solver, levels; "%.17g" % x
+# is the text of format(x, ".17g")
+_ROW_FORMAT = "%s," + "%.17g," * (1 + _NAN_FIELDS) + "%s,%d"
 
 
 def _format_row(cfg: SweepConfig, value: float, fields: list[float],
                 levels: int) -> str:
-    cells = [cfg.variable, _fmt(value)] + [_fmt(f) for f in fields]
-    cells += [cfg.solver, str(levels)]
-    return ",".join(cells)
+    return _ROW_FORMAT % (cfg.variable, value, *fields, cfg.solver, levels)
 
 
 def _failed_row(cfg: SweepConfig, value: float) -> str:
@@ -313,24 +316,24 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     chunk is the unit of work: `workers` is the most processes to use, this
     one included.  The grid is cut into contiguous chunks of equal size, one
     per worker but no more than `_usable_cpus` nor one per row, and on a T
-    sweep of n rows no more than ceil(n / `_ROWS_PER_STACK`), so that its
-    k-th process starts only beyond k - 1 full stacks of rows.  This process
-    computes the first chunk, and one child process per remaining chunk
-    computes the rest.  One worker, or a one-chunk grid, starts no child.  A child costs about 8 ms
-    (a fork of this process, its pipe and its join): more than a short T
-    sweep, whose rows take well under a millisecond each, but less than a
-    full stack.
+    sweep or a dot sweep of n rows no more than ceil(n / `_ROWS_PER_STACK`),
+    so that its k-th process starts only beyond k - 1 full stacks of rows.
+    This process computes the first chunk, and one child process per
+    remaining chunk computes the rest.  One worker, or a one-chunk grid,
+    starts no child.  A child costs about 8 ms (a fork of this process, its
+    pipe and its join): more than a short T sweep or dot sweep, whose rows
+    take well under a millisecond each, but less than a full stack.  The
+    CSV is written in one call.
     """
     check_writable(cfg.csv_path)
     grid = [float(v) for v in cfg.grid()]
-    most = -(-len(grid) // _ROWS_PER_STACK) if cfg.variable == "T" else len(grid)
+    stacked = cfg.variable == "T" or cfg.model_type == "dot"
+    most = -(-len(grid) // _ROWS_PER_STACK) if stacked else len(grid)
     size = -(-len(grid) // min(worker_count(workers), _usable_cpus(), most))
     chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]
     parts = _run_chunks(chunks)
     results = [r for part in parts for r in part]      # chunks are in index order
     failures = [(i, err) for i, (_, err) in enumerate(results) if err]
     with open(cfg.csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row, _ in results:
-            fh.write(row + "\n")
+        fh.write("\n".join([CSV_HEADER, *(row for row, _ in results), ""]))
     return SweepResult(csv_path=cfg.csv_path, rows=len(results), failures=failures)

@@ -9,17 +9,18 @@ temperature stays with its own row.
 
 import functools
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltrans import baths, currents, redfield, steady, sweep
 from ltrans.config import parse_config_text
 from ltrans.currents import kappa2_sweep
 from ltrans.linalg import NumericError, ValidationError
-from ltrans.model import Reservoir, SpectralDensity
+from ltrans.model import Reservoir, SpectralDensity, build_junction
 
 from test_sweep import spy
 
@@ -178,8 +179,12 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
     spy(monkeypatch, calls, "k2_pair_block", redfield, currents)
     spy(monkeypatch, calls, "inv", np.linalg)
     spy(monkeypatch, calls, "solve", np.linalg)
+    spy(monkeypatch, calls, "_wbar_current", currents)
+    spy(monkeypatch, calls, "_secular_current", currents)
+    spy(monkeypatch, calls, "_clusters", currents)
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
+    # one current contraction per bath and one of kappa2, per group
     if cfg.solver == "partial":
         assert calls.count("w_table") == 1
         assert calls.count("dw_dt_table") == 1
@@ -187,12 +192,17 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("_solve_retained") == calls.count("inv") == groups
         assert calls.count("k2_pair_block") == 2 * groups     # kernel and dK/dT blocks
         assert calls.count("solve") == groups
+        assert calls.count("_clusters") == groups
+        assert calls.count("_wbar_current") == 3 * groups
+        assert calls.count("_secular_current") == 0
     else:
         assert calls.count("w_table") == calls.count("dw_dt_table") == 0
         assert calls.count("dw_dt_real") == 1
         assert calls.count("full_secular_steady") == 1
         assert calls.count("solve") == 2
         assert calls.count("inv") == 0
+        assert calls.count("_secular_current") == 3
+        assert calls.count("_wbar_current") == calls.count("_clusters") == 0
 
 
 def portable_solve(monkeypatch):
@@ -272,14 +282,15 @@ def test_a_long_chunk_is_computed_in_stacks_of_rows_on_one_model(monkeypatch, na
 
 def poison_w_table(monkeypatch, bad_t, part):
     """Make W non-finite at temperature bad_t: its real part (which the
-    clustering reads) or its imaginary part (which only the solve reads)."""
+    clustering reads) or its imaginary part (which only the solve reads);
+    or make its real part vanish, so that the clustering scale is 0."""
     orig = redfield.w_table
 
     def poisoned(omega, bath):
         out = orig(omega, bath)
         hit = np.asarray(bath.beta) == 1.0 / bad_t
         if hit.ndim:
-            (out.real if part == "real" else out.imag)[hit] = np.nan
+            (out.imag if part == "imag" else out.real)[hit] = 0.0 if part == "zero" else np.nan
         return out
 
     monkeypatch.setattr(redfield, "w_table", poisoned)
@@ -301,15 +312,21 @@ def poison_gamma_rates(monkeypatch, bad_t, part):
 
 @pytest.mark.parametrize("name,poison,part,error", [
     ("tls_partial", poison_w_table, "real", ValidationError),
+    ("tls_partial", poison_w_table, "zero", ValidationError),
     ("rabi_partial", poison_w_table, "imag", NumericError),
     ("rabi_full", poison_gamma_rates, "all", ValidationError),
-], ids=["clustering", "partial_solve", "full_solve"])
+], ids=["clustering", "clustering_collides", "partial_solve", "full_solve"])
 def test_a_failing_temperature_fails_its_row_alone(monkeypatch, name, poison, part,
                                                    error):
     cfg = sweep_config(name, points=9)
     grid = [float(v) for v in cfg.grid()]
     clean = sweep._chunk_rows(cfg, grid)
     bad = 4
+    if part == "zero":
+        # the threshold c * 0 counts the |omega_nm| that a valid row of
+        # diagonal pairs alone counts: the rejected scale must not join them
+        model, _ = sweep._junction(cfg, cfg.model)
+        assert frozenset((n, n) for n in range(model.dim)) in retained_sets(cfg)
     poison(monkeypatch, grid[bad], part)
     with pytest.raises(error) as raised:
         sweep.compute_row(cfg, grid[bad])
@@ -328,3 +345,158 @@ def test_kappa2_sweep_rejects_bad_temperatures_at_once():
         kappa2_sweep(model, pair, [0.1, 0.0, 0.2])
     with pytest.raises(ValidationError, match="1-d"):
         kappa2_sweep(model, pair, [[0.1]])
+
+
+def bits(x):
+    """The bits of a float: -0.0 and 0.0 differ, every NaN is alike."""
+    return float(x).hex()
+
+
+def per_row_wbar_current(q, wbar, rho):
+    """The one-temperature heat-current contraction, row by row."""
+    def one(w, r):
+        if len(q) < currents._MATMUL_FROM_DIM:
+            total = np.einsum("mn,np,nm,pm->", q, q, w, r)
+        else:
+            total = np.sum(q.T * w * (q @ r))
+        return float(-2.0 * np.real(total))
+
+    return np.array([one(w, r) for w, r in zip(wbar, rho)])
+
+
+def per_row_secular_current(wdiff, g, p):
+    """The one-temperature population current, row by row."""
+    return np.array([float(np.einsum("nm,nm,m->", wdiff, gj, pj)) for gj, pj in zip(g, p)])
+
+
+def random_junction(seed, dim, split):
+    """A junction of `dim` levels, two of them `split` apart, so that the
+    retained pairs change with the temperature on the partial solver."""
+    rng = np.random.default_rng(seed)
+    omega = np.sort(rng.uniform(0.0, 2.5, size=dim)) + 0.3 * np.arange(dim)
+    k = int(rng.integers(dim - 1))
+    omega[k + 1:] += omega[k] + split - omega[k + 1]
+    qs = {}
+    for rid in ("L", "R"):
+        x = rng.standard_normal((dim, dim))
+        qs[rid] = 0.5 * (x + x.T)
+    return build_junction(omega, qs)
+
+
+@pytest.mark.parametrize("solver", ["partial", "full"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dim=st.integers(2, 9),        # both sides of currents._MATMUL_FROM_DIM
+       split=st.floats(1e-4, 0.3),
+       temps=st.lists(st.floats(0.02, 3.0), min_size=1, max_size=30))
+def test_stacked_contractions_are_bitwise_the_per_row_ones(solver, seed, dim, split,
+                                                           temps):
+    # kappa2 and the currents, contracted once per stack or retained-pair
+    # group, carry the bits of the one-temperature contraction of each row
+    model = random_junction(seed, dim, split)
+    sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
+    pair = [Reservoir("L", 1.0, sd), Reservoir("R", 1.0, sd)]
+    got = kappa2_sweep(model, pair, temps, solver)
+    with mock.patch.object(currents, "_wbar_current", per_row_wbar_current), \
+            mock.patch.object(currents, "_secular_current", per_row_secular_current):
+        want = kappa2_sweep(model, pair, temps, solver)
+    assert len(got) == len(want) == len(temps)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+            continue
+        assert bits(g.kappa2) == bits(w.kappa2)
+        assert {k: bits(v) for k, v in g.currents.items()} == \
+            {k: bits(v) for k, v in w.currents.items()}
+        assert all(type(v) is float for v in (g.kappa2, *g.currents.values()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12), temps=st.integers(1, 30))
+def test_stacked_current_forms_are_bitwise_the_one_temperature_forms(seed, dim, temps):
+    # the contractions themselves, on random tables and states
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim, dim))
+    q = x + x.T
+    wbar = rng.standard_normal((temps, dim, dim)) + 1j * rng.standard_normal((temps, dim, dim))
+    y = rng.standard_normal((temps, dim, dim)) + 1j * rng.standard_normal((temps, dim, dim))
+    rho = y @ np.conj(np.swapaxes(y, -1, -2))
+    got = currents._wbar_current(q, wbar, rho)
+    assert [bits(v) for v in got] == [bits(v) for v in per_row_wbar_current(q, wbar, rho)]
+    assert [bits(currents._wbar_current(q, w, r)) for w, r in zip(wbar, rho)] == \
+        [bits(v) for v in got]
+    wdiff = rng.standard_normal((dim, dim))
+    g = rng.standard_normal((temps, dim, dim))
+    p = rng.random((temps, dim))
+    got = currents._secular_current(wdiff, g, p)
+    assert [bits(v) for v in got] == [bits(v) for v in per_row_secular_current(wdiff, g, p)]
+
+
+def clusters_of(groups, i):
+    [clusters] = [c for c, rows in groups if i in rows.tolist()]
+    return clusters
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+       c=st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0]),
+       picks=st.lists(st.one_of(st.integers(0, 35), st.floats(0.0, 5.0),
+                                st.sampled_from([0.0, -1.0, np.nan, np.inf])),
+                      min_size=1, max_size=20))
+def test_retained_set_groups_are_the_per_temperature_clusterings(seed, dim, c, picks):
+    # levels on an integer ladder (with a degenerate pair): many |omega_nm|
+    # tie; an integer pick k gives the scale whose threshold c * scale is
+    # exactly the k-th |omega_nm|, a float pick the scale itself
+    rng = np.random.default_rng(seed)
+    omega = np.sort(rng.integers(0, 4, size=dim)).astype(float)
+    model = build_junction(omega, {"L": np.ones((dim, dim)), "R": np.ones((dim, dim))})
+    levels = np.sort(np.abs(model.bohr_matrix()), axis=None)
+    scales = np.array([levels[p % dim**2] / c if isinstance(p, int) and c else float(p)
+                       for p in picks])
+    groups, out = currents._cluster_groups(model, scales, c)
+    rows = sorted(i for _, r in groups for i in r.tolist())
+    assert rows == [i for i, e in enumerate(out) if e is None]
+    assert len({cl.retained for cl, _ in groups}) == len(groups)
+    for _, r in groups:
+        assert r.tolist() == sorted(r.tolist())
+    for i, scale in enumerate(scales.tolist()):
+        try:
+            want = currents._clusters(model, scale, c)
+        except ValidationError as exc:
+            assert type(out[i]) is ValidationError and str(out[i]) == str(exc)
+            continue
+        assert clusters_of(groups, i).retained == want.retained
+        assert want.retained == steady.cluster_bohr_frequencies(model, scale, c).retained
+
+
+def test_a_threshold_equal_to_a_bohr_frequency_retains_its_pairs():
+    # c * scale = |omega_nm| exactly (0.5 and 1 here): the pair is retained
+    # (<=); the group's clustering is that of its first temperature, and a
+    # rejected scale whose threshold ties a group's fails alone
+    model = build_junction([0.0, 1.0, 2.0, 2.5],
+                           {"L": np.ones((4, 4)), "R": np.ones((4, 4))})
+    scales = np.array([0.5, 1.0, 0.499, 2.0, 0.75, 1.0, 0.0, np.nan])
+    groups, out = currents._cluster_groups(model, scales, 1.0)
+    assert [r.tolist() for _, r in groups] == [[0, 4], [1, 5], [2], [3]]
+    assert [cl.threshold for cl, _ in groups] == [0.5, 1.0, 0.499, 2.0]
+    for cl, r in groups:
+        want = steady.cluster_bohr_frequencies(model, float(scales[r[0]]), 1.0)
+        assert cl.retained == want.retained
+    assert (2, 3) in groups[0][0].retained and (2, 3) not in groups[2][0].retained
+    assert (1, 2) in groups[1][0].retained and (1, 2) not in groups[0][0].retained
+    assert out[:6] == [None] * 6
+    assert str(out[6]) == "all population rates vanish; no steady state"
+    assert str(out[7]) == "gamma_scale must be positive"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(value=st.floats(), fields=st.lists(st.floats(), min_size=7, max_size=7),
+       levels=st.integers(0, 30))
+@example(value=0.1, fields=[np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072009e-308,
+                            1.7976931348623157e308], levels=2)
+def test_a_row_is_the_join_of_its_formatted_cells(value, fields, levels):
+    cfg = sweep_config("tls_partial")
+    want = ",".join([cfg.variable, format(value, ".17g"),
+                     *(format(f, ".17g") for f in fields), cfg.solver, str(levels)])
+    assert sweep._format_row(cfg, value, fields, levels) == want
+    assert sweep._format_row(cfg, value, np.array(fields), levels) == want

@@ -74,6 +74,23 @@ def test_sweep_with_failing_rows_exits_1(tmp_path, capsys):
         assert f"row {k} failed: ValidationError: Fock truncation not converged" in err
 
 
+def test_sweep_with_nothing_to_plot_reports_its_rows_and_exits_1(tmp_path, capsys):
+    # a gapless two-level junction fails every row, so the plot has no
+    # point: the row failures are still reported, and the missing plot is a
+    # failed run (1), not a config error (2)
+    gapless = TLS.replace("epsilon = 0.3", "epsilon = 0").replace("delta = 1.0", "delta = 0")
+    ini = write_config(tmp_path, gapless, scale="log", start="0.05")
+    assert main(["sweep", ini]) == 1
+    csv = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+    assert len(csv) == 1 + 5 and all(",nan," in row for row in csv[1:])
+    assert not (tmp_path / "out.svg").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err[:5] == [f"row {k} failed: ValidationError: rate graph is disconnected; "
+                       "stationary state not unique. Components: [[0], [1]]"
+                       for k in range(5)]
+    assert err[5:] == [f"error: no plottable data; {tmp_path / 'out.svg'} not written"]
+
+
 @pytest.mark.parametrize("start", ["0.0", "-0.1"])
 def test_sweep_to_zero_temperature_exits_2(tmp_path, capsys, start):
     ini = write_config(tmp_path, TLS, scale="linear", start=start)

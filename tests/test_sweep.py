@@ -83,6 +83,23 @@ stop = 1
 points = 7
 """
 
+DOT = """
+[model]
+type = dot
+epsilon = 0.5
+[baths]
+statistics = fermi
+gamma_left = 0.01
+gamma_right = 0.01
+T_left = 0.1
+T_right = 0.1
+[sweep]
+variable = epsilon
+start = -1
+stop = 1
+points = 5
+"""
+
 
 def config(text, tmp_path, **replace):
     """The config `text` with the keys of `replace` set to new values."""
@@ -256,11 +273,14 @@ def test_model_built_once_per_chunk_of_a_t_sweep(tmp_path, monkeypatch, eight_cp
     (RABI_FULL_T, {"points": 25}, {2: 0, 3: 0}),
     (TLS, {"start": "1e-6", "points": 600}, {2: 1, 3: 2}),
     (RABI, {"points": 12}, {2: 1}),
-], ids=["tls_T_25", "rabi_full_T_25", "tls_T_600", "rabi_g_12"])
+    (DOT, {"points": 100}, {2: 0, 3: 0}),
+    (DOT, {"points": 600}, {2: 1, 3: 2}),
+], ids=["tls_T_25", "rabi_full_T_25", "tls_T_600", "rabi_g_12", "dot_epsilon_100",
+        "dot_epsilon_600"])
 def test_children_a_sweep_starts(tmp_path, monkeypatch, eight_cpus, text, grid, children):
-    # a child costs more than a short T sweep takes in all: a T sweep of n
-    # rows runs in min(workers, ceil(n / _ROWS_PER_STACK)) processes, any
-    # other sweep in min(workers, n)
+    # a child costs more than a short T sweep or dot sweep takes in all: such
+    # a sweep of n rows runs in min(workers, ceil(n / _ROWS_PER_STACK))
+    # processes, any other sweep in min(workers, n)
     assert sweep._ROWS_PER_STACK == 256
     started = []
     spy(monkeypatch, started, "Process", sweep.multiprocessing)
