@@ -4,11 +4,12 @@ Second-order (sequential) currents come in a secular population form and a
 general form with coherences; the sequential conductance is their linear
 response to the heated bath's temperature, one closed-form derivative for
 both secular solvers.  `kappa2_sweep` computes it over a whole temperature
-axis, in slices of bounded size: one set of bath tables per slice, and one
-clustering, one batched solve and one contraction of kappa2 and of each
-bath's current per set of temperatures that share a retained-pair set;
-`kappa2_response` is its one-temperature case.  A biased row's own steady
-state, at the baths' temperatures, is one more slice of that stack.  The
+axis, or at one temperature over a stack of models, in slices of bounded
+size: one set of bath tables per slice, and one clustering, one batched
+solve and one contraction of kappa2 and of each bath's current per set of
+temperatures (or models) that share a retained-pair set; `kappa2_response`
+is its one-temperature, one-model case.  A biased row's own steady state,
+at the baths' temperatures, is one more slice of that stack.  The
 fourth-order (cotunneling) channel is the closed-form low-temperature T^3
 conductance; its frequency-quadrature kernel is a test oracle and lives
 with the tests.  Closed-form two-level and single-dot expressions are kept
@@ -57,12 +58,13 @@ class CurrentResult:
 # ---------------------------------------------------------------------------
 
 def _secular_current(wdiff: np.ndarray, g: np.ndarray, p: np.ndarray):
-    """sum_{n,m} wdiff[n, m] g[n, m] p[m], per temperature.
+    """sum_{n,m} wdiff[n, m] g[n, m] p[m], per slice.
 
-    g and p may carry a leading temperature axis: the result is then an
-    array over it, each entry bitwise the one-temperature sum (a float).
+    g and p may carry a leading axis over slices (temperatures, or models),
+    and wdiff the same axis or none: the result is then an array over it,
+    each entry bitwise the one-slice sum (a float).
     """
-    out = np.einsum("nm,...nm,...m->...", wdiff, g, p)
+    out = np.einsum("...nm,...nm,...m->...", wdiff, g, p)
     return out if out.ndim else float(out)
 
 
@@ -91,17 +93,17 @@ _MATMUL_FROM_DIM = 8
 def _wbar_current(q: np.ndarray, wbar: np.ndarray, rho: np.ndarray):
     """The current into the bath of coupling q and table wbar = w_nm W, for the state rho.
 
-    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m], per temperature:
-    wbar and rho may carry a leading temperature axis, and the result is
-    then an array over it, each entry bitwise the one-temperature sum (a
-    float).  The formally divergent zero-time correlation term i <B(0)B(0)>
-    of wbar is omitted: it multiplies Im Tr(Q^2 rho), which vanishes for
-    Hermitian rho.
+    -2 Re sum_{m,n,p} q[m,n] q[n,p] wbar[n,m] rho[p,m], per slice: wbar and
+    rho may carry a leading axis over slices (temperatures, or models), and
+    q the same axis (one model per slice) or none; the result is then an
+    array over it, each entry bitwise the one-slice sum (a float).  The
+    formally divergent zero-time correlation term i <B(0)B(0)> of wbar is
+    omitted: it multiplies Im Tr(Q^2 rho), which vanishes for Hermitian rho.
     """
-    if len(q) < _MATMUL_FROM_DIM:
-        total = np.einsum("mn,np,...nm,...pm->...", q, q, wbar, rho)
+    if q.shape[-1] < _MATMUL_FROM_DIM:
+        total = np.einsum("...mn,...np,...nm,...pm->...", q, q, wbar, rho)
     else:
-        total = np.sum(q.T * wbar * (q @ rho), axis=(-2, -1))
+        total = np.sum(q.swapaxes(-1, -2) * wbar * (q @ rho), axis=(-2, -1))
     out = -2.0 * np.real(total)
     return out if out.ndim else float(out)
 
@@ -232,8 +234,8 @@ def _isolated(rows: np.ndarray, solve, *args) -> list:
                 for out in _isolated(rows[i:i + 1], solve, *args)]
 
 
-# the most entries of one temperature-stacked array (W tables of a slice of
-# temperatures, or the systems of a slice of a retained-pair group): a long
+# the most entries of one stacked array (W tables of a slice of temperatures
+# or models, or the systems of a slice of a retained-pair group): a long
 # sweep is solved in slices of this size, so its memory does not grow with
 # its length
 _STACK_ENTRIES = 1 << 14
@@ -243,29 +245,34 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
                  solver: str = "full", reservoir_id: str | None = None,
                  c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True,
                  biased: bool = False) -> list[Kappa2Response | Exception]:
-    """`kappa2_response` at every temperature of a 1-d array, as stacks.
+    """`kappa2_response` at every temperature of a 1-d array, or at one
+    temperature on every model of a model stack, as stacks.
 
-    Returns one entry per temperature: its `Kappa2Response`, or the exception
-    that `kappa2_response` raises there.  The W (or Re W) and dW/dT tables
-    are evaluated once per slice of temperatures (`_STACK_ENTRIES` bounds
-    its arrays).  The full solver solves a slice in one batched
-    `full_secular_steady`; the partial solver groups the temperatures of a
-    slice by the retained-pair set their rate scales give
-    (`_cluster_groups`) and solves each group in one batched
-    `partial_secular_response` (in slices, for large sets).  kappa2 and
-    each bath's current are contracted once per stacked solve, every entry
-    bitwise the one-temperature contraction.  If a stacked solve raises,
-    its temperatures are solved one at a time, so that a failure stays with
-    its own row.  Invalid arguments raise at once.
+    A single model is a one-model stack.  Returns one entry per temperature
+    (per model of a model stack of several): its `Kappa2Response`, or the
+    exception that `kappa2_response` raises there.  The W (or Re W) and
+    dW/dT tables are evaluated once per slice of temperatures or models
+    (`_STACK_ENTRIES` bounds its arrays).  The full solver solves a slice
+    in one batched `full_secular_steady`; the partial solver groups the
+    entries of a slice by the retained-pair set their rate scales give
+    (`_cluster_groups`), across models, and solves each group in one
+    batched `partial_secular_response` (in slices, for large sets).  kappa2
+    and each bath's current are contracted once per stacked solve, every
+    entry bitwise the one-temperature, one-model contraction.  If a stacked
+    solve raises, its entries are solved one at a time; if a slice of
+    several models raises before its solves (`gamma_rates` rejects a
+    degenerate coupled pair of one model), its models are, so that a
+    failure stays with its own row.  Invalid arguments raise at once.
 
     Only the ids and spectral densities of the baths are read, unless
     `biased`: then `temperatures` holds one temperature (the mean of the
     baths'), and the steady state of the baths at their own temperatures
-    (one per bath) is one more slice of the stack.  It shares the W-table
-    call, the kernel-block evaluation and, when it keeps the same retained
-    pairs, the factorization of the state at the mean temperature; no
-    response is solved for it, and its currents replace rho0's.  The entry
-    is then kappa2's exception if kappa2 fails, else the biased state's.
+    (one per bath) is one more slice of the stack per model.  It shares the
+    W-table call, the kernel-block evaluation and, when it keeps the same
+    retained pairs, the factorization of the state at the mean temperature;
+    no response is solved for it, and its currents replace rho0's.  The
+    entry is then kappa2's exception if kappa2 fails, else the biased
+    state's.
     """
     ts = np.asarray(temperatures, dtype=float)
     if ts.ndim != 1:
@@ -279,28 +286,52 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     if biased and (len(ts) != 1 or any(np.ndim(b.beta) for b in baths)):
         raise ValidationError("a biased stack takes one mean temperature and one "
                               "temperature per bath")
+    if model.omega.ndim == 1:
+        model = JunctionModel(model.omega[None], {k: q[None] for k, q in model.q_ops.items()})
+    models = len(model.omega)
+    if models > 1 and len(ts) != 1:
+        raise ValidationError("a model stack takes one temperature")
     rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
-    step = max(1, _STACK_ENTRIES // model.dim**2)
-    return [res for i in range(0, len(ts), step)
-            for res in _kappa2_stack(model, baths, ts[i:i + step], solver, rid, c,
-                                     lamb_shift, biased)]
+    args = (baths, solver, rid, c, lamb_shift, biased)
+    # per slice, the W table holds up to three distinct temperatures
+    step = max(1, _STACK_ENTRIES // (model.dim**2 * (3 if biased else 1)))
+    if models == 1:
+        return [res for i in range(0, len(ts), step)
+                for res in _kappa2_stack(model, ts[i:i + step], *args)]
+    return [res for i in range(0, models, step)
+            for res in _isolated(np.arange(i, min(i + step, models)), _model_stack,
+                                 model, ts, args)]
 
 
-def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
+def _model_stack(rows: np.ndarray, model: JunctionModel, ts: np.ndarray, args) -> list:
+    """`_kappa2_stack` on the models `rows` of a model stack."""
+    return _kappa2_stack(JunctionModel(model.omega[rows],
+                                       {k: q[rows] for k, q in model.q_ops.items()}),
+                         ts, *args)
+
+
+def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
                   solver: str, rid: str, c: float, lamb_shift: bool, biased: bool) -> list:
-    """`kappa2_sweep` at the temperatures ts, one stack of tables.
+    """`kappa2_sweep` at the temperatures ts on a model stack, one stack of tables.
 
-    Slice j < n = len(ts) holds both baths at ts[j]; a biased stack adds
-    slice n, each bath at its own temperature.  Every slice is solved for
-    its steady state, the first n also for their response.
+    The slices of the stack run over the temperatures and, within each, over
+    the R models: slice j < n = len(ts) * R holds both baths at ts[j // R]
+    on model j % R, and a biased stack adds slice n + j for model j, each
+    bath at its own temperature.  Every slice is solved for its steady
+    state, the first n also for their response.  The tables lead with
+    (temperature, model) axes, which `flat` joins into the slice axis.
     """
-    n = len(ts)
+    models = len(model.omega)
+    n = len(ts) * models
+    at = np.arange(n + models * biased) % models       # the model of each slice
     common = [b.with_temperature(ts) for b in baths]
     stacked = ([replace(b, beta=np.append(cb.beta, b.beta)) for b, cb in zip(baths, common)]
                if biased else common)
-    heated = next(b for b in common if b.id != rid)
-    q_h = model.q(heated.id)[None]
+    r = int(baths[1].id == rid)                         # the measured bath
+    heated = common[1 - r]
+    q_h = model.q(heated.id)[:, None]
     bohr = model.bohr_matrix()
+    flat = (-1,) + bohr.shape[1:]                      # (slice, N, N)
 
     def slices(state, kappa2, currents):
         """(state, kappa2, currents) per slice of a stacked solve.
@@ -316,17 +347,19 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
 
     if solver == "full":
         rates = gamma_rates(model, stacked)
-        dk2 = BosonKernel(q=q_h, w=dw_dt_real(bohr, heated)[:, None])
-        dgamma = dk2.population_rates()
+        gamma = rates.gamma.reshape(flat)
+        dgamma = BosonKernel(q=q_h, w=dw_dt_real(bohr, heated)[..., None, :, :]
+                             ).population_rates().reshape(flat)
         d = np.arange(model.dim)
         dgamma[..., d, d] = -dgamma.sum(axis=-2)
-        wdiff = model.omega[None, :] - model.omega[:, None]
+        wdiff = model.omega[:, None, :] - model.omega[:, :, None]
 
         def solve_full(idx):
-            sub = RateMatrix(rates.gamma[idx],
-                             {k: g[idx] for k, g in rates.per_reservoir.items()})
+            sub = RateMatrix(gamma[idx], {k: g.reshape(flat)[idx]
+                                          for k, g in rates.per_reservoir.items()})
             state = full_secular_steady(sub)
-            currents = {k: _secular_current(wdiff, g, state.populations)
+            wd = wdiff[at[idx]]
+            currents = {k: _secular_current(wd, g, state.populations)
                         for k, g in sub.per_reservoir.items()}
             m = np.count_nonzero(idx < n)          # idx ascends, so these lead it
             if not m:
@@ -336,37 +369,41 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
             rhs = -(dgamma[idx[:m]] @ state.populations[:m, :, None])
             rhs[..., 0, :] = 0.0
             dp = np.linalg.solve(a, rhs)[..., 0]
-            return slices(state, _secular_current(wdiff, sub.per_reservoir[rid][:m], dp),
+            return slices(state, _secular_current(wd[:m], sub.per_reservoir[rid][:m], dp),
                           currents)
 
-        return _responses(_isolated(np.arange(len(rates.gamma)), solve_full), n, biased)
+        return _responses(_isolated(np.arange(len(at)), solve_full), n, biased)
 
     k2 = build_k2_boson(model, stacked)
+    w = k2.w.reshape((-1,) + k2.w.shape[2:])
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
     # below the dephasing terms they are made of, so a sum-rule test against
     # the block's own largest entry would fail on roundoff
-    dw = dw_dt_table(bohr, heated)[:, None]
-    wbar = bohr * k2.w
-    r = [b.id for b in baths].index(rid)
+    dw = dw_dt_table(bohr, heated).reshape(flat)[:, None]
 
     def solve_partial(idx, clusters, pairs):
-        kernel = BosonKernel(q=k2.q, w=k2.w[idx])
+        # the models, coupling matrices (all baths, heated bath) and tables of the slices
+        mi = at[idx]
+        sub = JunctionModel(model.omega[mi])
+        q, qh, w_s = k2.q[mi], q_h[mi], w[idx]
+        wbar = sub.bohr_matrix()[:, None] * w_s
+        kernel = BosonKernel(q=q, w=w_s)
         m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
         if not m:
-            state = partial_secular_steady(model, kernel, clusters, lamb_shift)
+            state = partial_secular_steady(sub, kernel, clusters, lamb_shift)
             kappa2 = None
         else:
             dblock = KernelBlock(model.dim, pairs,
-                                 k2_pair_block(q_h, dw[idx[:m]], pairs, pairs))
-            state, drho = partial_secular_response(model, kernel, dblock, clusters,
+                                 k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs))
+            state, drho = partial_secular_response(sub, kernel, dblock, clusters,
                                                    lamb_shift)
-            kappa2 = _wbar_current(k2.q[r], wbar[idx[:m], r], drho)
-        return slices(state, kappa2, {b.id: _wbar_current(q, wbar[idx, i], state.rho)
-                                      for i, (b, q) in enumerate(zip(baths, k2.q))})
+            kappa2 = _wbar_current(q[:m, r], wbar[:m, r], drho)
+        return slices(state, kappa2, {b.id: _wbar_current(q[:, i], wbar[:, i], state.rho)
+                                      for i, b in enumerate(baths)})
 
     # solve the slices of each retained-pair set together (a clustering that
     # raises is its slice's result)
-    groups, out = _cluster_groups(model, _rate_scale(k2), c)
+    groups, out = _cluster_groups(model, _rate_scale(k2).ravel(), c, at)
     for clusters, rows in groups:
         pairs = retained_pair_array(model.dim, clusters)
         size = max(1, _STACK_ENTRIES // len(pairs)**2)
@@ -377,48 +414,48 @@ def _kappa2_stack(model: JunctionModel, baths: list[Reservoir], ts: np.ndarray,
     return _responses(out, n, biased)
 
 
-def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float) -> tuple[list, list]:
-    """The retained-pair sets of the Bohr spectrum at the rate scales `scales`.
+def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
+                    at: np.ndarray) -> tuple[list, list]:
+    """The retained-pair sets of the Bohr spectra of a model stack at the
+    rate scales `scales`, scale i on model at[i].
 
     Returns (groups, out).  groups holds (clusters, rows) per distinct set,
     in the order of their first rows: `_clusters` at the first of the rows,
     the ascending indices of the scales that retain that set.  out holds,
     per scale, the exception of `_clusters` where it rejects the scale, else
     None.  A scale is checked before it joins a group, so a rejected one
-    fails alone.  The pairs retained at threshold c * scale are those of
-    |omega_nm| up to it; as the set only grows with the threshold, its size
-    (a `searchsorted` on the sorted |omega_nm|) names it, and `_clusters`
-    runs once per set.
+    fails alone.  The pairs retained at threshold c * scale are the diagonal
+    and those of |omega_nm| up to it, so the mask of the retained pairs
+    names the set, across the models of the stack as within one.
+    `_clusters` runs once per set.
     """
-    levels = np.abs(model.bohr_matrix()).ravel()
-    levels.sort()
     scales = scales.tolist()
     # c * scale as `cluster_bohr_frequencies` forms it; no |omega_nm| is <=
-    # a NaN threshold (0 * inf), which keeps the diagonal alone: size 0
-    thresholds = [c * scale for scale in scales]
-    sizes = levels.searchsorted([t if t == t else -1.0 for t in thresholds],
-                                side="right").tolist()
+    # a NaN threshold (0 * inf), which keeps the diagonal alone
+    keep = np.abs(model.bohr_matrix())[at] <= np.array([c * s for s in scales])[:, None, None]
+    n = keep.shape[-1]
+    keep.reshape(-1, n * n)[:, ::n + 1] = True          # the diagonal
     out: list = [None] * len(scales)
     groups: dict = {}
-    for i, (scale, size) in enumerate(zip(scales, sizes)):
+    for i, (scale, mask) in enumerate(zip(scales, keep)):
         if scale > 0 and c >= 0:                    # the checks of `_clusters`
-            groups.setdefault(size, []).append(i)
+            groups.setdefault(mask.tobytes(), []).append(i)
             continue
-        try:
+        try:                        # rejected before the model is read
             _clusters(model, scale, c)
         except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
             out[i] = exc
-    return [(_clusters(model, scales[rows[0]], c), np.array(rows))
-            for rows in groups.values()], out
+    return [(_clusters(JunctionModel(model.omega[at[rows[0]]]), scales[rows[0]], c),
+             np.array(rows)) for rows in groups.values()], out
 
 
 def _responses(solved: list, n: int, biased: bool) -> list:
     """The `kappa2_sweep` entries of the first n slices of a solved stack.
 
     solved holds (state, kappa2, currents) or an exception per slice.  The
-    entry of slice j is its kappa2 and state, with the currents of slice n
-    on a biased stack and its own otherwise, or the first exception of the
-    two slices.
+    entry of slice j is its kappa2 and state, with the currents of slice
+    n + j on a biased stack and its own otherwise, or the first exception
+    of the two slices.
     """
     def response(j, k):
         for res in (solved[j], solved[k]):
@@ -427,7 +464,7 @@ def _responses(solved: list, n: int, biased: bool) -> list:
         state, kappa2, _ = solved[j]
         return Kappa2Response(kappa2, state, solved[k][2])
 
-    return [response(j, n if biased else j) for j in range(n)]
+    return [response(j, n + j if biased else j) for j in range(n)]
 
 
 def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,

@@ -13,7 +13,8 @@ import numpy as np
 
 from .linalg import ValidationError
 
-__all__ = ["SpectralDensity", "Reservoir", "JunctionModel", "build_junction"]
+__all__ = ["SpectralDensity", "Reservoir", "JunctionModel", "build_junction",
+           "stack_models"]
 
 Q_SYMMETRY_RTOL = 1e-12
 
@@ -80,7 +81,11 @@ class JunctionModel:
 
     omega holds the ascending eigenfrequencies and q_ops maps each reservoir
     id to the real symmetric coupling matrix in the same basis.  The model
-    holds no bath data: each kernel evaluates the W tables it needs.
+    holds no bath data: each kernel evaluates the W tables it needs.  A
+    model stack (`stack_models`) holds R models of one level count: omega
+    is then (R, N), each coupling matrix (R, N, N) and the Bohr matrix
+    (R, N, N), a leading model axis that the bath tables, kernels and
+    solvers of a sweep carry through.
     """
 
     omega: np.ndarray
@@ -88,11 +93,11 @@ class JunctionModel:
 
     @property
     def dim(self) -> int:
-        return len(self.omega)
+        return self.omega.shape[-1]
 
     def bohr_matrix(self) -> np.ndarray:
-        """omega[n] - omega[m] as an (N, N) array."""
-        return self.omega[:, None] - self.omega[None, :]
+        """omega[n] - omega[m] as an (N, N) array, per model of a stack."""
+        return self.omega[..., :, None] - self.omega[..., None, :]
 
     def q(self, reservoir_id: str) -> np.ndarray:
         try:
@@ -136,3 +141,10 @@ def build_junction(omega, q_map) -> JunctionModel:
         q = 0.5 * (q + q.T)
         q_ops[rid] = q[np.ix_(order, order)]
     return JunctionModel(omega=omega, q_ops=q_ops)
+
+
+def stack_models(models: list[JunctionModel]) -> JunctionModel:
+    """The model stack of `models`, which share their level count and bath ids."""
+    return JunctionModel(omega=np.array([m.omega for m in models]),
+                         q_ops={rid: np.array([m.q_ops[rid] for m in models])
+                                for rid in models[0].q_ops})

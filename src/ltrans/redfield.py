@@ -18,8 +18,12 @@ The single-level fermionic dot gets its own rate constructor.
 
 Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
 tables, kernel blocks, population rates and `gamma_rates` matrices with a
-leading axis over it, each slice bitwise that of its one temperature; the
-coupling matrices Q carry no such axis.
+leading axis over it, each slice bitwise that of its one temperature.  A
+model stack (`ltrans.model.stack_models`) adds a model axis after it: its
+Bohr matrices and coupling matrices Q lead with the model axis, and every
+table, block and rate matrix carries it, each slice bitwise that of its one
+model.  Q leads with the model axis alone (or with the slice axis of W,
+one model per slice), which broadcasts against the axes of W.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
 
     q and w are the coupling matrices and rate tables W(omega_nm), stacked
     over baths with shape (B, N, N); w may lead with a temperature axis,
-    (n_T, B, N, N).  The result, shape (len(rows), len(cols)) after that
-    axis, is summed over baths:
+    (n_T, B, N, N), and q with axes that broadcast against those of w (one
+    model per slice, or per model of a stack).  The result, shape
+    (len(rows), len(cols)) after those axes, is summed over baths:
 
     K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
                     + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
@@ -62,25 +67,34 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     rn, rm = rows[:, 0], rows[:, 1]
     cn, cm = cols[:, 0], cols[:, 1]
     r, c, n = len(rows), len(cols), q.shape[-1]
-    lead = w.shape[:-3]
+    lead = q.shape[:-3]
 
-    def stacked(x):        # (..., c, B, N) -> (..., B*N, c): one product per temperature
-        return x.reshape(lead + (c, -1)).swapaxes(-1, -2)
+    def stacked(x):        # (..., c, B, N) -> (..., B*N, c): one product per slice
+        return x.reshape(x.shape[:-3] + (c, -1)).swapaxes(-1, -2)
 
     # the two Kronecker terms: one matrix product each over (bath, k)
-    left = q.take(rn, axis=1).transpose(1, 0, 2).reshape(r, -1)             # Q_nk
-    right = (q.take(cn, axis=2) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
-    k = -(left @ stacked(right)) * (rm[:, None] == cm[None, :])
-    left = q.take(rm, axis=2).transpose(2, 0, 1).reshape(r, -1)             # Q_km
-    right = (q.take(cm, axis=1) * np.conj(w.take(cn, axis=-1)).swapaxes(-1, -2)
+    left = q.take(rn, axis=-2).swapaxes(-3, -2).reshape(lead + (r, -1))   # Q_nk
+    right = (q.take(cn, axis=-1) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
+    # products and sums in place from here on: a stack's temporaries are
+    # large, and each one allocated is fresh memory to fault in
+    k = -(left @ stacked(right))
+    k *= rm[:, None] == cm[None, :]
+    w_conj = np.conj(w)      # conjugated before the gathers, which repeat entries
+    left = q.take(rm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (r, -1))
+    right = (q.take(cm, axis=-2) * w_conj.take(cn, axis=-1).swapaxes(-1, -2)
              ).swapaxes(-3, -2)
-    k -= (left @ stacked(right)) * (rn[:, None] == cn[None, :])
+    kron = left @ stacked(right)
+    kron *= rn[:, None] == cn[None, :]
+    k -= kron
     # the direct term, gathered by flat index n * N + m from the (n, m) planes
     qf, wf = q.reshape(q.shape[:-2] + (n * n,)), w.reshape(w.shape[:-2] + (n * n,))
     rn, rm = n * rn[:, None], rm[:, None]
-    k += (qf.take(rn + cn, axis=-1) * qf.take(n * cm + rm, axis=-1)
-          * (wf.take(rn + cm, axis=-1) + np.conj(wf.take(n * rm + cn, axis=-1)))
-          ).sum(axis=-3)
+    qq = qf.take(rn + cn, axis=-1)
+    qq *= qf.take(n * cm + rm, axis=-1)
+    ww = wf.take(rn + cm, axis=-1)
+    ww += w_conj.reshape(wf.shape).take(n * rm + cn, axis=-1)
+    ww *= qq
+    k += ww.sum(axis=-3)
     return k
 
 
@@ -157,8 +171,9 @@ class BosonKernel:
     """Second-order kernel of a bosonic junction, held as the inputs of its formula.
 
     q and w stack the coupling matrices and the W tables of every bath,
-    shape (B, N, N); w may lead with a temperature axis, (n_T, B, N, N), and
-    the population rates and blocks then lead with it too.  Entries are
+    shape (B, N, N); w may lead with a temperature axis, (n_T, B, N, N), q
+    and w with a model axis after it, and the population rates and blocks
+    then lead with those axes too.  Entries are
     evaluated on demand, by `block(pairs)`: a retained block, or the full
     kernel over `all_pairs(N)`.  Every evaluated block is checked against
     the sum rule and Hermiticity.
@@ -173,7 +188,7 @@ class BosonKernel:
 
     def population_rates(self) -> np.ndarray:
         """K[n,n,m,m] = 2 sum_baths Q_nm Q_mn Re W_nm for n != m; zero diagonal."""
-        g = 2.0 * (self.q * self.q.transpose(0, 2, 1) * self.w.real).sum(axis=-3)
+        g = 2.0 * (self.q * self.q.swapaxes(-1, -2) * self.w.real).sum(axis=-3)
         d = np.arange(self.dim)
         g[..., d, d] = 0.0
         return g
@@ -210,12 +225,13 @@ def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
 
     Stacks Q and the closed-form W table of every bath.  `w_table` is
     evaluated once per distinct spectral density, over the distinct inverse
-    temperatures of the baths that use it, and each bath gathers its own
-    slices from that table (each slice is bitwise its one-temperature
-    table).  The kernel entries themselves are evaluated by the returned
-    `BosonKernel`, block by block.
+    temperatures of the baths that use it (and every model of a model
+    stack), and each bath gathers its own slices from that table (each
+    slice is bitwise its one-temperature, one-model table).  The kernel
+    entries themselves are evaluated by the returned `BosonKernel`, block
+    by block.
     """
-    q = np.stack([model.q(b.id) for b in baths])
+    q = np.stack([model.q(b.id) for b in baths], axis=-3)
     bohr = model.bohr_matrix()
     tables = {}        # spectral density -> (its distinct betas, ascending; W over them)
     for b in baths:
@@ -234,8 +250,9 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     A single signed-frequency expression covers absorption and emission via
     the odd spectral density and the continued Bose function.  Degenerate
     coupled pairs (w_nm = 0 with Q_nm != 0) are rejected: they belong to the
-    partial-secular solver.  Baths with a temperature axis give rates that
-    lead with it.
+    partial-secular solver; in a model stack the first such pair of any
+    model raises.  Baths with a temperature axis give rates that lead with
+    it, and a model stack adds its model axis after it.
     """
     bohr = model.bohr_matrix()
     resolved = np.abs(bohr) > DEGENERACY_TOL
@@ -246,9 +263,9 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
     d = np.arange(model.dim)
     for bath in baths:
         q = model.q(bath.id)
-        bad = np.argwhere(unresolved_off & (np.abs(q) > 0.0))
-        if len(bad):
-            i, j = bad[0]
+        coupled = unresolved_off & (np.abs(q) > 0.0)
+        if coupled.any():
+            i, j = np.argwhere(coupled)[0][-2:]
             raise ValidationError(
                 f"levels {i} and {j} are degenerate but coupled; "
                 "use the partial-secular solver")

@@ -10,13 +10,15 @@ are assembled with index arrays over that block.  `partial_secular_response`
 solves the same system again for the linear response of the steady state to
 a kernel perturbation.
 
-Both solvers take rates or kernels with a leading temperature axis (see
-`ltrans.redfield`) and solve every temperature in one stacked call: one
-batched factorization, with the rate-graph connectivity, condition number,
-residual, trace, Hermiticity and positivity checked per temperature.  The
-partial solver's temperatures must share one retained-pair set.  Either
-solver raises if any temperature fails, and otherwise returns one
-`SteadyState` that holds the (n_T, N, N) stack of density matrices.
+Both solvers take rates or kernels with a leading axis of slices (the
+temperatures, or the models of a model stack, see `ltrans.redfield`) and
+solve every slice in one stacked call: one batched factorization, with the
+rate-graph connectivity, condition number, residual, trace, Hermiticity and
+positivity checked per slice.  The partial solver's slices must share one
+retained-pair set; its model may be a stack with one model per slice,
+whose Bohr frequencies then enter per slice.  Either solver raises if any
+slice fails, and otherwise returns one `SteadyState` that holds the
+(n_slices, N, N) stack of density matrices.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
         raise ValidationError("kernel dimension does not match the model")
     pairs = retained_pair_array(n, clusters)
     block: KernelBlock = k2.block(pairs)
-    bohr = model.bohr_matrix()[pairs[:, 0], pairs[:, 1]]
+    bohr = model.bohr_matrix()[..., pairs[:, 0], pairs[:, 1]]
     a = _real_system(block.k, n, lamb_shift, bohr)
     a[..., 0, :] = 0.0
     a[..., 0, :n] = 1.0            # trace row replaces population row 0

@@ -3,22 +3,24 @@
 The unit of work is a chunk: one contiguous run of grid points.  The grid is
 cut into one chunk per worker process (the whole grid when serial), and a T
 sweep or a dot sweep of n rows into at most ceil(n / `_ROWS_PER_STACK`)
-chunks.  A T sweep of a rabi or tls model builds its junction model once
-per chunk and computes the rows of the chunk as stacks over their
-temperatures (up to `_ROWS_PER_STACK` rows each, so that a long chunk holds
-the states of one stack at a time): `kappa2_sweep` evaluates the bath
-tables once per stack, solves each set of temperatures that share a
-retained-pair set in one batched call, and contracts their conductances
-and steady-state currents in one call per set and bath (every T-sweep row
-is at zero bias); the low-T kappa4 sums its model-only factor once per
-stack.  Any other sweep builds its model per grid point and computes it as
-a one-point stack, and `compute_row` is the one-point chunk.  A biased row
-(T_left != T_right, not a T sweep) takes its currents from the steady state
-at (T_left, T_right), which `kappa2_sweep` solves as one more slice of the
-stack it solves at the mean temperature: one W-table call, one kernel-block
-evaluation and, when both states keep the same retained pairs, one
-factorization serve both.  Each row is formatted by one `%` format, and
-the CSV is written in one call.
+chunks.  A rabi or tls chunk is computed in stacks of up to
+`_ROWS_PER_STACK` rows, so that a long chunk holds the models and states
+of one stack at a time, and each stack is one `kappa2_sweep` call.  A T
+sweep builds its junction model once per chunk, and its stack runs over
+the temperatures of its rows: one model, n temperatures.  Any other sweep
+builds the model of each row, and its stack runs over the models that were
+built (`stack_models`), at the mean temperature: R models, one temperature.
+`kappa2_sweep` evaluates the bath tables once per stack, solves each set of
+slices that share a retained-pair set (across models, on a parameter
+sweep) in one batched call, and contracts their conductances and
+steady-state currents in one call per set and bath; the low-T kappa4 sums
+its model-only factor once per model.  `compute_row` is the one-point
+chunk.  A biased row (T_left != T_right, not a T sweep) takes its currents
+from the steady state at (T_left, T_right), which `kappa2_sweep` solves as
+one more slice per model of the stack it solves at the mean temperature:
+one W-table call, one kernel-block evaluation and, when both states keep
+the same retained pairs, one factorization serve both.  Each row is
+formatted by one `%` format, and the CSV is written in one call.
 
 The worker count is an upper bound on the processes, and so are the CPUs
 this process may run on (`_usable_cpus`): a process beyond them only waits
@@ -36,7 +38,7 @@ byte-identical for any worker count, and every row is byte-identical to
 `compute_row` at its point.  Solver failures poison single rows with NaN
 rather than the run, each failing row carrying the exception that
 `compute_row` raises there; a model build that fails poisons every row it
-serves.
+serves: the whole chunk on a T sweep, its own row on any other sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ import numpy as np
 from .config import SweepConfig
 from .currents import dot_transport, kappa2_sweep, kappa4_lowT
 from .linalg import ValidationError, hermitian_eigensystem, to_eigenbasis
-from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
+from .model import (JunctionModel, Reservoir, SpectralDensity, build_junction,
+                    stack_models)
 from .rabi import RabiParams, build_rabi_junction, kondo_temperature
 
 __all__ = ["run_sweep", "compute_row", "SweepResult", "CSV_HEADER", "worker_count",
@@ -150,9 +153,11 @@ def _chunk_rows(cfg: SweepConfig,
                 values: list[float]) -> list[tuple[str, Exception | None]]:
     """(row, exception or None) per value of one contiguous chunk of the grid.
 
-    A T sweep of a rabi or tls model builds the model once and computes the
-    chunk in stacks over its temperatures; if that build raises, every row
-    of the chunk fails with its exception.  Any other sweep computes each value on its own.
+    A rabi or tls chunk is computed in stacks of up to `_ROWS_PER_STACK`
+    rows (`_stack_rows`).  A T sweep builds its model once for the chunk;
+    if that build raises, every row of the chunk fails with its exception.
+    Any other sweep builds the model of each row of a stack, and a build
+    that raises fails its own row.
     """
     if cfg.model_type == "dot":
         out = []
@@ -163,72 +168,84 @@ def _chunk_rows(cfg: SweepConfig,
                 out.append((_failed_row(cfg, value), exc))
         return out
     if cfg.variable == "T":
-        return _model_rows(cfg, values, cfg.model)
-    return [row for value in values
-            for row in _model_rows(cfg, [value], {**cfg.model, cfg.variable: value})]
+        built = [_row_model(cfg, cfg.model)]
+    out = []
+    for i in range(0, len(values), _ROWS_PER_STACK):
+        part = values[i:i + _ROWS_PER_STACK]
+        if cfg.variable != "T":
+            built = [_row_model(cfg, {**cfg.model, cfg.variable: v}) for v in part]
+        out += _stack_rows(cfg, part, built)
+    return out
 
 
-# rows per `kappa2_sweep` call: a long T-sweep chunk holds the steady states
-# of one such stack at a time
+# rows per `kappa2_sweep` call: a long chunk holds the models (on a parameter
+# sweep) and the steady states of one such stack at a time
 _ROWS_PER_STACK = 256
 
 
-def _model_rows(cfg: SweepConfig, values: list[float],
-                model_args: dict) -> list[tuple[str, Exception | None]]:
-    """The rows of `values` (several only on a T sweep) on the one model of
-    `model_args`: kappa2 and the currents of every row's own steady state
-    (rho0 at zero bias, the state at (T_left, T_right) on a biased row) from
-    `kappa2_sweep`, kappa4 from `kappa4_lowT`, one call of each per stack of
-    up to `_ROWS_PER_STACK` rows.
-
-    A failure before the rows (the model build, or a model without a gap)
-    fails every row with the one exception each row alone would raise;
-    otherwise each row fails with its own first exception, in the order
-    kappa2, currents, kappa4.
-    """
+def _row_model(cfg: SweepConfig, model_args: dict):
+    """The junction model of `model_args`, its level count and its omega_10,
+    the model that rows of a stack are computed on; or the exception its
+    build raises, which fails those rows."""
     try:
         model, levels = _junction(cfg, model_args)
-        # kappa2_sweep reads the temperatures of the baths on biased rows only
-        baths = _bose_baths(cfg.baths, float(cfg.baths["T_left"]),
-                            float(cfg.baths["T_right"]))
-        omega10 = kondo_temperature(model)
+        return model, levels, kondo_temperature(model)
     except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
-        return [(_failed_row(cfg, v), exc) for v in values]
-    return [row for i in range(0, len(values), _ROWS_PER_STACK)
-            for row in _stack_rows(cfg, values[i:i + _ROWS_PER_STACK], model, baths,
-                                   omega10, levels)]
+        return exc
 
 
-def _stack_rows(cfg: SweepConfig, values: list[float], model: JunctionModel,
-                baths: list[Reservoir], omega10: float,
-                levels: int) -> list[tuple[str, Exception | None]]:
-    """The rows of `values` on `model`, as in `_model_rows`."""
+def _stack_rows(cfg: SweepConfig, values: list[float],
+                built: list) -> list[tuple[str, Exception | None]]:
+    """The rows of `values`: on the one model of `built` on a T sweep, else
+    each on its own model (`built` holds one `_row_model` per value).
+
+    kappa2 and the currents of every row's own steady state (rho0 at zero
+    bias, the state at (T_left, T_right) on a biased row) come from one
+    `kappa2_sweep` call: over the temperatures of a T sweep, or over the
+    stack of the models that were built (or the one model), at the mean
+    temperature.  kappa4 comes from `kappa4_lowT`, once per model.  A row
+    fails with the exception of its model's build, else with one that every
+    row alone would raise (the baths, or invalid arguments of
+    `kappa2_sweep`), else with its own first exception, in the order
+    kappa2, currents, kappa4.
+    """
     t_left, t_right = float(cfg.baths["T_left"]), float(cfg.baths["T_right"])
-    zero_bias = cfg.variable == "T" or t_left == t_right
-    if cfg.variable == "T":
-        t_mean = np.asarray(values, dtype=float)
-    else:
-        t_mean = np.full(len(values), 0.5 * (t_left + t_right))
+    sweep_t = cfg.variable == "T"
+    per_row = built * len(values) if sweep_t else built
+    models = [b[0] for b in built if not isinstance(b, Exception)]
+    t_mean = (np.asarray(values, dtype=float) if sweep_t
+              else np.array([0.5 * (t_left + t_right)]))
     try:
-        responses = kappa2_sweep(model, baths, t_mean, solver=cfg.solver,
-                                 c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift,
-                                 biased=not zero_bias)
+        # kappa2_sweep reads the temperatures of the baths on biased rows only
+        baths = _bose_baths(cfg.baths, t_left, t_right)
+        responses = kappa2_sweep(
+            models[0] if len(models) == 1 else stack_models(models), baths, t_mean,
+            solver=cfg.solver, c=cfg.cluster_factor, lamb_shift=cfg.lamb_shift,
+            biased=not (sweep_t or t_left == t_right)) if models else []
     except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
-        return [(_failed_row(cfg, v), exc) for v in values]
-    try:
-        k4 = kappa4_lowT(model, float(cfg.baths["alpha"]), t_mean).tolist()
-    except Exception as exc:  # noqa: BLE001  (raised after kappa2, per row)
-        k4 = exc
-    out = []
-    for i, (value, k2) in enumerate(zip(values, responses)):
+        return [(_failed_row(cfg, v), b if isinstance(b, Exception) else exc)
+                for v, b in zip(values, per_row)]
+    alpha = float(cfg.baths["alpha"])
+    k4 = None           # kappa4_lowT of the last model, over t_mean, or its exception
+    out, j = [], 0      # j: the index of the next row's response
+    for i, (value, model) in enumerate(zip(values, per_row)):
         try:
+            if isinstance(model, Exception):
+                raise model
+            k2, j = responses[j], j + 1
+            if k4 is None or not sweep_t:
+                try:
+                    k4 = kappa4_lowT(model[0], alpha, t_mean).tolist()
+                except Exception as exc:  # noqa: BLE001  (raised after kappa2, per row)
+                    k4 = exc
             if isinstance(k2, Exception):
                 raise k2
             if isinstance(k4, Exception):
                 raise k4
-            fields = [k2.kappa2, k4[i], k2.kappa2 + k4[i], k2.currents["L"],
-                      k2.currents["R"], omega10, omega10]
-            out.append((_format_row(cfg, value, fields, levels=levels), None))
+            kappa4 = k4[i if sweep_t else 0]
+            fields = [k2.kappa2, kappa4, k2.kappa2 + kappa4, k2.currents["L"],
+                      k2.currents["R"], model[2], model[2]]
+            out.append((_format_row(cfg, value, fields, levels=model[1]), None))
         except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
             out.append((_failed_row(cfg, value), exc))
     return out

@@ -3,9 +3,11 @@
 Coherences between quasi-degenerate levels suppress the sequential
 conductance: a resonant qubit-resonator junction transports heat only once
 the qubit-resonator splitting exceeds the bath rates.  Full secular theory
-misses this; partial secular theory recovers it, and reduces to full secular
-theory when no coherence is retained.  At equal bath temperatures the full
-secular steady state is the Gibbs state.
+misses this; partial secular theory recovers it, reduces to full secular
+theory when no coherence is retained, and to the dense (non-secular) Redfield
+steady state when every coherence is.  At equal bath temperatures the full
+secular steady state is the Gibbs state, and at any bias its heat currents
+into the two baths cancel.
 """
 
 import numpy as np
@@ -16,8 +18,12 @@ from hypothesis import strategies as st
 from ltrans import sweep
 from ltrans.config import parse_config_text
 from ltrans.currents import kappa2_response, kappa2_sweep
-from ltrans.model import Reservoir, SpectralDensity, build_junction
+from ltrans.model import Reservoir, SpectralDensity, stack_models
 from ltrans.rabi import RabiParams, build_rabi_junction
+from ltrans.redfield import all_pairs, build_k2_boson, gamma_rates
+from ltrans.steady import full_secular_steady
+
+from junctions import random_junction
 
 COUPLINGS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
 
@@ -94,16 +100,62 @@ def test_partial_sweep_without_coherences_is_the_full_secular_sweep():
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
        betas=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=9))
 def test_full_secular_rows_of_a_chunk_are_gibbs_states(seed, dim, betas):
-    rng = np.random.default_rng(seed)
-    omega = np.sort(rng.uniform(0.0, 2.5, size=dim)) + 0.3 * np.arange(dim)
-    qs = {}
-    for rid in ("L", "R"):
-        x = rng.standard_normal((dim, dim))
-        qs[rid] = 0.5 * (x + x.T)
-    model = build_junction(omega, qs)
+    model = random_junction(seed, dim)
     temps = 1.0 / np.array(betas)
     for t, res in zip(temps, kappa2_sweep(model, drude_pair(), temps, solver="full")):
         assert not isinstance(res, Exception), res
         boltz = np.exp(-(model.omega - model.omega[0]) / t)
         boltz /= boltz.sum()
         assert np.max(np.abs(res.state.populations / boltz - 1.0)) <= 1e-10
+
+
+def dense_redfield_state(model, baths):
+    """The steady state of the full (non-secular) Redfield map, solved densely:
+    -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' = 0 over all N^2 pairs, with
+    the equation of rho_00 replaced by Tr rho = 1."""
+    n = model.dim
+    k = build_k2_boson(model, baths).block(all_pairs(n)).k
+    lmap = k - 1j * np.diag(model.bohr_matrix().ravel())
+    lmap[0] = np.eye(n).ravel()
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(lmap, rhs).reshape(n, n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       dim=st.integers(2, 6), split=st.floats(1e-3, 0.5), temperature=st.floats(0.05, 2.0))
+def test_partial_secular_with_every_pair_retained_is_the_dense_redfield_state(
+        seeds, dim, split, temperature):
+    # a cluster factor beyond every |omega_nm| / rate retains all N^2 pairs;
+    # the stacked solve over the models then returns the non-secular state
+    models = [random_junction(seed, dim, split) for seed in seeds]
+    baths = drude_pair(temperature)
+    got = kappa2_sweep(stack_models(models), baths, [temperature], solver="partial",
+                       c=1e12)
+    for model, res in zip(models, got):
+        assert not isinstance(res, Exception), res
+        assert len(res.state.retained_pairs) == dim * dim
+        want = dense_redfield_state(model, baths)
+        assert np.max(np.abs(res.state.rho - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       dim=st.integers(2, 6), t_left=st.floats(0.02, 3.0), t_right=st.floats(0.02, 3.0))
+def test_full_secular_heat_currents_cancel_at_any_bias(seeds, dim, t_left, t_right):
+    # sum_r I_r = sum_{n,m} (w_m - w_n) gamma[n,m] p_m vanishes for a
+    # stationary p and columns of gamma that sum to zero: I_L + I_R = 0 to
+    # the roundoff of the terms of the sum
+    models = [random_junction(seed, dim) for seed in seeds]
+    sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
+    baths = [Reservoir("L", 1.0 / t_left, sd), Reservoir("R", 1.0 / t_right, sd)]
+    got = kappa2_sweep(stack_models(models), baths, [0.5 * (t_left + t_right)],
+                       solver="full", biased=t_left != t_right)
+    for model, res in zip(models, got):
+        assert not isinstance(res, Exception), res
+        rates = gamma_rates(model, baths)
+        p = full_secular_steady(rates).populations
+        wdiff = model.omega[None, :] - model.omega[:, None]
+        terms = sum(np.abs(wdiff * g * p).sum() for g in rates.per_reservoir.values())
+        assert abs(res.currents["L"] + res.currents["R"]) <= 1e-13 * terms
