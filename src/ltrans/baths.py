@@ -6,13 +6,17 @@ with an Ohmic-Drude spectral density.  `w_table` evaluates W over a whole array 
 frequencies in closed form: Re W = pi J n, and Im W is the digamma
 resummation of its Matsubara series, which has no pole where omega_c meets a
 Matsubara frequency; `dw_dt_table` is its temperature derivative, with the
-trigamma function in place of the digamma.  A reservoir whose beta is a 1-d
-array carries a temperature axis: the tables (and `bose_signed`) then gain a
-leading axis over it, shape (n_T,) + omega.shape, each slice bitwise the
-table of that one temperature.  The Matsubara series itself
-(direct summation plus an analytic Hurwitz-zeta tail) is kept here as an
-oracle that `validate` also runs; the principal-value quadrature of the same
-quantity lives with the tests.  No production path calls either.
+trigamma function in place of the digamma.  The digamma and trigamma
+functions are numpy closed forms here (`_digamma`, `_trigamma`: a
+recurrence, then the Bernoulli series), so the tables need no scipy.  A
+reservoir whose beta is a 1-d array carries a temperature axis: the tables
+(and `bose_signed`) then gain a leading axis over it, shape
+(n_T,) + omega.shape, each slice bitwise the table of that one temperature.
+The Matsubara series itself (direct summation plus an analytic Hurwitz-zeta
+tail) is kept here as an oracle that `validate` also runs; it alone uses
+scipy.special (for the Hurwitz zeta function), imported when it runs.  The
+principal-value quadrature of the same quantity lives with the tests.  No
+production path calls either.
 
 All rates are returned with hbar = 1, i.e. the hbar^2 prefactor of the raw
 correlation integral is divided out once and for all.
@@ -21,7 +25,6 @@ correlation integral is divided out once and for all.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma, zeta
 
 from .linalg import ValidationError, NumericError
 from .model import Reservoir, SpectralDensity
@@ -140,13 +143,14 @@ def _w_imag(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
     psi(1 - x) through the reflection formula, so nothing is singular at a
     Matsubara collision omega_c = 2 pi k / beta.  Re psi(1 + i y) is even in
     y, and a Bohr matrix is antisymmetric, so it is evaluated once per
-    distinct |y|.
+    distinct |y|, in one `_digamma` call with psi(x).
     """
     x = beta * sd.omega_c / (2.0 * np.pi)
     y = beta * w / (2.0 * np.pi)
     abs_y, inverse = _by_magnitude(y)
-    re_psi = digamma(1.0 + 1j * abs_y).real[inverse]
-    bracket = digamma(x) + 0.5 / x - re_psi
+    xs = np.ravel(x)
+    psi = _digamma(np.concatenate([xs, 1.0 + 1j * abs_y])).real
+    bracket = psi[:len(xs)].reshape(np.shape(x)) + 0.5 / x - psi[len(xs):][inverse]
     slope = sd.slope_at(w)
     return slope * (w * bracket - 0.5 * np.pi * sd.omega_c)
 
@@ -179,20 +183,66 @@ def _bernoulli_sum(u):
     return total
 
 
-def _trigamma(z) -> np.ndarray:
-    """psi'(z) for complex z with Re z >= 1, elementwise (polygamma is real-only).
+# entries per block of `_inverse_power_sum`: its (entries, terms) array of
+# 256 x 19 complex numbers (78 KB) stays below glibc's 128 KiB mmap
+# threshold, so a large table reuses heap memory instead of faulting in a
+# freshly mapped array on every call
+_POWER_SUM_BLOCK = 256
 
-    Ten steps of psi'(z) = 1/z^2 + psi'(z + 1) in one broadcast, then
-    psi'(w) ~ 1/w + 1/(2w^2) + sum_k B_2k / w^(2k+1) to B_14 (error < 1e-17).
+
+def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
+    """sum_i coeffs[i] / (z + shifts[i])^powers[i] per entry of complex z.
+
+    The terms of each entry are one array along its last, contiguous axis
+    and are summed there, so that they are added in the same order whatever
+    the shape of z: a few numpy calls in all, since the tables call this on
+    a handful of entries.  Larger arrays are taken in blocks of
+    `_POWER_SUM_BLOCK` entries, which changes no bit.
     """
     z = np.asarray(z, dtype=complex)
-    w = z + 10.0
-    u = 1.0 / (w * w)
-    series = _bernoulli_sum(u)
-    # a running sum adds the ten terms in order whatever the shape of z (a
-    # plain sum over a single entry's terms would be taken pairwise)
-    head = np.cumsum((z + np.arange(10.0).reshape((-1,) + (1,) * z.ndim))**-2, axis=0)[-1]
-    return head + (1.0 + series) / w + 0.5 * u
+    flat = z.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, len(flat), _POWER_SUM_BLOCK):
+        terms = flat[i:i + _POWER_SUM_BLOCK, None] + shifts
+        np.divide(1.0, terms, out=terms)
+        np.power(terms, powers, out=terms)
+        terms *= coeffs
+        terms.sum(axis=-1, out=out[i:i + _POWER_SUM_BLOCK])
+    return out.reshape(z.shape)
+
+
+# Both functions below take ten steps of their recurrence, then the
+# Bernoulli series to B_14 at w = z + 10 (error < 1e-16 at |w| >= 10).
+# Their terms, in ascending size:
+# ln w - psi(z): B_2j / (2j w^2j) for j = 7 .. 1, 1/(2w), 1/(z + k) for k = 9 .. 0
+_DIGAMMA_TERMS = (np.array([10.0] * 8 + list(range(9, -1, -1))),
+                  np.array([14, 12, 10, 8, 6, 4, 2, 1] + [1] * 10),
+                  np.array([1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
+                            1 / 12, 1 / 2] + [1.0] * 10, dtype=complex))
+# psi'(z): B_2j / w^(2j+1) for j = 7 .. 1, 1/(2w^2), 1/w, 1/(z + k)^2 for k = 9 .. 0
+_TRIGAMMA_TERMS = (np.array([10.0] * 9 + list(range(9, -1, -1))),
+                   np.array([15, 13, 11, 9, 7, 5, 3, 2, 1] + [2] * 10),
+                   np.array([7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6,
+                             1 / 2, 1] + [1.0] * 10, dtype=complex))
+
+
+def _digamma(z) -> np.ndarray:
+    """psi(z) for complex z with Re z > 0 (real z too, as z + 0j), elementwise.
+
+    psi(z) = psi(z + 10) - sum_k 1/(z + k), and
+    psi(w) ~ ln w - 1/(2w) - sum_j B_2j / (2j w^2j).
+    """
+    z = np.asarray(z, dtype=complex)
+    return np.log(z + 10.0) - _inverse_power_sum(z, *_DIGAMMA_TERMS)
+
+
+def _trigamma(z) -> np.ndarray:
+    """psi'(z) for complex z with Re z > 0 (real z too, as z + 0j), elementwise.
+
+    psi'(z) = psi'(z + 10) + sum_k 1/(z + k)^2, and
+    psi'(w) ~ 1/w + 1/(2w^2) + sum_j B_2j / w^(2j+1).
+    """
+    return _inverse_power_sum(z, *_TRIGAMMA_TERMS)
 
 
 def dw_dt_real(omega, bath: Reservoir) -> np.ndarray:
@@ -209,14 +259,17 @@ def _dw_dt_real(w: np.ndarray, sd: SpectralDensity, t) -> np.ndarray:
     return np.pi * sd.slope_at(w) * np.where(w == 0.0, 1.0, w * dn_dDeltaT_signed(w, t))
 
 
-def _rest_x(x: float) -> float:
-    """1/(2x) - x psi'(x) + 1 at one x, as its Bernoulli series from `_ASYMPTOTIC_FROM`.
+def _rest_x(x: list[float], trigamma_near) -> list[float]:
+    """1/(2x) - x psi'(x) + 1 per x, as its Bernoulli series from
+    `_ASYMPTOTIC_FROM` and from psi'(x) below it: trigamma_near holds
+    psi'(x) of those x, in order.
 
-    zeta(2, x) is the trigamma function psi'(x) of real x.
+    Float arithmetic per x (one per temperature): it keeps a
+    one-temperature table cheaper than a dozen array operations would.
     """
-    if x >= _ASYMPTOTIC_FROM:
-        return -_bernoulli_sum(x**-2)
-    return 1.0 + 0.5 / x - x * float(zeta(2, x))
+    near = iter(trigamma_near.real.tolist())
+    return [-_bernoulli_sum(v**-2) if v >= _ASYMPTOTIC_FROM
+            else 1.0 + 0.5 / v - v * next(near) for v in x]
 
 
 def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
@@ -230,23 +283,29 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     1 + y Im psi'(1 + i y) = -sum_k B_2k (-y^2)^-k, summed as series where the
     argument is at least `_ASYMPTOTIC_FROM`.  The first remainder depends on
     the temperature alone and is evaluated once per temperature; the second
-    is even in y, so it is evaluated once per distinct |y|.  Over the
-    temperature axis of the bath, if it has one, like `w_table`.
+    is even in y, so it is evaluated once per distinct |y|.  The trigamma
+    arguments of both direct forms, x and 1 + i|y|, go to one `_trigamma`
+    call, and a cold bath, whose remainders are both series, makes none.
+    Over the temperature axis of the bath, if it has one, like `w_table`.
     """
     sd = bath.spectral
     w = np.asarray(omega, dtype=float)
     t = _t_axis(bath.temperature, w)
     x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
-    rest_x = np.array([_rest_x(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
     # distinct |y| in ascending order: 0 (where the remainder is 1), the
     # direct range, then the series range
     abs_y, inverse = _by_magnitude(y)
     y2 = abs_y * abs_y
     lo = 1 if abs_y.size and abs_y[0] == 0.0 else 0
     hi = int(np.count_nonzero(y2 < _ASYMPTOTIC_FROM**2))
+    xs = np.ravel(x).tolist()
+    near = [v for v in xs if v < _ASYMPTOTIC_FROM]
     rest_y = np.ones(abs_y.shape)
-    if lo < hi:
-        rest_y[lo:hi] = 1.0 + abs_y[lo:hi] * _trigamma(1.0 + 1j * abs_y[lo:hi]).imag
+    trigamma = np.empty(0)
+    if near or lo < hi:
+        trigamma = _trigamma(np.concatenate([near, 1.0 + 1j * abs_y[lo:hi]]))
+        rest_y[lo:hi] = 1.0 + abs_y[lo:hi] * trigamma[len(near):].imag
+    rest_x = np.array(_rest_x(xs, trigamma[:len(near)])).reshape(np.shape(x))
     if hi < len(abs_y):
         rest_y[hi:] = -_bernoulli_sum(-1.0 / y2[hi:])
     rest_y = rest_y[inverse]
@@ -274,8 +333,10 @@ def matsubara_sums(omega: float, omega_c: float, beta: float,
     tail corrections for the 1/nu^2 .. 1/nu^9 asymptotics.  The truncation
     error estimate (last tail order retained) is kept below atol.  Test
     oracle for `w_table`: the terms diverge where omega_c meets a Matsubara
-    frequency, and the cutoff grows like beta.
+    frequency, and the cutoff grows like beta.  Imports scipy.special.
     """
+    from scipy.special import zeta
+
     eta = 2.0 * np.pi / beta
     scale = max(abs(omega), omega_c)
     # pole guard: omega_c sitting on a Matsubara frequency
@@ -391,7 +452,7 @@ def fermi_pv_integral(energy: float, mu: float, temperature: float,
     if not (temperature > 0 and bandwidth > 0):
         raise ValidationError("fermi_pv_integral requires T > 0 and bandwidth > 0")
     x = (energy - mu) / (2.0 * np.pi * temperature)
-    psi = complex(digamma(0.5 + 1j * x))
+    psi = complex(_digamma(0.5 + 1j * x))
     re = psi.real - np.log(bandwidth / (2.0 * np.pi * temperature))
     im = -(0.5 * np.pi - psi.imag)
     return complex(re, im)

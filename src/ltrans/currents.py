@@ -29,8 +29,7 @@ from .redfield import (DEGENERACY_TOL, BosonKernel, KernelBlock, RateMatrix,
                        build_k2_boson, gamma_rates, k2_pair_block)
 from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
                      cluster_bohr_frequencies, full_secular_steady,
-                     partial_secular_response, partial_secular_steady,
-                     retained_pair_array)
+                     partial_secular_response, partial_secular_steady)
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
            "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_response",
@@ -221,17 +220,21 @@ class Kappa2Response:
 
 
 def _isolated(rows: np.ndarray, solve, *args) -> list:
-    """solve(rows, *args), one result per row; if it raises, each row alone.
+    """solve(rows, *args), one result per row; if it raises, each half again.
 
     A row that raises on its own gets its exception in place of a result.
+    Halving finds one failing row of n in about 2 log2(n) calls, and the
+    others are solved in stacks as large as the failures allow; a stacked
+    slice is bitwise its one-slice value, so the split does not change a
+    result.
     """
     try:
         return solve(rows, *args)
     except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
         if len(rows) == 1:
             return [exc]
-        return [out for i in range(len(rows))
-                for out in _isolated(rows[i:i + 1], solve, *args)]
+        half = len(rows) // 2
+        return _isolated(rows[:half], solve, *args) + _isolated(rows[half:], solve, *args)
 
 
 # the most entries of one stacked array (W tables of a slice of temperatures
@@ -259,10 +262,11 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     batched `partial_secular_response` (in slices, for large sets).  kappa2
     and each bath's current are contracted once per stacked solve, every
     entry bitwise the one-temperature, one-model contraction.  If a stacked
-    solve raises, its entries are solved one at a time; if a slice of
-    several models raises before its solves (`gamma_rates` rejects a
-    degenerate coupled pair of one model), its models are, so that a
-    failure stays with its own row.  Invalid arguments raise at once.
+    solve raises, each half of its entries is solved again, down to single
+    entries (`_isolated`); so are the models of a slice of several that
+    raises before its solves (`gamma_rates` rejects a degenerate coupled
+    pair of one model), so that a failure stays with its own row.  Invalid
+    arguments raise at once.
 
     Only the ids and spectral densities of the baths are read, unless
     `biased`: then `temperatures` holds one temperature (the mean of the
@@ -381,8 +385,10 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     # the block's own largest entry would fail on roundoff
     dw = dw_dt_table(bohr, heated).reshape(flat)[:, None]
 
-    def solve_partial(idx, clusters, pairs):
-        # the models, coupling matrices (all baths, heated bath) and tables of the slices
+    def solve_partial(idx, clusters):
+        # the models, coupling matrices (all baths, heated bath) and tables of
+        # the slices; the pair layout is the one the group's clusters keep
+        pairs = clusters.pairs
         mi = at[idx]
         sub = JunctionModel(model.omega[mi])
         q, qh, w_s = k2.q[mi], q_h[mi], w[idx]
@@ -405,11 +411,10 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     # raises is its slice's result)
     groups, out = _cluster_groups(model, _rate_scale(k2).ravel(), c, at)
     for clusters, rows in groups:
-        pairs = retained_pair_array(model.dim, clusters)
-        size = max(1, _STACK_ENTRIES // len(pairs)**2)
+        size = max(1, _STACK_ENTRIES // len(clusters.pairs)**2)
         for s in range(0, len(rows), size):
             idx = rows[s:s + size]
-            for i, res in zip(idx.tolist(), _isolated(idx, solve_partial, clusters, pairs)):
+            for i, res in zip(idx.tolist(), _isolated(idx, solve_partial, clusters)):
                 out[i] = res
     return _responses(out, n, biased)
 

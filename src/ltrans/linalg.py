@@ -8,6 +8,9 @@ Two solvers share one eigenvector phase convention:
   upper band storage with LAPACK's banded solver (scipy.linalg.eig_banded)
   and keeps its lowest eigenpairs: by bisection and inverse iteration when
   they are at most an eighth of the order, else from the full solve.
+  scipy.linalg is imported at the first banded solve, not with this
+  module: loading it takes longer than a whole sweep of a model that needs
+  no band (a two-level junction or a dot).
 
 Both check their input (shape, finiteness) and report a LAPACK failure as
 NumericError.  The phase convention makes each eigenvector's largest
@@ -23,7 +26,6 @@ input in one process agree bitwise.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, eig_banded
 
 __all__ = ["hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
            "ValidationError", "NumericError"]
@@ -95,8 +97,11 @@ def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = Fals
     eigenvector columns under the module's phase convention, or the
     eigenvalues alone with eigvals_only.  Raises ValidationError for a
     complex or non-finite band or `keep` out of range, and NumericError if
-    LAPACK reports that it did not converge.
+    LAPACK reports that it did not converge.  The first call imports
+    scipy.linalg.
     """
+    from scipy.linalg import LinAlgError, eig_banded
+
     ab = np.asarray(ab)
     if ab.ndim != 2 or np.iscomplexobj(ab):
         raise ValidationError(f"expected a real 2-d band, got {ab.dtype} shape {ab.shape}")

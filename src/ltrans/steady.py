@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,10 +84,29 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class FrequencyClusters:
-    """Partition of index pairs into retained (quasi-degenerate) and dropped."""
+    """Partition of index pairs into retained (quasi-degenerate) and dropped.
+
+    The solver's pair layout (`pairs`) and the sorted retained pairs are
+    built on first use and kept, so that every solve on one clustering
+    shares them.
+    """
 
     retained: frozenset[tuple[int, int]]
     threshold: float
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """`retained_pair_array` over as many levels as there are retained
+        diagonal pairs (`cluster_bohr_frequencies` retains every level's);
+        read-only."""
+        pairs = retained_pair_array(sum(n == m for n, m in self.retained), self)
+        pairs.flags.writeable = False
+        return pairs
+
+    @cached_property
+    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The retained pairs in order, as `SteadyState.retained_pairs` holds them."""
+        return tuple(sorted(self.retained))
 
 
 def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
@@ -251,11 +271,13 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     """`partial_secular_steady`, returning (state, pairs, x, the system matrix).
 
     Over the temperature axis of k2, if it has one, in one batched call.
+    The pair layout is the one the clusters keep; a clustering that lacks a
+    level's diagonal pair fails the kernel block's check.
     """
     n = model.dim
     if k2.dim != n:
         raise ValidationError("kernel dimension does not match the model")
-    pairs = retained_pair_array(n, clusters)
+    pairs = clusters.pairs
     block: KernelBlock = k2.block(pairs)
     bohr = model.bohr_matrix()[..., pairs[:, 0], pairs[:, 1]]
     a = _real_system(block.k, n, lamb_shift, bohr)
@@ -276,7 +298,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     x = inverse[..., :, 0]
 
     state = SteadyState(rho=_rho(x, pairs, n), solver_tag="PartialSecular",
-                        retained_pairs=tuple(sorted(clusters.retained)))
+                        retained_pairs=clusters.sorted_pairs)
     state.check()
 
     # residual of the retained-block equations (excluding the replaced row)

@@ -339,7 +339,10 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     remaining chunk computes the rest.  One worker, or a one-chunk grid,
     starts no child.  A child costs about 8 ms (a fork of this process, its
     pipe and its join): more than a short T sweep or dot sweep, whose rows
-    take well under a millisecond each, but less than a full stack.  The
+    take well under a millisecond each, but less than a full stack.  A Rabi
+    sweep that starts a child first imports scipy.linalg, which its models'
+    banded eigensolver loads at the first build (`lowest_band_eigensystem`):
+    each child then inherits the module instead of importing it again.  The
     CSV is written in one call.
     """
     check_writable(cfg.csv_path)
@@ -348,6 +351,8 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     most = -(-len(grid) // _ROWS_PER_STACK) if stacked else len(grid)
     size = -(-len(grid) // min(worker_count(workers), _usable_cpus(), most))
     chunks = [(cfg, grid[i:i + size]) for i in range(0, len(grid), size)]
+    if cfg.model_type == "rabi" and len(chunks) > 1:
+        import scipy.linalg  # noqa: F401  (before the fork, for the children)
     parts = _run_chunks(chunks)
     results = [r for part in parts for r in part]      # chunks are in index order
     failures = [(i, err) for i, (_, err) in enumerate(results) if err]

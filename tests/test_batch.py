@@ -251,9 +251,27 @@ def test_failing_parameter_rows_fail_alone_with_their_own_exception(name, failin
     assert any(isinstance(w, str) for w in want[max(min(failing) - 1, 0):max(failing) + 2])
 
 
-def binders(name):
-    """Every ltrans module that binds the function ltrans.baths.<name>."""
-    fn = getattr(baths, name)
+def test_a_failing_slice_is_found_by_halving_its_stack(monkeypatch):
+    # the biased 25-row full-secular delta sweep: the rate graph of row 0
+    # (epsilon = delta = 0) is disconnected at both temperatures, so the
+    # stack of its 50 slices raises; each half is solved again, down to the
+    # two failing slices, instead of all 50 one at a time
+    cfg = sweep_config("tls_delta_full", points=25)
+    calls = []
+    spy(monkeypatch, calls, "full_secular_steady", currents)
+    got = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    want = one_point_rows(cfg)
+    assert [i for i, w in enumerate(want) if isinstance(w, Exception)] == [0]
+    assert [row for row, _ in got] == expected_rows(cfg, want)
+    assert type(got[0][1]) is type(want[0]) and str(got[0][1]) == str(want[0])
+    assert all(exc is None for _, exc in got[1:])
+
+
+def binders(name, module=baths):
+    """Every ltrans module that binds the function <module>.<name>."""
+    fn = getattr(module, name)
     return [m for m in list(sys.modules.values())
             if getattr(m, "__name__", "").startswith("ltrans")
             and getattr(m, name, None) is fn]
@@ -278,10 +296,12 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
     spy(monkeypatch, calls, "_clusters", currents)
+    spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
     # one current contraction per bath and one of kappa2, per group
     if cfg.solver == "partial":
+        assert calls.count("retained_pair_array") == groups   # one pair layout each
         assert calls.count("w_table") == 1
         assert calls.count("dw_dt_table") == 1
         assert calls.count("dw_dt_real") == 0
@@ -327,12 +347,14 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
     spy(monkeypatch, calls, "_clusters", currents)
+    spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
     assert calls.count("build_rabi_junction") == 12
     assert calls.count("kappa2_sweep") == 1
     if cfg.solver == "partial":
         assert 2 <= groups < 24
+        assert calls.count("retained_pair_array") == groups   # one pair layout each
         assert calls.count("w_table") == 1
         assert calls.count("dw_dt_table") == 1
         assert calls.count("dw_dt_real") == calls.count("gamma_rates") == 0

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import digamma, polygamma
 
-from ltrans.baths import (_ASYMPTOTIC_FROM, _bernoulli_sum, _trigamma, _w_real,
+from ltrans.baths import (_ASYMPTOTIC_FROM, _bernoulli_sum, _digamma, _trigamma, _w_real,
                           bose_signed, dn_dDeltaT, dn_dDeltaT_signed, dw_dt_real,
                           dw_dt_table, fermi_pv_integral, matsubara_sums,
                           occupation, w_rate, w_rate_matsubara_oracle, w_table)
@@ -196,10 +195,11 @@ def test_w_table_cold_bath_is_finite():
 
 
 def full_w_table(w, bath):
-    """`w_table` with digamma evaluated at every entry, without the parity rule."""
+    """`w_table` with the module's digamma evaluated at every entry, without
+    the parity rule."""
     sd, beta = bath.spectral, bath.beta
     x, y = beta * sd.omega_c / (2.0 * np.pi), beta * w / (2.0 * np.pi)
-    bracket = digamma(x) + 0.5 / x - digamma(1.0 + 1j * y).real
+    bracket = _digamma(x).real + 0.5 / x - _digamma(1.0 + 1j * y).real
     return _w_real(w, sd, beta) + 1j * sd.slope_at(w) * (w * bracket
                                                          - 0.5 * np.pi * sd.omega_c)
 
@@ -228,14 +228,14 @@ def test_w_table_by_parity_is_bitwise_the_full_evaluation(frequencies, beta):
 
 
 def full_dw_dt_table(w, bath):
-    """`dw_dt_table` at the one temperature of `bath`, with the trigamma
-    remainder evaluated at every entry, without the parity rule."""
+    """`dw_dt_table` at the one temperature of `bath`, with the module's
+    trigamma remainder evaluated at every entry, without the parity rule."""
     sd, t = bath.spectral, bath.temperature
     x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
     if x >= _ASYMPTOTIC_FROM:
         rest_x = -_bernoulli_sum(x**-2)
     else:
-        rest_x = 1.0 + 0.5 / x - x * polygamma(1, x)
+        rest_x = 1.0 + 0.5 / x - x * _trigamma(x).real
     far = y * y >= _ASYMPTOTIC_FROM**2
     rest_y = np.where(far, -_bernoulli_sum(-1.0 / np.where(far, y * y, 1.0)),
                       1.0 + y * _trigamma(1.0 + 1j * y).imag)
@@ -293,6 +293,53 @@ def test_trigamma_matches_mpmath():
             assert abs(g - ref) <= 1e-14 * abs(ref), y
     assert _trigamma(np.ones((2, 3))).shape == (2, 3)
     assert _trigamma(1.0) == pytest.approx(np.pi**2 / 6, rel=1e-15)
+
+
+def trigamma_real_error(xs):
+    """The largest relative error of `_trigamma` at the real arguments xs."""
+    got = _trigamma(xs)
+    assert not got.imag.any()
+    with mpmath.workdps(30):
+        return max(abs(g - float(mpmath.psi(1, x))) / float(mpmath.psi(1, x))
+                   for x, g in zip(xs.tolist(), got.real.tolist()))
+
+
+def test_trigamma_of_real_arguments_matches_mpmath():
+    # psi'(x) of the remainder of dW/dT, below the series range
+    assert trigamma_real_error(np.geomspace(1e-3, _ASYMPTOTIC_FROM, 200)) <= 1e-15
+
+
+def digamma_error(zs):
+    """The largest error of `_digamma` at zs, relative to max(1, |psi|)."""
+    got = _digamma(zs)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for z, g in zip(np.ravel(zs).tolist(), np.ravel(got).tolist()):
+            ref = complex(mpmath.digamma(mpmath.mpmathify(z)))
+            worst = max(worst, abs(g - ref) / max(1.0, abs(ref)))
+    return worst
+
+
+LOG_RANGE = np.geomspace(1e-8, 1e7, 300)
+
+
+@pytest.mark.parametrize("args", [
+    lambda: np.geomspace(1e-3, 1e7, 300),                         # psi(x) of Im W
+    lambda: 1.0 + 1j * np.concatenate([[0.0], LOG_RANGE]),        # Re psi(1 + i y)
+    lambda: 0.5 + 1j * np.concatenate([-LOG_RANGE, [0.0], LOG_RANGE]),  # fermi_pv_integral
+], ids=["real", "one_plus_iy", "half_plus_ix"])
+def test_digamma_matches_mpmath(args):
+    assert digamma_error(args()) <= 2e-15
+
+
+def test_digamma_shapes_and_values():
+    assert _digamma(np.ones((2, 3))).shape == (2, 3)
+    assert _digamma(1.0) == pytest.approx(-np.euler_gamma, rel=1e-15)
+    assert _digamma(0.5).real == pytest.approx(-np.euler_gamma - 2.0 * np.log(2.0),
+                                               rel=1e-15)
+    # psi(conj z) = conj psi(z), bit for bit, which the parity rule of Im W needs
+    z = np.array([1.0 + 0.37j, 0.5 + 2e3j, 3.0 + 1e-7j])
+    assert np.array_equal(_digamma(z.conj()), _digamma(z).conj())
 
 
 def _w_mp(omega, temperature, alpha=1e-3, omega_c=5.0):

@@ -6,46 +6,127 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from ltrans.sweep import _usable_cpus
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-CONFIG = """
-[model]
-type = tls
-epsilon = 0.3
-delta = 1.0
+BATHS = """
 [baths]
 T_left = 0.1
 T_right = 0.1
 alpha = 1e-3
 omega_c = 5
+"""
+
+CONFIGS = {
+    "tls": """
+[model]
+type = tls
+epsilon = 0.3
+delta = 1.0
+""" + BATHS + """
 [sweep]
 variable = T
 start = 0.05
 stop = 2
 points = 5
-[output]
-csv = out.csv
+""",
+    "dot": """
+[model]
+type = dot
+epsilon = 0.5
+[baths]
+statistics = fermi
+gamma_left = 0.01
+gamma_right = 0.01
+T_left = 0.1
+T_right = 0.1
+[sweep]
+variable = epsilon
+start = -1
+stop = 1
+points = 5
+""",
+    "rabi": """
+[model]
+type = rabi
+epsilon = 0
+delta = 0.9
+g = 0.2
+retained_levels = 3
+fock_cutoff = 16
+""" + BATHS + """
+[sweep]
+variable = g
+start = 0.1
+stop = 0.3
+points = 2
+""",
+}
+
+# a fresh interpreter: the scipy modules loaded after the imports and the
+# config, then after a sweep; and, for each child process the sweep starts,
+# whether scipy.linalg was loaded when it started
+SCRIPT = """\
+import json, multiprocessing, sys
+import ltrans, ltrans.cli
+from ltrans.config import load_config
+from ltrans.sweep import run_sweep
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+forks = []
+start = multiprocessing.Process.start
+
+def recorded_start(self):
+    forks.append("scipy.linalg" in sys.modules)
+    start(self)
+
+multiprocessing.Process.start = recorded_start
+cfg = load_config(sys.argv[1])
+loaded = scipy_modules()
+result = run_sweep(cfg, workers=int(sys.argv[2]))
+assert result.ok, result.failures
+print(json.dumps([loaded, scipy_modules(), forks]))
 """
 
-# quadrature and the solvers it pulls in belong to the test oracles only
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 
-
-def test_cold_start_leaves_quadrature_unimported(tmp_path):
-    ini = tmp_path / "sweep.ini"
-    ini.write_text(CONFIG, encoding="utf-8")
-    script = ("import json, sys\n"
-              "import ltrans, ltrans.cli\n"
-              "from ltrans.config import load_config\n"
-              f"load_config({str(ini)!r})\n"
-              "print(json.dumps(sorted(sys.modules)))\n")
+def scipy_modules(tmp_path, model: str, workers: int = 1):
+    """(scipy modules after the config, after the sweep, the fork records)."""
+    ini = tmp_path / f"{model}.ini"
+    ini.write_text(CONFIGS[model] + f"[output]\ncsv = {tmp_path / 'out.csv'}\n",
+                   encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded = set(json.loads(out))
-    assert "ltrans.cli" in loaded
-    assert [m for m in HEAVY if m in loaded] == []
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(ini), str(workers)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("model", ["tls", "dot"])
+def test_two_level_and_dot_sweeps_load_no_scipy(tmp_path, model):
+    # the bath tables and the dense eigensolver are numpy alone
+    assert scipy_modules(tmp_path, model) == [[], [], []]
+
+
+def test_rabi_sweeps_load_only_scipy_linalg_at_the_first_model(tmp_path):
+    after_config, after_sweep, forks = scipy_modules(tmp_path, "rabi")
+    assert after_config == [] and forks == []
+    assert "scipy.linalg" in after_sweep
+    # the quadrature oracles and scipy.special belong to the tests and validate
+    oracles = ("scipy.special", "scipy.integrate")
+    assert [m for m in after_sweep if m.startswith(oracles)] == []
+
+
+def test_a_parallel_rabi_sweep_loads_scipy_linalg_before_it_forks(tmp_path):
+    if _usable_cpus() < 2:
+        pytest.skip("one usable CPU: the sweep starts no child")
+    after_config, after_sweep, forks = scipy_modules(tmp_path, "rabi", workers=2)
+    assert after_config == [] and "scipy.linalg" in after_sweep
+    assert forks == [True]
 
 
 def test_every_benchmark_span_target_exists():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ltrans import linalg
 from ltrans.linalg import (NumericError, ValidationError, hermitian_eigensystem,
@@ -227,7 +228,8 @@ def test_band_lapack_failure_is_numeric_error(monkeypatch):
     def fail(*_args, **_kwargs):
         raise np.linalg.LinAlgError("eig algorithm did not converge")
 
-    monkeypatch.setattr(linalg, "eig_banded", fail)
+    # the solver imports eig_banded from scipy.linalg at each call
+    monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
     for eigvals_only in (False, True):
         with pytest.raises(NumericError):
             lowest_band_eigensystem(np.array([[0.0, 1.0], [1.0, 2.0]]), 1, eigvals_only)
@@ -236,13 +238,13 @@ def test_band_lapack_failure_is_numeric_error(monkeypatch):
 def recorded_selects(monkeypatch):
     """The `select` argument of every eig_banded call ("a", all, if none)."""
     selects = []
-    orig = linalg.eig_banded
+    orig = scipy.linalg.eig_banded
 
     def recorded(*args, **kwargs):
         selects.append(kwargs.get("select", "a"))
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eig_banded", recorded)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", recorded)
     return selects
 
 
@@ -275,7 +277,7 @@ def test_few_band_pairs_come_from_bisection_as_before(monkeypatch, order, keep):
     selects = recorded_selects(monkeypatch)
     lam, v = lowest_band_eigensystem(ab, keep)
     assert selects == ["i"]
-    ref_lam, ref_v = linalg.eig_banded(ab, select="i", select_range=(0, keep - 1),
-                                       check_finite=False)
+    ref_lam, ref_v = scipy.linalg.eig_banded(ab, select="i", select_range=(0, keep - 1),
+                                             check_finite=False)
     assert np.array_equal(lam, ref_lam)
     assert np.array_equal(v, linalg._fix_phase(ref_v))
