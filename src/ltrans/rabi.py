@@ -5,19 +5,45 @@ The numeric route orders the truncated Fock space as (n, qubit), index
 the diagonal carries -+epsilon/2 + omega_r n, the qubit flip -Delta/2 sits on
 the first superdiagonal and the coupling +-g sqrt(n+1) on the second.  The
 band is solved for its lowest levels with linalg.lowest_band_eigensystem
-(LAPACK's banded solver); no dense Hamiltonian is built.  The Fock
-convergence check compares those levels with the eigenvalues alone of the
-band with a larger cutoff.  The levels are exported together with the
-coupling operators (resonator quadrature to the left bath, qubit flux to the
-right bath) as a JunctionModel.  The rotating wave approximation,
-second-order Van Vleck perturbation theory and the generalized RWA provide
-closed-form spectra used for cross-checks and for interpreting the
-conductance features; the tests check the Van Vleck levels against the
-numeric ones at weak coupling.
+(LAPACK's banded solver); no dense Hamiltonian is built.  The levels are
+exported together with the coupling operators (resonator quadrature to the
+left bath, qubit flux to the right bath) as a JunctionModel.
+
+The Fock check asks whether CONVERGENCE_EXTRA more Fock states move the k
+retained levels lambda_0 <= ... <= lambda_(k-1) of the band H (N Fock
+states, order 2N) by more than CONVERGENCE_TOL * omega_r.  Only Fock level
+N - 1 couples to level N, by g sqrt(N) sigma_z, so the padded eigenvectors
+X = [V; 0] leave the residual H_big X - X Lambda of norm at most
+rho = g sqrt(N) |V[-2:]|_F in the larger band H_big.  By Kahan's inclusion
+theorem (Parlett, The Symmetric Eigenvalue Problem, Thm 11.5.1) k
+eigenvalues of H_big then lie within rho of lambda_0 .. lambda_(k-1).  They
+are its k lowest, and the drift is at most rho, if H_big has at most k
+eigenvalues below y = lambda_(k-1) + CONVERGENCE_TOL * omega_r > lambda_(k-1)
++ rho.  The certificate of that is M = H_big - y + s X X^T positive
+definite (s = y - lambda_0 + omega_r): a positive semidefinite update of
+rank k makes at most k eigenvalues of H_big - y positive that were not.
+M is positive definite if M_N = H - y + s V V^T is and the Schur
+complement C - g^2 N sigma_z G sigma_z is, where C = H_big - y on the
+added Fock levels and G is the last 2 x 2 block of M_N^-1; a Gershgorin
+floor of C above g^2 N tr G shows the latter.  Where
+the banded solve computed every eigenpair of H (more than an eighth of
+them kept), M_N's spectrum is known, and so are its definiteness
+(lambda_k > y) and G; else a Cholesky factorization of the dense M_N gives
+both.  Either costs well under the second banded solve it replaces.  That
+solve still runs, and the drift is measured as before, where the bound
+exceeds half the tolerance (the other half absorbs roundoff) or the
+certificate fails, as it does where lambda_(k-1) is degenerate with
+lambda_k.  So one config is accepted or rejected as by the two solves.
+
+The rotating wave approximation, second-order Van Vleck perturbation theory
+and the generalized RWA provide closed-form spectra used for cross-checks
+and for interpreting the conductance features; the tests check the Van
+Vleck levels against the numeric ones at weak coupling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,25 +131,85 @@ def _rabi_band(p: RabiParams, n_fock: int) -> np.ndarray:
     return ab
 
 
+def _fock_drift_bound(p: RabiParams, band: np.ndarray, lam: np.ndarray,
+                      v: np.ndarray, rest) -> float:
+    """Bound on how far the retained levels move with CONVERGENCE_EXTRA more
+    Fock states, from the retained eigenpairs alone; inf where its
+    certificate fails.
+
+    `band` is the larger band, `lam` and `v` the lowest eigenpairs of its
+    leading 2N x 2N part H (N = fock_cutoff), `rest` the levels above them
+    as `lowest_band_eigensystem` returns them (None after bisection).  With
+    y = lam[-1] + CONVERGENCE_TOL * omega_r, returns rho = g sqrt(N) |V[-2:]|_F
+    if M = H_big - y + s X X^T is positive definite, X = [V; 0] and
+    s = y - lam[0] + omega_r (see the module docstring).
+    """
+    n_fock, g, w = p.fock_cutoff, p.g, p.omega_r
+    y = lam[-1] + CONVERGENCE_TOL * w
+    # Gershgorin floor of C = H_big - y on the added Fock levels n >= N: each
+    # row has n w -+ epsilon/2 on the diagonal and Delta/2, g sqrt(n),
+    # g sqrt(n+1) off it; n w - g (sqrt(n) + sqrt(n+1)) grows with n once
+    # sqrt(N) >= g / w, so its least value is at n = N
+    if g > math.sqrt(n_fock) * w:
+        return math.inf
+    floor = (n_fock * w - g * (math.sqrt(n_fock) + math.sqrt(n_fock + 1))
+             - 0.5 * (abs(p.epsilon) + abs(p.delta)) - y)
+    # tr G, G the last 2 x 2 block of (H - y + s V V^T)^-1: from the spectrum
+    # where the full solve gave it, else from the Cholesky factor L of that
+    # matrix, whose trailing 2 x 2 block L22 gives G = (L22 L22^T)^-1
+    tail = v[-2:]
+    if rest is not None:
+        lam_up, v_up = rest
+        if not lam_up[0] > y:
+            return math.inf
+        tr_g = (np.einsum("ij,ij,j->", tail, tail, 1.0 / (lam - lam[0] + w))
+                + np.einsum("ij,ij,j->", v_up[-2:], v_up[-2:], 1.0 / (lam_up - y)))
+    else:
+        from scipy.linalg.lapack import dpotrf
+
+        m = v.shape[0]
+        a = ((y - lam[0] + w) * v) @ v.T
+        flat = a.reshape(-1)
+        flat[::m + 1] += band[2, :m] - y
+        flat[m::m + 1] += band[1, 1:m]          # a[j, j - 1] = H[j - 1, j]
+        flat[2 * m::m + 1] += band[0, 2:m]      # a[j, j - 2] = H[j - 2, j]
+        chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+        if info:
+            return math.inf
+        l00, l10, l11 = chol[-2, -2], chol[-1, -2], chol[-1, -1]
+        tr_g = (1.0 + (l10 / l11)**2) / l00**2 + 1.0 / l11**2
+    if not g * g * n_fock * tr_g < floor:
+        return math.inf
+    return g * math.sqrt(n_fock * np.vdot(tail, tail))
+
+
 def build_rabi_junction(params: RabiParams, left_id: str = "L",
                         right_id: str = "R") -> JunctionModel:
     """Solve the banded Rabi Hamiltonian for its lowest levels and retain them.
 
     The left bath couples to the resonator quadrature a + a^dag, the right
     bath to the qubit sigma_z (localized flux basis).  Raises if increasing
-    the Fock cutoff by 10 still moves the retained eigenvalues by more than
-    1e-10 * omega_r; that check needs the eigenvalues only.
+    the Fock cutoff by CONVERGENCE_EXTRA = 10 moves the retained eigenvalues
+    by more than CONVERGENCE_TOL * omega_r = 1e-10 omega_r.  The retained
+    eigenpairs alone settle that where `_fock_drift_bound` bounds the drift
+    by half the tolerance: rho = g sqrt(N) |V[-2:]|_F, certified by a
+    positive definite M (see the module docstring).  Where rho is larger or
+    the certificate fails, as where the last retained level is degenerate
+    with the next, the band of the larger cutoff is solved for its
+    eigenvalues and the drift measured.
     """
     keep, n_fock = params.retained_levels, params.fock_cutoff
     # the band of the smaller cutoff is the leading part of the larger one
     band = _rabi_band(params, n_fock + CONVERGENCE_EXTRA)
-    lam, v = lowest_band_eigensystem(band[:, :2 * n_fock], keep)
-    lam_chk = lowest_band_eigensystem(band, keep, eigvals_only=True)
-    drift = float(np.max(np.abs(lam - lam_chk)))
-    if drift > CONVERGENCE_TOL * params.omega_r:
-        raise ValidationError(
-            f"Fock truncation not converged: retained levels move by {drift:.3e}; "
-            "increase fock_cutoff")
+    lam, v, rest = lowest_band_eigensystem(band[:, :2 * n_fock], keep, rest=True)
+    tol = CONVERGENCE_TOL * params.omega_r
+    if _fock_drift_bound(params, band, lam, v, rest) > 0.5 * tol:
+        lam_chk = lowest_band_eigensystem(band, keep, eigvals_only=True)
+        drift = float(np.max(np.abs(lam - lam_chk)))
+        if drift > tol:
+            raise ValidationError(
+                f"Fock truncation not converged: retained levels move by {drift:.3e}; "
+                "increase fock_cutoff")
 
     # a + a^dag couples (n-1, s) and (n, s), two basis indices apart
     sqrt_n = np.sqrt(np.arange(2, 2 * n_fock) // 2)

@@ -36,7 +36,7 @@ from .redfield import KernelBlock, RateMatrix, all_pairs
 __all__ = ["SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
            "retained_pair_array", "full_secular_steady", "partial_secular_steady",
            "partial_secular_response",
-           "three_level_coherence_analytic", "propagate_rate_equation"]
+           "three_level_coherence_analytic"]
 
 log = logging.getLogger(__name__)
 
@@ -199,21 +199,6 @@ def full_secular_steady(rates: RateMatrix) -> SteadyState:
                         solver_tag="FullSecular")
     state.check()
     return state
-
-
-def propagate_rate_equation(rates: RateMatrix, p0: np.ndarray, t: float,
-                            steps: int = 200000) -> np.ndarray:
-    """Explicit RK4 integration of dp/dt = gamma @ p; test oracle only."""
-    g = rates.gamma
-    p = np.asarray(p0, dtype=float).copy()
-    h = t / steps
-    for _ in range(steps):
-        k1 = g @ p
-        k2 = g @ (p + 0.5 * h * k1)
-        k3 = g @ (p + 0.5 * h * k2)
-        k4 = g @ (p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return p
 
 
 # ---------------------------------------------------------------------------

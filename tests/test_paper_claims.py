@@ -7,12 +7,13 @@ misses this; partial secular theory recovers it, reduces to full secular
 theory when no coherence is retained, and to the dense (non-secular) Redfield
 steady state when every coherence is.  At equal bath temperatures the full
 secular steady state is the Gibbs state, and at any bias its heat currents
-into the two baths cancel.
+into the two baths cancel.  The conductance kappa2 of either solver is the
+temperature derivative of its steady-state heat current.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ltrans import sweep
@@ -24,6 +25,7 @@ from ltrans.redfield import all_pairs, build_k2_boson, gamma_rates
 from ltrans.steady import full_secular_steady
 
 from junctions import random_junction
+from kappa2_oracle import kappa2_richardson
 
 COUPLINGS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
 
@@ -159,3 +161,27 @@ def test_full_secular_heat_currents_cancel_at_any_bias(seeds, dim, t_left, t_rig
         wdiff = model.omega[None, :] - model.omega[:, None]
         terms = sum(np.abs(wdiff * g * p).sum() for g in rates.per_reservoir.values())
         assert abs(res.currents["L"] + res.currents["R"]) <= 1e-13 * terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+       split=st.none() | st.floats(1e-3, 0.3), solver=st.sampled_from(["full", "partial"]),
+       temperature=st.floats(0.05, 2.0))
+def test_kappa2_is_the_derivative_of_the_steady_current(seed, dim, split, solver,
+                                                         temperature):
+    # the oracle's Richardson difference errs by ~(step * omega / T)^4,
+    # 1.7e-10 at T = 0.055 with omega_10 = 1.2 and its default step, hence a
+    # step that shrinks with T; its roundoff grows with the current's terms
+    # over kappa2 T (a transition coupled 500 times more weakly to one bath
+    # than to the other, or a Bohr frequency well below T) until no step
+    # resolves 1e-10, so the property holds where two steps agree to 1e-11
+    model = random_junction(seed, dim, split)
+    sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
+    baths = [Reservoir("L", 1.0 / temperature, sd), Reservoir("R", 1.0 / temperature, sd)]
+    step = min(1e-3, 1e-2 * temperature / (model.omega[-1] - model.omega[0]))
+    want = kappa2_richardson(model, baths, temperature, solver, step=step)
+    finer = kappa2_richardson(model, baths, temperature, solver, step=0.5 * step)
+    assume(abs(finer - want) <= 1e-11 * abs(want))
+    [got] = kappa2_sweep(model, baths, [temperature], solver)
+    assert not isinstance(got, Exception), got
+    assert got.kappa2 == pytest.approx(want, rel=1e-10, abs=0.0)

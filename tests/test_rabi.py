@@ -4,10 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ltrans.cli import main
-from ltrans.linalg import ValidationError, hermitian_eigensystem
-from ltrans.rabi import (RabiParams, build_rabi_junction, grwa_spectrum, rwa_spectrum,
+from ltrans.linalg import ValidationError, hermitian_eigensystem, lowest_band_eigensystem
+from ltrans.rabi import (CONVERGENCE_EXTRA, CONVERGENCE_TOL, RabiParams, _fock_drift_bound,
+                         _rabi_band, build_rabi_junction, grwa_spectrum, rwa_spectrum,
                          vvpt_spectrum)
-from rabi_oracle import dense_rabi_junction, rabi_hamiltonian
+from rabi_oracle import dense_rabi_junction, rabi_hamiltonian, two_solve_fock_check
+from test_linalg import recorded_selects
 
 
 def test_numeric_levels_match_vvpt_at_weak_coupling():
@@ -62,6 +64,95 @@ def test_zero_bias_couplings_real_symmetric_parity_odd():
 def test_unconverged_fock_cutoff_rejected():
     with pytest.raises(ValidationError, match="Fock truncation"):
         build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=1.5, fock_cutoff=20))
+
+
+@pytest.mark.parametrize("keep,gs", [(5, [0.2]), (21, np.linspace(0.02, 0.4, 12))])
+def test_benchmark_models_make_one_banded_solve(monkeypatch, keep, gs):
+    # the drift bound settles the Fock check of the benchmark's models; a
+    # bound that fell back would cost a second solve, about 0.3 ms a model
+    calls = recorded_selects(monkeypatch)
+    for g in gs:
+        calls.clear()
+        build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=float(g), fock_cutoff=40,
+                                       retained_levels=keep))
+        assert len(calls) == 1, g
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("epsilon,delta,keep,solves", [
+    (0.3, 0.9, 5, 1), (0.3, 0.9, 21, 1), (0.0, 1.0, 5, 1),
+    # lambda_(keep-1) = lambda_keep, by bisection (keep 4) and the full solve
+    (0.0, 1.0, 4, 2), (0.0, 1.0, 12, 2)])
+def test_uncoupled_model_bound_is_zero_or_falls_back(monkeypatch, epsilon, delta, keep,
+                                                     solves):
+    # at g = 0 the larger band splits into blocks: the bound is 0 unless the
+    # retained levels are degenerate with the next one, where the second
+    # solve runs; neither divides 0 by 0
+    p = RabiParams(epsilon=epsilon, delta=delta, g=0.0, retained_levels=keep)
+    calls = recorded_selects(monkeypatch)
+    model = build_rabi_junction(p)
+    assert len(calls) == solves
+    assert _fock_drift_bound(p, *_drift_bound_inputs(p)) == (0.0 if solves == 1 else np.inf)
+    n = np.arange(p.fock_cutoff)
+    levels = np.sort(np.concatenate([n - 0.5 * p.omega_q, n + 0.5 * p.omega_q]))
+    assert np.max(np.abs(model.omega - levels[:keep])) <= 1e-13
+
+
+def _drift_bound_inputs(p):
+    band = _rabi_band(p, p.fock_cutoff + CONVERGENCE_EXTRA)
+    lam, v, rest = lowest_band_eigensystem(band[:, :2 * p.fock_cutoff],
+                                           p.retained_levels, rest=True)
+    return band, lam, v, rest
+
+
+@pytest.mark.parametrize("keep,cutoff,g", [(3, 13, 1.0), (5, 15, 1.0), (21, 33, 0.8)])
+def test_drift_bound_is_the_residual_of_the_padded_eigenvectors(keep, cutoff, g):
+    # rho = g sqrt(N) |V[-2:]|_F is |H_big X - X Lambda|_F for X = [V; 0],
+    # after bisection (keep 3) and the full solve; rho is 1e-9 to 1e-3 here
+    p = RabiParams(epsilon=0.1, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
+    band, lam, v, rest = _drift_bound_inputs(p)
+    assert (rest is None) == (8 * keep <= 2 * cutoff)
+    order = band.shape[1]
+    h = np.diag(band[2])
+    for d in (1, 2):
+        h += np.diag(band[2 - d, d:], d) + np.diag(band[2 - d, d:], -d)
+    x = np.zeros((order, keep))
+    x[:2 * cutoff] = v
+    resid = np.linalg.norm(h @ x - x * lam)
+    assert _fock_drift_bound(p, band, lam, v, rest) == pytest.approx(resid, rel=1e-9)
+
+
+@pytest.mark.parametrize("keep,cutoff,g", [(2, 12, 1.5), (3, 13, 1.3), (21, 31, 2.0)])
+def test_a_vanishing_residual_alone_certifies_no_drift(keep, cutoff, g):
+    # with the residual zeroed, the bound still needs the added Fock levels
+    # to stay above the retained ones, which their Gershgorin floor cannot
+    # show at this coupling
+    p = RabiParams(epsilon=0.0, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
+    band, lam, v, rest = _drift_bound_inputs(p)
+    v = v.copy()
+    v[-2:] = 0.0
+    assert _fock_drift_bound(p, band, lam, v, rest) == np.inf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(epsilon=st.floats(-1.0, 1.0), delta=st.floats(0.1, 2.0), g=st.floats(0.0, 2.0),
+       sizes=st.integers(2, 25).flatmap(
+           lambda keep: st.tuples(st.just(keep), st.integers(keep + 10, 60))))
+def test_drift_bound_accepts_and_rejects_as_the_two_solve_check(epsilon, delta, g, sizes):
+    # both solver paths: bisection up to keep = order / 8, the full solve above
+    keep, cutoff = sizes
+    p = RabiParams(epsilon=epsilon, delta=delta, g=g, retained_levels=keep,
+                   fock_cutoff=cutoff)
+    drift, error = two_solve_fock_check(p)
+    built = _build_or_error(build_rabi_junction, p)
+    if error is None:
+        assert not isinstance(built, ValidationError), str(built)
+    else:
+        assert isinstance(built, ValidationError) and str(built) == str(error)
+    bound = _fock_drift_bound(p, *_drift_bound_inputs(p))
+    if bound <= 0.5 * CONVERGENCE_TOL * p.omega_r:
+        # the margin is the roundoff of the measured drift itself
+        assert bound + 1e-13 * p.omega_r >= drift
 
 
 def _build_or_error(build, p):

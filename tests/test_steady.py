@@ -10,8 +10,9 @@ from ltrans.redfield import (KernelBlock, RateMatrix, all_pairs, build_k2_boson,
                              gamma_rates)
 from ltrans.steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
                            full_secular_steady, partial_secular_steady,
-                           propagate_rate_equation, retained_pair_array,
-                           three_level_coherence_analytic)
+                           retained_pair_array, three_level_coherence_analytic)
+
+from rate_oracle import propagate_rate_equation
 
 
 def drude_baths(t_left=1.0, t_right=0.5, alpha=1e-3, omega_c=5.0):
