@@ -88,20 +88,17 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, _fix_phase(v)
 
 
-def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = False,
-                            rest: bool = False):
+def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = False):
     """Lowest `keep` eigenpairs of a real symmetric banded matrix (scipy eig_banded).
 
     `ab` is the upper band storage of the matrix A: ab[u + i - j, j] = A[i, j]
     for the u = ab.shape[0] - 1 superdiagonals.  Returns (eigenvalues,
     eigenvectors) with eigenvalues ascending and orthonormal real
     eigenvector columns under the module's phase convention, or the
-    eigenvalues alone with eigvals_only.  With `rest`, returns (eigenvalues,
-    eigenvectors, rest), where rest holds the eigenvalues and eigenvectors
-    (LAPACK's signs) above the kept ones when the full solve computed them,
-    and is None after bisection.  Raises ValidationError for a complex or
-    non-finite band or `keep` out of range, and NumericError if LAPACK
-    reports that it did not converge.  The first call imports scipy.linalg.
+    eigenvalues alone with eigvals_only.  Raises ValidationError for a
+    complex or non-finite band or `keep` out of range, and NumericError if
+    LAPACK reports that it did not converge.  The first call imports
+    scipy.linalg.
     """
     from scipy.linalg import LinAlgError, eig_banded
 
@@ -121,19 +118,18 @@ def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = Fals
     # alone of order 100 (the Rabi Fock check at cutoff 40, solved only
     # where its drift bound fails), pinned to one CPU: all of them
     # 0.27-0.34 ms, the lowest 21 by bisection 0.93-0.97 ms.
-    extra = None
     try:
         if eigvals_only:
             return eig_banded(ab, eigvals_only=True, check_finite=False)[:keep]
         if 8 * keep > ab.shape[1]:
             lam, v = eig_banded(ab, check_finite=False)
-            lam, v, extra = lam[:keep], v[:, :keep], (lam[keep:], v[:, keep:])
+            lam, v = lam[:keep], v[:, :keep]
         else:
             lam, v = eig_banded(ab, select="i", select_range=(0, keep - 1),
                                 check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"banded eigensolver failed: {exc}") from exc
-    return (lam, _fix_phase(v), extra) if rest else (lam, _fix_phase(v))
+    return lam, _fix_phase(v)
 
 
 def to_eigenbasis(a: np.ndarray, v: np.ndarray) -> np.ndarray:

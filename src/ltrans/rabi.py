@@ -5,9 +5,10 @@ The numeric route orders the truncated Fock space as (n, qubit), index
 the diagonal carries -+epsilon/2 + omega_r n, the qubit flip -Delta/2 sits on
 the first superdiagonal and the coupling +-g sqrt(n+1) on the second.  The
 band is solved for its lowest levels with linalg.lowest_band_eigensystem
-(LAPACK's banded solver); no dense Hamiltonian is built.  The levels are
-exported together with the coupling operators (resonator quadrature to the
-left bath, qubit flux to the right bath) as a JunctionModel.
+(LAPACK's banded solver); no dense Hamiltonian is built, only the dense
+certificate of the Fock check below.  The levels are exported together
+with the coupling operators (resonator quadrature to the left bath, qubit
+flux to the right bath) as a JunctionModel.
 
 The Fock check asks whether CONVERGENCE_EXTRA more Fock states move the k
 retained levels lambda_0 <= ... <= lambda_(k-1) of the band H (N Fock
@@ -25,15 +26,16 @@ rank k makes at most k eigenvalues of H_big - y positive that were not.
 M is positive definite if M_N = H - y + s V V^T is and the Schur
 complement C - g^2 N sigma_z G sigma_z is, where C = H_big - y on the
 added Fock levels and G is the last 2 x 2 block of M_N^-1; a Gershgorin
-floor of C above g^2 N tr G shows the latter.  Where
-the banded solve computed every eigenpair of H (more than an eighth of
-them kept), M_N's spectrum is known, and so are its definiteness
-(lambda_k > y) and G; else a Cholesky factorization of the dense M_N gives
-both.  Either costs well under the second banded solve it replaces.  That
-solve still runs, and the drift is measured as before, where the bound
-exceeds half the tolerance (the other half absorbs roundoff) or the
-certificate fails, as it does where lambda_(k-1) is degenerate with
-lambda_k.  So one config is accepted or rejected as by the two solves.
+floor of C above g^2 N tr G shows the latter.  A Cholesky factorization
+of the dense M_N gives both its definiteness and G, on either solver path.
+Up to N = 400 it costs less than the second banded solve it replaces (0.04
+against 0.29 ms at N = 40, 15.6 against 15.9 ms at N = 400, one CPU); above,
+it costs more (121 against 92 ms at N = 1000), so the bound is not tried
+there.  The second solve still runs, and the drift is measured as before,
+where the bound is not tried, where it exceeds half the tolerance (the
+other half absorbs roundoff), or where the certificate fails, as it does
+where lambda_(k-1) is degenerate with lambda_k.  So one config is accepted
+or rejected as by the two solves.
 
 The rotating wave approximation, second-order Van Vleck perturbation theory
 and the generalized RWA provide closed-form spectra used for cross-checks
@@ -57,6 +59,9 @@ __all__ = ["RabiParams", "ApproxSpectrum", "build_rabi_junction", "rwa_spectrum"
 
 CONVERGENCE_TOL = 1e-10
 CONVERGENCE_EXTRA = 10
+# largest Fock cutoff at which the drift bound's dense certificate costs no
+# more than the second banded solve (see the module docstring)
+_CERTIFIED_MAX_CUTOFF = 400
 
 
 @dataclass(frozen=True)
@@ -132,19 +137,20 @@ def _rabi_band(p: RabiParams, n_fock: int) -> np.ndarray:
 
 
 def _fock_drift_bound(p: RabiParams, band: np.ndarray, lam: np.ndarray,
-                      v: np.ndarray, rest) -> float:
+                      v: np.ndarray) -> float:
     """Bound on how far the retained levels move with CONVERGENCE_EXTRA more
     Fock states, from the retained eigenpairs alone; inf where its
-    certificate fails.
+    certificate fails or is not tried (cutoffs above _CERTIFIED_MAX_CUTOFF).
 
     `band` is the larger band, `lam` and `v` the lowest eigenpairs of its
-    leading 2N x 2N part H (N = fock_cutoff), `rest` the levels above them
-    as `lowest_band_eigensystem` returns them (None after bisection).  With
-    y = lam[-1] + CONVERGENCE_TOL * omega_r, returns rho = g sqrt(N) |V[-2:]|_F
-    if M = H_big - y + s X X^T is positive definite, X = [V; 0] and
+    leading 2N x 2N part H (N = fock_cutoff).  With y = lam[-1] +
+    CONVERGENCE_TOL * omega_r, returns rho = g sqrt(N) |V[-2:]|_F if
+    M = H_big - y + s X X^T is positive definite, X = [V; 0] and
     s = y - lam[0] + omega_r (see the module docstring).
     """
     n_fock, g, w = p.fock_cutoff, p.g, p.omega_r
+    if n_fock > _CERTIFIED_MAX_CUTOFF:
+        return math.inf
     y = lam[-1] + CONVERGENCE_TOL * w
     # Gershgorin floor of C = H_big - y on the added Fock levels n >= N: each
     # row has n w -+ epsilon/2 on the diagonal and Delta/2, g sqrt(n),
@@ -154,32 +160,26 @@ def _fock_drift_bound(p: RabiParams, band: np.ndarray, lam: np.ndarray,
         return math.inf
     floor = (n_fock * w - g * (math.sqrt(n_fock) + math.sqrt(n_fock + 1))
              - 0.5 * (abs(p.epsilon) + abs(p.delta)) - y)
-    # tr G, G the last 2 x 2 block of (H - y + s V V^T)^-1: from the spectrum
-    # where the full solve gave it, else from the Cholesky factor L of that
-    # matrix, whose trailing 2 x 2 block L22 gives G = (L22 L22^T)^-1
-    tail = v[-2:]
-    if rest is not None:
-        lam_up, v_up = rest
-        if not lam_up[0] > y:
-            return math.inf
-        tr_g = (np.einsum("ij,ij,j->", tail, tail, 1.0 / (lam - lam[0] + w))
-                + np.einsum("ij,ij,j->", v_up[-2:], v_up[-2:], 1.0 / (lam_up - y)))
-    else:
-        from scipy.linalg.lapack import dpotrf
+    if not floor > 0.0:
+        return math.inf
+    # Cholesky factor L of M_N = H - y + s V V^T, whose trailing 2 x 2 block
+    # L22 gives G = (L22 L22^T)^-1
+    from scipy.linalg.lapack import dpotrf
 
-        m = v.shape[0]
-        a = ((y - lam[0] + w) * v) @ v.T
-        flat = a.reshape(-1)
-        flat[::m + 1] += band[2, :m] - y
-        flat[m::m + 1] += band[1, 1:m]          # a[j, j - 1] = H[j - 1, j]
-        flat[2 * m::m + 1] += band[0, 2:m]      # a[j, j - 2] = H[j - 2, j]
-        chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-        if info:
-            return math.inf
-        l00, l10, l11 = chol[-2, -2], chol[-1, -2], chol[-1, -1]
-        tr_g = (1.0 + (l10 / l11)**2) / l00**2 + 1.0 / l11**2
+    m = v.shape[0]
+    a = ((y - lam[0] + w) * v) @ v.T
+    flat = a.reshape(-1)
+    flat[::m + 1] += band[2, :m] - y
+    flat[m::m + 1] += band[1, 1:m]          # a[j, j - 1] = H[j - 1, j]
+    flat[2 * m::m + 1] += band[0, 2:m]      # a[j, j - 2] = H[j - 2, j]
+    chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info:
+        return math.inf
+    l00, l10, l11 = chol[-2, -2], chol[-1, -2], chol[-1, -1]
+    tr_g = (1.0 + (l10 / l11)**2) / l00**2 + 1.0 / l11**2
     if not g * g * n_fock * tr_g < floor:
         return math.inf
+    tail = v[-2:]
     return g * math.sqrt(n_fock * np.vdot(tail, tail))
 
 
@@ -193,17 +193,17 @@ def build_rabi_junction(params: RabiParams, left_id: str = "L",
     by more than CONVERGENCE_TOL * omega_r = 1e-10 omega_r.  The retained
     eigenpairs alone settle that where `_fock_drift_bound` bounds the drift
     by half the tolerance: rho = g sqrt(N) |V[-2:]|_F, certified by a
-    positive definite M (see the module docstring).  Where rho is larger or
+    positive definite M (see the module docstring).  Where rho is larger,
     the certificate fails, as where the last retained level is degenerate
-    with the next, the band of the larger cutoff is solved for its
-    eigenvalues and the drift measured.
+    with the next, or the cutoff exceeds 400 Fock states, the band of the
+    larger cutoff is solved for its eigenvalues and the drift measured.
     """
     keep, n_fock = params.retained_levels, params.fock_cutoff
     # the band of the smaller cutoff is the leading part of the larger one
     band = _rabi_band(params, n_fock + CONVERGENCE_EXTRA)
-    lam, v, rest = lowest_band_eigensystem(band[:, :2 * n_fock], keep, rest=True)
+    lam, v = lowest_band_eigensystem(band[:, :2 * n_fock], keep)
     tol = CONVERGENCE_TOL * params.omega_r
-    if _fock_drift_bound(params, band, lam, v, rest) > 0.5 * tol:
+    if _fock_drift_bound(params, band, lam, v) > 0.5 * tol:
         lam_chk = lowest_band_eigensystem(band, keep, eigvals_only=True)
         drift = float(np.max(np.abs(lam - lam_chk)))
         if drift > tol:

@@ -190,23 +190,6 @@ def test_band_solver_matches_dense(n, keep):
     assert np.max(np.abs(lam_only - lam)) < 1e-12 * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize("n, keep", [(80, 10), (80, 11)])
-def test_band_solver_returns_the_rest_of_a_full_solve(n, keep):
-    rng = np.random.default_rng(n + keep)
-    ab, a = random_persymmetric_band(rng, n)
-    lam, v, rest = lowest_band_eigensystem(ab, keep, rest=True)
-    want_lam, want_v = lowest_band_eigensystem(ab, keep)
-    assert np.array_equal(lam, want_lam) and np.array_equal(v, want_v)
-    if 8 * keep <= n:
-        assert rest is None         # bisection computed the kept pairs alone
-        return
-    lam_up, v_up = rest
-    assert lam_up.shape == (n - keep,) and v_up.shape == (n, n - keep)
-    assert np.max(np.abs(lam_up - np.linalg.eigvalsh(a)[keep:])) < 1e-12 * np.max(np.abs(a))
-    assert np.max(np.abs(a @ v_up - v_up * lam_up)) < 1e-12 * np.max(np.abs(a))
-    assert np.max(np.abs(v_up.T @ v)) < 1e-12
-
-
 def test_phase_tie_takes_lowest_index():
     # persymmetric matrices have (anti)symmetric eigenvectors, |v_i| = |v_{n-1-i}|:
     # the largest magnitude is tied, and the lower of the two indices is made

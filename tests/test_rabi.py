@@ -100,9 +100,8 @@ def test_uncoupled_model_bound_is_zero_or_falls_back(monkeypatch, epsilon, delta
 
 def _drift_bound_inputs(p):
     band = _rabi_band(p, p.fock_cutoff + CONVERGENCE_EXTRA)
-    lam, v, rest = lowest_band_eigensystem(band[:, :2 * p.fock_cutoff],
-                                           p.retained_levels, rest=True)
-    return band, lam, v, rest
+    lam, v = lowest_band_eigensystem(band[:, :2 * p.fock_cutoff], p.retained_levels)
+    return band, lam, v
 
 
 @pytest.mark.parametrize("keep,cutoff,g", [(3, 13, 1.0), (5, 15, 1.0), (21, 33, 0.8)])
@@ -110,8 +109,7 @@ def test_drift_bound_is_the_residual_of_the_padded_eigenvectors(keep, cutoff, g)
     # rho = g sqrt(N) |V[-2:]|_F is |H_big X - X Lambda|_F for X = [V; 0],
     # after bisection (keep 3) and the full solve; rho is 1e-9 to 1e-3 here
     p = RabiParams(epsilon=0.1, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
-    band, lam, v, rest = _drift_bound_inputs(p)
-    assert (rest is None) == (8 * keep <= 2 * cutoff)
+    band, lam, v = _drift_bound_inputs(p)
     order = band.shape[1]
     h = np.diag(band[2])
     for d in (1, 2):
@@ -119,7 +117,7 @@ def test_drift_bound_is_the_residual_of_the_padded_eigenvectors(keep, cutoff, g)
     x = np.zeros((order, keep))
     x[:2 * cutoff] = v
     resid = np.linalg.norm(h @ x - x * lam)
-    assert _fock_drift_bound(p, band, lam, v, rest) == pytest.approx(resid, rel=1e-9)
+    assert _fock_drift_bound(p, band, lam, v) == pytest.approx(resid, rel=1e-9)
 
 
 @pytest.mark.parametrize("keep,cutoff,g", [(2, 12, 1.5), (3, 13, 1.3), (21, 31, 2.0)])
@@ -128,10 +126,20 @@ def test_a_vanishing_residual_alone_certifies_no_drift(keep, cutoff, g):
     # to stay above the retained ones, which their Gershgorin floor cannot
     # show at this coupling
     p = RabiParams(epsilon=0.0, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
-    band, lam, v, rest = _drift_bound_inputs(p)
+    band, lam, v = _drift_bound_inputs(p)
     v = v.copy()
     v[-2:] = 0.0
-    assert _fock_drift_bound(p, band, lam, v, rest) == np.inf
+    assert _fock_drift_bound(p, band, lam, v) == np.inf
+
+
+def test_large_cutoff_skips_the_dense_certificate(monkeypatch):
+    # above 400 Fock states the dense certificate would cost more than the
+    # second banded solve, so that solve measures the drift
+    p = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=401)
+    assert _fock_drift_bound(p, *_drift_bound_inputs(p)) == np.inf
+    calls = recorded_selects(monkeypatch)
+    build_rabi_junction(p)
+    assert len(calls) == 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
