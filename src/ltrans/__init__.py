@@ -15,7 +15,8 @@ from .diagrams import (DiscreteModeBath, enumerate_matchings,
                        evaluate_kernel_from_diagrams, fermion_sign,
                        generate_kernel_terms, is_irreducible)
 from .linalg import (NumericError, ValidationError, hermitian_eigensystem,
-                     lowest_band_eigensystem, to_eigenbasis)
+                     lowest_band_eigensystem, lowest_tridiagonal_eigensystem,
+                     to_eigenbasis)
 from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
 from .oracle import CompositeSpace, exact_kernel_order
 from .rabi import (ApproxSpectrum, RabiParams, build_rabi_junction, grwa_spectrum,
@@ -30,7 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "JunctionModel", "Reservoir", "SpectralDensity", "build_junction",
-    "hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
+    "hermitian_eigensystem", "lowest_band_eigensystem",
+    "lowest_tridiagonal_eigensystem", "to_eigenbasis",
     "ValidationError", "NumericError",
     "occupation", "w_rate", "dn_dDeltaT", "fermi_pv_integral",
     "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",

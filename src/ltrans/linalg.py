@@ -1,34 +1,43 @@
 """Eigensolvers and basis transforms.
 
-Two solvers share one eigenvector phase convention:
+Three solvers share one eigenvector phase convention:
 
 - `hermitian_eigensystem` diagonalizes a dense complex Hermitian matrix with
   LAPACK's Hermitian solver (numpy.linalg.eigh);
 - `lowest_band_eigensystem` solves a real symmetric banded matrix given in
   upper band storage with LAPACK's banded solver (scipy.linalg.eig_banded)
   and keeps its lowest eigenpairs: by bisection and inverse iteration when
-  they are at most an eighth of the order, else from the full solve.
-  scipy.linalg is imported at the first banded solve, not with this
-  module: loading it takes longer than a whole sweep of a model that needs
-  no band (a two-level junction or a dot).
+  they are at most an eighth of the order, else from the full solve;
+- `lowest_tridiagonal_eigensystem` does the same for a real symmetric
+  tridiagonal matrix, a band of half-width 1, with LAPACK's tridiagonal
+  bisection and inverse iteration (dstebz and dstein) for the few and
+  divide and conquer (dstevd) for the rest, split where the two were
+  measured to cost the same.  It forms no dense reduction matrix, which
+  the banded bisection path accumulates, so a few pairs of order n cost
+  O(n) each rather than O(n^3) together (see its docstring).
 
-Both check their input (shape, finiteness) and report a LAPACK failure as
-NumericError.  The phase convention makes each eigenvector's largest
+scipy.linalg is imported at the first banded or tridiagonal solve, not
+with this module: loading it takes longer than a whole sweep of a model
+that needs neither (a two-level junction or a dot).
+
+All three check their input (shape, finiteness) and report a LAPACK failure
+as NumericError.  The phase convention makes each eigenvector's largest
 component real and positive; components within a relative PHASE_TIE_RTOL of
 the largest magnitude count as tied, and the lowest index among them wins, so
 that eigenvectors with exactly equal largest components (parity eigenstates,
 for example) get a sign that does not depend on rounding.  The unit tests
-check both solvers against characteristic-polynomial roots, residuals,
-orthonormality and each other, and check that repeated calls on the same
-input in one process agree bitwise.
+check the solvers against characteristic-polynomial roots, dense solves,
+residuals, orthonormality and each other, and check that repeated calls on
+the same input in one process agree bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hermitian_eigensystem", "lowest_band_eigensystem", "to_eigenbasis",
-           "ValidationError", "NumericError"]
+__all__ = ["hermitian_eigensystem", "lowest_band_eigensystem",
+           "lowest_tridiagonal_eigensystem", "to_eigenbasis", "ValidationError",
+           "NumericError"]
 
 
 class ValidationError(ValueError):
@@ -42,6 +51,8 @@ class NumericError(RuntimeError):
 HERMITICITY_RTOL = 1e-12
 UNITARITY_TOL = 1e-10
 PHASE_TIE_RTOL = 1e-8
+# bisection tolerance of eig_banded's select path, 2 * LAPACK dlamch("S")
+_BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -129,6 +140,87 @@ def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = Fals
                                 check_finite=False)
     except LinAlgError as exc:
         raise NumericError(f"banded eigensolver failed: {exc}") from exc
+    return lam, _fix_phase(v)
+
+
+def lowest_tridiagonal_eigensystem(d: np.ndarray, e: np.ndarray, keep: int,
+                                   eigvals_only: bool = False):
+    """Lowest `keep` eigenpairs of a real symmetric tridiagonal matrix (LAPACK
+    dstebz and dstein, or dstevd).
+
+    `d` is the diagonal (order n) and `e` the off-diagonal (n - 1 entries).
+    Returns as lowest_band_eigensystem: (eigenvalues, eigenvectors) with
+    eigenvalues ascending and orthonormal real eigenvector columns under the
+    module's phase convention, or the eigenvalues alone with eigvals_only.
+    Raises ValidationError for complex or non-finite entries, mismatched
+    lengths or `keep` out of range, and NumericError if LAPACK reports a
+    failure.  A zero in `e` splits the matrix into blocks; each eigenvector
+    is then exactly zero outside its block.  The first call imports
+    scipy.linalg.
+
+    A few pairs come from bisection by index (dstebz, to the accuracy
+    eig_banded asks of its bisection) and inverse iteration (dstein), O(n)
+    a pair; more, from divide and conquer (dstevd: all pairs, or all
+    eigenvalues by dsterf), which costs the same for any keep.  MRRR
+    (dstemr) cost as much as bisection, but its eigenvalues were up to
+    2.2e-12 off the banded solve's on the parity chains of strongly coupled
+    Rabi bands (order <= 120), against 3e-14 by bisection.  Milliseconds on
+    the Rabi parity chains (order n = 2N, Delta = 0.9, g = 0.2 and 0.4;
+    min of timeit, one CPU):
+
+        n      keep   pairs: bisection  dstevd    eigenvalues: bisection  dstevd
+        80     5            0.08-0.10   0.15-0.24               0.05-0.07   0.07-0.08
+        80     12           0.15-0.17   0.17-0.18               0.12-0.13   0.07-0.08
+        80     21           0.27-0.39   0.18-0.24               0.20-0.27   0.07-0.09
+        400    5            0.52-0.59   2.1-3.3                 0.42-0.44   1.4
+        400    21           2.0         2.1-2.7                 1.6         1.4
+        400    50           4.4-5.2     2.0-2.9                 3.6-3.7     1.3-1.5
+        2000   5            2.7-2.8     43-48                   2.3         27-29
+        2000   50           23.5        41-45                   18-20       28
+
+    Bisection is slower from keep = 12-14, 15-16, 29-35, 54-64 and 100-101
+    pairs at n = 80, 160, 400, 1000 and 2000, and from 7-8, 10-11, 17-19,
+    38-44 and 72-74 eigenvalues alone; dstevd is taken above the lines
+    through these crossovers, keep > 9 + n / 22 for pairs and
+    keep > 5 + n / 29 for eigenvalues alone.  For comparison, eig_banded
+    on the Rabi band of the same order, as lowest_band_eigensystem calls
+    it, takes 0.25 ms (n = 80, keep 5), 0.44 (keep 21), 6.4 (n = 400,
+    keep 5) and 1300 ms (n = 2000, keep 5).
+    """
+    from scipy.linalg.lapack import dstebz, dstein, dstevd
+
+    d, e = np.asarray(d), np.asarray(e)
+    n = d.shape[0] if d.ndim == 1 else 0
+    if (d.ndim != 1 or e.shape != (max(n - 1, 0),) or np.iscomplexobj(d)
+            or np.iscomplexobj(e)):
+        raise ValidationError(f"expected a real diagonal and off-diagonal, got {d.dtype} "
+                              f"shape {d.shape} and {e.dtype} shape {e.shape}")
+    if not 1 <= keep <= n:
+        raise ValidationError(f"keep = {keep} is outside 1..{n}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValidationError("band has non-finite entries")
+    if n == 1:
+        e = np.zeros(1)         # the LAPACK wrappers ask for one off-diagonal entry
+    vectors = not eigvals_only
+    if keep > (5 + n / 29 if eigvals_only else 9 + n / 22):
+        lam, v, info = dstevd(d, e, compute_v=vectors)
+        lam, v = lam[:keep], v[:, :keep]
+    else:
+        # scipy.linalg.eigh_tridiagonal(select="i", lapack_driver="stebz")
+        # makes these calls too, at 12-19 us more a call at n = 80 (a fifth
+        # of a keep-5 solve)
+        found, lam, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, keep,
+                                                _BISECTION_ABSTOL, "B")
+        order = np.argsort(lam[:found], kind="stable")     # dstebz orders by block
+        if vectors and not info:
+            v, info = dstein(d, e, lam[:found], block, split)
+            v = v[:, order]
+        lam = lam[order]
+    if info or lam.size != keep:
+        raise NumericError(f"tridiagonal eigensolver failed: LAPACK info = {info}, "
+                           f"{lam.size} of {keep} eigenvalues")
+    if eigvals_only:
+        return lam
     return lam, _fix_phase(v)
 
 

@@ -3,12 +3,29 @@
 The numeric route orders the truncated Fock space as (n, qubit), index
 2n + s, where the Rabi Hamiltonian is a real symmetric band of half-width 2:
 the diagonal carries -+epsilon/2 + omega_r n, the qubit flip -Delta/2 sits on
-the first superdiagonal and the coupling +-g sqrt(n+1) on the second.  The
-band is solved for its lowest levels with linalg.lowest_band_eigensystem
-(LAPACK's banded solver); no dense Hamiltonian is built, only the dense
-certificate of the Fock check below.  The levels are exported together
-with the coupling operators (resonator quadrature to the left bath, qubit
-flux to the right bath) as a JunctionModel.
+the first superdiagonal and the coupling +-g sqrt(n+1) on the second.  Every
+eigensolve of a build goes through one selector, `_lowest_levels`, which
+takes one of two routes on the value of epsilon alone:
+
+- At epsilon = 0 the model has an exact Z2 parity, sigma_x (-1)^(a^dag a)
+  (Braak, PRL 107, 100401 (2011)).  In the parity basis
+  |n, +-> = (|n, 0> +- (-1)^n |n, 1>) / sqrt 2 the Hamiltonian is two
+  uncoupled chains: omega_r n -+ (Delta/2)(-1)^n on the diagonal and
+  g sqrt(n) between |n - 1, +-> and |n, +->.  They are solved as one
+  tridiagonal matrix of order 2N, with a zero off-diagonal between the
+  chains, by linalg.lowest_tridiagonal_eigensystem (O(N) a pair), and each
+  eigenvector z = (z+, z-) is mapped back to the band's basis by
+  v[2n] = (z+_n + z-_n) / sqrt 2, v[2n + 1] = (-1)^n (z+_n - z-_n) / sqrt 2.
+  Each z lies in one chain, so |v[2n]| = |v[2n + 1]| exactly, and the
+  phase convention of z (lowest index among the largest) carries over to v.
+- At epsilon != 0 the band is solved with linalg.lowest_band_eigensystem
+  (LAPACK's banded solver), whose bisection path costs O(N^3) at large
+  cutoffs.  It is the only route for a biased qubit.
+
+No dense Hamiltonian is built, only the dense certificate of the Fock check
+below.  The levels are exported together with the coupling operators
+(resonator quadrature to the left bath, qubit flux to the right bath) as a
+JunctionModel.
 
 The Fock check asks whether CONVERGENCE_EXTRA more Fock states move the k
 retained levels lambda_0 <= ... <= lambda_(k-1) of the band H (N Fock
@@ -27,11 +44,14 @@ M is positive definite if M_N = H - y + s V V^T is and the Schur
 complement C - g^2 N sigma_z G sigma_z is, where C = H_big - y on the
 added Fock levels and G is the last 2 x 2 block of M_N^-1; a Gershgorin
 floor of C above g^2 N tr G shows the latter.  A Cholesky factorization
-of the dense M_N gives both its definiteness and G, on either solver path.
-Up to N = 400 it costs less than the second banded solve it replaces (0.04
-against 0.29 ms at N = 40, 15.6 against 15.9 ms at N = 400, one CPU); above,
-it costs more (121 against 92 ms at N = 1000), so the bound is not tried
-there.  The second solve still runs, and the drift is measured as before,
+of the dense M_N gives both its definiteness and G, on either route and
+solver path.  Up to N = 400 it costs less than the second banded solve it
+replaces (0.04 against 0.29 ms at N = 40, 15.6 against 15.9 ms at N = 400,
+one CPU); above, it costs more (121 against 92 ms at N = 1000), so the bound
+is not tried there.  Against the second solve of the parity chains the
+certificate wins only at small cutoffs (keep 5: 0.10 against 0.19 ms at
+N = 60, 2.2 against 0.50 ms at N = 200).  The second solve still runs, on
+the same route as the first, and the drift is measured as before,
 where the bound is not tried, where it exceeds half the tolerance (the
 other half absorbs roundoff), or where the certificate fails, as it does
 where lambda_(k-1) is degenerate with lambda_k.  So one config is accepted
@@ -50,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ValidationError, lowest_band_eigensystem
+from .linalg import ValidationError, lowest_band_eigensystem, lowest_tridiagonal_eigensystem
 from .model import JunctionModel
 
 __all__ = ["RabiParams", "ApproxSpectrum", "build_rabi_junction", "rwa_spectrum",
@@ -136,6 +156,32 @@ def _rabi_band(p: RabiParams, n_fock: int) -> np.ndarray:
     return ab
 
 
+def _lowest_levels(p: RabiParams, band: np.ndarray, keep: int, eigvals_only: bool = False):
+    """Lowest `keep` eigenpairs of the Rabi band `band` (or the eigenvalues
+    alone), eigenvectors in the band's basis 2n + s: from the two parity
+    chains at epsilon = 0 (see the module docstring), else from the band.
+    """
+    if p.epsilon != 0.0:
+        return lowest_band_eigensystem(band, keep, eigvals_only)
+    n_fock = band.shape[1] // 2
+    # |n, +-> has omega_r n -+ (Delta/2)(-1)^n on the diagonal and g sqrt(n)
+    # to |n - 1, +->; the + chain comes first, and nothing couples the two
+    sign = np.where(np.arange(n_fock) % 2, -1.0, 1.0)
+    flip = band[1, 1::2] * sign                 # -(Delta/2)(-1)^n
+    diag = np.concatenate([band[2, ::2] + flip, band[2, ::2] - flip])
+    off = np.zeros(2 * n_fock - 1)
+    off[:n_fock - 1] = off[n_fock:] = band[0, 2::2]
+    if eigvals_only:
+        return lowest_tridiagonal_eigensystem(diag, off, keep, eigvals_only=True)
+    lam, z = lowest_tridiagonal_eigensystem(diag, off, keep)
+    z_plus, z_minus = z[:n_fock], z[n_fock:]
+    v = np.empty((2 * n_fock, keep))
+    v[0::2] = z_plus + z_minus
+    v[1::2] = sign[:, None] * (z_plus - z_minus)
+    v *= math.sqrt(0.5)
+    return lam, v
+
+
 def _fock_drift_bound(p: RabiParams, band: np.ndarray, lam: np.ndarray,
                       v: np.ndarray) -> float:
     """Bound on how far the retained levels move with CONVERGENCE_EXTRA more
@@ -185,26 +231,30 @@ def _fock_drift_bound(p: RabiParams, band: np.ndarray, lam: np.ndarray,
 
 def build_rabi_junction(params: RabiParams, left_id: str = "L",
                         right_id: str = "R") -> JunctionModel:
-    """Solve the banded Rabi Hamiltonian for its lowest levels and retain them.
+    """Solve the Rabi Hamiltonian for its lowest levels and retain them.
 
     The left bath couples to the resonator quadrature a + a^dag, the right
-    bath to the qubit sigma_z (localized flux basis).  Raises if increasing
-    the Fock cutoff by CONVERGENCE_EXTRA = 10 moves the retained eigenvalues
-    by more than CONVERGENCE_TOL * omega_r = 1e-10 omega_r.  The retained
-    eigenpairs alone settle that where `_fock_drift_bound` bounds the drift
-    by half the tolerance: rho = g sqrt(N) |V[-2:]|_F, certified by a
-    positive definite M (see the module docstring).  Where rho is larger,
-    the certificate fails, as where the last retained level is degenerate
-    with the next, or the cutoff exceeds 400 Fock states, the band of the
-    larger cutoff is solved for its eigenvalues and the drift measured.
+    bath to the qubit sigma_z (localized flux basis).  Both solves, the
+    retained one and the Fock check's, go through `_lowest_levels`: at
+    epsilon = 0 the two parity chains as one tridiagonal matrix, mapped
+    back to the basis 2n + s (see the module docstring), else the band.
+    Raises if increasing the Fock cutoff by CONVERGENCE_EXTRA = 10 moves the
+    retained eigenvalues by more than CONVERGENCE_TOL * omega_r = 1e-10
+    omega_r.  The retained eigenpairs alone settle that where
+    `_fock_drift_bound` bounds the drift by half the tolerance:
+    rho = g sqrt(N) |V[-2:]|_F, certified by a positive definite M (see the
+    module docstring).  Where rho is larger, the certificate fails, as where
+    the last retained level is degenerate with the next, or the cutoff
+    exceeds 400 Fock states, the Hamiltonian of the larger cutoff is solved
+    for its eigenvalues and the drift measured.
     """
     keep, n_fock = params.retained_levels, params.fock_cutoff
     # the band of the smaller cutoff is the leading part of the larger one
     band = _rabi_band(params, n_fock + CONVERGENCE_EXTRA)
-    lam, v = lowest_band_eigensystem(band[:, :2 * n_fock], keep)
+    lam, v = _lowest_levels(params, band[:, :2 * n_fock], keep)
     tol = CONVERGENCE_TOL * params.omega_r
     if _fock_drift_bound(params, band, lam, v) > 0.5 * tol:
-        lam_chk = lowest_band_eigensystem(band, keep, eigvals_only=True)
+        lam_chk = _lowest_levels(params, band, keep, eigvals_only=True)
         drift = float(np.max(np.abs(lam - lam_chk)))
         if drift > tol:
             raise ValidationError(

@@ -341,8 +341,9 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     pipe and its join): more than a short T sweep or dot sweep, whose rows
     take well under a millisecond each, but less than a full stack.  A Rabi
     sweep that starts a child first imports scipy.linalg, which its models'
-    banded eigensolver loads at the first build (`lowest_band_eigensystem`):
-    each child then inherits the module instead of importing it again.  The
+    eigensolver loads at the first build (`lowest_tridiagonal_eigensystem`
+    at zero qubit bias, `lowest_band_eigensystem` otherwise): each child
+    then inherits the module instead of importing it again.  The
     CSV is written in one call.
     """
     check_writable(cfg.csv_path)

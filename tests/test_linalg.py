@@ -4,7 +4,8 @@ import scipy.linalg
 
 from ltrans import linalg
 from ltrans.linalg import (NumericError, ValidationError, hermitian_eigensystem,
-                           lowest_band_eigensystem, to_eigenbasis)
+                           lowest_band_eigensystem, lowest_tridiagonal_eigensystem,
+                           to_eigenbasis)
 from ltrans.rabi import RabiParams, _rabi_band
 
 from rabi_oracle import rabi_hamiltonian
@@ -281,3 +282,73 @@ def test_few_band_pairs_come_from_bisection_as_before(monkeypatch, order, keep):
                                              check_finite=False)
     assert np.array_equal(lam, ref_lam)
     assert np.array_equal(v, linalg._fix_phase(ref_v))
+
+
+def random_tridiagonal(rng, n, split=None):
+    """Diagonal, off-diagonal and dense form; e[split] = 0 splits it in two."""
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    if split is not None:
+        e[split] = 0.0
+    return d, e, np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+# order 40: up to 10 pairs (keep <= 9 + 40 / 22) and up to 6 eigenvalues
+# alone (keep <= 5 + 40 / 29) by bisection, more by divide and conquer
+@pytest.mark.parametrize("n,keep,split", [(1, 1, None), (40, 5, None), (40, 7, None),
+                                          (40, 10, None), (40, 11, None), (40, 40, None),
+                                          (40, 5, 17), (40, 12, 17)])
+def test_tridiagonal_solver_matches_dense(n, keep, split):
+    d, e, a = random_tridiagonal(np.random.default_rng(n + keep), n, split)
+    lam, v = lowest_tridiagonal_eigensystem(d, e, keep)
+    ref = np.linalg.eigvalsh(a)[:keep]
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(lam - ref)) < 1e-13 * scale
+    alone = lowest_tridiagonal_eigensystem(d, e, keep, eigvals_only=True)
+    assert np.max(np.abs(alone - ref)) < 1e-13 * scale
+    assert np.max(np.abs(a @ v - v * lam)) < 1e-12 * scale
+    assert np.max(np.abs(v.T @ v - np.eye(keep))) < 1e-12
+    mag = np.abs(v)
+    first = np.argmax(mag >= (1.0 - linalg.PHASE_TIE_RTOL) * mag.max(axis=0), axis=0)
+    assert np.all(v[first, np.arange(keep)] > 0)
+    if split is not None:
+        # every eigenvector lives on one block
+        cut = split + 1
+        assert np.all(np.all(v[:cut] == 0.0, axis=0) | np.all(v[cut:] == 0.0, axis=0))
+
+
+def test_tridiagonal_solver_bitwise_determinism():
+    d, e, _ = random_tridiagonal(np.random.default_rng(5), 60, 29)
+    for keep in (4, 12):
+        lam1, v1 = lowest_tridiagonal_eigensystem(d.copy(), e.copy(), keep)
+        lam2, v2 = lowest_tridiagonal_eigensystem(d.copy(), e.copy(), keep)
+        assert np.array_equal(lam1, lam2) and np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("d, e, keep", [
+    (np.array([0.0, np.nan]), np.array([1.0]), 1),
+    (np.array([0.0, 1.0]), np.array([np.inf]), 1),
+    (np.array([0.0, 1.0]) + 0j, np.array([1.0]), 1),
+    (np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1),
+    (np.array([[0.0, 1.0]]), np.array([1.0]), 1),
+    (np.array([0.0, 1.0]), np.array([1.0]), 0),
+    (np.array([0.0, 1.0]), np.array([1.0]), 3),
+])
+def test_tridiagonal_solver_rejects_bad_input(d, e, keep):
+    with pytest.raises(ValidationError):
+        lowest_tridiagonal_eigensystem(d, e, keep)
+
+
+@pytest.mark.parametrize("name, result, keep", [
+    ("dstevd", (np.zeros(16), np.eye(16), 1), 10),
+    ("dstebz", (1, np.zeros(16), np.ones(16, int), np.full(16, 16), 1), 1),
+    ("dstebz", (0, np.zeros(16), np.ones(16, int), np.full(16, 16), 0), 1),
+    ("dstein", (np.eye(16)[:, :1], 1), 1),
+])
+def test_tridiagonal_lapack_failure_is_numeric_error(monkeypatch, name, result, keep):
+    # a LAPACK info, or fewer eigenvalues than asked for (order 16: 10 pairs
+    # take dstevd, 1 bisection); the solver imports its routines from
+    # scipy.linalg.lapack at each call
+    monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, **kwargs: result)
+    d, e, _ = random_tridiagonal(np.random.default_rng(1), 16)
+    with pytest.raises(NumericError):
+        lowest_tridiagonal_eigensystem(d, e, keep)

@@ -1,15 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ltrans import rabi
 from ltrans.cli import main
+from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError, hermitian_eigensystem, lowest_band_eigensystem
 from ltrans.rabi import (CONVERGENCE_EXTRA, CONVERGENCE_TOL, RabiParams, _fock_drift_bound,
-                         _rabi_band, build_rabi_junction, grwa_spectrum, rwa_spectrum,
-                         vvpt_spectrum)
+                         _lowest_levels, _rabi_band, build_rabi_junction, grwa_spectrum,
+                         rwa_spectrum, vvpt_spectrum)
+from ltrans.sweep import compute_row
 from rabi_oracle import dense_rabi_junction, rabi_hamiltonian, two_solve_fock_check
 from test_linalg import recorded_selects
+from test_sweep import RABI as RABI_G
+from test_sweep import RABI_FULL_T
 
 
 def test_numeric_levels_match_vvpt_at_weak_coupling():
@@ -66,16 +74,32 @@ def test_unconverged_fock_cutoff_rejected():
         build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=1.5, fock_cutoff=20))
 
 
+def recorded_solves(monkeypatch):
+    """The `keep` of every eigensolve of a Rabi model build, on either route."""
+    keeps = []
+    orig = rabi._lowest_levels
+
+    def recorded(p, band, keep, *args, **kwargs):
+        keeps.append(keep)
+        return orig(p, band, keep, *args, **kwargs)
+
+    monkeypatch.setattr(rabi, "_lowest_levels", recorded)
+    return keeps
+
+
 @pytest.mark.parametrize("keep,gs", [(5, [0.2]), (21, np.linspace(0.02, 0.4, 12))])
-def test_benchmark_models_make_one_banded_solve(monkeypatch, keep, gs):
+def test_benchmark_models_make_one_eigensolve(monkeypatch, keep, gs):
     # the drift bound settles the Fock check of the benchmark's models; a
-    # bound that fell back would cost a second solve, about 0.3 ms a model
-    calls = recorded_selects(monkeypatch)
+    # bound that fell back would cost a second solve, about 0.1 ms a model.
+    # At zero bias both solves are the parity chains', never the band's
+    calls = recorded_solves(monkeypatch)
+    banded = recorded_selects(monkeypatch)
     for g in gs:
         calls.clear()
         build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=float(g), fock_cutoff=40,
                                        retained_levels=keep))
         assert len(calls) == 1, g
+    assert banded == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -89,7 +113,7 @@ def test_uncoupled_model_bound_is_zero_or_falls_back(monkeypatch, epsilon, delta
     # retained levels are degenerate with the next one, where the second
     # solve runs; neither divides 0 by 0
     p = RabiParams(epsilon=epsilon, delta=delta, g=0.0, retained_levels=keep)
-    calls = recorded_selects(monkeypatch)
+    calls = recorded_solves(monkeypatch)
     model = build_rabi_junction(p)
     assert len(calls) == solves
     assert _fock_drift_bound(p, *_drift_bound_inputs(p)) == (0.0 if solves == 1 else np.inf)
@@ -99,8 +123,9 @@ def test_uncoupled_model_bound_is_zero_or_falls_back(monkeypatch, epsilon, delta
 
 
 def _drift_bound_inputs(p):
+    """The bound's inputs as `build_rabi_junction` computes them."""
     band = _rabi_band(p, p.fock_cutoff + CONVERGENCE_EXTRA)
-    lam, v = lowest_band_eigensystem(band[:, :2 * p.fock_cutoff], p.retained_levels)
+    lam, v = _lowest_levels(p, band[:, :2 * p.fock_cutoff], p.retained_levels)
     return band, lam, v
 
 
@@ -137,17 +162,19 @@ def test_large_cutoff_skips_the_dense_certificate(monkeypatch):
     # second banded solve, so that solve measures the drift
     p = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=401)
     assert _fock_drift_bound(p, *_drift_bound_inputs(p)) == np.inf
-    calls = recorded_selects(monkeypatch)
+    calls = recorded_solves(monkeypatch)
     build_rabi_junction(p)
     assert len(calls) == 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(epsilon=st.floats(-1.0, 1.0), delta=st.floats(0.1, 2.0), g=st.floats(0.0, 2.0),
-       sizes=st.integers(2, 25).flatmap(
+@given(epsilon=st.sampled_from([0.0]) | st.floats(-1.0, 1.0), delta=st.floats(0.1, 2.0),
+       g=st.floats(0.0, 2.0), sizes=st.integers(2, 25).flatmap(
            lambda keep: st.tuples(st.just(keep), st.integers(keep + 10, 60))))
 def test_drift_bound_accepts_and_rejects_as_the_two_solve_check(epsilon, delta, g, sizes):
-    # both solver paths: bisection up to keep = order / 8, the full solve above
+    # both routes, the parity chains at epsilon = 0 and the band elsewhere,
+    # and on each both solver paths (bisection for a few levels, the full
+    # solve for more)
     keep, cutoff = sizes
     p = RabiParams(epsilon=epsilon, delta=delta, g=g, retained_levels=keep,
                    fock_cutoff=cutoff)
@@ -156,7 +183,13 @@ def test_drift_bound_accepts_and_rejects_as_the_two_solve_check(epsilon, delta, 
     if error is None:
         assert not isinstance(built, ValidationError), str(built)
     else:
-        assert isinstance(built, ValidationError) and str(built) == str(error)
+        # the parity route measures the drift to roundoff of the banded one,
+        # which can move its 4th printed digit
+        assert isinstance(built, ValidationError)
+        printed = re.fullmatch(r"Fock truncation not converged: retained levels move "
+                               r"by (\S+); increase fock_cutoff", str(built))
+        assert printed, str(built)
+        assert float(printed.group(1)) == pytest.approx(drift, rel=1e-3)
     bound = _fock_drift_bound(p, *_drift_bound_inputs(p))
     if bound <= 0.5 * CONVERGENCE_TOL * p.omega_r:
         # the margin is the roundoff of the measured drift itself
@@ -204,6 +237,78 @@ def test_zero_bias_coupling_signs_match_dense_oracle(keep):
         banded, dense = build_rabi_junction(p), dense_rabi_junction(p)
         for rid in ("L", "R"):
             assert np.max(np.abs(banded.q(rid) - dense.q(rid))) <= 1e-10, (g, rid)
+
+
+def _banded_build(p):
+    """`build_rabi_junction(p)` with both solves on the band, as at epsilon != 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rabi, "_lowest_levels", lambda p, band, keep, eigvals_only=False:
+                   lowest_band_eigensystem(band, keep, eigvals_only))
+        return _build_or_error(build_rabi_junction, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(0.05, 2.0), g=st.floats(0.0, 2.0),
+       sizes=st.integers(2, 25).flatmap(
+           lambda keep: st.tuples(st.just(keep), st.integers(keep + 10, 60))))
+def test_parity_chains_match_the_band_at_zero_bias(delta, g, sizes):
+    # both solver paths of the chains: bisection for a few levels, divide
+    # and conquer for more; the band's solve is the reference
+    keep, cutoff = sizes
+    p = RabiParams(epsilon=0.0, delta=delta, g=g, retained_levels=keep, fock_cutoff=cutoff)
+    band = _rabi_band(p, cutoff)
+    ref = lowest_band_eigensystem(band, keep + 1, eigvals_only=True)
+    lam, _ = _lowest_levels(p, band, keep)
+    assert np.max(np.abs(lam - ref[:keep])) <= 1e-12 * p.omega_r
+    alone = _lowest_levels(p, band, keep, eigvals_only=True)
+    assert np.max(np.abs(alone - ref[:keep])) <= 1e-12 * p.omega_r
+    parity, banded = _build_or_error(build_rabi_junction, p), _banded_build(p)
+    assert type(parity) is type(banded)
+    # Q is fixed only where the retained levels and the first discarded one
+    # are resolved (parity doublets cross at strong coupling)
+    assume(not isinstance(parity, ValidationError))
+    assume(np.min(np.diff(ref)) > 1e-3 * p.omega_r)
+    for rid in ("L", "R"):
+        assert np.max(np.abs(parity.q(rid) - banded.q(rid))) <= 1e-10
+
+
+@pytest.mark.parametrize("delta,g", [(np.nan, 0.2), (0.9, np.nan), (np.inf, 0.2),
+                                     (0.9, np.inf)])
+def test_non_finite_input_is_rejected_before_any_solve(monkeypatch, delta, g):
+    # the same error on both routes, and no NaN reaches LAPACK
+    reached = []
+    for name in ("dstebz", "dstein", "dstevd"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, _name=name, **kwargs:
+                            reached.append(_name))
+    for epsilon in (0.0, 1e-9):
+        with pytest.raises(ValidationError, match="^band has non-finite entries$"):
+            build_rabi_junction(RabiParams(epsilon=epsilon, delta=delta, g=g))
+    assert reached == []
+
+
+def test_large_cutoff_parity_levels_match_the_band():
+    # the parity chains cost O(N k), where the band's bisection path would
+    # accumulate its dense order-2N reduction (about 1.4 s at N = 1000)
+    p = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=1000, retained_levels=5)
+    model = build_rabi_junction(p)
+    band = _rabi_band(p, p.fock_cutoff)
+    levels = lowest_band_eigensystem(band, band.shape[1], eigvals_only=True)
+    assert np.max(np.abs(model.omega - levels[:5])) <= 1e-12 * p.omega_r
+
+
+@pytest.mark.parametrize("text,value", [(RABI_G, 0.2), (RABI_FULL_T, 0.1)],
+                         ids=["partial_g_biased", "full_T"])
+def test_zero_bias_row_agrees_with_the_banded_route(tmp_path, text, value):
+    # epsilon = +-1e-9 takes the band; the zero-bias T row's currents are
+    # roundoff of an exact zero
+    def row(epsilon):
+        cfg = parse_config_text(text.replace("epsilon = 0", f"epsilon = {epsilon}")
+                                + f"[output]\ncsv = {tmp_path / 'out.csv'}\n")
+        cells = compute_row(cfg, value).split(",")
+        return np.array([float(c) for c in cells[1:9]])
+
+    for epsilon in (1e-9, -1e-9):
+        np.testing.assert_allclose(row(0), row(epsilon), rtol=1e-6, atol=1e-18)
 
 
 def test_build_bitwise_repeatable():
