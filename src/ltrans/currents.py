@@ -145,19 +145,19 @@ def _ground_virtual_sum_squared(model: JunctionModel, q_r: np.ndarray,
     return amplitude * amplitude
 
 
-def kappa4_lowT(model: JunctionModel, alpha: float, temperature,
-                left: str = "L", right: str = "R"):
+def kappa4_lowT(model: JunctionModel, alpha: float, temperature):
     """Closed-form cotunneling conductance (32 pi^5 / 15) alpha^2 T^3 * S^2.
 
-    S sums the signed products of coupling matrix elements over the virtual
-    intermediate states; opposite signs between quasi-degenerate levels
-    interfere destructively and suppress the conductance.  S depends on the
-    model alone: over an array of temperatures it is summed once, and the
-    result is an array of their shape (a float for one temperature).
+    S sums the signed products of the coupling matrix elements to the baths
+    "L" and "R" over the virtual intermediate states; opposite signs between
+    quasi-degenerate levels interfere destructively and suppress the
+    conductance.  S depends on the model alone: over an array of
+    temperatures it is summed once, and the result is an array of their
+    shape (a float for one temperature).
     """
     if model.dim < 2 or not (model.omega[1] - model.omega[0]) > 0:
         raise ValidationError("kappa4 needs a gapped, non-degenerate ground state")
-    s = _ground_virtual_sum_squared(model, model.q(right), model.q(left))
+    s = _ground_virtual_sum_squared(model, model.q("R"), model.q("L"))
     head = 32.0 * np.pi**5 * alpha**2
     # float arithmetic per temperature: numpy's t**3 differs from it in the
     # last bit, and each entry stays bitwise the one-temperature value
@@ -245,8 +245,8 @@ _STACK_ENTRIES = 1 << 14
 
 
 def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
-                 solver: str = "full", reservoir_id: str | None = None,
-                 c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True,
+                 solver: str = "full", c: float = DEFAULT_CLUSTER_FACTOR,
+                 lamb_shift: bool = True,
                  biased: bool = False) -> list[Kappa2Response | Exception]:
     """`kappa2_response` at every temperature of a 1-d array, or at one
     temperature on every model of a model stack, as stacks.
@@ -295,8 +295,7 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     models = len(model.omega)
     if models > 1 and len(ts) != 1:
         raise ValidationError("a model stack takes one temperature")
-    rid = _find(baths, reservoir_id if reservoir_id is not None else baths[-1].id).id
-    args = (baths, solver, rid, c, lamb_shift, biased)
+    args = (baths, solver, c, lamb_shift, biased)
     # per slice, the W table holds up to three distinct temperatures
     step = max(1, _STACK_ENTRIES // (model.dim**2 * (3 if biased else 1)))
     if models == 1:
@@ -315,7 +314,7 @@ def _model_stack(rows: np.ndarray, model: JunctionModel, ts: np.ndarray, args) -
 
 
 def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
-                  solver: str, rid: str, c: float, lamb_shift: bool, biased: bool) -> list:
+                  solver: str, c: float, lamb_shift: bool, biased: bool) -> list:
     """`kappa2_sweep` at the temperatures ts on a model stack, one stack of tables.
 
     The slices of the stack run over the temperatures and, within each, over
@@ -331,8 +330,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     common = [b.with_temperature(ts) for b in baths]
     stacked = ([replace(b, beta=np.append(cb.beta, b.beta)) for b, cb in zip(baths, common)]
                if biased else common)
-    r = int(baths[1].id == rid)                         # the measured bath
-    heated = common[1 - r]
+    heated = common[0]                  # the measured bath is the last, baths[1]
     q_h = model.q(heated.id)[:, None]
     bohr = model.bohr_matrix()
     flat = (-1,) + bohr.shape[1:]                      # (slice, N, N)
@@ -373,8 +371,8 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
             rhs = -(dgamma[idx[:m]] @ state.populations[:m, :, None])
             rhs[..., 0, :] = 0.0
             dp = np.linalg.solve(a, rhs)[..., 0]
-            return slices(state, _secular_current(wd[:m], sub.per_reservoir[rid][:m], dp),
-                          currents)
+            kappa2 = _secular_current(wd[:m], sub.per_reservoir[baths[1].id][:m], dp)
+            return slices(state, kappa2, currents)
 
         return _responses(_isolated(np.arange(len(at)), solve_full), n, biased)
 
@@ -403,7 +401,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
                                  k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs))
             state, drho = partial_secular_response(sub, kernel, dblock, clusters,
                                                    lamb_shift)
-            kappa2 = _wbar_current(q[:m, r], wbar[:m, r], drho)
+            kappa2 = _wbar_current(q[:m, 1], wbar[:m, 1], drho)
         return slices(state, kappa2, {b.id: _wbar_current(q[:, i], wbar[:, i], state.rho)
                                       for i, b in enumerate(baths)})
 
@@ -473,14 +471,13 @@ def _responses(solved: list, n: int, biased: bool) -> list:
 
 
 def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,
-                    solver: str = "full", reservoir_id: str | None = None,
-                    c: float = DEFAULT_CLUSTER_FACTOR,
+                    solver: str = "full", c: float = DEFAULT_CLUSTER_FACTOR,
                     lamb_shift: bool = True) -> Kappa2Response:
     """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
-    r is the measured bath (`reservoir_id`, the last bath by default) and h
-    the heated one.  Linear response: the steady state rho0 of L at T, then
-    L drho = -(dL/dT_h) rho0, and kappa2 is the current into r of drho.  The
+    r is the measured bath, the last of `baths`, and h the heated one.
+    Linear response: the steady state rho0 of L at T, then L drho =
+    -(dL/dT_h) rho0, and kappa2 is the current into r of drho.  The
     kernel is linear in W, so dL/dT_h is the kernel of bath h alone over the
     table dW/dT.  solver="full" reads its population rates, which need only
     Re dW/dT (`dw_dt_real`), and solves with the rate matrix of `gamma_rates`;
@@ -491,22 +488,21 @@ def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: f
     themselves, so their currents need no second solve.  This is the
     one-temperature case of `kappa2_sweep`.
     """
-    [res] = kappa2_sweep(model, baths, [temperature], solver, reservoir_id, c, lamb_shift)
+    [res] = kappa2_sweep(model, baths, [temperature], solver, c, lamb_shift)
     if isinstance(res, Exception):
         raise res
     return res
 
 
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
-           solver: str = "full", reservoir_id: str | None = None,
-           c: float = DEFAULT_CLUSTER_FACTOR, lamb_shift: bool = True) -> float:
+           solver: str = "full", c: float = DEFAULT_CLUSTER_FACTOR,
+           lamb_shift: bool = True) -> float:
     """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
     The conductance of `kappa2_response`, which documents the method and
     also returns the steady state it solved and its currents.
     """
-    return kappa2_response(model, baths, temperature, solver, reservoir_id,
-                           c, lamb_shift).kappa2
+    return kappa2_response(model, baths, temperature, solver, c, lamb_shift).kappa2
 
 
 # ---------------------------------------------------------------------------

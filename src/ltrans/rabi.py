@@ -22,40 +22,42 @@ takes one of two routes on the value of epsilon alone:
   (LAPACK's banded solver), whose bisection path costs O(N^3) at large
   cutoffs.  It is the only route for a biased qubit.
 
-No dense Hamiltonian is built, only the dense certificate of the Fock check
-below.  The levels are exported together with the coupling operators
-(resonator quadrature to the left bath, qubit flux to the right bath) as a
-JunctionModel.
+No dense Hamiltonian is built.  The levels are exported together with the
+coupling operators (resonator quadrature to the left bath, qubit flux to
+the right bath) as a JunctionModel.
 
 The Fock check asks whether CONVERGENCE_EXTRA more Fock states move the k
 retained levels lambda_0 <= ... <= lambda_(k-1) of the band H (N Fock
-states, order 2N) by more than CONVERGENCE_TOL * omega_r.  Only Fock level
-N - 1 couples to level N, by g sqrt(N) sigma_z, so the padded eigenvectors
-X = [V; 0] leave the residual H_big X - X Lambda of norm at most
-rho = g sqrt(N) |V[-2:]|_F in the larger band H_big.  By Kahan's inclusion
-theorem (Parlett, The Symmetric Eigenvalue Problem, Thm 11.5.1) k
-eigenvalues of H_big then lie within rho of lambda_0 .. lambda_(k-1).  They
-are its k lowest, and the drift is at most rho, if H_big has at most k
-eigenvalues below y = lambda_(k-1) + CONVERGENCE_TOL * omega_r > lambda_(k-1)
-+ rho.  The certificate of that is M = H_big - y + s X X^T positive
-definite (s = y - lambda_0 + omega_r): a positive semidefinite update of
-rank k makes at most k eigenvalues of H_big - y positive that were not.
-M is positive definite if M_N = H - y + s V V^T is and the Schur
-complement C - g^2 N sigma_z G sigma_z is, where C = H_big - y on the
-added Fock levels and G is the last 2 x 2 block of M_N^-1; a Gershgorin
-floor of C above g^2 N tr G shows the latter.  A Cholesky factorization
-of the dense M_N gives both its definiteness and G, on either route and
-solver path.  Up to N = 400 it costs less than the second banded solve it
-replaces (0.04 against 0.29 ms at N = 40, 15.6 against 15.9 ms at N = 400,
-one CPU); above, it costs more (121 against 92 ms at N = 1000), so the bound
-is not tried there.  Against the second solve of the parity chains the
-certificate wins only at small cutoffs (keep 5: 0.10 against 0.19 ms at
-N = 60, 2.2 against 0.50 ms at N = 200).  The second solve still runs, on
-the same route as the first, and the drift is measured as before,
-where the bound is not tried, where it exceeds half the tolerance (the
-other half absorbs roundoff), or where the certificate fails, as it does
-where lambda_(k-1) is degenerate with lambda_k.  So one config is accepted
-or rejected as by the two solves.
+states, order 2N) by more than tol = CONVERGENCE_TOL * omega_r.  Only Fock
+level N - 1 couples to level N, by g sqrt(N) sigma_z, so the padded
+eigenvectors X = [V; 0] leave the residual H_big X - X Lambda of norm at
+most rho = g sqrt(N) |V[-2:]|_F in the larger band H_big.  By Kahan's
+inclusion theorem (Parlett, The Symmetric Eigenvalue Problem, Thm 11.5.1)
+k eigenvalues of H_big then lie within rho of lambda_0 .. lambda_(k-1).
+They are its k lowest, and the drift is at most rho <= tol / 2, if H_big
+has at most k eigenvalues at or below y = lambda_(k-1) + tol.  By
+Sylvester's law of inertia that number is a Sturm count on any
+tridiagonal form of H_big, O(N): LAPACK's bisection (dstebz, RANGE = 'V'
+from below every Gershgorin disc to y, with an infinite tolerance, so
+that nothing is refined) on the parity chains at epsilon = 0, else on the
+tridiagonal form that dsbevx (JOBZ = 'N') makes of the band without
+forming its reduction matrix.  Roundoff can miscount only an eigenvalue
+within about 1e-16 |H_big| of y, above the k within rho of the retained
+levels, so it cannot change which are the lowest.  Where rho exceeds
+tol / 2 (the other half absorbs roundoff), the count exceeds k (as where
+lambda_(k-1) is degenerate with lambda_k) or LAPACK reports a failure, the
+second solve runs on the same route as the first and the drift is
+measured, so a config is accepted or rejected as by the two solves.  The
+count, the second solve it spares and the build, in ms (keep 5,
+Delta = 0.9, g = 0.2; min of timeit, one CPU):
+
+    epsilon   N      count       second solve   build
+    0         40     0.02        0.11-0.12      0.19
+    0         100    0.03        0.23-0.28      0.33-0.42
+    0         400    0.05-0.06   0.92-0.99      1.2-1.3
+    0.3       40     0.05-0.08   0.25-0.37      0.38-0.63
+    0.3       100    0.18-0.27   1.1-1.3        1.6-1.9
+    0.3       400    2.3-2.5     14-16          51-53
 
 The rotating wave approximation, second-order Van Vleck perturbation theory
 and the generalized RWA provide closed-form spectra used for cross-checks
@@ -79,9 +81,6 @@ __all__ = ["RabiParams", "ApproxSpectrum", "build_rabi_junction", "rwa_spectrum"
 
 CONVERGENCE_TOL = 1e-10
 CONVERGENCE_EXTRA = 10
-# largest Fock cutoff at which the drift bound's dense certificate costs no
-# more than the second banded solve (see the module docstring)
-_CERTIFIED_MAX_CUTOFF = 400
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,20 @@ def _rabi_band(p: RabiParams, n_fock: int) -> np.ndarray:
     return ab
 
 
+def _parity_chains(band: np.ndarray):
+    """The two parity chains of the zero-bias Rabi band `band` as one
+    tridiagonal matrix, (diagonal, off-diagonal, (-1)^n): |n, +-> has
+    omega_r n -+ (Delta/2)(-1)^n on the diagonal and g sqrt(n) to |n - 1, +->;
+    the + chain comes first, and nothing couples the two."""
+    n_fock = band.shape[1] // 2
+    sign = np.where(np.arange(n_fock) % 2, -1.0, 1.0)
+    flip = band[1, 1::2] * sign                 # -(Delta/2)(-1)^n
+    diag = np.concatenate([band[2, ::2] + flip, band[2, ::2] - flip])
+    off = np.zeros(2 * n_fock - 1)
+    off[:n_fock - 1] = off[n_fock:] = band[0, 2::2]
+    return diag, off, sign
+
+
 def _lowest_levels(p: RabiParams, band: np.ndarray, keep: int, eigvals_only: bool = False):
     """Lowest `keep` eigenpairs of the Rabi band `band` (or the eigenvalues
     alone), eigenvectors in the band's basis 2n + s: from the two parity
@@ -163,17 +176,11 @@ def _lowest_levels(p: RabiParams, band: np.ndarray, keep: int, eigvals_only: boo
     """
     if p.epsilon != 0.0:
         return lowest_band_eigensystem(band, keep, eigvals_only)
-    n_fock = band.shape[1] // 2
-    # |n, +-> has omega_r n -+ (Delta/2)(-1)^n on the diagonal and g sqrt(n)
-    # to |n - 1, +->; the + chain comes first, and nothing couples the two
-    sign = np.where(np.arange(n_fock) % 2, -1.0, 1.0)
-    flip = band[1, 1::2] * sign                 # -(Delta/2)(-1)^n
-    diag = np.concatenate([band[2, ::2] + flip, band[2, ::2] - flip])
-    off = np.zeros(2 * n_fock - 1)
-    off[:n_fock - 1] = off[n_fock:] = band[0, 2::2]
+    diag, off, sign = _parity_chains(band)
     if eigvals_only:
         return lowest_tridiagonal_eigensystem(diag, off, keep, eigvals_only=True)
     lam, z = lowest_tridiagonal_eigensystem(diag, off, keep)
+    n_fock = len(sign)
     z_plus, z_minus = z[:n_fock], z[n_fock:]
     v = np.empty((2 * n_fock, keep))
     v[0::2] = z_plus + z_minus
@@ -182,55 +189,39 @@ def _lowest_levels(p: RabiParams, band: np.ndarray, keep: int, eigvals_only: boo
     return lam, v
 
 
+def _levels_at_or_below(p: RabiParams, band: np.ndarray, y: float) -> float:
+    """The number of eigenvalues of the Rabi band `band` at or below y, by a
+    Sturm count (see the module docstring); inf where LAPACK reports a
+    failure.  `band` is left as it was."""
+    from scipy.linalg.lapack import dsbevx, dstebz
+
+    # below every Gershgorin disc by at least the largest diagonal entry
+    # (LAPACK raises it to its own bound); an infinite tolerance stops the
+    # bisection before it refines anything
+    low = -2.0 * float(np.abs(band).max(axis=1).sum())
+    if p.epsilon != 0.0:
+        *_, count, _, info = dsbevx(band, low, y, 1, 1, compute_v=0, range=1,
+                                    abstol=math.inf, overwrite_ab=0)
+    else:
+        diag, off, _ = _parity_chains(band)
+        count, *_, info = dstebz(diag, off, 1, low, y, 1, 1, math.inf, "B")
+    return math.inf if info else count
+
+
 def _fock_drift_bound(p: RabiParams, band: np.ndarray, lam: np.ndarray,
                       v: np.ndarray) -> float:
-    """Bound on how far the retained levels move with CONVERGENCE_EXTRA more
-    Fock states, from the retained eigenpairs alone; inf where its
-    certificate fails or is not tried (cutoffs above _CERTIFIED_MAX_CUTOFF).
-
-    `band` is the larger band, `lam` and `v` the lowest eigenpairs of its
-    leading 2N x 2N part H (N = fock_cutoff).  With y = lam[-1] +
-    CONVERGENCE_TOL * omega_r, returns rho = g sqrt(N) |V[-2:]|_F if
-    M = H_big - y + s X X^T is positive definite, X = [V; 0] and
-    s = y - lam[0] + omega_r (see the module docstring).
-    """
-    n_fock, g, w = p.fock_cutoff, p.g, p.omega_r
-    if n_fock > _CERTIFIED_MAX_CUTOFF:
-        return math.inf
-    y = lam[-1] + CONVERGENCE_TOL * w
-    # Gershgorin floor of C = H_big - y on the added Fock levels n >= N: each
-    # row has n w -+ epsilon/2 on the diagonal and Delta/2, g sqrt(n),
-    # g sqrt(n+1) off it; n w - g (sqrt(n) + sqrt(n+1)) grows with n once
-    # sqrt(N) >= g / w, so its least value is at n = N
-    if g > math.sqrt(n_fock) * w:
-        return math.inf
-    floor = (n_fock * w - g * (math.sqrt(n_fock) + math.sqrt(n_fock + 1))
-             - 0.5 * (abs(p.epsilon) + abs(p.delta)) - y)
-    if not floor > 0.0:
-        return math.inf
-    # Cholesky factor L of M_N = H - y + s V V^T, whose trailing 2 x 2 block
-    # L22 gives G = (L22 L22^T)^-1
-    from scipy.linalg.lapack import dpotrf
-
-    m = v.shape[0]
-    a = ((y - lam[0] + w) * v) @ v.T
-    flat = a.reshape(-1)
-    flat[::m + 1] += band[2, :m] - y
-    flat[m::m + 1] += band[1, 1:m]          # a[j, j - 1] = H[j - 1, j]
-    flat[2 * m::m + 1] += band[0, 2:m]      # a[j, j - 2] = H[j - 2, j]
-    chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-    if info:
-        return math.inf
-    l00, l10, l11 = chol[-2, -2], chol[-1, -2], chol[-1, -1]
-    tr_g = (1.0 + (l10 / l11)**2) / l00**2 + 1.0 / l11**2
-    if not g * g * n_fock * tr_g < floor:
+    """rho = g sqrt(N) |V[-2:]|_F, a bound on how far the retained levels
+    `lam` (eigenvectors `v`, N = fock_cutoff) move with CONVERGENCE_EXTRA more
+    Fock states, where the larger band `band` has no more than len(lam)
+    eigenvalues at or below lam[-1] + CONVERGENCE_TOL * omega_r; else inf
+    (see the module docstring)."""
+    if _levels_at_or_below(p, band, lam[-1] + CONVERGENCE_TOL * p.omega_r) > len(lam):
         return math.inf
     tail = v[-2:]
-    return g * math.sqrt(n_fock * np.vdot(tail, tail))
+    return p.g * math.sqrt(p.fock_cutoff * np.vdot(tail, tail))
 
 
-def build_rabi_junction(params: RabiParams, left_id: str = "L",
-                        right_id: str = "R") -> JunctionModel:
+def build_rabi_junction(params: RabiParams) -> JunctionModel:
     """Solve the Rabi Hamiltonian for its lowest levels and retain them.
 
     The left bath couples to the resonator quadrature a + a^dag, the right
@@ -240,13 +231,11 @@ def build_rabi_junction(params: RabiParams, left_id: str = "L",
     back to the basis 2n + s (see the module docstring), else the band.
     Raises if increasing the Fock cutoff by CONVERGENCE_EXTRA = 10 moves the
     retained eigenvalues by more than CONVERGENCE_TOL * omega_r = 1e-10
-    omega_r.  The retained eigenpairs alone settle that where
-    `_fock_drift_bound` bounds the drift by half the tolerance:
-    rho = g sqrt(N) |V[-2:]|_F, certified by a positive definite M (see the
-    module docstring).  Where rho is larger, the certificate fails, as where
-    the last retained level is degenerate with the next, or the cutoff
-    exceeds 400 Fock states, the Hamiltonian of the larger cutoff is solved
-    for its eigenvalues and the drift measured.
+    omega_r.  Where `_fock_drift_bound` bounds that drift by half the
+    tolerance, from the retained eigenpairs and one eigenvalue count of the
+    larger band, no second solve runs; elsewhere (as where the last retained
+    level is degenerate with the next) the larger band is solved for its
+    eigenvalues and the drift measured (see the module docstring).
     """
     keep, n_fock = params.retained_levels, params.fock_cutoff
     # the band of the smaller cutoff is the leading part of the larger one
@@ -268,7 +257,7 @@ def build_rabi_junction(params: RabiParams, left_id: str = "L",
     sz = np.tile([1.0, -1.0], n_fock)
     q_right = v.T @ (sz[:, None] * v)
     q_right = 0.5 * (q_right + q_right.T)
-    return JunctionModel(omega=lam, q_ops={left_id: q_left, right_id: q_right})
+    return JunctionModel(omega=lam, q_ops={"L": q_left, "R": q_right})
 
 
 def kondo_temperature(model: JunctionModel) -> float:

@@ -127,12 +127,11 @@ def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
     return build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
 
 
-def _junction(cfg: SweepConfig, model_args: dict) -> tuple[JunctionModel, int]:
-    """The junction model of a rabi or tls config and its level count."""
+def _junction(cfg: SweepConfig, model_args: dict) -> JunctionModel:
+    """The junction model of a rabi or tls config."""
     if cfg.model_type == "rabi":
-        params = RabiParams(**model_args)
-        return build_rabi_junction(params), params.retained_levels
-    return _tls_junction(float(model_args["epsilon"]), float(model_args["delta"])), 2
+        return build_rabi_junction(RabiParams(**model_args))
+    return _tls_junction(float(model_args["epsilon"]), float(model_args["delta"]))
 
 
 def _bose_baths(cfg_baths: dict, t_left: float, t_right: float) -> list[Reservoir]:
@@ -183,13 +182,11 @@ def _chunk_rows(cfg: SweepConfig,
 _ROWS_PER_STACK = 256
 
 
-def _row_model(cfg: SweepConfig, model_args: dict):
-    """The junction model of `model_args`, its level count and its omega_10,
-    the model that rows of a stack are computed on; or the exception its
-    build raises, which fails those rows."""
+def _row_model(cfg: SweepConfig, model_args: dict) -> JunctionModel | Exception:
+    """The junction model of `model_args`, which rows of a stack are computed
+    on; or the exception its build raises, which fails those rows."""
     try:
-        model, levels = _junction(cfg, model_args)
-        return model, levels, kondo_temperature(model)
+        return _junction(cfg, model_args)
     except Exception as exc:  # noqa: BLE001  (reported per row by the caller)
         return exc
 
@@ -212,7 +209,7 @@ def _stack_rows(cfg: SweepConfig, values: list[float],
     t_left, t_right = float(cfg.baths["T_left"]), float(cfg.baths["T_right"])
     sweep_t = cfg.variable == "T"
     per_row = built * len(values) if sweep_t else built
-    models = [b[0] for b in built if not isinstance(b, Exception)]
+    models = [b for b in built if not isinstance(b, Exception)]
     t_mean = (np.asarray(values, dtype=float) if sweep_t
               else np.array([0.5 * (t_left + t_right)]))
     try:
@@ -235,17 +232,17 @@ def _stack_rows(cfg: SweepConfig, values: list[float],
             k2, j = responses[j], j + 1
             if k4 is None or not sweep_t:
                 try:
-                    k4 = kappa4_lowT(model[0], alpha, t_mean).tolist()
+                    k4 = kappa4_lowT(model, alpha, t_mean).tolist()
                 except Exception as exc:  # noqa: BLE001  (raised after kappa2, per row)
                     k4 = exc
             if isinstance(k2, Exception):
                 raise k2
             if isinstance(k4, Exception):
                 raise k4
-            kappa4 = k4[i if sweep_t else 0]
+            kappa4, omega_10 = k4[i if sweep_t else 0], kondo_temperature(model)
             fields = [k2.kappa2, kappa4, k2.kappa2 + kappa4, k2.currents["L"],
-                      k2.currents["R"], model[2], model[2]]
-            out.append((_format_row(cfg, value, fields, levels=model[1]), None))
+                      k2.currents["R"], omega_10, omega_10]
+            out.append((_format_row(cfg, value, fields, levels=model.dim), None))
         except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
             out.append((_failed_row(cfg, value), exc))
     return out

@@ -181,10 +181,10 @@ def retained_per_slice(cfg):
     """
     t_left, t_right = float(cfg.baths["T_left"]), float(cfg.baths["T_right"])
     if cfg.variable == "T":
-        model, _ = sweep._junction(cfg, cfg.model)
+        model = sweep._junction(cfg, cfg.model)
         points = [(model, float(t), float(t)) for t in cfg.grid()]
     else:
-        models = [sweep._junction(cfg, {**cfg.model, cfg.variable: float(v)})[0]
+        models = [sweep._junction(cfg, {**cfg.model, cfg.variable: float(v)})
                   for v in cfg.grid()]
         t_mean = 0.5 * (t_left + t_right)
         points = [(m, t_mean, t_mean) for m in models]
@@ -544,7 +544,7 @@ def test_a_failing_temperature_fails_its_row_alone(monkeypatch, name, poison, pa
     if part == "zero":
         # the threshold c * 0 counts the |omega_nm| that a valid row of
         # diagonal pairs alone counts: the rejected scale must not join them
-        model, _ = sweep._junction(cfg, cfg.model)
+        model = sweep._junction(cfg, cfg.model)
         assert frozenset((n, n) for n in range(model.dim)) in retained_sets(cfg)
     poison(monkeypatch, grid[bad], part)
     with pytest.raises(error) as raised:
@@ -559,7 +559,7 @@ def test_a_failing_temperature_fails_its_row_alone(monkeypatch, name, poison, pa
 def test_kappa2_sweep_rejects_bad_temperatures_at_once():
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
     pair = [Reservoir("L", 1.0, sd), Reservoir("R", 1.0, sd)]
-    model, _ = sweep._junction(sweep_config("tls_partial"), {"epsilon": 0.3, "delta": 1.0})
+    model = sweep._junction(sweep_config("tls_partial"), {"epsilon": 0.3, "delta": 1.0})
     with pytest.raises(ValidationError, match="positive"):
         kappa2_sweep(model, pair, [0.1, 0.0, 0.2])
     with pytest.raises(ValidationError, match="1-d"):
@@ -753,7 +753,7 @@ def test_a_failing_model_solve_fails_its_row_alone(monkeypatch):
     cfg, want = reference("rabi_g_partial")
     grid = [float(v) for v in cfg.grid()]
     bad = 5
-    bad_bohr = sweep._junction(cfg, {**cfg.model, "g": grid[bad]})[0].bohr_matrix()
+    bad_bohr = sweep._junction(cfg, {**cfg.model, "g": grid[bad]}).bohr_matrix()
     orig = redfield.w_table
 
     def poisoned(omega, bath):

@@ -59,7 +59,7 @@ def row_config(solver="partial", g=0.2, levels=3, cutoff=30, t_left=0.12, t_righ
 
 def separate_solves(cfg, g):
     """The row's model, its baths at (T_left, T_right), and the mean temperature."""
-    model, _ = sweep._junction(cfg, {**cfg.model, "g": g})
+    model = sweep._junction(cfg, {**cfg.model, "g": g})
     t_left, t_right = float(cfg.baths["T_left"]), float(cfg.baths["T_right"])
     return model, sweep._bose_baths(cfg.baths, t_left, t_right), 0.5 * (t_left + t_right)
 

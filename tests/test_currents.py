@@ -478,17 +478,6 @@ def test_kappa2_response_currents_are_those_of_its_state(solver):
     assert res.currents == want
 
 
-@pytest.mark.parametrize("solver", ["full", "partial"])
-def test_kappa2_unknown_reservoir_id_is_rejected_before_any_solve(monkeypatch, solver):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("solved before checking the reservoir id")
-
-    monkeypatch.setattr(currents, "gamma_rates", unreachable)
-    monkeypatch.setattr(currents, "build_k2_boson", unreachable)
-    with pytest.raises(ValidationError, match="unknown reservoir id 'X'"):
-        kappa2_response(tls_model(), drude_baths(), 0.5, solver=solver, reservoir_id="X")
-
-
 def test_kappa2_calls_leave_the_model_as_built():
     # nothing is cached on the model: 20 temperatures, both solvers
     params = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=30, retained_levels=5)

@@ -11,8 +11,8 @@ from ltrans.cli import main
 from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError, hermitian_eigensystem, lowest_band_eigensystem
 from ltrans.rabi import (CONVERGENCE_EXTRA, CONVERGENCE_TOL, RabiParams, _fock_drift_bound,
-                         _lowest_levels, _rabi_band, build_rabi_junction, grwa_spectrum,
-                         rwa_spectrum, vvpt_spectrum)
+                         _levels_at_or_below, _lowest_levels, _rabi_band, build_rabi_junction,
+                         grwa_spectrum, rwa_spectrum, vvpt_spectrum)
 from ltrans.sweep import compute_row
 from rabi_oracle import dense_rabi_junction, rabi_hamiltonian, two_solve_fock_check
 from test_linalg import recorded_selects
@@ -129,42 +129,110 @@ def _drift_bound_inputs(p):
     return band, lam, v
 
 
+def _dense(band):
+    """The symmetric matrix of the upper band storage `band`, half-width 2."""
+    h = np.diag(band[2])
+    for d in (1, 2):
+        h += np.diag(band[2 - d, d:], d) + np.diag(band[2 - d, d:], -d)
+    return h
+
+
 @pytest.mark.parametrize("keep,cutoff,g", [(3, 13, 1.0), (5, 15, 1.0), (21, 33, 0.8)])
 def test_drift_bound_is_the_residual_of_the_padded_eigenvectors(keep, cutoff, g):
     # rho = g sqrt(N) |V[-2:]|_F is |H_big X - X Lambda|_F for X = [V; 0],
     # after bisection (keep 3) and the full solve; rho is 1e-9 to 1e-3 here
     p = RabiParams(epsilon=0.1, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
     band, lam, v = _drift_bound_inputs(p)
-    order = band.shape[1]
-    h = np.diag(band[2])
-    for d in (1, 2):
-        h += np.diag(band[2 - d, d:], d) + np.diag(band[2 - d, d:], -d)
-    x = np.zeros((order, keep))
+    x = np.zeros((band.shape[1], keep))
     x[:2 * cutoff] = v
-    resid = np.linalg.norm(h @ x - x * lam)
+    resid = np.linalg.norm(_dense(band) @ x - x * lam)
     assert _fock_drift_bound(p, band, lam, v) == pytest.approx(resid, rel=1e-9)
 
 
 @pytest.mark.parametrize("keep,cutoff,g", [(2, 12, 1.5), (3, 13, 1.3), (21, 31, 2.0)])
-def test_a_vanishing_residual_alone_certifies_no_drift(keep, cutoff, g):
-    # with the residual zeroed, the bound still needs the added Fock levels
-    # to stay above the retained ones, which their Gershgorin floor cannot
-    # show at this coupling
-    p = RabiParams(epsilon=0.0, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
+@pytest.mark.parametrize("epsilon", [0.0, 0.3], ids=["parity", "band"])
+def test_an_added_level_at_the_last_retained_one_fails_the_count(epsilon, keep, cutoff, g):
+    # with Fock level N + 5, which the retained eigenvectors do not reach, at
+    # lambda_(k-1), the larger band has at least k + 1 eigenvalues at or
+    # below y = lambda_(k-1) + tol (Courant-Fischer on the padded
+    # eigenvectors and that level), however small the residual; both qubit
+    # states keep the level parity-symmetric, so the chains still describe it
+    p = RabiParams(epsilon=epsilon, delta=0.9, g=g, fock_cutoff=cutoff, retained_levels=keep)
     band, lam, v = _drift_bound_inputs(p)
-    v = v.copy()
-    v[-2:] = 0.0
-    assert _fock_drift_bound(p, band, lam, v) == np.inf
+    assert _fock_drift_bound(p, band, lam, v) < np.inf
+    doctored = band.copy()
+    level = p.fock_cutoff + 5
+    doctored[2, 2 * level:2 * level + 2] = lam[-1]
+    assert _fock_drift_bound(p, doctored, lam, v) == np.inf
 
 
-def test_large_cutoff_skips_the_dense_certificate(monkeypatch):
-    # above 400 Fock states the dense certificate would cost more than the
-    # second banded solve, so that solve measures the drift
-    p = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=401)
-    assert _fock_drift_bound(p, *_drift_bound_inputs(p)) == np.inf
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(epsilon=st.sampled_from([0.0]) | st.floats(-1.0, 1.0),
+       delta=st.sampled_from([0.0, 1e-12]) | st.floats(0.0, 2.0),
+       g=st.sampled_from([0.0]) | st.floats(0.0, 2.0), n_fock=st.integers(2, 60),
+       where=st.floats(0.0, 1.0))
+def test_the_count_is_the_number_of_eigenvalues_at_or_below_y(epsilon, delta, g, n_fock,
+                                                             where):
+    # both routes, split chains (g = 0) and degenerate ones (Delta near 0);
+    # y anywhere from below the spectrum to above its lower half
+    p = RabiParams(epsilon=epsilon, delta=delta, g=g)
+    band = _rabi_band(p, n_fock)
+    levels = np.linalg.eigvalsh(_dense(band))
+    y = levels[0] - 1.0 + where * (levels[len(levels) // 2] - levels[0] + 2.0)
+    assume(np.min(np.abs(levels - y)) > 1e-9 * max(abs(y), 1.0))
+    assert _levels_at_or_below(p, band, y) == np.sum(levels <= y)
+
+
+@pytest.mark.parametrize("epsilon,routine,count_at", [(0.0, "dstebz", 0),
+                                                       (0.3, "dsbevx", 2)])
+def test_a_failed_count_never_certifies(monkeypatch, epsilon, routine, count_at):
+    # LAPACK reporting a failure of the count (RANGE = 'V'), with a count
+    # that would certify: the bound is inf, and the second solve runs
+    p = RabiParams(epsilon=epsilon, delta=0.9, g=0.2)
+    inputs = _drift_bound_inputs(p)
+    assert _fock_drift_bound(p, *inputs) <= 0.5 * CONVERGENCE_TOL * p.omega_r
+    orig = getattr(scipy.linalg.lapack, routine)
+
+    def failed(*args, **kwargs):
+        out = list(orig(*args, **kwargs))
+        if kwargs.get("range", args[2]) == 1:
+            out[count_at], out[-1] = 0, 1
+        return tuple(out)
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, failed)
+    assert _fock_drift_bound(p, *inputs) == np.inf
     calls = recorded_solves(monkeypatch)
-    build_rabi_junction(p)
+    model = build_rabi_junction(p)
     assert len(calls) == 2
+    assert np.array_equal(model.omega, inputs[1])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3], ids=["parity", "band"])
+def test_the_count_leaves_the_band_as_it_was(epsilon):
+    # the fallback solve reads the same band; LAPACK would overwrite a
+    # Fortran-ordered one in place
+    p = RabiParams(epsilon=epsilon, delta=0.9, g=0.2)
+    band, lam, _ = _drift_bound_inputs(p)
+    for ab in (band, np.asfortranarray(band)):
+        before = ab.copy()
+        assert _levels_at_or_below(p, ab, lam[-1] + CONVERGENCE_TOL) == len(lam)
+        assert np.array_equal(ab, before)
+
+
+@pytest.mark.parametrize("epsilon,cutoff", [(0.0, 401), (0.0, 1000), (0.3, 401)])
+def test_large_cutoffs_make_one_eigensolve(monkeypatch, epsilon, cutoff):
+    # the count costs O(N) on the parity chains, and less than the second
+    # banded solve on the band, at any cutoff; the levels of both cutoffs
+    # come from the band's full solve
+    p = RabiParams(epsilon=epsilon, delta=0.9, g=0.2, fock_cutoff=cutoff)
+    calls = recorded_solves(monkeypatch)
+    model = build_rabi_junction(p)
+    assert len(calls) == 1
+    band = _rabi_band(p, cutoff + CONVERGENCE_EXTRA)
+    small = lowest_band_eigensystem(band[:, :2 * cutoff], 5, eigvals_only=True)
+    large = lowest_band_eigensystem(band, 5, eigvals_only=True)
+    assert np.max(np.abs(model.omega - small)) <= 1e-12 * p.omega_r
+    assert np.max(np.abs(model.omega - large)) <= 0.5 * CONVERGENCE_TOL * p.omega_r
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
