@@ -7,7 +7,7 @@ application, and a diagrammatic bookkeeping layer with a brute-force oracle
 for self-validation.
 """
 
-from .baths import dn_dDeltaT, fermi_pv_integral, occupation, w_rate
+from .baths import fermi_pv_integral, occupation
 from .currents import (CurrentResult, dot_transport, heat_current_2nd_general,
                        heat_current_2nd_secular, kappa2, kappa4_lowT,
                        tls_closed_forms)
@@ -15,8 +15,7 @@ from .diagrams import (DiscreteModeBath, enumerate_matchings,
                        evaluate_kernel_from_diagrams, fermion_sign,
                        generate_kernel_terms, is_irreducible)
 from .linalg import (NumericError, ValidationError, hermitian_eigensystem,
-                     lowest_band_eigensystem, lowest_tridiagonal_eigensystem,
-                     to_eigenbasis)
+                     lowest_band_eigensystem, lowest_tridiagonal_eigensystem)
 from .model import JunctionModel, Reservoir, SpectralDensity, build_junction
 from .oracle import CompositeSpace, exact_kernel_order
 from .rabi import (ApproxSpectrum, RabiParams, build_rabi_junction, grwa_spectrum,
@@ -32,11 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "JunctionModel", "Reservoir", "SpectralDensity", "build_junction",
     "hermitian_eigensystem", "lowest_band_eigensystem",
-    "lowest_tridiagonal_eigensystem", "to_eigenbasis",
-    "ValidationError", "NumericError",
-    "occupation", "w_rate", "dn_dDeltaT", "fermi_pv_integral",
-    "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson",
-    "gamma_rates",
+    "lowest_tridiagonal_eigensystem", "ValidationError", "NumericError",
+    "occupation", "fermi_pv_integral",
+    "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson", "gamma_rates",
     "build_current_kernel_2nd", "fermion_dot_rates",
     "SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
     "full_secular_steady", "partial_secular_steady", "three_level_coherence_analytic",

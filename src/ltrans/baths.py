@@ -30,8 +30,8 @@ from .linalg import ValidationError, NumericError
 from .model import Reservoir, SpectralDensity
 
 __all__ = ["occupation", "bose_signed", "w_table", "dw_dt_real", "dw_dt_table",
-           "w_rate", "w_rate_matsubara_oracle", "dn_dDeltaT",
-           "dn_dDeltaT_signed", "fermi_pv_integral", "matsubara_sums"]
+           "w_rate_matsubara_oracle", "dn_dDeltaT_signed", "fermi_pv_integral",
+           "matsubara_sums"]
 
 MATSUBARA_ATOL = 1e-12
 MATSUBARA_MAX_TERMS = 10**6
@@ -312,11 +312,6 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     return _dw_dt_real(w, sd, t) + 1j * (sd.value(w) / t * (rest_x - rest_y))
 
 
-def w_rate(omega_nm: float, bath: Reservoir) -> complex:
-    """W(omega_nm) at a single Bohr frequency; see `w_table`."""
-    return complex(w_table(float(omega_nm), bath))
-
-
 # ---------------------------------------------------------------------------
 # Matsubara-series oracle (test-only path)
 # ---------------------------------------------------------------------------
@@ -409,24 +404,14 @@ def w_rate_matsubara_oracle(omega_nm: float, bath: Reservoir,
 # thermal-bias derivative of the Bose function
 # ---------------------------------------------------------------------------
 
-def dn_dDeltaT(omega: float, temperature: float) -> float:
-    """d n(omega) / dT at temperature T, for omega > 0.
-
-    Equals omega / (4 T^2 sinh^2(omega / 2T)); underflows cleanly to 0 for
-    omega/T beyond the double range.
-    """
-    if not (omega > 0 and temperature > 0):
-        raise ValidationError("dn_dDeltaT requires omega > 0 and T > 0")
-    return float(dn_dDeltaT_signed(omega, temperature))
-
-
 def dn_dDeltaT_signed(omega, temperature):
-    """Odd continuation of dn_dDeltaT over an array of frequencies; 0 at omega = 0.
+    """d n(omega) / dT at temperature T, omega / (4 T^2 sinh^2(omega / 2T)),
+    odd in omega and 0 at omega = 0, over an array of frequencies.
 
     temperature is a scalar or an array that broadcasts against omega.
-
     Written as omega e^{-x} / (T expm1(-x))^2 with x = |omega|/T, the exact
-    rewriting of omega / (4 T^2 sinh^2(x/2)) that never overflows.
+    rewriting that never overflows; it underflows cleanly to 0 for omega/T
+    beyond the double range.
     """
     w = np.asarray(omega, dtype=float)
     zero = w == 0.0

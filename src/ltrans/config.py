@@ -30,6 +30,7 @@ Grammar (configparser syntax, all keys required unless noted):
     svg = <path>                        (optional)
 
 Values are plain floats/ints/booleans; no schema inference is performed.
+A section or key that the model type and statistics do not read is an error.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ from .rabi import RabiParams
 __all__ = ["SweepConfig", "load_config", "parse_config_text"]
 
 SWEEP_VARIABLES = ("T", "epsilon", "delta", "g")
+# the (lower-case) keys each section reads: [model] by type, [baths] by statistics
+_KEYS = {"model": {"rabi": "type epsilon delta g omega_r fock_cutoff retained_levels",
+                   "tls": "type epsilon delta", "dot": "type epsilon"},
+         "baths": {"bose": "statistics t_left t_right alpha omega_c",
+                   "fermi": "statistics t_left t_right gamma_left gamma_right mu_left mu_right"},
+         "solver": "secular cluster_factor lamb_shift",
+         "sweep": "variable scale start stop points", "output": "csv svg"}
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,23 @@ def parse_config_text(text: str) -> SweepConfig:
     mtype = msec.get("type", "").strip().lower()
     if mtype not in ("rabi", "tls", "dot"):
         raise ValidationError(f"unknown model type {mtype!r}")
+    bsec = cp["baths"]
+    statistics = bsec.get("statistics", "bose").strip().lower()
+    if statistics not in ("bose", "fermi"):
+        raise ValidationError(f"unknown statistics {statistics!r}")
+    if mtype == "dot" and statistics != "fermi":
+        raise ValidationError("dot model needs fermionic leads")
+    if mtype in ("rabi", "tls") and statistics != "bose":
+        raise ValidationError(f"{mtype} model needs bosonic baths")
+    read = {**_KEYS, "model": _KEYS["model"][mtype], "baths": _KEYS["baths"][statistics]}
+    for name in cp.sections():
+        if name not in read:
+            raise ValidationError(f"unknown section [{name}]")
+        for key in (k for k in cp[name] if k not in read[name].split()):
+            where = "DEFAULT" if key in cp.defaults() else name
+            raise ValidationError(f"unknown key {key!r} in [{where}] of a {mtype} config "
+                                  f"with {statistics} baths")
+
     model: dict[str, float] = {}
     if mtype in ("rabi", "tls"):
         model["epsilon"] = _getfloat(msec, "epsilon")
@@ -128,14 +153,6 @@ def parse_config_text(text: str) -> SweepConfig:
     if mtype == "dot":
         model["epsilon"] = _getfloat(msec, "epsilon")
 
-    bsec = cp["baths"]
-    statistics = bsec.get("statistics", "bose").strip().lower()
-    if statistics not in ("bose", "fermi"):
-        raise ValidationError(f"unknown statistics {statistics!r}")
-    if mtype == "dot" and statistics != "fermi":
-        raise ValidationError("dot model needs fermionic leads")
-    if mtype in ("rabi", "tls") and statistics != "bose":
-        raise ValidationError(f"{mtype} model needs bosonic baths")
     baths: dict[str, float | str] = {"statistics": statistics}
     baths["T_left"] = _getfloat(bsec, "T_left")
     baths["T_right"] = _getfloat(bsec, "T_right")
@@ -145,8 +162,10 @@ def parse_config_text(text: str) -> SweepConfig:
         baths["alpha"] = _getfloat(bsec, "alpha")
         baths["omega_c"] = _getfloat(bsec, "omega_c")
     else:
-        baths["gamma_left"] = _getfloat(bsec, "gamma_left")
-        baths["gamma_right"] = _getfloat(bsec, "gamma_right")
+        for key in ("gamma_left", "gamma_right"):
+            baths[key] = _getfloat(bsec, key)
+            if baths[key] < 0:
+                raise ValidationError(f"key {key!r} must be >= 0: {baths[key]!r}")
         baths["mu_left"] = _getfloat(bsec, "mu_left", 0.0)
         baths["mu_right"] = _getfloat(bsec, "mu_right", 0.0)
 

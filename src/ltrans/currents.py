@@ -25,8 +25,8 @@ import numpy as np
 from .baths import bose_signed, dw_dt_real, dw_dt_table, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
-from .redfield import (DEGENERACY_TOL, BosonKernel, KernelBlock, RateMatrix,
-                       build_k2_boson, gamma_rates, k2_pair_block)
+from .redfield import (DEGENERACY_TOL, BosonKernel, RateMatrix, build_k2_boson,
+                       gamma_rates, k2_pair_block)
 from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
                      cluster_bohr_frequencies, full_secular_steady,
                      partial_secular_response, partial_secular_steady)
@@ -343,7 +343,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
         """
         kappa2 = [] if kappa2 is None else kappa2.tolist()
         currents = {k: v.tolist() for k, v in currents.items()}
-        return [(SteadyState(rho, state.retained_pairs, state.solver_tag),
+        return [(SteadyState(rho, state.retained_pairs),
                  kappa2[i] if i < len(kappa2) else None,
                  {k: v[i] for k, v in currents.items()}) for i, rho in enumerate(state.rho)]
 
@@ -397,10 +397,8 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
             state = partial_secular_steady(sub, kernel, clusters, lamb_shift)
             kappa2 = None
         else:
-            dblock = KernelBlock(model.dim, pairs,
-                                 k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs))
-            state, drho = partial_secular_response(sub, kernel, dblock, clusters,
-                                                   lamb_shift)
+            dk = k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs)
+            state, drho = partial_secular_response(sub, kernel, dk, clusters, lamb_shift)
             kappa2 = _wbar_current(q[:m, 1], wbar[:m, 1], drho)
         return slices(state, kappa2, {b.id: _wbar_current(q[:, i], wbar[:, i], state.rho)
                                       for i, b in enumerate(baths)})
@@ -584,6 +582,8 @@ def dot_transport(delta_dot: float, leads: list[dict]) -> DotTransport:
         f[lead["id"]] = 0.5 * (1.0 - np.tanh(0.5 * x))
     (l0, l1) = leads
     gl, gr = float(l0["gamma"]), float(l1["gamma"])
+    if gl < 0 or gr < 0:
+        raise ValidationError("lead gamma must be >= 0")
     den = gl * (1.0 + f[l0["id"]]) + gr * (1.0 + f[l1["id"]])
     particle, energy, heat = {}, {}, {}
     for me, other, gme, goth in ((l0, l1, gl, gr), (l1, l0, gr, gl)):

@@ -1,20 +1,14 @@
-"""Eigensolvers and basis transforms.
+"""Eigensolvers, all with one eigenvector phase convention.
 
-Three solvers share one eigenvector phase convention:
-
-- `hermitian_eigensystem` diagonalizes a dense complex Hermitian matrix with
-  LAPACK's Hermitian solver (numpy.linalg.eigh);
-- `lowest_band_eigensystem` solves a real symmetric banded matrix given in
-  upper band storage with LAPACK's banded solver (scipy.linalg.eig_banded)
-  and keeps its lowest eigenpairs: by bisection and inverse iteration when
-  they are at most an eighth of the order, else from the full solve;
-- `lowest_tridiagonal_eigensystem` does the same for a real symmetric
-  tridiagonal matrix, a band of half-width 1, with LAPACK's tridiagonal
-  bisection and inverse iteration (dstebz and dstein) for the few and
-  divide and conquer (dstevd) for the rest, split where the two were
-  measured to cost the same.  It forms no dense reduction matrix, which
-  the banded bisection path accumulates, so a few pairs of order n cost
-  O(n) each rather than O(n^3) together (see its docstring).
+- `hermitian_eigensystem`: a dense complex Hermitian matrix, by LAPACK's
+  Hermitian solver (numpy.linalg.eigh);
+- `lowest_band_eigensystem`: the lowest eigenpairs of a real symmetric band
+  in upper band storage, by LAPACK's banded solver (scipy.linalg.eig_banded);
+- `lowest_tridiagonal_eigensystem`: the lowest eigenpairs of a real
+  symmetric tridiagonal matrix, by LAPACK's tridiagonal bisection and
+  inverse iteration or divide and conquer.  It forms no dense reduction
+  matrix, which the banded bisection path accumulates, so a few pairs of
+  order n cost O(n) each rather than O(n^3) together.
 
 scipy.linalg is imported at the first banded or tridiagonal solve, not
 with this module: loading it takes longer than a whole sweep of a model
@@ -25,10 +19,7 @@ as NumericError.  The phase convention makes each eigenvector's largest
 component real and positive; components within a relative PHASE_TIE_RTOL of
 the largest magnitude count as tied, and the lowest index among them wins, so
 that eigenvectors with exactly equal largest components (parity eigenstates,
-for example) get a sign that does not depend on rounding.  The unit tests
-check the solvers against characteristic-polynomial roots, dense solves,
-residuals, orthonormality and each other, and check that repeated calls on
-the same input in one process agree bitwise.
+for example) get a sign that does not depend on rounding.
 """
 
 from __future__ import annotations
@@ -36,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["hermitian_eigensystem", "lowest_band_eigensystem",
-           "lowest_tridiagonal_eigensystem", "to_eigenbasis", "ValidationError",
-           "NumericError"]
+           "lowest_tridiagonal_eigensystem", "ValidationError", "NumericError"]
 
 
 class ValidationError(ValueError):
@@ -49,7 +39,6 @@ class NumericError(RuntimeError):
 
 
 HERMITICITY_RTOL = 1e-12
-UNITARITY_TOL = 1e-10
 PHASE_TIE_RTOL = 1e-8
 # bisection tolerance of eig_banded's select path, 2 * LAPACK dlamch("S")
 _BISECTION_ABSTOL = 2.0 * np.finfo(float).tiny
@@ -99,17 +88,16 @@ def hermitian_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, _fix_phase(v)
 
 
-def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = False):
+def lowest_band_eigensystem(ab: np.ndarray, keep: int):
     """Lowest `keep` eigenpairs of a real symmetric banded matrix (scipy eig_banded).
 
     `ab` is the upper band storage of the matrix A: ab[u + i - j, j] = A[i, j]
     for the u = ab.shape[0] - 1 superdiagonals.  Returns (eigenvalues,
     eigenvectors) with eigenvalues ascending and orthonormal real
-    eigenvector columns under the module's phase convention, or the
-    eigenvalues alone with eigvals_only.  Raises ValidationError for a
-    complex or non-finite band or `keep` out of range, and NumericError if
-    LAPACK reports that it did not converge.  The first call imports
-    scipy.linalg.
+    eigenvector columns under the module's phase convention.  Raises
+    ValidationError for a complex or non-finite band or `keep` out of
+    range, and NumericError if LAPACK reports that it did not converge.
+    The first call imports scipy.linalg.
     """
     from scipy.linalg import LinAlgError, eig_banded
 
@@ -121,17 +109,12 @@ def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = Fals
     if not np.all(np.isfinite(ab)):
         raise ValidationError("band has non-finite entries")
     # Bisection plus inverse iteration (select="i") for a few eigenpairs, the
-    # full solve for more than an eighth of the order and for eigenvalues
-    # alone.  Bandwidth-2 timings on a 2-vCPU VM, select / full solve:
-    # order 80, 5 pairs 0.37 / 0.62 ms, 12 pairs 0.69 / 0.62, 21 pairs
-    # 1.12 / 0.67; order 120, 15 pairs 1.36 / 1.39, 21 pairs 1.77 / 1.35;
-    # order 200, 21 pairs 3.74 / 3.87, 30 pairs 4.84 / 3.87.  Eigenvalues
-    # alone of order 100 (the Rabi Fock check at cutoff 40, solved only
-    # where its drift bound fails), pinned to one CPU: all of them
-    # 0.27-0.34 ms, the lowest 21 by bisection 0.93-0.97 ms.
+    # full solve for more than an eighth of the order.  Bandwidth-2 timings
+    # on a 2-vCPU VM, select / full solve: order 80, 5 pairs 0.37 / 0.62 ms,
+    # 12 pairs 0.69 / 0.62, 21 pairs 1.12 / 0.67; order 120, 15 pairs
+    # 1.36 / 1.39, 21 pairs 1.77 / 1.35; order 200, 21 pairs 3.74 / 3.87,
+    # 30 pairs 4.84 / 3.87.
     try:
-        if eigvals_only:
-            return eig_banded(ab, eigvals_only=True, check_finite=False)[:keep]
         if 8 * keep > ab.shape[1]:
             lam, v = eig_banded(ab, check_finite=False)
             lam, v = lam[:keep], v[:, :keep]
@@ -143,49 +126,44 @@ def lowest_band_eigensystem(ab: np.ndarray, keep: int, eigvals_only: bool = Fals
     return lam, _fix_phase(v)
 
 
-def lowest_tridiagonal_eigensystem(d: np.ndarray, e: np.ndarray, keep: int,
-                                   eigvals_only: bool = False):
+def lowest_tridiagonal_eigensystem(d: np.ndarray, e: np.ndarray, keep: int):
     """Lowest `keep` eigenpairs of a real symmetric tridiagonal matrix (LAPACK
     dstebz and dstein, or dstevd).
 
     `d` is the diagonal (order n) and `e` the off-diagonal (n - 1 entries).
     Returns as lowest_band_eigensystem: (eigenvalues, eigenvectors) with
     eigenvalues ascending and orthonormal real eigenvector columns under the
-    module's phase convention, or the eigenvalues alone with eigvals_only.
-    Raises ValidationError for complex or non-finite entries, mismatched
-    lengths or `keep` out of range, and NumericError if LAPACK reports a
-    failure.  A zero in `e` splits the matrix into blocks; each eigenvector
-    is then exactly zero outside its block.  The first call imports
-    scipy.linalg.
+    module's phase convention.  Raises ValidationError for complex or
+    non-finite entries, mismatched lengths or `keep` out of range, and
+    NumericError if LAPACK reports a failure.  A zero in `e` splits the
+    matrix into blocks; each eigenvector is then exactly zero outside its
+    block.  The first call imports scipy.linalg.
 
     A few pairs come from bisection by index (dstebz, to the accuracy
     eig_banded asks of its bisection) and inverse iteration (dstein), O(n)
-    a pair; more, from divide and conquer (dstevd: all pairs, or all
-    eigenvalues by dsterf), which costs the same for any keep.  MRRR
-    (dstemr) cost as much as bisection, but its eigenvalues were up to
-    2.2e-12 off the banded solve's on the parity chains of strongly coupled
-    Rabi bands (order <= 120), against 3e-14 by bisection.  Milliseconds on
-    the Rabi parity chains (order n = 2N, Delta = 0.9, g = 0.2 and 0.4;
-    min of timeit, one CPU):
+    a pair; more, from divide and conquer (dstevd, all pairs), which costs
+    the same for any keep.  MRRR (dstemr) cost as much as bisection, but
+    its eigenvalues were up to 2.2e-12 off the banded solve's on the parity
+    chains of strongly coupled Rabi bands (order <= 120), against 3e-14 by
+    bisection.  Milliseconds on the Rabi parity chains (order n = 2N,
+    Delta = 0.9, g = 0.2 and 0.4; min of timeit, one CPU):
 
-        n      keep   pairs: bisection  dstevd    eigenvalues: bisection  dstevd
-        80     5            0.08-0.10   0.15-0.24               0.05-0.07   0.07-0.08
-        80     12           0.15-0.17   0.17-0.18               0.12-0.13   0.07-0.08
-        80     21           0.27-0.39   0.18-0.24               0.20-0.27   0.07-0.09
-        400    5            0.52-0.59   2.1-3.3                 0.42-0.44   1.4
-        400    21           2.0         2.1-2.7                 1.6         1.4
-        400    50           4.4-5.2     2.0-2.9                 3.6-3.7     1.3-1.5
-        2000   5            2.7-2.8     43-48                   2.3         27-29
-        2000   50           23.5        41-45                   18-20       28
+        n      keep   bisection  dstevd
+        80     5      0.08-0.10  0.15-0.24
+        80     12     0.15-0.17  0.17-0.18
+        80     21     0.27-0.39  0.18-0.24
+        400    5      0.52-0.59  2.1-3.3
+        400    21     2.0        2.1-2.7
+        400    50     4.4-5.2    2.0-2.9
+        2000   5      2.7-2.8    43-48
+        2000   50     23.5       41-45
 
     Bisection is slower from keep = 12-14, 15-16, 29-35, 54-64 and 100-101
-    pairs at n = 80, 160, 400, 1000 and 2000, and from 7-8, 10-11, 17-19,
-    38-44 and 72-74 eigenvalues alone; dstevd is taken above the lines
-    through these crossovers, keep > 9 + n / 22 for pairs and
-    keep > 5 + n / 29 for eigenvalues alone.  For comparison, eig_banded
-    on the Rabi band of the same order, as lowest_band_eigensystem calls
-    it, takes 0.25 ms (n = 80, keep 5), 0.44 (keep 21), 6.4 (n = 400,
-    keep 5) and 1300 ms (n = 2000, keep 5).
+    pairs at n = 80, 160, 400, 1000 and 2000; dstevd is taken above the
+    line through these crossovers, keep > 9 + n / 22.  For comparison,
+    eig_banded on the Rabi band of the same order, as
+    lowest_band_eigensystem calls it, takes 0.25 ms (n = 80, keep 5), 0.44
+    (keep 21), 6.4 (n = 400, keep 5) and 1300 ms (n = 2000, keep 5).
     """
     from scipy.linalg.lapack import dstebz, dstein, dstevd
 
@@ -201,9 +179,8 @@ def lowest_tridiagonal_eigensystem(d: np.ndarray, e: np.ndarray, keep: int,
         raise ValidationError("band has non-finite entries")
     if n == 1:
         e = np.zeros(1)         # the LAPACK wrappers ask for one off-diagonal entry
-    vectors = not eigvals_only
-    if keep > (5 + n / 29 if eigvals_only else 9 + n / 22):
-        lam, v, info = dstevd(d, e, compute_v=vectors)
+    if keep > 9 + n / 22:
+        lam, v, info = dstevd(d, e)
         lam, v = lam[:keep], v[:, :keep]
     else:
         # scipy.linalg.eigh_tridiagonal(select="i", lapack_driver="stebz")
@@ -212,25 +189,12 @@ def lowest_tridiagonal_eigensystem(d: np.ndarray, e: np.ndarray, keep: int,
         found, lam, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, keep,
                                                 _BISECTION_ABSTOL, "B")
         order = np.argsort(lam[:found], kind="stable")     # dstebz orders by block
-        if vectors and not info:
+        if not info:
             v, info = dstein(d, e, lam[:found], block, split)
             v = v[:, order]
         lam = lam[order]
     if info or lam.size != keep:
         raise NumericError(f"tridiagonal eigensolver failed: LAPACK info = {info}, "
                            f"{lam.size} of {keep} eigenvalues")
-    if eigvals_only:
-        return lam
     return lam, _fix_phase(v)
 
-
-def to_eigenbasis(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Transform a matrix into the basis of eigenvector columns, V^dag A V."""
-    a = np.asarray(a, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if a.shape != v.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"dimension mismatch: A {a.shape} vs V {v.shape}")
-    dev = np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0])))
-    if dev > UNITARITY_TOL:
-        raise ValidationError(f"V is not unitary: max |V^dag V - 1| = {dev:.3e}")
-    return v.conj().T @ a @ v

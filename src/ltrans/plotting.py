@@ -50,7 +50,7 @@ def _ticks(lo: float, hi: float, log: bool):
 
 
 def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
-              logx: bool = False, logy: bool = False, title: str = "",
+              logx: bool = False, logy: bool = False,
               x_label: str | None = None, y_label: str | None = None) -> None:
     """Render selected CSV columns to a standalone SVG file.
 
@@ -138,9 +138,6 @@ def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
     out.append(f'<text x="20" y="{(y0 + y1) / 2:.1f}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 20 {(y0 + y1) / 2:.1f})">'
                f'{y_label or ", ".join(y_cols)}{" (log)" if logy else ""}</text>')
-    if title:
-        out.append(f'<text x="{(x0 + x1) / 2:.1f}" y="25" font-size="14" '
-                   f'text-anchor="middle">{title}</text>')
     out.append("</svg>")
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

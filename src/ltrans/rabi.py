@@ -45,19 +45,19 @@ forming its reduction matrix.  Roundoff can miscount only an eigenvalue
 within about 1e-16 |H_big| of y, above the k within rho of the retained
 levels, so it cannot change which are the lowest.  Where rho exceeds
 tol / 2 (the other half absorbs roundoff), the count exceeds k (as where
-lambda_(k-1) is degenerate with lambda_k) or LAPACK reports a failure, the
-second solve runs on the same route as the first and the drift is
-measured, so a config is accepted or rejected as by the two solves.  The
-count, the second solve it spares and the build, in ms (keep 5,
-Delta = 0.9, g = 0.2; min of timeit, one CPU):
+lambda_(k-1) is degenerate with lambda_k) or LAPACK reports a failure, a
+second solve of the larger band for its lowest pairs runs on the same
+route as the first and the drift is measured, so a config is accepted or
+rejected as by the two solves.  The count, the second solve it spares and
+the build, in ms (keep 5, Delta = 0.9, g = 0.2; min of timeit, one CPU):
 
     epsilon   N      count       second solve   build
-    0         40     0.02        0.11-0.12      0.19
-    0         100    0.03        0.23-0.28      0.33-0.42
-    0         400    0.05-0.06   0.92-0.99      1.2-1.3
-    0.3       40     0.05-0.08   0.25-0.37      0.38-0.63
-    0.3       100    0.18-0.27   1.1-1.3        1.6-1.9
-    0.3       400    2.3-2.5     14-16          51-53
+    0         40     0.02-0.03   0.15-0.23      0.18-0.29
+    0         100    0.03        0.36-0.42      0.38-0.56
+    0         400    0.06-0.07   1.3            1.4-1.7
+    0.3       40     0.05-0.08   0.41-0.49      0.46-0.62
+    0.3       100    0.21-0.31   1.6-1.7        1.7-2.2
+    0.3       400    2.9-3.1     62-65          56-67
 
 The rotating wave approximation, second-order Van Vleck perturbation theory
 and the generalized RWA provide closed-form spectra used for cross-checks
@@ -169,16 +169,14 @@ def _parity_chains(band: np.ndarray):
     return diag, off, sign
 
 
-def _lowest_levels(p: RabiParams, band: np.ndarray, keep: int, eigvals_only: bool = False):
-    """Lowest `keep` eigenpairs of the Rabi band `band` (or the eigenvalues
-    alone), eigenvectors in the band's basis 2n + s: from the two parity
-    chains at epsilon = 0 (see the module docstring), else from the band.
+def _lowest_levels(p: RabiParams, band: np.ndarray, keep: int):
+    """Lowest `keep` eigenpairs of the Rabi band `band`, eigenvectors in the
+    band's basis 2n + s: from the two parity chains at epsilon = 0 (see the
+    module docstring), else from the band.
     """
     if p.epsilon != 0.0:
-        return lowest_band_eigensystem(band, keep, eigvals_only)
+        return lowest_band_eigensystem(band, keep)
     diag, off, sign = _parity_chains(band)
-    if eigvals_only:
-        return lowest_tridiagonal_eigensystem(diag, off, keep, eigvals_only=True)
     lam, z = lowest_tridiagonal_eigensystem(diag, off, keep)
     n_fock = len(sign)
     z_plus, z_minus = z[:n_fock], z[n_fock:]
@@ -235,7 +233,7 @@ def build_rabi_junction(params: RabiParams) -> JunctionModel:
     tolerance, from the retained eigenpairs and one eigenvalue count of the
     larger band, no second solve runs; elsewhere (as where the last retained
     level is degenerate with the next) the larger band is solved for its
-    eigenvalues and the drift measured (see the module docstring).
+    lowest pairs and the drift measured (see the module docstring).
     """
     keep, n_fock = params.retained_levels, params.fock_cutoff
     # the band of the smaller cutoff is the leading part of the larger one
@@ -243,7 +241,7 @@ def build_rabi_junction(params: RabiParams) -> JunctionModel:
     lam, v = _lowest_levels(params, band[:, :2 * n_fock], keep)
     tol = CONVERGENCE_TOL * params.omega_r
     if _fock_drift_bound(params, band, lam, v) > 0.5 * tol:
-        lam_chk = _lowest_levels(params, band, keep, eigvals_only=True)
+        lam_chk, _ = _lowest_levels(params, band, keep)
         drift = float(np.max(np.abs(lam - lam_chk)))
         if drift > tol:
             raise ValidationError(

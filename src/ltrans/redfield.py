@@ -38,8 +38,7 @@ from .model import JunctionModel, Reservoir
 
 __all__ = ["KernelBlock", "BosonKernel", "RateMatrix",
            "build_k2_boson", "k2_pair_block", "k2_tensor_from_w", "all_pairs",
-           "gamma_rates", "build_current_kernel_2nd",
-           "fermion_dot_rates", "DOT_STATES"]
+           "gamma_rates", "build_current_kernel_2nd", "fermion_dot_rates"]
 
 SUM_RULE_RTOL = 1e-12
 DEGENERACY_TOL = 1e-12
@@ -306,9 +305,6 @@ def build_current_kernel_2nd(model: JunctionModel, baths: list[Reservoir],
 # ---------------------------------------------------------------------------
 # fermionic dot (states |0>, |up>, |down>; double occupancy frozen out)
 # ---------------------------------------------------------------------------
-
-DOT_STATES = ("empty", "up", "down")
-
 
 def fermion_dot_rates(delta_dot: float, leads: list[dict]) -> RateMatrix:
     """Sequential-tunneling rates of a spin-degenerate single-level dot.

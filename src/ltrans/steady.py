@@ -61,7 +61,6 @@ class SteadyState:
 
     rho: np.ndarray
     retained_pairs: tuple[tuple[int, int], ...]
-    solver_tag: str
 
     @property
     def populations(self) -> np.ndarray:
@@ -188,15 +187,17 @@ def full_secular_steady(rates: RateMatrix) -> SteadyState:
     # b as a stack of one-column matrices, which every numpy reads alike
     b = np.zeros(a.shape[:-1] + (1,))
     b[..., 0, 0] = 1.0
-    p = np.linalg.solve(a, b)[..., 0]
+    try:
+        p = np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:        # connected, yet two absorbing levels
+        raise NumericError("rate equation is singular; stationary state not unique") from None
     resid = np.abs((g @ p[..., None])[..., 0]).max(axis=-1)
     bad = resid > 1e-12 * scale
     if bad.any():
         raise NumericError(f"rate-equation residual too large: {_first(resid, bad):.3e}")
     rho = np.zeros(p.shape + (n,), dtype=complex)
     rho[..., np.arange(n), np.arange(n)] = p
-    state = SteadyState(rho=rho, retained_pairs=tuple((i, i) for i in range(n)),
-                        solver_tag="FullSecular")
+    state = SteadyState(rho=rho, retained_pairs=tuple((i, i) for i in range(n)))
     state.check()
     return state
 
@@ -282,8 +283,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
                     "1-norm condition estimate %.3e", 1.0 / r)
     x = inverse[..., :, 0]
 
-    state = SteadyState(rho=_rho(x, pairs, n), solver_tag="PartialSecular",
-                        retained_pairs=clusters.sorted_pairs)
+    state = SteadyState(rho=_rho(x, pairs, n), retained_pairs=clusters.sorted_pairs)
     state.check()
 
     # residual of the retained-block equations (excluding the replaced row)
@@ -310,23 +310,21 @@ def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters
     return _solve_retained(model, k2, clusters, lamb_shift)[0]
 
 
-def partial_secular_response(model: JunctionModel, k2, dk2, clusters: FrequencyClusters,
+def partial_secular_response(model: JunctionModel, k2, dk, clusters: FrequencyClusters,
                              lamb_shift: bool = True) -> tuple[SteadyState, np.ndarray]:
     """Steady state rho0 of the partial-secular map L and its response to L + dL.
 
-    dL is the kernel dk2 on the same retained pairs (`dk2.block(pairs)`).
-    Returns (state, drho) with L drho = -dL rho0 and Tr drho = 0, solved by
-    an LU factorization of the steady-state system (a product with its
-    inverse would lose up to ten times more digits on ill-conditioned
-    systems).  Over the temperature axis of k2 and dk2, if they have one;
-    dk2's axis may cover only the leading temperatures of k2's, and drho
-    is then solved for those alone (the state for every one).
+    k2 has a leading axis of slices (temperatures or models).  dL is the
+    (m, P, P) stack dk of kernel blocks over the clusters' pairs
+    (`clusters.pairs`) for the leading m slices of k2.  Returns (state,
+    drho): the state for every slice, and for the leading m slices drho
+    with L drho = -dL rho0 and Tr drho = 0, solved by an LU factorization
+    of the steady-state system (a product with its inverse would lose up
+    to ten times more digits on ill-conditioned systems).
     """
     state, pairs, x, a = _solve_retained(model, k2, clusters, lamb_shift)
     n = model.dim
-    dk = dk2.block(pairs).k
-    if dk.ndim == 3:
-        x, a = x[:len(dk)], a[:len(dk)]
+    x, a = x[:len(dk)], a[:len(dk)]
     rhs = -(_real_system(dk, n, lamb_shift) @ x[..., None])
     rhs[..., 0, :] = 0.0           # the trace stays 1
     return state, _rho(np.linalg.solve(a, rhs)[..., 0], pairs, n)

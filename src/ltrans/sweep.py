@@ -51,7 +51,7 @@ import numpy as np
 
 from .config import SweepConfig
 from .currents import dot_transport, kappa2_sweep, kappa4_lowT
-from .linalg import ValidationError, hermitian_eigensystem, to_eigenbasis
+from .linalg import ValidationError, hermitian_eigensystem
 from .model import (JunctionModel, Reservoir, SpectralDensity, build_junction,
                     stack_models)
 from .rabi import RabiParams, build_rabi_junction, kondo_temperature
@@ -122,7 +122,7 @@ def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
                   [-0.5 * delta, 0.5 * epsilon]], dtype=complex)
     _, v = hermitian_eigensystem(h)
     sz = np.diag([1.0, -1.0]).astype(complex)
-    q = to_eigenbasis(sz, v).real
+    q = (v.conj().T @ sz @ v).real
     wq = float(np.hypot(epsilon, delta))
     return build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
 

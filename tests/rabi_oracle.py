@@ -31,7 +31,7 @@ def two_solve_fock_check(params: RabiParams) -> tuple[float, ValidationError | N
     keep, n_fock = params.retained_levels, params.fock_cutoff
     band = _rabi_band(params, n_fock + CONVERGENCE_EXTRA)
     lam, _ = lowest_band_eigensystem(band[:, :2 * n_fock], keep)
-    lam_chk = lowest_band_eigensystem(band, keep, eigvals_only=True)
+    lam_chk, _ = lowest_band_eigensystem(band, keep)
     drift = float(np.max(np.abs(lam - lam_chk)))
     return drift, _fock_error(drift) if drift > CONVERGENCE_TOL * params.omega_r else None
 

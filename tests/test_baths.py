@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ltrans.baths import (_ASYMPTOTIC_FROM, _bernoulli_sum, _digamma, _trigamma, _w_real,
-                          bose_signed, dn_dDeltaT, dn_dDeltaT_signed, dw_dt_real,
-                          dw_dt_table, fermi_pv_integral, matsubara_sums,
-                          occupation, w_rate, w_rate_matsubara_oracle, w_table)
+                          bose_signed, dn_dDeltaT_signed, dw_dt_real, dw_dt_table,
+                          fermi_pv_integral, matsubara_sums, occupation,
+                          w_rate_matsubara_oracle, w_table)
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity
 from ltrans.rabi import RabiParams, build_rabi_junction
@@ -99,18 +99,18 @@ def test_w_rate_resonant_piece_paper_point():
     # alpha=1e-3, omega_c=5, beta=10, omega=1: Re W = pi*(1e-3/1.04)/(e^10 - 1)
     bath = drude_bath(beta=10.0)
     want = np.pi * (1e-3 / 1.04) / np.expm1(10.0)
-    got = w_rate(1.0, bath).real
+    got = complex(w_table(1.0, bath)).real
     assert abs(got - want) < 1e-12 * want
 
 
 def test_w_rate_zero_frequency_limit():
     bath = drude_bath(beta=3.0)
-    assert w_rate(0.0, bath).real == pytest.approx(np.pi * 1e-3 / 3.0, rel=1e-13)
+    assert complex(w_table(0.0, bath)).real == pytest.approx(np.pi * 1e-3 / 3.0, rel=1e-13)
 
 
 def test_w_rate_vs_pv_oracle_single_point():
     bath = drude_bath(beta=5.0)
-    got = w_rate(0.7, bath)
+    got = complex(w_table(0.7, bath))
     ref, err = w_rate_pv_oracle(0.7, bath)
     assert abs(got - ref) <= 1e-8 * abs(ref)
 
@@ -122,7 +122,7 @@ def test_w_rate_vs_pv_oracle_grid():
     for beta in betas:
         bath = drude_bath(beta=beta)
         for w in omegas:
-            got = w_rate(w, bath)
+            got = complex(w_table(w, bath))
             ref, _ = w_rate_pv_oracle(w, bath)
             assert abs(got - ref) <= 1e-6 * abs(ref), (beta, w)
 
@@ -144,7 +144,7 @@ def test_w_rate_at_matsubara_collision():
     omega_c = 5.0
     for offset in (0.0, 1e-8, 1e-7):
         bath = drude_bath(beta=2.0 * np.pi / omega_c * (1.0 + offset))
-        got = w_rate(1.0, bath)
+        got = complex(w_table(1.0, bath))
         ref, _ = w_rate_pv_oracle(1.0, bath)
         assert abs(got - ref) <= 1e-10 * abs(ref), offset
 
@@ -173,7 +173,7 @@ def test_w_table_matches_matsubara_series(beta, omega_c, omegas):
     for w, got in zip(omegas, table):
         ref = w_rate_matsubara_oracle(w, bath)
         assert abs(got - ref) <= 1e-9 * abs(ref), w
-        assert got == pytest.approx(w_rate(w, bath), rel=1e-14, abs=0.0)
+        assert got == pytest.approx(complex(w_table(w, bath)), rel=1e-14, abs=0.0)
 
 
 def test_w_table_shape_and_wbar():
@@ -181,7 +181,7 @@ def test_w_table_shape_and_wbar():
     bohr = np.array([[0.0, -0.8], [0.8, 0.0]])
     w = w_table(bohr, bath)
     assert w.shape == bohr.shape and w.dtype == complex
-    assert w[0, 0] == w[1, 1] == w_rate(0.0, bath)
+    assert w[0, 0] == w[1, 1] == complex(w_table(0.0, bath))
 
 
 def test_w_table_cold_bath_is_finite():
@@ -397,40 +397,35 @@ def test_matsubara_tail_doubling():
 def test_dn_ddt_direct_point():
     # beta*omega = 2 at T = 1: omega = 2 -> omega/(4 sinh^2(1))
     want = 2.0 / (4.0 * np.sinh(1.0) ** 2)
-    assert dn_dDeltaT(2.0, 1.0) == pytest.approx(want, rel=1e-14)
+    assert dn_dDeltaT_signed(2.0, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_dn_ddt_underflow():
-    assert dn_dDeltaT(3000.0, 1.0) == 0.0
-    assert dn_dDeltaT(1400.0, 1.0) >= 0.0
+    assert dn_dDeltaT_signed(3000.0, 1.0) == 0.0
+    assert dn_dDeltaT_signed(1400.0, 1.0) >= 0.0
 
 
 def test_dn_ddt_finite_difference():
     omega, t = 0.9, 0.7
     h = 1e-5 * t
     fd = (bose_signed(omega, 1.0 / (t + h)) - bose_signed(omega, 1.0 / (t - h))) / (2 * h)
-    assert abs(fd - dn_dDeltaT(omega, t)) <= 1e-8 * abs(fd)
+    assert abs(fd - dn_dDeltaT_signed(omega, t)) <= 1e-8 * abs(fd)
 
 
 def test_dn_ddt_signed_array_form():
     # one call over a Bohr matrix: odd, 0 at omega = 0, elementwise equal to
-    # the scalar form, and silent where sinh^2 would overflow
+    # the scalar call, and silent where sinh^2 would overflow
     omegas = np.array([[0.0, -0.9, 3000.0], [0.9, -3000.0, 1e-9], [-2.0, 2.0, 0.0]])
     with np.errstate(all="raise", under="ignore"):
         got = dn_dDeltaT_signed(omegas, 0.7)
     assert got.shape == omegas.shape
     for w, g in zip(omegas.ravel(), got.ravel()):
-        want = 0.0 if w == 0.0 else np.sign(w) * dn_dDeltaT(abs(w), 0.7)
+        want = 0.0 if w == 0.0 else np.sign(w) * dn_dDeltaT_signed(abs(w), 0.7)
         assert g == pytest.approx(want, rel=1e-15, abs=0.0)
     assert np.array_equal(dn_dDeltaT_signed(-omegas, 0.7), -got)
-    assert dn_dDeltaT_signed(0.9, 0.7) == dn_dDeltaT(0.9, 0.7)
+    assert isinstance(dn_dDeltaT_signed(0.9, 0.7), float)
     assert dn_dDeltaT_signed(2.0, 1.0) == pytest.approx(2.0 / (4.0 * np.sinh(1.0)**2),
                                                          rel=1e-14)
-
-
-def test_dn_ddt_validation():
-    with pytest.raises(ValidationError):
-        dn_dDeltaT(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ def test_sweep_with_a_bad_rabi_model_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_with_a_misspelled_key_exits_2(tmp_path, capsys):
+    # fock_cuttoff would otherwise leave the cutoff at its default of 40
+    ini = write_config(tmp_path, UNCONVERGED_RABI.replace("fock_cutoff", "fock_cuttoff"))
+    assert main(["sweep", ini]) == 2
+    assert "unknown key 'fock_cuttoff' in [model]" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("args,env", [(["--workers", "0"], None), ([], "0")],
                          ids=["workers-flag", "LT_THREADS"])
 def test_sweep_with_no_worker_exits_2(tmp_path, capsys, monkeypatch, args, env):

@@ -1,9 +1,14 @@
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
     "g": "0.2",
@@ -115,9 +120,13 @@ csv = out.csv
 """
 
 
+# the rabi config as a tls one, without the keys a tls model does not read
+TLS = (config_text().replace("type = rabi", "type = tls").replace("g = 0.2\n", "")
+       .replace("fock_cutoff = 30\n", "").replace("retained_levels = 3\n", ""))
+
+
 @pytest.mark.parametrize("text,variable", [
-    (DOT, "delta"), (DOT, "g"),
-    (config_text().replace("type = rabi", "type = tls"), "g"),
+    (DOT, "delta"), (DOT, "g"), (TLS, "g"),
 ], ids=["dot-delta", "dot-g", "tls-g"])
 def test_sweep_variable_the_model_lacks_is_rejected(text, variable):
     # the row would never read it, and every row would be the same
@@ -168,3 +177,56 @@ def edit(old, new, text=None):
 def test_config_error_is_rejected_with_its_message(text, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         parse_config_text(text)
+
+
+def test_a_tls_config_parses():
+    cfg = parse_config_text(TLS)
+    assert cfg.model == {"epsilon": 0.0, "delta": 0.9}
+
+
+@pytest.mark.parametrize("text,message", [
+    (edit("fock_cutoff = 30", "fock_cuttoff = 12"), "unknown key 'fock_cuttoff' in [model]"),
+    (edit("type = tls", "type = tls\ng = 0.3", TLS), "unknown key 'g' in [model]"),
+    (edit("type = tls", "type = tls\nomega_r = 1", TLS), "unknown key 'omega_r' in [model]"),
+    (edit("type = dot", "type = dot\ndelta = 1", DOT), "unknown key 'delta' in [model]"),
+    (edit("T_right = 0.1", "T_right = 0.1\ngamma_left = 0.01"),
+     "unknown key 'gamma_left' in [baths]"),
+    (edit("statistics = fermi", "statistics = fermi\nalpha = 1e-3", DOT),
+     "unknown key 'alpha' in [baths]"),
+    (edit("T_left = 0.1", "T_lfet = 0.1"), "unknown key 't_lfet' in [baths]"),
+    (edit("points = 3", "points = 3\nstep = 0.1"), "unknown key 'step' in [sweep]"),
+    (edit("csv = out.csv", "csv = out.csv\npng = out.png"), "unknown key 'png' in [output]"),
+    (config_text() + "[solver]\nsecular = full\nlambshift = false\n",
+     "unknown key 'lambshift' in [solver]"),
+    (config_text() + "[extra]\nnote = 1\n", "unknown section [extra]"),
+    (config_text() + "[Model]\ntype = rabi\n", "unknown section [Model]"),
+    ("[DEFAULT]\nnote = 1\n" + config_text(), "unknown key 'note' in [DEFAULT]"),
+], ids=["misspelled-default", "tls-g", "tls-omega_r", "dot-delta", "bose-gamma",
+        "fermi-alpha", "misspelled-required", "sweep", "output", "solver", "section",
+        "section-case", "default-section"])
+def test_a_key_or_section_that_is_not_read_is_rejected(text, message):
+    # a misspelled key would otherwise fall back to its default, or be ignored
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("name", ["rabi5_full_T", "rabi21_partial_g", "tls_partial_lowT"])
+def test_benchmark_configs_parse(monkeypatch, name):
+    # the INI texts the benchmark writes read every key they hold
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
+    spec.loader.exec_module(workloads)
+    cfg = parse_config_text(workloads.config_text(workloads.NOMINAL[name], "out.csv"))
+    assert cfg.csv_path == "out.csv"
+
+
+@pytest.mark.parametrize("key", ["gamma_left", "gamma_right"])
+def test_negative_dot_coupling_is_rejected(key):
+    text = edit(f"{key} = 0.01", f"{key} = -0.02", DOT.format(variable="epsilon"))
+    with pytest.raises(ValidationError, match=re.escape(f"key {key!r} must be >= 0")):
+        parse_config_text(text)
+    # a lead may decouple
+    cfg = parse_config_text(text.replace("-0.02", "0"))
+    assert cfg.baths[key] == 0.0

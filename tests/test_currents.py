@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -11,10 +13,10 @@ from ltrans.currents import (dot_transport, heat_current_2nd_general,
                              heat_current_2nd_secular, kappa2, kappa2_response,
                              kappa4_lowT, partial_secular_state,
                              tls_closed_forms, tls_current, tls_kappa2, tls_kappa4)
-from ltrans.linalg import ValidationError
+from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
 from ltrans.rabi import RabiParams, build_rabi_junction
-from ltrans.redfield import build_current_kernel_2nd, gamma_rates
+from ltrans.redfield import build_current_kernel_2nd, fermion_dot_rates, gamma_rates
 from ltrans.steady import full_secular_steady
 
 from kappa2_oracle import kappa2_fd, kappa2_richardson
@@ -594,6 +596,46 @@ def test_dot_kappa_vs_finite_difference():
     fd = (dot_transport(delta, hot).heat["R"]
           - dot_transport(delta, cold).heat["R"]) / (2.0 * dt)
     assert kappa == pytest.approx(fd, rel=1e-8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(level=st.floats(-2.0, 2.0), gammas=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       temps=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+       mus=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), unbiased=st.booleans())
+def test_dot_transport_equals_the_rate_equation(level, gammas, temps, mus, unbiased):
+    # the closed form against the steady state of fermion_dot_rates: the
+    # particle current into a lead is minus the dot charge it changes, and
+    # the heat current carries (level - mu) per electron
+    if unbiased:
+        temps, mus = (temps[0], temps[0]), (mus[0], mus[0])
+    leads = [dict(id=rid, gamma=g, beta=1.0 / t, mu=mu)
+             for rid, g, t, mu in zip("LR", gammas, temps, mus)]
+    got = dot_transport(level, leads)
+    rates = fermion_dot_rates(level, leads)
+    if not rates.gamma[0, 1:].any():
+        # both Fermi factors round to 1: the dot stays full, its spin frozen,
+        # and every split of up and down is stationary
+        with pytest.raises(NumericError, match="not unique"):
+            full_secular_steady(rates)
+        assert got.particle == {"L": 0.0, "R": 0.0}
+        return
+    p = full_secular_steady(rates).populations
+    charge = np.array([0.0, 1.0, 1.0])
+    floor = 1e-13 * max(gammas)
+    for lead in leads:
+        particle = -charge @ rates.per_reservoir[lead["id"]] @ p
+        heat = (level - lead["mu"]) * particle
+        assert got.particle[lead["id"]] == pytest.approx(particle, rel=1e-12, abs=floor)
+        assert got.heat[lead["id"]] == pytest.approx(heat, rel=1e-12, abs=floor)
+
+
+def test_dot_transport_rejects_a_negative_gamma():
+    # the rate matrix's own check, with its message
+    for gammas in ((-0.02, 0.01), (0.01, -0.02)):
+        leads = [dict(id=rid, gamma=g, beta=2.0, mu=0.0) for rid, g in zip("LR", gammas)]
+        for solve in (dot_transport, fermion_dot_rates):
+            with pytest.raises(ValidationError, match="^lead gamma must be >= 0$"):
+                solve(0.5, leads)
 
 
 def test_tls_closed_forms_cold_limit_is_finite_and_silent():

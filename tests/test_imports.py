@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ltrans
 from ltrans.sweep import _usable_cpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,3 +143,22 @@ def test_every_benchmark_span_target_exists():
                if not callable(getattr(importlib.import_module(f"ltrans.{layer}"),
                                        name, None))]
     assert missing == []
+
+
+MODULES = sorted(p.stem for p in (SRC / "ltrans").glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    # a name deleted from a module must leave its __all__ too
+    module = importlib.import_module(f"ltrans.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "ltrans" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(ltrans.__all__) == sorted(imported)

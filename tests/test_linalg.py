@@ -4,8 +4,7 @@ import scipy.linalg
 
 from ltrans import linalg
 from ltrans.linalg import (NumericError, ValidationError, hermitian_eigensystem,
-                           lowest_band_eigensystem, lowest_tridiagonal_eigensystem,
-                           to_eigenbasis)
+                           lowest_band_eigensystem, lowest_tridiagonal_eigensystem)
 from ltrans.rabi import RabiParams, _rabi_band
 
 from rabi_oracle import rabi_hamiltonian
@@ -110,46 +109,6 @@ def test_non_hermitian_rejected():
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_to_eigenbasis_identity():
-    rng = np.random.default_rng(3)
-    h = random_hermitian(rng, 4)
-    _, v = hermitian_eigensystem(h)
-    assert np.allclose(to_eigenbasis(np.eye(4), v), np.eye(4), atol=1e-13)
-
-
-def test_to_eigenbasis_sigma_z_in_sigma_x_basis():
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.diag([1.0, -1.0])
-    _, v = hermitian_eigensystem(sx)
-    got = to_eigenbasis(sz, v)
-    assert np.allclose(np.abs(got), [[0, 1], [1, 0]], atol=1e-14)
-
-
-def test_to_eigenbasis_trace_and_spectrum():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = random_hermitian(rng, 5)
-    _, v = hermitian_eigensystem(h)
-    b = to_eigenbasis(a, v)
-    assert abs(np.trace(b) - np.trace(a)) < 1e-12
-    ev_a = np.sort_complex(np.linalg.eigvals(a))
-    ev_b = np.sort_complex(np.linalg.eigvals(b))
-    assert np.max(np.abs(ev_a - ev_b)) < 1e-10
-    # Hermiticity preserved
-    hb = to_eigenbasis(h, v)
-    assert np.max(np.abs(hb - hb.conj().T)) < 1e-12
-
-
-def test_to_eigenbasis_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        to_eigenbasis(np.eye(3), np.eye(2))
-
-
-def test_to_eigenbasis_nonunitary_rejected():
-    with pytest.raises(ValidationError):
-        to_eigenbasis(np.eye(2), 2.0 * np.eye(2))
-
-
 def test_non_finite_rejected():
     with pytest.raises(ValidationError):
         hermitian_eigensystem(np.array([[0.0, np.nan], [np.nan, 1.0]]))
@@ -187,8 +146,6 @@ def test_band_solver_matches_dense(n, keep):
     assert np.max(np.abs(lam - np.linalg.eigvalsh(a)[:keep])) < 1e-12 * np.max(np.abs(a))
     assert np.max(np.abs(a @ v - v * lam)) < 1e-12 * np.max(np.abs(a))
     assert np.max(np.abs(v.T @ v - np.eye(keep))) < 1e-12
-    lam_only = lowest_band_eigensystem(ab, keep, eigvals_only=True)
-    assert np.max(np.abs(lam_only - lam)) < 1e-12 * np.max(np.abs(a))
 
 
 def test_phase_tie_takes_lowest_index():
@@ -231,9 +188,8 @@ def test_band_lapack_failure_is_numeric_error(monkeypatch):
 
     # the solver imports eig_banded from scipy.linalg at each call
     monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
-    for eigvals_only in (False, True):
-        with pytest.raises(NumericError):
-            lowest_band_eigensystem(np.array([[0.0, 1.0], [1.0, 2.0]]), 1, eigvals_only)
+    with pytest.raises(NumericError):
+        lowest_band_eigensystem(np.array([[0.0, 1.0], [1.0, 2.0]]), 1)
 
 
 def recorded_selects(monkeypatch):
@@ -292,8 +248,8 @@ def random_tridiagonal(rng, n, split=None):
     return d, e, np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
-# order 40: up to 10 pairs (keep <= 9 + 40 / 22) and up to 6 eigenvalues
-# alone (keep <= 5 + 40 / 29) by bisection, more by divide and conquer
+# order 40: up to 10 pairs (keep <= 9 + 40 / 22) by bisection, more by
+# divide and conquer
 @pytest.mark.parametrize("n,keep,split", [(1, 1, None), (40, 5, None), (40, 7, None),
                                           (40, 10, None), (40, 11, None), (40, 40, None),
                                           (40, 5, 17), (40, 12, 17)])
@@ -303,8 +259,6 @@ def test_tridiagonal_solver_matches_dense(n, keep, split):
     ref = np.linalg.eigvalsh(a)[:keep]
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(lam - ref)) < 1e-13 * scale
-    alone = lowest_tridiagonal_eigensystem(d, e, keep, eigvals_only=True)
-    assert np.max(np.abs(alone - ref)) < 1e-13 * scale
     assert np.max(np.abs(a @ v - v * lam)) < 1e-12 * scale
     assert np.max(np.abs(v.T @ v - np.eye(keep))) < 1e-12
     mag = np.abs(v)

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -222,15 +223,16 @@ def test_the_count_leaves_the_band_as_it_was(epsilon):
 @pytest.mark.parametrize("epsilon,cutoff", [(0.0, 401), (0.0, 1000), (0.3, 401)])
 def test_large_cutoffs_make_one_eigensolve(monkeypatch, epsilon, cutoff):
     # the count costs O(N) on the parity chains, and less than the second
-    # banded solve on the band, at any cutoff; the levels of both cutoffs
-    # come from the band's full solve
+    # banded solve on the band, at any cutoff; the reference levels of both
+    # cutoffs are the band's eigenvalues alone (its lowest pairs by
+    # bisection would take about 1.7 s each at N = 1000)
     p = RabiParams(epsilon=epsilon, delta=0.9, g=0.2, fock_cutoff=cutoff)
     calls = recorded_solves(monkeypatch)
     model = build_rabi_junction(p)
     assert len(calls) == 1
     band = _rabi_band(p, cutoff + CONVERGENCE_EXTRA)
-    small = lowest_band_eigensystem(band[:, :2 * cutoff], 5, eigvals_only=True)
-    large = lowest_band_eigensystem(band, 5, eigvals_only=True)
+    small = scipy.linalg.eigvals_banded(band[:, :2 * cutoff])[:5]
+    large = scipy.linalg.eigvals_banded(band)[:5]
     assert np.max(np.abs(model.omega - small)) <= 1e-12 * p.omega_r
     assert np.max(np.abs(model.omega - large)) <= 0.5 * CONVERGENCE_TOL * p.omega_r
 
@@ -310,8 +312,8 @@ def test_zero_bias_coupling_signs_match_dense_oracle(keep):
 def _banded_build(p):
     """`build_rabi_junction(p)` with both solves on the band, as at epsilon != 0."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rabi, "_lowest_levels", lambda p, band, keep, eigvals_only=False:
-                   lowest_band_eigensystem(band, keep, eigvals_only))
+        mp.setattr(rabi, "_lowest_levels",
+                   lambda p, band, keep: lowest_band_eigensystem(band, keep))
         return _build_or_error(build_rabi_junction, p)
 
 
@@ -325,11 +327,9 @@ def test_parity_chains_match_the_band_at_zero_bias(delta, g, sizes):
     keep, cutoff = sizes
     p = RabiParams(epsilon=0.0, delta=delta, g=g, retained_levels=keep, fock_cutoff=cutoff)
     band = _rabi_band(p, cutoff)
-    ref = lowest_band_eigensystem(band, keep + 1, eigvals_only=True)
+    ref, _ = lowest_band_eigensystem(band, keep + 1)
     lam, _ = _lowest_levels(p, band, keep)
     assert np.max(np.abs(lam - ref[:keep])) <= 1e-12 * p.omega_r
-    alone = _lowest_levels(p, band, keep, eigvals_only=True)
-    assert np.max(np.abs(alone - ref[:keep])) <= 1e-12 * p.omega_r
     parity, banded = _build_or_error(build_rabi_junction, p), _banded_build(p)
     assert type(parity) is type(banded)
     # Q is fixed only where the retained levels and the first discarded one
@@ -356,11 +356,12 @@ def test_non_finite_input_is_rejected_before_any_solve(monkeypatch, delta, g):
 
 def test_large_cutoff_parity_levels_match_the_band():
     # the parity chains cost O(N k), where the band's bisection path would
-    # accumulate its dense order-2N reduction (about 1.4 s at N = 1000)
+    # accumulate its dense order-2N reduction (about 1.4 s at N = 1000); the
+    # reference is LAPACK's banded eigenvalue solve
     p = RabiParams(epsilon=0.0, delta=0.9, g=0.2, fock_cutoff=1000, retained_levels=5)
     model = build_rabi_junction(p)
     band = _rabi_band(p, p.fock_cutoff)
-    levels = lowest_band_eigensystem(band, band.shape[1], eigvals_only=True)
+    levels = scipy.linalg.eigvals_banded(band)
     assert np.max(np.abs(model.omega - levels[:5])) <= 1e-12 * p.omega_r
 
 

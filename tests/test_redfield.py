@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from ltrans.baths import bose_signed, w_rate
+from ltrans.baths import bose_signed, w_table
 from ltrans.diagrams import DiscreteModeBath, evaluate_kernel_from_diagrams
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
@@ -73,7 +73,8 @@ def test_kernel_against_loop_reference():
     q = model.q("L")
     n = model.dim
     bohr = model.bohr_matrix()
-    w = np.array([[w_rate(bohr[a, b], bath) for b in range(n)] for a in range(n)])
+    w = np.array([[complex(w_table(float(bohr[a, b]), bath)) for b in range(n)]
+                  for a in range(n)])
     ref = np.zeros((n, n, n, n), dtype=complex)
     for a in range(n):
         for b in range(n):

@@ -134,7 +134,7 @@ def test_disconnected_graph_rejected():
 
 def test_positivity_watchdog_logs(caplog):
     rho = np.diag([1.0 + 2e-8, -2e-8, 0.0]).astype(complex)
-    state = SteadyState(rho=rho, retained_pairs=((0, 0),), solver_tag="FullSecular")
+    state = SteadyState(rho=rho, retained_pairs=((0, 0),))
     with caplog.at_level(logging.WARNING, logger="ltrans.steady"):
         state.check()
     assert any("population below zero" in r.message for r in caplog.records)

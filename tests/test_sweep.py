@@ -434,6 +434,24 @@ def test_cold_tls_partial_row_matches_closed_form(tmp_path):
     assert float(cells[3]) == pytest.approx(k4, rel=1e-9)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_tls_junction_couples_both_baths_through_sigma_z(epsilon):
+    # H = -(epsilon sigma_z + Delta sigma_x) / 2: levels -+omega_q / 2, and
+    # sigma_z in the eigenbasis has diagonal (epsilon, -epsilon) / omega_q
+    # and off-diagonal of magnitude Delta / omega_q
+    delta = 1.0
+    omega_q = math.hypot(epsilon, delta)
+    model = sweep._tls_junction(epsilon, delta)
+    q = model.q("L")
+    assert np.array_equal(q, model.q("R")) and q.dtype == float
+    np.testing.assert_allclose(model.omega, [-0.5 * omega_q, 0.5 * omega_q],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.diag(q), [epsilon / omega_q, -epsilon / omega_q],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.abs([q[0, 1], q[1, 0]]), delta / omega_q,
+                               rtol=0, atol=1e-15)
+
+
 def test_partial_row_never_builds_the_full_kernel_tensor(tmp_path, monkeypatch):
     # a 21-level partial-secular row needs only the retained kernel block:
     # building all N^4 entries (through k2_tensor_from_w or a block over all
