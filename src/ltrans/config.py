@@ -13,8 +13,8 @@ Grammar (configparser syntax, all keys required unless noted):
     gamma_left, gamma_right, mu_left, mu_right   (fermi)
     T_left, T_right
 
-    [solver]
-    secular = full | partial
+    [solver]                            (optional; rabi and tls only)
+    secular = full | partial            (optional, default full)
     cluster_factor = <float >= 0>       (optional, default 10)
     lamb_shift = true | false           (optional, default true)
 
@@ -30,7 +30,9 @@ Grammar (configparser syntax, all keys required unless noted):
     svg = <path>                        (optional)
 
 Values are plain floats/ints/booleans; no schema inference is performed.
-A section or key that the model type and statistics do not read is an error.
+A section or key that the model type and statistics do not read is an error:
+a dot config takes no [solver] section, since its closed form is the
+full-secular rate equation, and its rows name the solver `full`.
 """
 
 from __future__ import annotations
@@ -132,6 +134,9 @@ def parse_config_text(text: str) -> SweepConfig:
     if mtype in ("rabi", "tls") and statistics != "bose":
         raise ValidationError(f"{mtype} model needs bosonic baths")
     read = {**_KEYS, "model": _KEYS["model"][mtype], "baths": _KEYS["baths"][statistics]}
+    if mtype == "dot" and "solver" in cp:
+        raise ValidationError("a dot config takes no [solver] section: its closed form "
+                              "is the full-secular rate equation")
     for name in cp.sections():
         if name not in read:
             raise ValidationError(f"unknown section [{name}]")

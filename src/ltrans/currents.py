@@ -258,15 +258,16 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     (`_STACK_ENTRIES` bounds its arrays).  The full solver solves a slice
     in one batched `full_secular_steady`; the partial solver groups the
     entries of a slice by the retained-pair set their rate scales give
-    (`_cluster_groups`), across models, and solves each group in one
-    batched `partial_secular_response` (in slices, for large sets).  kappa2
-    and each bath's current are contracted once per stacked solve, every
-    entry bitwise the one-temperature, one-model contraction.  If a stacked
-    solve raises, each half of its entries is solved again, down to single
-    entries (`_isolated`); so are the models of a slice of several that
-    raises before its solves (`gamma_rates` rejects a degenerate coupled
-    pair of one model), so that a failure stays with its own row.  Invalid
-    arguments raise at once.
+    (`_cluster_groups`, which retains no pair across two sectors of a
+    model's levels, `JunctionModel.sector`), across models, and solves each
+    group in one batched `partial_secular_response` (in slices, for large
+    sets).  kappa2 and each bath's current are contracted once per stacked
+    solve, every entry bitwise the one-temperature, one-model contraction.
+    If a stacked solve raises, each half of its entries is solved again,
+    down to single entries (`_isolated`); so are the models of a slice of
+    several that raises before its solves (`gamma_rates` rejects a
+    degenerate coupled pair of one model), so that a failure stays with its
+    own row.  Invalid arguments raise at once.
 
     Only the ids and spectral densities of the baths are read, unless
     `biased`: then `temperatures` holds one temperature (the mean of the
@@ -291,7 +292,7 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
         raise ValidationError("a biased stack takes one mean temperature and one "
                               "temperature per bath")
     if model.omega.ndim == 1:
-        model = JunctionModel(model.omega[None], {k: q[None] for k, q in model.q_ops.items()})
+        model = model.take(None)
     models = len(model.omega)
     if models > 1 and len(ts) != 1:
         raise ValidationError("a model stack takes one temperature")
@@ -308,9 +309,7 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
 
 def _model_stack(rows: np.ndarray, model: JunctionModel, ts: np.ndarray, args) -> list:
     """`_kappa2_stack` on the models `rows` of a model stack."""
-    return _kappa2_stack(JunctionModel(model.omega[rows],
-                                       {k: q[rows] for k, q in model.q_ops.items()}),
-                         ts, *args)
+    return _kappa2_stack(model.take(rows), ts, *args)
 
 
 def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
@@ -426,14 +425,17 @@ def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
     per scale, the exception of `_clusters` where it rejects the scale, else
     None.  A scale is checked before it joins a group, so a rejected one
     fails alone.  The pairs retained at threshold c * scale are the diagonal
-    and those of |omega_nm| up to it, so the mask of the retained pairs
-    names the set, across the models of the stack as within one.
+    and those of |omega_nm| up to it whose levels share a sector, where the
+    stack labels them (`JunctionModel.sector`), so the mask of the retained
+    pairs names the set, across the models of the stack as within one.
     `_clusters` runs once per set.
     """
     scales = scales.tolist()
     # c * scale as `cluster_bohr_frequencies` forms it; no |omega_nm| is <=
     # a NaN threshold (0 * inf), which keeps the diagonal alone
     keep = np.abs(model.bohr_matrix())[at] <= np.array([c * s for s in scales])[:, None, None]
+    if model.sector is not None:
+        keep &= (model.sector[:, :, None] == model.sector[:, None, :])[at]
     n = keep.shape[-1]
     keep.reshape(-1, n * n)[:, ::n + 1] = True          # the diagonal
     out: list = [None] * len(scales)
@@ -446,8 +448,8 @@ def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
             _clusters(model, scale, c)
         except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
             out[i] = exc
-    return [(_clusters(JunctionModel(model.omega[at[rows[0]]]), scales[rows[0]], c),
-             np.array(rows)) for rows in groups.values()], out
+    return [(_clusters(model.take(at[rows[0]]), scales[rows[0]], c), np.array(rows))
+            for rows in groups.values()], out
 
 
 def _responses(solved: list, n: int, biased: bool) -> list:

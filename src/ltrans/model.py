@@ -3,6 +3,11 @@
 Internally hbar = k_B = 1 and every frequency, energy and temperature is
 expressed in units of a reference frequency omega_ref.  Heat currents then
 carry units omega_ref**2 and thermal conductances omega_ref.
+
+A junction model may carry a symmetry sector per level, set by the builder
+that knows the symmetry (the Z2 parity of the zero-bias Rabi and two-level
+junctions); no retained coherence of the partial-secular solve joins two
+sectors.  Without labels every level pair is a candidate.
 """
 
 from __future__ import annotations
@@ -86,10 +91,20 @@ class JunctionModel:
     is then (R, N), each coupling matrix (R, N, N) and the Bohr matrix
     (R, N, N), a leading model axis that the bath tables, kernels and
     solvers of a sweep carry through.
+
+    sector, if not None, holds an integer label per level (the shape of
+    omega): each eigenvector is an eigenvector of a Z2 symmetry Pi of the
+    Hamiltonian, levels of one label share its eigenvalue, and every
+    coupling operator is odd or even under Pi.  The Redfield map then
+    commutes with rho -> Pi rho Pi, so the steady state and its linear
+    response hold no coherence between two sectors (Albert and Jiang, PRA
+    89, 022118 (2014)), and the clustering retains none.  None means that
+    no symmetry is known.
     """
 
     omega: np.ndarray
     q_ops: dict[str, np.ndarray] = field(default_factory=dict)
+    sector: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -98,6 +113,12 @@ class JunctionModel:
     def bohr_matrix(self) -> np.ndarray:
         """omega[n] - omega[m] as an (N, N) array, per model of a stack."""
         return self.omega[..., :, None] - self.omega[..., None, :]
+
+    def take(self, index) -> "JunctionModel":
+        """The models `index` of the model axis (a model stack, or one model
+        where index is an integer); index None adds the axis to one model."""
+        return JunctionModel(self.omega[index], {k: q[index] for k, q in self.q_ops.items()},
+                             None if self.sector is None else self.sector[index])
 
     def q(self, reservoir_id: str) -> np.ndarray:
         try:
@@ -144,7 +165,16 @@ def build_junction(omega, q_map) -> JunctionModel:
 
 
 def stack_models(models: list[JunctionModel]) -> JunctionModel:
-    """The model stack of `models`, which share their level count and bath ids."""
+    """The model stack of `models`, which share their level count and bath ids.
+
+    The stack carries sector labels if any model does; a model without them
+    gets one sector for all of its levels.
+    """
+    sector = None
+    if any(m.sector is not None for m in models):
+        sector = np.array([np.zeros(m.dim, dtype=int) if m.sector is None else m.sector
+                           for m in models])
     return JunctionModel(omega=np.array([m.omega for m in models]),
                          q_ops={rid: np.array([m.q_ops[rid] for m in models])
-                                for rid in models[0].q_ops})
+                                for rid in models[0].q_ops},
+                         sector=sector)

@@ -18,9 +18,15 @@ takes one of two routes on the value of epsilon alone:
   v[2n] = (z+_n + z-_n) / sqrt 2, v[2n + 1] = (-1)^n (z+_n - z-_n) / sqrt 2.
   Each z lies in one chain, so |v[2n]| = |v[2n + 1]| exactly, and the
   phase convention of z (lowest index among the largest) carries over to v.
+  The chain is the level's parity, and its label (`JunctionModel.sector`):
+  <v|Pi|v> / 2 = sum_n (-1)^n v[2n] v[2n + 1] = (|z+|^2 - |z-|^2) / 2 is
+  exactly +1/2 on the + chain and -1/2 on the - chain.  Both couplings,
+  a + a^dag and sigma_z, are odd under the parity, so no retained coherence
+  of the partial-secular solve joins two parities.
 - At epsilon != 0 the band is solved with linalg.lowest_band_eigensystem
   (LAPACK's banded solver), whose bisection path costs O(N^3) at large
-  cutoffs.  It is the only route for a biased qubit.
+  cutoffs.  It is the only route for a biased qubit, which has no parity
+  and whose levels carry no sector label.
 
 No dense Hamiltonian is built.  The levels are exported together with the
 coupling operators (resonator quadrature to the left bath, qubit flux to
@@ -234,6 +240,9 @@ def build_rabi_junction(params: RabiParams) -> JunctionModel:
     larger band, no second solve runs; elsewhere (as where the last retained
     level is degenerate with the next) the larger band is solved for its
     lowest pairs and the drift measured (see the module docstring).
+    At epsilon = 0 each level is labelled with its parity, +1 or -1, the
+    sign of sum_n (-1)^n v[2n] v[2n + 1] (`JunctionModel.sector`); a biased
+    model carries no labels.
     """
     keep, n_fock = params.retained_levels, params.fock_cutoff
     # the band of the smaller cutoff is the leading part of the larger one
@@ -255,7 +264,12 @@ def build_rabi_junction(params: RabiParams) -> JunctionModel:
     sz = np.tile([1.0, -1.0], n_fock)
     q_right = v.T @ (sz[:, None] * v)
     q_right = 0.5 * (q_right + q_right.T)
-    return JunctionModel(omega=lam, q_ops={"L": q_left, "R": q_right})
+    sector = None
+    if params.epsilon == 0.0:
+        # <v|Pi|v> / 2, exactly +-1/2: each eigenvector lies in one chain
+        sign = np.where(np.arange(n_fock) % 2, -1.0, 1.0)
+        sector = np.sign(sign @ (v[0::2] * v[1::2])).astype(int)
+    return JunctionModel(omega=lam, q_ops={"L": q_left, "R": q_right}, sector=sector)
 
 
 def kondo_temperature(model: JunctionModel) -> float:

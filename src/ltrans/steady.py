@@ -19,6 +19,11 @@ retained-pair set; its model may be a stack with one model per slice,
 whose Bohr frequencies then enter per slice.  Either solver raises if any
 slice fails, and otherwise returns one `SteadyState` that holds the
 (n_slices, N, N) stack of density matrices.
+
+Where the model labels its levels with symmetry sectors
+(`JunctionModel.sector`), no retained pair joins two sectors: such a
+coherence is zero in the steady state and in its response, so the
+clustering does not carry it as an unknown.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ class FrequencyClusters:
 
 def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
                              c: float = DEFAULT_CLUSTER_FACTOR) -> FrequencyClusters:
-    """Retain the pair (n, m) iff |omega_nm| <= c * gamma_scale.
+    """Retain the pair (n, m) iff |omega_nm| <= c * gamma_scale and, where the
+    model labels its levels (`JunctionModel.sector`), n and m share a sector.
 
     gamma_scale should be the magnitude of the largest relevant relaxation
     rate and c >= 0; diagonal pairs are always retained and the set is
@@ -123,6 +129,8 @@ def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
     thresh = c * gamma_scale
     # |omega_nm| = |omega_mn| exactly, so the mask is symmetric
     keep = np.abs(model.bohr_matrix()) <= thresh
+    if model.sector is not None:
+        keep &= model.sector[:, None] == model.sector[None, :]
     np.fill_diagonal(keep, True)
     retained = frozenset(zip(*(idx.tolist() for idx in np.nonzero(keep))))
     return FrequencyClusters(retained=retained, threshold=thresh)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,13 +118,25 @@ def _usable_cpus() -> int:
 
 
 def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
+    """The two-level junction H = -(epsilon sigma_z + delta sigma_x) / 2,
+    both baths coupled through sigma_z.
+
+    At epsilon = 0 the levels are the sigma_x eigenstates, under whose
+    parity sigma_z is odd: they are labelled with their sigma_x eigenvalue,
+    sign(delta) for the ground state (`JunctionModel.sector`).  Where delta
+    = 0 as well, H = 0 and both levels share sector 0.  A biased model
+    carries no labels.
+    """
     h = np.array([[-0.5 * epsilon, -0.5 * delta],
                   [-0.5 * delta, 0.5 * epsilon]], dtype=complex)
     _, v = hermitian_eigensystem(h)
     sz = np.diag([1.0, -1.0]).astype(complex)
     q = (v.conj().T @ sz @ v).real
     wq = float(np.hypot(epsilon, delta))
-    return build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
+    model = build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
+    if epsilon != 0.0:
+        return model
+    return replace(model, sector=np.array([1, -1]) * int(np.sign(delta)))
 
 
 def _junction(cfg: SweepConfig, model_args: dict) -> JunctionModel:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from ltrans.cli import main
 from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError
+from ltrans.sweep import compute_row
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -210,16 +212,43 @@ def test_a_key_or_section_that_is_not_read_is_rejected(text, message):
         parse_config_text(text)
 
 
-@pytest.mark.parametrize("name", ["rabi5_full_T", "rabi21_partial_g", "tls_partial_lowT"])
-def test_benchmark_configs_parse(monkeypatch, name):
-    # the INI texts the benchmark writes read every key they hold
+def benchmark_config_text(monkeypatch, name, csv_path="out.csv"):
+    """The INI text of the nominal benchmark workload `name`, as the
+    benchmark's workloads.py writes it."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)    # for its dataclasses
     spec.loader.exec_module(workloads)
-    cfg = parse_config_text(workloads.config_text(workloads.NOMINAL[name], "out.csv"))
+    return workloads.config_text(workloads.NOMINAL[name], csv_path)
+
+
+@pytest.mark.parametrize("name", ["rabi5_full_T", "rabi21_partial_g", "tls_partial_lowT"])
+def test_benchmark_configs_parse(monkeypatch, name):
+    # the INI texts the benchmark writes read every key they hold
+    cfg = parse_config_text(benchmark_config_text(monkeypatch, name))
     assert cfg.csv_path == "out.csv"
+
+
+@pytest.mark.parametrize("section", ["[solver]\nsecular = partial\n",
+                                     "[solver]\nsecular = full\nlamb_shift = false\n",
+                                     "[solver]\n"])
+def test_a_dot_config_takes_no_solver_section(tmp_path, capsys, section):
+    # dot rows are the closed form dot_transport, the full-secular rate
+    # equation, which reads no solver key; their solver cell reads full
+    text = DOT.format(variable="epsilon")
+    message = "a dot config takes no [solver] section"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config_text(text + section)
+    cfg = parse_config_text(text)
+    assert cfg.solver == "full"
+    assert compute_row(cfg, 0.2).split(",")[-2] == "full"
+    ini = tmp_path / "dot.ini"
+    ini.write_text(text.replace("out.csv", str(tmp_path / "out.csv")) + section,
+                   encoding="utf-8")
+    assert main(["sweep", str(ini)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["gamma_left", "gamma_right"])

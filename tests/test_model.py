@@ -67,8 +67,11 @@ def test_build_junction_duplicate_ids():
 
 
 def test_junction_model_holds_levels_and_couplings_only():
-    # no bath data: the W tables live with the kernel that evaluates them
-    assert [f.name for f in dataclasses.fields(JunctionModel)] == ["omega", "q_ops"]
+    # no bath data: the W tables live with the kernel that evaluates them;
+    # the optional sector labels belong to the levels, one per level
+    assert [f.name for f in dataclasses.fields(JunctionModel)] == ["omega", "q_ops", "sector"]
+    m = build_junction([0.0, 1.0], {"L": np.zeros((2, 2))})
+    assert m.sector is None
 
 
 def test_unknown_reservoir():

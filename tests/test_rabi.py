@@ -7,7 +7,7 @@ import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ltrans import rabi
+from ltrans import currents, rabi, steady, sweep
 from ltrans.cli import main
 from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError, hermitian_eigensystem, lowest_band_eigensystem
@@ -16,6 +16,7 @@ from ltrans.rabi import (CONVERGENCE_EXTRA, CONVERGENCE_TOL, RabiParams, _fock_d
                          grwa_spectrum, rwa_spectrum, vvpt_spectrum)
 from ltrans.sweep import compute_row
 from rabi_oracle import dense_rabi_junction, rabi_hamiltonian, two_solve_fock_check
+from test_config import benchmark_config_text
 from test_linalg import recorded_selects
 from test_sweep import RABI as RABI_G
 from test_sweep import RABI_FULL_T
@@ -101,6 +102,32 @@ def test_benchmark_models_make_one_eigensolve(monkeypatch, keep, gs):
                                        retained_levels=keep))
         assert len(calls) == 1, g
     assert banded == []
+
+
+def test_benchmark_g_chunk_solves_one_system_per_parity_retained_set(monkeypatch):
+    # the nominal 12-row chunk of the 21-level g sweep: the parity labels
+    # keep every retained pair within one sector, which leaves 6 retained-pair
+    # groups of the 24 slices (8 when opposite-parity coherences were kept)
+    cfg = parse_config_text(benchmark_config_text(monkeypatch, "rabi21_partial_g"))
+    solves, groups = [], []
+    orig_solve, orig_clusters = steady._solve_retained, currents._clusters
+
+    def solve(*args):
+        solves.append(args[2])
+        return orig_solve(*args)
+
+    def clusters(model, *args):
+        groups.append((model, orig_clusters(model, *args)))
+        return groups[-1][1]
+
+    monkeypatch.setattr(steady, "_solve_retained", solve)
+    monkeypatch.setattr(currents, "_clusters", clusters)
+    rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
+    assert all(exc is None for _, exc in rows)
+    assert len(solves) == len(groups) == 6
+    for model, kept in groups:
+        assert kept in solves
+        assert all(model.sector[n] == model.sector[m] for n, m in kept.retained)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

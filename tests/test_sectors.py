@@ -1,0 +1,220 @@
+"""Parity sectors of the zero-bias junctions.
+
+At epsilon = 0 the Rabi Hamiltonian commutes with the parity
+Pi = sigma_x (-1)^(a^dag a), and the two-level one with sigma_x; both bath
+couplings are odd under it.  The builders label each level with its parity
+(`JunctionModel.sector`), and the partial-secular clustering then retains no
+coherence between two sectors.  Such a coherence is zero in the dense
+Redfield steady state, so dropping it changes no result beyond roundoff, and
+a sweep that mixes labelled and unlabelled models in one stack writes the
+rows of its one-point solves.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ltrans import sweep
+from ltrans.baths import w_table
+from ltrans.config import parse_config_text
+from ltrans.currents import kappa2_sweep
+from ltrans.linalg import ValidationError
+from ltrans.model import Reservoir, SpectralDensity
+from ltrans.rabi import RabiParams, build_rabi_junction
+
+from rabi_oracle import rabi_hamiltonian
+from test_paper_claims import dense_redfield_state
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def rabi_or_none(delta, g, keep, cutoff=40):
+    """The zero-bias Rabi junction, or None where its Fock cutoff is too small."""
+    try:
+        return build_rabi_junction(RabiParams(0.0, delta, g, fock_cutoff=cutoff,
+                                              retained_levels=keep))
+    except ValidationError:
+        return None
+
+
+# zero-bias junctions: Rabi (delta, g, retained levels) or the two-level one
+# (|delta|, its sign); the Rabi levels come in near-degenerate parity
+# doublets from g ~ 0.5 on
+JUNCTIONS = (st.tuples(st.just("rabi"), st.floats(0.1, 2.0), st.floats(0.0, 1.0),
+                       st.integers(2, 10))
+             | st.tuples(st.just("tls"), st.floats(0.1, 2.0), st.sampled_from([1.0, -1.0])))
+
+
+def zero_bias_junction(spec):
+    if spec[0] == "tls":
+        return sweep._tls_junction(0.0, spec[1] * spec[2])
+    model = rabi_or_none(*spec[1:])
+    assume(model is not None)
+    return model
+
+
+def bath_pair(t_left, t_right, alpha=1e-3, omega_c=5.0):
+    sd = SpectralDensity(alpha=alpha, omega_c=omega_c)
+    return [Reservoir("L", 1.0 / t_left, sd), Reservoir("R", 1.0 / t_right, sd)]
+
+
+def cross_sector(model):
+    """The mask of the level pairs (n, m) whose labels differ."""
+    return model.sector[:, None] != model.sector[None, :]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(0.1, 2.0), g=st.floats(0.0, 1.0), keep=st.integers(2, 12))
+def test_rabi_labels_are_the_parities_of_the_dense_eigenvectors(delta, g, keep):
+    # Pi on the block-ordered Fock space of the dense oracle, index
+    # s * N + n; within a cluster of degenerate levels (g = 0 at integer
+    # delta) the dense eigenvectors may mix two parities, so the labels of
+    # each cluster are compared as the eigenvalues of Pi on it
+    model = rabi_or_none(delta, g, keep)
+    assume(model is not None)
+    n = 40
+    h = rabi_hamiltonian(RabiParams(0.0, delta, g, fock_cutoff=n), n)
+    parity = np.kron(SIGMA_X, np.diag(np.where(np.arange(n) % 2, -1.0, 1.0)))
+    assert np.array_equal(h @ parity, parity @ h)
+    lam, v = np.linalg.eigh(h)
+    lam, v = lam[:keep], v[:, :keep]
+    assert np.max(np.abs(lam - model.omega)) <= 1e-12
+    assert set(model.sector.tolist()) <= {-1, 1}
+    edges = np.flatnonzero(np.diff(lam) > 1e-9) + 1
+    for cluster in np.split(np.arange(keep), edges):
+        block = v[:, cluster].T @ parity @ v[:, cluster]
+        parities = np.linalg.eigvalsh(0.5 * (block + block.T))
+        assert np.max(np.abs(np.abs(parities) - 1.0)) <= 1e-10
+        assert sorted(model.sector[cluster].tolist()) == sorted(np.rint(parities).tolist())
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3, -0.7])
+def test_tls_labels_are_the_sigma_x_eigenvalues(delta):
+    h = -0.5 * delta * SIGMA_X
+    _, v = np.linalg.eigh(h)
+    model = sweep._tls_junction(0.0, delta)
+    assert model.sector.tolist() == np.rint(np.diag(v.T @ SIGMA_X @ v)).tolist()
+    # H = 0 at delta = 0: any basis diagonalizes it, so both levels share one
+    # sector; a biased qubit has no parity
+    assert sweep._tls_junction(0.0, 0.0).sector.tolist() == [0, 0]
+    assert sweep._tls_junction(0.3, delta).sector is None
+
+
+def test_a_biased_rabi_model_has_no_labels():
+    assert build_rabi_junction(RabiParams(0.2, 0.9, 0.2)).sector is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=JUNCTIONS, t_left=st.floats(0.05, 1.0), t_right=st.floats(0.05, 1.0))
+def test_the_dense_redfield_state_has_no_coherence_across_two_sectors(spec, t_left,
+                                                                      t_right):
+    # every pair retained, no clustering: the odd block of the Redfield map
+    # decouples from the populations, up to the roundoff of the coupling
+    # entries that the parity makes zero
+    model = zero_bias_junction(spec)
+    rho = dense_redfield_state(model, bath_pair(t_left, t_right))
+    assert np.max(np.abs(rho[cross_sector(model)])) <= 1e-12 * np.max(np.abs(rho))
+
+
+def current_terms(model, baths, rho):
+    """Per bath r, 2 sum_{m,n,p} |Q_mn Q_np Wbar_nm rho_pm|: the terms of the
+    heat current -2 Re sum Q_mn Q_np Wbar_nm rho_pm into r, whose roundoff
+    bounds how well any solve resolves it."""
+    bohr = model.bohr_matrix()
+    out = {}
+    for bath in baths:
+        q = np.abs(model.q(bath.id))
+        wbar = np.abs(bohr * w_table(bohr, bath))
+        out[bath.id] = 2.0 * float(np.sum(q.T * wbar * (q @ np.abs(rho))))
+    return out
+
+
+def entry_or_error(model, baths, t_mean, solver, c, biased):
+    """The `kappa2_sweep` entry of one model, or the ValidationError it raises."""
+    try:
+        return kappa2_sweep(model, baths, [t_mean], solver, c=c, biased=biased)[0]
+    except ValidationError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=JUNCTIONS, solver=st.sampled_from(["full", "partial"]),
+       c=st.sampled_from([10.0, 1e3, 1e12]), t_left=st.floats(0.05, 1.0),
+       bias=st.sampled_from([1.0, 1.5]))
+def test_the_labelled_solve_is_the_unlabelled_one(spec, solver, c, t_left, bias):
+    # the unlabelled model retains the cross-sector coherences that the
+    # labelled one drops (every pair at c = 1e12), and the two agree to
+    # roundoff: 1e-12 relative, above a floor at 1e-13 of the current's
+    # terms (of the terms over T for kappa2).  The floor covers zero-bias
+    # currents, which are roundoff of an exact zero on the full solver, and
+    # the currents and kappa2 that cancel to a small part of their terms (a
+    # weak qubit-resonator coupling, a large c): there any two solves differ
+    # by up to 1e-15 of the terms.  A model the full solver rejects (levels
+    # 1 and 2 degenerate at g = 0 and delta = 1) is rejected alike
+    model = zero_bias_junction(spec)
+    t_right = t_left * bias
+    t_mean = 0.5 * (t_left + t_right)
+    baths = bath_pair(t_left, t_right)
+    got, want = (entry_or_error(m, baths, t_mean, solver, c, bias != 1.0)
+                 for m in (model, replace(model, sector=None)))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    terms = current_terms(model, baths, want.state.rho)
+    assert got.kappa2 == pytest.approx(want.kappa2, rel=1e-12,
+                                       abs=1e-13 * terms["R"] / t_mean)
+    for rid in ("L", "R"):
+        assert got.currents[rid] == pytest.approx(want.currents[rid], rel=1e-12,
+                                                  abs=1e-13 * terms[rid])
+    if solver == "partial":
+        kept = np.zeros(cross_sector(model).shape, dtype=bool)
+        for n, m in got.state.retained_pairs:
+            kept[n, m] = True
+        assert not (kept & cross_sector(model)).any()
+
+
+EPSILON_SWEEP = """
+[model]
+type = {model_type}
+{model}
+[baths]
+T_left = 0.12
+T_right = 0.08
+alpha = 1e-3
+omega_c = 5
+[solver]
+secular = partial
+cluster_factor = {c}
+[sweep]
+variable = epsilon
+start = -0.2
+stop = 0.2
+points = 9
+"""
+
+
+@pytest.mark.parametrize("model_type,model", [
+    ("rabi", "epsilon = 0\ndelta = 0.9\ng = 0.3\nretained_levels = 6\nfock_cutoff = 30"),
+    ("tls", "epsilon = 0\ndelta = 1"),
+])
+@pytest.mark.parametrize("c", [10.0, 1e4])
+def test_an_epsilon_sweep_through_zero_writes_its_one_point_rows(tmp_path, model_type,
+                                                                 model, c):
+    # the grid holds epsilon = 0, whose labelled model is stacked with the
+    # unlabelled biased ones in one chunk; at c = 1e4 its labels drop
+    # retained pairs that its neighbours keep
+    text = EPSILON_SWEEP.format(model_type=model_type, model=model, c=c)
+    cfg = parse_config_text(text + f"[output]\ncsv = {tmp_path / 'out.csv'}\n")
+    grid = [float(v) for v in cfg.grid()]
+    models = [sweep._junction(cfg, {**cfg.model, "epsilon": v}) for v in grid]
+    assert [m.sector is not None for m in models] == [v == 0.0 for v in grid]
+    assert 0.0 in grid
+    result = sweep.run_sweep(cfg, workers=1)
+    assert result.ok, result.failures
+    with open(result.csv_path, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert rows == [sweep.compute_row(cfg, v) for v in grid]
