@@ -55,22 +55,19 @@ def occupation(statistics: str, omega: float, beta: float, mu: float = 0.0,
     pnu = p * nu
     if pnu not in (+1, -1):
         raise ValidationError("p and nu must be +-1")
-    x = beta * (omega - mu)
     if statistics == "fermi":
-        # logistic form is overflow-safe for any x
-        f = 0.5 * (1.0 - np.tanh(0.5 * x))
+        # logistic form is overflow-safe for any x = beta (omega - mu)
+        f = 0.5 * (1.0 - np.tanh(0.5 * (beta * (omega - mu))))
         return float(f if pnu == +1 else 1.0 - f)
     if statistics == "bose":
         if mu != 0.0:
             raise ValidationError("bosonic occupation requires mu = 0")
         if omega <= 0.0 and pnu == +1:
             raise ValidationError("Bose occupation needs omega > 0 for p*nu = +1")
-        if pnu == +1:
-            n = 0.0 if x > _EXP_BIG else 1.0 / np.expm1(x)
-        else:
-            # 1 + n(omega); valid for omega > 0 and, by continuation, omega < 0
-            n = 1.0 if x > _EXP_BIG else 1.0 + 1.0 / np.expm1(x)
-        return float(n)
+        # 1 + n(omega) for p*nu = -1: valid for omega > 0 and, by
+        # continuation, omega < 0
+        n = bose_signed(omega, beta)
+        return n if pnu == +1 else 1.0 + n
     raise ValidationError(f"unknown statistics {statistics!r}")
 
 
@@ -371,13 +368,6 @@ def matsubara_sums(omega: float, omega_c: float, beta: float,
         n_terms *= 2
 
 
-def _cot_half(beta: float, omega_c: float) -> float:
-    half_arg = 0.5 * beta * omega_c
-    if abs(np.sin(half_arg)) < 1e-12:
-        raise NumericError("cot(beta*omega_c/2) pole; nudge the temperature")
-    return np.cos(half_arg) / np.sin(half_arg)
-
-
 def w_rate_matsubara_oracle(omega_nm: float, bath: Reservoir,
                             atol: float = MATSUBARA_ATOL) -> complex:
     """W(omega_nm) from its Matsubara series: cot(beta*omega_c/2) terms plus S2, S3.
@@ -391,7 +381,10 @@ def w_rate_matsubara_oracle(omega_nm: float, bath: Reservoir,
     alpha, omega_c, beta = sd.alpha, sd.omega_c, bath.beta
     w = float(omega_nm)
     s2, s3 = matsubara_sums(w, omega_c, beta, atol=atol)
-    cot = _cot_half(beta, omega_c)
+    half_arg = 0.5 * beta * omega_c
+    if abs(np.sin(half_arg)) < 1e-12:
+        raise NumericError("cot(beta*omega_c/2) pole; nudge the temperature")
+    cot = np.cos(half_arg) / np.sin(half_arg)
     pref = 2.0 * np.pi * alpha * omega_c**2 / beta
     re = (0.5 * np.pi * sd.slope_at(w) * omega_c * cot
           - 0.5 * np.pi * sd.value(w) - pref * s2)

@@ -10,7 +10,8 @@ Grammar (configparser syntax, all keys required unless noted):
     [baths]
     statistics = bose | fermi
     alpha, omega_c                      (bose)
-    gamma_left, gamma_right, mu_left, mu_right   (fermi)
+    gamma_left, gamma_right, mu_left, mu_right   (fermi; gammas >= 0,
+                                         not both 0)
     T_left, T_right
 
     [solver]                            (optional; rabi and tls only)
@@ -171,6 +172,9 @@ def parse_config_text(text: str) -> SweepConfig:
             baths[key] = _getfloat(bsec, key)
             if baths[key] < 0:
                 raise ValidationError(f"key {key!r} must be >= 0: {baths[key]!r}")
+        if baths["gamma_left"] + baths["gamma_right"] == 0:
+            raise ValidationError("the dot is coupled to no lead: gamma_left + "
+                                  "gamma_right must be positive")
         baths["mu_left"] = _getfloat(bsec, "mu_left", 0.0)
         baths["mu_right"] = _getfloat(bsec, "mu_right", 0.0)
 

@@ -7,9 +7,10 @@ both secular solvers.  `kappa2_sweep` computes it over a whole temperature
 axis, or at one temperature over a stack of models, in slices of bounded
 size: one set of bath tables per slice, and one clustering, one batched
 solve and one contraction of kappa2 and of each bath's current per set of
-temperatures (or models) that share a retained-pair set; `kappa2_response`
-is its one-temperature, one-model case.  A biased row's own steady state,
-at the baths' temperatures, is one more slice of that stack.  The
+temperatures (or models) that share a retained-pair set, the set that
+`ltrans.steady.retained_pair_mask` gives each slice; `kappa2` is its
+one-temperature, one-model case.  A biased row's own steady state, at the
+baths' temperatures, is one more slice of that stack.  The
 fourth-order (cotunneling) channel is the closed-form low-temperature T^3
 conductance; its frequency-quadrature kernel is a test oracle and lives
 with the tests.  Closed-form two-level and single-dot expressions are kept
@@ -22,18 +23,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baths import bose_signed, dw_dt_real, dw_dt_table, w_table
+from .baths import bose_signed, dw_dt_real, dw_dt_table, occupation, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 from .redfield import (DEGENERACY_TOL, BosonKernel, RateMatrix, build_k2_boson,
                        gamma_rates, k2_pair_block)
 from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
-                     cluster_bohr_frequencies, full_secular_steady,
-                     partial_secular_response, partial_secular_steady)
+                     check_cluster_scale, cluster_bohr_frequencies, full_secular_steady,
+                     partial_secular_response, partial_secular_steady,
+                     retained_pair_mask)
 
 __all__ = ["CurrentResult", "heat_current_2nd_secular",
-           "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_response",
-           "kappa2_sweep",
+           "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_sweep",
            "Kappa2Response", "tls_closed_forms", "dot_transport",
            "DotTransport", "partial_secular_state"]
 
@@ -170,13 +171,6 @@ def kappa4_lowT(model: JunctionModel, alpha: float, temperature):
 # linear conductance, second order
 # ---------------------------------------------------------------------------
 
-def _clusters(model: JunctionModel, scale: float, c: float) -> FrequencyClusters:
-    """Clusters of the Bohr spectrum at `scale`, a kernel's largest population rate."""
-    if scale <= 0.0:
-        raise ValidationError("all population rates vanish; no steady state")
-    return cluster_bohr_frequencies(model, scale, c)
-
-
 def _rate_scale(k2: BosonKernel):
     """The largest population rate 2 sum_baths Q_nm Q_mn Re W_nm, per temperature."""
     return np.abs(k2.population_rates()).max(axis=(-2, -1))
@@ -195,7 +189,7 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
     One temperature per bath.
     """
     k2 = build_k2_boson(model, baths)
-    clusters = _clusters(model, float(_rate_scale(k2)), c)
+    clusters = cluster_bohr_frequencies(model, float(_rate_scale(k2)), c)
     state = partial_secular_steady(model, k2, clusters, lamb_shift=lamb_shift)
     wbar = model.bohr_matrix() * k2.w
     return state, {b.id: _wbar_current(q, wb, state.rho)
@@ -205,7 +199,7 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
 @dataclass(frozen=True)
 class Kappa2Response:
     """kappa2, the steady state rho0 it solved at the common temperature, and
-    the currents of the row's own steady state.
+    the currents of the row's own steady state: one entry of `kappa2_sweep`.
 
     currents maps each bath id to the heat current into it of rho0 at zero
     bias, or, on a biased stack (`kappa2_sweep` with biased=True), of the
@@ -248,18 +242,30 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
                  solver: str = "full", c: float = DEFAULT_CLUSTER_FACTOR,
                  lamb_shift: bool = True,
                  biased: bool = False) -> list[Kappa2Response | Exception]:
-    """`kappa2_response` at every temperature of a 1-d array, or at one
-    temperature on every model of a model stack, as stacks.
+    """Sequential-tunneling thermal conductance dI_r/dT_h at every temperature
+    of a 1-d array, or at one temperature on every model of a model stack.
+
+    r is the measured bath, the last of `baths`, and h the heated one.
+    Linear response: the steady state rho0 of L at T, then L drho =
+    -(dL/dT_h) rho0, and kappa2 is the current into r of drho.  The
+    kernel is linear in W, so dL/dT_h is the kernel of bath h alone over the
+    table dW/dT.  solver="full" reads its population rates, which need only
+    Re dW/dT (`dw_dt_real`), and solves with the rate matrix of
+    `gamma_rates`; solver="partial" reads its block over the pairs retained
+    at T (clusters held fixed, `dw_dt_table`) and solves the partial-secular
+    system (`partial_secular_response`).  At zero bias rho0 is the steady
+    state of the baths themselves, so their currents need no second solve.
 
     A single model is a one-model stack.  Returns one entry per temperature
     (per model of a model stack of several): its `Kappa2Response`, or the
-    exception that `kappa2_response` raises there.  The W (or Re W) and
+    exception that the entry alone raises.  The W (or Re W) and
     dW/dT tables are evaluated once per slice of temperatures or models
     (`_STACK_ENTRIES` bounds its arrays).  The full solver solves a slice
     in one batched `full_secular_steady`; the partial solver groups the
     entries of a slice by the retained-pair set their rate scales give
-    (`_cluster_groups`, which retains no pair across two sectors of a
-    model's levels, `JunctionModel.sector`), across models, and solves each
+    (`_cluster_groups`, by `ltrans.steady.retained_pair_mask`, which
+    retains no pair across two sectors of a model's levels,
+    `JunctionModel.sector`), across models, and solves each
     group in one batched `partial_secular_response` (in slices, for large
     sets).  kappa2 and each bath's current are contracted once per stacked
     solve, every entry bitwise the one-temperature, one-model contraction.
@@ -337,10 +343,10 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     def slices(state, kappa2, currents):
         """(state, kappa2, currents) per slice of a stacked solve.
 
-        kappa2 is None or an array over the first slices (those with a
-        response); currents maps each bath id to an array over every slice.
+        kappa2 is an array over the first slices (those with a response,
+        perhaps none); currents maps each bath id to an array over every slice.
         """
-        kappa2 = [] if kappa2 is None else kappa2.tolist()
+        kappa2 = kappa2.tolist()
         currents = {k: v.tolist() for k, v in currents.items()}
         return [(SteadyState(rho, state.retained_pairs),
                  kappa2[i] if i < len(kappa2) else None,
@@ -363,8 +369,6 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
             currents = {k: _secular_current(wd, g, state.populations)
                         for k, g in sub.per_reservoir.items()}
             m = np.count_nonzero(idx < n)          # idx ascends, so these lead it
-            if not m:
-                return slices(state, None, currents)
             a = sub.gamma[:m].copy()
             a[..., 0, :] = 1.0
             rhs = -(dgamma[idx[:m]] @ state.populations[:m, :, None])
@@ -392,13 +396,9 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
         wbar = sub.bohr_matrix()[:, None] * w_s
         kernel = BosonKernel(q=q, w=w_s)
         m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
-        if not m:
-            state = partial_secular_steady(sub, kernel, clusters, lamb_shift)
-            kappa2 = None
-        else:
-            dk = k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs)
-            state, drho = partial_secular_response(sub, kernel, dk, clusters, lamb_shift)
-            kappa2 = _wbar_current(q[:m, 1], wbar[:m, 1], drho)
+        dk = k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs)
+        state, drho = partial_secular_response(sub, kernel, dk, clusters, lamb_shift)
+        kappa2 = _wbar_current(q[:m, 1], wbar[:m, 1], drho)
         return slices(state, kappa2, {b.id: _wbar_current(q[:, i], wbar[:, i], state.rho)
                                       for i, b in enumerate(baths)})
 
@@ -420,36 +420,27 @@ def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
     rate scales `scales`, scale i on model at[i].
 
     Returns (groups, out).  groups holds (clusters, rows) per distinct set,
-    in the order of their first rows: `_clusters` at the first of the rows,
-    the ascending indices of the scales that retain that set.  out holds,
-    per scale, the exception of `_clusters` where it rejects the scale, else
-    None.  A scale is checked before it joins a group, so a rejected one
-    fails alone.  The pairs retained at threshold c * scale are the diagonal
-    and those of |omega_nm| up to it whose levels share a sector, where the
-    stack labels them (`JunctionModel.sector`), so the mask of the retained
-    pairs names the set, across the models of the stack as within one.
-    `_clusters` runs once per set.
+    in the order of their first rows: the set (`retained_pair_mask`, with
+    the threshold of the first of the rows) and the ascending indices of
+    the scales that retain it.  out holds, per scale, the exception of
+    `check_cluster_scale` where it rejects the scale, else None; a rejected
+    scale fails alone.  The mask of the retained pairs names the set, across
+    the models of the stack as within one.
     """
     scales = scales.tolist()
-    # c * scale as `cluster_bohr_frequencies` forms it; no |omega_nm| is <=
-    # a NaN threshold (0 * inf), which keeps the diagonal alone
-    keep = np.abs(model.bohr_matrix())[at] <= np.array([c * s for s in scales])[:, None, None]
-    if model.sector is not None:
-        keep &= (model.sector[:, :, None] == model.sector[:, None, :])[at]
-    n = keep.shape[-1]
-    keep.reshape(-1, n * n)[:, ::n + 1] = True          # the diagonal
+    thresholds = [c * s for s in scales]       # in floats: 0 * inf is a silent NaN
+    keep = retained_pair_mask(model.take(at), thresholds)
     out: list = [None] * len(scales)
     groups: dict = {}
-    for i, (scale, mask) in enumerate(zip(scales, keep)):
-        if scale > 0 and c >= 0:                    # the checks of `_clusters`
-            groups.setdefault(mask.tobytes(), []).append(i)
-            continue
-        try:                        # rejected before the model is read
-            _clusters(model, scale, c)
-        except Exception as exc:  # noqa: BLE001  (per-row isolation is the point)
+    for i, scale in enumerate(scales):
+        try:
+            check_cluster_scale(scale, c)
+        except ValidationError as exc:
             out[i] = exc
-    return [(_clusters(model.take(at[rows[0]]), scales[rows[0]], c), np.array(rows))
-            for rows in groups.values()], out
+            continue
+        groups.setdefault(keep[i].tobytes(), []).append(i)
+    return [(FrequencyClusters.from_mask(keep[rows[0]], thresholds[rows[0]]),
+             np.array(rows)) for rows in groups.values()], out
 
 
 def _responses(solved: list, n: int, biased: bool) -> list:
@@ -470,39 +461,18 @@ def _responses(solved: list, n: int, biased: bool) -> list:
     return [response(j, n + j if biased else j) for j in range(n)]
 
 
-def kappa2_response(model: JunctionModel, baths: list[Reservoir], temperature: float,
-                    solver: str = "full", c: float = DEFAULT_CLUSTER_FACTOR,
-                    lamb_shift: bool = True) -> Kappa2Response:
-    """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
-
-    r is the measured bath, the last of `baths`, and h the heated one.
-    Linear response: the steady state rho0 of L at T, then L drho =
-    -(dL/dT_h) rho0, and kappa2 is the current into r of drho.  The
-    kernel is linear in W, so dL/dT_h is the kernel of bath h alone over the
-    table dW/dT.  solver="full" reads its population rates, which need only
-    Re dW/dT (`dw_dt_real`), and solves with the rate matrix of `gamma_rates`;
-    solver="partial" reads its block over the pairs retained at T (clusters
-    held fixed, `dw_dt_table`) and solves with the inverse of the
-    partial-secular system.  rho0 and its currents are returned with the
-    conductance: at zero bias rho0 is the steady state of the baths
-    themselves, so their currents need no second solve.  This is the
-    one-temperature case of `kappa2_sweep`.
-    """
-    [res] = kappa2_sweep(model, baths, [temperature], solver, c, lamb_shift)
-    if isinstance(res, Exception):
-        raise res
-    return res
-
-
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
            solver: str = "full", c: float = DEFAULT_CLUSTER_FACTOR,
            lamb_shift: bool = True) -> float:
     """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
-    The conductance of `kappa2_response`, which documents the method and
-    also returns the steady state it solved and its currents.
+    The conductance of the one entry of `kappa2_sweep` at T, which
+    documents the method; raises that entry's exception.
     """
-    return kappa2_response(model, baths, temperature, solver, c, lamb_shift).kappa2
+    [res] = kappa2_sweep(model, baths, [temperature], solver, c, lamb_shift)
+    if isinstance(res, Exception):
+        raise res
+    return res.kappa2
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +548,15 @@ def dot_transport(delta_dot: float, leads: list[dict]) -> DotTransport:
     """
     if len(leads) != 2:
         raise ValidationError("dot_transport needs exactly two leads")
-    f = {}
-    for lead in leads:
-        x = float(lead["beta"]) * (delta_dot - float(lead.get("mu", 0.0)))
-        f[lead["id"]] = 0.5 * (1.0 - np.tanh(0.5 * x))
     (l0, l1) = leads
     gl, gr = float(l0["gamma"]), float(l1["gamma"])
     if gl < 0 or gr < 0:
         raise ValidationError("lead gamma must be >= 0")
+    if gl + gr == 0:
+        raise ValidationError("the dot is coupled to no lead: gamma_left + gamma_right "
+                              "must be positive")
+    f = {lead["id"]: occupation("fermi", delta_dot, float(lead["beta"]),
+                                float(lead.get("mu", 0.0))) for lead in leads}
     den = gl * (1.0 + f[l0["id"]]) + gr * (1.0 + f[l1["id"]])
     particle, energy, heat = {}, {}, {}
     for me, other, gme, goth in ((l0, l1, gl, gr), (l1, l0, gr, gl)):
@@ -594,12 +565,11 @@ def dot_transport(delta_dot: float, leads: list[dict]) -> DotTransport:
         energy[me["id"]] = float(delta_dot * ip)
         heat[me["id"]] = float((delta_dot - float(me.get("mu", 0.0))) * ip)
 
-    # linear conductance at the measured lead's (T, mu)
-    t = 1.0 / float(l1["beta"])
-    mu = float(l1.get("mu", 0.0))
-    e = delta_dot - mu
-    fr = f[l1["id"]]
-    kappa = (e**2 / (2.0 * t**2) * gl * gr / (gl + gr)
-             / ((1.0 + fr) * np.cosh(0.5 * e / t)**2))
+    # linear conductance at the measured lead's (T, mu):
+    # x^2 / (2 cosh^2(x/2)) with x = |delta_dot - mu| / T, written as h^2 / 2
+    # with h = 2 x e^{-x/2} / (1 + e^{-x}), which no finite x overflows
+    x = abs(delta_dot - float(l1.get("mu", 0.0))) * float(l1["beta"])
+    h = 2.0 * x * np.exp(-0.5 * x) / (1.0 + np.exp(-x))
+    kappa = 0.5 * h * h * gl * gr / (gl + gr) / (1.0 + f[l1["id"]])
     return DotTransport(particle=particle, energy=energy, heat=heat,
                         kappa=float(kappa))

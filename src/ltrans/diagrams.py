@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baths import occupation
 from .linalg import ValidationError
 
 __all__ = ["Matching", "DiagramTerm", "DiscreteModeBath", "enumerate_matchings",
@@ -200,12 +201,8 @@ class DiscreteModeBath:
     mu: float = 0.0
 
     def occupation(self, omega: float, pnu: int) -> float:
-        x = self.beta * (omega - self.mu)
-        if self.statistics == "fermi":
-            f = 0.5 * (1.0 - np.tanh(0.5 * x))
-            return float(f if pnu == +1 else 1.0 - f)
-        nb = 0.0 if x > 700.0 else 1.0 / np.expm1(x)
-        return float(nb if pnu == +1 else 1.0 + nb)
+        """The occupation factor n^{pnu} of a mode at omega (`ltrans.baths.occupation`)."""
+        return occupation(self.statistics, omega, self.beta, self.mu, p=pnu)
 
 
 def _super_left(op: np.ndarray, n: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baths import bose_signed, w_table
+from .baths import bose_signed, occupation, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 
@@ -42,6 +42,7 @@ __all__ = ["KernelBlock", "BosonKernel", "RateMatrix",
 
 SUM_RULE_RTOL = 1e-12
 DEGENERACY_TOL = 1e-12
+COUPLING_RTOL = 1e-12
 
 
 def all_pairs(dim: int) -> np.ndarray:
@@ -65,21 +66,22 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     """
     rn, rm = rows[:, 0], rows[:, 1]
     cn, cm = cols[:, 0], cols[:, 1]
-    r, c, n = len(rows), len(cols), q.shape[-1]
+    r, c, b, n = len(rows), len(cols), q.shape[-3], q.shape[-1]
     lead = q.shape[:-3]
 
+    # explicit sizes, not -1, which an empty stack leaves undetermined
     def stacked(x):        # (..., c, B, N) -> (..., B*N, c): one product per slice
-        return x.reshape(x.shape[:-3] + (c, -1)).swapaxes(-1, -2)
+        return x.reshape(x.shape[:-3] + (c, b * n)).swapaxes(-1, -2)
 
     # the two Kronecker terms: one matrix product each over (bath, k)
-    left = q.take(rn, axis=-2).swapaxes(-3, -2).reshape(lead + (r, -1))   # Q_nk
+    left = q.take(rn, axis=-2).swapaxes(-3, -2).reshape(lead + (r, b * n))   # Q_nk
     right = (q.take(cn, axis=-1) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
     # products and sums in place from here on: a stack's temporaries are
     # large, and each one allocated is fresh memory to fault in
     k = -(left @ stacked(right))
     k *= rm[:, None] == cm[None, :]
     w_conj = np.conj(w)      # conjugated before the gathers, which repeat entries
-    left = q.take(rm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (r, -1))
+    left = q.take(rm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (r, b * n))
     right = (q.take(cm, axis=-2) * w_conj.take(cn, axis=-1).swapaxes(-1, -2)
              ).swapaxes(-3, -2)
     kron = left @ stacked(right)
@@ -248,26 +250,30 @@ def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:
 
     A single signed-frequency expression covers absorption and emission via
     the odd spectral density and the continued Bose function.  Degenerate
-    coupled pairs (w_nm = 0 with Q_nm != 0) are rejected: they belong to the
+    coupled pairs (w_nm = 0 with |Q_nm| above COUPLING_RTOL of the model's
+    largest |Q| over the baths) are rejected: they belong to the
     partial-secular solver; in a model stack the first such pair of any
-    model raises.  Baths with a temperature axis give rates that lead with
-    it, and a model stack adds its model axis after it.
+    model raises.  A coupling at or below that floor is roundoff of an exact
+    zero (two levels of one symmetry sector), and the pair, like every
+    unresolved one, gets no rate.  Baths with a temperature axis give rates
+    that lead with it, and a model stack adds its model axis after it.
     """
     bohr = model.bohr_matrix()
     resolved = np.abs(bohr) > DEGENERACY_TOL
     unresolved_off = ~resolved & ~np.eye(model.dim, dtype=bool)
+    aq = np.abs([model.q(b.id) for b in baths])         # (bath, ..., N, N)
+    coupled = unresolved_off & (aq > COUPLING_RTOL * aq.max(axis=(0, -2, -1),
+                                                           keepdims=True))
+    if coupled.any():
+        i, j = np.argwhere(coupled)[0][-2:]
+        raise ValidationError(f"levels {i} and {j} are degenerate but coupled; "
+                              "use the partial-secular solver")
     w_safe = np.where(resolved, bohr, 1.0)
     per: dict[str, np.ndarray] = {}
     total = np.zeros_like(bohr)
     d = np.arange(model.dim)
     for bath in baths:
         q = model.q(bath.id)
-        coupled = unresolved_off & (np.abs(q) > 0.0)
-        if coupled.any():
-            i, j = np.argwhere(coupled)[0][-2:]
-            raise ValidationError(
-                f"levels {i} and {j} are degenerate but coupled; "
-                "use the partial-secular solver")
         g = np.where(resolved, 2.0 * np.pi * bath.spectral.value(w_safe) * q**2
                      * bose_signed(w_safe, bath.beta), 0.0)
         g[..., d, d] = -g.sum(axis=-2)
@@ -320,9 +326,7 @@ def fermion_dot_rates(delta_dot: float, leads: list[dict]) -> RateMatrix:
         gamma_l = float(lead["gamma"])
         if gamma_l < 0:
             raise ValidationError("lead gamma must be >= 0")
-        beta_l = float(lead["beta"])
-        mu_l = float(lead.get("mu", 0.0))
-        f = 0.5 * (1.0 - np.tanh(0.5 * beta_l * (delta_dot - mu_l)))
+        f = occupation("fermi", delta_dot, float(lead["beta"]), float(lead.get("mu", 0.0)))
         g = np.zeros((3, 3))
         for s in (1, 2):                     # up, down
             g[s, 0] = gamma_l * f            # 0 -> sigma

@@ -1,5 +1,5 @@
-"""Steady-state solvers: full secular, partial secular, and the analytic
-three-level coherence cross-check.
+"""Steady-state solvers, full and partial secular, and the rule of which
+coherences the partial-secular solve retains.
 
 The partial-secular solver keeps the coherences of quasi-degenerate level
 pairs coupled to the populations and solves the resulting real linear system
@@ -20,7 +20,12 @@ whose Bohr frequencies then enter per slice.  Either solver raises if any
 slice fails, and otherwise returns one `SteadyState` that holds the
 (n_slices, N, N) stack of density matrices.
 
-Where the model labels its levels with symmetry sectors
+The retained pairs are those of `retained_pair_mask`: the diagonal, and
+each pair whose Bohr frequency is at most c times the largest population
+rate (`check_cluster_scale` rejects a scale that defines no threshold).
+Both `cluster_bohr_frequencies` (one model, one scale) and the grouping of
+a stacked sweep (`ltrans.currents`, one scale per slice) apply this one
+rule.  Where the model labels its levels with symmetry sectors
 (`JunctionModel.sector`), no retained pair joins two sectors: such a
 coherence is zero in the steady state and in its response, so the
 clustering does not carry it as an unknown.
@@ -36,12 +41,11 @@ import numpy as np
 
 from .linalg import ValidationError, NumericError
 from .model import JunctionModel
-from .redfield import KernelBlock, RateMatrix, all_pairs
+from .redfield import KernelBlock, RateMatrix
 
-__all__ = ["SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
-           "retained_pair_array", "full_secular_steady", "partial_secular_steady",
-           "partial_secular_response",
-           "three_level_coherence_analytic"]
+__all__ = ["SteadyState", "FrequencyClusters", "check_cluster_scale",
+           "retained_pair_mask", "cluster_bohr_frequencies", "retained_pair_array",
+           "full_secular_steady", "partial_secular_steady", "partial_secular_response"]
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +102,15 @@ class FrequencyClusters:
     retained: frozenset[tuple[int, int]]
     threshold: float
 
+    @classmethod
+    def from_mask(cls, keep: np.ndarray, threshold: float) -> "FrequencyClusters":
+        """The pairs (n, m) where the (N, N) mask `keep` holds."""
+        return cls(frozenset(zip(*(idx.tolist() for idx in np.nonzero(keep)))), threshold)
+
     @cached_property
     def pairs(self) -> np.ndarray:
         """`retained_pair_array` over as many levels as there are retained
-        diagonal pairs (`cluster_bohr_frequencies` retains every level's);
+        diagonal pairs (`retained_pair_mask` retains every level's);
         read-only."""
         pairs = retained_pair_array(sum(n == m for n, m in self.retained), self)
         pairs.flags.writeable = False
@@ -113,27 +122,45 @@ class FrequencyClusters:
         return tuple(sorted(self.retained))
 
 
-def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
-                             c: float = DEFAULT_CLUSTER_FACTOR) -> FrequencyClusters:
-    """Retain the pair (n, m) iff |omega_nm| <= c * gamma_scale and, where the
-    model labels its levels (`JunctionModel.sector`), n and m share a sector.
-
-    gamma_scale should be the magnitude of the largest relevant relaxation
-    rate and c >= 0; diagonal pairs are always retained and the set is
-    symmetric.
-    """
+def check_cluster_scale(gamma_scale: float, c: float) -> None:
+    """Raise ValidationError unless the clustering threshold c * gamma_scale
+    is defined: gamma_scale a positive rate scale and c >= 0."""
+    if gamma_scale <= 0:
+        raise ValidationError("all population rates vanish; no steady state")
     if not gamma_scale > 0:
         raise ValidationError("gamma_scale must be positive")
     if not c >= 0:
         raise ValidationError(f"cluster factor must be >= 0, got {c!r}")
-    thresh = c * gamma_scale
-    # |omega_nm| = |omega_mn| exactly, so the mask is symmetric
-    keep = np.abs(model.bohr_matrix()) <= thresh
+
+
+def retained_pair_mask(model: JunctionModel, threshold) -> np.ndarray:
+    """keep[..., n, m]: whether the pair (n, m) is retained at `threshold`.
+
+    A pair is retained iff |omega_nm| <= threshold and, where the model
+    labels its levels (`JunctionModel.sector`), n and m share a sector;
+    diagonal pairs are always retained.  A model stack takes an array of
+    thresholds, one per model.  |omega_nm| = |omega_mn| exactly, so the mask
+    is symmetric; no |omega_nm| is <= a NaN threshold (0 * inf), which keeps
+    the diagonal alone.
+    """
+    keep = np.abs(model.bohr_matrix()) <= np.asarray(threshold)[..., None, None]
     if model.sector is not None:
-        keep &= model.sector[:, None] == model.sector[None, :]
-    np.fill_diagonal(keep, True)
-    retained = frozenset(zip(*(idx.tolist() for idx in np.nonzero(keep))))
-    return FrequencyClusters(retained=retained, threshold=thresh)
+        keep &= model.sector[..., :, None] == model.sector[..., None, :]
+    d = np.arange(model.dim)
+    keep[..., d, d] = True
+    return keep
+
+
+def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
+                             c: float = DEFAULT_CLUSTER_FACTOR) -> FrequencyClusters:
+    """The pairs `retained_pair_mask` keeps at the threshold c * gamma_scale.
+
+    gamma_scale should be the magnitude of the largest relevant relaxation
+    rate and c >= 0 (`check_cluster_scale`).
+    """
+    check_cluster_scale(gamma_scale, c)
+    thresh = c * gamma_scale
+    return FrequencyClusters.from_mask(retained_pair_mask(model, thresh), thresh)
 
 
 def retained_pair_array(dim: int, clusters: FrequencyClusters) -> np.ndarray:
@@ -336,54 +363,3 @@ def partial_secular_response(model: JunctionModel, k2, dk, clusters: FrequencyCl
     rhs = -(_real_system(dk, n, lamb_shift) @ x[..., None])
     rhs[..., 0, :] = 0.0           # the trace stays 1
     return state, _rho(np.linalg.solve(a, rhs)[..., 0], pairs, n)
-
-
-# ---------------------------------------------------------------------------
-# analytic three-level coherence (states 0, 1, 2 with 1, 2 quasi-degenerate)
-# ---------------------------------------------------------------------------
-
-def three_level_coherence_analytic(k2, omega_12: float) -> tuple[complex, np.ndarray]:
-    """Closed-form steady state of the three-level partial-secular equations.
-
-    Returns (rho_12, populations).  Requires the kernel of a three-level
-    model whose states 1 and 2 are quasi-degenerate; the retained coherence
-    is rho_12 only.  k2 is a `BosonKernel` or a `KernelBlock` over
-    `all_pairs(3)`; the full kernel `k2.block(all_pairs(3))` is read.
-    """
-    if k2.dim != 3:
-        raise ValidationError("three-level solver needs a 3x3 model kernel")
-    k = k2.block(all_pairs(3)).k.reshape(3, 3, 3, 3)
-    om_p = omega_12 - k[1, 2, 1, 2].imag + k[1, 2, 2, 1].imag
-    om_m = omega_12 - k[1, 2, 1, 2].imag - k[1, 2, 2, 1].imag
-    big_p = k[1, 2, 1, 2].real + k[1, 2, 2, 1].real
-    big_m = k[1, 2, 1, 2].real - k[1, 2, 2, 1].real
-
-    den = om_p * om_m + big_p * big_m
-    if abs(den) < 1e-300:
-        raise NumericError("coherence denominator vanished (exact degeneracy)")
-
-    a = np.zeros(3)
-    b = np.zeros(3)
-    for i in range(3):
-        kp = k[1, 2, i, i].real
-        kpp = k[1, 2, i, i].imag
-        b[i] = (om_m * kp + big_p * kpp) / den
-        a[i] = (kpp - big_m * b[i]) / om_m
-
-    gamma = np.zeros((3, 3))
-    for nn in (1, 2):
-        for i in range(3):
-            gamma[nn, i] = (k[nn, nn, i, i].real
-                            + 2.0 * (k[nn, nn, 1, 2].real * a[i]
-                                     + k[nn, nn, 1, 2].imag * b[i]))
-
-    # 0 = G_n0 + (G_n1 - G_n0) rho11 + (G_n2 - G_n0) rho22,  n = 1, 2
-    m = np.array([[gamma[1, 1] - gamma[1, 0], gamma[1, 2] - gamma[1, 0]],
-                  [gamma[2, 1] - gamma[2, 0], gamma[2, 2] - gamma[2, 0]]])
-    rhs = -np.array([gamma[1, 0], gamma[2, 0]])
-    rho11, rho22 = np.linalg.solve(m, rhs)
-    pops = np.array([1.0 - rho11 - rho22, rho11, rho22])
-
-    rho12_re = float(a @ pops)
-    rho12_im = -float(b @ pops)
-    return complex(rho12_re, rho12_im), pops

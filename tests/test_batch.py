@@ -295,7 +295,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
     spy(monkeypatch, calls, "solve", np.linalg)
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
-    spy(monkeypatch, calls, "_clusters", currents)
+    spy(monkeypatch, calls, "from_mask", steady.FrequencyClusters)
     spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
@@ -308,7 +308,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("_solve_retained") == calls.count("inv") == groups
         assert calls.count("k2_pair_block") == 2 * groups     # kernel and dK/dT blocks
         assert calls.count("solve") == groups
-        assert calls.count("_clusters") == groups
+        assert calls.count("from_mask") == groups
         assert calls.count("_wbar_current") == 3 * groups
         assert calls.count("_secular_current") == 0
     else:
@@ -318,7 +318,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("solve") == 2
         assert calls.count("inv") == 0
         assert calls.count("_secular_current") == 3
-        assert calls.count("_wbar_current") == calls.count("_clusters") == 0
+        assert calls.count("_wbar_current") == calls.count("from_mask") == 0
 
 
 @pytest.mark.parametrize("name", ["rabi_g_partial", "rabi_g_full"])
@@ -327,8 +327,9 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     # one biased 12-row g-sweep chunk: twelve models, one stack over them;
     # one W table (three temperatures, twelve models), one dW/dT table; the
     # partial solver factors each retained-pair group of the 24 slices once
-    # (across models) and solves a response for the groups that hold a
-    # slice at the mean temperature; the full solver factors the chunk once
+    # (across models) and solves the response of its slices at the mean
+    # temperature, none in the groups that hold no such slice; the full
+    # solver factors the chunk once
     cfg = sweep_config(name)
     sets = retained_per_slice(cfg)
     groups = len(set(sets))
@@ -343,10 +344,13 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     spy(monkeypatch, calls, "full_secular_steady", currents)
     spy(monkeypatch, calls, "k2_pair_block", redfield, currents)
     spy(monkeypatch, calls, "inv", np.linalg)
-    spy(monkeypatch, calls, "solve", np.linalg)
+    solved = []                 # the number of systems of each np.linalg.solve call
+    orig_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solved.append(len(a)) or orig_solve(a, b))
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
-    spy(monkeypatch, calls, "_clusters", currents)
+    spy(monkeypatch, calls, "from_mask", steady.FrequencyClusters)
     spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
@@ -359,19 +363,23 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
         assert calls.count("dw_dt_table") == 1
         assert calls.count("dw_dt_real") == calls.count("gamma_rates") == 0
         assert calls.count("_solve_retained") == calls.count("inv") == groups
-        assert calls.count("k2_pair_block") == groups + responses
-        assert calls.count("solve") == responses
-        assert calls.count("_clusters") == groups
-        assert calls.count("_wbar_current") == 2 * groups + responses
+        # kernel and dK/dT blocks, one response solve and one kappa2
+        # contraction per group; a group with no slice at the mean
+        # temperature solves an empty stack
+        assert calls.count("k2_pair_block") == 2 * groups
+        assert len(solved) == groups and sum(solved) == 12
+        assert np.count_nonzero(solved) == responses
+        assert calls.count("from_mask") == groups
+        assert calls.count("_wbar_current") == 3 * groups
         assert calls.count("_secular_current") == 0
     else:
         assert calls.count("w_table") == calls.count("dw_dt_table") == 0
         assert calls.count("dw_dt_real") == calls.count("gamma_rates") == 1
         assert calls.count("full_secular_steady") == 1
-        assert calls.count("solve") == 2
+        assert solved == [24, 12]        # the steady states, then the responses
         assert calls.count("inv") == 0
         assert calls.count("_secular_current") == 3
-        assert calls.count("_wbar_current") == calls.count("_clusters") == 0
+        assert calls.count("_wbar_current") == calls.count("from_mask") == 0
 
 
 def portable_solve(monkeypatch):
@@ -807,12 +815,11 @@ def test_retained_set_groups_are_the_per_temperature_clusterings(seed, dim, c, p
         assert r.tolist() == sorted(r.tolist())
     for i, scale in enumerate(scales.tolist()):
         try:
-            want = currents._clusters(model, scale, c)
+            want = steady.cluster_bohr_frequencies(model, scale, c)
         except ValidationError as exc:
             assert type(out[i]) is ValidationError and str(out[i]) == str(exc)
             continue
         assert clusters_of(groups, i).retained == want.retained
-        assert want.retained == steady.cluster_bohr_frequencies(model, scale, c).retained
 
 
 def test_a_threshold_equal_to_a_bohr_frequency_retains_its_pairs():

@@ -16,8 +16,7 @@ import pytest
 
 from ltrans import currents, steady, sweep
 from ltrans.config import parse_config_text
-from ltrans.currents import (heat_current_2nd_secular, kappa2_response,
-                             partial_secular_state)
+from ltrans.currents import heat_current_2nd_secular, kappa2_sweep, partial_secular_state
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.redfield import build_k2_boson, gamma_rates
 from ltrans.steady import cluster_bohr_frequencies, full_secular_steady
@@ -94,8 +93,8 @@ def test_biased_partial_row_is_bitwise_its_separate_solves(monkeypatch, levels, 
     assert len(calls) == groups
     _, want = partial_secular_state(model, baths, c=c, lamb_shift=cfg.lamb_shift)
     assert (i_left, i_right) == (want["L"], want["R"])
-    assert kappa2 == kappa2_response(model, baths, t_mean, solver="partial", c=c,
-                                     lamb_shift=cfg.lamb_shift).kappa2
+    assert kappa2 == kappa2_sweep(model, baths, [t_mean], solver="partial", c=c,
+                                  lamb_shift=cfg.lamb_shift)[0].kappa2
 
 
 def test_biased_full_row_is_bitwise_its_separate_solves():
@@ -105,7 +104,7 @@ def test_biased_full_row_is_bitwise_its_separate_solves():
     rates = gamma_rates(model, baths)
     want = heat_current_2nd_secular(model, rates, full_secular_steady(rates)).per_reservoir
     assert (i_left, i_right) == (want["L"], want["R"])
-    assert kappa2 == kappa2_response(model, baths, t_mean, solver="full").kappa2
+    assert kappa2 == kappa2_sweep(model, baths, [t_mean], solver="full")[0].kappa2
 
 
 @pytest.mark.parametrize("solver", ["partial", "full"])
@@ -115,7 +114,7 @@ def test_small_bias_current_tends_to_kappa2(solver):
     t = 0.1
     cfg = row_config(solver=solver, levels=5, cutoff=40, t_left=t, t_right=t)
     model, baths, _ = separate_solves(cfg, 0.2)
-    kappa2 = kappa2_response(model, baths, t, solver=solver).kappa2
+    kappa2 = kappa2_sweep(model, baths, [t], solver=solver)[0].kappa2
     errors = []
     for d in (1e-2, 5e-3, 2.5e-3):
         i_right = cells(row_config(solver=solver, levels=5, cutoff=40, t_left=t + d / 2,
@@ -203,7 +202,7 @@ def test_a_biased_row_logs_as_its_separate_solves(caplog):
         sweep.compute_row(cfg, 0.2)
         row = sorted(r.getMessage() for r in caplog.records)
         caplog.clear()
-        kappa2_response(model, baths, t_mean, solver="partial", c=cfg.cluster_factor)
+        kappa2_sweep(model, baths, [t_mean], solver="partial", c=cfg.cluster_factor)
         partial_secular_state(model, baths, c=cfg.cluster_factor)
         separate = sorted(r.getMessage() for r in caplog.records)
     assert row and row == separate

@@ -259,3 +259,18 @@ def test_negative_dot_coupling_is_rejected(key):
     # a lead may decouple
     cfg = parse_config_text(text.replace("-0.02", "0"))
     assert cfg.baths[key] == 0.0
+
+
+def test_a_dot_coupled_to_no_lead_is_rejected(tmp_path, capsys):
+    # with both couplings 0 every row would divide by zero; the config names
+    # the fault at load time, and `ltrans sweep` exits 2 before any row
+    text = (DOT.format(variable="epsilon").replace("gamma_left = 0.01", "gamma_left = 0")
+            .replace("gamma_right = 0.01", "gamma_right = 0"))
+    message = "the dot is coupled to no lead: gamma_left + gamma_right must be positive"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config_text(text)
+    ini = tmp_path / "dot.ini"
+    ini.write_text(text.replace("out.csv", str(tmp_path / "out.csv")), encoding="utf-8")
+    assert main(["sweep", str(ini)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

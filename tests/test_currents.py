@@ -10,7 +10,7 @@ from scipy.optimize import brentq, minimize_scalar
 from ltrans import currents
 from ltrans.baths import bose_signed, dn_dDeltaT_signed
 from ltrans.currents import (dot_transport, heat_current_2nd_general,
-                             heat_current_2nd_secular, kappa2, kappa2_response,
+                             heat_current_2nd_secular, kappa2, kappa2_sweep,
                              kappa4_lowT, partial_secular_state,
                              tls_closed_forms, tls_current, tls_kappa2, tls_kappa4)
 from ltrans.linalg import NumericError, ValidationError
@@ -439,6 +439,16 @@ def test_kappa2_full_rejects_what_the_rate_equation_cannot_solve():
     degenerate = build_junction([0.0, 1.0, 1.0], {"L": q, "R": q})
     with pytest.raises(ValidationError, match="degenerate"):
         kappa2(degenerate, baths, 0.5, solver="full")
+    # a coupling above 1e-12 of the largest |Q| is genuine, however small;
+    # one at or below it is roundoff of an exact zero, and the pair gets no rate
+    for q12, rejected in ((1e-9, True), (1.1e-12, True), (1e-12, False), (1e-14, False)):
+        q = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, q12], [0.5, q12, 0.0]])
+        model = build_junction([0.0, 1.0, 1.0], {"L": q, "R": 0.5 * q})
+        if rejected:
+            with pytest.raises(ValidationError, match="levels 1 and 2 are degenerate"):
+                kappa2(model, baths, 0.5, solver="full")
+        else:
+            assert np.isfinite(kappa2(model, baths, 0.5, solver="full"))
     q = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     disconnected = build_junction([0.0, 1.0, 2.0], {"L": q, "R": q})
     with pytest.raises(ValidationError, match="disconnected"):
@@ -468,7 +478,7 @@ def test_kappa2_high_temperature_scaling():
 @pytest.mark.parametrize("solver", ["full", "partial"])
 def test_kappa2_response_currents_are_those_of_its_state(solver):
     model = quasi_degenerate_model(np.random.default_rng(3))
-    res = kappa2_response(model, drude_baths(), 0.6, solver=solver)
+    [res] = kappa2_sweep(model, drude_baths(), [0.6], solver=solver)
     common = [b.with_temperature(0.6) for b in drude_baths()]
     if solver == "full":
         want = heat_current_2nd_secular(model, gamma_rates(model, common),
@@ -636,6 +646,32 @@ def test_dot_transport_rejects_a_negative_gamma():
         for solve in (dot_transport, fermion_dot_rates):
             with pytest.raises(ValidationError, match="^lead gamma must be >= 0$"):
                 solve(0.5, leads)
+
+
+def test_dot_transport_rejects_a_dot_coupled_to_no_lead():
+    # the currents and kappa would divide 0 by 0
+    leads = [dict(id=rid, gamma=0.0, beta=2.0, mu=0.0) for rid in "LR"]
+    with pytest.raises(ValidationError, match="^the dot is coupled to no lead"):
+        dot_transport(0.5, leads)
+
+
+@pytest.mark.parametrize("level", [0.5, -0.5, 1e-3])
+def test_dot_transport_cold_limit_is_finite_and_silent(level):
+    # (level - mu) / T up to 5e5: 1/cosh^2 must not overflow on the way to kappa = 0
+    leads = [dict(id="L", gamma=0.02, beta=1e6, mu=0.0),
+             dict(id="R", gamma=0.05, beta=1e6, mu=0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dot_transport(level, leads)
+    assert 0.0 <= res.kappa < 1e-300
+    # and it still equals the cosh form where that one is finite
+    t, gl, gr = 0.05, 0.02, 0.05
+    leads = [dict(id="L", gamma=gl, beta=1.0 / t, mu=0.1),
+             dict(id="R", gamma=gr, beta=1.0 / t, mu=0.1)]
+    e = level - 0.1
+    f = 1.0 / (np.exp(e / t) + 1.0)
+    want = e**2 / (2.0 * t**2) * gl * gr / (gl + gr) / ((1.0 + f) * np.cosh(0.5 * e / t)**2)
+    assert dot_transport(level, leads).kappa == pytest.approx(want, rel=1e-13)
 
 
 def test_tls_closed_forms_cold_limit_is_finite_and_silent():

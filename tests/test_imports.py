@@ -162,3 +162,42 @@ def test_the_package_exports_exactly_what_it_imports():
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(ltrans.__all__) == sorted(imported)
+
+
+# the modules a sweep row runs through, and what they must not import: the
+# diagram and oracle layer that checks the kernels, and the tests' oracles
+ROW_PATH = ("sweep", "currents", "steady", "redfield", "rabi", "linalg", "model",
+            "config", "baths")
+ORACLE_MODULES = ("ltrans.oracle", "ltrans.diagrams", "ltrans.validate")
+TEST_MODULES = {p.stem for p in (ROOT / "tests").glob("*.py")}
+
+
+def oracle_imports(name):
+    """The oracle and test modules that module ltrans.<name> imports, anywhere in it."""
+    tree = ast.parse((SRC / "ltrans" / f"{name}.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:                  # relative, within the package
+                base = "ltrans" + ("." + base if base else "")
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [t for t in targets
+                  if t.split(".")[0] in TEST_MODULES
+                  or any(t == o or t.startswith(o + ".") for o in ORACLE_MODULES)]
+    return found
+
+
+@pytest.mark.parametrize("name", ROW_PATH)
+def test_row_path_modules_import_no_oracle(name):
+    assert oracle_imports(name) == []
+
+
+def test_the_oracle_import_check_sees_an_oracle_import():
+    # validate runs the oracles, so the check must find them there
+    assert "ltrans.oracle" in oracle_imports("validate")
+    assert "ltrans.diagrams" in oracle_imports("oracle")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ltrans import sweep
 from ltrans.config import parse_config_text
-from ltrans.currents import kappa2_response, kappa2_sweep
+from ltrans.currents import kappa2_sweep
 from ltrans.model import Reservoir, SpectralDensity, stack_models
 from ltrans.rabi import RabiParams, build_rabi_junction
 from ltrans.redfield import all_pairs, build_k2_boson, gamma_rates
@@ -41,7 +41,7 @@ def resonant_kappa2(g, solver):
     3 levels) at T = 0.5, alpha = 1e-3, omega_c = 5, cluster factor 10."""
     model = build_rabi_junction(RabiParams(0.0, 1.0, g, omega_r=1.0, fock_cutoff=30,
                                            retained_levels=3))
-    return kappa2_response(model, drude_pair(), 0.5, solver=solver, c=10.0).kappa2
+    return kappa2_sweep(model, drude_pair(), [0.5], solver=solver, c=10.0)[0].kappa2
 
 
 def test_coherences_suppress_kappa2_until_the_splitting_beats_the_rates():

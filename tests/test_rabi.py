@@ -110,24 +110,26 @@ def test_benchmark_g_chunk_solves_one_system_per_parity_retained_set(monkeypatch
     # groups of the 24 slices (8 when opposite-parity coherences were kept)
     cfg = parse_config_text(benchmark_config_text(monkeypatch, "rabi21_partial_g"))
     solves, groups = [], []
-    orig_solve, orig_clusters = steady._solve_retained, currents._clusters
+    orig_solve, orig_groups = steady._solve_retained, currents._cluster_groups
 
     def solve(*args):
         solves.append(args[2])
         return orig_solve(*args)
 
-    def clusters(model, *args):
-        groups.append((model, orig_clusters(model, *args)))
-        return groups[-1][1]
+    def cluster_groups(model, scales, c, at):
+        found, out = orig_groups(model, scales, c, at)
+        groups.extend((model.take(at[rows]), kept) for kept, rows in found)
+        return found, out
 
     monkeypatch.setattr(steady, "_solve_retained", solve)
-    monkeypatch.setattr(currents, "_clusters", clusters)
+    monkeypatch.setattr(currents, "_cluster_groups", cluster_groups)
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
     assert len(solves) == len(groups) == 6
-    for model, kept in groups:
+    for models, kept in groups:
         assert kept in solves
-        assert all(model.sector[n] == model.sector[m] for n, m in kept.retained)
+        assert all((models.sector[:, n] == models.sector[:, m]).all()
+                   for n, m in kept.retained)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -152,8 +152,8 @@ def test_the_labelled_solve_is_the_unlabelled_one(spec, solver, c, t_left, bias)
     # currents, which are roundoff of an exact zero on the full solver, and
     # the currents and kappa2 that cancel to a small part of their terms (a
     # weak qubit-resonator coupling, a large c): there any two solves differ
-    # by up to 1e-15 of the terms.  A model the full solver rejects (levels
-    # 1 and 2 degenerate at g = 0 and delta = 1) is rejected alike
+    # by up to 1e-15 of the terms.  A model the solver rejects is rejected
+    # alike
     model = zero_bias_junction(spec)
     t_right = t_left * bias
     t_mean = 0.5 * (t_left + t_right)
@@ -218,3 +218,32 @@ def test_an_epsilon_sweep_through_zero_writes_its_one_point_rows(tmp_path, model
     with open(result.csv_path, encoding="utf-8") as fh:
         rows = fh.read().splitlines()[1:]
     assert rows == [sweep.compute_row(cfg, v) for v in grid]
+
+
+@pytest.mark.parametrize("keep,cutoff", [(5, 40), (21, 60)])
+@pytest.mark.parametrize("solver", ["full", "partial"])
+def test_the_resonant_uncoupled_rabi_row_is_finite_and_carries_no_heat(solver, keep,
+                                                                      cutoff):
+    # at g = 0 and delta = omega_r, levels 1 and 2 (both at 1/2) are exactly
+    # degenerate within one sector, and their coupling is roundoff of an
+    # exact zero (Q_L[1, 2] = 4e-17 of max|Q| = 1.41 at 5 levels), so the
+    # full-secular rate equation is defined there.  The qubit and the
+    # resonator are apart, so no heat passes between the baths: kappa2 and
+    # the biased currents vanish to the roundoff of their terms
+    model = build_rabi_junction(RabiParams(0.0, 1.0, 0.0, fock_cutoff=cutoff,
+                                           retained_levels=keep))
+    assert abs(model.q("L")[1, 2]) > 0.0 and model.sector[1] == model.sector[2]
+    [res] = kappa2_sweep(model, bath_pair(0.12, 0.08), [0.1], solver, biased=True)
+    assert not isinstance(res, Exception), res
+    terms = current_terms(model, bath_pair(0.1, 0.1), res.state.rho)
+    assert abs(res.kappa2) <= 1e-13 * terms["R"] / 0.1
+    biased_terms = current_terms(model, bath_pair(0.12, 0.08), res.state.rho)
+    for rid in ("L", "R"):
+        assert abs(res.currents[rid]) <= 1e-13 * biased_terms[rid]
+    text = EPSILON_SWEEP.format(model_type="rabi", c=10.0, model=(
+        f"epsilon = 0\ndelta = 1\ng = 0\nretained_levels = {keep}\nfock_cutoff = {cutoff}"))
+    cfg = parse_config_text(text.replace("secular = partial", f"secular = {solver}")
+                            + "[output]\ncsv = out.csv\n")
+    cells = sweep.compute_row(cfg, 0.0).split(",")
+    assert np.isfinite([float(v) for v in cells[1:-2]]).all()
+    assert float(cells[2]) == res.kappa2

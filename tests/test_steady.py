@@ -10,8 +10,9 @@ from ltrans.redfield import (KernelBlock, RateMatrix, all_pairs, build_k2_boson,
                              gamma_rates)
 from ltrans.steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
                            full_secular_steady, partial_secular_steady,
-                           retained_pair_array, three_level_coherence_analytic)
+                           retained_pair_array)
 
+from coherence_oracle import three_level_coherence_analytic
 from rate_oracle import propagate_rate_equation
 
 

@@ -5,9 +5,12 @@ import os
 import signal
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltrans import currents, redfield, steady, sweep
 from ltrans.baths import w_table
@@ -497,3 +500,57 @@ def test_rabi_row_makes_no_dense_diagonalization(tmp_path, monkeypatch, secular)
     cells = compute_row(cfg, 0.2).split(",")
     assert all(math.isfinite(float(c)) for c in cells[1:9])
     assert cells[-1] == "3"
+
+
+DOT_ROW = """
+[model]
+type = dot
+epsilon = {epsilon!r}
+[baths]
+statistics = fermi
+gamma_left = {gammas[0]!r}
+gamma_right = {gammas[1]!r}
+mu_left = {mus[0]!r}
+mu_right = {mus[1]!r}
+T_left = {temps[0]!r}
+T_right = {temps[1]!r}
+[sweep]
+variable = {variable}
+start = {value!r}
+stop = {value!r}
+points = 1
+[output]
+csv = out.csv
+"""
+
+TEMPERATURES = st.floats(-6.0, 1.0).map(lambda e: 10.0**e)
+# a lead coupling, or none
+GAMMAS = st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mu=st.floats(-1.0, 1.0), bias=st.floats(-0.5, 0.5),
+       offset=st.one_of(st.floats(-1e-5, 1e-5), st.floats(-3.0, 3.0)),
+       gammas=st.tuples(GAMMAS, GAMMAS), temps=st.tuples(TEMPERATURES, TEMPERATURES),
+       variable=st.sampled_from(["epsilon", "T"]))
+def test_every_dot_row_is_finite_or_names_its_fault(mu, bias, offset, gammas, temps,
+                                                    variable):
+    # the level near or away from the leads' potentials, either lead
+    # decoupled, temperatures down to 1e-6 and a bias of either sign: the row
+    # is finite and silent, unless no lead couples to the dot, which the
+    # config names
+    epsilon = mu + offset
+    value = epsilon if variable == "epsilon" else temps[0]
+    text = DOT_ROW.format(epsilon=epsilon, gammas=gammas, mus=(mu + bias, mu - bias),
+                          temps=temps, variable=variable, value=value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            row = compute_row(parse_config_text(text), value)
+        except ValidationError as exc:
+            assert gammas == (0.0, 0.0)
+            assert str(exc) == ("the dot is coupled to no lead: gamma_left + "
+                                "gamma_right must be positive")
+            return
+    assert gammas != (0.0, 0.0)
+    assert np.isfinite([float(v) for v in row.split(",")[1:-2]]).all()
