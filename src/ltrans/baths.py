@@ -43,31 +43,30 @@ _EXP_BIG = 700.0
 # ---------------------------------------------------------------------------
 
 def occupation(statistics: str, omega: float, beta: float, mu: float = 0.0,
-               p: int = +1, nu: int = +1) -> float:
-    """Thermal occupation factor n^{p*nu} of a reservoir mode.
+               p: int = +1) -> float:
+    """Thermal occupation factor n^p of a reservoir mode.
 
-    For p*nu = +1 this is the Bose/Fermi function itself; for p*nu = -1 it is
+    For p = +1 this is the Bose/Fermi function itself; for p = -1 it is
     1 + n (bose) or 1 - f (fermi).  The Bose branch requires omega > 0; the
     omega -> 0 pole is the caller's responsibility.
     """
     if not beta > 0:
         raise ValidationError("beta must be positive")
-    pnu = p * nu
-    if pnu not in (+1, -1):
-        raise ValidationError("p and nu must be +-1")
+    if p not in (+1, -1):
+        raise ValidationError("p must be +-1")
     if statistics == "fermi":
         # logistic form is overflow-safe for any x = beta (omega - mu)
         f = 0.5 * (1.0 - np.tanh(0.5 * (beta * (omega - mu))))
-        return float(f if pnu == +1 else 1.0 - f)
+        return float(f if p == +1 else 1.0 - f)
     if statistics == "bose":
         if mu != 0.0:
             raise ValidationError("bosonic occupation requires mu = 0")
-        if omega <= 0.0 and pnu == +1:
-            raise ValidationError("Bose occupation needs omega > 0 for p*nu = +1")
-        # 1 + n(omega) for p*nu = -1: valid for omega > 0 and, by
+        if omega <= 0.0 and p == +1:
+            raise ValidationError("Bose occupation needs omega > 0 for p = +1")
+        # 1 + n(omega) for p = -1: valid for omega > 0 and, by
         # continuation, omega < 0
         n = bose_signed(omega, beta)
-        return n if pnu == +1 else 1.0 + n
+        return n if p == +1 else 1.0 + n
     raise ValidationError(f"unknown statistics {statistics!r}")
 
 

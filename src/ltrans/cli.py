@@ -35,13 +35,9 @@ def _cmd_sweep(args) -> int:
     for idx, err in result.failures:
         print(f"row {idx} failed: {err}", file=sys.stderr)
     if cfg.svg_path:
-        logx = cfg.scale == "log"
         try:
-            emit_plot(cfg.csv_path, cfg.svg_path, x_col="value",
-                      y_cols=["kappa2", "kappa4", "kappa_total"],
-                      logx=logx, logy=True,
-                      x_label=f"{cfg.variable} (omega_ref units)",
-                      y_label="kappa (k_B * omega_ref)")
+            emit_plot(cfg.csv_path, cfg.svg_path, logx=cfg.scale == "log",
+                      x_label=f"{cfg.variable} (omega_ref units)")
         except ValidationError as exc:
             # the rows are written; only the plot of them failed
             print(f"error: {exc}; {cfg.svg_path} not written", file=sys.stderr)

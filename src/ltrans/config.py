@@ -1,61 +1,95 @@
 """Sweep configuration: a small typed INI dialect.
 
-Grammar (configparser syntax, all keys required unless noted):
+Grammar (configparser syntax; one key per line, required unless noted):
 
     [model]
     type = rabi | tls | dot
-    epsilon, delta, g, omega_r          (rabi; tls uses epsilon/delta;
-    fock_cutoff, retained_levels         dot uses epsilon as level energy
-                                         and gamma_left/gamma_right)
+    epsilon = <number>                  (rabi, tls; the level energy of a dot)
+    delta = <number>                    (rabi, tls)
+    g = <number >= 0>                   (rabi)
+    omega_r = <number > 0>              (rabi; optional)
+    fock_cutoff = <integer>             (rabi; optional; > retained_levels + 10)
+    retained_levels = <integer >= 2>    (rabi; optional)
     [baths]
-    statistics = bose | fermi
-    alpha, omega_c                      (bose)
-    gamma_left, gamma_right, mu_left, mu_right   (fermi; gammas >= 0,
-                                         not both 0)
-    T_left, T_right
+    statistics = bose | fermi           (optional; bose for rabi and tls, fermi for dot)
+    T_left = <number > 0>
+    T_right = <number > 0>
+    alpha = <number >= 0>               (bose)
+    omega_c = <number > 0>              (bose)
+    gamma_left = <number >= 0>          (fermi; gamma_left + gamma_right > 0)
+    gamma_right = <number >= 0>         (fermi)
+    mu_left = <number>                  (fermi; optional, default 0)
+    mu_right = <number>                 (fermi; optional, default 0)
 
     [solver]                            (optional; rabi and tls only)
     secular = full | partial            (optional, default full)
-    cluster_factor = <float >= 0>       (optional, default 10)
-    lamb_shift = true | false           (optional, default true)
+    cluster_factor = <number >= 0>      (optional)
+    lamb_shift = <boolean>              (optional, default true)
 
     [sweep]
     variable = T | epsilon | delta | g  (g: rabi only; delta: rabi and tls)
-    scale = linear | log
-    start, stop = <float>               (start > 0 and stop > 0 for log
-                                         and for T; >= 0 for g)
-    points = <int >= 1>
+    scale = linear | log                (optional, default linear)
+    start = <number>                    (> 0 for log and for T; >= 0 for g)
+    stop = <number>                     (as start)
+    points = <integer >= 1>
 
     [output]
     csv = <path>
     svg = <path>                        (optional)
 
-Values are plain floats/ints/booleans; no schema inference is performed.
-A section or key that the model type and statistics do not read is an error:
-a dot config takes no [solver] section, since its closed form is the
-full-secular rate equation, and its rows name the solver `full`.
+A number is a finite float, an integer a whole number, a boolean one of
+true/yes/on/1 or false/no/off/0, and a word matches in any case.  The rabi
+defaults are those of `RabiParams`, and cluster_factor's is
+`steady.DEFAULT_CLUSTER_FACTOR`.  A section or key that the model type and
+statistics do not read is an error: a dot config takes no [solver] section,
+since its closed form is the full-secular rate equation, and its rows name
+the solver `full`.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .linalg import ValidationError
+from .model import SpectralDensity
 from .rabi import RabiParams
+from .steady import DEFAULT_CLUSTER_FACTOR
 
 __all__ = ["SweepConfig", "load_config", "parse_config_text"]
 
 SWEEP_VARIABLES = ("T", "epsilon", "delta", "g")
-# the (lower-case) keys each section reads: [model] by type, [baths] by statistics
-_KEYS = {"model": {"rabi": "type epsilon delta g omega_r fock_cutoff retained_levels",
-                   "tls": "type epsilon delta", "dot": "type epsilon"},
-         "baths": {"bose": "statistics t_left t_right alpha omega_c",
-                   "fermi": "statistics t_left t_right gamma_left gamma_right mu_left mu_right"},
-         "solver": "secular cluster_factor lamb_shift",
-         "sweep": "variable scale start stop points", "output": "csv svg"}
+
+# Each key is (kind, default): kind is float (a number), int, bool, str (a
+# path) or _Words (one of `words`; `noun` names the key in errors), and the
+# default is MISSING where the key is required.
+_Words = namedtuple("_Words", "noun words")
+_NUMBER = (float, MISSING)
+# [model] by type: the statistics its baths need, and its keys besides `type`
+_MODELS = {"rabi": ("bose", {f.name: ({"float": float, "int": int}[f.type], f.default)
+                             for f in fields(RabiParams)}),
+           "tls": ("bose", {"epsilon": _NUMBER, "delta": _NUMBER}),
+           "dot": ("fermi", {"epsilon": _NUMBER})}
+# [baths] by statistics: its keys besides `statistics` and the temperatures
+_BATHS = {"bose": {"alpha": _NUMBER, "omega_c": _NUMBER},
+          "fermi": {"gamma_left": _NUMBER, "gamma_right": _NUMBER,
+                    "mu_left": (float, 0.0), "mu_right": (float, 0.0)}}
+_SECTIONS = {
+    "model": {"type": (_Words("model type", tuple(_MODELS)), MISSING)},
+    # statistics defaults (None) to the one the model type needs
+    "baths": {"statistics": (_Words("statistics", tuple(_BATHS)), None),
+              "T_left": _NUMBER, "T_right": _NUMBER},
+    "solver": {"secular": (_Words("secular mode", ("full", "partial")), "full"),
+               "cluster_factor": (float, DEFAULT_CLUSTER_FACTOR), "lamb_shift": (bool, True)},
+    "sweep": {"variable": (_Words("sweep variable", SWEEP_VARIABLES), MISSING),
+              "scale": (_Words("scale", ("linear", "log")), "linear"),
+              "start": _NUMBER, "stop": _NUMBER, "points": (int, MISSING)},
+    "output": {"csv": (str, MISSING), "svg": (str, None)},
+}
+_NEEDS = {"bose": "bosonic baths", "fermi": "fermionic leads"}
 
 
 @dataclass(frozen=True)
@@ -80,36 +114,34 @@ class SweepConfig:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def _getfloat(section, key, default=None):
+def _value(section, key: str, kind, default):
+    """`key` of a configparser section ({} for an absent one) read as `kind`."""
     if key not in section:
-        if default is None:
+        if default is MISSING:
             raise ValidationError(f"missing key {key!r} in [{section.name}]")
         return default
+    raw = section[key].strip()
+    if isinstance(kind, _Words):
+        word = {w.lower(): w for w in kind.words}.get(raw.lower())
+        if word is None:
+            raise ValidationError(f"unknown {kind.noun} {raw!r}: {kind.noun} must be "
+                                  f"one of {kind.words}")
+        return word
+    if kind is bool:
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValidationError(f"key {key!r} is not a boolean: {raw.lower()!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    if kind is str:
+        return raw
     try:
-        val = float(section[key])
+        val = float(raw)
     except ValueError:
-        raise ValidationError(f"key {key!r} is not a number: {section[key]!r}") from None
+        raise ValidationError(f"key {key!r} is not a number: {raw!r}") from None
     if not np.isfinite(val):
-        raise ValidationError(f"key {key!r} must be finite: {section[key]!r}")
-    return val
-
-
-def _getint(section, key, default=None):
-    val = _getfloat(section, key, default)
-    if val != int(val):
+        raise ValidationError(f"key {key!r} must be finite: {raw!r}")
+    if kind is int and val != int(val):
         raise ValidationError(f"key {key!r} must be an integer")
-    return int(val)
-
-
-def _getbool(section, key, default):
-    if key not in section:
-        return default
-    raw = section[key].strip().lower()
-    if raw in ("true", "yes", "1", "on"):
-        return True
-    if raw in ("false", "no", "0", "off"):
-        return False
-    raise ValidationError(f"key {key!r} is not a boolean: {raw!r}")
+    return kind(val)
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -122,92 +154,49 @@ def parse_config_text(text: str) -> SweepConfig:
         if sec not in cp:
             raise ValidationError(f"missing section [{sec}]")
 
-    msec = cp["model"]
-    mtype = msec.get("type", "").strip().lower()
-    if mtype not in ("rabi", "tls", "dot"):
-        raise ValidationError(f"unknown model type {mtype!r}")
-    bsec = cp["baths"]
-    statistics = bsec.get("statistics", "bose").strip().lower()
-    if statistics not in ("bose", "fermi"):
-        raise ValidationError(f"unknown statistics {statistics!r}")
-    if mtype == "dot" and statistics != "fermi":
-        raise ValidationError("dot model needs fermionic leads")
-    if mtype in ("rabi", "tls") and statistics != "bose":
-        raise ValidationError(f"{mtype} model needs bosonic baths")
-    read = {**_KEYS, "model": _KEYS["model"][mtype], "baths": _KEYS["baths"][statistics]}
+    mtype = _value(cp["model"], "type", *_SECTIONS["model"]["type"])
+    need, model_keys = _MODELS[mtype]
+    statistics = _value(cp["baths"], "statistics", *_SECTIONS["baths"]["statistics"]) or need
+    if statistics != need:
+        raise ValidationError(f"{mtype} model needs {_NEEDS[need]}")
     if mtype == "dot" and "solver" in cp:
         raise ValidationError("a dot config takes no [solver] section: its closed form "
                               "is the full-secular rate equation")
+    table = {**_SECTIONS, "model": {**_SECTIONS["model"], **model_keys},
+             "baths": {**_SECTIONS["baths"], **_BATHS[statistics]}}
     for name in cp.sections():
-        if name not in read:
+        if name not in table:
             raise ValidationError(f"unknown section [{name}]")
-        for key in (k for k in cp[name] if k not in read[name].split()):
+        for key in (k for k in cp[name] if k not in {t.lower() for t in table[name]}):
             where = "DEFAULT" if key in cp.defaults() else name
             raise ValidationError(f"unknown key {key!r} in [{where}] of a {mtype} config "
                                   f"with {statistics} baths")
-
-    model: dict[str, float] = {}
-    if mtype in ("rabi", "tls"):
-        model["epsilon"] = _getfloat(msec, "epsilon")
-        model["delta"] = _getfloat(msec, "delta")
+    model, baths, solver, sweep, output = (
+        {key: _value(cp[name] if name in cp else {}, key, *spec) for key, spec in keys.items()}
+        for name, keys in table.items())
+    del model["type"]
+    baths["statistics"] = statistics
+    # each section's checks, at load time rather than in every row
     if mtype == "rabi":
-        model["g"] = _getfloat(msec, "g")
-        model["omega_r"] = _getfloat(msec, "omega_r", 1.0)
-        model["fock_cutoff"] = _getint(msec, "fock_cutoff", 40)
-        model["retained_levels"] = _getint(msec, "retained_levels", 5)
-        RabiParams(**model)        # the model section's own checks, at load time
-    if mtype == "dot":
-        model["epsilon"] = _getfloat(msec, "epsilon")
-
-    baths: dict[str, float | str] = {"statistics": statistics}
-    baths["T_left"] = _getfloat(bsec, "T_left")
-    baths["T_right"] = _getfloat(bsec, "T_right")
+        RabiParams(**model)
     if baths["T_left"] <= 0 or baths["T_right"] <= 0:
         raise ValidationError("bath temperatures must be positive")
     if statistics == "bose":
-        baths["alpha"] = _getfloat(bsec, "alpha")
-        baths["omega_c"] = _getfloat(bsec, "omega_c")
-    else:
-        for key in ("gamma_left", "gamma_right"):
-            baths[key] = _getfloat(bsec, key)
-            if baths[key] < 0:
-                raise ValidationError(f"key {key!r} must be >= 0: {baths[key]!r}")
-        if baths["gamma_left"] + baths["gamma_right"] == 0:
-            raise ValidationError("the dot is coupled to no lead: gamma_left + "
-                                  "gamma_right must be positive")
-        baths["mu_left"] = _getfloat(bsec, "mu_left", 0.0)
-        baths["mu_right"] = _getfloat(bsec, "mu_right", 0.0)
+        SpectralDensity(baths["alpha"], baths["omega_c"])
+    for key, val in {**baths, **solver}.items():
+        if key in ("gamma_left", "gamma_right", "cluster_factor") and val < 0:
+            raise ValidationError(f"key {key!r} must be >= 0: {val!r}")
+    if statistics == "fermi" and baths["gamma_left"] + baths["gamma_right"] == 0:
+        raise ValidationError("the dot is coupled to no lead: gamma_left + "
+                              "gamma_right must be positive")
 
-    solver = "full"
-    cluster_factor = 10.0
-    lamb_shift = True
-    if "solver" in cp:
-        ssec = cp["solver"]
-        solver = ssec.get("secular", "full").strip().lower()
-        if solver not in ("full", "partial"):
-            raise ValidationError(f"unknown secular mode {solver!r}")
-        cluster_factor = _getfloat(ssec, "cluster_factor", 10.0)
-        if cluster_factor < 0:
-            raise ValidationError(f"key 'cluster_factor' must be >= 0: {cluster_factor!r}")
-        lamb_shift = _getbool(ssec, "lamb_shift", True)
-
-    wsec = cp["sweep"]
-    variable = wsec.get("variable", "").strip()
-    if variable not in SWEEP_VARIABLES:
-        raise ValidationError(
-            f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}")
+    variable, start, stop = sweep["variable"], sweep["start"], sweep["stop"]
     if variable != "T" and variable not in model:
         raise ValidationError(f"sweep variable {variable!r} is not a parameter of the "
                               f"{mtype} model")
-    scale = wsec.get("scale", "linear").strip().lower()
-    if scale not in ("linear", "log"):
-        raise ValidationError(f"unknown scale {scale!r}")
-    start = _getfloat(wsec, "start")
-    stop = _getfloat(wsec, "stop")
-    points = _getint(wsec, "points")
-    if points < 1:
+    if sweep["points"] < 1:
         raise ValidationError("points must be >= 1 (zero-point grids are degenerate)")
-    if scale == "log" and (start <= 0 or stop <= 0):
+    if sweep["scale"] == "log" and (start <= 0 or stop <= 0):
         raise ValidationError("log-spaced grids need positive endpoints")
     if variable == "T" and (start <= 0 or stop <= 0):
         raise ValidationError(f"a T sweep needs positive temperatures: 'start' = {start!r}, "
@@ -215,17 +204,9 @@ def parse_config_text(text: str) -> SweepConfig:
     if variable == "g" and min(start, stop) < 0:
         raise ValidationError(f"a g sweep needs g >= 0: 'start' = {start!r}, "
                               f"'stop' = {stop!r}")
-
-    osec = cp["output"]
-    if "csv" not in osec:
-        raise ValidationError("missing key 'csv' in [output]")
-    csv_path = osec["csv"].strip()
-    svg_path = osec["svg"].strip() if "svg" in osec else None
-
-    return SweepConfig(model_type=mtype, model=model, baths=baths, solver=solver,
-                       cluster_factor=cluster_factor, lamb_shift=lamb_shift,
-                       variable=variable, scale=scale, start=start, stop=stop,
-                       points=points, csv_path=csv_path, svg_path=svg_path)
+    return SweepConfig(model_type=mtype, model=model, baths=baths, solver=solver["secular"],
+                       cluster_factor=solver["cluster_factor"], lamb_shift=solver["lamb_shift"],
+                       csv_path=output["csv"], svg_path=output["svg"], **sweep)
 
 
 def load_config(path: str) -> SweepConfig:

@@ -543,8 +543,9 @@ def dot_transport(delta_dot: float, leads: list[dict]) -> DotTransport:
     """Sequential transport through a spin-degenerate dot with two leads.
 
     Each lead dict needs id, gamma, beta, mu.  Currents are positive into the
-    lead; kappa is the zero-bias thermal conductance evaluated at the
-    parameters of the second lead.
+    lead; kappa is the zero-bias thermal conductance with both leads at the
+    mean of their temperatures and the mean of their chemical potentials, as
+    a rabi or tls row takes kappa2 at the mean bath temperature.
     """
     if len(leads) != 2:
         raise ValidationError("dot_transport needs exactly two leads")
@@ -565,11 +566,15 @@ def dot_transport(delta_dot: float, leads: list[dict]) -> DotTransport:
         energy[me["id"]] = float(delta_dot * ip)
         heat[me["id"]] = float((delta_dot - float(me.get("mu", 0.0))) * ip)
 
-    # linear conductance at the measured lead's (T, mu):
+    # linear conductance at the mean (T, mu): 1 / beta is the mean of 1 / beta_l,
+    # and equal betas give beta itself, bit for bit;
     # x^2 / (2 cosh^2(x/2)) with x = |delta_dot - mu| / T, written as h^2 / 2
     # with h = 2 x e^{-x/2} / (1 + e^{-x}), which no finite x overflows
-    x = abs(delta_dot - float(l1.get("mu", 0.0))) * float(l1["beta"])
+    b0, b1 = float(l0["beta"]), float(l1["beta"])
+    beta = b0 * (2.0 * b1 / (b0 + b1))
+    mu = 0.5 * (float(l0.get("mu", 0.0)) + float(l1.get("mu", 0.0)))
+    x = abs(delta_dot - mu) * beta
     h = 2.0 * x * np.exp(-0.5 * x) / (1.0 + np.exp(-x))
-    kappa = 0.5 * h * h * gl * gr / (gl + gr) / (1.0 + f[l1["id"]])
+    kappa = 0.5 * h * h * gl * gr / (gl + gr) / (1.0 + occupation("fermi", delta_dot, beta, mu))
     return DotTransport(particle=particle, energy=energy, heat=heat,
                         kappa=float(kappa))

@@ -1,7 +1,8 @@
 """Minimal self-contained SVG line plots for sweep CSV files.
 
 Hand-rolled on purpose: no plotting dependency, deterministic output, and
-the few features sweeps need (linear/log axes, several series, labels).
+the few features sweeps need (a linear or log x axis, a log y axis,
+several series, labels).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ __all__ = ["emit_plot"]
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 40, 60
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+X_COL, Y_COLS, Y_LABEL = "value", ("kappa2", "kappa4", "kappa_total"), "kappa (k_B * omega_ref)"
 
 
 def _read_csv(path: str):
@@ -49,18 +51,17 @@ def _ticks(lo: float, hi: float, log: bool):
     return ticks
 
 
-def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
-              logx: bool = False, logy: bool = False,
-              x_label: str | None = None, y_label: str | None = None) -> None:
-    """Render selected CSV columns to a standalone SVG file.
+def emit_plot(csv_path: str, svg_path: str, logx: bool, x_label: str) -> None:
+    """Render the kappa columns of a sweep CSV against its `value` column, on a
+    log y axis, to a standalone SVG file.
 
     Rows with NaN or (on log axes) non-positive values are skipped per
     series.  Raises if a column is missing or nothing is plottable.
     """
     header, rows = _read_csv(csv_path)
     try:
-        xi = header.index(x_col)
-        yis = [header.index(c) for c in y_cols]
+        xi = header.index(X_COL)
+        yis = [header.index(c) for c in Y_COLS]
     except ValueError as exc:
         raise ValidationError(f"column not found in {csv_path}: {exc}") from None
 
@@ -75,7 +76,7 @@ def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
                 continue
             if math.isnan(x) or math.isnan(y):
                 continue
-            if (logx and x <= 0) or (logy and y <= 0):
+            if (logx and x <= 0) or y <= 0:
                 continue
             pts.append((x, y))
         series.append(pts)
@@ -90,7 +91,7 @@ def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_lo == y_hi:
-        y_lo, y_hi = y_lo * 0.5 if logy else y_lo - 0.5, y_hi * 2 if logy else y_hi + 0.5
+        y_lo, y_hi = y_lo * 0.5, y_hi * 2
 
     def tx(x):
         u = ((math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
@@ -98,8 +99,7 @@ def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
         return MARGIN_L + u * (WIDTH - MARGIN_L - MARGIN_R)
 
     def ty(y):
-        u = ((math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-             if logy else (y - y_lo) / (y_hi - y_lo))
+        u = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         return HEIGHT - MARGIN_B - u * (HEIGHT - MARGIN_T - MARGIN_B)
 
     out = []
@@ -117,27 +117,26 @@ def emit_plot(csv_path: str, svg_path: str, x_col: str, y_cols: list[str],
         out.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>')
         out.append(f'<text x="{px:.2f}" y="{y0 + 20}" font-size="12" '
                    f'text-anchor="middle">{t:g}</text>')
-    for t in _ticks(y_lo, y_hi, logy):
+    for t in _ticks(y_lo, y_hi, log=True):
         if t < y_lo or t > y_hi:
             continue
         py = ty(t)
         out.append(f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>')
         out.append(f'<text x="{x0 - 8}" y="{py + 4:.2f}" font-size="12" '
                    f'text-anchor="end">{t:g}</text>')
-    for pts, col, name in zip(series, COLORS, y_cols):
+    for pts, col, name in zip(series, COLORS, Y_COLS):
         if not pts:
             continue
         path = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in sorted(pts))
         out.append(f'<polyline points="{path}" fill="none" stroke="{col}" stroke-width="1.5"/>')
-    for k, (name, col) in enumerate(zip(y_cols, COLORS)):
+    for k, (name, col) in enumerate(zip(Y_COLS, COLORS)):
         out.append(f'<text x="{x1 - 150}" y="{y1 + 15 + 16 * k}" font-size="12" '
                    f'fill="{col}">{name}</text>')
     out.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 15}" font-size="13" '
-               f'text-anchor="middle">{x_label or x_col}'
-               f'{" (log)" if logx else ""}</text>')
+               f'text-anchor="middle">{x_label}{" (log)" if logx else ""}</text>')
     out.append(f'<text x="20" y="{(y0 + y1) / 2:.1f}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 20 {(y0 + y1) / 2:.1f})">'
-               f'{y_label or ", ".join(y_cols)}{" (log)" if logy else ""}</text>')
+               f'{Y_LABEL} (log)</text>')
     out.append("</svg>")
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

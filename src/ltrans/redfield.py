@@ -63,6 +63,11 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
                     + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
                     - Q_nn' Q_m'm (W_nm' + W*_mn') )
+
+    except on the population diagonals K[(n,n),(n,n)], which are minus the
+    total rate out of level n over all N levels (the sum rule): the formula's
+    k = n terms cancel there exactly, and their roundoff would swamp the
+    entry of a weakly mixed level, whose |Q_nk / Q_nn| is small.
     """
     rn, rm = rows[:, 0], rows[:, 1]
     cn, cm = cols[:, 0], cols[:, 1]
@@ -78,15 +83,17 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     right = (q.take(cn, axis=-1) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
     # products and sums in place from here on: a stack's temporaries are
     # large, and each one allocated is fresh memory to fault in
+    same_m, same_n = rm[:, None] == cm[None, :], rn[:, None] == cn[None, :]
     k = -(left @ stacked(right))
-    k *= rm[:, None] == cm[None, :]
+    k *= same_m
     w_conj = np.conj(w)      # conjugated before the gathers, which repeat entries
     left = q.take(rm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (r, b * n))
     right = (q.take(cm, axis=-2) * w_conj.take(cn, axis=-1).swapaxes(-1, -2)
              ).swapaxes(-3, -2)
     kron = left @ stacked(right)
-    kron *= rn[:, None] == cn[None, :]
+    kron *= same_n
     k -= kron
+    population = np.nonzero(same_m & same_n & (rn == rm)[:, None])     # K[(n,n),(n,n)]
     # the direct term, gathered by flat index n * N + m from the (n, m) planes
     qf, wf = q.reshape(q.shape[:-2] + (n * n,)), w.reshape(w.shape[:-2] + (n * n,))
     rn, rm = n * rn[:, None], rm[:, None]
@@ -96,7 +103,17 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     ww += w_conj.reshape(wf.shape).take(n * rm + cn, axis=-1)
     ww *= qq
     k += ww.sum(axis=-3)
+    k[(...,) + population] = -_population_rates(q, w).sum(axis=-2)[..., cn[population[1]]]
     return k
+
+
+def _population_rates(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g[..., n, m] = 2 sum_baths Q_nm Q_mn Re W_nm, the rate into n from m, for
+    n != m; zero diagonal."""
+    g = 2.0 * (q * q.swapaxes(-1, -2) * w.real).sum(axis=-3)
+    d = np.arange(q.shape[-1])
+    g[..., d, d] = 0.0
+    return g
 
 
 def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -189,10 +206,7 @@ class BosonKernel:
 
     def population_rates(self) -> np.ndarray:
         """K[n,n,m,m] = 2 sum_baths Q_nm Q_mn Re W_nm for n != m; zero diagonal."""
-        g = 2.0 * (self.q * self.q.swapaxes(-1, -2) * self.w.real).sum(axis=-3)
-        d = np.arange(self.dim)
-        g[..., d, d] = 0.0
-        return g
+        return _population_rates(self.q, self.w)
 
     def block(self, pairs: np.ndarray) -> KernelBlock:
         """The block over `pairs`, which must hold every diagonal pair and be

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from ltrans import config
 from ltrans.cli import main
 from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError
+from ltrans.rabi import RabiParams
+from ltrans.steady import DEFAULT_CLUSTER_FACTOR
 from ltrans.sweep import compute_row
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -274,3 +277,71 @@ def test_a_dot_coupled_to_no_lead_is_rejected(tmp_path, capsys):
     assert main(["sweep", str(ini)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("alpha = 1e-3", "alpha = -1e-3", "alpha must be >= 0"),
+    ("omega_c = 5", "omega_c = 0", "omega_c must be positive"),
+], ids=["alpha", "omega_c"])
+def test_a_bath_its_spectral_density_rejects_fails_at_load(tmp_path, capsys, old, new,
+                                                          message):
+    # SpectralDensity's own checks: each would otherwise fail every row
+    text = edit(old, new, TLS)
+    with pytest.raises(ValidationError, match=message):
+        parse_config_text(text)
+    ini = tmp_path / "tls.ini"
+    ini.write_text(text.replace("out.csv", str(tmp_path / "out.csv")), encoding="utf-8")
+    assert main(["sweep", str(ini)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def grammar():
+    """{section: [(key, its default or None)]}, as the module docstring states them."""
+    out = {}
+    for line in config.__doc__.splitlines():
+        if head := re.match(r" {4}\[(\w+)\]", line):
+            keys = out.setdefault(head[1], [])
+        elif entry := re.match(r" {4}(\w+) = .*?(?:default (\w+))?\)?$", line):
+            keys.append(entry.groups())
+    return out
+
+
+def test_the_grammar_names_each_key_the_table_reads_once():
+    table = {name: dict(keys) for name, keys in config._SECTIONS.items()}
+    for _, keys in config._MODELS.values():
+        table["model"].update(keys)
+    for keys in config._BATHS.values():
+        table["baths"].update(keys)
+    stated = grammar()
+    assert {name: sorted(key for key, _ in keys) for name, keys in stated.items()} == {
+        name: sorted(keys) for name, keys in table.items()}
+    for name, keys in stated.items():
+        for key, default in keys:
+            if default is not None:     # the default the table holds, as the text writes it
+                assert str(table[name][key][1]).lower().removesuffix(".0") == default
+
+
+def test_a_key_left_out_takes_the_default_of_the_type_that_owns_it():
+    text = edit("retained_levels = 3\n", "", edit("fock_cutoff = 30\n", ""))
+    owner = RabiParams(epsilon=0.0, delta=0.9, g=0.2)
+    for cfg in (parse_config_text(text), parse_config_text(text + "[solver]\n")):
+        assert cfg.model == {"epsilon": 0.0, "delta": 0.9, "g": 0.2,
+                             "omega_r": owner.omega_r, "fock_cutoff": owner.fock_cutoff,
+                             "retained_levels": owner.retained_levels}
+        assert cfg.cluster_factor == DEFAULT_CLUSTER_FACTOR
+
+
+def test_a_dot_config_needs_no_statistics_key():
+    # the statistics default to the ones the model type needs
+    text = DOT.format(variable="T")
+    cfg = parse_config_text(edit("statistics = fermi\n", "", text))
+    assert cfg.baths["statistics"] == "fermi"
+    assert cfg == parse_config_text(text)
+
+
+def test_a_word_matches_in_any_case():
+    text = edit("type = rabi", "type = Rabi", edit("variable = T", "variable = t"))
+    cfg = parse_config_text(text + "[solver]\nsecular = PARTIAL\nlamb_shift = Off\n")
+    assert (cfg.model_type, cfg.variable, cfg.solver, cfg.lamb_shift) == (
+        "rabi", "T", "partial", False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltrans.config import parse_config_text
 from ltrans.currents import partial_secular_state
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
@@ -15,6 +16,7 @@ from ltrans.redfield import (BosonKernel, KernelBlock, all_pairs, build_k2_boson
                              k2_pair_block)
 from ltrans.steady import (FrequencyClusters, partial_secular_steady,
                            retained_pair_array)
+from ltrans.sweep import compute_row
 
 
 def drude_baths(t_left, t_right, alpha=1e-3, omega_c=5.0):
@@ -184,3 +186,44 @@ def test_blocks_need_diagonals_and_swap_closure():
     assert block.block(all_pairs(3)) is block
     with pytest.raises(ValidationError, match="requested pairs"):
         block.block(all_pairs(3)[::-1])
+
+
+TLS_DELTA = """
+[model]
+type = tls
+epsilon = 0.3
+delta = 1e-9
+[baths]
+T_left = {t_left!r}
+T_right = {t_right!r}
+alpha = 1e-3
+omega_c = 5
+[solver]
+secular = {solver}
+[sweep]
+variable = delta
+scale = log
+start = 1e-9
+stop = 1e-2
+points = 15
+[output]
+csv = unused.csv
+"""
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("bias", [0.0, 0.2])
+def test_weakly_mixed_levels_keep_their_population_rates(t, bias):
+    # at delta << epsilon no coherence is retained, so the partial solver is
+    # the full rate equation; the population diagonal of the kernel is minus
+    # the rate out of its level, not the roundoff of two cancelling sums
+    rows = {}
+    for solver in ("full", "partial"):
+        cfg = parse_config_text(TLS_DELTA.format(t_left=t * (1 + bias), t_right=t * (1 - bias),
+                                                 solver=solver))
+        rows[solver] = np.array([[float(c) for c in compute_row(cfg, d).split(",")[2:7]]
+                                 for d in cfg.grid()])
+    cells = [0, 3, 4] if bias else [0]      # kappa2, and I_L, I_R of a biased row
+    full, partial = rows["full"][:, cells], rows["partial"][:, cells]
+    assert np.all(full != 0)
+    assert np.all(np.abs(partial - full) <= 1e-12 * np.abs(full))

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from ltrans import currents, redfield, steady, sweep
 from ltrans.baths import w_table
 from ltrans.config import parse_config_text
-from ltrans.currents import (heat_current_2nd_general, partial_secular_state,
-                             tls_closed_forms)
+from ltrans.currents import (dot_transport, heat_current_2nd_general,
+                             partial_secular_state, tls_closed_forms)
 from ltrans.linalg import ValidationError
 from ltrans.sweep import compute_row, run_sweep, worker_count
 from ltrans.validate import run_validation
@@ -554,3 +554,18 @@ def test_every_dot_row_is_finite_or_names_its_fault(mu, bias, offset, gammas, te
             return
     assert gammas != (0.0, 0.0)
     assert np.isfinite([float(v) for v in row.split(",")[1:-2]]).all()
+
+
+def test_a_biased_dot_row_takes_kappa2_at_the_mean_temperature_and_potential():
+    # as a rabi or tls row takes kappa2 at the mean bath temperature
+    text = DOT_ROW.format(epsilon=-0.04, gammas=(0.01, 0.01), mus=(0.1, -0.05),
+                          temps=(0.02, 0.001), variable="epsilon", value=-0.04)
+    kappa2 = float(compute_row(parse_config_text(text), -0.04).split(",")[2])
+    t = 0.5 * (0.02 + 0.001)
+    leads = [dict(id=rid, gamma=0.01, beta=1.0 / t, mu=0.5 * (0.1 - 0.05)) for rid in "LR"]
+    assert kappa2 == pytest.approx(dot_transport(-0.04, leads).kappa, rel=1e-14)
+    # dI_R / dT_left at that point
+    dt = 1e-5 * t
+    hot, cold = ([dict(leads[0], beta=1.0 / (t + s)), leads[1]] for s in (dt, -dt))
+    fd = (dot_transport(-0.04, hot).heat["R"] - dot_transport(-0.04, cold).heat["R"]) / (2 * dt)
+    assert kappa2 == pytest.approx(fd, rel=1e-8)
