@@ -8,9 +8,8 @@ for self-validation.
 """
 
 from .baths import fermi_pv_integral, occupation
-from .currents import (CurrentResult, dot_transport, heat_current_2nd_general,
-                       heat_current_2nd_secular, kappa2, kappa4_lowT,
-                       tls_closed_forms)
+from .currents import (dot_transport, heat_current_2nd_general, heat_current_2nd_secular,
+                       kappa2, kappa4_lowT, tls_closed_forms)
 from .diagrams import (DiscreteModeBath, enumerate_matchings,
                        evaluate_kernel_from_diagrams, fermion_sign,
                        generate_kernel_terms, is_irreducible)
@@ -36,7 +35,7 @@ __all__ = [
     "build_current_kernel_2nd", "fermion_dot_rates",
     "SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
     "full_secular_steady", "partial_secular_steady",
-    "CurrentResult", "heat_current_2nd_secular", "heat_current_2nd_general",
+    "heat_current_2nd_secular", "heat_current_2nd_general",
     "kappa2", "kappa4_lowT", "tls_closed_forms", "dot_transport",
     "RabiParams", "ApproxSpectrum", "build_rabi_junction", "rwa_spectrum",
     "vvpt_spectrum", "grwa_spectrum", "kondo_temperature",

@@ -70,16 +70,15 @@ def occupation(statistics: str, omega: float, beta: float, mu: float = 0.0,
     raise ValidationError(f"unknown statistics {statistics!r}")
 
 
-def _t_axis(value, w: np.ndarray):
+def _t_axis(value, w: np.ndarray) -> np.ndarray:
     """A temperature or beta shaped to broadcast against the frequencies w.
 
-    A 1-d array over temperatures gains one trailing unit axis per axis of
-    w, so that it leads the result.  A scalar is returned as it is: the
-    formulas are the same, and float arithmetic keeps a one-temperature
-    table several microseconds cheaper than 0-d array arithmetic.
+    A 1-d array over temperatures, which every sweep row passes, gains one
+    trailing unit axis per axis of w, so that it leads the result; a scalar
+    becomes an array of unit axes, which broadcasts to the shape of w.
     """
     v = np.asarray(value, dtype=float)
-    return v.reshape(v.shape + (1,) * w.ndim) if v.ndim else value
+    return v.reshape(v.shape + (1,) * w.ndim)
 
 
 def bose_signed(omega, beta):

@@ -65,7 +65,7 @@ def _cmd_spectrum(args) -> int:
               grwa_spectrum(params, n_doublets)]
     print("# approximation comparison (sorted levels, error vs numeric)")
     for ap in approx:
-        lv, _ = ap.sorted()
+        lv = ap.sorted()
         k = min(model.dim, len(lv))
         err = np.max(np.abs(lv[:k] - model.omega[:k]))
         print(f"{ap.method:5s}: max |d omega| over {k} levels = {err:.3e}")

@@ -14,7 +14,7 @@ Grammar (configparser syntax; one key per line, required unless noted):
     statistics = bose | fermi           (optional; bose for rabi and tls, fermi for dot)
     T_left = <number > 0>
     T_right = <number > 0>
-    alpha = <number >= 0>               (bose)
+    alpha = <number > 0>                (bose)
     omega_c = <number > 0>              (bose)
     gamma_left = <number >= 0>          (fermi; gamma_left + gamma_right > 0)
     gamma_right = <number >= 0>         (fermi)
@@ -183,6 +183,9 @@ def parse_config_text(text: str) -> SweepConfig:
         raise ValidationError("bath temperatures must be positive")
     if statistics == "bose":
         SpectralDensity(baths["alpha"], baths["omega_c"])
+        if baths["alpha"] == 0:
+            raise ValidationError("the junction is coupled to no bath: alpha must be "
+                                  "positive")
     for key, val in {**baths, **solver}.items():
         if key in ("gamma_left", "gamma_right", "cluster_factor") and val < 0:
             raise ValidationError(f"key {key!r} must be >= 0: {val!r}")

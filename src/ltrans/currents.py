@@ -1,9 +1,12 @@
 """Steady-state heat and particle currents and linear thermal conductances.
 
 Second-order (sequential) currents come in a secular population form and a
-general form with coherences; the sequential conductance is their linear
-response to the heated bath's temperature, one closed-form derivative for
-both secular solvers.  `kappa2_sweep` computes it over a whole temperature
+general form with coherences; currents per bath are a plain dict
+{bath id: heat current into the bath}, as `heat_current_2nd_secular`,
+`partial_secular_state`, `Kappa2Response.currents` and `DotTransport`
+return them.  The sequential conductance is their linear response to the
+heated bath's temperature, one closed-form derivative for both secular
+solvers.  `kappa2_sweep` computes it over a whole temperature
 axis, or at one temperature over a stack of models, in slices of bounded
 size: one set of bath tables per slice, and one clustering, one batched
 solve and one contraction of kappa2 and of each bath's current per set of
@@ -33,24 +36,10 @@ from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
                      partial_secular_response, partial_secular_steady,
                      retained_pair_mask)
 
-__all__ = ["CurrentResult", "heat_current_2nd_secular",
+__all__ = ["heat_current_2nd_secular",
            "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_sweep",
            "Kappa2Response", "tls_closed_forms", "dot_transport",
            "DotTransport", "partial_secular_state"]
-
-
-@dataclass(frozen=True)
-class CurrentResult:
-    """Per-reservoir heat currents (units omega_ref^2), positive into the bath."""
-
-    per_reservoir: dict[str, float]
-
-    def total(self) -> float:
-        return float(sum(self.per_reservoir.values()))
-
-    def conservation_residual(self) -> float:
-        scale = max((abs(v) for v in self.per_reservoir.values()), default=0.0)
-        return abs(self.total()) / max(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +58,14 @@ def _secular_current(wdiff: np.ndarray, g: np.ndarray, p: np.ndarray):
 
 
 def heat_current_2nd_secular(model: JunctionModel, rates: RateMatrix,
-                             state: SteadyState) -> CurrentResult:
-    """I_r = sum_{n,m} (w_m - w_n) gamma^r[n, m] rho_mm."""
+                             state: SteadyState) -> dict[str, float]:
+    """{bath id: I_r}, I_r = sum_{n,m} (w_m - w_n) gamma^r[n, m] rho_mm.
+
+    Each current is into its bath, in units of omega_ref^2.
+    """
     p = state.populations
     wdiff = model.omega[None, :] - model.omega[:, None]   # w_m - w_n
-    per = {rid: _secular_current(wdiff, g, p) for rid, g in rates.per_reservoir.items()}
-    return CurrentResult(per_reservoir=per)
+    return {rid: _secular_current(wdiff, g, p) for rid, g in rates.per_reservoir.items()}
 
 
 def heat_current_2nd_general(model: JunctionModel, baths: list[Reservoir],
@@ -294,6 +285,8 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
         raise ValidationError("kappa2 needs exactly two baths")
     if solver not in ("full", "partial"):
         raise ValidationError(f"unknown solver {solver!r}")
+    if not c >= 0:
+        raise ValidationError(f"cluster factor must be >= 0, got {c!r}")
     if biased and (len(ts) != 1 or any(np.ndim(b.beta) for b in baths)):
         raise ValidationError("a biased stack takes one mean temperature and one "
                               "temperature per bath")

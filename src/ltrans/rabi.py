@@ -67,8 +67,10 @@ the build, in ms (keep 5, Delta = 0.9, g = 0.2; min of timeit, one CPU):
 
 The rotating wave approximation, second-order Van Vleck perturbation theory
 and the generalized RWA provide closed-form spectra used for cross-checks
-and for interpreting the conductance features; the tests check the Van
-Vleck levels against the numeric ones at weak coupling.
+and for interpreting the conductance features.  Each is a ground level and
+a ladder of doublets, built by one helper (`_doublets`) from the scheme's
+doublet centres, detunings and couplings.  The tests check them against
+the numeric levels, and the Van Vleck levels against the RWA's as g -> 0.
 """
 
 from __future__ import annotations
@@ -120,9 +122,9 @@ class ApproxSpectrum:
     """Closed-form spectrum of one approximation scheme.
 
     levels follows the scheme's own doublet indexing, which orders correctly
-    only at small coupling; sorted() re-orders ascending and reports the
-    permutation.  q_elements holds the coupling matrix elements out of the
-    ground state where the scheme provides them.
+    only at small coupling; sorted() returns them ascending.  q_elements
+    holds the coupling matrix elements out of the ground state where the
+    scheme provides them.
     """
 
     method: str
@@ -133,9 +135,8 @@ class ApproxSpectrum:
     v_plus: np.ndarray
     q_elements: dict[str, float] = field(default_factory=dict)
 
-    def sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        perm = np.argsort(self.levels, kind="stable")
-        return self.levels[perm], perm
+    def sorted(self) -> np.ndarray:
+        return np.sort(self.levels)
 
     def doublet_norm_residual(self) -> float:
         return float(max(np.max(np.abs(self.u_minus**2 + self.v_minus**2 - 1.0)),
@@ -283,27 +284,28 @@ def kondo_temperature(model: JunctionModel) -> float:
 # rotating-wave approximation
 # ---------------------------------------------------------------------------
 
-def _doublet_coefficients(delta_n: np.ndarray, off: np.ndarray):
-    """Normalized 2x2 diagonalization weights for detuning/coupling arrays."""
+def _doublets(ground: float, base: np.ndarray, delta_n, off: np.ndarray):
+    """(levels, u_minus, u_plus, v_minus, v_plus) of a doublet scheme, over arrays.
+
+    Doublet n mixes two bare states at detuning delta_n and coupling off
+    (entries n - 1); its levels, after `ground`, are base -+ root / 2 with
+    root = sqrt(delta_n^2 + off^2), and the weights of its lower (upper)
+    state are (delta_n -+ root, -off) normalized, or (1, 0) where that vector
+    vanishes (a decoupled doublet).
+    """
     root = np.sqrt(delta_n**2 + off**2)
-    um = np.zeros_like(delta_n)
-    up = np.zeros_like(delta_n)
-    vm = np.zeros_like(delta_n)
-    vp = np.zeros_like(delta_n)
-    for i, (d, o, r) in enumerate(zip(delta_n, off, root)):
-        num_m = d - r
-        num_p = d + r
-        den_m = np.sqrt(num_m**2 + o**2)
-        den_p = np.sqrt(num_p**2 + o**2)
-        if den_m < 1e-300:   # decoupled doublet: lower state is pure |e, n-1>
-            um[i], vm[i] = 1.0, 0.0
-        else:
-            um[i], vm[i] = num_m / den_m, -o / den_m
-        if den_p < 1e-300:
-            up[i], vp[i] = 1.0, 0.0
-        else:
-            up[i], vp[i] = num_p / den_p, -o / den_p
-    return um, up, vm, vp
+    levels = np.empty(2 * len(root) + 1)
+    levels[0] = ground
+    levels[1::2] = base - 0.5 * root
+    levels[2::2] = base + 0.5 * root
+    weights = []
+    for num in (delta_n - root, delta_n + root):
+        den = np.sqrt(num**2 + off**2)
+        pure = den < 1e-300
+        den = np.where(pure, 1.0, den)
+        weights += [np.where(pure, 1.0, num / den), np.where(pure, 0.0, -off / den)]
+    um, vm, up, vp = weights
+    return levels, um, up, vm, vp
 
 
 def rwa_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
@@ -311,15 +313,9 @@ def rwa_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
     p = params
     wq = p.omega_q
     gx = p.g * p.delta / wq if wq > 0 else 0.0
-    detuning = wq - p.omega_r
     ns = np.arange(1, n_max + 1, dtype=float)
-    root = np.sqrt(detuning**2 + 4.0 * ns * gx**2)
-    levels = np.empty(2 * n_max + 1)
-    levels[0] = -0.5 * wq
-    levels[1::2] = (ns - 0.5) * p.omega_r - 0.5 * root
-    levels[2::2] = (ns - 0.5) * p.omega_r + 0.5 * root
-    um, up, vm, vp = _doublet_coefficients(np.full(n_max, detuning),
-                                           2.0 * np.sqrt(ns) * gx)
+    levels, um, up, vm, vp = _doublets(-0.5 * wq, (ns - 0.5) * p.omega_r,
+                                       wq - p.omega_r, 2.0 * np.sqrt(ns) * gx)
     q = {"L01": float(vm[0]), "R01": float(um[0] * p.delta / wq) if wq > 0 else 0.0,
          "L02": float(vp[0]), "R02": float(up[0] * p.delta / wq) if wq > 0 else 0.0}
     return ApproxSpectrum(method="RWA", levels=levels, u_minus=um, u_plus=up,
@@ -340,13 +336,11 @@ def vvpt_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
     ns = np.arange(1, n_max + 1, dtype=float)
     wq_n = wq + 2.0 * ns * gx**2 / wbar
     delta_n = wq_n - p.omega_r
-    root = np.sqrt(delta_n**2 + 4.0 * ns * gx**2)
     shift = -gz**2 / p.omega_r - gx**2 / wbar
-    levels = np.empty(2 * n_max + 1)
-    levels[0] = -0.5 * (wq + 2.0 * gx**2 / wbar) - gz**2 / p.omega_r
-    levels[1::2] = -0.5 * wq_n + 0.5 * delta_n + ns * p.omega_r + shift - 0.5 * root
-    levels[2::2] = -0.5 * wq_n + 0.5 * delta_n + ns * p.omega_r + shift + 0.5 * root
-    um, up, vm, vp = _doublet_coefficients(delta_n, 2.0 * np.sqrt(ns) * gx)
+    levels, um, up, vm, vp = _doublets(
+        -0.5 * (wq + 2.0 * gx**2 / wbar) - gz**2 / p.omega_r,
+        -0.5 * wq_n + 0.5 * delta_n + ns * p.omega_r + shift,
+        delta_n, 2.0 * np.sqrt(ns) * gx)
 
     q: dict[str, float] = {}
     if p.epsilon == 0.0:
@@ -410,13 +404,10 @@ def grwa_spectrum(params: RabiParams, n_max: int = 5) -> ApproxSpectrum:
     off = np.array([_dressed_gap(p.delta, alpha_t, n, n - 1)
                     * (c_plus[n] * c_plus[n - 1] + c_minus[n] * c_minus[n - 1])
                     for n in ns])
-    root = np.sqrt(delta_n**2 + off**2)
-    levels = np.empty(2 * n_max + 1)
-    levels[0] = -0.5 * wq_n[0] - p.g**2 / p.omega_r
-    base = -0.5 * wq_n[1:] + 0.5 * delta_n + ns * p.omega_r - p.g**2 / p.omega_r
-    levels[1::2] = base - 0.5 * root
-    levels[2::2] = base + 0.5 * root
-    um, up, vm, vp = _doublet_coefficients(delta_n, off)
+    levels, um, up, vm, vp = _doublets(
+        -0.5 * wq_n[0] - p.g**2 / p.omega_r,
+        -0.5 * wq_n[1:] + 0.5 * delta_n + ns * p.omega_r - p.g**2 / p.omega_r,
+        delta_n, off)
     q = {"L01": float(4.0 * p.g / p.omega_r * um[0] * c_minus[0] * c_plus[0]
                       + vm[0] * (c_minus[0] * c_minus[1] + c_plus[0] * c_plus[1])),
          "R01": float(-2.0 * um[0] * c_minus[0] * c_plus[0])}

@@ -51,7 +51,7 @@ log = logging.getLogger(__name__)
 
 TRACE_TOL = 1e-12
 POSITIVITY_WARN = -1e-8
-CONDITION_WARN = 1e12
+CONDITION_WARN = 1e12          # bounds `_scaled_condition`
 DEFAULT_CLUSTER_FACTOR = 10.0
 
 
@@ -282,9 +282,20 @@ def _rho(x: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
     return rho
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """The 1-norm (largest absolute column sum) of each matrix of a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+def _scaled_condition(a: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """The 1-norm condition number of each partial-secular system `a` of a
+    stack, its trace row (row 0) scaled to the largest |entry| s of the others.
+
+    Unscaled, the ratio of the unit trace row to the rate scale (down to
+    1e-19) would read as lost digits.  Scaling row 0 of a by s divides
+    column 0 of its inverse by s, so both come from `a` and `inverse`.
+    """
+    abs_a, abs_inv = np.abs(a), np.abs(inverse)
+    # a one-level system has no other rows, and its s leaves the product as it is
+    s = abs_a[..., 1:, :].max(axis=(-2, -1), initial=1e-300)[..., None]
+    abs_a[..., 0, :] *= s
+    abs_inv[..., :, 0] /= s
+    return abs_a.sum(axis=-2).max(axis=-1) * abs_inv.sum(axis=-2).max(axis=-1)
 
 
 def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
@@ -305,12 +316,12 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     a[..., 0, :] = 0.0
     a[..., 0, :n] = 1.0            # trace row replaces population row 0
     # one LU factorization per system: its inverse gives the state (column
-    # 0, as b = e_0) and the exact 1-norm condition number
+    # 0, as b = e_0) and the exact (scaled) 1-norm condition number
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise NumericError("partial-secular system is singular") from None
-    rcond = np.atleast_1d(1.0 / (_norm1(a) * _norm1(inverse)))
+    rcond = np.atleast_1d(1.0 / _scaled_condition(a, inverse))
     if not (rcond > 0.0).all():
         raise NumericError("partial-secular system is singular")
     for r in rcond[rcond * CONDITION_WARN < 1.0]:

@@ -20,7 +20,7 @@ def current_at(model, baths, rid, solver, c=DEFAULT_CLUSTER_FACTOR, lamb_shift=T
     if solver == "full":
         rates = gamma_rates(model, baths)
         state = full_secular_steady(rates)
-        return heat_current_2nd_secular(model, rates, state).per_reservoir[rid]
+        return heat_current_2nd_secular(model, rates, state)[rid]
     state, _ = partial_secular_state(model, baths, c=c, lamb_shift=lamb_shift)
     return heat_current_2nd_general(model, baths, rid, state)
 

@@ -102,7 +102,7 @@ def test_biased_full_row_is_bitwise_its_separate_solves():
     model, baths, t_mean = separate_solves(cfg, 0.2)
     kappa2, _, _, i_left, i_right = cells(cfg, 0.2)
     rates = gamma_rates(model, baths)
-    want = heat_current_2nd_secular(model, rates, full_secular_steady(rates)).per_reservoir
+    want = heat_current_2nd_secular(model, rates, full_secular_steady(rates))
     assert (i_left, i_right) == (want["L"], want["R"])
     assert kappa2 == kappa2_sweep(model, baths, [t_mean], solver="full")[0].kappa2
 

@@ -296,6 +296,20 @@ def test_a_bath_its_spectral_density_rejects_fails_at_load(tmp_path, capsys, old
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("text", [config_text(), TLS], ids=["rabi", "tls"])
+def test_a_junction_coupled_to_no_bath_fails_at_load(tmp_path, capsys, text):
+    # at alpha = 0 every rate vanishes and every row would fail
+    text = edit("alpha = 1e-3", "alpha = 0", text)
+    message = "the junction is coupled to no bath: alpha must be positive"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config_text(text)
+    ini = tmp_path / "zero.ini"
+    ini.write_text(text.replace("out.csv", str(tmp_path / "out.csv")), encoding="utf-8")
+    assert main(["sweep", str(ini)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def grammar():
     """{section: [(key, its default or None)]}, as the module docstring states them."""
     out = {}

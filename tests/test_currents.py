@@ -68,9 +68,9 @@ def test_equilibrium_secular_current_vanishes():
     biased = drude_baths(0.8 * 1.01, 0.8 * 0.99)
     rates_b = gamma_rates(model, biased)
     scale = abs(heat_current_2nd_secular(model, rates_b,
-                                         full_secular_steady(rates_b)).per_reservoir["L"])
-    assert abs(res.per_reservoir["L"]) <= 1e-12 * scale
-    assert abs(res.per_reservoir["R"]) <= 1e-12 * scale
+                                         full_secular_steady(rates_b))["L"])
+    assert abs(res["L"]) <= 1e-12 * scale
+    assert abs(res["R"]) <= 1e-12 * scale
 
 
 def test_tls_current_matches_closed_form_grid():
@@ -80,7 +80,7 @@ def test_tls_current_matches_closed_form_grid():
             baths = drude_baths(t_left, t_right)
             rates = gamma_rates(model, baths)
             state = full_secular_steady(rates)
-            got = heat_current_2nd_secular(model, rates, state).per_reservoir["R"]
+            got = heat_current_2nd_secular(model, rates, state)["R"]
             want, _, _ = tls_closed_forms(1.0, 0.8, 0.5, 1e-3, t_left, t_right,
                                           omega_c=5.0)
             assert got == pytest.approx(want, rel=1e-12)
@@ -93,7 +93,7 @@ def test_conservation_random_model():
     rates = gamma_rates(model, baths)
     state = full_secular_steady(rates)
     res = heat_current_2nd_secular(model, rates, state)
-    i_l, i_r = res.per_reservoir["L"], res.per_reservoir["R"]
+    i_l, i_r = res["L"], res["R"]
     assert abs(i_l + i_r) <= 1e-13 * max(abs(i_l), abs(i_r))
 
 
@@ -110,7 +110,7 @@ def test_general_reduces_to_secular_for_diagonal_state():
     sec = heat_current_2nd_secular(model, rates, state)
     for rid in ("L", "R"):
         gen = heat_current_2nd_general(model, baths, rid, state)
-        assert gen == pytest.approx(sec.per_reservoir[rid], rel=1e-13)
+        assert gen == pytest.approx(sec[rid], rel=1e-13)
 
 
 def test_general_current_equals_kernel_contraction():
@@ -481,8 +481,7 @@ def test_kappa2_response_currents_are_those_of_its_state(solver):
     [res] = kappa2_sweep(model, drude_baths(), [0.6], solver=solver)
     common = [b.with_temperature(0.6) for b in drude_baths()]
     if solver == "full":
-        want = heat_current_2nd_secular(model, gamma_rates(model, common),
-                                        res.state).per_reservoir
+        want = heat_current_2nd_secular(model, gamma_rates(model, common), res.state)
     else:
         assert (1, 2) in res.state.retained_pairs
         want = {rid: heat_current_2nd_general(model, common, rid, res.state)
@@ -514,6 +513,15 @@ def test_kappa2_validation():
         kappa2(model, baths, -1.0)
     with pytest.raises(ValidationError):
         kappa2(model, baths, 0.5, solver="nope")
+
+
+@pytest.mark.parametrize("solver", ["full", "partial"])
+@pytest.mark.parametrize("c", [-1.0, float("nan")])
+def test_kappa2_sweep_rejects_a_negative_cluster_factor_at_once(solver, c):
+    # one raise for the whole call, not a failed entry per temperature, and
+    # the full solver, which never clusters, rejects it too
+    with pytest.raises(ValidationError, match="cluster factor must be >= 0"):
+        kappa2_sweep(tls_model(), drude_baths(), [0.3, 0.6], solver=solver, c=c)
 
 
 # ---------------------------------------------------------------------------

@@ -133,15 +133,31 @@ def test_a_parallel_rabi_sweep_loads_scipy_linalg_before_it_forks(tmp_path):
 
 def test_every_benchmark_span_target_exists():
     # perfbench/spans.py wraps each LAYERS name by getattr on its ltrans
-    # module, so a name that is gone makes `perfbench/run.py --trace 1` raise
+    # module, so a name that is gone makes `perfbench/run.py --trace 1` raise;
+    # each PROBES key names one of them
     spec = importlib.util.spec_from_file_location("perfbench_spans",
                                                   ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [f"{layer}.{name}" for layer, names in spans.LAYERS.items()
-               for name in names
+    targets = [(layer, name) for layer, names in spans.LAYERS.items() for name in names]
+    targets += [tuple(key.split(".")) for key in spans.PROBES]
+    missing = [f"{layer}.{name}" for layer, name in targets
                if not callable(getattr(importlib.import_module(f"ltrans.{layer}"),
                                        name, None))]
+    assert missing == []
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # for example perfbench/gate.py checks the TLS rows against
+    # ltrans.currents.tls_closed_forms
+    missing = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ltrans":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)
+                            and importlib.util.find_spec(f"{node.module}.{alias.name}") is None]
     assert missing == []
 
 

@@ -6,8 +6,9 @@ the qubit-resonator splitting exceeds the bath rates.  Full secular theory
 misses this; partial secular theory recovers it, reduces to full secular
 theory when no coherence is retained, and to the dense (non-secular) Redfield
 steady state when every coherence is.  At equal bath temperatures the full
-secular steady state is the Gibbs state, and at any bias its heat currents
-into the two baths cancel.  The conductance kappa2 of either solver is the
+secular steady state is the Gibbs state, and at any bias the heat currents
+of either solver into the two baths cancel, those of the partial solver with
+coherences retained too.  The conductance kappa2 of either solver is the
 temperature derivative of its steady-state heat current.
 """
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from ltrans import sweep
 from ltrans.config import parse_config_text
-from ltrans.currents import kappa2_sweep
+from ltrans.currents import kappa2_sweep, partial_secular_state
 from ltrans.model import Reservoir, SpectralDensity, stack_models
 from ltrans.rabi import RabiParams, build_rabi_junction
 from ltrans.redfield import all_pairs, build_k2_boson, gamma_rates
@@ -161,6 +162,35 @@ def test_full_secular_heat_currents_cancel_at_any_bias(seeds, dim, t_left, t_rig
         wdiff = model.omega[None, :] - model.omega[:, None]
         terms = sum(np.abs(wdiff * g * p).sum() for g in rates.per_reservoir.values())
         assert abs(res.currents["L"] + res.currents["R"]) <= 1e-13 * terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       dim=st.integers(2, 6), split=st.floats(1e-6, 2e-3),
+       alpha=st.sampled_from([1e-3, 5e-4, 2.5e-4]),
+       t_left=st.floats(0.02, 3.0), t_right=st.floats(0.02, 3.0))
+def test_partial_secular_heat_currents_cancel_with_retained_coherences(
+        seeds, dim, split, alpha, t_left, t_right):
+    # I_r = -2 Re sum Q_mn Q_np Wbar_nm rho_pm: the two baths' currents of the
+    # biased partial-secular state cancel to the roundoff of their terms,
+    # not merely at O(alpha^2), whether or not a coherence is retained; the
+    # split levels retain one wherever it is below c times the rate scale
+    models = [random_junction(seed, dim, split) for seed in seeds]
+    sd = SpectralDensity(alpha=alpha, omega_c=5.0)
+    baths = [Reservoir("L", 1.0 / t_left, sd), Reservoir("R", 1.0 / t_right, sd)]
+    got = kappa2_sweep(stack_models(models), baths, [0.5 * (t_left + t_right)],
+                       solver="partial", biased=t_left != t_right)
+    retained = 0
+    for model, res in zip(models, got):
+        assert not isinstance(res, Exception), res
+        state, currents = partial_secular_state(model, baths)
+        assert currents == res.currents
+        retained += len(state.retained_pairs) > dim
+        k2 = build_k2_boson(model, baths)
+        terms = sum(np.einsum("mn,np,nm,pm->", abs(q), abs(q), abs(wbar), abs(state.rho))
+                    for q, wbar in zip(k2.q, model.bohr_matrix() * k2.w))
+        assert abs(currents["L"] + currents["R"]) <= 1e-13 * terms
+    assume(retained)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -25,14 +25,14 @@ from test_sweep import RABI_FULL_T
 def test_numeric_levels_match_vvpt_at_weak_coupling():
     p = RabiParams(epsilon=0.0, delta=0.9, g=0.01)
     model = build_rabi_junction(p)
-    levels, _ = vvpt_spectrum(p, n_max=3).sorted()
+    levels = vvpt_spectrum(p, n_max=3).sorted()
     assert np.max(np.abs(levels[:model.dim] - model.omega)) < 1e-6
 
 
 def _level_error(spectrum, p):
     """Largest distance of the approximate levels from the numeric ones."""
     model = build_rabi_junction(p)
-    levels, _ = spectrum.sorted()
+    levels = spectrum.sorted()
     return np.max(np.abs(levels[:model.dim] - model.omega))
 
 
@@ -56,6 +56,21 @@ def test_rwa_spectrum_misses_the_bloch_siegert_shift_only():
         assert errors[-1] < g**2
     assert errors[1] / errors[0] == pytest.approx(4.0, rel=0.05)
     assert errors[2] / errors[1] == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("epsilon,delta", [(0.0, 1.0), (0.0, 0.9), (0.3, 1.0)])
+def test_vvpt_spectrum_reduces_to_the_rwa_as_g_vanishes(epsilon, delta):
+    # the Van Vleck corrections are O(g^2): their largest effect on the
+    # sorted levels falls about fourfold per halving of g, and is nil at g = 0
+    def gap(g):
+        p = RabiParams(epsilon=epsilon, delta=delta, g=g)
+        return np.max(np.abs(vvpt_spectrum(p, n_max=3).sorted()
+                             - rwa_spectrum(p, n_max=3).sorted()))
+
+    gaps = [gap(g) for g in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.0 < coarse / fine < 4.5
+    assert gap(0.0) <= 1e-15
 
 
 def test_zero_bias_couplings_real_symmetric_parity_odd():

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from ltrans.currents import kappa2
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
 from ltrans.rabi import RabiParams, build_rabi_junction
@@ -11,6 +12,7 @@ from ltrans.redfield import (KernelBlock, RateMatrix, all_pairs, build_k2_boson,
 from ltrans.steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
                            full_secular_steady, partial_secular_steady,
                            retained_pair_array)
+from ltrans.sweep import _tls_junction
 
 from coherence_oracle import three_level_coherence_analytic
 from rate_oracle import propagate_rate_equation
@@ -210,6 +212,24 @@ def test_partial_secular_condition_warning(caplog):
         state = partial_secular_steady(model, gathered_block(k, diag_only), diag_only)
     assert any("badly conditioned" in r.message for r in caplog.records)
     assert np.abs(g @ state.populations).max() < 1e-15
+
+
+@pytest.mark.parametrize("epsilon,delta,t,warns", [
+    (0.3, 1e-6, 0.01, False), (0.3, 1e-9, 0.01, False),
+    (1e-9, 1e-9, 0.01, False), (1e-9, 1e-9, 0.1, True)])
+def test_the_condition_estimate_counts_lost_digits(caplog, epsilon, delta, t, warns):
+    # the trace row is scaled to the rate scale of the others before the
+    # estimate: the weakly mixed rows (rates ~1e-13 and ~1e-19 against a unit
+    # trace row) read O(1) and are accurate, while the rows that retain the
+    # coherence of two levels 1.4e-9 apart read 1.4e11 and 1.4e13
+    model = _tls_junction(epsilon, delta)
+    baths = drude_baths(t, t)
+    with caplog.at_level(logging.WARNING, logger="ltrans.steady"):
+        k_partial = kappa2(model, baths, t, solver="partial")
+    assert any("badly conditioned" in r.message for r in caplog.records) == warns
+    if epsilon > delta:         # no coherence retained: the full solver is the reference
+        assert k_partial == pytest.approx(kappa2(model, baths, t, solver="full"),
+                                          rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
