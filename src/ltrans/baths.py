@@ -12,6 +12,12 @@ recurrence, then the Bernoulli series), so the tables need no scipy.  A
 reservoir whose beta is a 1-d array carries a temperature axis: the tables
 (and `bose_signed`) then gain a leading axis over it, shape
 (n_T,) + omega.shape, each slice bitwise the table of that one temperature.
+The digamma and trigamma terms are even in omega, so the tables evaluate
+them once per distinct |omega| and temperature, from one sort of the
+frequencies by magnitude (`Frequencies`); a stack of models sorts the Bohr
+frequencies of the level pairs its couplings join once
+(`CoupledFrequencies`), and its W and dW/dT tables read that one sort and
+hold zeros on the other pairs.
 The Matsubara series itself (direct summation plus an analytic Hurwitz-zeta
 tail) is kept here as an oracle that `validate` also runs; it alone uses
 scipy.special (for the Hurwitz zeta function), imported when it runs.  The
@@ -27,9 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ValidationError, NumericError
-from .model import Reservoir, SpectralDensity
+from .model import JunctionModel, Reservoir, SpectralDensity
 
-__all__ = ["occupation", "bose_signed", "w_table", "dw_dt_real", "dw_dt_table",
+__all__ = ["occupation", "bose_signed", "Frequencies", "by_magnitude", "CoupledFrequencies",
+           "w_table", "dw_dt_real", "dw_dt_table",
            "w_rate_matsubara_oracle", "dn_dDeltaT_signed", "fermi_pv_integral",
            "matsubara_sums"]
 
@@ -115,9 +122,28 @@ def _w_real(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
     return np.pi * sd.slope_at(w) / beta * ratio
 
 
-def _by_magnitude(y) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct |y|, ascending, and the index of each entry's |y| among them."""
-    a = np.abs(y).ravel()
+class Frequencies:
+    """Frequencies sorted once by magnitude; every table over them reads this one order.
+
+    omega holds the frequencies (any shape), magnitudes their distinct
+    |omega| in ascending order, and inverse, in the shape of omega, the index
+    of each entry's |omega| among them (`by_magnitude`).  The bath functions
+    that need |omega| alone (the digamma and trigamma terms, even in omega)
+    are evaluated once per magnitude and temperature.  (A plain class: a
+    named tuple or dataclass costs every start of the program more.)
+    """
+
+    __slots__ = ("omega", "magnitudes", "inverse")
+
+    def __init__(self, omega: np.ndarray, magnitudes: np.ndarray, inverse: np.ndarray):
+        self.omega, self.magnitudes, self.inverse = omega, magnitudes, inverse
+
+
+def by_magnitude(omega) -> Frequencies:
+    """omega with its distinct |omega|, ascending, and the index of each
+    entry's |omega| among them."""
+    w = np.asarray(omega, dtype=float)
+    a = np.abs(w).ravel()
     order = a.argsort()
     s = a[order]
     first = np.empty(s.shape, dtype=bool)
@@ -125,11 +151,59 @@ def _by_magnitude(y) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(s[1:], s[:-1], out=first[1:])
     inverse = np.empty(s.shape, dtype=np.intp)
     inverse[order] = first.cumsum() - 1
-    return s[first], inverse.reshape(np.shape(y))
+    return Frequencies(w, s[first], inverse.reshape(w.shape))
 
 
-def _w_imag(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
-    """PV int J(w') n(w') / (w' - w) dw' in closed form.
+def _sorted(omega) -> Frequencies:
+    """omega as `Frequencies`: as given, or sorted here."""
+    return omega if isinstance(omega, Frequencies) else by_magnitude(omega)
+
+
+class CoupledFrequencies:
+    """The Bohr frequencies of a model (or model stack) where a coupling joins
+    the two levels, which every bath table of the stack is evaluated on.
+
+    A model that labels two sectors has odd couplings (`JunctionModel.sector`),
+    so its coupled pairs are the cross-sector ones; a model with one sector
+    or none, and each unlabelled model of a stack that mixes both, couples
+    every pair.  mask is (..., N, N), or None where every pair of every model
+    is coupled; frequencies holds the Bohr frequencies where mask holds (the
+    whole Bohr matrix where it is None), sorted once by magnitude.
+    """
+
+    __slots__ = ("mask", "frequencies")
+
+    def __init__(self, mask: np.ndarray | None, frequencies: Frequencies):
+        self.mask, self.frequencies = mask, frequencies
+
+    @classmethod
+    def of(cls, model: JunctionModel) -> "CoupledFrequencies":
+        bohr = model.bohr_matrix()
+        mask = None
+        if model.sector is not None:
+            mask = model.sector[..., :, None] != model.sector[..., None, :]
+            mask |= ~mask.any(axis=(-2, -1), keepdims=True)      # one sector: every pair
+            if mask.all():
+                mask = None
+        return cls(mask, by_magnitude(bohr if mask is None else bohr[mask]))
+
+    def table(self, table, bath: Reservoir) -> np.ndarray:
+        """table (`w_table` or `dw_dt_table`) of bath on the coupled pairs and
+        zero on the others, in the shape of the Bohr matrix after the
+        temperature axis of the bath, if it has one.  The kernel blocks over
+        pairs within sectors (every retained set), the population rates and
+        the heat currents read a zero only in a product with a same-sector
+        coupling, which is roundoff."""
+        values = table(self.frequencies, bath)
+        if self.mask is None:
+            return values
+        out = np.zeros(values.shape[:-1] + self.mask.shape, dtype=complex)
+        out[..., self.mask] = values
+        return out
+
+
+def _w_imag(f: Frequencies, sd: SpectralDensity, beta) -> np.ndarray:
+    """PV int J(w') n(w') / (w' - w) dw' in closed form, at the frequencies f.omega.
 
     Im W = J(w) [psi(x) + 1/(2x) - Re psi(1 + i y)] - (pi/2) (J(w)/w) omega_c
     with x = beta omega_c / 2 pi and y = beta w / 2 pi.  This resums the Drude
@@ -137,15 +211,17 @@ def _w_imag(w: np.ndarray, sd: SpectralDensity, beta) -> np.ndarray:
     (2005)); the cot(beta omega_c / 2) pole of the series cancels against
     psi(1 - x) through the reflection formula, so nothing is singular at a
     Matsubara collision omega_c = 2 pi k / beta.  Re psi(1 + i y) is even in
-    y, and a Bohr matrix is antisymmetric, so it is evaluated once per
-    distinct |y|, in one `_digamma` call with psi(x).
+    y (bitwise, as is |y| = beta |w| / 2 pi), so it is evaluated once per
+    distinct |w| of f and temperature, in one `_digamma` call with psi(x).
     """
-    x = beta * sd.omega_c / (2.0 * np.pi)
-    y = beta * w / (2.0 * np.pi)
-    abs_y, inverse = _by_magnitude(y)
+    w = f.omega
+    b = _t_axis(beta, w)
+    x = b * sd.omega_c / (2.0 * np.pi)
+    abs_y = np.asarray(beta, dtype=float)[..., None] * f.magnitudes / (2.0 * np.pi)
     xs = np.ravel(x)
-    psi = _digamma(np.concatenate([xs, 1.0 + 1j * abs_y])).real
-    bracket = psi[:len(xs)].reshape(np.shape(x)) + 0.5 / x - psi[len(xs):][inverse]
+    psi = _digamma(np.concatenate([xs, 1.0 + 1j * abs_y.ravel()])).real
+    psi_y = psi[len(xs):].reshape(abs_y.shape)[..., f.inverse]
+    bracket = psi[:len(xs)].reshape(np.shape(x)) + 0.5 / x - psi_y
     slope = sd.slope_at(w)
     return slope * (w * bracket - 0.5 * np.pi * sd.omega_c)
 
@@ -156,13 +232,14 @@ def w_table(omega, bath: Reservoir) -> np.ndarray:
     Ohmic-Drude bosonic bath.  Real part: pi*J(omega)*n(omega), continued
     through omega = 0 where it tends to pi*alpha/beta.  Imaginary part: the
     principal value of the same integrand, in the digamma closed form of
-    `_w_imag`.  Returns a complex array of the shape of `omega`, after the
-    temperature axis of the bath if it has one.
+    `_w_imag`.  omega is an array, or its `Frequencies` (`by_magnitude`),
+    whose sort the tables of a stack then share.  Returns a complex array
+    of the shape of the frequencies, after the temperature axis of the bath
+    if it has one.
     """
-    sd = bath.spectral
-    w = np.asarray(omega, dtype=float)
-    beta = _t_axis(bath.beta, w)
-    return _w_real(w, sd, beta) + 1j * _w_imag(w, sd, beta)
+    f = _sorted(omega)
+    beta = _t_axis(bath.beta, f.omega)
+    return _w_real(f.omega, bath.spectral, beta) + 1j * _w_imag(f, bath.spectral, bath.beta)
 
 
 # argument from which the Bernoulli series to B_14 replaces the direct form;
@@ -179,14 +256,18 @@ def _bernoulli_sum(u):
 
 
 # entries per block of `_inverse_power_sum`: its (entries, terms) array of
-# 256 x 19 complex numbers (78 KB) stays below glibc's 128 KiB mmap
+# 384 x 19 complex numbers (117 KB) stays below glibc's 128 KiB mmap
 # threshold, so a large table reuses heap memory instead of faulting in a
-# freshly mapped array on every call
-_POWER_SUM_BLOCK = 256
+# freshly mapped array on every call; the W table of a 21-level zero-bias
+# row (three temperatures of its 110 distinct coupled |omega|) is one block
+_POWER_SUM_BLOCK = 384
 
 
 def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
-    """sum_i coeffs[i] / (z + shifts[i])^powers[i] per entry of complex z.
+    """sum_i coeffs[i] / (z + shifts[i])^powers[i] per entry of complex z,
+    where powers holds the powers of the leading terms and every later term
+    is taken to the power 1 (numpy's power returns its base there, so
+    skipping it changes no bit).
 
     The terms of each entry are one array along its last, contiguous axis
     and are summed there, so that they are added in the same order whatever
@@ -200,7 +281,8 @@ def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
     for i in range(0, len(flat), _POWER_SUM_BLOCK):
         terms = flat[i:i + _POWER_SUM_BLOCK, None] + shifts
         np.divide(1.0, terms, out=terms)
-        np.power(terms, powers, out=terms)
+        raised = terms[:, :len(powers)]
+        np.power(raised, powers, out=raised)
         terms *= coeffs
         terms.sum(axis=-1, out=out[i:i + _POWER_SUM_BLOCK])
     return out.reshape(z.shape)
@@ -208,14 +290,14 @@ def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
 
 # Both functions below take ten steps of their recurrence, then the
 # Bernoulli series to B_14 at w = z + 10 (error < 1e-16 at |w| >= 10).
-# Their terms, in ascending size:
+# Their terms, in ascending size (the shifts complex, as z + shift is):
 # ln w - psi(z): B_2j / (2j w^2j) for j = 7 .. 1, 1/(2w), 1/(z + k) for k = 9 .. 0
-_DIGAMMA_TERMS = (np.array([10.0] * 8 + list(range(9, -1, -1))),
-                  np.array([14, 12, 10, 8, 6, 4, 2, 1] + [1] * 10),
+_DIGAMMA_TERMS = (np.array([10.0] * 8 + list(range(9, -1, -1)), dtype=complex),
+                  np.array([14, 12, 10, 8, 6, 4, 2]),
                   np.array([1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
                             1 / 12, 1 / 2] + [1.0] * 10, dtype=complex))
 # psi'(z): B_2j / w^(2j+1) for j = 7 .. 1, 1/(2w^2), 1/w, 1/(z + k)^2 for k = 9 .. 0
-_TRIGAMMA_TERMS = (np.array([10.0] * 9 + list(range(9, -1, -1))),
+_TRIGAMMA_TERMS = (np.array([10.0] * 9 + list(range(9, -1, -1)), dtype=complex),
                    np.array([15, 13, 11, 9, 7, 5, 3, 2, 1] + [2] * 10),
                    np.array([7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6,
                              1 / 2, 1] + [1.0] * 10, dtype=complex))
@@ -278,32 +360,34 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     1 + y Im psi'(1 + i y) = -sum_k B_2k (-y^2)^-k, summed as series where the
     argument is at least `_ASYMPTOTIC_FROM`.  The first remainder depends on
     the temperature alone and is evaluated once per temperature; the second
-    is even in y, so it is evaluated once per distinct |y|.  The trigamma
-    arguments of both direct forms, x and 1 + i|y|, go to one `_trigamma`
-    call, and a cold bath, whose remainders are both series, makes none.
-    Over the temperature axis of the bath, if it has one, like `w_table`.
+    is even in y, so it is evaluated once per distinct |w| and temperature
+    (1 where y = 0).  The trigamma arguments of both direct forms, x and
+    1 + i|y|, go to one `_trigamma` call, and a cold bath, whose remainders
+    are both series, makes none.  omega is an array or its `Frequencies`, as
+    for `w_table`, and the table is over the temperature axis of the bath,
+    if it has one, like `w_table`.
     """
-    sd = bath.spectral
-    w = np.asarray(omega, dtype=float)
+    f = _sorted(omega)
+    sd, w = bath.spectral, f.omega
     t = _t_axis(bath.temperature, w)
-    x, y = sd.omega_c / (2.0 * np.pi * t), w / (2.0 * np.pi * t)
-    # distinct |y| in ascending order: 0 (where the remainder is 1), the
-    # direct range, then the series range
-    abs_y, inverse = _by_magnitude(y)
+    x = sd.omega_c / (2.0 * np.pi * t)
+    t_col = np.asarray(bath.temperature, dtype=float)[..., None]
+    abs_y = f.magnitudes / (2.0 * np.pi * t_col)       # per temperature and distinct |w|
     y2 = abs_y * abs_y
-    lo = 1 if abs_y.size and abs_y[0] == 0.0 else 0
-    hi = int(np.count_nonzero(y2 < _ASYMPTOTIC_FROM**2))
+    zero = abs_y == 0.0
+    direct = ~zero & (y2 < _ASYMPTOTIC_FROM**2)
     xs = np.ravel(x).tolist()
     near = [v for v in xs if v < _ASYMPTOTIC_FROM]
     rest_y = np.ones(abs_y.shape)
     trigamma = np.empty(0)
-    if near or lo < hi:
-        trigamma = _trigamma(np.concatenate([near, 1.0 + 1j * abs_y[lo:hi]]))
-        rest_y[lo:hi] = 1.0 + abs_y[lo:hi] * trigamma[len(near):].imag
+    if near or direct.any():
+        trigamma = _trigamma(np.concatenate([near, 1.0 + 1j * abs_y[direct]]))
+        rest_y[direct] = 1.0 + abs_y[direct] * trigamma[len(near):].imag
     rest_x = np.array(_rest_x(xs, trigamma[:len(near)])).reshape(np.shape(x))
-    if hi < len(abs_y):
-        rest_y[hi:] = -_bernoulli_sum(-1.0 / y2[hi:])
-    rest_y = rest_y[inverse]
+    far = ~(zero | direct)
+    if far.any():
+        rest_y[far] = -_bernoulli_sum(-1.0 / y2[far])
+    rest_y = rest_y[..., f.inverse]
     return _dw_dt_real(w, sd, t) + 1j * (sd.value(w) / t * (rest_x - rest_y))
 
 

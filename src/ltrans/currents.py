@@ -26,11 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baths import bose_signed, dw_dt_real, dw_dt_table, occupation, w_table
+from .baths import (CoupledFrequencies, bose_signed, dw_dt_real, dw_dt_table, occupation,
+                    w_table)
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 from .redfield import (DEGENERACY_TOL, BosonKernel, RateMatrix, build_k2_boson,
-                       gamma_rates, k2_pair_block)
+                       gamma_rates, stacked_w_tables)
 from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
                      check_cluster_scale, cluster_bohr_frequencies, full_secular_steady,
                      partial_secular_response, partial_secular_steady,
@@ -372,32 +373,37 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
 
         return _responses(_isolated(np.arange(len(at)), solve_full), n, biased)
 
-    k2 = build_k2_boson(model, stacked)
-    w = k2.w.reshape((-1,) + k2.w.shape[2:])
+    # the W and dW/dT tables of the stack share one set of coupled pairs
+    # and one sort of their Bohr frequencies
+    coupled = CoupledFrequencies.of(model)
+    q = np.stack([model.q(b.id) for b in stacked], axis=-3)
+    w = stacked_w_tables(coupled, stacked)
+    rates = BosonKernel(q=q, w=w).population_rates().reshape(flat)
+    w = w.reshape(flat[:1] + w.shape[-3:])
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
     # below the dephasing terms they are made of, so a sum-rule test against
     # the block's own largest entry would fail on roundoff
-    dw = dw_dt_table(bohr, heated).reshape(flat)[:, None]
+    dw = coupled.table(dw_dt_table, heated).reshape(flat)[:, None]
 
     def solve_partial(idx, clusters):
         # the models, coupling matrices (all baths, heated bath) and tables of
         # the slices; the pair layout is the one the group's clusters keep
-        pairs = clusters.pairs
+        layout = clusters.layout
         mi = at[idx]
         sub = JunctionModel(model.omega[mi])
-        q, qh, w_s = k2.q[mi], q_h[mi], w[idx]
+        q_s, qh, w_s = q[mi], q_h[mi], w[idx]
         wbar = sub.bohr_matrix()[:, None] * w_s
-        kernel = BosonKernel(q=q, w=w_s)
+        kernel = layout.block(q_s, w_s, rates[idx])
         m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
-        dk = k2_pair_block(qh[:m], dw[idx[:m]], pairs, pairs)
+        dk = layout.entries(qh[:m], dw[idx[:m]])
         state, drho = partial_secular_response(sub, kernel, dk, clusters, lamb_shift)
-        kappa2 = _wbar_current(q[:m, 1], wbar[:m, 1], drho)
-        return slices(state, kappa2, {b.id: _wbar_current(q[:, i], wbar[:, i], state.rho)
+        kappa2 = _wbar_current(q_s[:m, 1], wbar[:m, 1], drho)
+        return slices(state, kappa2, {b.id: _wbar_current(q_s[:, i], wbar[:, i], state.rho)
                                       for i, b in enumerate(baths)})
 
     # solve the slices of each retained-pair set together (a clustering that
     # raises is its slice's result)
-    groups, out = _cluster_groups(model, _rate_scale(k2).ravel(), c, at)
+    groups, out = _cluster_groups(model, np.abs(rates).max(axis=(-2, -1)), c, at)
     for clusters, rows in groups:
         size = max(1, _STACK_ENTRIES // len(clusters.pairs)**2)
         for s in range(0, len(rows), size):

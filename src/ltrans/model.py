@@ -6,8 +6,11 @@ carry units omega_ref**2 and thermal conductances omega_ref.
 
 A junction model may carry a symmetry sector per level, set by the builder
 that knows the symmetry (the Z2 parity of the zero-bias Rabi and two-level
-junctions); no retained coherence of the partial-secular solve joins two
-sectors.  Without labels every level pair is a candidate.
+junctions), under which every coupling is odd: no retained coherence of
+the partial-secular solve joins two sectors, and no coupling joins two
+levels of one sector, so the bath tables are evaluated on the cross-sector
+pairs alone (`ltrans.baths.CoupledFrequencies`).  Without labels every
+level pair is a candidate, and every pair is coupled.
 """
 
 from __future__ import annotations
@@ -94,12 +97,16 @@ class JunctionModel:
 
     sector, if not None, holds an integer label per level (the shape of
     omega): each eigenvector is an eigenvector of a Z2 symmetry Pi of the
-    Hamiltonian, levels of one label share its eigenvalue, and every
-    coupling operator is odd or even under Pi.  The Redfield map then
-    commutes with rho -> Pi rho Pi, so the steady state and its linear
-    response hold no coherence between two sectors (Albert and Jiang, PRA
-    89, 022118 (2014)), and the clustering retains none.  None means that
-    no symmetry is known.
+    Hamiltonian, and levels of one label share its eigenvalue.  The Redfield
+    map then commutes with rho -> Pi rho Pi, so the steady state and its
+    linear response hold no coherence between two sectors (Albert and
+    Jiang, PRA 89, 022118 (2014)), and the clustering retains none.  Two
+    labelled sectors also mean that every coupling operator is odd under
+    Pi: no coupling joins two levels of one sector (their entries of Q are
+    roundoff, below `ltrans.redfield.COUPLING_RTOL` of the model's largest
+    coupling), so the bath tables hold zeros there
+    (`ltrans.baths.CoupledFrequencies`).  A model whose levels share one
+    label couples every pair.  None means that no symmetry is known.
     """
 
     omega: np.ndarray

@@ -5,16 +5,26 @@ resolved in the junction eigenbasis; its population block K[n,n,m,m] is the
 classical rate matrix.  One vectorized formula, `k2_pair_block`, evaluates
 the kernel of bosonic baths between any row pairs (n, m) and column pairs
 (n', m'), from the coupling matrices Q and the rate tables W of all baths
-stacked.  `build_k2_boson` evaluates those tables over the Bohr matrix
-(`w_table`, once per spectral density, over the distinct temperatures of the
+stacked.  `build_k2_boson` evaluates those tables (`stacked_w_tables`:
+`w_table`, once per spectral density, over the distinct temperatures of the
 baths that share it) and returns a `BosonKernel` that holds them: the heat
 currents of a steady state are read from the same tables, and no table
-outlives the kernel.  Entries are evaluated on demand, as a `KernelBlock`
-over a set of pairs: the partial-secular solver asks for the block of its
-retained pairs only, and code that needs the full kernel asks for the block
-over `all_pairs(N)`, whose `.k.reshape(N, N, N, N)` is the rank-4 tensor.
-The sum-rule and Hermiticity checks run on every block that is evaluated.
-The single-level fermionic dot gets its own rate constructor.
+outlives the kernel.  The tables are evaluated only on the level pairs that
+a coupling joins (`ltrans.baths.CoupledFrequencies`): where a model labels
+two symmetry sectors, its couplings are odd and the same-sector entries of
+W are left zero, which no product of couplings in a block over pairs
+within sectors, a population rate or a heat current reads.  Entries are
+evaluated on demand, as a `KernelBlock` over a set of pairs: the
+partial-secular solver asks for the block of its retained pairs only, and
+code that needs the full kernel asks for the block over `all_pairs(N)`,
+whose `.k.reshape(N, N, N, N)` is the rank-4 tensor (on a model with two
+sectors, its rows and columns across two sectors read the zeros, which the
+steady state and its response never reach).  A `PairLayout` holds the
+index maps of one pair set, which a retained set builds once for its
+kernel and dK/dT blocks, their checks and its solves.  The sum-rule and
+Hermiticity checks run on every block that is evaluated, except the
+temperature derivative's.  The single-level fermionic dot gets its own
+rate constructor.
 
 Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
 tables, kernel blocks, population rates and `gamma_rates` matrices with a
@@ -29,15 +39,17 @@ one model per slice), which broadcasts against the axes of W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .baths import bose_signed, occupation, w_table
+from .baths import CoupledFrequencies, bose_signed, occupation, w_table
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
 
-__all__ = ["KernelBlock", "BosonKernel", "RateMatrix",
-           "build_k2_boson", "k2_pair_block", "k2_tensor_from_w", "all_pairs",
+__all__ = ["KernelBlock", "BosonKernel", "RateMatrix", "PairLayout",
+           "build_k2_boson", "stacked_w_tables", "k2_pair_block", "k2_tensor_from_w",
+           "all_pairs",
            "gamma_rates", "build_current_kernel_2nd", "fermion_dot_rates"]
 
 SUM_RULE_RTOL = 1e-12
@@ -67,11 +79,36 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     except on the population diagonals K[(n,n),(n,n)], which are minus the
     total rate out of level n over all N levels (the sum rule): the formula's
     k = n terms cancel there exactly, and their roundoff would swamp the
-    entry of a weakly mixed level, whose |Q_nk / Q_nn| is small.
+    entry of a weakly mixed level, whose |Q_nk / Q_nn| is small.  A set of
+    pairs that is evaluated more than once builds its index maps once, as a
+    `PairLayout`.
     """
+    return _block_entries(q, w, _entry_maps(q.shape[-1], rows, cols), _population_rates(q, w))
+
+
+def _entry_maps(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """The index maps of `k2_pair_block` between row pairs and column pairs
+    over n levels: the pairs' levels (rn, rm, cn, cm), the Kronecker masks
+    (same m, same n), the positions (row, column) of the population
+    diagonals and the level n of each, and the flat indices n * N + m of the
+    direct term's four gathers."""
     rn, rm = rows[:, 0], rows[:, 1]
     cn, cm = cols[:, 0], cols[:, 1]
-    r, c, b, n = len(rows), len(cols), q.shape[-3], q.shape[-1]
+    same_m, same_n = rm[:, None] == cm[None, :], rn[:, None] == cn[None, :]
+    population = np.nonzero(same_m & same_n & (rn == rm)[:, None])     # K[(n,n),(n,n)]
+    nn, mm = n * rn[:, None], rm[:, None]
+    # Q_nn', Q_m'm, W_nm' and W*_mn'
+    direct = (nn + cn, n * cm + mm, nn + cm, n * mm + cn)
+    return rn, rm, cn, cm, same_m, same_n, population, cn[population[1]], direct
+
+
+def _block_entries(q: np.ndarray, w: np.ndarray, maps: tuple,
+                   rates: np.ndarray) -> np.ndarray:
+    """`k2_pair_block` over the pairs of `maps` (`_entry_maps`), its
+    population diagonals from the population rates `rates`
+    (`_population_rates(q, w)`)."""
+    rn, rm, cn, cm, same_m, same_n, population, population_level, direct = maps
+    r, c, b, n = len(rn), len(cn), q.shape[-3], q.shape[-1]
     lead = q.shape[:-3]
 
     # explicit sizes, not -1, which an empty stack leaves undetermined
@@ -83,7 +120,6 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     right = (q.take(cn, axis=-1) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
     # products and sums in place from here on: a stack's temporaries are
     # large, and each one allocated is fresh memory to fault in
-    same_m, same_n = rm[:, None] == cm[None, :], rn[:, None] == cn[None, :]
     k = -(left @ stacked(right))
     k *= same_m
     w_conj = np.conj(w)      # conjugated before the gathers, which repeat entries
@@ -93,18 +129,100 @@ def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
     kron = left @ stacked(right)
     kron *= same_n
     k -= kron
-    population = np.nonzero(same_m & same_n & (rn == rm)[:, None])     # K[(n,n),(n,n)]
     # the direct term, gathered by flat index n * N + m from the (n, m) planes
     qf, wf = q.reshape(q.shape[:-2] + (n * n,)), w.reshape(w.shape[:-2] + (n * n,))
-    rn, rm = n * rn[:, None], rm[:, None]
-    qq = qf.take(rn + cn, axis=-1)
-    qq *= qf.take(n * cm + rm, axis=-1)
-    ww = wf.take(rn + cm, axis=-1)
-    ww += w_conj.reshape(wf.shape).take(n * rm + cn, axis=-1)
+    q_first, q_second, w_first, w_second = direct
+    qq = qf.take(q_first, axis=-1)
+    qq *= qf.take(q_second, axis=-1)
+    ww = wf.take(w_first, axis=-1)
+    ww += w_conj.reshape(wf.shape).take(w_second, axis=-1)
     ww *= qq
     k += ww.sum(axis=-3)
-    k[(...,) + population] = -_population_rates(q, w).sum(axis=-2)[..., cn[population[1]]]
+    k[(...,) + population] = -rates.sum(axis=-2)[..., population_level]
     return k
+
+
+class PairLayout:
+    """The index maps of one set of pairs (n, m) over `dim` levels, built once
+    per set and read by every evaluation on it.
+
+    They are the maps of the kernel block over the set (`entries`, the
+    gathers of `k2_pair_block`), of the block's sum-rule and Hermiticity
+    checks (the diagonal pairs, and each pair's mirror (m, n)), and of the
+    retained coherences of the partial-secular solver's layout
+    (`ltrans.steady.retained_pair_array`).  A retained set keeps one
+    (`ltrans.steady.FrequencyClusters.layout`), which its kernel and dK/dT
+    blocks, their checks and both solves share.  Each map is built on first
+    use; pairs is a (P, 2) integer array.
+    """
+
+    def __init__(self, dim: int, pairs: np.ndarray):
+        self.dim, self.pairs = dim, pairs
+
+    @cached_property
+    def _maps(self) -> tuple:
+        return _entry_maps(self.dim, self.pairs, self.pairs)
+
+    def entries(self, q: np.ndarray, w: np.ndarray, rates=None) -> np.ndarray:
+        """`k2_pair_block(q, w, pairs, pairs)`, unchecked; rates, if given,
+        are the population rates `BosonKernel.population_rates` of q and w,
+        which the population diagonals then read."""
+        return _block_entries(q, w, self._maps,
+                              _population_rates(q, w) if rates is None else rates)
+
+    def block(self, q: np.ndarray, w: np.ndarray, rates=None) -> "KernelBlock":
+        """The `KernelBlock` of `entries`, checked (`check`)."""
+        block = KernelBlock(self.dim, self.pairs, self.entries(q, w, rates))
+        self.check(block)
+        return block
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The positions of the diagonal pairs (n, n), one per level."""
+        diag = np.flatnonzero(self.pairs[:, 0] == self.pairs[:, 1])
+        if len(diag) != self.dim:
+            raise ValidationError("kernel block lacks diagonal pairs; no sum rule")
+        return diag
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """The flat index in a (P, P) block of K[(m,n),(m',n')], per entry
+        K[(n,m),(n',m')]."""
+        n, m = self.pairs[:, 0], self.pairs[:, 1]
+        position = np.full(self.dim * self.dim, -1)     # n*N + m -> row of (n, m)
+        position[n * self.dim + m] = np.arange(len(self.pairs))
+        swap = position[m * self.dim + n]
+        if (swap < 0).any():
+            raise ValidationError("kernel block is not closed under (n, m) -> (m, n)")
+        return swap[:, None] * len(swap) + swap
+
+    def sum_rule_residual(self, k: np.ndarray):
+        """max |sum_n K[(n,n), c]| over the columns of the block k."""
+        return np.abs(k[..., self.diagonal, :].sum(axis=-2)).max(axis=-1)
+
+    def hermiticity_residual(self, k: np.ndarray):
+        """max |K[(n,m),(n',m')] - conj(K[(m,n),(m',n')])| over the block k."""
+        flat = k.reshape(k.shape[:-2] + (k.shape[-1] * k.shape[-1],))
+        mirror = flat.take(self.mirror, axis=-1)
+        np.conjugate(mirror, out=mirror)
+        mirror -= k            # |conj(K') - K| is |K - conj(K')|, bit for bit
+        return np.abs(mirror).max(axis=(-2, -1))
+
+    def check(self, block: "KernelBlock") -> None:
+        """Raise ValidationError unless, at every slice of the block, the sum
+        rule and Hermiticity hold to SUM_RULE_RTOL of its largest entry."""
+        tol = SUM_RULE_RTOL * np.maximum(block.norm_max(), 1e-300)
+        if (self.sum_rule_residual(block.k) > tol).any():
+            raise ValidationError("kernel violates the probability sum rule")
+        if (self.hermiticity_residual(block.k) > tol).any():
+            raise ValidationError("kernel violates the Hermiticity symmetry")
+
+    @cached_property
+    def coherences(self) -> tuple:
+        """The levels (n, m) of the retained coherences n < m of the solver's
+        layout, which follow the `dim` diagonal pairs."""
+        c = (len(self.pairs) - self.dim) // 2
+        return self.pairs[self.dim:self.dim + c, 0], self.pairs[self.dim:self.dim + c, 1]
 
 
 def _population_rates(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -148,34 +266,26 @@ class KernelBlock:
     k: np.ndarray
 
     def norm_max(self):
+        """max |K| per slice, computed once: the checks and the solve's
+        residual test read it."""
+        return self._norm_max
+
+    @cached_property
+    def _norm_max(self):
         return np.abs(self.k).max(axis=(-2, -1))
 
     def sum_rule_residual(self):
         """max |sum_n K[(n,n), c]| over the columns -- probability conservation."""
-        diag = self.pairs[:, 0] == self.pairs[:, 1]
-        if np.count_nonzero(diag) != self.dim:
-            raise ValidationError("kernel block lacks diagonal pairs; no sum rule")
-        return np.abs(self.k[..., diag, :].sum(axis=-2)).max(axis=-1)
+        return PairLayout(self.dim, self.pairs).sum_rule_residual(self.k)
 
     def hermiticity_residual(self):
         """max |K[(n,m),(n',m')] - conj(K[(m,n),(m',n')])| -- RDM Hermiticity."""
-        n, m = self.pairs[:, 0], self.pairs[:, 1]
-        position = np.full(self.dim * self.dim, -1)     # n*N + m -> row of (n, m)
-        position[n * self.dim + m] = np.arange(len(self.pairs))
-        swap = position[m * self.dim + n]
-        if (swap < 0).any():
-            raise ValidationError("kernel block is not closed under (n, m) -> (m, n)")
-        mirror = np.conj(self.k[..., swap, :][..., swap])
-        return np.abs(self.k - mirror).max(axis=(-2, -1))
+        return PairLayout(self.dim, self.pairs).hermiticity_residual(self.k)
 
     def check(self) -> None:
         """Raise ValidationError unless, at every temperature, the sum rule and
-        Hermiticity hold to SUM_RULE_RTOL."""
-        tol = SUM_RULE_RTOL * np.maximum(self.norm_max(), 1e-300)
-        if (self.sum_rule_residual() > tol).any():
-            raise ValidationError("kernel violates the probability sum rule")
-        if (self.hermiticity_residual() > tol).any():
-            raise ValidationError("kernel violates the Hermiticity symmetry")
+        Hermiticity hold to SUM_RULE_RTOL (`PairLayout.check`)."""
+        PairLayout(self.dim, self.pairs).check(self)
 
     def block(self, pairs: np.ndarray) -> "KernelBlock":
         """This block, which must hold exactly `pairs`, in that order."""
@@ -212,9 +322,7 @@ class BosonKernel:
         """The block over `pairs`, which must hold every diagonal pair and be
         closed under (n, m) -> (m, n); raises ValidationError if its sum rule
         or Hermiticity fails."""
-        block = KernelBlock(self.dim, pairs, k2_pair_block(self.q, self.w, pairs, pairs))
-        block.check()
-        return block
+        return PairLayout(self.dim, pairs).block(self.q, self.w)
 
 
 @dataclass(frozen=True)
@@ -238,25 +346,33 @@ class RateMatrix:
 def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     """Kernel of a bosonic junction, summed over baths.
 
-    Stacks Q and the closed-form W table of every bath.  `w_table` is
-    evaluated once per distinct spectral density, over the distinct inverse
-    temperatures of the baths that use it (and every model of a model
-    stack), and each bath gathers its own slices from that table (each
-    slice is bitwise its one-temperature, one-model table).  The kernel
-    entries themselves are evaluated by the returned `BosonKernel`, block
-    by block.
+    Stacks Q and the closed-form W table of every bath (`stacked_w_tables`,
+    on the pairs that a coupling joins).  The kernel entries themselves are
+    evaluated by the returned `BosonKernel`, block by block.
     """
-    q = np.stack([model.q(b.id) for b in baths], axis=-3)
-    bohr = model.bohr_matrix()
+    return BosonKernel(q=np.stack([model.q(b.id) for b in baths], axis=-3),
+                       w=stacked_w_tables(CoupledFrequencies.of(model), baths))
+
+
+def stacked_w_tables(coupled: CoupledFrequencies, baths: list[Reservoir]) -> np.ndarray:
+    """The W table of every bath on the coupled pairs of a model (stack),
+    stacked at axis -3 after the temperature and model axes.
+
+    `w_table` is evaluated once per distinct spectral density, over the
+    distinct inverse temperatures of the baths that use it (and every model
+    of a model stack), on the frequencies and the one sort of `coupled`
+    (zero on the pairs that no coupling joins, `CoupledFrequencies.table`).
+    Each bath gathers its own slices from that table, and each slice is
+    bitwise its one-temperature, one-model table.
+    """
     tables = {}        # spectral density -> (its distinct betas, ascending; W over them)
     for b in baths:
         if b.spectral not in tables:
             betas = np.unique(np.concatenate([np.ravel(o.beta) for o in baths
                                               if o.spectral == b.spectral]))
-            tables[b.spectral] = betas, w_table(bohr, replace(b, beta=betas))
-    w = [table[np.searchsorted(betas, b.beta)]
-         for b in baths for betas, table in [tables[b.spectral]]]
-    return BosonKernel(q=q, w=np.stack(w, axis=-3))
+            tables[b.spectral] = betas, coupled.table(w_table, replace(b, beta=betas))
+    return np.stack([table[np.searchsorted(betas, b.beta)]
+                     for b in baths for betas, table in [tables[b.spectral]]], axis=-3)
 
 
 def gamma_rates(model: JunctionModel, baths: list[Reservoir]) -> RateMatrix:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .linalg import ValidationError, NumericError
 from .model import JunctionModel
-from .redfield import KernelBlock, RateMatrix
+from .redfield import KernelBlock, PairLayout, RateMatrix
 
 __all__ = ["SteadyState", "FrequencyClusters", "check_cluster_scale",
            "retained_pair_mask", "cluster_bohr_frequencies", "retained_pair_array",
@@ -94,9 +94,9 @@ class SteadyState:
 class FrequencyClusters:
     """Partition of index pairs into retained (quasi-degenerate) and dropped.
 
-    The solver's pair layout (`pairs`) and the sorted retained pairs are
-    built on first use and kept, so that every solve on one clustering
-    shares them.
+    The solver's pair layout (`pairs`), its index maps (`layout`) and the
+    sorted retained pairs are built on first use and kept, so that every
+    block and solve on one clustering shares them.
     """
 
     retained: frozenset[tuple[int, int]]
@@ -115,6 +115,12 @@ class FrequencyClusters:
         pairs = retained_pair_array(sum(n == m for n, m in self.retained), self)
         pairs.flags.writeable = False
         return pairs
+
+    @cached_property
+    def layout(self) -> PairLayout:
+        """The index maps of `pairs` (`ltrans.redfield.PairLayout`), which
+        every kernel block, check and solve on this clustering reads."""
+        return PairLayout(sum(n == m for n, m in self.retained), self.pairs)
 
     @cached_property
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -241,22 +247,23 @@ def full_secular_steady(rates: RateMatrix) -> SteadyState:
 # partial secular
 # ---------------------------------------------------------------------------
 
-def _real_system(k: np.ndarray, n: int, lamb_shift: bool, bohr=0.0) -> np.ndarray:
+def _real_system(k: np.ndarray, layout: PairLayout, lamb_shift: bool,
+                 bohr=0.0) -> np.ndarray:
     """Real matrix of rho -> -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
 
-    k is a kernel block in the layout of `retained_pair_array`, or a stack of
-    them over a temperature axis, bohr the Bohr frequency of each pair;
-    unknowns and rows as in `partial_secular_steady`.
+    k is a kernel block over the pairs of `layout` (the layout of
+    `retained_pair_array`), or a stack of them over a temperature axis,
+    bohr the Bohr frequency of each pair; unknowns and rows as in
+    `partial_secular_steady`.
     """
-    size = k.shape[-1]
+    n, size = layout.dim, len(layout.pairs)
     ncoh = (size - n) // 2
     coh = slice(n, n + ncoh)
     lmap = k.astype(complex)
+    diagonal = lmap.reshape(lmap.shape[:-2] + (size * size,))[..., ::size + 1]    # a view
     if not lamb_shift:
-        off = np.arange(n, size)
-        lmap[..., off, off] = lmap[..., off, off].real
-    d = np.arange(size)
-    lmap[..., d, d] -= 1j * bohr
+        diagonal[..., n:] = diagonal[..., n:].real
+    diagonal -= 1j * bohr
     # rho_nm = Re + i Im and rho_mn = Re - i Im, so the columns of (n,m) and
     # (m,n) combine; the swapped rows are the conjugates of the kept ones
     cols = np.empty_like(lmap)
@@ -270,13 +277,14 @@ def _real_system(k: np.ndarray, n: int, lamb_shift: bool, bohr=0.0) -> np.ndarra
     return a
 
 
-def _rho(x: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
-    """The density matrix (or its derivative) of the real unknowns x (per leading index)."""
+def _rho(x: np.ndarray, layout: PairLayout) -> np.ndarray:
+    """The density matrix (or its derivative) of the real unknowns x (per
+    leading index) over the pairs of `layout`."""
+    n = layout.dim
     rho = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    d = np.arange(n)
-    rho[..., d, d] = x[..., :n]
+    rho.reshape(x.shape[:-1] + (n * n,))[..., ::n + 1] = x[..., :n]
     c = x[..., n::2] + 1j * x[..., n + 1::2]
-    pn, pm = pairs[n:n + c.shape[-1], 0], pairs[n:n + c.shape[-1], 1]
+    pn, pm = layout.coherences
     rho[..., pn, pm] = c
     rho[..., pm, pn] = np.conj(c)
     return rho
@@ -300,7 +308,7 @@ def _scaled_condition(a: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
                     lamb_shift: bool):
-    """`partial_secular_steady`, returning (state, pairs, x, the system matrix).
+    """`partial_secular_steady`, returning (state, x, the system matrix).
 
     Over the temperature axis of k2, if it has one, in one batched call.
     The pair layout is the one the clusters keep; a clustering that lacks a
@@ -309,10 +317,10 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     n = model.dim
     if k2.dim != n:
         raise ValidationError("kernel dimension does not match the model")
-    pairs = clusters.pairs
-    block: KernelBlock = k2.block(pairs)
-    bohr = model.bohr_matrix()[..., pairs[:, 0], pairs[:, 1]]
-    a = _real_system(block.k, n, lamb_shift, bohr)
+    layout = clusters.layout
+    block: KernelBlock = k2.block(layout.pairs)
+    bohr = model.bohr_matrix()[..., layout.pairs[:, 0], layout.pairs[:, 1]]
+    a = _real_system(block.k, layout, lamb_shift, bohr)
     a[..., 0, :] = 0.0
     a[..., 0, :n] = 1.0            # trace row replaces population row 0
     # one LU factorization per system: its inverse gives the state (column
@@ -329,7 +337,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
                     "1-norm condition estimate %.3e", 1.0 / r)
     x = inverse[..., :, 0]
 
-    state = SteadyState(rho=_rho(x, pairs, n), retained_pairs=clusters.sorted_pairs)
+    state = SteadyState(rho=_rho(x, layout), retained_pairs=clusters.sorted_pairs)
     state.check()
 
     # residual of the retained-block equations (excluding the replaced row)
@@ -338,7 +346,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     if bad.any():
         raise NumericError(f"partial-secular residual {_first(resid, bad):.3e} "
                            "exceeds tolerance")
-    return state, pairs, x, a
+    return state, x, a
 
 
 def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters,
@@ -368,9 +376,8 @@ def partial_secular_response(model: JunctionModel, k2, dk, clusters: FrequencyCl
     of the steady-state system (a product with its inverse would lose up
     to ten times more digits on ill-conditioned systems).
     """
-    state, pairs, x, a = _solve_retained(model, k2, clusters, lamb_shift)
-    n = model.dim
+    state, x, a = _solve_retained(model, k2, clusters, lamb_shift)
     x, a = x[:len(dk)], a[:len(dk)]
-    rhs = -(_real_system(dk, n, lamb_shift) @ x[..., None])
+    rhs = -(_real_system(dk, clusters.layout, lamb_shift) @ x[..., None])
     rhs[..., 0, :] = 0.0           # the trace stays 1
-    return state, _rho(np.linalg.solve(a, rhs)[..., 0], pairs, n)
+    return state, _rho(np.linalg.solve(a, rhs)[..., 0], clusters.layout)

@@ -290,23 +290,29 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         spy(monkeypatch, calls, table, *binders(table))
     spy(monkeypatch, calls, "_solve_retained", steady)
     spy(monkeypatch, calls, "full_secular_steady", currents)
-    spy(monkeypatch, calls, "k2_pair_block", redfield, currents)
+    spy(monkeypatch, calls, "entries", redfield.PairLayout)
     spy(monkeypatch, calls, "inv", np.linalg)
     spy(monkeypatch, calls, "solve", np.linalg)
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
     spy(monkeypatch, calls, "from_mask", steady.FrequencyClusters)
     spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
+    spy(monkeypatch, calls, "by_magnitude", baths)
+    spy(monkeypatch, calls, "_entry_maps", redfield)
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
     # one current contraction per bath and one of kappa2, per group
     if cfg.solver == "partial":
         assert calls.count("retained_pair_array") == groups   # one pair layout each
+        # one sort of the coupled Bohr frequencies for both tables, one set
+        # of block index maps per retained set
+        assert calls.count("by_magnitude") == 1
+        assert calls.count("_entry_maps") == groups
         assert calls.count("w_table") == 1
         assert calls.count("dw_dt_table") == 1
         assert calls.count("dw_dt_real") == 0
         assert calls.count("_solve_retained") == calls.count("inv") == groups
-        assert calls.count("k2_pair_block") == 2 * groups     # kernel and dK/dT blocks
+        assert calls.count("entries") == 2 * groups     # kernel and dK/dT blocks
         assert calls.count("solve") == groups
         assert calls.count("from_mask") == groups
         assert calls.count("_wbar_current") == 3 * groups
@@ -342,7 +348,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     spy(monkeypatch, calls, "gamma_rates", currents)
     spy(monkeypatch, calls, "_solve_retained", steady)
     spy(monkeypatch, calls, "full_secular_steady", currents)
-    spy(monkeypatch, calls, "k2_pair_block", redfield, currents)
+    spy(monkeypatch, calls, "entries", redfield.PairLayout)
     spy(monkeypatch, calls, "inv", np.linalg)
     solved = []                 # the number of systems of each np.linalg.solve call
     orig_solve = np.linalg.solve
@@ -352,6 +358,8 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     spy(monkeypatch, calls, "_secular_current", currents)
     spy(monkeypatch, calls, "from_mask", steady.FrequencyClusters)
     spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
+    spy(monkeypatch, calls, "by_magnitude", baths)
+    spy(monkeypatch, calls, "_entry_maps", redfield)
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
     assert calls.count("build_rabi_junction") == 12
@@ -359,6 +367,10 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     if cfg.solver == "partial":
         assert 2 <= groups < 24
         assert calls.count("retained_pair_array") == groups   # one pair layout each
+        # one sort of the coupled Bohr frequencies for both tables, one set
+        # of block index maps per retained set
+        assert calls.count("by_magnitude") == 1
+        assert calls.count("_entry_maps") == groups
         assert calls.count("w_table") == 1
         assert calls.count("dw_dt_table") == 1
         assert calls.count("dw_dt_real") == calls.count("gamma_rates") == 0
@@ -366,7 +378,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
         # kernel and dK/dT blocks, one response solve and one kappa2
         # contraction per group; a group with no slice at the mean
         # temperature solves an empty stack
-        assert calls.count("k2_pair_block") == 2 * groups
+        assert calls.count("entries") == 2 * groups
         assert len(solved) == groups and sum(solved) == 12
         assert np.count_nonzero(solved) == responses
         assert calls.count("from_mask") == groups
@@ -431,8 +443,7 @@ def test_a_long_chunk_is_solved_in_bounded_slices(monkeypatch, name, budget):
         monkeypatch.setattr(module, fname, recorded)
 
     for module, fname in [(redfield, "w_table"), (currents, "dw_dt_table"),
-                          (currents, "dw_dt_real"), (redfield, "k2_pair_block"),
-                          (currents, "k2_pair_block")]:
+                          (currents, "dw_dt_real"), (redfield.PairLayout, "entries")]:
         record(module, fname)
     grid = [float(v) for v in cfg.grid()]
     assert [row for row, _ in sweep._chunk_rows(cfg, grid)] == \
@@ -480,8 +491,7 @@ def test_a_long_parameter_chunk_is_solved_in_bounded_slices_of_models(monkeypatc
         monkeypatch.setattr(module, fname, recorded)
 
     for module, fname in [(redfield, "w_table"), (currents, "dw_dt_table"),
-                          (currents, "dw_dt_real"), (redfield, "k2_pair_block"),
-                          (currents, "k2_pair_block")]:
+                          (currents, "dw_dt_real"), (redfield.PairLayout, "entries")]:
         record(module, fname)
     calls = []
     spy(monkeypatch, calls, "_kappa2_stack", currents)
@@ -761,15 +771,18 @@ def test_a_failing_model_solve_fails_its_row_alone(monkeypatch):
     cfg, want = reference("rabi_g_partial")
     grid = [float(v) for v in cfg.grid()]
     bad = 5
-    bad_bohr = sweep._junction(cfg, {**cfg.model, "g": grid[bad]}).bohr_matrix()
+    bad_model = sweep._junction(cfg, {**cfg.model, "g": grid[bad]})
+    # the table is evaluated on the coupled pairs of each model of the stack,
+    # in model order: the bad model's entries are the run of its own
+    bad_omega = baths.CoupledFrequencies.of(bad_model).frequencies.omega
     orig = redfield.w_table
 
     def poisoned(omega, bath):
         out = orig(omega, bath)
-        if np.ndim(omega) == 3:
-            out.imag[..., (omega == bad_bohr).all(axis=(-2, -1)), :, :] = np.nan
-        elif np.array_equal(omega, bad_bohr):
-            out.imag[...] = np.nan
+        got = omega.omega
+        for i in range(len(got) - len(bad_omega) + 1):
+            if np.array_equal(got[i:i + len(bad_omega)], bad_omega):
+                out.imag[..., i:i + len(bad_omega)] = np.nan
         return out
 
     monkeypatch.setattr(redfield, "w_table", poisoned)

@@ -163,12 +163,12 @@ def test_only_a_biased_row_builds_a_biased_slice(monkeypatch, solver, variable, 
                                                  t_right, biased):
     cfg = row_config(solver=solver, t_left=t_left, t_right=t_right, variable=variable)
     betas = []
-    builder = "build_k2_boson" if solver == "partial" else "gamma_rates"
+    builder = "stacked_w_tables" if solver == "partial" else "gamma_rates"
     orig = getattr(currents, builder)
 
-    def recorded(model, baths_):
+    def recorded(model_or_pairs, baths_):
         betas.append([np.asarray(b.beta) for b in baths_])
-        return orig(model, baths_)
+        return orig(model_or_pairs, baths_)
 
     monkeypatch.setattr(currents, builder, recorded)
     values = [0.2] if variable == "g" else [0.05, 0.1, 0.2]

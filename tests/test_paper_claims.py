@@ -26,7 +26,7 @@ from ltrans.redfield import all_pairs, build_k2_boson, gamma_rates
 from ltrans.steady import full_secular_steady
 
 from junctions import random_junction
-from kappa2_oracle import kappa2_richardson
+from kappa2_oracle import current_terms, kappa2_richardson
 
 COUPLINGS = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
 
@@ -201,17 +201,22 @@ def test_kappa2_is_the_derivative_of_the_steady_current(seed, dim, split, solver
                                                          temperature):
     # the oracle's Richardson difference errs by ~(step * omega / T)^4,
     # 1.7e-10 at T = 0.055 with omega_10 = 1.2 and its default step, hence a
-    # step that shrinks with T; its roundoff grows with the current's terms
-    # over kappa2 T (a transition coupled 500 times more weakly to one bath
-    # than to the other, or a Bohr frequency well below T) until no step
-    # resolves 1e-10, so the property holds where two steps agree to 1e-11
+    # step that shrinks with T; its roundoff grows with the differenced
+    # current's terms over kappa2 T, so it differences the current of the
+    # bath with the smaller terms (I_L = -I_R), which the transitions
+    # coupled weakly to it keep small.  Where even those terms swamp kappa2
+    # T (a Bohr frequency well below T) no step resolves 1e-10, so the
+    # property holds where two steps agree to 1e-11
     model = random_junction(seed, dim, split)
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
     baths = [Reservoir("L", 1.0 / temperature, sd), Reservoir("R", 1.0 / temperature, sd)]
-    step = min(1e-3, 1e-2 * temperature / (model.omega[-1] - model.omega[0]))
-    want = kappa2_richardson(model, baths, temperature, solver, step=step)
-    finer = kappa2_richardson(model, baths, temperature, solver, step=0.5 * step)
-    assume(abs(finer - want) <= 1e-11 * abs(want))
     [got] = kappa2_sweep(model, baths, [temperature], solver)
     assert not isinstance(got, Exception), got
+    terms = current_terms(model, baths, got.state.rho)
+    measured = min(terms, key=terms.get)
+    step = min(1e-3, 1e-2 * temperature / (model.omega[-1] - model.omega[0]))
+    want = kappa2_richardson(model, baths, temperature, solver, step=step, measured=measured)
+    finer = kappa2_richardson(model, baths, temperature, solver, step=0.5 * step,
+                              measured=measured)
+    assume(abs(finer - want) <= 1e-11 * abs(want))
     assert got.kappa2 == pytest.approx(want, rel=1e-10, abs=0.0)

@@ -18,13 +18,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ltrans import sweep
-from ltrans.baths import w_table
+from ltrans.baths import CoupledFrequencies, dw_dt_table, w_table
 from ltrans.config import parse_config_text
 from ltrans.currents import kappa2_sweep
 from ltrans.linalg import ValidationError
-from ltrans.model import Reservoir, SpectralDensity
+from ltrans.model import Reservoir, SpectralDensity, stack_models
 from ltrans.rabi import RabiParams, build_rabi_junction
+from ltrans.redfield import COUPLING_RTOL
 
+from kappa2_oracle import current_terms
 from rabi_oracle import rabi_hamiltonian
 from test_paper_claims import dense_redfield_state
 
@@ -119,17 +121,68 @@ def test_the_dense_redfield_state_has_no_coherence_across_two_sectors(spec, t_le
     assert np.max(np.abs(rho[cross_sector(model)])) <= 1e-12 * np.max(np.abs(rho))
 
 
-def current_terms(model, baths, rho):
-    """Per bath r, 2 sum_{m,n,p} |Q_mn Q_np Wbar_nm rho_pm|: the terms of the
-    heat current -2 Re sum Q_mn Q_np Wbar_nm rho_pm into r, whose roundoff
-    bounds how well any solve resolves it."""
-    bohr = model.bohr_matrix()
-    out = {}
-    for bath in baths:
-        q = np.abs(model.q(bath.id))
-        wbar = np.abs(bohr * w_table(bohr, bath))
-        out[bath.id] = 2.0 * float(np.sum(q.T * wbar * (q @ np.abs(rho))))
-    return out
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=JUNCTIONS, cutoff=st.integers(30, 60))
+def test_two_sectors_mean_odd_couplings(spec, cutoff):
+    # the builders label two sectors only where every coupling is odd: no
+    # coupling joins two levels of one sector beyond roundoff of the model's
+    # largest coupling over both baths (the floor of `gamma_rates`; one
+    # bath's couplings among the retained levels may all be roundoff, as
+    # the resonator's at g = 0 between the two lowest levels)
+    if spec[0] == "rabi":
+        model = rabi_or_none(*spec[1:], cutoff=cutoff)
+        assume(model is not None)
+    else:
+        model = zero_bias_junction(spec)
+    assume(len(set(model.sector.tolist())) == 2)
+    same = ~cross_sector(model)
+    largest = max(np.abs(q).max() for q in model.q_ops.values())
+    for q in model.q_ops.values():
+        assert np.abs(q[same]).max() <= COUPLING_RTOL * largest
+
+
+def stack_member(kind, epsilon, delta, g, keep, labelled):
+    """A model of a stack that mixes labelled and unlabelled models: the
+    Rabi or two-level junction at qubit bias epsilon, with its labels or
+    without them."""
+    if kind == "tls":
+        model = sweep._tls_junction(epsilon, delta)
+    else:
+        try:
+            model = build_rabi_junction(RabiParams(epsilon, delta, g, fock_cutoff=40,
+                                                   retained_levels=keep))
+        except ValidationError:
+            assume(False)
+    return model if labelled else replace(model, sector=None)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["rabi", "tls"]), keep=st.integers(2, 8),
+       members=st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.15, -0.3]),
+                                  st.floats(0.0, 2.0), st.floats(0.0, 0.6), st.booleans()),
+                        min_size=1, max_size=4),
+       temps=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=3))
+def test_coupled_pair_tables_are_bitwise_the_dense_ones(kind, keep, members, temps):
+    # W and dW/dT on the coupled pairs carry the bits of the dense tables
+    # there, model by model of a stack that mixes zero-bias (two sectors, or
+    # one at epsilon = delta = 0) and biased or unlabelled models, as an
+    # epsilon sweep through zero stacks them; the pairs no coupling joins
+    # hold zeros
+    models = [stack_member(kind, eps, delta, g, keep if kind == "rabi" else 2, labelled)
+              for eps, delta, g, labelled in members]
+    stack = stack_models(models)
+    coupled = CoupledFrequencies.of(stack)
+    mask = np.ones(stack.bohr_matrix().shape, dtype=bool)
+    for r, model in enumerate(models):
+        if model.sector is not None and len(set(model.sector.tolist())) == 2:
+            mask[r] = cross_sector(model)
+    assert np.array_equal(mask, np.ones_like(mask) if coupled.mask is None else coupled.mask)
+    bath = Reservoir("L", 1.0 / np.array(temps), SpectralDensity(alpha=1e-3, omega_c=5.0))
+    for table in (w_table, dw_dt_table):
+        got = coupled.table(table, bath)
+        want = table(stack.bohr_matrix(), bath)
+        assert got[..., mask].tobytes() == want[..., mask].tobytes()
+        assert not got[..., ~mask].any()
 
 
 def entry_or_error(model, baths, t_mean, solver, c, biased):
