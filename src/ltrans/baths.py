@@ -16,8 +16,8 @@ The digamma and trigamma terms are even in omega, so the tables evaluate
 them once per distinct |omega| and temperature, from one sort of the
 frequencies by magnitude (`Frequencies`); a stack of models sorts the Bohr
 frequencies of the level pairs its couplings join once
-(`CoupledFrequencies`), and its W and dW/dT tables read that one sort and
-hold zeros on the other pairs.
+(`CoupledFrequencies`), and the W and dW/dT tables of its partial-secular
+rows read that one sort and hold zeros on the other pairs.
 The Matsubara series itself (direct summation plus an analytic Hurwitz-zeta
 tail) is kept here as an oracle that `validate` also runs; it alone uses
 scipy.special (for the Hurwitz zeta function), imported when it runs.  The
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ValidationError, NumericError
-from .model import JunctionModel, Reservoir, SpectralDensity
+from .model import COUPLING_RTOL, JunctionModel, Reservoir, SpectralDensity
 
 __all__ = ["occupation", "bose_signed", "Frequencies", "by_magnitude", "CoupledFrequencies",
            "w_table", "dw_dt_real", "dw_dt_table",
@@ -161,7 +161,8 @@ def _sorted(omega) -> Frequencies:
 
 class CoupledFrequencies:
     """The Bohr frequencies of a model (or model stack) where a coupling joins
-    the two levels, which every bath table of the stack is evaluated on.
+    the two levels, which the bath tables of a partial-secular stack
+    (`ltrans.currents`) are evaluated on.
 
     A model that labels two sectors has odd couplings (`JunctionModel.sector`),
     so its coupled pairs are the cross-sector ones; a model with one sector
@@ -178,11 +179,21 @@ class CoupledFrequencies:
 
     @classmethod
     def of(cls, model: JunctionModel) -> "CoupledFrequencies":
+        """The coupled pairs of model (or a model stack).  Raises
+        ValidationError if a model with two sectors has a coupling between
+        two levels of one sector above COUPLING_RTOL of its largest coupling
+        over the baths: an even coupling, whose terms the zeros would drop."""
         bohr = model.bohr_matrix()
         mask = None
         if model.sector is not None:
             mask = model.sector[..., :, None] != model.sector[..., None, :]
             mask |= ~mask.any(axis=(-2, -1), keepdims=True)      # one sector: every pair
+            if model.q_ops:
+                aq = np.abs(list(model.q_ops.values()))            # (bath, ..., N, N)
+                same = np.where(mask, 0.0, aq).max(axis=(0, -2, -1))
+                if (same > COUPLING_RTOL * aq.max(axis=(0, -2, -1))).any():
+                    raise ValidationError("a coupling joins two levels of one symmetry "
+                                          "sector; two sectors need odd couplings")
             if mask.all():
                 mask = None
         return cls(mask, by_magnitude(bohr if mask is None else bohr[mask]))
@@ -190,10 +201,16 @@ class CoupledFrequencies:
     def table(self, table, bath: Reservoir) -> np.ndarray:
         """table (`w_table` or `dw_dt_table`) of bath on the coupled pairs and
         zero on the others, in the shape of the Bohr matrix after the
-        temperature axis of the bath, if it has one.  The kernel blocks over
-        pairs within sectors (every retained set), the population rates and
-        the heat currents read a zero only in a product with a same-sector
-        coupling, which is roundoff."""
+        temperature axis of the bath, if it has one.
+
+        With odd couplings, a zero is read only in a product with a
+        same-sector coupling (roundoff) by the population rates, the heat
+        currents and every kernel entry whose row pair or column pair lies
+        within one sector, as every retained pair does.  An entry between a
+        row and a column that both cross the sectors reads W of two levels
+        of one sector through two odd couplings, so it is not roundoff: the
+        full kernel (`ltrans.redfield.build_k2_boson`) takes the dense
+        table."""
         values = table(self.frequencies, bath)
         if self.mask is None:
             return values
@@ -256,18 +273,14 @@ def _bernoulli_sum(u):
 
 
 # entries per block of `_inverse_power_sum`: its (entries, terms) array of
-# 384 x 19 complex numbers (117 KB) stays below glibc's 128 KiB mmap
+# 256 x 19 complex numbers (78 KB) stays below glibc's 128 KiB mmap
 # threshold, so a large table reuses heap memory instead of faulting in a
-# freshly mapped array on every call; the W table of a 21-level zero-bias
-# row (three temperatures of its 110 distinct coupled |omega|) is one block
-_POWER_SUM_BLOCK = 384
+# freshly mapped array on every call
+_POWER_SUM_BLOCK = 256
 
 
 def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
-    """sum_i coeffs[i] / (z + shifts[i])^powers[i] per entry of complex z,
-    where powers holds the powers of the leading terms and every later term
-    is taken to the power 1 (numpy's power returns its base there, so
-    skipping it changes no bit).
+    """sum_i coeffs[i] / (z + shifts[i])^powers[i] per entry of complex z.
 
     The terms of each entry are one array along its last, contiguous axis
     and are summed there, so that they are added in the same order whatever
@@ -281,8 +294,7 @@ def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
     for i in range(0, len(flat), _POWER_SUM_BLOCK):
         terms = flat[i:i + _POWER_SUM_BLOCK, None] + shifts
         np.divide(1.0, terms, out=terms)
-        raised = terms[:, :len(powers)]
-        np.power(raised, powers, out=raised)
+        np.power(terms, powers, out=terms)
         terms *= coeffs
         terms.sum(axis=-1, out=out[i:i + _POWER_SUM_BLOCK])
     return out.reshape(z.shape)
@@ -290,14 +302,14 @@ def _inverse_power_sum(z, shifts, powers, coeffs) -> np.ndarray:
 
 # Both functions below take ten steps of their recurrence, then the
 # Bernoulli series to B_14 at w = z + 10 (error < 1e-16 at |w| >= 10).
-# Their terms, in ascending size (the shifts complex, as z + shift is):
+# Their terms, in ascending size:
 # ln w - psi(z): B_2j / (2j w^2j) for j = 7 .. 1, 1/(2w), 1/(z + k) for k = 9 .. 0
-_DIGAMMA_TERMS = (np.array([10.0] * 8 + list(range(9, -1, -1)), dtype=complex),
-                  np.array([14, 12, 10, 8, 6, 4, 2]),
+_DIGAMMA_TERMS = (np.array([10.0] * 8 + list(range(9, -1, -1))),
+                  np.array([14, 12, 10, 8, 6, 4, 2, 1] + [1] * 10),
                   np.array([1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
                             1 / 12, 1 / 2] + [1.0] * 10, dtype=complex))
 # psi'(z): B_2j / w^(2j+1) for j = 7 .. 1, 1/(2w^2), 1/w, 1/(z + k)^2 for k = 9 .. 0
-_TRIGAMMA_TERMS = (np.array([10.0] * 9 + list(range(9, -1, -1)), dtype=complex),
+_TRIGAMMA_TERMS = (np.array([10.0] * 9 + list(range(9, -1, -1))),
                    np.array([15, 13, 11, 9, 7, 5, 3, 2, 1] + [2] * 10),
                    np.array([7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6,
                              1 / 2, 1] + [1.0] * 10, dtype=complex))

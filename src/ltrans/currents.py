@@ -163,9 +163,10 @@ def kappa4_lowT(model: JunctionModel, alpha: float, temperature):
 # linear conductance, second order
 # ---------------------------------------------------------------------------
 
-def _rate_scale(k2: BosonKernel):
-    """The largest population rate 2 sum_baths Q_nm Q_mn Re W_nm, per temperature."""
-    return np.abs(k2.population_rates()).max(axis=(-2, -1))
+def _rate_scale(rates: np.ndarray):
+    """The largest of the population rates 2 sum_baths Q_nm Q_mn Re W_nm
+    (`BosonKernel.population_rates`), per temperature."""
+    return np.abs(rates).max(axis=(-2, -1))
 
 
 def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
@@ -181,7 +182,7 @@ def partial_secular_state(model: JunctionModel, baths: list[Reservoir],
     One temperature per bath.
     """
     k2 = build_k2_boson(model, baths)
-    clusters = cluster_bohr_frequencies(model, float(_rate_scale(k2)), c)
+    clusters = cluster_bohr_frequencies(model, float(_rate_scale(k2.population_rates())), c)
     state = partial_secular_steady(model, k2, clusters, lamb_shift=lamb_shift)
     wbar = model.bohr_matrix() * k2.w
     return state, {b.id: _wbar_current(q, wb, state.rho)
@@ -403,7 +404,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
 
     # solve the slices of each retained-pair set together (a clustering that
     # raises is its slice's result)
-    groups, out = _cluster_groups(model, np.abs(rates).max(axis=(-2, -1)), c, at)
+    groups, out = _cluster_groups(model, _rate_scale(rates), c, at)
     for clusters, rows in groups:
         size = max(1, _STACK_ENTRIES // len(clusters.pairs)**2)
         for s in range(0, len(rows), size):

@@ -8,9 +8,9 @@ A junction model may carry a symmetry sector per level, set by the builder
 that knows the symmetry (the Z2 parity of the zero-bias Rabi and two-level
 junctions), under which every coupling is odd: no retained coherence of
 the partial-secular solve joins two sectors, and no coupling joins two
-levels of one sector, so the bath tables are evaluated on the cross-sector
-pairs alone (`ltrans.baths.CoupledFrequencies`).  Without labels every
-level pair is a candidate, and every pair is coupled.
+levels of one sector, so the partial-secular rows evaluate their bath
+tables on the cross-sector pairs alone (`ltrans.baths.CoupledFrequencies`).
+Without labels every level pair is a candidate, and every pair is coupled.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ __all__ = ["SpectralDensity", "Reservoir", "JunctionModel", "build_junction",
            "stack_models"]
 
 Q_SYMMETRY_RTOL = 1e-12
+# a coupling at or below this fraction of the model's largest is roundoff of
+# an exact zero (two levels of one symmetry sector)
+COUPLING_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,10 @@ class JunctionModel:
     Jiang, PRA 89, 022118 (2014)), and the clustering retains none.  Two
     labelled sectors also mean that every coupling operator is odd under
     Pi: no coupling joins two levels of one sector (their entries of Q are
-    roundoff, below `ltrans.redfield.COUPLING_RTOL` of the model's largest
-    coupling), so the bath tables hold zeros there
-    (`ltrans.baths.CoupledFrequencies`).  A model whose levels share one
+    roundoff, below `COUPLING_RTOL` of the model's largest coupling), so
+    the bath tables of the partial-secular rows hold zeros there
+    (`ltrans.baths.CoupledFrequencies`, which rejects a model whose
+    same-sector couplings exceed that floor).  A model whose levels share one
     label couples every pair.  None means that no symmetry is known.
     """
 

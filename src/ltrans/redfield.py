@@ -9,21 +9,20 @@ stacked.  `build_k2_boson` evaluates those tables (`stacked_w_tables`:
 `w_table`, once per spectral density, over the distinct temperatures of the
 baths that share it) and returns a `BosonKernel` that holds them: the heat
 currents of a steady state are read from the same tables, and no table
-outlives the kernel.  The tables are evaluated only on the level pairs that
-a coupling joins (`ltrans.baths.CoupledFrequencies`): where a model labels
-two symmetry sectors, its couplings are odd and the same-sector entries of
-W are left zero, which no product of couplings in a block over pairs
-within sectors, a population rate or a heat current reads.  Entries are
-evaluated on demand, as a `KernelBlock` over a set of pairs: the
-partial-secular solver asks for the block of its retained pairs only, and
-code that needs the full kernel asks for the block over `all_pairs(N)`,
-whose `.k.reshape(N, N, N, N)` is the rank-4 tensor (on a model with two
-sectors, its rows and columns across two sectors read the zeros, which the
-steady state and its response never reach).  A `PairLayout` holds the
-index maps of one pair set, which a retained set builds once for its
-kernel and dK/dT blocks, their checks and its solves.  The sum-rule and
-Hermiticity checks run on every block that is evaluated, except the
-temperature derivative's.  The single-level fermionic dot gets its own
+outlives the kernel.  Entries are evaluated on demand, as a
+`KernelBlock` over a set of pairs: the partial-secular solver asks for the
+block of its retained pairs only, and code that needs the full kernel asks
+for the block over `all_pairs(N)`, whose `.k.reshape(N, N, N, N)` is the
+rank-4 tensor.  A `PairLayout` holds the index maps of one pair set and
+its sum-rule and Hermiticity checks, which a retained set builds once for
+its kernel and dK/dT blocks, their checks and its solves.  The checks run
+on every block that is evaluated, except the temperature derivative's.
+The partial-secular rows of a sweep (`ltrans.currents`) evaluate their
+tables only on the level pairs a coupling joins
+(`ltrans.baths.CoupledFrequencies`, zeros elsewhere), which their blocks
+over pairs within sectors never read without a vanishing coupling;
+`build_k2_boson` keeps the dense tables, so every block of its kernel is
+the full Redfield map's.  The single-level fermionic dot gets its own
 rate constructor.
 
 Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
@@ -43,9 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .baths import CoupledFrequencies, bose_signed, occupation, w_table
+from .baths import CoupledFrequencies, bose_signed, by_magnitude, occupation, w_table
 from .linalg import ValidationError
-from .model import JunctionModel, Reservoir
+from .model import COUPLING_RTOL, JunctionModel, Reservoir
 
 __all__ = ["KernelBlock", "BosonKernel", "RateMatrix", "PairLayout",
            "build_k2_boson", "stacked_w_tables", "k2_pair_block", "k2_tensor_from_w",
@@ -54,7 +53,6 @@ __all__ = ["KernelBlock", "BosonKernel", "RateMatrix", "PairLayout",
 
 SUM_RULE_RTOL = 1e-12
 DEGENERACY_TOL = 1e-12
-COUPLING_RTOL = 1e-12
 
 
 def all_pairs(dim: int) -> np.ndarray:
@@ -258,7 +256,7 @@ class KernelBlock:
     temperature axis; the norms and residuals are then per temperature.  A
     set that holds every diagonal pair and is closed under (n, m) -> (m, n)
     carries the full sum rule and Hermiticity symmetry of the kernel, which
-    `check` verifies.
+    `PairLayout.check` verifies.
     """
 
     dim: int
@@ -273,19 +271,6 @@ class KernelBlock:
     @cached_property
     def _norm_max(self):
         return np.abs(self.k).max(axis=(-2, -1))
-
-    def sum_rule_residual(self):
-        """max |sum_n K[(n,n), c]| over the columns -- probability conservation."""
-        return PairLayout(self.dim, self.pairs).sum_rule_residual(self.k)
-
-    def hermiticity_residual(self):
-        """max |K[(n,m),(n',m')] - conj(K[(m,n),(m',n')])| -- RDM Hermiticity."""
-        return PairLayout(self.dim, self.pairs).hermiticity_residual(self.k)
-
-    def check(self) -> None:
-        """Raise ValidationError unless, at every temperature, the sum rule and
-        Hermiticity hold to SUM_RULE_RTOL (`PairLayout.check`)."""
-        PairLayout(self.dim, self.pairs).check(self)
 
     def block(self, pairs: np.ndarray) -> "KernelBlock":
         """This block, which must hold exactly `pairs`, in that order."""
@@ -347,11 +332,13 @@ def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     """Kernel of a bosonic junction, summed over baths.
 
     Stacks Q and the closed-form W table of every bath (`stacked_w_tables`,
-    on the pairs that a coupling joins).  The kernel entries themselves are
-    evaluated by the returned `BosonKernel`, block by block.
+    on every level pair, so that every block is the full Redfield map's).
+    The kernel entries themselves are evaluated by the returned
+    `BosonKernel`, block by block.
     """
+    every = CoupledFrequencies(None, by_magnitude(model.bohr_matrix()))
     return BosonKernel(q=np.stack([model.q(b.id) for b in baths], axis=-3),
-                       w=stacked_w_tables(CoupledFrequencies.of(model), baths))
+                       w=stacked_w_tables(every, baths))
 
 
 def stacked_w_tables(coupled: CoupledFrequencies, baths: list[Reservoir]) -> np.ndarray:

@@ -15,7 +15,7 @@ from .diagrams import (DiscreteModeBath, double_factorial,
                        evaluate_kernel_from_diagrams, irreducible_count)
 from .model import Reservoir, SpectralDensity, build_junction
 from .oracle import CompositeSpace, exact_kernel_order
-from .redfield import (all_pairs, build_current_kernel_2nd, build_k2_boson,
+from .redfield import (PairLayout, all_pairs, build_current_kernel_2nd, build_k2_boson,
                        fermion_dot_rates, gamma_rates)
 from .steady import full_secular_steady
 
@@ -65,10 +65,11 @@ def check_kernel_identities():
     worst_sum, worst_herm = 0.0, 0.0
     for _ in range(3):
         model = _random_model(rng)
-        block = build_k2_boson(model, _drude_baths()).block(all_pairs(model.dim))
+        layout = PairLayout(model.dim, all_pairs(model.dim))
+        block = build_k2_boson(model, _drude_baths()).block(layout.pairs)
         scale = block.norm_max()
-        worst_sum = max(worst_sum, block.sum_rule_residual() / scale)
-        worst_herm = max(worst_herm, block.hermiticity_residual() / scale)
+        worst_sum = max(worst_sum, layout.sum_rule_residual(block.k) / scale)
+        worst_herm = max(worst_herm, layout.hermiticity_residual(block.k) / scale)
     ok = worst_sum <= 1e-12 and worst_herm <= 1e-12
     return ok, f"sum rule {worst_sum:.2e}, hermiticity {worst_herm:.2e}"
 

@@ -290,7 +290,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         spy(monkeypatch, calls, table, *binders(table))
     spy(monkeypatch, calls, "_solve_retained", steady)
     spy(monkeypatch, calls, "full_secular_steady", currents)
-    spy(monkeypatch, calls, "entries", redfield.PairLayout)
+    spy(monkeypatch, calls, "_block_entries", redfield)
     spy(monkeypatch, calls, "inv", np.linalg)
     spy(monkeypatch, calls, "solve", np.linalg)
     spy(monkeypatch, calls, "_wbar_current", currents)
@@ -312,7 +312,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("dw_dt_table") == 1
         assert calls.count("dw_dt_real") == 0
         assert calls.count("_solve_retained") == calls.count("inv") == groups
-        assert calls.count("entries") == 2 * groups     # kernel and dK/dT blocks
+        assert calls.count("_block_entries") == 2 * groups     # kernel and dK/dT blocks
         assert calls.count("solve") == groups
         assert calls.count("from_mask") == groups
         assert calls.count("_wbar_current") == 3 * groups
@@ -325,6 +325,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("inv") == 0
         assert calls.count("_secular_current") == 3
         assert calls.count("_wbar_current") == calls.count("from_mask") == 0
+        assert calls.count("_block_entries") == 0
 
 
 @pytest.mark.parametrize("name", ["rabi_g_partial", "rabi_g_full"])
@@ -348,7 +349,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     spy(monkeypatch, calls, "gamma_rates", currents)
     spy(monkeypatch, calls, "_solve_retained", steady)
     spy(monkeypatch, calls, "full_secular_steady", currents)
-    spy(monkeypatch, calls, "entries", redfield.PairLayout)
+    spy(monkeypatch, calls, "_block_entries", redfield)
     spy(monkeypatch, calls, "inv", np.linalg)
     solved = []                 # the number of systems of each np.linalg.solve call
     orig_solve = np.linalg.solve
@@ -378,7 +379,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
         # kernel and dK/dT blocks, one response solve and one kappa2
         # contraction per group; a group with no slice at the mean
         # temperature solves an empty stack
-        assert calls.count("entries") == 2 * groups
+        assert calls.count("_block_entries") == 2 * groups
         assert len(solved) == groups and sum(solved) == 12
         assert np.count_nonzero(solved) == responses
         assert calls.count("from_mask") == groups
@@ -392,6 +393,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
         assert calls.count("inv") == 0
         assert calls.count("_secular_current") == 3
         assert calls.count("_wbar_current") == calls.count("from_mask") == 0
+        assert calls.count("_block_entries") == 0
 
 
 def portable_solve(monkeypatch):
@@ -443,7 +445,7 @@ def test_a_long_chunk_is_solved_in_bounded_slices(monkeypatch, name, budget):
         monkeypatch.setattr(module, fname, recorded)
 
     for module, fname in [(redfield, "w_table"), (currents, "dw_dt_table"),
-                          (currents, "dw_dt_real"), (redfield.PairLayout, "entries")]:
+                          (currents, "dw_dt_real"), (redfield, "_block_entries")]:
         record(module, fname)
     grid = [float(v) for v in cfg.grid()]
     assert [row for row, _ in sweep._chunk_rows(cfg, grid)] == \
@@ -491,7 +493,7 @@ def test_a_long_parameter_chunk_is_solved_in_bounded_slices_of_models(monkeypatc
         monkeypatch.setattr(module, fname, recorded)
 
     for module, fname in [(redfield, "w_table"), (currents, "dw_dt_table"),
-                          (currents, "dw_dt_real"), (redfield.PairLayout, "entries")]:
+                          (currents, "dw_dt_real"), (redfield, "_block_entries")]:
         record(module, fname)
     calls = []
     spy(monkeypatch, calls, "_kappa2_stack", currents)

@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ltrans.baths import (_ASYMPTOTIC_FROM, _DIGAMMA_TERMS, _bernoulli_sum, _digamma,
-                          _inverse_power_sum, _trigamma, _w_real,
+from ltrans.baths import (_ASYMPTOTIC_FROM, _bernoulli_sum, _digamma, _trigamma, _w_real,
                           bose_signed, dn_dDeltaT_signed, dw_dt_real, dw_dt_table,
                           fermi_pv_integral, matsubara_sums, occupation,
                           w_rate_matsubara_oracle, w_table)
@@ -283,19 +282,6 @@ def test_tables_over_a_temperature_axis_are_bitwise_per_temperature(frequencies)
     w_safe = np.where(w == 0.0, 1.0, w)
     for row, bath in zip(bose_signed(w_safe, stacked.beta), singles):
         assert np.array_equal(row, bose_signed(w_safe, bath.beta))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(re=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=40),
-       im=st.floats(-1e6, 1e6))
-def test_digamma_terms_at_power_one_skip_the_power_bitwise(re, im):
-    # the digamma's later terms enter at power 1, where numpy's power
-    # returns its base: raising them all gives the same bits
-    shifts, powers, coeffs = _DIGAMMA_TERMS
-    every = np.concatenate([powers, np.ones(len(shifts) - len(powers), dtype=int)])
-    z = np.array(re) + 1j * im
-    want = _inverse_power_sum(z, shifts, every, coeffs)
-    assert _inverse_power_sum(z, *_DIGAMMA_TERMS).tobytes() == want.tobytes()
 
 
 def test_trigamma_matches_mpmath():

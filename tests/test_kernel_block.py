@@ -12,8 +12,8 @@ from ltrans.currents import partial_secular_state
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
 from ltrans.rabi import RabiParams, build_rabi_junction
-from ltrans.redfield import (BosonKernel, KernelBlock, all_pairs, build_k2_boson,
-                             k2_pair_block)
+from ltrans.redfield import (BosonKernel, KernelBlock, PairLayout, all_pairs,
+                             build_k2_boson, k2_pair_block)
 from ltrans.steady import (FrequencyClusters, partial_secular_steady,
                            retained_pair_array)
 from ltrans.sweep import compute_row
@@ -154,7 +154,7 @@ def test_block_breaking_hermiticity_is_rejected():
     bad = good.k.copy()
     bad[1, 3] += 1e-6 * good.norm_max()          # K[(0,1),(1,0)] loses its mirror
     with pytest.raises(ValidationError, match="Hermiticity"):
-        KernelBlock(3, pairs, bad).check()
+        PairLayout(3, pairs).check(KernelBlock(3, pairs, bad))
     # an asymmetric coupling matrix breaks the symmetry of the formula itself
     q = k2.q.copy()
     q[0, 0, 1] += 0.1
@@ -168,7 +168,7 @@ def test_block_breaking_the_sum_rule_is_rejected():
     bad = block.k.copy()
     bad[0, 0] += 1e-6 * block.norm_max()         # population rates no longer sum to 0
     with pytest.raises(ValidationError, match="sum rule"):
-        KernelBlock(3, block.pairs, bad).check()
+        PairLayout(3, block.pairs).check(KernelBlock(3, block.pairs, bad))
 
 
 def test_blocks_need_diagonals_and_swap_closure():

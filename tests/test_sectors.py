@@ -22,9 +22,8 @@ from ltrans.baths import CoupledFrequencies, dw_dt_table, w_table
 from ltrans.config import parse_config_text
 from ltrans.currents import kappa2_sweep
 from ltrans.linalg import ValidationError
-from ltrans.model import Reservoir, SpectralDensity, stack_models
+from ltrans.model import COUPLING_RTOL, Reservoir, SpectralDensity, stack_models
 from ltrans.rabi import RabiParams, build_rabi_junction
-from ltrans.redfield import COUPLING_RTOL
 
 from kappa2_oracle import current_terms
 from rabi_oracle import rabi_hamiltonian
@@ -139,6 +138,31 @@ def test_two_sectors_mean_odd_couplings(spec, cutoff):
     largest = max(np.abs(q).max() for q in model.q_ops.values())
     for q in model.q_ops.values():
         assert np.abs(q[same]).max() <= COUPLING_RTOL * largest
+
+
+@pytest.mark.parametrize("even,rejected", [(1e-3, True), (1e-14, False)])
+def test_a_two_sector_model_with_an_even_coupling_is_rejected(even, rejected):
+    # the coupled-pair tables hold zeros between two levels of one sector, so
+    # a model that labels two sectors and couples two such levels beyond
+    # roundoff is refused, alone or in a stack with an unlabelled model;
+    # roundoff of a same-sector coupling is not
+    model = sweep._tls_junction(0.0, 0.7)
+    q = model.q("R") + np.diag([even, -even])
+    mixed = replace(model, q_ops={**model.q_ops, "R": q})
+    stack = stack_models([sweep._tls_junction(0.3, 0.7), mixed])
+    baths = bath_pair(0.12, 0.08)
+    for candidate in (mixed, stack):
+        if rejected:
+            with pytest.raises(ValidationError, match="odd couplings"):
+                CoupledFrequencies.of(candidate)
+        else:
+            assert CoupledFrequencies.of(candidate).mask is not None
+    if rejected:
+        with pytest.raises(ValidationError, match="odd couplings"):
+            kappa2_sweep(mixed, baths, [0.1], "partial", biased=True)
+    else:
+        entry = kappa2_sweep(mixed, baths, [0.1], "partial", biased=True)[0]
+        assert np.isfinite(entry.kappa2)
 
 
 def stack_member(kind, epsilon, delta, g, keep, labelled):

@@ -496,14 +496,14 @@ def test_partial_row_never_builds_the_full_kernel_tensor(tmp_path, monkeypatch):
         raise AssertionError("full N^4 kernel tensor built on a partial-secular row")
 
     block_sizes = []
-    entries = redfield.PairLayout.entries
+    block_entries = redfield._block_entries     # every block, by layout or by pairs
 
-    def counting_entries(layout, *args):
-        block_sizes.append(len(layout.pairs))
-        return entries(layout, *args)
+    def counting_entries(q, w, maps, rates):
+        block_sizes.append((len(maps[0]), len(maps[2])))        # row and column pairs
+        return block_entries(q, w, maps, rates)
 
     monkeypatch.setattr(redfield, "k2_tensor_from_w", full_tensor)
-    monkeypatch.setattr(redfield.PairLayout, "entries", counting_entries)
+    monkeypatch.setattr(redfield, "_block_entries", counting_entries)
     cfg = parse_config_text(RABI.replace("retained_levels = 3", "retained_levels = 21")
                             .replace("fock_cutoff = 30", "fock_cutoff = 40")
                             + f"[output]\ncsv = {tmp_path / 'r21.csv'}\n")
@@ -513,7 +513,7 @@ def test_partial_row_never_builds_the_full_kernel_tensor(tmp_path, monkeypatch):
     # the kappa2 state and the biased state in one stacked block, and the
     # temperature derivative of the kappa2 state
     assert len(block_sizes) == 2
-    assert all(p < 21 * 21 for p in block_sizes)
+    assert all(r < 21 * 21 and c < 21 * 21 for r, c in block_sizes)
 
 
 @pytest.mark.parametrize("secular", ["partial", "full"])
