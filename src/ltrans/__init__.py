@@ -21,8 +21,8 @@ from .rabi import (ApproxSpectrum, RabiParams, build_rabi_junction, grwa_spectru
                    kondo_temperature, rwa_spectrum, vvpt_spectrum)
 from .redfield import (BosonKernel, KernelBlock, RateMatrix, build_current_kernel_2nd,
                        build_k2_boson, fermion_dot_rates, gamma_rates)
-from .steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
-                     full_secular_steady, partial_secular_steady)
+from .steady import (SteadyState, cluster_bohr_frequencies, full_secular_steady,
+                     partial_secular_steady)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "occupation", "fermi_pv_integral",
     "BosonKernel", "KernelBlock", "RateMatrix", "build_k2_boson", "gamma_rates",
     "build_current_kernel_2nd", "fermion_dot_rates",
-    "SteadyState", "FrequencyClusters", "cluster_bohr_frequencies",
+    "SteadyState", "cluster_bohr_frequencies",
     "full_secular_steady", "partial_secular_steady",
     "heat_current_2nd_secular", "heat_current_2nd_general",
     "kappa2", "kappa4_lowT", "tls_closed_forms", "dot_transport",

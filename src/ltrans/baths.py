@@ -14,10 +14,11 @@ reservoir whose beta is a 1-d array carries a temperature axis: the tables
 (n_T,) + omega.shape, each slice bitwise the table of that one temperature.
 The digamma and trigamma terms are even in omega, so the tables evaluate
 them once per distinct |omega| and temperature, from one sort of the
-frequencies by magnitude (`Frequencies`); a stack of models sorts the Bohr
-frequencies of the level pairs its couplings join once
-(`CoupledFrequencies`), and the W and dW/dT tables of its partial-secular
-rows read that one sort and hold zeros on the other pairs.
+frequencies by magnitude (`Frequencies`).  The frequencies may be those of
+the level pairs a mask selects: a partial-secular stack of models sorts the
+Bohr frequencies of the pairs its couplings join once
+(`coupled_frequencies`), and its W and dW/dT tables read that one sort and
+hold zeros on the other pairs.
 The Matsubara series itself (direct summation plus an analytic Hurwitz-zeta
 tail) is kept here as an oracle that `validate` also runs; it alone uses
 scipy.special (for the Hurwitz zeta function), imported when it runs.  The
@@ -35,7 +36,7 @@ import numpy as np
 from .linalg import ValidationError, NumericError
 from .model import COUPLING_RTOL, JunctionModel, Reservoir, SpectralDensity
 
-__all__ = ["occupation", "bose_signed", "Frequencies", "by_magnitude", "CoupledFrequencies",
+__all__ = ["occupation", "bose_signed", "Frequencies", "by_magnitude", "coupled_frequencies",
            "w_table", "dw_dt_real", "dw_dt_table",
            "w_rate_matsubara_oracle", "dn_dDeltaT_signed", "fermi_pv_integral",
            "matsubara_sums"]
@@ -49,26 +50,28 @@ _EXP_BIG = 700.0
 # occupation numbers
 # ---------------------------------------------------------------------------
 
-def occupation(statistics: str, omega: float, beta: float, mu: float = 0.0,
-               p: int = +1) -> float:
-    """Thermal occupation factor n^p of a reservoir mode.
+def occupation(statistics: str, omega, beta: float, mu: float = 0.0, p: int = +1):
+    """Thermal occupation factor n^p of a reservoir mode, or of each of an
+    array of modes (a float for one mode).
 
     For p = +1 this is the Bose/Fermi function itself; for p = -1 it is
-    1 + n (bose) or 1 - f (fermi).  The Bose branch requires omega > 0; the
-    omega -> 0 pole is the caller's responsibility.
+    1 + n (bose) or 1 - f (fermi).  The Bose branch requires omega > 0 at
+    every mode; the omega -> 0 pole is the caller's responsibility.
     """
     if not beta > 0:
         raise ValidationError("beta must be positive")
     if p not in (+1, -1):
         raise ValidationError("p must be +-1")
+    omega = np.asarray(omega, dtype=float)
     if statistics == "fermi":
         # logistic form is overflow-safe for any x = beta (omega - mu)
         f = 0.5 * (1.0 - np.tanh(0.5 * (beta * (omega - mu))))
-        return float(f if p == +1 else 1.0 - f)
+        f = f if p == +1 else 1.0 - f
+        return f if f.ndim else float(f)
     if statistics == "bose":
         if mu != 0.0:
             raise ValidationError("bosonic occupation requires mu = 0")
-        if omega <= 0.0 and p == +1:
+        if p == +1 and (omega <= 0.0).any():
             raise ValidationError("Bose occupation needs omega > 0 for p = +1")
         # 1 + n(omega) for p = -1: valid for omega > 0 and, by
         # continuation, omega < 0
@@ -129,14 +132,27 @@ class Frequencies:
     |omega| in ascending order, and inverse, in the shape of omega, the index
     of each entry's |omega| among them (`by_magnitude`).  The bath functions
     that need |omega| alone (the digamma and trigamma terms, even in omega)
-    are evaluated once per magnitude and temperature.  (A plain class: a
+    are evaluated once per magnitude and temperature.  mask, if not None, is
+    a boolean array of level pairs and omega (1-d) the frequencies where it
+    holds (`coupled_frequencies`): the tables over them are then scattered
+    onto the mask's shape, zero where it does not hold.  (A plain class: a
     named tuple or dataclass costs every start of the program more.)
     """
 
-    __slots__ = ("omega", "magnitudes", "inverse")
+    __slots__ = ("omega", "magnitudes", "inverse", "mask")
 
     def __init__(self, omega: np.ndarray, magnitudes: np.ndarray, inverse: np.ndarray):
         self.omega, self.magnitudes, self.inverse = omega, magnitudes, inverse
+        self.mask = None
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """values over omega (after a temperature axis), on the pairs of the
+        mask and zero elsewhere; values itself where there is no mask."""
+        if self.mask is None:
+            return values
+        out = np.zeros(values.shape[:-1] + self.mask.shape, dtype=complex)
+        out[..., self.mask] = values
+        return out
 
 
 def by_magnitude(omega) -> Frequencies:
@@ -159,64 +175,45 @@ def _sorted(omega) -> Frequencies:
     return omega if isinstance(omega, Frequencies) else by_magnitude(omega)
 
 
-class CoupledFrequencies:
-    """The Bohr frequencies of a model (or model stack) where a coupling joins
-    the two levels, which the bath tables of a partial-secular stack
+def coupled_frequencies(model: JunctionModel) -> Frequencies:
+    """The Bohr frequencies of model (or a model stack) where a coupling
+    joins the two levels, which the bath tables of a partial-secular stack
     (`ltrans.currents`) are evaluated on.
 
     A model that labels two sectors has odd couplings (`JunctionModel.sector`),
     so its coupled pairs are the cross-sector ones; a model with one sector
     or none, and each unlabelled model of a stack that mixes both, couples
-    every pair.  mask is (..., N, N), or None where every pair of every model
-    is coupled; frequencies holds the Bohr frequencies where mask holds (the
-    whole Bohr matrix where it is None), sorted once by magnitude.
+    every pair.  The mask of the result holds the coupled pairs, (..., N, N),
+    or is None where every pair of every model is coupled (omega is then
+    the whole Bohr matrix).
+
+    With odd couplings, a zero of the tables is read only in a product with
+    a same-sector coupling (roundoff) by the population rates, the heat
+    currents and every kernel entry whose row pair or column pair lies
+    within one sector, as every retained pair does.  An entry between a row
+    and a column that both cross the sectors reads W of two levels of one
+    sector through two odd couplings, so it is not roundoff: the full kernel
+    (`ltrans.redfield.build_k2_boson`) takes the dense tables.  Raises
+    ValidationError if a model with two sectors has a coupling between two
+    levels of one sector above COUPLING_RTOL of its largest coupling over
+    the baths: an even coupling, whose terms the zeros would drop.
     """
-
-    __slots__ = ("mask", "frequencies")
-
-    def __init__(self, mask: np.ndarray | None, frequencies: Frequencies):
-        self.mask, self.frequencies = mask, frequencies
-
-    @classmethod
-    def of(cls, model: JunctionModel) -> "CoupledFrequencies":
-        """The coupled pairs of model (or a model stack).  Raises
-        ValidationError if a model with two sectors has a coupling between
-        two levels of one sector above COUPLING_RTOL of its largest coupling
-        over the baths: an even coupling, whose terms the zeros would drop."""
-        bohr = model.bohr_matrix()
-        mask = None
-        if model.sector is not None:
-            mask = model.sector[..., :, None] != model.sector[..., None, :]
-            mask |= ~mask.any(axis=(-2, -1), keepdims=True)      # one sector: every pair
-            if model.q_ops:
-                aq = np.abs(list(model.q_ops.values()))            # (bath, ..., N, N)
-                same = np.where(mask, 0.0, aq).max(axis=(0, -2, -1))
-                if (same > COUPLING_RTOL * aq.max(axis=(0, -2, -1))).any():
-                    raise ValidationError("a coupling joins two levels of one symmetry "
-                                          "sector; two sectors need odd couplings")
-            if mask.all():
-                mask = None
-        return cls(mask, by_magnitude(bohr if mask is None else bohr[mask]))
-
-    def table(self, table, bath: Reservoir) -> np.ndarray:
-        """table (`w_table` or `dw_dt_table`) of bath on the coupled pairs and
-        zero on the others, in the shape of the Bohr matrix after the
-        temperature axis of the bath, if it has one.
-
-        With odd couplings, a zero is read only in a product with a
-        same-sector coupling (roundoff) by the population rates, the heat
-        currents and every kernel entry whose row pair or column pair lies
-        within one sector, as every retained pair does.  An entry between a
-        row and a column that both cross the sectors reads W of two levels
-        of one sector through two odd couplings, so it is not roundoff: the
-        full kernel (`ltrans.redfield.build_k2_boson`) takes the dense
-        table."""
-        values = table(self.frequencies, bath)
-        if self.mask is None:
-            return values
-        out = np.zeros(values.shape[:-1] + self.mask.shape, dtype=complex)
-        out[..., self.mask] = values
-        return out
+    bohr = model.bohr_matrix()
+    if model.sector is None:
+        return by_magnitude(bohr)
+    mask = model.sector[..., :, None] != model.sector[..., None, :]
+    mask |= ~mask.any(axis=(-2, -1), keepdims=True)      # one sector: every pair
+    if model.q_ops:
+        aq = np.abs(list(model.q_ops.values()))            # (bath, ..., N, N)
+        same = np.where(mask, 0.0, aq).max(axis=(0, -2, -1))
+        if (same > COUPLING_RTOL * aq.max(axis=(0, -2, -1))).any():
+            raise ValidationError("a coupling joins two levels of one symmetry "
+                                  "sector; two sectors need odd couplings")
+    if mask.all():
+        return by_magnitude(bohr)
+    f = by_magnitude(bohr[mask])
+    f.mask = mask
+    return f
 
 
 def _w_imag(f: Frequencies, sd: SpectralDensity, beta) -> np.ndarray:
@@ -251,12 +248,14 @@ def w_table(omega, bath: Reservoir) -> np.ndarray:
     principal value of the same integrand, in the digamma closed form of
     `_w_imag`.  omega is an array, or its `Frequencies` (`by_magnitude`),
     whose sort the tables of a stack then share.  Returns a complex array
-    of the shape of the frequencies, after the temperature axis of the bath
-    if it has one.
+    of the shape of the frequencies (of their mask, if they have one, zero
+    where it does not hold), after the temperature axis of the bath if it
+    has one.
     """
     f = _sorted(omega)
     beta = _t_axis(bath.beta, f.omega)
-    return _w_real(f.omega, bath.spectral, beta) + 1j * _w_imag(f, bath.spectral, bath.beta)
+    return f.scatter(_w_real(f.omega, bath.spectral, beta)
+                     + 1j * _w_imag(f, bath.spectral, bath.beta))
 
 
 # argument from which the Bernoulli series to B_14 replaces the direct form;
@@ -375,9 +374,8 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     is even in y, so it is evaluated once per distinct |w| and temperature
     (1 where y = 0).  The trigamma arguments of both direct forms, x and
     1 + i|y|, go to one `_trigamma` call, and a cold bath, whose remainders
-    are both series, makes none.  omega is an array or its `Frequencies`, as
-    for `w_table`, and the table is over the temperature axis of the bath,
-    if it has one, like `w_table`.
+    are both series, makes none.  omega is an array or its `Frequencies`,
+    and the table takes the shape of `w_table`'s.
     """
     f = _sorted(omega)
     sd, w = bath.spectral, f.omega
@@ -400,7 +398,7 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     if far.any():
         rest_y[far] = -_bernoulli_sum(-1.0 / y2[far])
     rest_y = rest_y[..., f.inverse]
-    return _dw_dt_real(w, sd, t) + 1j * (sd.value(w) / t * (rest_x - rest_y))
+    return f.scatter(_dw_dt_real(w, sd, t) + 1j * (sd.value(w) / t * (rest_x - rest_y)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_diagrams(args) -> int:
-    if args.action != "count":
-        print("supported action: count", file=sys.stderr)
-        return 2
     if args.order % 2 != 0 or args.order < 2:
         print("--order must be a positive even integer", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ return them.  The sequential conductance is their linear response to the
 heated bath's temperature, one closed-form derivative for both secular
 solvers.  `kappa2_sweep` computes it over a whole temperature
 axis, or at one temperature over a stack of models, in slices of bounded
-size: one set of bath tables per slice, and one clustering, one batched
+size: one set of bath tables per slice, and one pair layout, one batched
 solve and one contraction of kappa2 and of each bath's current per set of
 temperatures (or models) that share a retained-pair set, the set that
 `ltrans.steady.retained_pair_mask` gives each slice; `kappa2` is its
@@ -26,16 +26,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baths import (CoupledFrequencies, bose_signed, dw_dt_real, dw_dt_table, occupation,
+from .baths import (bose_signed, coupled_frequencies, dw_dt_real, dw_dt_table, occupation,
                     w_table)
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
-from .redfield import (DEGENERACY_TOL, BosonKernel, RateMatrix, build_k2_boson,
+from .redfield import (DEGENERACY_TOL, BosonKernel, PairLayout, RateMatrix, build_k2_boson,
                        gamma_rates, stacked_w_tables)
-from .steady import (DEFAULT_CLUSTER_FACTOR, FrequencyClusters, SteadyState,
-                     check_cluster_scale, cluster_bohr_frequencies, full_secular_steady,
-                     partial_secular_response, partial_secular_steady,
-                     retained_pair_mask)
+from .steady import (DEFAULT_CLUSTER_FACTOR, SteadyState, check_cluster_scale,
+                     cluster_bohr_frequencies, full_secular_steady, partial_secular_response,
+                     partial_secular_steady, retained_pair_mask)
 
 __all__ = ["heat_current_2nd_secular",
            "heat_current_2nd_general", "kappa4_lowT", "kappa2", "kappa2_sweep",
@@ -376,7 +375,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
 
     # the W and dW/dT tables of the stack share one set of coupled pairs
     # and one sort of their Bohr frequencies
-    coupled = CoupledFrequencies.of(model)
+    coupled = coupled_frequencies(model)
     q = np.stack([model.q(b.id) for b in stacked], axis=-3)
     w = stacked_w_tables(coupled, stacked)
     rates = BosonKernel(q=q, w=w).population_rates().reshape(flat)
@@ -384,12 +383,11 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     # dK/dT_h is evaluated unchecked: on cold rows its entries cancel far
     # below the dephasing terms they are made of, so a sum-rule test against
     # the block's own largest entry would fail on roundoff
-    dw = coupled.table(dw_dt_table, heated).reshape(flat)[:, None]
+    dw = dw_dt_table(coupled, heated).reshape(flat)[:, None]
 
-    def solve_partial(idx, clusters):
+    def solve_partial(idx, layout):
         # the models, coupling matrices (all baths, heated bath) and tables of
-        # the slices; the pair layout is the one the group's clusters keep
-        layout = clusters.layout
+        # the slices, on the group's retained pairs
         mi = at[idx]
         sub = JunctionModel(model.omega[mi])
         q_s, qh, w_s = q[mi], q_h[mi], w[idx]
@@ -397,7 +395,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
         kernel = layout.block(q_s, w_s, rates[idx])
         m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
         dk = layout.entries(qh[:m], dw[idx[:m]])
-        state, drho = partial_secular_response(sub, kernel, dk, clusters, lamb_shift)
+        state, drho = partial_secular_response(sub, kernel, dk, layout, lamb_shift)
         kappa2 = _wbar_current(q_s[:m, 1], wbar[:m, 1], drho)
         return slices(state, kappa2, {b.id: _wbar_current(q_s[:, i], wbar[:, i], state.rho)
                                       for i, b in enumerate(baths)})
@@ -405,11 +403,11 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     # solve the slices of each retained-pair set together (a clustering that
     # raises is its slice's result)
     groups, out = _cluster_groups(model, _rate_scale(rates), c, at)
-    for clusters, rows in groups:
-        size = max(1, _STACK_ENTRIES // len(clusters.pairs)**2)
+    for layout, rows in groups:
+        size = max(1, _STACK_ENTRIES // len(layout.pairs)**2)
         for s in range(0, len(rows), size):
             idx = rows[s:s + size]
-            for i, res in zip(idx.tolist(), _isolated(idx, solve_partial, clusters)):
+            for i, res in zip(idx.tolist(), _isolated(idx, solve_partial, layout)):
                 out[i] = res
     return _responses(out, n, biased)
 
@@ -419,13 +417,14 @@ def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
     """The retained-pair sets of the Bohr spectra of a model stack at the
     rate scales `scales`, scale i on model at[i].
 
-    Returns (groups, out).  groups holds (clusters, rows) per distinct set,
-    in the order of their first rows: the set (`retained_pair_mask`, with
-    the threshold of the first of the rows) and the ascending indices of
-    the scales that retain it.  out holds, per scale, the exception of
-    `check_cluster_scale` where it rejects the scale, else None; a rejected
-    scale fails alone.  The mask of the retained pairs names the set, across
-    the models of the stack as within one.
+    Returns (groups, out).  groups holds (layout, rows) per distinct set,
+    in the order of their first rows: the `PairLayout.retained` layout of
+    the set (`retained_pair_mask`, at the threshold of the first of the
+    rows) and the ascending indices of the scales that retain it.  out
+    holds, per scale, the exception of `check_cluster_scale` where it
+    rejects the scale, else None; a rejected scale fails alone.  The mask of
+    the retained pairs names the set, across the models of the stack as
+    within one.
     """
     scales = scales.tolist()
     thresholds = [c * s for s in scales]       # in floats: 0 * inf is a silent NaN
@@ -439,8 +438,8 @@ def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
             out[i] = exc
             continue
         groups.setdefault(keep[i].tobytes(), []).append(i)
-    return [(FrequencyClusters.from_mask(keep[rows[0]], thresholds[rows[0]]),
-             np.array(rows)) for rows in groups.values()], out
+    return [(PairLayout.retained(keep[rows[0]]), np.array(rows))
+            for rows in groups.values()], out
 
 
 def _responses(solved: list, n: int, biased: bool) -> list:

@@ -200,8 +200,9 @@ class DiscreteModeBath:
     modes: tuple[tuple[float, float], ...]
     mu: float = 0.0
 
-    def occupation(self, omega: float, pnu: int) -> float:
-        """The occupation factor n^{pnu} of a mode at omega (`ltrans.baths.occupation`)."""
+    def occupation(self, omega, pnu: int):
+        """The occupation factor n^{pnu} of a mode at omega, or of each of an
+        array of modes (`ltrans.baths.occupation`)."""
         return occupation(self.statistics, omega, self.beta, self.mu, p=pnu)
 
 
@@ -246,9 +247,8 @@ def evaluate_kernel_from_diagrams(omega_sys: np.ndarray,
         for term in terms:
             bath = bath_by_id[term.reservoirs[0]]
             p = term.fock[0]
-            omegas = np.array([m[0] for m in bath.modes])
-            weights = np.array([m[1]**2 * bath.occupation(m[0], p * term.nu[0])
-                                for m in bath.modes])
+            omegas, couplings = np.array(bath.modes, dtype=float).reshape(-1, 2).T
+            weights = couplings**2 * bath.occupation(omegas, p * term.nu[0])
             prop_sum = np.sum(weights[None, :]
                               / (lam + 1j * bohr_flat[:, None] - 1j * p * omegas[None, :]),
                               axis=1)

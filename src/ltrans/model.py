@@ -9,7 +9,7 @@ that knows the symmetry (the Z2 parity of the zero-bias Rabi and two-level
 junctions), under which every coupling is odd: no retained coherence of
 the partial-secular solve joins two sectors, and no coupling joins two
 levels of one sector, so the partial-secular rows evaluate their bath
-tables on the cross-sector pairs alone (`ltrans.baths.CoupledFrequencies`).
+tables on the cross-sector pairs alone (`ltrans.baths.coupled_frequencies`).
 Without labels every level pair is a candidate, and every pair is coupled.
 """
 
@@ -108,7 +108,7 @@ class JunctionModel:
     Pi: no coupling joins two levels of one sector (their entries of Q are
     roundoff, below `COUPLING_RTOL` of the model's largest coupling), so
     the bath tables of the partial-secular rows hold zeros there
-    (`ltrans.baths.CoupledFrequencies`, which rejects a model whose
+    (`ltrans.baths.coupled_frequencies`, which rejects a model whose
     same-sector couplings exceed that floor).  A model whose levels share one
     label couples every pair.  None means that no symmetry is known.
     """

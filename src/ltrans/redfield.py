@@ -2,24 +2,25 @@
 
 The kernel K[n, m, n', m'] generates the weak-coupling master equation
 resolved in the junction eigenbasis; its population block K[n,n,m,m] is the
-classical rate matrix.  One vectorized formula, `k2_pair_block`, evaluates
-the kernel of bosonic baths between any row pairs (n, m) and column pairs
-(n', m'), from the coupling matrices Q and the rate tables W of all baths
-stacked.  `build_k2_boson` evaluates those tables (`stacked_w_tables`:
-`w_table`, once per spectral density, over the distinct temperatures of the
-baths that share it) and returns a `BosonKernel` that holds them: the heat
-currents of a steady state are read from the same tables, and no table
-outlives the kernel.  Entries are evaluated on demand, as a
-`KernelBlock` over a set of pairs: the partial-secular solver asks for the
-block of its retained pairs only, and code that needs the full kernel asks
-for the block over `all_pairs(N)`, whose `.k.reshape(N, N, N, N)` is the
-rank-4 tensor.  A `PairLayout` holds the index maps of one pair set and
-its sum-rule and Hermiticity checks, which a retained set builds once for
-its kernel and dK/dT blocks, their checks and its solves.  The checks run
-on every block that is evaluated, except the temperature derivative's.
-The partial-secular rows of a sweep (`ltrans.currents`) evaluate their
-tables only on the level pairs a coupling joins
-(`ltrans.baths.CoupledFrequencies`, zeros elsewhere), which their blocks
+classical rate matrix.  A `PairLayout` is one set of level pairs (n, m)
+with its index maps, and `PairLayout.entries` is the one vectorized
+formula of the kernel of bosonic baths between the pairs of a set, from
+the coupling matrices Q and the rate tables W of all baths stacked.  A
+retained set of the partial-secular solver is one layout
+(`PairLayout.retained`), built once from its mask and read by its kernel
+and dK/dT blocks, their sum-rule and Hermiticity checks and its solves.
+`build_k2_boson` evaluates the tables (`stacked_w_tables`: `w_table`, once
+per spectral density, over the distinct temperatures of the baths that
+share it) and returns a `BosonKernel` that holds them: the heat currents of
+a steady state are read from the same tables, and no table outlives the
+kernel.  Entries are evaluated on demand, as a `KernelBlock` over a set of
+pairs: the partial-secular solver asks for the block of its retained pairs
+only, and code that needs the full kernel asks for the block over
+`all_pairs(N)`, whose `.k.reshape(N, N, N, N)` is the rank-4 tensor.  The
+checks run on every block that is evaluated, except the temperature
+derivative's.  The partial-secular rows of a sweep (`ltrans.currents`)
+evaluate their tables only on the level pairs a coupling joins
+(`ltrans.baths.coupled_frequencies`, zeros elsewhere), which their blocks
 over pairs within sectors never read without a vanishing coupling;
 `build_k2_boson` keeps the dense tables, so every block of its kernel is
 the full Redfield map's.  The single-level fermionic dot gets its own
@@ -42,13 +43,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .baths import CoupledFrequencies, bose_signed, by_magnitude, occupation, w_table
+from .baths import Frequencies, bose_signed, by_magnitude, occupation, w_table
 from .linalg import ValidationError
 from .model import COUPLING_RTOL, JunctionModel, Reservoir
 
 __all__ = ["KernelBlock", "BosonKernel", "RateMatrix", "PairLayout",
-           "build_k2_boson", "stacked_w_tables", "k2_pair_block", "k2_tensor_from_w",
-           "all_pairs",
+           "build_k2_boson", "stacked_w_tables", "k2_tensor_from_w", "all_pairs",
            "gamma_rates", "build_current_kernel_2nd", "fermion_dot_rates"]
 
 SUM_RULE_RTOL = 1e-12
@@ -60,69 +60,43 @@ def all_pairs(dim: int) -> np.ndarray:
     return np.indices((dim, dim)).reshape(2, -1).T
 
 
-def k2_pair_block(q: np.ndarray, w: np.ndarray, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """Kernel entries K[(n,m), (n',m')] for row pairs `rows` and column pairs `cols`.
-
-    q and w are the coupling matrices and rate tables W(omega_nm), stacked
-    over baths with shape (B, N, N); w may lead with a temperature axis,
-    (n_T, B, N, N), and q with axes that broadcast against those of w (one
-    model per slice, or per model of a stack).  The result, shape
-    (len(rows), len(cols)) after those axes, is summed over baths:
-
-    K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
-                    + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
-                    - Q_nn' Q_m'm (W_nm' + W*_mn') )
-
-    except on the population diagonals K[(n,n),(n,n)], which are minus the
-    total rate out of level n over all N levels (the sum rule): the formula's
-    k = n terms cancel there exactly, and their roundoff would swamp the
-    entry of a weakly mixed level, whose |Q_nk / Q_nn| is small.  A set of
-    pairs that is evaluated more than once builds its index maps once, as a
-    `PairLayout`.
-    """
-    return _block_entries(q, w, _entry_maps(q.shape[-1], rows, cols), _population_rates(q, w))
-
-
-def _entry_maps(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """The index maps of `k2_pair_block` between row pairs and column pairs
-    over n levels: the pairs' levels (rn, rm, cn, cm), the Kronecker masks
-    (same m, same n), the positions (row, column) of the population
-    diagonals and the level n of each, and the flat indices n * N + m of the
-    direct term's four gathers."""
-    rn, rm = rows[:, 0], rows[:, 1]
-    cn, cm = cols[:, 0], cols[:, 1]
-    same_m, same_n = rm[:, None] == cm[None, :], rn[:, None] == cn[None, :]
-    population = np.nonzero(same_m & same_n & (rn == rm)[:, None])     # K[(n,n),(n,n)]
-    nn, mm = n * rn[:, None], rm[:, None]
+def _entry_maps(n: int, pairs: np.ndarray) -> tuple:
+    """The index maps of `PairLayout.entries` over `pairs` of n levels: the
+    pairs' levels (pn, pm), the Kronecker masks (same m, same n), the
+    positions of the population diagonals and the level of each, and the
+    flat indices n * N + m of the direct term's four gathers."""
+    pn, pm = pairs[:, 0], pairs[:, 1]
+    same_m, same_n = pm[:, None] == pm[None, :], pn[:, None] == pn[None, :]
+    population = np.flatnonzero(pn == pm)      # K[(n,n),(n,n)]
+    nn, mm = n * pn[:, None], pm[:, None]
     # Q_nn', Q_m'm, W_nm' and W*_mn'
-    direct = (nn + cn, n * cm + mm, nn + cm, n * mm + cn)
-    return rn, rm, cn, cm, same_m, same_n, population, cn[population[1]], direct
+    direct = (nn + pn, n * pm + mm, nn + pm, n * mm + pn)
+    return pn, pm, same_m, same_n, population, pn[population], direct
 
 
 def _block_entries(q: np.ndarray, w: np.ndarray, maps: tuple,
                    rates: np.ndarray) -> np.ndarray:
-    """`k2_pair_block` over the pairs of `maps` (`_entry_maps`), its
+    """`PairLayout.entries` over the pairs of `maps` (`_entry_maps`), its
     population diagonals from the population rates `rates`
     (`_population_rates(q, w)`)."""
-    rn, rm, cn, cm, same_m, same_n, population, population_level, direct = maps
-    r, c, b, n = len(rn), len(cn), q.shape[-3], q.shape[-1]
+    pn, pm, same_m, same_n, population, population_level, direct = maps
+    p, b, n = len(pn), q.shape[-3], q.shape[-1]
     lead = q.shape[:-3]
 
     # explicit sizes, not -1, which an empty stack leaves undetermined
-    def stacked(x):        # (..., c, B, N) -> (..., B*N, c): one product per slice
-        return x.reshape(x.shape[:-3] + (c, b * n)).swapaxes(-1, -2)
+    def stacked(x):        # (..., P, B, N) -> (..., B*N, P): one product per slice
+        return x.reshape(x.shape[:-3] + (p, b * n)).swapaxes(-1, -2)
 
     # the two Kronecker terms: one matrix product each over (bath, k)
-    left = q.take(rn, axis=-2).swapaxes(-3, -2).reshape(lead + (r, b * n))   # Q_nk
-    right = (q.take(cn, axis=-1) * w.take(cm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
+    left = q.take(pn, axis=-2).swapaxes(-3, -2).reshape(lead + (p, b * n))   # Q_nk
+    right = (q.take(pn, axis=-1) * w.take(pm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
     # products and sums in place from here on: a stack's temporaries are
     # large, and each one allocated is fresh memory to fault in
     k = -(left @ stacked(right))
     k *= same_m
     w_conj = np.conj(w)      # conjugated before the gathers, which repeat entries
-    left = q.take(rm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (r, b * n))
-    right = (q.take(cm, axis=-2) * w_conj.take(cn, axis=-1).swapaxes(-1, -2)
+    left = q.take(pm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (p, b * n))
+    right = (q.take(pm, axis=-2) * w_conj.take(pn, axis=-1).swapaxes(-1, -2)
              ).swapaxes(-3, -2)
     kron = left @ stacked(right)
     kron *= same_n
@@ -136,35 +110,72 @@ def _block_entries(q: np.ndarray, w: np.ndarray, maps: tuple,
     ww += w_conj.reshape(wf.shape).take(w_second, axis=-1)
     ww *= qq
     k += ww.sum(axis=-3)
-    k[(...,) + population] = -rates.sum(axis=-2)[..., population_level]
+    k[..., population, population] = -rates.sum(axis=-2)[..., population_level]
     return k
 
 
 class PairLayout:
-    """The index maps of one set of pairs (n, m) over `dim` levels, built once
-    per set and read by every evaluation on it.
+    """One set of level pairs (n, m) over `dim` levels, with the index maps
+    that every evaluation on it reads, each built on first use.
 
-    They are the maps of the kernel block over the set (`entries`, the
-    gathers of `k2_pair_block`), of the block's sum-rule and Hermiticity
-    checks (the diagonal pairs, and each pair's mirror (m, n)), and of the
-    retained coherences of the partial-secular solver's layout
-    (`ltrans.steady.retained_pair_array`).  A retained set keeps one
-    (`ltrans.steady.FrequencyClusters.layout`), which its kernel and dK/dT
-    blocks, their checks and both solves share.  Each map is built on first
-    use; pairs is a (P, 2) integer array.
+    pairs is a (P, 2) integer array.  The maps are those of the kernel block
+    over the set (`entries`), of the block's sum-rule and Hermiticity checks
+    (the diagonal pairs, and each pair's mirror (m, n)) and of the
+    partial-secular solver's retained coherences (`coherences`).  A
+    retained set is one layout (`retained`), which its kernel and dK/dT
+    blocks, their checks and both solves share.
     """
 
     def __init__(self, dim: int, pairs: np.ndarray):
         self.dim, self.pairs = dim, pairs
 
+    @classmethod
+    def retained(cls, keep: np.ndarray) -> "PairLayout":
+        """The solver's layout of the pairs where the symmetric (N, N) mask
+        keep holds (`ltrans.steady.retained_pair_mask`): the diagonal pairs
+        (n, n), then the retained coherences (n, m), n < m, in row-major
+        order, then the same coherences swapped to (m, n); its pairs are
+        read-only.  A mask without every diagonal pair gives a layout whose
+        blocks fail their check."""
+        if (keep != keep.T).any():
+            raise ValidationError("retained pairs are not closed under (n, m) -> (m, n)")
+        n, m = np.nonzero(keep)
+        diagonal, coherence = n == m, n < m
+        pairs = np.stack([np.concatenate([n[diagonal], n[coherence], m[coherence]]),
+                          np.concatenate([m[diagonal], m[coherence], n[coherence]])], axis=1)
+        pairs.flags.writeable = False
+        return cls(len(keep), pairs)
+
+    @cached_property
+    def retained_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs in row-major order, as `SteadyState.retained_pairs` holds them."""
+        return tuple(sorted(map(tuple, self.pairs.tolist())))
+
     @cached_property
     def _maps(self) -> tuple:
-        return _entry_maps(self.dim, self.pairs, self.pairs)
+        return _entry_maps(self.dim, self.pairs)
 
     def entries(self, q: np.ndarray, w: np.ndarray, rates=None) -> np.ndarray:
-        """`k2_pair_block(q, w, pairs, pairs)`, unchecked; rates, if given,
-        are the population rates `BosonKernel.population_rates` of q and w,
-        which the population diagonals then read."""
+        """Kernel entries K[(n,m), (n',m')] between the pairs of the set, unchecked.
+
+        q and w are the coupling matrices and rate tables W(omega_nm), stacked
+        over baths with shape (B, N, N); w may lead with a temperature axis,
+        (n_T, B, N, N), and q with axes that broadcast against those of w (one
+        model per slice, or per model of a stack).  The result, shape (P, P)
+        after those axes, is summed over baths:
+
+        K[n,m,n',m'] = -( delta_{m m'} sum_k Q_nk Q_kn' W_km'
+                        + delta_{n n'} sum_k Q_m'k Q_km W*_kn'
+                        - Q_nn' Q_m'm (W_nm' + W*_mn') )
+
+        except on the population diagonals K[(n,n),(n,n)], which are minus
+        the total rate out of level n over all N levels (the sum rule): the
+        formula's k = n terms cancel there exactly, and their roundoff would
+        swamp the entry of a weakly mixed level, whose |Q_nk / Q_nn| is
+        small.  rates, if given, are the population rates
+        `BosonKernel.population_rates` of q and w, which those diagonals
+        then read.
+        """
         return _block_entries(q, w, self._maps,
                               _population_rates(q, w) if rates is None else rates)
 
@@ -208,17 +219,19 @@ class PairLayout:
 
     def check(self, block: "KernelBlock") -> None:
         """Raise ValidationError unless, at every slice of the block, the sum
-        rule and Hermiticity hold to SUM_RULE_RTOL of its largest entry."""
+        rule and Hermiticity hold to SUM_RULE_RTOL of its largest entry (a
+        set without every diagonal pair fails first, even an empty one)."""
+        sum_rule = self.sum_rule_residual(block.k)
         tol = SUM_RULE_RTOL * np.maximum(block.norm_max(), 1e-300)
-        if (self.sum_rule_residual(block.k) > tol).any():
+        if (sum_rule > tol).any():
             raise ValidationError("kernel violates the probability sum rule")
         if (self.hermiticity_residual(block.k) > tol).any():
             raise ValidationError("kernel violates the Hermiticity symmetry")
 
     @cached_property
     def coherences(self) -> tuple:
-        """The levels (n, m) of the retained coherences n < m of the solver's
-        layout, which follow the `dim` diagonal pairs."""
+        """The levels (n, m) of the retained coherences n < m of a `retained`
+        layout, which follow its `dim` diagonal pairs."""
         c = (len(self.pairs) - self.dim) // 2
         return self.pairs[self.dim:self.dim + c, 0], self.pairs[self.dim:self.dim + c, 1]
 
@@ -233,7 +246,7 @@ def _population_rates(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Full rank-4 kernel tensor from Q and W: `k2_pair_block` over all N^2 pairs.
+    """Full rank-4 kernel tensor from Q and W: `PairLayout.entries` over all N^2 pairs.
 
     q and w are one bath's (N, N) matrices or (B, N, N) stacks summed over
     baths.
@@ -242,8 +255,7 @@ def k2_tensor_from_w(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     if q.ndim == 2:
         q, w = q[None], w[None]
     n = q.shape[-1]
-    pairs = all_pairs(n)
-    return k2_pair_block(q, w, pairs, pairs).reshape(n, n, n, n)
+    return PairLayout(n, all_pairs(n)).entries(q, w).reshape(n, n, n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,28 +348,27 @@ def build_k2_boson(model: JunctionModel, baths: list[Reservoir]) -> BosonKernel:
     The kernel entries themselves are evaluated by the returned
     `BosonKernel`, block by block.
     """
-    every = CoupledFrequencies(None, by_magnitude(model.bohr_matrix()))
     return BosonKernel(q=np.stack([model.q(b.id) for b in baths], axis=-3),
-                       w=stacked_w_tables(every, baths))
+                       w=stacked_w_tables(by_magnitude(model.bohr_matrix()), baths))
 
 
-def stacked_w_tables(coupled: CoupledFrequencies, baths: list[Reservoir]) -> np.ndarray:
-    """The W table of every bath on the coupled pairs of a model (stack),
+def stacked_w_tables(frequencies: Frequencies, baths: list[Reservoir]) -> np.ndarray:
+    """The W table of every bath on the Bohr frequencies of a model (stack),
     stacked at axis -3 after the temperature and model axes.
 
     `w_table` is evaluated once per distinct spectral density, over the
     distinct inverse temperatures of the baths that use it (and every model
-    of a model stack), on the frequencies and the one sort of `coupled`
-    (zero on the pairs that no coupling joins, `CoupledFrequencies.table`).
-    Each bath gathers its own slices from that table, and each slice is
-    bitwise its one-temperature, one-model table.
+    of a model stack), on the one sort of `frequencies` (the whole Bohr
+    matrix, or its coupled pairs, `ltrans.baths.coupled_frequencies`, zero
+    on the others).  Each bath gathers its own slices from that table, and
+    each slice is bitwise its one-temperature, one-model table.
     """
     tables = {}        # spectral density -> (its distinct betas, ascending; W over them)
     for b in baths:
         if b.spectral not in tables:
             betas = np.unique(np.concatenate([np.ravel(o.beta) for o in baths
                                               if o.spectral == b.spectral]))
-            tables[b.spectral] = betas, coupled.table(w_table, replace(b, beta=betas))
+            tables[b.spectral] = betas, w_table(frequencies, replace(b, beta=betas))
     return np.stack([table[np.searchsorted(betas, b.beta)]
                      for b in baths for betas, table in [tables[b.spectral]]], axis=-3)
 

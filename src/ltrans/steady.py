@@ -25,7 +25,9 @@ each pair whose Bohr frequency is at most c times the largest population
 rate (`check_cluster_scale` rejects a scale that defines no threshold).
 Both `cluster_bohr_frequencies` (one model, one scale) and the grouping of
 a stacked sweep (`ltrans.currents`, one scale per slice) apply this one
-rule.  Where the model labels its levels with symmetry sectors
+rule and make the mask one `ltrans.redfield.PairLayout`
+(`PairLayout.retained`), which every block, check and solve on the set
+reads.  Where the model labels its levels with symmetry sectors
 (`JunctionModel.sector`), no retained pair joins two sectors: such a
 coherence is zero in the steady state and in its response, so the
 clustering does not carry it as an unknown.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +44,9 @@ from .linalg import ValidationError, NumericError
 from .model import JunctionModel
 from .redfield import KernelBlock, PairLayout, RateMatrix
 
-__all__ = ["SteadyState", "FrequencyClusters", "check_cluster_scale",
-           "retained_pair_mask", "cluster_bohr_frequencies", "retained_pair_array",
-           "full_secular_steady", "partial_secular_steady", "partial_secular_response"]
+__all__ = ["SteadyState", "check_cluster_scale", "retained_pair_mask",
+           "cluster_bohr_frequencies", "full_secular_steady", "partial_secular_steady",
+           "partial_secular_response"]
 
 log = logging.getLogger(__name__)
 
@@ -90,44 +91,6 @@ class SteadyState:
                         "(weak-coupling theory is leaving its validity range)", p)
 
 
-@dataclass(frozen=True)
-class FrequencyClusters:
-    """Partition of index pairs into retained (quasi-degenerate) and dropped.
-
-    The solver's pair layout (`pairs`), its index maps (`layout`) and the
-    sorted retained pairs are built on first use and kept, so that every
-    block and solve on one clustering shares them.
-    """
-
-    retained: frozenset[tuple[int, int]]
-    threshold: float
-
-    @classmethod
-    def from_mask(cls, keep: np.ndarray, threshold: float) -> "FrequencyClusters":
-        """The pairs (n, m) where the (N, N) mask `keep` holds."""
-        return cls(frozenset(zip(*(idx.tolist() for idx in np.nonzero(keep)))), threshold)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """`retained_pair_array` over as many levels as there are retained
-        diagonal pairs (`retained_pair_mask` retains every level's);
-        read-only."""
-        pairs = retained_pair_array(sum(n == m for n, m in self.retained), self)
-        pairs.flags.writeable = False
-        return pairs
-
-    @cached_property
-    def layout(self) -> PairLayout:
-        """The index maps of `pairs` (`ltrans.redfield.PairLayout`), which
-        every kernel block, check and solve on this clustering reads."""
-        return PairLayout(sum(n == m for n, m in self.retained), self.pairs)
-
-    @cached_property
-    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The retained pairs in order, as `SteadyState.retained_pairs` holds them."""
-        return tuple(sorted(self.retained))
-
-
 def check_cluster_scale(gamma_scale: float, c: float) -> None:
     """Raise ValidationError unless the clustering threshold c * gamma_scale
     is defined: gamma_scale a positive rate scale and c >= 0."""
@@ -158,30 +121,15 @@ def retained_pair_mask(model: JunctionModel, threshold) -> np.ndarray:
 
 
 def cluster_bohr_frequencies(model: JunctionModel, gamma_scale: float,
-                             c: float = DEFAULT_CLUSTER_FACTOR) -> FrequencyClusters:
-    """The pairs `retained_pair_mask` keeps at the threshold c * gamma_scale.
+                             c: float = DEFAULT_CLUSTER_FACTOR) -> PairLayout:
+    """The layout of the pairs `retained_pair_mask` keeps at the threshold
+    c * gamma_scale (`PairLayout.retained`).
 
     gamma_scale should be the magnitude of the largest relevant relaxation
     rate and c >= 0 (`check_cluster_scale`).
     """
     check_cluster_scale(gamma_scale, c)
-    thresh = c * gamma_scale
-    return FrequencyClusters.from_mask(retained_pair_mask(model, thresh), thresh)
-
-
-def retained_pair_array(dim: int, clusters: FrequencyClusters) -> np.ndarray:
-    """The solver's pair layout as a (N + 2C, 2) array.
-
-    Every diagonal pair (n, n) in order, then the C retained coherences
-    (n, m), n < m, sorted, then the same coherences swapped to (m, n).  The
-    retained set must be closed under (n, m) -> (m, n).
-    """
-    if {(m, n) for (n, m) in clusters.retained} != clusters.retained:
-        raise ValidationError("retained pairs are not closed under (n, m) -> (m, n)")
-    cohs = sorted((n, m) for (n, m) in clusters.retained if n < m)
-    cohs = np.array(cohs, dtype=int).reshape(-1, 2)
-    diag = np.repeat(np.arange(dim), 2).reshape(dim, 2)
-    return np.concatenate([diag, cohs, cohs[:, ::-1]])
+    return PairLayout.retained(retained_pair_mask(model, c * gamma_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +199,8 @@ def _real_system(k: np.ndarray, layout: PairLayout, lamb_shift: bool,
                  bohr=0.0) -> np.ndarray:
     """Real matrix of rho -> -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
 
-    k is a kernel block over the pairs of `layout` (the layout of
-    `retained_pair_array`), or a stack of them over a temperature axis,
+    k is a kernel block over the pairs of `layout` (a `PairLayout.retained`
+    layout), or a stack of them over a temperature axis,
     bohr the Bohr frequency of each pair; unknowns and rows as in
     `partial_secular_steady`.
     """
@@ -306,18 +254,15 @@ def _scaled_condition(a: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return abs_a.sum(axis=-2).max(axis=-1) * abs_inv.sum(axis=-2).max(axis=-1)
 
 
-def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
-                    lamb_shift: bool):
+def _solve_retained(model: JunctionModel, k2, layout: PairLayout, lamb_shift: bool):
     """`partial_secular_steady`, returning (state, x, the system matrix).
 
-    Over the temperature axis of k2, if it has one, in one batched call.
-    The pair layout is the one the clusters keep; a clustering that lacks a
-    level's diagonal pair fails the kernel block's check.
+    Over the temperature axis of k2, if it has one, in one batched call.  A
+    layout that lacks a level's diagonal pair fails the kernel block's check.
     """
     n = model.dim
     if k2.dim != n:
         raise ValidationError("kernel dimension does not match the model")
-    layout = clusters.layout
     block: KernelBlock = k2.block(layout.pairs)
     bohr = model.bohr_matrix()[..., layout.pairs[:, 0], layout.pairs[:, 1]]
     a = _real_system(block.k, layout, lamb_shift, bohr)
@@ -337,7 +282,7 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
                     "1-norm condition estimate %.3e", 1.0 / r)
     x = inverse[..., :, 0]
 
-    state = SteadyState(rho=_rho(x, layout), retained_pairs=clusters.sorted_pairs)
+    state = SteadyState(rho=_rho(x, layout), retained_pairs=layout.retained_pairs)
     state.check()
 
     # residual of the retained-block equations (excluding the replaced row)
@@ -349,35 +294,36 @@ def _solve_retained(model: JunctionModel, k2, clusters: FrequencyClusters,
     return state, x, a
 
 
-def partial_secular_steady(model: JunctionModel, k2, clusters: FrequencyClusters,
+def partial_secular_steady(model: JunctionModel, k2, clusters: PairLayout,
                            lamb_shift: bool = True) -> SteadyState:
     """Solve 0 = -i w_nm rho_nm + sum K[n,m,n',m'] rho_n'm' on retained pairs.
 
-    k2 is any kernel with a `block(pairs)` method (a `BosonKernel`, or a
-    `KernelBlock` holding exactly the retained pairs); only the retained
-    block is read.  Unknowns are the populations and Re/Im of each
-    retained coherence n < m; the population equation of the lowest state is
-    replaced by the trace constraint.  With lamb_shift=False the imaginary
+    clusters is the `PairLayout.retained` layout of the retained pairs
+    (`cluster_bohr_frequencies`).  k2 is any kernel with a `block(pairs)`
+    method (a `BosonKernel`, or a `KernelBlock` holding exactly the retained
+    pairs); only the retained block is read.  Unknowns are the populations
+    and Re/Im of each retained coherence n < m; the population equation of
+    the lowest state is replaced by the trace constraint.  With lamb_shift=False the imaginary
     (level-shift) part of the diagonal coherence couplings K[n,m,n,m] is
     discarded.
     """
     return _solve_retained(model, k2, clusters, lamb_shift)[0]
 
 
-def partial_secular_response(model: JunctionModel, k2, dk, clusters: FrequencyClusters,
+def partial_secular_response(model: JunctionModel, k2, dk, layout: PairLayout,
                              lamb_shift: bool = True) -> tuple[SteadyState, np.ndarray]:
     """Steady state rho0 of the partial-secular map L and its response to L + dL.
 
     k2 has a leading axis of slices (temperatures or models).  dL is the
-    (m, P, P) stack dk of kernel blocks over the clusters' pairs
-    (`clusters.pairs`) for the leading m slices of k2.  Returns (state,
-    drho): the state for every slice, and for the leading m slices drho
-    with L drho = -dL rho0 and Tr drho = 0, solved by an LU factorization
-    of the steady-state system (a product with its inverse would lose up
-    to ten times more digits on ill-conditioned systems).
+    (m, P, P) stack dk of kernel blocks over the pairs of `layout` for the
+    leading m slices of k2.  Returns (state, drho): the state for every
+    slice, and for the leading m slices drho with L drho = -dL rho0 and
+    Tr drho = 0, solved by an LU factorization of the steady-state system
+    (a product with its inverse would lose up to ten times more digits on
+    ill-conditioned systems).
     """
-    state, x, a = _solve_retained(model, k2, clusters, lamb_shift)
+    state, x, a = _solve_retained(model, k2, layout, lamb_shift)
     x, a = x[:len(dk)], a[:len(dk)]
-    rhs = -(_real_system(dk, clusters.layout, lamb_shift) @ x[..., None])
+    rhs = -(_real_system(dk, layout, lamb_shift) @ x[..., None])
     rhs[..., 0, :] = 0.0           # the trace stays 1
-    return state, _rho(np.linalg.solve(a, rhs)[..., 0], clusters.layout)
+    return state, _rho(np.linalg.solve(a, rhs)[..., 0], layout)

@@ -260,14 +260,11 @@ ALL_CHECKS = [
 
 def run_validation(out=print) -> int:
     failures = 0
-    counts = None
     for name, fn in ALL_CHECKS:
         try:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        if name == "diagram-counts":
-            counts = detail
         out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     out(f"{'OK' if failures == 0 else 'FAILED'} "

@@ -195,7 +195,7 @@ def retained_per_slice(cfg):
         rates = redfield.build_k2_boson(
             model, sweep._bose_baths(cfg.baths, t_l, t_r)).population_rates()
         sets.append(steady.cluster_bohr_frequencies(
-            model, float(np.max(np.abs(rates))), cfg.cluster_factor).retained)
+            model, float(np.max(np.abs(rates))), cfg.cluster_factor).retained_pairs)
     return sets
 
 
@@ -295,15 +295,14 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
     spy(monkeypatch, calls, "solve", np.linalg)
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
-    spy(monkeypatch, calls, "from_mask", steady.FrequencyClusters)
-    spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
+    spy(monkeypatch, calls, "retained", redfield.PairLayout)
     spy(monkeypatch, calls, "by_magnitude", baths)
     spy(monkeypatch, calls, "_entry_maps", redfield)
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
     assert all(exc is None for _, exc in rows)
     # one current contraction per bath and one of kappa2, per group
     if cfg.solver == "partial":
-        assert calls.count("retained_pair_array") == groups   # one pair layout each
+        assert calls.count("retained") == groups   # one pair layout each
         # one sort of the coupled Bohr frequencies for both tables, one set
         # of block index maps per retained set
         assert calls.count("by_magnitude") == 1
@@ -314,7 +313,6 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("_solve_retained") == calls.count("inv") == groups
         assert calls.count("_block_entries") == 2 * groups     # kernel and dK/dT blocks
         assert calls.count("solve") == groups
-        assert calls.count("from_mask") == groups
         assert calls.count("_wbar_current") == 3 * groups
         assert calls.count("_secular_current") == 0
     else:
@@ -324,7 +322,7 @@ def test_a_chunk_evaluates_tables_and_factorizations_once(monkeypatch, name):
         assert calls.count("solve") == 2
         assert calls.count("inv") == 0
         assert calls.count("_secular_current") == 3
-        assert calls.count("_wbar_current") == calls.count("from_mask") == 0
+        assert calls.count("_wbar_current") == calls.count("retained") == 0
         assert calls.count("_block_entries") == 0
 
 
@@ -357,8 +355,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
                         lambda a, b: solved.append(len(a)) or orig_solve(a, b))
     spy(monkeypatch, calls, "_wbar_current", currents)
     spy(monkeypatch, calls, "_secular_current", currents)
-    spy(monkeypatch, calls, "from_mask", steady.FrequencyClusters)
-    spy(monkeypatch, calls, "retained_pair_array", *binders("retained_pair_array", steady))
+    spy(monkeypatch, calls, "retained", redfield.PairLayout)
     spy(monkeypatch, calls, "by_magnitude", baths)
     spy(monkeypatch, calls, "_entry_maps", redfield)
     rows = sweep._chunk_rows(cfg, [float(v) for v in cfg.grid()])
@@ -367,7 +364,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
     assert calls.count("kappa2_sweep") == 1
     if cfg.solver == "partial":
         assert 2 <= groups < 24
-        assert calls.count("retained_pair_array") == groups   # one pair layout each
+        assert calls.count("retained") == groups   # one pair layout each
         # one sort of the coupled Bohr frequencies for both tables, one set
         # of block index maps per retained set
         assert calls.count("by_magnitude") == 1
@@ -382,7 +379,6 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
         assert calls.count("_block_entries") == 2 * groups
         assert len(solved) == groups and sum(solved) == 12
         assert np.count_nonzero(solved) == responses
-        assert calls.count("from_mask") == groups
         assert calls.count("_wbar_current") == 3 * groups
         assert calls.count("_secular_current") == 0
     else:
@@ -392,7 +388,7 @@ def test_a_parameter_chunk_evaluates_tables_once_and_factors_each_retained_set_o
         assert solved == [24, 12]        # the steady states, then the responses
         assert calls.count("inv") == 0
         assert calls.count("_secular_current") == 3
-        assert calls.count("_wbar_current") == calls.count("from_mask") == 0
+        assert calls.count("_wbar_current") == calls.count("retained") == 0
         assert calls.count("_block_entries") == 0
 
 
@@ -565,7 +561,7 @@ def test_a_failing_temperature_fails_its_row_alone(monkeypatch, name, poison, pa
         # the threshold c * 0 counts the |omega_nm| that a valid row of
         # diagonal pairs alone counts: the rejected scale must not join them
         model = sweep._junction(cfg, cfg.model)
-        assert frozenset((n, n) for n in range(model.dim)) in retained_sets(cfg)
+        assert tuple((n, n) for n in range(model.dim)) in retained_sets(cfg)
     poison(monkeypatch, grid[bad], part)
     with pytest.raises(error) as raised:
         sweep.compute_row(cfg, grid[bad])
@@ -685,7 +681,8 @@ def test_model_axis_blocks_rates_and_contractions_are_bitwise_the_per_model_ones
     rates = redfield.gamma_rates(stack, pair) if all(
         np.abs(m.bohr_matrix()[~np.eye(dim, dtype=bool)]).min() > 1e-12
         for m in models) else None
-    block = redfield.k2_pair_block(k2.q, k2.w, pairs, pairs)
+    layout = redfield.PairLayout(dim, pairs)
+    block = layout.entries(k2.q, k2.w)
     population = k2.population_rates()
     y = rng.standard_normal((len(models), dim, dim)) + 1j * rng.standard_normal(
         (len(models), dim, dim))
@@ -697,8 +694,7 @@ def test_model_axis_blocks_rates_and_contractions_are_bitwise_the_per_model_ones
     for r, model in enumerate(models):
         one = redfield.build_k2_boson(model, pair)
         assert k2.w[:, r].tobytes() == one.w.tobytes()
-        assert block[:, r].tobytes() == redfield.k2_pair_block(
-            one.q, one.w, pairs, pairs).tobytes()
+        assert block[:, r].tobytes() == layout.entries(one.q, one.w).tobytes()
         assert population[:, r].tobytes() == one.population_rates().tobytes()
         if rates is not None:
             assert rates.gamma[:, r].tobytes() == redfield.gamma_rates(
@@ -776,15 +772,17 @@ def test_a_failing_model_solve_fails_its_row_alone(monkeypatch):
     bad_model = sweep._junction(cfg, {**cfg.model, "g": grid[bad]})
     # the table is evaluated on the coupled pairs of each model of the stack,
     # in model order: the bad model's entries are the run of its own
-    bad_omega = baths.CoupledFrequencies.of(bad_model).frequencies.omega
+    bad_omega = baths.coupled_frequencies(bad_model).omega
     orig = redfield.w_table
 
     def poisoned(omega, bath):
         out = orig(omega, bath)
         got = omega.omega
+        pairs = np.flatnonzero(omega.mask)       # the flat position of each entry of got
+        flat = out.reshape(out.shape[:-omega.mask.ndim] + (-1,))
         for i in range(len(got) - len(bad_omega) + 1):
             if np.array_equal(got[i:i + len(bad_omega)], bad_omega):
-                out.imag[..., i:i + len(bad_omega)] = np.nan
+                flat.imag[..., pairs[i:i + len(bad_omega)]] = np.nan
         return out
 
     monkeypatch.setattr(redfield, "w_table", poisoned)
@@ -825,7 +823,7 @@ def test_retained_set_groups_are_the_per_temperature_clusterings(seed, dim, c, p
                                            np.zeros(len(scales), dtype=int))
     rows = sorted(i for _, r in groups for i in r.tolist())
     assert rows == [i for i, e in enumerate(out) if e is None]
-    assert len({cl.retained for cl, _ in groups}) == len(groups)
+    assert len({cl.retained_pairs for cl, _ in groups}) == len(groups)
     for _, r in groups:
         assert r.tolist() == sorted(r.tolist())
     for i, scale in enumerate(scales.tolist()):
@@ -834,7 +832,7 @@ def test_retained_set_groups_are_the_per_temperature_clusterings(seed, dim, c, p
         except ValidationError as exc:
             assert type(out[i]) is ValidationError and str(out[i]) == str(exc)
             continue
-        assert clusters_of(groups, i).retained == want.retained
+        assert clusters_of(groups, i).retained_pairs == want.retained_pairs
 
 
 def test_a_threshold_equal_to_a_bohr_frequency_retains_its_pairs():
@@ -847,12 +845,11 @@ def test_a_threshold_equal_to_a_bohr_frequency_retains_its_pairs():
     groups, out = currents._cluster_groups(stack_models([model]), scales, 1.0,
                                            np.zeros(len(scales), dtype=int))
     assert [r.tolist() for _, r in groups] == [[0, 4], [1, 5], [2], [3]]
-    assert [cl.threshold for cl, _ in groups] == [0.5, 1.0, 0.499, 2.0]
     for cl, r in groups:
         want = steady.cluster_bohr_frequencies(model, float(scales[r[0]]), 1.0)
-        assert cl.retained == want.retained
-    assert (2, 3) in groups[0][0].retained and (2, 3) not in groups[2][0].retained
-    assert (1, 2) in groups[1][0].retained and (1, 2) not in groups[0][0].retained
+        assert cl.retained_pairs == want.retained_pairs
+    assert (2, 3) in groups[0][0].retained_pairs and (2, 3) not in groups[2][0].retained_pairs
+    assert (1, 2) in groups[1][0].retained_pairs and (1, 2) not in groups[0][0].retained_pairs
     assert out[:6] == [None] * 6
     assert str(out[6]) == "all population rates vanish; no steady state"
     assert str(out[7]) == "gamma_scale must be positive"

@@ -66,7 +66,7 @@ def separate_solves(cfg, g):
 def retained(model, baths, c):
     """The retained-pair set of the partial-secular state at the baths' temperatures."""
     rates = build_k2_boson(model, baths).population_rates()
-    return cluster_bohr_frequencies(model, float(np.abs(rates).max()), c).retained
+    return cluster_bohr_frequencies(model, float(np.abs(rates).max()), c).retained_pairs
 
 
 def cells(cfg, g):

@@ -19,6 +19,7 @@ from ltrans.rabi import RabiParams, build_rabi_junction
 from ltrans.redfield import build_current_kernel_2nd, fermion_dot_rates, gamma_rates
 from ltrans.steady import full_secular_steady
 
+from junctions import random_junction
 from kappa2_oracle import kappa2_fd, kappa2_richardson
 from quadrature_oracle import current_kernel_4th_lowT, kappa4_kernel_quadrature
 
@@ -184,7 +185,8 @@ def test_equilibrium_partial_secular_residual_is_higher_order():
     # spurious equilibrium current -- beyond its order of validity; it must
     # shrink quadratically and be absolutely negligible at weak coupling
     from ltrans.redfield import build_k2_boson
-    from ltrans.steady import FrequencyClusters, partial_secular_steady
+    from ltrans.steady import partial_secular_steady
+    from layout_oracle import retained_layout
 
     rng = np.random.default_rng(6)
     omega = np.array([0.0, 1.0, 1.02])
@@ -193,9 +195,7 @@ def test_equilibrium_partial_secular_residual_is_higher_order():
         x = rng.standard_normal((3, 3))
         qs[rid] = 0.5 * (x + x.T)
     model = build_junction(omega, qs)
-    clusters = FrequencyClusters(
-        retained=frozenset({(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)}),
-        threshold=0.1)
+    clusters = retained_layout(3, {(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)})
     residual = {}
     for alpha in (3e-4, 3e-5, 1e-5):
         baths = drude_baths(0.5, 0.5, alpha=alpha)
@@ -244,6 +244,28 @@ def test_kappa4_kernel_quadrature_cutoff_effect_small():
     got = kappa4_kernel_quadrature(model, baths, t, "R")
     want = tls_kappa4(1.0, 0.8, 0.5, 1e-3, t)
     assert abs(got / want - 1.0) < 1e-2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+       omega_c=st.sampled_from([0.5, 1.0, 2.0, 5.0, 20.0, 100.0]),
+       x=st.floats(1e-4, 1e-2))
+def test_kappa4_quadrature_is_the_t_cubed_law_with_its_drude_corrections(
+        seed, dim, omega_c, x):
+    # the frequency quadrature of w J^2 dn/dT with the Drude J = alpha w /
+    # (1 + u^2), u = w / omega_c, expands in x = T / omega_c as the T^3 law
+    # times sum_k (-1)^k (k + 1) ((4 + 2k)! zeta(4 + 2k) / (4! zeta(4))) x^2k
+    # = 1 - (40 pi^2 / 7) x^2 + 48 pi^4 x^4 - 5.6e5 x^6 ..., on any junction
+    # and either measured bath, where T <= 0.03 omega_10
+    model = random_junction(seed, dim)
+    t = min(x * omega_c, 0.03 * (model.omega[1] - model.omega[0]))
+    x = t / omega_c
+    want = 1.0 - 40.0 * np.pi**2 / 7.0 * x**2 + 48.0 * np.pi**4 * x**4
+    baths = drude_baths(t, t, alpha=1e-3, omega_c=omega_c)
+    for rid in ("L", "R"):
+        ratio = kappa4_kernel_quadrature(model, baths, t, rid) / kappa4_lowT(model, 1e-3, t)
+        # the quadrature's own error, about 1e-10, and twice the x^6 term
+        assert abs(ratio - want) <= 2e-10 + 1.2e6 * x**6
 
 
 def test_kappa4_t_cubed_and_square():

@@ -12,11 +12,11 @@ from ltrans.currents import partial_secular_state
 from ltrans.linalg import ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
 from ltrans.rabi import RabiParams, build_rabi_junction
-from ltrans.redfield import (BosonKernel, KernelBlock, PairLayout, all_pairs,
-                             build_k2_boson, k2_pair_block)
-from ltrans.steady import (FrequencyClusters, partial_secular_steady,
-                           retained_pair_array)
+from ltrans.redfield import BosonKernel, KernelBlock, PairLayout, all_pairs, build_k2_boson
+from ltrans.steady import partial_secular_steady
 from ltrans.sweep import compute_row
+
+from layout_oracle import retained_layout, retained_mask, retained_pair_array
 
 
 def drude_baths(t_left, t_right, alpha=1e-3, omega_c=5.0):
@@ -109,17 +109,12 @@ def junction_and_retained(draw):
 def test_block_equals_full_tensor_entries(case):
     model, retained, (t_l, t_r) = case
     k2 = build_k2_boson(model, drude_baths(t_l, t_r))
-    pairs = retained_pair_array(model.dim, FrequencyClusters(retained, 0.0))
+    pairs = retained_layout(model.dim, retained).pairs
     block = k2.block(pairs)
     k = full_kernel(k2)
     pn, pm = pairs[:, 0], pairs[:, 1]
     gathered = k[pn[:, None], pm[:, None], pn[None, :], pm[None, :]]
     assert np.max(np.abs(block.k - gathered)) <= 1e-14 * np.max(np.abs(block.k))
-    # rectangular blocks too: rows and columns need not be the same pairs
-    rows, cols = pairs[::2], all_pairs(model.dim)[1::3]
-    rect = k2_pair_block(k2.q, k2.w, rows, cols)
-    want = k[rows[:, 0][:, None], rows[:, 1][:, None], cols[:, 0], cols[:, 1]]
-    assert np.max(np.abs(rect - want)) <= 1e-14 * np.max(np.abs(k))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -127,7 +122,7 @@ def test_block_equals_full_tensor_entries(case):
 def test_partial_secular_steady_matches_full_tensor_solve(case, lamb_shift):
     model, retained, (t_l, t_r) = case
     k2 = build_k2_boson(model, drude_baths(t_l, t_r))
-    clusters = FrequencyClusters(retained, 0.0)
+    clusters = retained_layout(model.dim, retained)
     state = partial_secular_steady(model, k2, clusters, lamb_shift=lamb_shift)
     ref = reference_partial_secular(model, full_kernel(k2), retained, lamb_shift)
     assert np.max(np.abs(state.rho - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -181,11 +176,48 @@ def test_blocks_need_diagonals_and_swap_closure():
     for retained in ({(0, 0), (1, 1), (2, 2), (1, 2)},
                      {(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)}):
         with pytest.raises(ValidationError, match="closed"):
-            retained_pair_array(3, FrequencyClusters(frozenset(retained), 0.0))
+            PairLayout.retained(retained_mask(3, retained))
     block = k2.block(all_pairs(3))
     assert block.block(all_pairs(3)) is block
     with pytest.raises(ValidationError, match="requested pairs"):
         block.block(all_pairs(3)[::-1])
+
+
+@st.composite
+def symmetric_masks(draw):
+    """A symmetric (N, N) retained mask with every diagonal pair, N = 1-8."""
+    dim = draw(st.integers(1, 8))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim)),
+                    dtype=bool).reshape(dim, dim)
+    keep = np.triu(keep, 1)
+    return keep | keep.T | np.eye(dim, dtype=bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keep=symmetric_masks(), pick=st.integers(0, 2**16))
+def test_the_retained_layout_is_the_set_transcription(keep, pick):
+    # the one layout constructor against the set-based layout it replaced:
+    # diagonal pairs, coherences n < m in row-major order, then swapped
+    dim = len(keep)
+    layout = PairLayout.retained(keep)
+    rows = tuple(zip(*(idx.tolist() for idx in np.nonzero(keep))))
+    want = retained_pair_array(dim, set(rows))
+    assert layout.dim == dim
+    assert layout.pairs.dtype == want.dtype and np.array_equal(layout.pairs, want)
+    assert layout.retained_pairs == rows
+    assert [(n, m) for n, m in zip(*layout.coherences)] == [(n, m) for n, m in rows if n < m]
+    rng = np.random.default_rng(pick)
+    n, m = rng.integers(dim, size=2)
+    if n != m:          # one half of a coherence
+        lopsided = keep.copy()
+        lopsided[n, m] = ~lopsided[n, m]
+        with pytest.raises(ValidationError, match="not closed"):
+            PairLayout.retained(lopsided)
+    missing = keep.copy()
+    missing[n, n] = False
+    q, w = np.ones((1, dim, dim)), np.ones((1, dim, dim), dtype=complex)
+    with pytest.raises(ValidationError, match="lacks diagonal pairs"):
+        PairLayout.retained(missing).block(q, w)
 
 
 TLS_DELTA = """

@@ -144,7 +144,7 @@ def test_benchmark_g_chunk_solves_one_system_per_parity_retained_set(monkeypatch
     for models, kept in groups:
         assert kept in solves
         assert all((models.sector[:, n] == models.sector[:, m]).all()
-                   for n, m in kept.retained)
+                   for n, m in kept.retained_pairs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ltrans import sweep
-from ltrans.baths import CoupledFrequencies, dw_dt_table, w_table
+from ltrans.baths import coupled_frequencies, dw_dt_table, w_table
 from ltrans.config import parse_config_text
 from ltrans.currents import kappa2_sweep
 from ltrans.linalg import ValidationError
@@ -154,9 +154,9 @@ def test_a_two_sector_model_with_an_even_coupling_is_rejected(even, rejected):
     for candidate in (mixed, stack):
         if rejected:
             with pytest.raises(ValidationError, match="odd couplings"):
-                CoupledFrequencies.of(candidate)
+                coupled_frequencies(candidate)
         else:
-            assert CoupledFrequencies.of(candidate).mask is not None
+            assert coupled_frequencies(candidate).mask is not None
     if rejected:
         with pytest.raises(ValidationError, match="odd couplings"):
             kappa2_sweep(mixed, baths, [0.1], "partial", biased=True)
@@ -195,7 +195,7 @@ def test_coupled_pair_tables_are_bitwise_the_dense_ones(kind, keep, members, tem
     models = [stack_member(kind, eps, delta, g, keep if kind == "rabi" else 2, labelled)
               for eps, delta, g, labelled in members]
     stack = stack_models(models)
-    coupled = CoupledFrequencies.of(stack)
+    coupled = coupled_frequencies(stack)
     mask = np.ones(stack.bohr_matrix().shape, dtype=bool)
     for r, model in enumerate(models):
         if model.sector is not None and len(set(model.sector.tolist())) == 2:
@@ -203,7 +203,7 @@ def test_coupled_pair_tables_are_bitwise_the_dense_ones(kind, keep, members, tem
     assert np.array_equal(mask, np.ones_like(mask) if coupled.mask is None else coupled.mask)
     bath = Reservoir("L", 1.0 / np.array(temps), SpectralDensity(alpha=1e-3, omega_c=5.0))
     for table in (w_table, dw_dt_table):
-        got = coupled.table(table, bath)
+        got = table(coupled, bath)
         want = table(stack.bohr_matrix(), bath)
         assert got[..., mask].tobytes() == want[..., mask].tobytes()
         assert not got[..., ~mask].any()

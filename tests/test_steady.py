@@ -1,20 +1,22 @@
 import logging
 
+import mpmath
 import numpy as np
 import pytest
 
+from ltrans import currents, steady
 from ltrans.currents import kappa2
 from ltrans.linalg import NumericError, ValidationError
 from ltrans.model import Reservoir, SpectralDensity, build_junction
 from ltrans.rabi import RabiParams, build_rabi_junction
-from ltrans.redfield import (KernelBlock, RateMatrix, all_pairs, build_k2_boson,
-                             gamma_rates)
-from ltrans.steady import (FrequencyClusters, SteadyState, cluster_bohr_frequencies,
-                           full_secular_steady, partial_secular_steady,
-                           retained_pair_array)
+from ltrans.redfield import (KernelBlock, PairLayout, RateMatrix, all_pairs,
+                             build_k2_boson, gamma_rates)
+from ltrans.steady import (SteadyState, cluster_bohr_frequencies, full_secular_steady,
+                           partial_secular_steady)
 from ltrans.sweep import _tls_junction
 
 from coherence_oracle import three_level_coherence_analytic
+from layout_oracle import retained_layout
 from rate_oracle import propagate_rate_equation
 
 
@@ -33,18 +35,17 @@ def random_model(rng, dim=4):
     return build_junction(omega, qs)
 
 
-def gathered_block(k, clusters):
-    """The `KernelBlock` over the solver's pairs of `clusters`, gathered from
+def gathered_block(k, layout):
+    """The `KernelBlock` over the solver's pairs of `layout`, gathered from
     the rank-4 tensor k."""
     dim = len(k)
-    pairs = retained_pair_array(dim, clusters)
+    pairs = layout.pairs
     n, m = pairs[:, 0], pairs[:, 1]
     return KernelBlock(dim, pairs, k[n[:, None], m[:, None], n[None, :], m[None, :]])
 
 
 def all_pairs_clusters(dim):
-    pairs = frozenset((i, j) for i in range(dim) for j in range(dim))
-    return FrequencyClusters(retained=pairs, threshold=np.inf)
+    return PairLayout.retained(np.ones((dim, dim), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +56,9 @@ def test_cluster_limits():
     rng = np.random.default_rng(0)
     model = random_model(rng)
     diag_only = cluster_bohr_frequencies(model, 1e-6, c=0.0)
-    assert diag_only.retained == frozenset((i, i) for i in range(model.dim))
+    assert set(diag_only.retained_pairs) == {(i, i) for i in range(model.dim)}
     everything = cluster_bohr_frequencies(model, 1.0, c=np.inf)
-    assert len(everything.retained) == model.dim**2
+    assert len(everything.retained_pairs) == model.dim**2
 
 
 def test_cluster_monotone_in_c():
@@ -66,8 +67,8 @@ def test_cluster_monotone_in_c():
     prev = frozenset()
     for c in (0.0, 1.0, 10.0, 1e3, 1e9):
         cl = cluster_bohr_frequencies(model, 0.05, c=c)
-        assert prev <= cl.retained
-        prev = cl.retained
+        assert prev <= set(cl.retained_pairs)
+        prev = set(cl.retained_pairs)
 
 
 def test_cluster_rabi_resonance_point():
@@ -78,8 +79,8 @@ def test_cluster_rabi_resonance_point():
     rates = gamma_rates(model, baths)
     gamma_scale = np.max(np.abs(rates.gamma - np.diag(np.diag(rates.gamma))))
     clusters = cluster_bohr_frequencies(model, gamma_scale, c=10.0)
-    assert (1, 2) in clusters.retained and (2, 1) in clusters.retained
-    assert (0, 1) not in clusters.retained
+    assert (1, 2) in clusters.retained_pairs and (2, 1) in clusters.retained_pairs
+    assert (0, 1) not in clusters.retained_pairs
 
 
 def test_cluster_validation():
@@ -232,6 +233,56 @@ def test_the_condition_estimate_counts_lost_digits(caplog, epsilon, delta, t, wa
                                           rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.01, 0.1])
+def test_the_condition_estimate_bounds_the_error_of_state_and_kappa2(monkeypatch, t):
+    # the rows above that retain the coherence of two levels 1.4e-9 apart:
+    # their double state and kappa2 agree with the 50-digit solution of the
+    # same double system and response to machine epsilon times the estimate
+    model = _tls_junction(1e-9, 1e-9)
+    seen = {}
+    orig_response, orig_current = currents.partial_secular_response, currents._wbar_current
+
+    def response(*args):
+        out = orig_response(*args)
+        seen["args"], seen["drho"] = args, out[1]
+        return out
+
+    def current(q, wbar, rho):
+        if rho is seen.get("drho"):            # the contraction of kappa2
+            seen["q"], seen["wbar"] = q[0], wbar[0]
+        return orig_current(q, wbar, rho)
+
+    monkeypatch.setattr(currents, "partial_secular_response", response)
+    monkeypatch.setattr(currents, "_wbar_current", current)
+    got = kappa2(model, drude_baths(t, t), t, solver="partial")
+    sub, kernel, dk, layout, lamb_shift = seen["args"]
+    assert layout.retained_pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
+    _, x, a = steady._solve_retained(sub, kernel, layout, lamb_shift)
+    bound = np.finfo(float).eps * steady._scaled_condition(a, np.linalg.inv(a))[0]
+    n, size = model.dim, len(layout.pairs)
+    with mpmath.workdps(50):
+        a_mp = mpmath.matrix(a[0].tolist())
+        x_mp = mpmath.lu_solve(a_mp, mpmath.matrix([1] + [0] * (size - 1)))
+        rhs = -(mpmath.matrix(steady._real_system(dk, layout, lamb_shift)[0].tolist()) * x_mp)
+        rhs[0] = 0                              # the trace stays 1
+        y = mpmath.lu_solve(a_mp, rhs)
+        drho = mpmath.matrix(n, n)
+        for i in range(n):
+            drho[i, i] = y[i]
+        for j, (i, k) in enumerate(zip(*layout.coherences)):
+            drho[i, k] = mpmath.mpc(y[n + 2 * j], y[n + 2 * j + 1])
+            drho[k, i] = mpmath.conj(drho[i, k])
+        q, wbar = seen["q"], seen["wbar"]
+        want = -2 * mpmath.re(mpmath.fsum(
+            mpmath.mpf(q[m, i]) * mpmath.mpf(q[i, p]) * mpmath.mpc(wbar[i, m]) * drho[p, m]
+            for m in range(n) for i in range(n) for p in range(n)))
+        state_error = max(abs(x[0, i] - x_mp[i]) for i in range(size))
+        kappa2_error = abs(got - want) / abs(want)
+    assert 1e10 < bound / np.finfo(float).eps < 1e14
+    assert float(state_error) <= bound
+    assert float(kappa2_error) <= bound
+
+
 # ---------------------------------------------------------------------------
 # analytic three-level coherence
 # ---------------------------------------------------------------------------
@@ -246,9 +297,7 @@ def quasi_degenerate_model(rng, split=4e-3):
 
 
 def retained_12():
-    return FrequencyClusters(
-        retained=frozenset({(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)}),
-        threshold=0.01)
+    return retained_layout(3, {(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)})
 
 
 def test_three_level_no_source_no_coherence():
