@@ -232,10 +232,10 @@ def _w_imag(f: Frequencies, sd: SpectralDensity, beta) -> np.ndarray:
     b = _t_axis(beta, w)
     x = b * sd.omega_c / (2.0 * np.pi)
     abs_y = np.asarray(beta, dtype=float)[..., None] * f.magnitudes / (2.0 * np.pi)
-    xs = np.ravel(x)
+    xs = x.ravel()
     psi = _digamma(np.concatenate([xs, 1.0 + 1j * abs_y.ravel()])).real
     psi_y = psi[len(xs):].reshape(abs_y.shape)[..., f.inverse]
-    bracket = psi[:len(xs)].reshape(np.shape(x)) + 0.5 / x - psi_y
+    bracket = psi[:len(xs)].reshape(x.shape) + 0.5 / x - psi_y
     slope = sd.slope_at(w)
     return slope * (w * bracket - 0.5 * np.pi * sd.omega_c)
 
@@ -386,14 +386,14 @@ def dw_dt_table(omega, bath: Reservoir) -> np.ndarray:
     y2 = abs_y * abs_y
     zero = abs_y == 0.0
     direct = ~zero & (y2 < _ASYMPTOTIC_FROM**2)
-    xs = np.ravel(x).tolist()
+    xs = x.ravel().tolist()
     near = [v for v in xs if v < _ASYMPTOTIC_FROM]
     rest_y = np.ones(abs_y.shape)
     trigamma = np.empty(0)
     if near or direct.any():
         trigamma = _trigamma(np.concatenate([near, 1.0 + 1j * abs_y[direct]]))
         rest_y[direct] = 1.0 + abs_y[direct] * trigamma[len(near):].imag
-    rest_x = np.array(_rest_x(xs, trigamma[:len(near)])).reshape(np.shape(x))
+    rest_x = np.array(_rest_x(xs, trigamma[:len(near)])).reshape(x.shape)
     far = ~(zero | direct)
     if far.any():
         rest_y[far] = -_bernoulli_sum(-1.0 / y2[far])

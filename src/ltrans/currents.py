@@ -22,7 +22,7 @@ alongside as regression anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .baths import (bose_signed, coupled_frequencies, dw_dt_real, dw_dt_table, o
                     w_table)
 from .linalg import ValidationError
 from .model import JunctionModel, Reservoir
-from .redfield import (DEGENERACY_TOL, BosonKernel, PairLayout, RateMatrix, build_k2_boson,
-                       gamma_rates, stacked_w_tables)
+from .redfield import (DEGENERACY_TOL, BosonKernel, PairLayout, RateMatrix, _find,
+                       build_k2_boson, gamma_rates, stacked_w_tables)
 from .steady import (DEFAULT_CLUSTER_FACTOR, SteadyState, check_cluster_scale,
                      cluster_bohr_frequencies, full_secular_steady, partial_secular_response,
                      partial_secular_steady, retained_pair_mask)
@@ -94,16 +94,9 @@ def _wbar_current(q: np.ndarray, wbar: np.ndarray, rho: np.ndarray):
     if q.shape[-1] < _MATMUL_FROM_DIM:
         total = np.einsum("...mn,...np,...nm,...pm->...", q, q, wbar, rho)
     else:
-        total = np.sum(q.swapaxes(-1, -2) * wbar * (q @ rho), axis=(-2, -1))
-    out = -2.0 * np.real(total)
+        total = (q.swapaxes(-1, -2) * wbar * (q @ rho)).sum(axis=(-2, -1))
+    out = -2.0 * total.real
     return out if out.ndim else float(out)
-
-
-def _find(baths: list[Reservoir], rid: str) -> Reservoir:
-    for b in baths:
-        if b.id == rid:
-            return b
-    raise ValidationError(f"unknown reservoir id {rid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +140,8 @@ def kappa4_lowT(model: JunctionModel, alpha: float, temperature):
     temperatures it is summed once, and the result is an array of their
     shape (a float for one temperature).
     """
+    if model.omega.ndim != 1:
+        raise ValidationError("kappa4_lowT takes one model, not a model stack")
     if model.dim < 2 or not (model.omega[1] - model.omega[0]) > 0:
         raise ValidationError("kappa4 needs a gapped, non-degenerate ground state")
     s = _ground_virtual_sum_squared(model, model.q("R"), model.q("L"))
@@ -255,12 +250,11 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     (`_STACK_ENTRIES` bounds its arrays).  The full solver solves a slice
     in one batched `full_secular_steady`; the partial solver groups the
     entries of a slice by the retained-pair set their rate scales give
-    (`_cluster_groups`, by `ltrans.steady.retained_pair_mask`, which
-    retains no pair across two sectors of a model's levels,
-    `JunctionModel.sector`), across models, and solves each
-    group in one batched `partial_secular_response` (in slices, for large
-    sets).  kappa2 and each bath's current are contracted once per stacked
-    solve, every entry bitwise the one-temperature, one-model contraction.
+    (`_cluster_groups`, `ltrans.steady.retained_pair_mask`), across models,
+    and solves each group in one batched `partial_secular_response` (in
+    slices, for large sets).  kappa2 and each bath's current are contracted
+    once per stacked solve, every entry bitwise the one-temperature,
+    one-model contraction.
     If a stacked solve raises, each half of its entries is solved again,
     down to single entries (`_isolated`); so are the models of a slice of
     several that raises before its solves (`gamma_rates` rejects a
@@ -326,10 +320,10 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     models = len(model.omega)
     n = len(ts) * models
     at = np.arange(n + models * biased) % models       # the model of each slice
-    common = [b.with_temperature(ts) for b in baths]
-    stacked = ([replace(b, beta=np.append(cb.beta, b.beta)) for b, cb in zip(baths, common)]
-               if biased else common)
-    heated = common[0]                  # the measured bath is the last, baths[1]
+    beta = 1.0 / ts         # one object for all baths, whose W tables it shares
+    heated = Reservoir(baths[0].id, beta, baths[0].spectral)  # baths[1] is the measured one
+    stacked = ([Reservoir(b.id, np.append(beta, b.beta), b.spectral) for b in baths]
+               if biased else [heated, Reservoir(baths[1].id, beta, baths[1].spectral)])
     q_h = model.q(heated.id)[:, None]
     bohr = model.bohr_matrix()
     flat = (-1,) + bohr.shape[1:]                      # (slice, N, N)
@@ -340,11 +334,10 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
         kappa2 is an array over the first slices (those with a response,
         perhaps none); currents maps each bath id to an array over every slice.
         """
-        kappa2 = kappa2.tolist()
-        currents = {k: v.tolist() for k, v in currents.items()}
-        return [(SteadyState(rho, state.retained_pairs),
-                 kappa2[i] if i < len(kappa2) else None,
-                 {k: v[i] for k, v in currents.items()}) for i, rho in enumerate(state.rho)]
+        kappa2 = kappa2.tolist() + [None] * (len(state.rho) - len(kappa2))
+        per_slice = zip(*[v.tolist() for v in currents.values()])
+        return [(SteadyState(rho, state.retained_pairs), k, dict(zip(currents, c)))
+                for rho, k, c in zip(state.rho, kappa2, per_slice)]
 
     if solver == "full":
         rates = gamma_rates(model, stacked)
@@ -402,7 +395,7 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
 
     # solve the slices of each retained-pair set together (a clustering that
     # raises is its slice's result)
-    groups, out = _cluster_groups(model, _rate_scale(rates), c, at)
+    groups, out = _cluster_groups(model, _rate_scale(rates), c)
     for layout, rows in groups:
         size = max(1, _STACK_ENTRIES // len(layout.pairs)**2)
         for s in range(0, len(rows), size):
@@ -412,10 +405,9 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     return _responses(out, n, biased)
 
 
-def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
-                    at: np.ndarray) -> tuple[list, list]:
-    """The retained-pair sets of the Bohr spectra of a model stack at the
-    rate scales `scales`, scale i on model at[i].
+def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float) -> tuple[list, list]:
+    """The retained-pair sets of the Bohr spectra of a stack of R models at
+    the rate scales `scales`, scale i on model i % R.
 
     Returns (groups, out).  groups holds (layout, rows) per distinct set,
     in the order of their first rows: the `PairLayout.retained` layout of
@@ -428,7 +420,8 @@ def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float,
     """
     scales = scales.tolist()
     thresholds = [c * s for s in scales]       # in floats: 0 * inf is a silent NaN
-    keep = retained_pair_mask(model.take(at), thresholds)
+    keep = retained_pair_mask(model, np.array(thresholds).reshape(-1, len(model.omega)))
+    keep = keep.reshape((len(scales),) + keep.shape[-2:])
     out: list = [None] * len(scales)
     groups: dict = {}
     for i, scale in enumerate(scales):
@@ -450,14 +443,12 @@ def _responses(solved: list, n: int, biased: bool) -> list:
     n + j on a biased stack and its own otherwise, or the first exception
     of the two slices.
     """
-    def response(j, k):
-        for res in (solved[j], solved[k]):
-            if isinstance(res, Exception):
-                return res
-        state, kappa2, _ = solved[j]
-        return Kappa2Response(kappa2, state, solved[k][2])
-
-    return [response(j, n + j if biased else j) for j in range(n)]
+    out = []
+    for res, own in zip(solved[:n], solved[n:] if biased else solved):
+        if not isinstance(res, Exception):
+            res = own if isinstance(own, Exception) else Kappa2Response(res[1], res[0], own[2])
+        out.append(res)
+    return out
 
 
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,

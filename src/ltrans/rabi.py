@@ -275,6 +275,8 @@ def build_rabi_junction(params: RabiParams) -> JunctionModel:
 
 def kondo_temperature(model: JunctionModel) -> float:
     """Temperature scale set by the lowest excitation gap, T_K = omega_10."""
+    if model.omega.ndim != 1:
+        raise ValidationError("kondo_temperature takes one model, not a model stack")
     if model.dim < 2:
         raise ValidationError("need at least two levels")
     return float(model.omega[1] - model.omega[0])

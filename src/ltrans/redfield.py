@@ -5,26 +5,28 @@ resolved in the junction eigenbasis; its population block K[n,n,m,m] is the
 classical rate matrix.  A `PairLayout` is one set of level pairs (n, m)
 with its index maps, and `PairLayout.entries` is the one vectorized
 formula of the kernel of bosonic baths between the pairs of a set, from
-the coupling matrices Q and the rate tables W of all baths stacked.  A
+the coupling matrices Q and the rate tables W of all baths stacked.  Its
+two Kronecker terms are evaluated only on the entries their deltas keep
+(same m', or same n), off the population diagonals that the sum rule sets:
+each entry one sum over (bath, k), gathered by index lists built once per
+layout, so a layout of diagonal pairs alone does no Kronecker work.  A
 retained set of the partial-secular solver is one layout
 (`PairLayout.retained`), built once from its mask and read by its kernel
 and dK/dT blocks, their sum-rule and Hermiticity checks and its solves.
 `build_k2_boson` evaluates the tables (`stacked_w_tables`: `w_table`, once
-per spectral density, over the distinct temperatures of the baths that
-share it) and returns a `BosonKernel` that holds them: the heat currents of
-a steady state are read from the same tables, and no table outlives the
-kernel.  Entries are evaluated on demand, as a `KernelBlock` over a set of
-pairs: the partial-secular solver asks for the block of its retained pairs
-only, and code that needs the full kernel asks for the block over
-`all_pairs(N)`, whose `.k.reshape(N, N, N, N)` is the rank-4 tensor.  The
-checks run on every block that is evaluated, except the temperature
-derivative's.  The partial-secular rows of a sweep (`ltrans.currents`)
-evaluate their tables only on the level pairs a coupling joins
-(`ltrans.baths.coupled_frequencies`, zeros elsewhere), which their blocks
-over pairs within sectors never read without a vanishing coupling;
-`build_k2_boson` keeps the dense tables, so every block of its kernel is
-the full Redfield map's.  The single-level fermionic dot gets its own
-rate constructor.
+per spectral density) and returns a `BosonKernel` that holds them: the
+heat currents of a steady state are read from the same tables.  Entries
+are evaluated on demand, as a `KernelBlock` over a set of pairs: the
+partial-secular solver asks for the block of its retained pairs only, and
+the full kernel is the block over `all_pairs(N)`, whose `.k.reshape(N, N,
+N, N)` is the rank-4 tensor.  The checks run on every block that is
+evaluated, except the temperature derivative's.  The partial-secular rows
+of a sweep (`ltrans.currents`) evaluate their tables only on the level
+pairs a coupling joins (`ltrans.baths.coupled_frequencies`, zeros
+elsewhere), which their blocks over pairs within sectors never read
+without a vanishing coupling; `build_k2_boson` keeps the dense tables, so
+every block of its kernel is the full Redfield map's.  The single-level
+fermionic dot gets its own rate constructor.
 
 Baths with a temperature axis (a 1-d beta, see `ltrans.baths`) give W
 tables, kernel blocks, population rates and `gamma_rates` matrices with a
@@ -38,7 +40,7 @@ one model per slice), which broadcasts against the axes of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,18 +62,45 @@ def all_pairs(dim: int) -> np.ndarray:
     return np.indices((dim, dim)).reshape(2, -1).T
 
 
+def _find(baths: list[Reservoir], rid: str) -> Reservoir:
+    for b in baths:
+        if b.id == rid:
+            return b
+    raise ValidationError(f"unknown reservoir id {rid!r}")
+
+
 def _entry_maps(n: int, pairs: np.ndarray) -> tuple:
     """The index maps of `PairLayout.entries` over `pairs` of n levels: the
-    pairs' levels (pn, pm), the Kronecker masks (same m, same n), the
-    positions of the population diagonals and the level of each, and the
-    flat indices n * N + m of the direct term's four gathers."""
+    pairs' first levels, the positions of the population diagonals and the
+    level of each, the flat indices n * N + m of the direct term's four
+    gathers, the Kronecker terms' gathers, and the row of each pair's
+    mirror (m, n), -1 where the set lacks it (`PairLayout.mirror`).
+
+    A Kronecker term is read only where its delta holds, off the population
+    diagonals: at the entries (i, j) with m_i = m'_j (the first term) and
+    n_i = n'_j (the second).  Per term, kron holds the flat indices into the
+    (n, m) planes of its Q, Q and W (W*) factors, per entry and k, and the
+    flat positions i * P + j of its entries; kron is None where neither term
+    has an entry, as on a layout of diagonal pairs alone.
+    """
     pn, pm = pairs[:, 0], pairs[:, 1]
-    same_m, same_n = pm[:, None] == pm[None, :], pn[:, None] == pn[None, :]
-    population = np.flatnonzero(pn == pm)      # K[(n,n),(n,n)]
+    p = len(pairs)
+    population = (pn == pm).nonzero()[0]        # K[(n,n),(n,n)]
     nn, mm = n * pn[:, None], pm[:, None]
     # Q_nn', Q_m'm, W_nm' and W*_mn'
     direct = (nn + pn, n * pm + mm, nn + pm, n * mm + pn)
-    return pn, pm, same_m, same_n, population, pn[population], direct
+    same_m, same_n = pm[:, None] == pm, pn[:, None] == pn
+    same_m[population, population] = same_n[population, population] = False
+    (i, j), (u, v) = same_m.nonzero(), same_n.nonzero()
+    kron = None
+    if len(i) + len(u):
+        k = np.arange(n)
+        # Q_nk Q_kn' W_km' for the first term, Q_km Q_m'k W*_kn' for the second
+        kron = ((pn[i, None] * n + k, k * n + pn[j, None], k * n + pm[j, None], i * p + j),
+                (k * n + pm[u, None], pm[v, None] * n + k, k * n + pn[v, None], u * p + v))
+    position = np.full(n * n, -1)               # n * N + m -> row of (n, m)
+    position[nn[:, 0] + pm] = np.arange(p)
+    return pn, population, pn[population], direct, kron, position[n * pm + pn]
 
 
 def _block_entries(q: np.ndarray, w: np.ndarray, maps: tuple,
@@ -79,28 +108,9 @@ def _block_entries(q: np.ndarray, w: np.ndarray, maps: tuple,
     """`PairLayout.entries` over the pairs of `maps` (`_entry_maps`), its
     population diagonals from the population rates `rates`
     (`_population_rates(q, w)`)."""
-    pn, pm, same_m, same_n, population, population_level, direct = maps
+    pn, population, population_level, direct, kron, _ = maps
     p, b, n = len(pn), q.shape[-3], q.shape[-1]
-    lead = q.shape[:-3]
-
-    # explicit sizes, not -1, which an empty stack leaves undetermined
-    def stacked(x):        # (..., P, B, N) -> (..., B*N, P): one product per slice
-        return x.reshape(x.shape[:-3] + (p, b * n)).swapaxes(-1, -2)
-
-    # the two Kronecker terms: one matrix product each over (bath, k)
-    left = q.take(pn, axis=-2).swapaxes(-3, -2).reshape(lead + (p, b * n))   # Q_nk
-    right = (q.take(pn, axis=-1) * w.take(pm, axis=-1)).swapaxes(-1, -2).swapaxes(-2, -3)
-    # products and sums in place from here on: a stack's temporaries are
-    # large, and each one allocated is fresh memory to fault in
-    k = -(left @ stacked(right))
-    k *= same_m
-    w_conj = np.conj(w)      # conjugated before the gathers, which repeat entries
-    left = q.take(pm, axis=-1).swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (p, b * n))
-    right = (q.take(pm, axis=-2) * w_conj.take(pn, axis=-1).swapaxes(-1, -2)
-             ).swapaxes(-3, -2)
-    kron = left @ stacked(right)
-    kron *= same_n
-    k -= kron
+    w_conj = np.conj(w)
     # the direct term, gathered by flat index n * N + m from the (n, m) planes
     qf, wf = q.reshape(q.shape[:-2] + (n * n,)), w.reshape(w.shape[:-2] + (n * n,))
     q_first, q_second, w_first, w_second = direct
@@ -109,25 +119,38 @@ def _block_entries(q: np.ndarray, w: np.ndarray, maps: tuple,
     ww = wf.take(w_first, axis=-1)
     ww += w_conj.reshape(wf.shape).take(w_second, axis=-1)
     ww *= qq
-    k += ww.sum(axis=-3)
+    k = ww.sum(axis=-3)
+    if kron is not None:
+        # each Kronecker entry is one sum over (k, bath), contiguous and in the
+        # same order on every slice of a stack; a term at a time, a one-point
+        # row's temporaries stay below the 128 KiB above which each is mapped afresh
+        qt = qf.swapaxes(-1, -2)                                   # (..., N*N, B)
+        flat = k.reshape(k.shape[:-2] + (p * p,))
+        for table, (first, second, rate, at) in zip((wf, w_conj.reshape(wf.shape)), kron):
+            terms = table.swapaxes(-1, -2).take(rate, axis=-2)     # (..., E, N, B)
+            terms *= qt.take(second, axis=-2)
+            terms *= qt.take(first, axis=-2)
+            flat[..., at] -= terms.reshape(terms.shape[:-2] + (n * b,)).sum(axis=-1)
     k[..., population, population] = -rates.sum(axis=-2)[..., population_level]
     return k
 
 
 class PairLayout:
     """One set of level pairs (n, m) over `dim` levels, with the index maps
-    that every evaluation on it reads, each built on first use.
+    that every evaluation on it reads, built once on first use.
 
     pairs is a (P, 2) integer array.  The maps are those of the kernel block
-    over the set (`entries`), of the block's sum-rule and Hermiticity checks
-    (the diagonal pairs, and each pair's mirror (m, n)) and of the
-    partial-secular solver's retained coherences (`coherences`).  A
-    retained set is one layout (`retained`), which its kernel and dK/dT
-    blocks, their checks and both solves share.
+    over the set (`entries`) and of the block's sum-rule and Hermiticity
+    checks (the diagonal pairs, and each pair's mirror (m, n)).  A retained
+    set is one layout (`retained`), which its kernel and dK/dT blocks, their
+    checks and both solves share; it also holds the pairs in row-major
+    order (`retained_pairs`, as `SteadyState.retained_pairs` holds them)
+    and the levels (n, m) of its coherences n < m (`coherences`).
     """
 
     def __init__(self, dim: int, pairs: np.ndarray):
         self.dim, self.pairs = dim, pairs
+        self.retained_pairs = self.coherences = None         # set by `retained`
 
     @classmethod
     def retained(cls, keep: np.ndarray) -> "PairLayout":
@@ -139,17 +162,15 @@ class PairLayout:
         blocks fail their check."""
         if (keep != keep.T).any():
             raise ValidationError("retained pairs are not closed under (n, m) -> (m, n)")
-        n, m = np.nonzero(keep)
-        diagonal, coherence = n == m, n < m
-        pairs = np.stack([np.concatenate([n[diagonal], n[coherence], m[coherence]]),
-                          np.concatenate([m[diagonal], m[coherence], n[coherence]])], axis=1)
+        rows = np.array(keep.nonzero()).T           # (n, m) in row-major order
+        n, m = rows.T
+        coherence = rows[n < m]
+        pairs = np.concatenate([rows[n == m], coherence, coherence[:, ::-1]])
         pairs.flags.writeable = False
-        return cls(len(keep), pairs)
-
-    @cached_property
-    def retained_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The pairs in row-major order, as `SteadyState.retained_pairs` holds them."""
-        return tuple(sorted(map(tuple, self.pairs.tolist())))
+        layout = cls(len(keep), pairs)
+        layout.retained_pairs = tuple(map(tuple, rows.tolist()))
+        layout.coherences = tuple(coherence.T)
+        return layout
 
     @cached_property
     def _maps(self) -> tuple:
@@ -172,9 +193,10 @@ class PairLayout:
         the total rate out of level n over all N levels (the sum rule): the
         formula's k = n terms cancel there exactly, and their roundoff would
         swamp the entry of a weakly mixed level, whose |Q_nk / Q_nn| is
-        small.  rates, if given, are the population rates
-        `BosonKernel.population_rates` of q and w, which those diagonals
-        then read.
+        small.  Each Kronecker term is a sum over (bath, k) gathered at the
+        entries its delta keeps, off those diagonals, and nowhere else.
+        rates, if given, are the population rates
+        `BosonKernel.population_rates` of q and w, which the diagonals read.
         """
         return _block_entries(q, w, self._maps,
                               _population_rates(q, w) if rates is None else rates)
@@ -185,22 +207,19 @@ class PairLayout:
         self.check(block)
         return block
 
-    @cached_property
+    @property
     def diagonal(self) -> np.ndarray:
         """The positions of the diagonal pairs (n, n), one per level."""
-        diag = np.flatnonzero(self.pairs[:, 0] == self.pairs[:, 1])
+        diag = self._maps[1]
         if len(diag) != self.dim:
             raise ValidationError("kernel block lacks diagonal pairs; no sum rule")
         return diag
 
-    @cached_property
+    @property
     def mirror(self) -> np.ndarray:
         """The flat index in a (P, P) block of K[(m,n),(m',n')], per entry
         K[(n,m),(n',m')]."""
-        n, m = self.pairs[:, 0], self.pairs[:, 1]
-        position = np.full(self.dim * self.dim, -1)     # n*N + m -> row of (n, m)
-        position[n * self.dim + m] = np.arange(len(self.pairs))
-        swap = position[m * self.dim + n]
+        swap = self._maps[-1]
         if (swap < 0).any():
             raise ValidationError("kernel block is not closed under (n, m) -> (m, n)")
         return swap[:, None] * len(swap) + swap
@@ -219,21 +238,15 @@ class PairLayout:
 
     def check(self, block: "KernelBlock") -> None:
         """Raise ValidationError unless, at every slice of the block, the sum
-        rule and Hermiticity hold to SUM_RULE_RTOL of its largest entry (a
-        set without every diagonal pair fails first, even an empty one)."""
+        rule and Hermiticity hold to SUM_RULE_RTOL of its largest entry, both
+        compared in one pass (a set without every diagonal pair fails first,
+        even an empty one)."""
         sum_rule = self.sum_rule_residual(block.k)
         tol = SUM_RULE_RTOL * np.maximum(block.norm_max(), 1e-300)
-        if (sum_rule > tol).any():
-            raise ValidationError("kernel violates the probability sum rule")
-        if (self.hermiticity_residual(block.k) > tol).any():
-            raise ValidationError("kernel violates the Hermiticity symmetry")
-
-    @cached_property
-    def coherences(self) -> tuple:
-        """The levels (n, m) of the retained coherences n < m of a `retained`
-        layout, which follow its `dim` diagonal pairs."""
-        c = (len(self.pairs) - self.dim) // 2
-        return self.pairs[self.dim:self.dim + c, 0], self.pairs[self.dim:self.dim + c, 1]
+        if (np.maximum(sum_rule, self.hermiticity_residual(block.k)) > tol).any():
+            raise ValidationError("kernel violates the probability sum rule"
+                                  if (sum_rule > tol).any() else
+                                  "kernel violates the Hermiticity symmetry")
 
 
 def _population_rates(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -356,20 +369,23 @@ def stacked_w_tables(frequencies: Frequencies, baths: list[Reservoir]) -> np.nda
     """The W table of every bath on the Bohr frequencies of a model (stack),
     stacked at axis -3 after the temperature and model axes.
 
-    `w_table` is evaluated once per distinct spectral density, over the
-    distinct inverse temperatures of the baths that use it (and every model
-    of a model stack), on the one sort of `frequencies` (the whole Bohr
-    matrix, or its coupled pairs, `ltrans.baths.coupled_frequencies`, zero
-    on the others).  Each bath gathers its own slices from that table, and
-    each slice is bitwise its one-temperature, one-model table.
+    `w_table` is evaluated once per distinct spectral density, on the one
+    sort of `frequencies` (the whole Bohr matrix, or its coupled pairs,
+    `ltrans.baths.coupled_frequencies`, zero on the others), and for every
+    model of a model stack: at the betas of its baths where they all hold
+    one beta object, else over the distinct betas of them all, from which
+    each bath gathers its own slices.  Each slice is bitwise its
+    one-temperature, one-model table.
     """
-    tables = {}        # spectral density -> (its distinct betas, ascending; W over them)
+    tables = {}        # spectral density -> (its distinct betas, ascending, or None; W)
     for b in baths:
         if b.spectral not in tables:
-            betas = np.unique(np.concatenate([np.ravel(o.beta) for o in baths
-                                              if o.spectral == b.spectral]))
-            tables[b.spectral] = betas, w_table(frequencies, replace(b, beta=betas))
-    return np.stack([table[np.searchsorted(betas, b.beta)]
+            share = [o.beta for o in baths if o.spectral == b.spectral]
+            betas = (None if all(beta is b.beta for beta in share)
+                     else np.unique(np.concatenate([np.ravel(beta) for beta in share])))
+            tables[b.spectral] = betas, w_table(frequencies, b if betas is None
+                                                else Reservoir(b.id, betas, b.spectral))
+    return np.stack([table if betas is None else table[betas.searchsorted(b.beta)]
                      for b in baths for betas, table in [tables[b.spectral]]], axis=-3)
 
 
@@ -420,10 +436,7 @@ def build_current_kernel_2nd(model: JunctionModel, baths: list[Reservoir],
     with Wbar(w) = w * W(w).  The population block satisfies
     2 Re K_I[n,n,m,m] = w_mn * gamma^r[n,m].
     """
-    try:
-        bath = next(b for b in baths if b.id == reservoir_id)
-    except StopIteration:
-        raise ValidationError(f"unknown reservoir id {reservoir_id!r}") from None
+    bath = _find(baths, reservoir_id)
     n = model.dim
     q = model.q(bath.id)
     bohr = model.bohr_matrix()

@@ -74,18 +74,19 @@ class SteadyState:
 
     @property
     def populations(self) -> np.ndarray:
-        return np.diagonal(self.rho, axis1=-2, axis2=-1).real
+        return self.rho.diagonal(axis1=-2, axis2=-1).real
 
     def check(self) -> None:
+        """Raise unless trace and Hermiticity hold (one pass); warn of negative populations."""
         tr = self.rho.trace(axis1=-2, axis2=-1)
-        bad = abs(tr - 1.0) > TRACE_TOL
-        if bad.any():
-            raise NumericError(f"steady state trace deviates: {_first(tr, bad)}")
+        dev = abs(tr - 1.0)
         herm = np.abs(self.rho - self.rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = herm > TRACE_TOL
-        if bad.any():
+        if (np.maximum(dev, herm) > TRACE_TOL).any():
+            if (dev > TRACE_TOL).any():
+                raise NumericError(f"steady state trace deviates: {_first(tr, dev > TRACE_TOL)}")
+            bad = herm > TRACE_TOL
             raise NumericError(f"steady state not Hermitian: {_first(herm, bad):.3e}")
-        pmin = np.atleast_1d(self.populations.min(axis=-1))
+        pmin = self.populations.min(axis=-1).reshape(-1)
         for p in pmin[pmin < POSITIVITY_WARN]:
             log.warning("steady-state population below zero: %.3e "
                         "(weak-coupling theory is leaving its validity range)", p)

@@ -45,15 +45,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SweepConfig
 from .currents import dot_transport, kappa2_sweep, kappa4_lowT
 from .linalg import ValidationError, hermitian_eigensystem
-from .model import (JunctionModel, Reservoir, SpectralDensity, build_junction,
-                    stack_models)
+from .model import Q_SYMMETRY_RTOL, JunctionModel, Reservoir, SpectralDensity, stack_models
 from .rabi import RabiParams, build_rabi_junction, kondo_temperature
 
 __all__ = ["run_sweep", "compute_row", "SweepResult", "CSV_HEADER", "worker_count",
@@ -125,18 +124,21 @@ def _tls_junction(epsilon: float, delta: float) -> JunctionModel:
     parity sigma_z is odd: they are labelled with their sigma_x eigenvalue,
     sign(delta) for the ground state (`JunctionModel.sector`).  Where delta
     = 0 as well, H = 0 and both levels share sector 0.  A biased model
-    carries no labels.
+    carries no labels.  Built directly, the model is bitwise `build_junction`'s
+    of the eigenbasis: the levels -+omega_q / 2 ascend, and sigma_z is checked
+    for symmetry and symmetrized once.
     """
     h = np.array([[-0.5 * epsilon, -0.5 * delta],
                   [-0.5 * delta, 0.5 * epsilon]], dtype=complex)
     _, v = hermitian_eigensystem(h)
     sz = np.diag([1.0, -1.0]).astype(complex)
     q = (v.conj().T @ sz @ v).real
+    if abs(q[0, 1] - q[1, 0]) > Q_SYMMETRY_RTOL * max(np.abs(q).max(), 1e-300):
+        raise ValidationError("sigma_z in the eigenbasis is asymmetric")
+    q = 0.5 * (q + q.T)
     wq = float(np.hypot(epsilon, delta))
-    model = build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
-    if epsilon != 0.0:
-        return model
-    return replace(model, sector=np.array([1, -1]) * int(np.sign(delta)))
+    sector = np.array([1, -1]) * int(np.sign(delta)) if epsilon == 0.0 else None
+    return JunctionModel(np.array([-0.5 * wq, 0.5 * wq]), {"L": q, "R": q.copy()}, sector)
 
 
 def _junction(cfg: SweepConfig, model_args: dict) -> JunctionModel:
@@ -336,24 +338,15 @@ def _run_chunks(chunks: list) -> list[list[tuple[str, str]]]:
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
-    """Run the sweep, write the CSV, and report per-row failures.
+    """Run the sweep, write the CSV in one call, and report per-row failures.
 
     The CSV path is checked for writing before any row is computed.  The
-    chunk is the unit of work: `workers` is the most processes to use, this
-    one included.  The grid is cut into contiguous chunks of equal size, one
-    per worker but no more than `_usable_cpus` nor one per row, and on a T
-    sweep or a dot sweep of n rows no more than ceil(n / `_ROWS_PER_STACK`),
-    so that its k-th process starts only beyond k - 1 full stacks of rows.
-    This process computes the first chunk, and one child process per
-    remaining chunk computes the rest.  One worker, or a one-chunk grid,
-    starts no child.  A child costs about 8 ms (a fork of this process, its
-    pipe and its join): more than a short T sweep or dot sweep, whose rows
-    take well under a millisecond each, but less than a full stack.  A Rabi
-    sweep that starts a child first imports scipy.linalg, which its models'
-    eigensolver loads at the first build (`lowest_tridiagonal_eigensystem`
-    at zero qubit bias, `lowest_band_eigensystem` otherwise): each child
-    then inherits the module instead of importing it again.  The
-    CSV is written in one call.
+    grid is cut into chunks as the module docstring sets out: `workers` is
+    the most processes to use, this one included; this process computes the
+    first chunk, and one child process per remaining chunk the rest.  A
+    Rabi sweep that starts a child first imports scipy.linalg, which its
+    models' eigensolver loads at the first build, so that each child
+    inherits the module instead of importing it again.
     """
     check_writable(cfg.csv_path)
     grid = [float(v) for v in cfg.grid()]

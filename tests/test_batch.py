@@ -750,7 +750,7 @@ def test_models_that_retain_as_many_but_other_pairs_are_solved_apart():
               for omega in ([0.0, 1.0, 1.001, 3.0], [0.0, 0.001, 2.0, 3.0])]
     stack = stack_models(models)
     scales = np.full(2, 1e-3)
-    groups, _ = currents._cluster_groups(stack, scales, 10.0, np.arange(2))
+    groups, _ = currents._cluster_groups(stack, scales, 10.0)
     assert [r.tolist() for _, r in groups] == [[0], [1]]
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
     pair = [Reservoir("L", 1 / 0.12, sd), Reservoir("R", 1 / 0.08, sd)]
@@ -819,8 +819,7 @@ def test_retained_set_groups_are_the_per_temperature_clusterings(seed, dim, c, p
     levels = np.sort(np.abs(model.bohr_matrix()), axis=None)
     scales = np.array([levels[p % dim**2] / c if isinstance(p, int) and c else float(p)
                        for p in picks])
-    groups, out = currents._cluster_groups(stack_models([model]), scales, c,
-                                           np.zeros(len(scales), dtype=int))
+    groups, out = currents._cluster_groups(stack_models([model]), scales, c)
     rows = sorted(i for _, r in groups for i in r.tolist())
     assert rows == [i for i, e in enumerate(out) if e is None]
     assert len({cl.retained_pairs for cl, _ in groups}) == len(groups)
@@ -842,8 +841,7 @@ def test_a_threshold_equal_to_a_bohr_frequency_retains_its_pairs():
     model = build_junction([0.0, 1.0, 2.0, 2.5],
                            {"L": np.ones((4, 4)), "R": np.ones((4, 4))})
     scales = np.array([0.5, 1.0, 0.499, 2.0, 0.75, 1.0, 0.0, np.nan])
-    groups, out = currents._cluster_groups(stack_models([model]), scales, 1.0,
-                                           np.zeros(len(scales), dtype=int))
+    groups, out = currents._cluster_groups(stack_models([model]), scales, 1.0)
     assert [r.tolist() for _, r in groups] == [[0, 4], [1, 5], [2], [3]]
     for cl, r in groups:
         want = steady.cluster_bohr_frequencies(model, float(scales[r[0]]), 1.0)

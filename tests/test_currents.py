@@ -14,7 +14,7 @@ from ltrans.currents import (dot_transport, heat_current_2nd_general,
                              kappa4_lowT, partial_secular_state,
                              tls_closed_forms, tls_current, tls_kappa2, tls_kappa4)
 from ltrans.linalg import NumericError, ValidationError
-from ltrans.model import Reservoir, SpectralDensity, build_junction
+from ltrans.model import Reservoir, SpectralDensity, build_junction, stack_models
 from ltrans.rabi import RabiParams, build_rabi_junction
 from ltrans.redfield import build_current_kernel_2nd, fermion_dot_rates, gamma_rates
 from ltrans.steady import full_secular_steady
@@ -288,6 +288,14 @@ def test_kappa4_degenerate_ground_state_rejected():
     model = build_junction([0.0, 0.0], {"L": q, "R": q})
     with pytest.raises(ValidationError):
         kappa4_lowT(model, 1e-3, 0.01)
+
+
+@pytest.mark.parametrize("models", [1, 2])
+def test_kappa4_rejects_a_model_stack(models):
+    # omega[1] - omega[0] of a stack would subtract models, not levels
+    stack = stack_models([random_junction(seed, 3) for seed in range(models)])
+    with pytest.raises(ValidationError, match="one model, not a model stack"):
+        kappa4_lowT(stack, 1e-3, 0.01)
 
 
 # Loop transcriptions of the three virtual-state sums as they were written

@@ -16,6 +16,7 @@ from ltrans.redfield import BosonKernel, KernelBlock, PairLayout, all_pairs, bui
 from ltrans.steady import partial_secular_steady
 from ltrans.sweep import compute_row
 
+import kernel_oracle
 from layout_oracle import retained_layout, retained_mask, retained_pair_array
 
 
@@ -218,6 +219,47 @@ def test_the_retained_layout_is_the_set_transcription(keep, pick):
     q, w = np.ones((1, dim, dim)), np.ones((1, dim, dim), dtype=complex)
     with pytest.raises(ValidationError, match="lacks diagonal pairs"):
         PairLayout.retained(missing).block(q, w)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A layout (diagonal pairs alone, a retained set with coherences, or
+    every pair), and random Q and W for it over B baths, with no leading
+    axis, a temperature axis, or temperature and model axes."""
+    kind = draw(st.sampled_from(["diagonal", "retained", "all_pairs"]))
+    keep = draw(symmetric_masks())
+    dim = len(keep)
+    layout = (PairLayout.retained(np.eye(dim, dtype=bool)) if kind == "diagonal" else
+              PairLayout.retained(keep) if kind == "retained" else
+              PairLayout(dim, all_pairs(dim)))
+    lead = draw(st.sampled_from([(), (3,), (3, 2)]))          # (), (T,), (T, R)
+    baths = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal(lead[1:] + (baths, dim, dim))     # Q leads with the models
+    w = rng.standard_normal((2,) + lead + (baths, dim, dim))
+    return kind, layout, x + x.swapaxes(-1, -2), w[0] + 1j * w[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=kernel_inputs())
+def test_gathered_entries_are_the_matmul_and_mask_entries(inputs):
+    # each Kronecker term, gathered where its delta holds, against both terms
+    # as full matrix products masked off their deltas: bitwise on diagonal
+    # pairs alone (no Kronecker entry outside the sum-rule diagonals), to
+    # roundoff of the reordered sums elsewhere; a stacked slice is bitwise
+    # its one-slice block
+    kind, layout, q, w = inputs
+    got = layout.entries(q, w)
+    want = kernel_oracle.block_entries(layout.dim, layout.pairs, q, w)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if kind == "diagonal":
+        assert got.tobytes() == want.tobytes()
+    else:
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert (np.abs(got - want) <= 1e-14 * scale).all()
+    for i in np.ndindex(w.shape[:-3]):
+        one = layout.entries(q[i[1:]] if q.ndim > 3 else q, w[i])
+        assert one.tobytes() == got[i].tobytes()
 
 
 TLS_DELTA = """

@@ -11,6 +11,7 @@ from ltrans import currents, rabi, steady, sweep
 from ltrans.cli import main
 from ltrans.config import parse_config_text
 from ltrans.linalg import ValidationError, hermitian_eigensystem, lowest_band_eigensystem
+from ltrans.model import stack_models
 from ltrans.rabi import (CONVERGENCE_EXTRA, CONVERGENCE_TOL, RabiParams, _fock_drift_bound,
                          _levels_at_or_below, _lowest_levels, _rabi_band, build_rabi_junction,
                          grwa_spectrum, rwa_spectrum, vvpt_spectrum)
@@ -86,6 +87,15 @@ def test_zero_bias_couplings_real_symmetric_parity_odd():
         assert np.max(np.abs(np.diag(q))) < 1e-12
 
 
+@pytest.mark.parametrize("models", [1, 2])
+def test_kondo_temperature_rejects_a_model_stack(models):
+    # omega[1] - omega[0] of a stack would index models, not levels
+    model = build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=0.2, retained_levels=3))
+    with pytest.raises(ValidationError, match="one model, not a model stack"):
+        rabi.kondo_temperature(stack_models([model] * models))
+    assert rabi.kondo_temperature(model) == model.omega[1] - model.omega[0]
+
+
 def test_unconverged_fock_cutoff_rejected():
     with pytest.raises(ValidationError, match="Fock truncation"):
         build_rabi_junction(RabiParams(epsilon=0.0, delta=0.9, g=1.5, fock_cutoff=20))
@@ -131,9 +141,10 @@ def test_benchmark_g_chunk_solves_one_system_per_parity_retained_set(monkeypatch
         solves.append(args[2])
         return orig_solve(*args)
 
-    def cluster_groups(model, scales, c, at):
-        found, out = orig_groups(model, scales, c, at)
-        groups.extend((model.take(at[rows]), kept) for kept, rows in found)
+    def cluster_groups(model, scales, c):
+        found, out = orig_groups(model, scales, c)
+        # scale i is on model i % R of the stack of R models
+        groups.extend((model.take(rows % len(model.omega)), kept) for kept, rows in found)
         return found, out
 
     monkeypatch.setattr(steady, "_solve_retained", solve)

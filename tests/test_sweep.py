@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -18,7 +19,8 @@ from ltrans.baths import w_table
 from ltrans.config import parse_config_text
 from ltrans.currents import (dot_transport, heat_current_2nd_general,
                              partial_secular_state, tls_closed_forms)
-from ltrans.linalg import ValidationError
+from ltrans.linalg import ValidationError, hermitian_eigensystem
+from ltrans.model import build_junction
 from ltrans.sweep import compute_row, run_sweep, worker_count
 from ltrans.validate import run_validation
 
@@ -467,6 +469,43 @@ def test_cold_tls_partial_row_matches_closed_form(tmp_path):
     q = 1.0 / omega_q                 # |<0|sigma_z|1>| in the eigenbasis
     _, _, k4 = tls_closed_forms(omega_q, q, q, 1e-3, 1e-6, 1e-6, omega_c=5.0)
     assert float(cells[3]) == pytest.approx(k4, rel=1e-9)
+
+
+def tls_junction_through_build_junction(epsilon, delta):
+    """The two-level junction as `sweep._tls_junction` first built it: the
+    eigenbasis through `build_junction`, then its sector labels."""
+    h = np.array([[-0.5 * epsilon, -0.5 * delta],
+                  [-0.5 * delta, 0.5 * epsilon]], dtype=complex)
+    _, v = hermitian_eigensystem(h)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    q = (v.conj().T @ sz @ v).real
+    wq = float(np.hypot(epsilon, delta))
+    model = build_junction([-0.5 * wq, 0.5 * wq], {"L": q, "R": q.copy()})
+    if epsilon != 0.0:
+        return model
+    return dataclasses.replace(model, sector=np.array([1, -1]) * int(np.sign(delta)))
+
+
+TLS_PARAMETER = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0, 0.3]),
+                          st.floats(-5.0, 5.0, allow_subnormal=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(epsilon=TLS_PARAMETER, delta=TLS_PARAMETER)
+def test_tls_junction_is_bitwise_the_build_junction_model(epsilon, delta):
+    # built directly, the model keeps every bit of the generic build
+    got = sweep._tls_junction(epsilon, delta)
+    want = tls_junction_through_build_junction(epsilon, delta)
+    assert got.omega.dtype == want.omega.dtype and got.omega.tobytes() == want.omega.tobytes()
+    assert got.q_ops.keys() == want.q_ops.keys()
+    for rid in ("L", "R"):
+        assert got.q(rid).dtype == want.q(rid).dtype
+        assert got.q(rid).tobytes() == want.q(rid).tobytes()
+    if want.sector is None:
+        assert got.sector is None
+    else:
+        assert got.sector.dtype == want.sector.dtype
+        assert got.sector.tobytes() == want.sector.tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
