@@ -13,7 +13,11 @@ solve and one contraction of kappa2 and of each bath's current per set of
 temperatures (or models) that share a retained-pair set, the set that
 `ltrans.steady.retained_pair_mask` gives each slice; `kappa2` is its
 one-temperature, one-model case.  A biased row's own steady state, at the
-baths' temperatures, is one more slice of that stack.  The
+baths' temperatures, is one more slice of that stack.  A failing entry
+fails alone, and `kappa2_sweep` is the one place that sees to it: it
+solves again each half of a slice of entries that raises, down to single
+entries, while everything below it lets an exception rise; a call with a
+single entry raises its failure.  The
 fourth-order (cotunneling) channel is the closed-form low-temperature T^3
 conductance; its frequency-quadrature kernel is a test oracle and lives
 with the tests.  Closed-form two-level and single-dot expressions are kept
@@ -201,13 +205,11 @@ class Kappa2Response:
 
 
 def _isolated(rows: np.ndarray, solve, *args) -> list:
-    """solve(rows, *args), one result per row; if it raises, each half again.
+    """solve(rows, *args), one result per row; if it raises, each half again,
+    down to single rows, which then get their exception in place of a result.
 
-    A row that raises on its own gets its exception in place of a result.
-    Halving finds one failing row of n in about 2 log2(n) calls, and the
-    others are solved in stacks as large as the failures allow; a stacked
-    slice is bitwise its one-slice value, so the split does not change a
-    result.
+    One failing row of n costs about 2 log2(n) calls; a stacked slice is
+    bitwise its one-slice value, so the split does not change a result.
     """
     try:
         return solve(rows, *args)
@@ -244,8 +246,9 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     state of the baths themselves, so their currents need no second solve.
 
     A single model is a one-model stack.  Returns one entry per temperature
-    (per model of a model stack of several): its `Kappa2Response`, or the
-    exception that the entry alone raises.  The W (or Re W) and
+    of a one-model stack, or per model of a model stack: its
+    `Kappa2Response`, or, when there are several entries, the exception
+    that the entry alone raises.  The W (or Re W) and
     dW/dT tables are evaluated once per slice of temperatures or models
     (`_STACK_ENTRIES` bounds its arrays).  The full solver solves a slice
     in one batched `full_secular_steady`; the partial solver groups the
@@ -255,11 +258,12 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     slices, for large sets).  kappa2 and each bath's current are contracted
     once per stacked solve, every entry bitwise the one-temperature,
     one-model contraction.
-    If a stacked solve raises, each half of its entries is solved again,
-    down to single entries (`_isolated`); so are the models of a slice of
-    several that raises before its solves (`gamma_rates` rejects a
-    degenerate coupled pair of one model), so that a failure stays with its
-    own row.  Invalid arguments raise at once.
+    A failure is isolated here and nowhere below: if a slice of entries
+    raises, each half of it is solved again, down to single entries
+    (`_isolated`), so that a failure stays with its own entry, whether a
+    solve or a check of one model (`gamma_rates` rejects a degenerate
+    coupled pair) raised it.  A call with a single entry has no neighbours
+    to protect and raises its failure.  Invalid arguments raise at once.
 
     Only the ids and spectral densities of the baths are read, unless
     `biased`: then `temperatures` holds one temperature (the mean of the
@@ -267,9 +271,9 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     (one per bath) is one more slice of the stack per model.  It shares the
     W-table call, the kernel-block evaluation and, when it keeps the same
     retained pairs, the factorization of the state at the mean temperature;
-    no response is solved for it, and its currents replace rho0's.  The
-    entry is then kappa2's exception if kappa2 fails, else the biased
-    state's.
+    no response is solved for it, and its currents replace rho0's.  An
+    entry that fails is then kappa2's exception if kappa2 fails alone, else
+    the biased entry's.
     """
     ts = np.asarray(temperatures, dtype=float)
     if ts.ndim != 1:
@@ -290,25 +294,37 @@ def kappa2_sweep(model: JunctionModel, baths: list[Reservoir], temperatures,
     models = len(model.omega)
     if models > 1 and len(ts) != 1:
         raise ValidationError("a model stack takes one temperature")
-    args = (baths, solver, c, lamb_shift, biased)
+    args = (model, ts, baths, solver, c, lamb_shift, biased)
+    entries = max(models, len(ts))
+    if entries == 1:
+        return _entries(np.arange(1), *args)
     # per slice, the W table holds up to three distinct temperatures
     step = max(1, _STACK_ENTRIES // (model.dim**2 * (3 if biased else 1)))
-    if models == 1:
-        return [res for i in range(0, len(ts), step)
-                for res in _kappa2_stack(model, ts[i:i + step], *args)]
-    return [res for i in range(0, models, step)
-            for res in _isolated(np.arange(i, min(i + step, models)), _model_stack,
-                                 model, ts, args)]
+    return [res for i in range(0, entries, step)
+            for res in _isolated(np.arange(i, min(i + step, entries)), _entries, *args)]
 
 
-def _model_stack(rows: np.ndarray, model: JunctionModel, ts: np.ndarray, args) -> list:
-    """`_kappa2_stack` on the models `rows` of a model stack."""
-    return _kappa2_stack(model.take(rows), ts, *args)
+def _entries(rows: np.ndarray, model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
+             solver: str, c: float, lamb_shift: bool, biased: bool) -> list:
+    """`_kappa2_stack` on the entries `rows` of a `kappa2_sweep` call: the
+    temperatures `rows` of a one-model stack, or its models `rows`.
+
+    A single biased entry that raises is solved again without its biased
+    slice, so that kappa2's own exception, if it fails alone, is the entry's.
+    """
+    model, ts = (model.take(rows), ts) if len(model.omega) > 1 else (model, ts[rows])
+    try:
+        return _kappa2_stack(model, ts, baths, solver, c, lamb_shift, biased)
+    except Exception:
+        if biased and len(rows) == 1:
+            _kappa2_stack(model, ts, baths, solver, c, lamb_shift, False)
+        raise
 
 
 def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
                   solver: str, c: float, lamb_shift: bool, biased: bool) -> list:
-    """`kappa2_sweep` at the temperatures ts on a model stack, one stack of tables.
+    """`kappa2_sweep` at the temperatures ts on a model stack, one stack of
+    tables; raises if any slice fails.
 
     The slices of the stack run over the temperatures and, within each, over
     the R models: slice j < n = len(ts) * R holds both baths at ts[j // R]
@@ -341,30 +357,23 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
 
     if solver == "full":
         rates = gamma_rates(model, stacked)
-        gamma = rates.gamma.reshape(flat)
+        rates = RateMatrix(rates.gamma.reshape(flat),
+                           {k: g.reshape(flat) for k, g in rates.per_reservoir.items()})
         dgamma = BosonKernel(q=q_h, w=dw_dt_real(bohr, heated)[..., None, :, :]
                              ).population_rates().reshape(flat)
         d = np.arange(model.dim)
         dgamma[..., d, d] = -dgamma.sum(axis=-2)
-        wdiff = model.omega[:, None, :] - model.omega[:, :, None]
-
-        def solve_full(idx):
-            sub = RateMatrix(gamma[idx], {k: g.reshape(flat)[idx]
-                                          for k, g in rates.per_reservoir.items()})
-            state = full_secular_steady(sub)
-            wd = wdiff[at[idx]]
-            currents = {k: _secular_current(wd, g, state.populations)
-                        for k, g in sub.per_reservoir.items()}
-            m = np.count_nonzero(idx < n)          # idx ascends, so these lead it
-            a = sub.gamma[:m].copy()
-            a[..., 0, :] = 1.0
-            rhs = -(dgamma[idx[:m]] @ state.populations[:m, :, None])
-            rhs[..., 0, :] = 0.0
-            dp = np.linalg.solve(a, rhs)[..., 0]
-            kappa2 = _secular_current(wd[:m], sub.per_reservoir[baths[1].id][:m], dp)
-            return slices(state, kappa2, currents)
-
-        return _responses(_isolated(np.arange(len(at)), solve_full), n, biased)
+        wdiff = (model.omega[:, None, :] - model.omega[:, :, None])[at]
+        state = full_secular_steady(rates)
+        currents = {k: _secular_current(wdiff, g, state.populations)
+                    for k, g in rates.per_reservoir.items()}
+        a = rates.gamma[:n].copy()
+        a[..., 0, :] = 1.0
+        rhs = -(dgamma @ state.populations[:n, :, None])
+        rhs[..., 0, :] = 0.0
+        dp = np.linalg.solve(a, rhs)[..., 0]
+        kappa2 = _secular_current(wdiff[:n], rates.per_reservoir[baths[1].id][:n], dp)
+        return _responses(slices(state, kappa2, currents), n, biased)
 
     # the W and dW/dT tables of the stack share one set of coupled pairs
     # and one sort of their Bohr frequencies
@@ -378,77 +387,64 @@ def _kappa2_stack(model: JunctionModel, ts: np.ndarray, baths: list[Reservoir],
     # the block's own largest entry would fail on roundoff
     dw = dw_dt_table(coupled, heated).reshape(flat)[:, None]
 
-    def solve_partial(idx, layout):
-        # the models, coupling matrices (all baths, heated bath) and tables of
-        # the slices, on the group's retained pairs
-        mi = at[idx]
-        sub = JunctionModel(model.omega[mi])
-        q_s, qh, w_s = q[mi], q_h[mi], w[idx]
-        wbar = sub.bohr_matrix()[:, None] * w_s
-        kernel = layout.block(q_s, w_s, rates[idx])
-        m = np.count_nonzero(idx < n)              # idx ascends, so these lead it
-        dk = layout.entries(qh[:m], dw[idx[:m]])
-        state, drho = partial_secular_response(sub, kernel, dk, layout, lamb_shift)
-        kappa2 = _wbar_current(q_s[:m, 1], wbar[:m, 1], drho)
-        return slices(state, kappa2, {b.id: _wbar_current(q_s[:, i], wbar[:, i], state.rho)
-                                      for i, b in enumerate(baths)})
-
-    # solve the slices of each retained-pair set together (a clustering that
-    # raises is its slice's result)
-    groups, out = _cluster_groups(model, _rate_scale(rates), c)
-    for layout, rows in groups:
+    # solve the slices of each retained-pair set together
+    solved: list = [None] * len(at)
+    for layout, rows in _cluster_groups(model, _rate_scale(rates), c):
         size = max(1, _STACK_ENTRIES // len(layout.pairs)**2)
         for s in range(0, len(rows), size):
+            # the models, coupling matrices (all baths, heated bath) and
+            # tables of the slices idx, on the group's retained pairs
             idx = rows[s:s + size]
-            for i, res in zip(idx.tolist(), _isolated(idx, solve_partial, layout)):
-                out[i] = res
-    return _responses(out, n, biased)
+            mi = at[idx]
+            sub = JunctionModel(model.omega[mi])
+            q_s, w_s = q[mi], w[idx]
+            wbar = sub.bohr_matrix()[:, None] * w_s
+            kernel = layout.block(q_s, w_s, rates[idx])
+            m = np.count_nonzero(idx < n)          # idx ascends, so these lead it
+            dk = layout.entries(q_h[mi[:m]], dw[idx[:m]])
+            state, drho = partial_secular_response(sub, kernel, dk, layout, lamb_shift)
+            kappa2 = _wbar_current(q_s[:m, 1], wbar[:m, 1], drho)
+            currents = {b.id: _wbar_current(q_s[:, j], wbar[:, j], state.rho)
+                        for j, b in enumerate(baths)}
+            for i, res in zip(idx.tolist(), slices(state, kappa2, currents)):
+                solved[i] = res
+    return _responses(solved, n, biased)
 
 
-def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float) -> tuple[list, list]:
+def _cluster_groups(model: JunctionModel, scales: np.ndarray, c: float) -> list:
     """The retained-pair sets of the Bohr spectra of a stack of R models at
     the rate scales `scales`, scale i on model i % R.
 
-    Returns (groups, out).  groups holds (layout, rows) per distinct set,
-    in the order of their first rows: the `PairLayout.retained` layout of
-    the set (`retained_pair_mask`, at the threshold of the first of the
-    rows) and the ascending indices of the scales that retain it.  out
-    holds, per scale, the exception of `check_cluster_scale` where it
-    rejects the scale, else None; a rejected scale fails alone.  The mask of
-    the retained pairs names the set, across the models of the stack as
-    within one.
+    Returns (layout, rows) per distinct set, in the order of their first
+    rows: the `PairLayout.retained` layout of the set
+    (`retained_pair_mask`, at the threshold of the first of the rows) and
+    the ascending indices of the scales that retain it.  The mask of the
+    retained pairs names the set, across the models of the stack as within
+    one.  Raises the error of `check_cluster_scale` for the first scale it
+    rejects; `kappa2_sweep` keeps that failure with its own entry.
     """
     scales = scales.tolist()
+    for scale in scales:
+        check_cluster_scale(scale, c)
     thresholds = [c * s for s in scales]       # in floats: 0 * inf is a silent NaN
     keep = retained_pair_mask(model, np.array(thresholds).reshape(-1, len(model.omega)))
     keep = keep.reshape((len(scales),) + keep.shape[-2:])
-    out: list = [None] * len(scales)
     groups: dict = {}
-    for i, scale in enumerate(scales):
-        try:
-            check_cluster_scale(scale, c)
-        except ValidationError as exc:
-            out[i] = exc
-            continue
+    for i in range(len(scales)):
         groups.setdefault(keep[i].tobytes(), []).append(i)
-    return [(PairLayout.retained(keep[rows[0]]), np.array(rows))
-            for rows in groups.values()], out
+    return [(PairLayout.retained(keep[rows[0]]), np.array(rows)) for rows in groups.values()]
 
 
 def _responses(solved: list, n: int, biased: bool) -> list:
     """The `kappa2_sweep` entries of the first n slices of a solved stack.
 
-    solved holds (state, kappa2, currents) or an exception per slice.  The
-    entry of slice j is its kappa2 and state, with the currents of slice
-    n + j on a biased stack and its own otherwise, or the first exception
-    of the two slices.
+    solved holds (state, kappa2, currents) per slice.  The entry of slice j
+    is its kappa2 and state, with the currents of slice n + j on a biased
+    stack and its own otherwise.  A failure never reaches here: the stack
+    raises it, and `kappa2_sweep` isolates it.
     """
-    out = []
-    for res, own in zip(solved[:n], solved[n:] if biased else solved):
-        if not isinstance(res, Exception):
-            res = own if isinstance(own, Exception) else Kappa2Response(res[1], res[0], own[2])
-        out.append(res)
-    return out
+    return [Kappa2Response(k, state, own[2])
+            for (state, k, _), own in zip(solved[:n], solved[n:] if biased else solved)]
 
 
 def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
@@ -457,12 +453,9 @@ def kappa2(model: JunctionModel, baths: list[Reservoir], temperature: float,
     """Sequential-tunneling thermal conductance dI_r/dT_h at common temperature T.
 
     The conductance of the one entry of `kappa2_sweep` at T, which
-    documents the method; raises that entry's exception.
+    documents the method and raises that entry's failure.
     """
-    [res] = kappa2_sweep(model, baths, [temperature], solver, c, lamb_shift)
-    if isinstance(res, Exception):
-        raise res
-    return res.kappa2
+    return kappa2_sweep(model, baths, [temperature], solver, c, lamb_shift)[0].kappa2
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def emit_plot(csv_path: str, svg_path: str, logx: bool, x_label: str) -> None:
     ys = [p[1] for p in all_pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if x_lo == x_hi:        # one point: widen its axis, by a factor 2 each way if log
+        x_lo, x_hi = (x_lo * 0.5, x_hi * 2) if logx else (x_lo - 0.5, x_hi + 0.5)
     if y_lo == y_hi:
         y_lo, y_hi = y_lo * 0.5, y_hi * 2
 

@@ -65,7 +65,8 @@ def _first(values, bad):
 class SteadyState:
     """Stationary reduced density matrix with bookkeeping of kept coherences.
 
-    rho is (N, N), or (n_T, N, N) over a temperature axis whose rows share
+    rho is (N, N), or (n, N, N) over a slice axis (temperatures, models or
+    both, as `ltrans.currents.kappa2_sweep` stacks them) whose slices share
     the retained pairs.
     """
 

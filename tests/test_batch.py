@@ -515,29 +515,37 @@ def test_a_long_parameter_chunk_builds_and_solves_a_stack_of_models_at_a_time(
     assert calls.count("_junction") == 12
 
 
-def poison_w_table(monkeypatch, bad_t, part):
+def poison_w_table(monkeypatch, bad_t, part, gap=None):
     """Make W non-finite at temperature bad_t: its real part (which the
     clustering reads) or its imaginary part (which only the solve reads);
-    or make its real part vanish, so that the clustering scale is 0."""
+    or make its real part vanish, so that the clustering scale is 0.  Given
+    a gap, only at the Bohr frequencies +-gap (of the models of a stack
+    whose levels lie that far apart)."""
     orig = redfield.w_table
 
     def poisoned(omega, bath):
         out = orig(omega, bath)
         hit = np.asarray(bath.beta) == 1.0 / bad_t
         if hit.ndim:
+            if gap is not None:
+                f = omega if isinstance(omega, np.ndarray) else omega.scatter(omega.omega).real
+                hit = hit.reshape(hit.shape + (1,) * f.ndim) & (np.abs(f) == gap)
             (out.imag if part == "imag" else out.real)[hit] = 0.0 if part == "zero" else np.nan
         return out
 
     monkeypatch.setattr(redfield, "w_table", poisoned)
 
 
-def poison_gamma_rates(monkeypatch, bad_t, part):
-    """Cut every rate at temperature bad_t: the rate graph falls apart."""
+def poison_gamma_rates(monkeypatch, bad_t, part, gap=None):
+    """Cut every rate at temperature bad_t: the rate graph falls apart.
+    Given a gap, only on the models of a stack whose levels span it."""
     orig = currents.gamma_rates
 
     def poisoned(model, baths_):
         rates = orig(model, baths_)
         hit = np.asarray(baths_[0].beta) == 1.0 / bad_t
+        if gap is not None:
+            hit = np.ix_(hit, np.ptp(model.omega, axis=-1) == gap)
         for g in (rates.gamma, *rates.per_reservoir.values()):
             g[hit] = 0.0
         return rates
@@ -570,6 +578,67 @@ def test_a_failing_temperature_fails_its_row_alone(monkeypatch, name, poison, pa
     assert type(rows[bad][1]) is error and str(rows[bad][1]) == str(raised.value)
     assert [r for i, r in enumerate(rows) if i != bad] == \
         [r for i, r in enumerate(clean) if i != bad]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(solver=st.sampled_from(["full", "partial"]),
+       kind=st.sampled_from(["models", "biased", "T"]),
+       params=st.lists(st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.0, 1.0),
+                                        (0.3, 0.7), (0.7, 0.3), (0.3, 1.0), (-0.3, 0.7)]),
+                       min_size=2, max_size=6),
+       temperatures=st.lists(st.sampled_from([0.03, 0.05, 0.1, 0.2, 0.4]),
+                             min_size=2, max_size=6),
+       poisons=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["real", "imag", "zero"]),
+                                  st.one_of(st.none(), st.integers(0, 5))), max_size=3))
+# the biased slice of model 1 fails its clustering, and its kappa2 (at the
+# mean temperature 0.1) fails its solve: the entry carries kappa2's failure
+@example(solver="partial", kind="biased", params=[(0.3, 0.7), (0.7, 0.3)],
+         temperatures=[0.1, 0.1], poisons=[(0, "imag", None), (1, "real", 1)])
+def test_a_stacked_entry_is_its_one_entry_call_or_its_failure(solver, kind, params,
+                                                                temperatures, poisons):
+    # TLS model stacks (epsilon, delta) at one temperature, with and without
+    # bias, and TLS temperature stacks (on the first model), with poisoned
+    # entries: each poison names a temperature (of the stack, or the mean
+    # and the baths' on a model stack) and perhaps a model, whose levels'
+    # gap it hits.  Each entry of a call of several is bitwise its one-entry
+    # call, or carries the exception that call raises (a one-entry call
+    # raises, it returns no failure); a failing biased entry carries kappa2's
+    # exception where kappa2 fails alone
+    sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
+    t_left, t_right = (0.12, 0.08) if kind == "biased" else (0.1, 0.1)
+    pair = [Reservoir("L", 1 / t_left, sd), Reservoir("R", 1 / t_right, sd)]
+    models = [sweep._tls_junction(*p) for p in params]
+    if kind == "T":
+        models, ts, hot = models[:1], temperatures, temperatures
+        entries = [(models[0], [t]) for t in ts]
+    else:
+        ts, hot = [0.5 * (t_left + t_right)], [0.5 * (t_left + t_right), t_left, t_right]
+        entries = [(m, ts) for m in models]
+    biased = kind == "biased"
+    with pytest.MonkeyPatch.context() as mp:
+        for t, part, at in poisons:
+            gap = None if at is None else float(np.ptp(models[at % len(models)].omega))
+            (poison_gamma_rates if solver == "full" else poison_w_table)(
+                mp, hot[t % len(hot)], part, gap)
+        got = kappa2_sweep(stack_models(models), pair, ts, solver, biased=biased)
+        assert len(got) == len(entries)
+        for res, (model, t) in zip(got, entries):
+            try:
+                [want] = kappa2_sweep(model, pair, t, solver, biased=biased)
+            except (ValidationError, NumericError) as exc:
+                assert type(res) is type(exc) and str(res) == str(exc)
+                if biased:
+                    try:
+                        kappa2_sweep(model, pair, t, solver)
+                    except (ValidationError, NumericError) as alone:
+                        assert type(exc) is type(alone) and str(exc) == str(alone)
+                continue
+            assert not isinstance(want, Exception)
+            assert bits(res.kappa2) == bits(want.kappa2)
+            assert res.state.retained_pairs == want.state.retained_pairs
+            assert res.state.rho.tobytes() == want.state.rho.tobytes()
+            assert {k: bits(v) for k, v in res.currents.items()} == \
+                {k: bits(v) for k, v in want.currents.items()}
 
 
 def test_kappa2_sweep_rejects_bad_temperatures_at_once():
@@ -750,7 +819,7 @@ def test_models_that_retain_as_many_but_other_pairs_are_solved_apart():
               for omega in ([0.0, 1.0, 1.001, 3.0], [0.0, 0.001, 2.0, 3.0])]
     stack = stack_models(models)
     scales = np.full(2, 1e-3)
-    groups, _ = currents._cluster_groups(stack, scales, 10.0)
+    groups = currents._cluster_groups(stack, scales, 10.0)
     assert [r.tolist() for _, r in groups] == [[0], [1]]
     sd = SpectralDensity(alpha=1e-3, omega_c=5.0)
     pair = [Reservoir("L", 1 / 0.12, sd), Reservoir("R", 1 / 0.08, sd)]
@@ -819,38 +888,51 @@ def test_retained_set_groups_are_the_per_temperature_clusterings(seed, dim, c, p
     levels = np.sort(np.abs(model.bohr_matrix()), axis=None)
     scales = np.array([levels[p % dim**2] / c if isinstance(p, int) and c else float(p)
                        for p in picks])
-    groups, out = currents._cluster_groups(stack_models([model]), scales, c)
+    # a stack with a rejected scale raises the first one's error; the
+    # accepted scales are grouped
+    accepted, rejected = [], []
+    for scale in scales.tolist():
+        try:
+            accepted.append((scale, steady.cluster_bohr_frequencies(model, scale, c)))
+        except ValidationError as exc:
+            rejected.append(exc)
+    if rejected:
+        with pytest.raises(ValidationError) as raised:
+            currents._cluster_groups(stack_models([model]), scales, c)
+        assert str(raised.value) == str(rejected[0])
+    if not accepted:
+        return
+    groups = currents._cluster_groups(stack_models([model]),
+                                      np.array([s for s, _ in accepted]), c)
     rows = sorted(i for _, r in groups for i in r.tolist())
-    assert rows == [i for i, e in enumerate(out) if e is None]
+    assert rows == list(range(len(accepted)))
     assert len({cl.retained_pairs for cl, _ in groups}) == len(groups)
     for _, r in groups:
         assert r.tolist() == sorted(r.tolist())
-    for i, scale in enumerate(scales.tolist()):
-        try:
-            want = steady.cluster_bohr_frequencies(model, scale, c)
-        except ValidationError as exc:
-            assert type(out[i]) is ValidationError and str(out[i]) == str(exc)
-            continue
+    for i, (_, want) in enumerate(accepted):
         assert clusters_of(groups, i).retained_pairs == want.retained_pairs
 
 
 def test_a_threshold_equal_to_a_bohr_frequency_retains_its_pairs():
     # c * scale = |omega_nm| exactly (0.5 and 1 here): the pair is retained
     # (<=); the group's clustering is that of its first temperature, and a
-    # rejected scale whose threshold ties a group's fails alone
+    # rejected scale raises (a row that holds it fails alone: see
+    # test_a_failing_temperature_fails_its_row_alone)
     model = build_junction([0.0, 1.0, 2.0, 2.5],
                            {"L": np.ones((4, 4)), "R": np.ones((4, 4))})
+    stack = stack_models([model])
     scales = np.array([0.5, 1.0, 0.499, 2.0, 0.75, 1.0, 0.0, np.nan])
-    groups, out = currents._cluster_groups(stack_models([model]), scales, 1.0)
+    groups = currents._cluster_groups(stack, scales[:6], 1.0)
     assert [r.tolist() for _, r in groups] == [[0, 4], [1, 5], [2], [3]]
     for cl, r in groups:
         want = steady.cluster_bohr_frequencies(model, float(scales[r[0]]), 1.0)
         assert cl.retained_pairs == want.retained_pairs
     assert (2, 3) in groups[0][0].retained_pairs and (2, 3) not in groups[2][0].retained_pairs
     assert (1, 2) in groups[1][0].retained_pairs and (1, 2) not in groups[0][0].retained_pairs
-    assert out[:6] == [None] * 6
-    assert str(out[6]) == "all population rates vanish; no steady state"
-    assert str(out[7]) == "gamma_scale must be positive"
+    with pytest.raises(ValidationError, match="^all population rates vanish; no steady state$"):
+        currents._cluster_groups(stack, scales, 1.0)
+    with pytest.raises(ValidationError, match="^gamma_scale must be positive$"):
+        currents._cluster_groups(stack, scales[[0, 7]], 1.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -25,7 +25,7 @@ from test_config import benchmark_config_text
 PACKAGE = str(Path(ltrans.__file__).resolve().parent) + os.sep
 
 # calls per one-point row at grid point 1, when the budget was set
-CALLS = {"tls_partial_lowT": 126, "rabi5_full_T": 90, "rabi21_partial_g": 142}
+CALLS = {"tls_partial_lowT": 124, "rabi5_full_T": 88, "rabi21_partial_g": 140}
 
 
 def package_calls(fn) -> int:

@@ -66,6 +66,18 @@ def test_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert "wrote" in out.out and out.err == ""
 
 
+def test_a_one_point_log_sweep_plots_its_point(tmp_path, capsys):
+    # a single point widens its x axis; on a log axis by halving and
+    # doubling it, which keeps both ends positive
+    one_point = TLS.replace("stop = 2\npoints = 5", "stop = 0.2\npoints = 1")
+    ini = write_config(tmp_path, one_point, scale="log", start="0.2")
+    assert main(["sweep", ini]) == 0
+    assert len((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()) == 2
+    svg = (tmp_path / "out.svg").read_text(encoding="utf-8")
+    assert svg.count("<polyline") == 3
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_with_failing_rows_exits_1(tmp_path, capsys):
     ini = write_config(tmp_path, UNCONVERGED_RABI)
     assert main(["sweep", ini]) == 1

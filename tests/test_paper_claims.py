@@ -53,6 +53,32 @@ def test_coherences_suppress_kappa2_until_the_splitting_beats_the_rates():
     assert ratio[-1] == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
+def test_retained_coherences_suppress_kappa2_of_the_resonant_21_level_junction():
+    # one stack of resonant models (epsilon = 0, delta = omega_r = 1, 21
+    # levels of 40 Fock states) at T = 0.1: kappa2 falls below its full
+    # secular value wherever the partial state keeps a coherence, and is
+    # that value where it keeps none.  (Off resonance it need not fall: at
+    # delta = 0.9, g = 0.005 the ratio is above 1.)
+    gs = [0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.35, 0.4]
+    stack = stack_models([build_rabi_junction(RabiParams(0.0, 1.0, g, omega_r=1.0,
+                                                         fock_cutoff=40,
+                                                         retained_levels=21))
+                          for g in gs])
+    baths = drude_pair(temperature=0.1)
+    partial = kappa2_sweep(stack, baths, [0.1], solver="partial")
+    full = kappa2_sweep(stack, baths, [0.1], solver="full")
+    kept = []
+    for p, f in zip(partial, full):
+        coherent = any(n != m for n, m in p.state.retained_pairs)
+        kept.append(coherent)
+        if coherent:
+            assert p.kappa2 / f.kappa2 < 1
+        else:
+            assert p.kappa2 / f.kappa2 == pytest.approx(1.0, rel=1e-12, abs=0)
+    # the stack spans both sides: coherences at small g, none at the largest
+    assert kept[0] and not kept[-1]
+
+
 def test_partial_kappa2_grows_as_g_squared_below_the_rate_scale():
     # the qubit and the resonator decouple as g -> 0, so no heat flows
     k = [resonant_kappa2(g, "partial") for g in COUPLINGS[:3]]

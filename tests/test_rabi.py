@@ -142,10 +142,10 @@ def test_benchmark_g_chunk_solves_one_system_per_parity_retained_set(monkeypatch
         return orig_solve(*args)
 
     def cluster_groups(model, scales, c):
-        found, out = orig_groups(model, scales, c)
+        found = orig_groups(model, scales, c)
         # scale i is on model i % R of the stack of R models
         groups.extend((model.take(rows % len(model.omega)), kept) for kept, rows in found)
-        return found, out
+        return found
 
     monkeypatch.setattr(steady, "_solve_retained", solve)
     monkeypatch.setattr(currents, "_cluster_groups", cluster_groups)
